@@ -35,7 +35,9 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.exec import ExperimentRunner, MethodRun, ParallelRunner
+import pytest
+
+from repro.exec import ExperimentRunner, MethodRun
 from repro.hardware.presets import simulated_edge_device
 from repro.obs import trace as obs_trace
 from repro.obs.export import read_trace
@@ -111,10 +113,10 @@ def test_parallel_runner_and_result_cache(benchmark, tmp_path_factory):
     kwargs = dict(search_budget=SEARCH_BUDGET, seed=0)
 
     t_serial, serial = _timed_matrix(ExperimentRunner(**kwargs))
-    t_parallel, parallel = _timed_matrix(ParallelRunner(**kwargs, jobs=PARALLEL_JOBS))
+    t_parallel, parallel = _timed_matrix(ExperimentRunner(**kwargs, jobs=PARALLEL_JOBS))
     t_cold, cold = _timed_matrix(ExperimentRunner(**kwargs, cache_dir=cache_dir))
 
-    warm_runner = ParallelRunner(**kwargs, cache_dir=cache_dir, jobs=PARALLEL_JOBS)
+    warm_runner = ExperimentRunner(**kwargs, cache_dir=cache_dir, jobs=PARALLEL_JOBS)
     t_warm, warm = _timed_matrix(warm_runner)
     warm_stats = warm_runner.cache_stats()
 
@@ -329,7 +331,6 @@ def test_intra_pair_search_scaling(benchmark):
             budget=INTRA_BUDGET,
             seed=0,
             workers=workers,
-            parallel_backend="process",
             rollout_batch=8,
         )
         start = time.perf_counter()
@@ -360,18 +361,23 @@ def test_intra_pair_search_scaling(benchmark):
     benchmark.extra_info["objective_evaluations"] = serial.objective_evaluations
 
 
-def _ga_sweep(env_overrides: dict[str, str]) -> dict:
-    """One GA tuning sweep over (method, network) pairs under ``env_overrides``.
+def _serial_evaluate_batch(self: SchedulerObjective, tilings: list) -> list:
+    """The serial oracle of ``evaluate_batch``: one memoized ``evaluate`` each."""
+    return [self.evaluate(tiling) for tiling in tilings]
 
-    ``MAS_ANALYTIC`` / ``MAS_ANALYTIC_PRUNE`` are restored afterwards so the
-    three sweep modes cannot leak into each other (or other benchmarks).
+
+def _ga_sweep(prune: bool = False, serial: bool = False) -> dict:
+    """One GA tuning sweep over every searchable (method, network) pair.
+
+    ``serial`` routes every batch through the serial ``evaluate`` oracle
+    instead of the analytic pre-pass; ``prune`` turns on bound pruning.  Both
+    are undone afterwards so the sweep modes cannot leak into each other (or
+    other benchmarks).
     """
-    knobs = ("MAS_ANALYTIC", "MAS_ANALYTIC_PRUNE")
-    saved = {name: os.environ.get(name) for name in knobs}
-    for name in knobs:
-        os.environ.pop(name, None)
-    os.environ.update(env_overrides)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MAS_ANALYTIC_PRUNE", "1" if prune else "0")
+        if serial:
+            patch.setattr(SchedulerObjective, "evaluate_batch", _serial_evaluate_batch)
         tuner = AutoTuner(
             simulated_edge_device(), strategy="ga", budget=SEARCH_THROUGHPUT_BUDGET, seed=0
         )
@@ -382,12 +388,6 @@ def _ga_sweep(env_overrides: dict[str, str]) -> dict:
             for method in SEARCH_METHODS
         }
         elapsed = time.perf_counter() - start
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
     stats = {"num_simulated": 0, "num_infeasible": 0, "num_pruned": 0}
     candidates = 0
     for result in results.values():
@@ -419,21 +419,22 @@ def test_search_throughput_analytic(benchmark):
 
     Three full GA sweeps over every searchable (method, network) pair gate the
     end-to-end behaviour: the analytic pre-pass (default) must reproduce the
-    legacy simulate-everything sweep's best tiling per pair bit-identically,
-    and the opt-in bound-pruned sweep must only skip simulations, never lose a
-    winner.  The >=10x claim is then measured on the hot path itself: the same
-    distinct candidates each sweep evaluated are pushed through the serial
-    path (``evaluate_uncached``: graph build + simulation per candidate) and
-    through the vectorized ``analytic_bounds`` batch pass, and the two
-    candidates/sec rates are compared.  Everything lands in
-    ``BENCH_search.json`` so future PRs have a trajectory to regress against.
+    best tiling per pair of the ``legacy`` sweep — every batch through the
+    serial ``evaluate`` oracle — bit-identically, and the opt-in bound-pruned
+    sweep must only skip simulations, never lose a winner.  The >=10x claim
+    is then measured on the hot path itself: the same distinct candidates
+    each sweep evaluated are pushed through the serial oracle (graph build +
+    simulation per candidate) and through the vectorized ``analytic_bounds``
+    batch pass, and the two candidates/sec rates are compared.  Everything
+    lands in ``BENCH_search.json`` so future PRs have a trajectory to regress
+    against.
     """
-    legacy = _ga_sweep({"MAS_ANALYTIC": "0"})
-    analytic = _ga_sweep({"MAS_ANALYTIC": "1", "MAS_ANALYTIC_PRUNE": "0"})
-    pruned = _ga_sweep({"MAS_ANALYTIC_PRUNE": "1"})
+    legacy = _ga_sweep(serial=True)
+    analytic = _ga_sweep()
+    pruned = _ga_sweep(prune=True)
 
     # Bit-identity: the pre-pass only short-circuits infeasibles, so the best
-    # tiling (and its value) per pair must match the pre-refactor serial path.
+    # tiling (and its value) per pair must match the serial oracle's.
     for pair, reference in legacy["results"].items():
         got = analytic["results"][pair]
         assert got.best_tiling == reference.best_tiling, pair
@@ -458,12 +459,10 @@ def test_search_throughput_analytic(benchmark):
 
     t_serial = 0.0
     for method, workload, tilings in pairs:
-        objective = SchedulerObjective(
-            make_scheduler(method, simulated_edge_device()), workload, analytic=False
-        )
+        objective = SchedulerObjective(make_scheduler(method, simulated_edge_device()), workload)
         start = time.perf_counter()
         for tiling in tilings:
-            objective.evaluate_uncached(tiling)
+            objective.evaluate(tiling)
         t_serial += time.perf_counter() - start
 
     def analytic_pass() -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import ExperimentRunner, ParallelRunner
+from repro.analysis import ExperimentRunner
 from repro.hardware.presets import davinci_like_npu
 from repro.utils import env
 
@@ -60,7 +60,7 @@ SUITE = env.value("MAS_BENCH_SUITE")
 @pytest.fixture(scope="session")
 def edge_runner() -> ExperimentRunner:
     """Tuned runs on the paper's simulated edge device (Tables 2/3, Figures 6/7)."""
-    return ParallelRunner(
+    return ExperimentRunner(
         search_budget=SEARCH_BUDGET,
         seed=0,
         jobs=JOBS,
@@ -74,7 +74,7 @@ def edge_runner() -> ExperimentRunner:
 @pytest.fixture(scope="session")
 def npu_runner() -> ExperimentRunner:
     """Grid-searched runs on the DaVinci-like NPU preset (Figure 5)."""
-    return ParallelRunner(
+    return ExperimentRunner(
         hardware=davinci_like_npu(),
         search_strategy="grid",
         search_budget=SEARCH_BUDGET,

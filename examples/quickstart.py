@@ -81,13 +81,13 @@ def main() -> None:
     #    persistent result cache so re-runs skip the search entirely.
     #    (See docs/parallel_sweeps.md.)
     # ---------------------------------------------------------------- #
-    print("\nFor full Table-2/3 sweeps, use the parallel runner with a result store:")
-    print("    from repro.exec import ParallelRunner")
+    print("\nFor full Table-2/3 sweeps, run the matrix in parallel with a result store:")
+    print("    from repro.exec import ExperimentRunner")
     print("    from repro.analysis import run_table2")
-    print("    runner = ParallelRunner(jobs=8, cache_dir='~/.cache/mas-attention')")
+    print("    runner = ExperimentRunner(jobs=8, cache_dir='~/.cache/mas-attention')")
     print("    print(run_table2(runner).format())   # warm re-runs do zero searches")
     print("    # shared SQLite store (safe across concurrent workers/hosts):")
-    print("    runner = ParallelRunner(jobs=8, cache_uri='sqlite:///fleet.db')")
+    print("    runner = ExperimentRunner(jobs=8, cache_uri='sqlite:///fleet.db')")
     print("    # see docs/result_store.md for URIs, eviction and migration")
 
 

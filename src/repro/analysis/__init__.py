@@ -31,7 +31,7 @@ from repro.analysis.metrics import (
     normalize_to,
     speedup,
 )
-from repro.analysis.runner import ExperimentRunner, MethodRun, ParallelRunner
+from repro.analysis.runner import ExperimentRunner, MethodRun
 from repro.analysis.report import format_table
 from repro.analysis.table2 import Table2Result, run_table2
 from repro.analysis.table3 import Table3Result, run_table3
@@ -56,7 +56,6 @@ __all__ = [
     "geometric_mean",
     "normalize_to",
     "ExperimentRunner",
-    "ParallelRunner",
     "MethodRun",
     "format_table",
     "Table2Result",

@@ -9,18 +9,12 @@ plus the two small helpers the suite-parametrized harnesses share.
 
 from __future__ import annotations
 
-from repro.exec.runner import (
-    DEFAULT_METHOD_ORDER,
-    ExperimentRunner,
-    MethodRun,
-    ParallelRunner,
-)
+from repro.exec.runner import DEFAULT_METHOD_ORDER, ExperimentRunner, MethodRun
 from repro.workloads.suites import WorkloadSuite, get_suite
 
 __all__ = [
     "MethodRun",
     "ExperimentRunner",
-    "ParallelRunner",
     "DEFAULT_METHOD_ORDER",
     "resolve_runner",
     "suite_title_suffix",

@@ -47,7 +47,6 @@ from typing import Sequence
 from repro import __version__, quick_compare
 from repro.analysis import (
     ExperimentRunner,
-    ParallelRunner,
     TimelineOptions,
     format_table,
     render_comparison,
@@ -74,8 +73,8 @@ from repro.store import (
     open_store,
     parse_duration,
     parse_size,
+    resolve_store_target,
 )
-from repro.utils import env
 from repro.utils.serialization import dump_json, to_jsonable
 from repro.utils.units import bytes_to_human
 from repro.workloads.networks import get_network, table1_rows
@@ -155,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: $MAS_SEARCH_WORKERS or 1; results are identical at any count)",
         )
         p.add_argument(
-            "--search-backend",
-            choices=["thread", "process"],
-            default=None,
-            help="evaluation pool backend (default: $MAS_SEARCH_BACKEND or thread)",
-        )
-        p.add_argument(
             "--stream",
             action="store_true",
             help="print each (method, network) run to stderr as it completes, "
@@ -228,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument(
             "--cache",
             dest="cache_uri",
-            default=_env_cache_target(),
+            default=None,
             help="result-store URI or directory "
             "(default: $MAS_CACHE_URI, then $MAS_CACHE_DIR)",
         )
@@ -462,16 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_cache_target() -> str | None:
-    """The environment-supplied store target (URI first, legacy dir second).
-
-    One resolution rule for every command: explicit flags always win, then
-    ``$MAS_CACHE_URI``, then ``$MAS_CACHE_DIR`` — so a sweep and a ``cache``
-    subcommand run in the same shell always talk to the same store.
-    """
-    return env.value("MAS_CACHE_URI") or env.value("MAS_CACHE_DIR")
-
-
 def _suite_spec(args: argparse.Namespace) -> str:
     """The suite spec the runner should sweep (``--suite`` plus ``--batch``)."""
     spec = args.suite or "table1"
@@ -480,20 +463,16 @@ def _suite_spec(args: argparse.Namespace) -> str:
     return spec
 
 
-def _make_runner(args: argparse.Namespace) -> ParallelRunner:
-    cache_uri = args.cache_uri
-    if cache_uri is None and args.cache_dir is None:
-        cache_uri = _env_cache_target()
-    return ParallelRunner(
+def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
+    return ExperimentRunner(
         hardware=get_preset(args.hardware),
         search_budget=args.budget,
         use_search=not args.no_search,
         cache_dir=args.cache_dir,
-        cache_uri=cache_uri,
+        cache_uri=args.cache_uri,
         use_cache=not args.no_cache,
         jobs=args.jobs,
         search_workers=args.search_workers,
-        search_backend=args.search_backend,
         suite=_suite_spec(args),
         verbose=args.verbose,
     )
@@ -541,7 +520,7 @@ def _run_cache_command(args: argparse.Namespace) -> int:
             print(f"  stale entry left behind: {key}")
         return 0
 
-    store = _open_cache_store(args.cache_uri)
+    store = _open_cache_store(resolve_store_target(args.cache_uri))
     try:
         return _run_cache_store_command(args, store)
     finally:
@@ -799,7 +778,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     """The ``mas-attention serve`` command: front a local store over HTTP."""
     from repro.service import serve_store
 
-    store = _open_cache_store(args.store or _env_cache_target())
+    store = _open_cache_store(resolve_store_target(args.store))
     if isinstance(store, (HttpStore, ShardedStore)):
         raise SystemExit(
             f"refusing to front {store.uri()}: serve needs the *local* backend "

@@ -10,8 +10,8 @@ the analysis harnesses do with the results:
   seed, stored through a pluggable backend (:mod:`repro.store`: JSON
   directory or shared SQLite, selected by URI, with LRU eviction and
   cross-backend migration);
-* :mod:`repro.exec.runner` — the serial :class:`ExperimentRunner` and the
-  process-pool :class:`ParallelRunner` that produce identical results, both
+* :mod:`repro.exec.runner` — the :class:`ExperimentRunner`, which runs
+  pairs inline or over a process pool (``jobs``) with identical results,
   with a streaming ``iter_matrix`` API (completed runs yielded as they
   finish) and intra-pair ``search_workers`` fan-out of candidate evaluation.
 
@@ -27,7 +27,7 @@ from repro.exec.cache import (
     tuning_cache_key,
 )
 from repro.exec.pairs import MethodRun, PairSpec, execute_pair, pair_seed
-from repro.exec.runner import DEFAULT_METHOD_ORDER, ExperimentRunner, ParallelRunner
+from repro.exec.runner import DEFAULT_METHOD_ORDER, ExperimentRunner
 from repro.store import (
     EvictionPolicy,
     JsonDirStore,
@@ -55,7 +55,6 @@ __all__ = [
     "pair_seed",
     "DEFAULT_METHOD_ORDER",
     "ExperimentRunner",
-    "ParallelRunner",
     "WorkloadSuite",
     "get_suite",
     "list_suites",

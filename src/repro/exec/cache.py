@@ -113,8 +113,6 @@ def _evaluation_to_dict(evaluation: TilingEvaluation) -> dict[str, Any]:
 
 
 def _evaluation_from_dict(data: dict[str, Any]) -> TilingEvaluation:
-    # The attached SimulationResult (if any) is deliberately not persisted:
-    # it is large, and every consumer re-simulates the best tiling anyway.
     return TilingEvaluation(
         tiling=TilingConfig(**data["tiling"]),
         feasible=bool(data["feasible"]),
@@ -301,7 +299,7 @@ class ResultCache:
 
         Closing promptly matters beyond hygiene: SQLite connections must not
         be carried across ``fork()``, so a serial sweep has to drop its
-        connection before a :class:`~repro.exec.runner.ParallelRunner` forks
+        connection before a :class:`~repro.exec.runner.ExperimentRunner` forks
         pool workers — an inherited connection being garbage-collected in a
         child can tear down WAL state other processes are still reading.
         """

@@ -1,9 +1,8 @@
 """One (method, workload-entry) tuning + simulation, the unit of sweep execution.
 
-:func:`execute_pair` is the worker both the serial
-:class:`~repro.exec.runner.ExperimentRunner` loop and the process-pool
-:class:`~repro.exec.runner.ParallelRunner` dispatch.  Two properties make the
-fan-out safe:
+:func:`execute_pair` is the worker the
+:class:`~repro.exec.runner.ExperimentRunner` calls inline (``jobs=1``) or
+dispatches to its process pool.  Two properties make the fan-out safe:
 
 * **deterministic per-pair seeding** — each pair derives its search seed from
   the (base seed, method, entry name) triple with :func:`pair_seed`, so a
@@ -113,11 +112,10 @@ class PairSpec:
     use_cache: bool = True
     #: Suite name recorded in stored entry metadata (never part of the key).
     suite: str | None = None
-    #: Intra-search evaluation workers and pool backend.  Deliberately *not*
-    #: part of the tuning cache key: batched evaluation is bit-identical to
-    #: serial, so a result tuned at any worker count serves them all.
+    #: Intra-search evaluation workers.  Deliberately *not* part of the
+    #: tuning cache key: batched evaluation is bit-identical to serial, so a
+    #: result tuned at any worker count serves them all.
     search_workers: int | None = None
-    search_backend: str | None = None
     #: The entry's attention workload.  ``None`` resolves ``network`` against
     #: the Table-1 registry (the historical behaviour, and still what bare
     #: network names mean outside any suite).
@@ -193,7 +191,6 @@ def _execute_pair_traced(spec: PairSpec) -> MethodRun:
                     metric=spec.metric,
                     seed=seed,
                     workers=spec.search_workers,
-                    parallel_backend=spec.search_backend,
                 )
                 tuning = tuner.tune(scheduler, workload)
                 cache.store(key, tuning, suite=spec.suite)

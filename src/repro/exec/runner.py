@@ -1,24 +1,25 @@
-"""Serial and parallel experiment drivers: tune + simulate (method, network) matrices.
+"""The experiment driver: tune + simulate (method, network) matrices.
 
 Table 2, Table 3, Figure 6 and Figure 7 all report the *same* runs — each
 method tuned per network and then simulated with its best tiling — so the
 :class:`ExperimentRunner` owns those runs and memoizes them in-process, and
 the individual harnesses only reshape the results into their table/figure
-form.  On top of that this module adds:
+form.  On top of that the runner offers:
 
-* a persistent result store (``cache_dir`` / ``cache_uri`` /
-  ``$MAS_CACHE_URI``; JSON directory or shared SQLite, see
-  :mod:`repro.store`) so repeated sweeps across process starts skip the
+* a persistent result store (``cache_uri`` / ``cache_dir`` /
+  ``$MAS_CACHE_URI`` / ``$MAS_CACHE_DIR``; JSON directory or shared SQLite,
+  see :mod:`repro.store`) so repeated sweeps across process starts skip the
   tiling search entirely;
-* :class:`ParallelRunner`, a drop-in subclass that fans the matrix out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Per-pair seeds are
-  derived deterministically (:func:`~repro.exec.pairs.pair_seed`), so parallel
-  results are bit-identical to serial ones;
+* ``jobs``: fan the matrix out over a
+  :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=1`` runs pairs
+  inline).  Per-pair seeds are derived deterministically
+  (:func:`~repro.exec.pairs.pair_seed`), so parallel results are
+  bit-identical to serial ones;
 * a streaming sweep API — ``iter_matrix`` yields each completed
   :class:`MethodRun` as it finishes (``as_completed`` order, or Table-1 order
   with ``stream=False``) so harnesses can render incrementally;
 * intra-pair parallelism — ``search_workers`` fans the candidate evaluations
-  *inside* each pair's tiling search over a thread/process pool (see
+  *inside* each pair's tiling search over a process pool (see
   :mod:`repro.search.parallel`), again without changing any result.
 """
 
@@ -37,20 +38,19 @@ from repro.hardware.config import HardwareConfig
 from repro.hardware.presets import simulated_edge_device
 from repro.schedulers.registry import get_scheduler, list_schedulers
 from repro.search.objective import Metric
-from repro.search.parallel import resolve_backend, resolve_workers
+from repro.search.parallel import resolve_workers
 from repro.store import (
     HttpStore,
-    MAS_CACHE_URI_ENV,
     ShardedStore,
     TransientServiceError,
     open_store,
+    resolve_store_target,
 )
-from repro.utils import env
 from repro.utils.validation import check_positive_int
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.suites import WorkloadSuite, get_suite
 
-__all__ = ["MethodRun", "ExperimentRunner", "ParallelRunner", "DEFAULT_METHOD_ORDER"]
+__all__ = ["MethodRun", "ExperimentRunner", "DEFAULT_METHOD_ORDER"]
 
 #: Method order used by the paper's tables (MAS-Attention last).
 DEFAULT_METHOD_ORDER: tuple[str, ...] = (
@@ -89,27 +89,26 @@ class ExperimentRunner:
         Tuning objective (``"cycles"``, ``"energy"`` or ``"edp"``).
     cache_dir:
         Directory of the persistent tuning-result cache (the JSON-file
-        backend); ``None`` defers to ``cache_uri``.
+        backend).
     cache_uri:
         Result-store URI — ``dir:/path``, ``sqlite:///path.db`` or
         ``http://host:8787`` (a running ``mas-attention serve``), optionally
         with ``?max_entries=``/``?max_bytes=`` eviction caps (see
-        :mod:`repro.store.uri`).  Takes precedence over ``cache_dir``; when
-        neither is given, ``$MAS_CACHE_URI`` supplies the default, and with
-        that unset too results stay in-memory only.  Every worker process
-        carries its own store counters back to the parent through
-        :attr:`MethodRun.store_stats`, HTTP-backed sweeps included, so
-        :meth:`cache_stats` accounting is backend-independent.
+        :mod:`repro.store.uri`).  The store target resolves as
+        ``cache_uri``, then ``cache_dir``, then ``$MAS_CACHE_URI``, then
+        ``$MAS_CACHE_DIR`` (:func:`~repro.store.resolve_store_target`, the
+        rule the CLI uses too); with none of them set, results stay
+        in-memory only.  Every worker process carries its own store counters
+        back to the parent through :attr:`MethodRun.store_stats`, HTTP-backed
+        sweeps included, so :meth:`cache_stats` accounting is
+        backend-independent.
     use_cache:
         Off switch for the persistent cache even when a target is set.
     search_workers:
-        Candidate-evaluation workers *within* each pair's tiling search;
+        Candidate-evaluation processes *within* each pair's tiling search;
         ``None`` defers to ``$MAS_SEARCH_WORKERS`` (default 1).  Tuning
         results are bit-identical for every worker count, so this composes
-        freely with the persistent cache and with ``ParallelRunner.jobs``.
-    search_backend:
-        Evaluation pool backend (``"thread"``/``"process"``); ``None`` defers
-        to ``$MAS_SEARCH_BACKEND`` (default ``"thread"``).
+        freely with the persistent cache and with ``jobs``.
     suite:
         The workload suite swept by this runner: a
         :class:`~repro.workloads.suites.WorkloadSuite`, a suite-spec string
@@ -120,6 +119,12 @@ class ExperimentRunner:
         When true, the eager store health probe reports what it learned
         (service version, uptime, pid — or the reachable shard count of a
         fleet) on stderr instead of discarding the payload.
+    jobs:
+        Worker processes for the (method, network) matrix.  ``1`` (the
+        default) runs every pair inline in this process; more fans the
+        not-yet-memoized pairs over a process pool.  Because every pair is
+        executed by the same :func:`execute_pair` with the same derived seed,
+        results are identical at any ``jobs``.
     """
 
     hardware: HardwareConfig = field(default_factory=simulated_edge_device)
@@ -132,19 +137,19 @@ class ExperimentRunner:
     cache_uri: str | None = None
     use_cache: bool = True
     search_workers: int | None = None
-    search_backend: str | None = None
     suite: str | WorkloadSuite | None = None
     verbose: bool = False
+    jobs: int = 1
     _runs: dict[tuple[str, str], MethodRun] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         check_positive_int(self.search_budget, "search_budget")
-        # Fail fast on bad worker/backend settings (explicit or from the
-        # environment) instead of erroring later inside pool workers — and on
-        # a malformed suite spec before any pair executes.
+        check_positive_int(self.jobs, "jobs")
+        # Fail fast on bad worker settings (explicit or from the environment)
+        # instead of erroring later inside pool workers — and on a malformed
+        # suite spec before any pair executes.
         resolve_workers(self.search_workers)
-        resolve_backend(self.search_backend)
-        # ... and on a malformed store URI (explicit or $MAS_CACHE_URI):
+        # ... and on a malformed store URI (explicit or from the environment):
         # opening a store is lazy/cheap and raises on bad schemes or policies.
         # An HTTP store is additionally pinged, so an unreachable/mistyped
         # service address fails the run here with one clear error instead of
@@ -217,14 +222,10 @@ class ExperimentRunner:
         """The resolved persistent-store target of this runner.
 
         Precedence: explicit ``cache_uri``, then ``cache_dir`` (a plain
-        directory, the historical JSON-file format), then the
-        ``$MAS_CACHE_URI`` environment default.
+        directory, the historical JSON-file format), then ``$MAS_CACHE_URI``,
+        then ``$MAS_CACHE_DIR``.
         """
-        if self.cache_uri is not None:
-            return self.cache_uri
-        if self.cache_dir is not None:
-            return str(self.cache_dir)
-        return env.value(MAS_CACHE_URI_ENV)
+        return resolve_store_target(self.cache_uri, self.cache_dir)
 
     # ------------------------------------------------------------------ #
     def methods(self, subset: list[str] | None = None) -> list[str]:
@@ -272,7 +273,6 @@ class ExperimentRunner:
             use_cache=self.use_cache,
             suite=self.suite_name,
             search_workers=self.search_workers,
-            search_backend=self.search_backend,
             workload=entry.workload,
             # Ambient sweep span (if tracing is on), so pair spans parent
             # onto the sweep even from pool-worker processes.
@@ -301,11 +301,14 @@ class ExperimentRunner:
         The streaming counterpart of :meth:`run_matrix`: every yielded run is
         memoized exactly as if :meth:`run` had produced it, and the set of
         runs is identical to the matrix — only the delivery is incremental.
-        The serial runner computes pairs in suite order (Table-1 order for
-        the default suite), so completion order and table order coincide and
-        ``stream`` makes no difference here; :class:`ParallelRunner`
-        overrides the :meth:`_iter_runs` hook with true ``as_completed``
-        streaming (and ``stream=False`` as the in-order fallback).
+
+        With ``jobs > 1`` and ``stream=True`` already-memoized pairs come
+        first, then fresh runs in completion (``as_completed``) order.  With
+        ``stream=False`` the pairs still *execute* in parallel but are
+        yielded in suite order (Table-1 order for the default suite), each
+        one as soon as it and all its predecessors are done.  Inline
+        (``jobs=1``) sweeps complete in suite order, so there ``stream``
+        makes no difference.
 
         The whole sweep runs inside one "sweep" span (a no-op unless
         ``$MAS_TRACE`` is set); every pair span — local or in a pool
@@ -317,7 +320,7 @@ class ExperimentRunner:
             "sweep",
             layer="runner",
             suite=self.suite_name,
-            jobs=getattr(self, "jobs", 1),
+            jobs=self.jobs,
             pairs=len(network_names) * len(method_names),
         ):
             yield from self._iter_runs(network_names, method_names, stream)
@@ -329,11 +332,38 @@ class ExperimentRunner:
         methods: list[str],
         stream: bool,
     ) -> Iterator[MethodRun]:
-        """Execution hook of :meth:`iter_matrix` (already inside the span)."""
-        del stream  # serial completion order *is* suite order
-        for network in networks:
-            for method in methods:
+        """Execution body of :meth:`iter_matrix` (already inside the span)."""
+        order = [(method, network) for network in networks for method in methods]
+        pending = [pair for pair in order if pair not in self._runs]
+        if self.jobs <= 1 or len(pending) <= 1:
+            for method, network in order:
                 yield self.run(method, network)
+            return
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
+        try:
+            futures = {
+                pool.submit(execute_pair, self.pair_spec(method, network)): (method, network)
+                for method, network in pending
+            }
+            if stream:
+                for pair in order:
+                    if pair in self._runs:
+                        yield self._runs[pair]
+                for future in as_completed(futures):
+                    run = future.result()
+                    self._runs[futures[future]] = run
+                    yield run
+            else:
+                by_pair = {pair: future for future, pair in futures.items()}
+                for pair in order:
+                    if pair not in self._runs:
+                        self._runs[pair] = by_pair[pair].result()
+                    yield self._runs[pair]
+        finally:
+            # Abandoning the generator early (break / close) must not block
+            # for the whole remaining matrix: drop the not-yet-started pairs
+            # and wait only for the in-flight ones.
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def run_matrix(
         self,
@@ -366,12 +396,12 @@ class ExperimentRunner:
 
         ``cache_hits`` / ``cache_misses`` / ``cache_stale`` aggregate the
         store counters each run's *executing process* recorded
-        (:attr:`MethodRun.store_stats`) — pool workers of a
-        :class:`ParallelRunner` open their own cache, so summing the parent's
-        own counters (which are always zero there) would undercount every
-        parallel sweep.  ``retry_attempts`` / ``retry_giveups`` aggregate the
-        same way: transient store failures backed off and retried (or
-        abandoned) by whichever process executed the pair.
+        (:attr:`MethodRun.store_stats`) — pool workers (``jobs > 1``) open
+        their own cache, so summing the parent's own counters (which are
+        always zero there) would undercount every parallel sweep.
+        ``retry_attempts`` / ``retry_giveups`` aggregate the same way:
+        transient store failures backed off and retried (or abandoned) by
+        whichever process executed the pair.
 
         ``search_simulated`` / ``search_infeasible`` / ``search_pruned``
         break ``search_evaluations`` down by how the analytic pre-pass
@@ -409,64 +439,7 @@ class ExperimentRunner:
         }
 
 
-@dataclass
-class ParallelRunner(ExperimentRunner):
-    """Drop-in :class:`ExperimentRunner` that executes the matrix in parallel.
-
-    ``iter_matrix``/``run_matrix`` fan the not-yet-memoized (method, network)
-    pairs out over a :class:`~concurrent.futures.ProcessPoolExecutor` with
-    ``jobs`` workers; ``jobs=1`` (the default) runs serially in-process with
-    no pool overhead.  Because every pair is executed by the same
-    :func:`execute_pair` worker with the same derived seed, results are
-    identical to the serial runner.
-    """
-
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_positive_int(self.jobs, "jobs")
-
-    def _iter_runs(
-        self,
-        networks: list[str],
-        methods: list[str],
-        stream: bool,
-    ) -> Iterator[MethodRun]:
-        """Yield completed runs while the pool is still working on the rest.
-
-        With ``stream=True`` already-memoized pairs come first, then fresh
-        runs in completion (``as_completed``) order.  With ``stream=False``
-        the pairs still *execute* in parallel but are yielded in suite
-        order, each one as soon as it and all its predecessors are done.
-        """
-        order = [(method, network) for network in networks for method in methods]
-        pending = [pair for pair in order if pair not in self._runs]
-        if self.jobs <= 1 or len(pending) <= 1:
-            yield from super()._iter_runs(networks, methods, stream)
-            return
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
-        try:
-            futures = {
-                pool.submit(execute_pair, self.pair_spec(method, network)): (method, network)
-                for method, network in pending
-            }
-            if stream:
-                for pair in order:
-                    if pair in self._runs:
-                        yield self._runs[pair]
-                for future in as_completed(futures):
-                    run = future.result()
-                    self._runs[futures[future]] = run
-                    yield run
-            else:
-                by_pair = {pair: future for future, pair in futures.items()}
-                for pair in order:
-                    if pair not in self._runs:
-                        self._runs[pair] = by_pair[pair].result()
-                    yield self._runs[pair]
-        finally:
-            # Abandoning the generator early (break / close) must not block
-            # for the whole remaining matrix: drop the not-yet-started pairs
-            # and wait only for the in-flight ones.
-            pool.shutdown(wait=True, cancel_futures=True)
+#: Alias of :class:`ExperimentRunner`, kept only because the sweep benchmark
+#: (``perfbench/sweep.py``) imports this name; delete it once that script
+#: imports ``ExperimentRunner``.
+ParallelRunner = ExperimentRunner

@@ -39,11 +39,11 @@ from repro.obs.bench import DEFAULT_RULES, DEFAULT_WINDOW, Rule, history_payload
 from repro.obs.collect import FleetCollector
 from repro.obs.export import read_trace
 from repro.obs.summary import summarize_trace
+from repro.service.server import server_url
 
 __all__ = [
     "DEFAULT_DASH_PORT",
     "ObsState",
-    "dashboard_url",
     "make_dashboard",
     "running_dashboard",
     "serve_dashboard",
@@ -273,13 +273,6 @@ def make_dashboard(
     return server
 
 
-def dashboard_url(server: ThreadingHTTPServer) -> str:
-    host, port = server.server_address[:2]
-    if ":" in host:  # bare IPv6 literal: bracket it for URL use
-        host = f"[{host}]"
-    return f"http://{host}:{port}"
-
-
 @contextmanager
 def running_dashboard(
     state: ObsState,
@@ -310,7 +303,7 @@ def serve_dashboard(
     server = make_dashboard(state, host=host, port=port, verbose=verbose)
     state.collector.start()
     print(
-        f"observability dashboard on {dashboard_url(server)} "
+        f"observability dashboard on {server_url(server)} "
         f"(fleet: {', '.join(state.collector.endpoints)}; Ctrl-C stops)",
         flush=True,
     )

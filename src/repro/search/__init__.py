@@ -11,8 +11,8 @@ those searchers over the :class:`~repro.core.tiling.TilingConfig` space:
 * :mod:`repro.search.objective` — candidate evaluation (cycles / energy / EDP)
   with feasibility handling and caching;
 * :mod:`repro.search.history` — per-iteration search records (Figure 7);
-* :mod:`repro.search.parallel` — batched candidate evaluation over a thread
-  or process pool, bit-identical to serial evaluation;
+* :mod:`repro.search.parallel` — batched candidate evaluation over a process
+  pool, bit-identical to serial evaluation;
 * :mod:`repro.search.grid`, :mod:`repro.search.random_search`,
   :mod:`repro.search.mcts`, :mod:`repro.search.genetic` — the algorithms;
 * :mod:`repro.search.autotuner` — the facade the experiments use
@@ -22,7 +22,7 @@ those searchers over the :class:`~repro.core.tiling.TilingConfig` space:
 from repro.search.space import TilingSearchSpace
 from repro.search.objective import SchedulerObjective, TilingEvaluation
 from repro.search.history import SearchHistory, SearchRecord
-from repro.search.parallel import ParallelEvaluator, resolve_backend, resolve_workers
+from repro.search.parallel import ParallelEvaluator, resolve_workers
 from repro.search.base import SearchAlgorithm
 from repro.search.grid import GridSearch
 from repro.search.random_search import RandomSearch
@@ -37,7 +37,6 @@ __all__ = [
     "SearchHistory",
     "SearchRecord",
     "ParallelEvaluator",
-    "resolve_backend",
     "resolve_workers",
     "SearchAlgorithm",
     "GridSearch",

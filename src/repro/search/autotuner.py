@@ -104,13 +104,10 @@ class AutoTuner:
     seed:
         Seed for the stochastic searchers.
     workers:
-        Candidate-evaluation workers *within* the search (GA generations and
-        MCTS rollout batches fan out over them); ``None`` resolves to
+        Candidate-evaluation processes *within* the search (GA generations
+        and MCTS rollout batches fan out over them); ``None`` resolves to
         ``$MAS_SEARCH_WORKERS`` (default 1).  Results are bit-identical for
         every worker count.
-    parallel_backend:
-        Evaluation pool backend, ``"thread"`` or ``"process"``; ``None``
-        resolves to ``$MAS_SEARCH_BACKEND`` (default ``"thread"``).
     rollout_batch:
         Leaf rollouts per MCTS iteration (see :class:`MCTSSearch`).  Unlike
         ``workers`` this changes the search trajectory, so it defaults to the
@@ -126,7 +123,6 @@ class AutoTuner:
         seed: int = 0,
         mcts_fraction: float = 0.6,
         workers: int | None = None,
-        parallel_backend: str | None = None,
         rollout_batch: int = 1,
     ) -> None:
         if strategy is None:
@@ -142,7 +138,6 @@ class AutoTuner:
         self.seed = seed
         self.mcts_fraction = mcts_fraction
         self.workers = workers
-        self.parallel_backend = parallel_backend
         self.rollout_batch = rollout_batch
         self._cache: dict[tuple[str, str], TuningResult] = {}
 
@@ -171,11 +166,7 @@ class AutoTuner:
             return cached
 
         objective = SchedulerObjective(
-            scheduler,
-            workload,
-            metric=self.metric,
-            workers=self.workers,
-            backend=self.parallel_backend,
+            scheduler, workload, metric=self.metric, workers=self.workers
         )
         space = TilingSearchSpace(workload, self.hardware)
         try:

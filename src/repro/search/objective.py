@@ -8,15 +8,16 @@ exceeds L1) are reported as infeasible and receive an infinite objective so
 the searchers steer away from them.
 
 Batch evaluation runs a **vectorized analytic pre-pass** first
-(:meth:`~repro.schedulers.base.AttentionScheduler.analytic_bounds`,
-``$MAS_ANALYTIC``): the whole batch's feasibility masks come from a few numpy
-expressions, so infeasible candidates are marked without ever building a task
-graph, and — when ``$MAS_ANALYTIC_PRUNE`` is enabled — candidates whose
-provable lower bound on the objective already loses to the incumbent skip
-their simulation entirely.  The pre-pass replicates the serial feasibility
-rules exactly, so with pruning disabled (the default) the memo table, the
-evaluation counts and every returned value are bit-identical to the serial
-path.
+(:meth:`~repro.schedulers.base.AttentionScheduler.analytic_bounds`): the whole
+batch's feasibility masks come from a few numpy expressions, so infeasible
+candidates are marked without ever building a task graph, and — when
+``$MAS_ANALYTIC_PRUNE`` is enabled — candidates whose provable lower bound on
+the objective already loses to the incumbent skip their simulation entirely.
+The pre-pass replicates the serial feasibility rules exactly, so with pruning
+disabled (the default) the memo table, the evaluation counts and every
+returned value are bit-identical to calling the serial, memoized
+:meth:`SchedulerObjective.evaluate` on each candidate — the oracle the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from repro.utils import env
 from repro.utils.validation import require
 from repro.workloads.attention import AttentionWorkload
 
-__all__ = [
-    "TilingEvaluation",
-    "SchedulerObjective",
-    "analytic_enabled",
-    "analytic_prune_enabled",
-]
+__all__ = ["TilingEvaluation", "SchedulerObjective", "analytic_prune_enabled"]
 
 Metric = Literal["cycles", "energy", "edp"]
 
@@ -52,11 +48,6 @@ Metric = Literal["cycles", "energy", "edp"]
 #: bit-identical for every worker count while still letting early winners
 #: prune the rest of a large batch.
 PRUNE_WAVE = 8
-
-
-def analytic_enabled() -> bool:
-    """Whether batch evaluation runs the vectorized analytic pre-pass."""
-    return env.value("MAS_ANALYTIC") != "0"
 
 
 def analytic_prune_enabled() -> bool:
@@ -72,14 +63,18 @@ def analytic_prune_enabled() -> bool:
 
 @dataclass(frozen=True)
 class TilingEvaluation:
-    """Outcome of evaluating one tiling candidate."""
+    """Outcome of evaluating one tiling candidate.
+
+    Scalars only: a feasible evaluation is exactly one simulation, and its
+    trace is dropped so evaluations stay small enough to ship back from pool
+    workers (re-simulate the tiling when the trace itself is wanted).
+    """
 
     tiling: TilingConfig
     feasible: bool
     cycles: int
     energy_pj: float
     value: float
-    result: SimulationResult | None = None
     #: True when the candidate was never simulated because its analytic lower
     #: bound already lost to the incumbent.  ``value`` then holds that bound —
     #: a finite underestimate that keeps ranking signals for the stochastic
@@ -112,21 +107,13 @@ class SchedulerObjective:
         proactive overwrite strategy handles the overflow (at extra DRAM
         cost); the baselines keep the strict check.
     workers:
-        Evaluation workers for :meth:`evaluate_batch`; ``None`` resolves to
+        Process-pool workers for :meth:`evaluate_batch`; ``None`` resolves to
         ``$MAS_SEARCH_WORKERS`` (default 1, fully serial).  Results are
         bit-identical for every worker count.
-    backend:
-        Pool backend, ``"thread"`` or ``"process"``; ``None`` resolves to
-        ``$MAS_SEARCH_BACKEND`` (default ``"thread"``).
-    analytic:
-        Run the vectorized analytic pre-pass in :meth:`evaluate_batch`;
-        ``None`` resolves to ``$MAS_ANALYTIC`` (default on).  With pruning
-        disabled the pre-pass only short-circuits infeasible candidates and
-        is bit-identical to the serial path.
     analytic_prune:
         Prune candidates whose analytic lower bound on the metric already
         loses to the incumbent; ``None`` resolves to ``$MAS_ANALYTIC_PRUNE``
-        (default off).  Implies the pre-pass.
+        (default off).
     """
 
     def __init__(
@@ -136,8 +123,6 @@ class SchedulerObjective:
         metric: Metric = "cycles",
         allow_overflow: bool | None = None,
         workers: int | None = None,
-        backend: str | None = None,
-        analytic: bool | None = None,
         analytic_prune: bool | None = None,
     ) -> None:
         require(metric in ("cycles", "energy", "edp"), f"unknown metric {metric!r}")
@@ -147,11 +132,8 @@ class SchedulerObjective:
         if allow_overflow is None:
             allow_overflow = scheduler.name == "mas"
         self.allow_overflow = allow_overflow
-        if analytic is None:
-            analytic = analytic_enabled()
         if analytic_prune is None:
             analytic_prune = analytic_prune_enabled()
-        self.analytic = analytic or analytic_prune
         self.analytic_prune = analytic_prune
         self._cache: dict[tuple, TilingEvaluation] = {}
         #: Non-memoized evaluations performed, feasible or not: every distinct
@@ -163,7 +145,6 @@ class SchedulerObjective:
         #: or hard-infeasibility), ``num_pruned`` candidates skipped because
         #: their analytic lower bound lost to the incumbent.
         self.analytic_stats: dict[str, int] = {
-            "analytic": int(self.analytic),
             "prune": int(self.analytic_prune),
             "num_simulated": 0,
             "num_infeasible": 0,
@@ -171,7 +152,7 @@ class SchedulerObjective:
         }
         #: Best feasible objective value seen so far — the pruning incumbent.
         self._incumbent = float("inf")
-        self._evaluator = ParallelEvaluator(self, workers=workers, backend=backend)
+        self._evaluator = ParallelEvaluator(self, workers=workers)
 
     @property
     def workers(self) -> int:
@@ -198,35 +179,30 @@ class SchedulerObjective:
         """
         tiling = tiling.clamp_to(self.workload)
         if not self.allow_overflow and not self.scheduler.fits(self.workload, tiling):
-            return TilingEvaluation(
-                tiling=tiling, feasible=False, cycles=0, energy_pj=0.0, value=float("inf")
-            )
+            return self._infeasible(tiling)
         try:
             result = self.scheduler.simulate(self.workload, tiling)
         except InfeasibleTilingError:
-            return TilingEvaluation(
-                tiling=tiling, feasible=False, cycles=0, energy_pj=0.0, value=float("inf")
-            )
+            return self._infeasible(tiling)
         return TilingEvaluation(
             tiling=tiling,
             feasible=True,
             cycles=result.cycles,
             energy_pj=result.energy_pj,
             value=self._value(result),
-            result=result,
         )
 
     def _note(self, evaluation: TilingEvaluation) -> None:
         """Account for one fresh (non-memoized) evaluation outcome."""
-        if evaluation.result is not None:
+        if evaluation.feasible:
             self.analytic_stats["num_simulated"] += 1
+            self._incumbent = min(self._incumbent, evaluation.value)
         else:
             self.analytic_stats["num_infeasible"] += 1
-        if evaluation.feasible and evaluation.value < self._incumbent:
-            self._incumbent = evaluation.value
 
-    def _infeasible(self, tiling: TilingConfig) -> TilingEvaluation:
-        """The evaluation :meth:`evaluate_uncached` returns for a reject."""
+    @staticmethod
+    def _infeasible(tiling: TilingConfig) -> TilingEvaluation:
+        """The evaluation of a rejected (footprint or hard-infeasible) candidate."""
         return TilingEvaluation(
             tiling=tiling, feasible=False, cycles=0, energy_pj=0.0, value=float("inf")
         )
@@ -262,7 +238,7 @@ class SchedulerObjective:
 
         Returns one evaluation per input, aligned with the input order.  Only
         distinct not-yet-memoized tilings are (re-)evaluated — through the
-        analytic pre-pass when enabled, fanned over the evaluator's pool when
+        analytic pre-pass, then fanned over the evaluator's pool when
         ``workers > 1`` — and merged into the memo table in first-occurrence
         order, so the resulting cache state, evaluation count and returned
         values are identical to calling :meth:`evaluate` on each tiling
@@ -275,21 +251,13 @@ class SchedulerObjective:
             if key not in self._cache and key not in pending:
                 pending[key] = tiling
         if pending:
-            batch = list(pending.values())
-            if self.analytic:
-                fresh = self._evaluate_pending_analytic(batch)
-            else:
-                fresh = self._evaluator.evaluate(batch)
-                for evaluation in fresh:
-                    self._note(evaluation)
+            fresh = self._evaluate_pending(list(pending.values()))
             for key, evaluation in zip(pending, fresh):
                 self._cache[key] = evaluation
                 self.num_evaluations += 1
         return [self._cache[self._key(tiling)] for tiling in clamped]
 
-    def _evaluate_pending_analytic(
-        self, tilings: list[TilingConfig]
-    ) -> list[TilingEvaluation]:
+    def _evaluate_pending(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
         """Analytic pre-pass + (pruned) simulation for deduplicated candidates.
 
         The feasibility mask replicates :meth:`evaluate_uncached` exactly —

@@ -3,39 +3,31 @@
 The searchers in this package evaluate *batches* of candidates — a GA
 generation, a round of MCTS leaf rollouts, a slab of the grid — through
 :meth:`~repro.search.objective.SchedulerObjective.evaluate_batch`.  This
-module supplies the evaluator that fans one such batch over a thread or
-process pool, in the same spirit as Timeloop/Accelergy-style mappers that
-keep a pool of cost-model workers busy with candidate mappings.
+module supplies the evaluator that fans one such batch over a process pool,
+in the same spirit as Timeloop/Accelergy-style mappers that keep a pool of
+cost-model workers busy with candidate mappings.
+
+Each pool worker rebuilds the objective once (pool initializer) and then
+receives bare tilings, so only candidates and their scalar evaluations cross
+the process boundary.  The simulator is pure Python and holds the GIL, which
+is why there is no thread pool: threads were measured slower than serial.
 
 Determinism is the contract: results come back in submission order, and every
 evaluation is a pure function of the (scheduler, workload, metric, tiling)
 tuple, so a search consuming batched results is bit-identical to the same
-search run serially (``workers=1``) whatever the worker count, backend or
-completion order.
-
-Backends
---------
-``"thread"`` (default)
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap to spin up and
-    safe to nest inside the :class:`~repro.exec.runner.ParallelRunner`'s
-    worker processes; the simulator is pure Python, so speedups are modest.
-``"process"``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` whose workers rebuild
-    the objective once (pool initializer) and then receive bare tilings, so
-    candidates — not schedulers — cross the process boundary per evaluation.
-    Best for large budgets in a single top-level search.
+search run serially (``workers=1``) whatever the worker count or completion
+order.
 """
 
 from __future__ import annotations
 
 import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceContext
 from repro.utils import env
-from repro.utils.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (objective imports us)
     from repro.core.tiling import TilingConfig
@@ -43,21 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (objective imports us
     from repro.search.objective import SchedulerObjective, TilingEvaluation
     from repro.workloads.attention import AttentionWorkload
 
-__all__ = [
-    "BACKENDS",
-    "BACKEND_ENV",
-    "WORKERS_ENV",
-    "ParallelEvaluator",
-    "resolve_backend",
-    "resolve_workers",
-]
+__all__ = ["WORKERS_ENV", "ParallelEvaluator", "resolve_workers"]
 
 #: Environment default for the number of intra-search evaluation workers.
 WORKERS_ENV = "MAS_SEARCH_WORKERS"
-#: Environment default for the evaluation pool backend.
-BACKEND_ENV = "MAS_SEARCH_BACKEND"
-#: Supported pool backends.
-BACKENDS: tuple[str, ...] = ("thread", "process")
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -69,17 +50,9 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def resolve_backend(backend: str | None) -> str:
-    """``backend`` if given, else ``$MAS_SEARCH_BACKEND``, else ``"thread"``."""
-    if backend is None:
-        backend = env.value(BACKEND_ENV) or "thread"
-    require(backend in BACKENDS, f"unknown backend {backend!r}; options: {BACKENDS}")
-    return backend
-
-
 # ---------------------------------------------------------------------- #
-# Process-pool worker side.  The initializer rebuilds the objective once per
-# worker; subsequent tasks only ship a TilingConfig each way.
+# Pool worker side.  The initializer rebuilds the objective once per worker;
+# subsequent tasks only ship a TilingConfig each way.
 # ---------------------------------------------------------------------- #
 _WORKER_OBJECTIVE: "SchedulerObjective | None" = None
 
@@ -107,8 +80,8 @@ def _evaluate_in_worker(tiling: "TilingConfig") -> "TilingEvaluation":
     return _WORKER_OBJECTIVE.evaluate_uncached(tiling)
 
 
-class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; only module-level execute_pair is submitted)
-    """Fans batches of tiling evaluations of one objective over a worker pool.
+class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; only module-level _evaluate_in_worker is submitted)
+    """Fans batches of tiling evaluations of one objective over a process pool.
 
     The pool is created lazily on the first batch that can use it and reused
     across batches (one pool per objective, shared by e.g. both phases of an
@@ -116,39 +89,30 @@ class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; o
     creates a pool and evaluates inline, so serial callers pay nothing.
     """
 
-    def __init__(
-        self,
-        objective: "SchedulerObjective",
-        workers: int | None = None,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, objective: "SchedulerObjective", workers: int | None = None) -> None:
         self.objective = objective
         self.workers = resolve_workers(workers)
-        self.backend = resolve_backend(backend)
-        self._pool: Executor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
 
     # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            if self.backend == "process":
-                objective = self.objective
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_worker,
-                    initargs=(
-                        objective.scheduler,
-                        objective.workload,
-                        objective.metric,
-                        objective.allow_overflow,
-                        # Context captured at pool creation: the enclosing
-                        # pair/search span, so worker spans keep their parent
-                        # across the process boundary.
-                        obs_trace.current_context(),
-                    ),
-                )
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
+            objective = self.objective
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_worker,
+                initargs=(
+                    objective.scheduler,
+                    objective.workload,
+                    objective.metric,
+                    objective.allow_overflow,
+                    # Context captured at pool creation: the enclosing
+                    # pair/search span, so worker spans keep their parent
+                    # across the process boundary.
+                    obs_trace.current_context(),
+                ),
+            )
             # Safety net for callers that never close(): shut the pool down
             # when the evaluator is garbage-collected, so objectives used
             # outside AutoTuner don't accumulate live worker pools.
@@ -165,22 +129,12 @@ class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; o
         on) — a GA generation, an MCTS rollout round, a grid slab.
         """
         with obs_trace.span(
-            "search.generation",
-            layer="search",
-            batch=len(tilings),
-            workers=self.workers,
-            backend=self.backend,
+            "search.generation", layer="search", batch=len(tilings), workers=self.workers
         ):
             if self.workers == 1 or len(tilings) <= 1:
                 return [self.objective.evaluate_uncached(tiling) for tiling in tilings]
             pool = self._ensure_pool()
-            if self.backend == "process":
-                futures = [pool.submit(_evaluate_in_worker, tiling) for tiling in tilings]
-            else:
-                futures = [
-                    pool.submit(self.objective.evaluate_uncached, tiling)
-                    for tiling in tilings
-                ]
+            futures = [pool.submit(_evaluate_in_worker, tiling) for tiling in tilings]
             return [future.result() for future in futures]
 
     def close(self) -> None:
@@ -200,6 +154,6 @@ class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; o
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"ParallelEvaluator(workers={self.workers}, backend={self.backend!r}, "
+            f"ParallelEvaluator(workers={self.workers}, "
             f"pool={'live' if self._pool is not None else 'idle'})"
         )

@@ -45,7 +45,7 @@ from repro.store.schema import (
 )
 from repro.store.shard import ShardedStore
 from repro.store.sqlite import SqliteStore
-from repro.store.uri import MAS_CACHE_URI_ENV, open_store
+from repro.store.uri import MAS_CACHE_URI_ENV, open_store, resolve_store_target
 
 __all__ = [
     "ENTRY_SCHEMA_VERSION",
@@ -70,4 +70,5 @@ __all__ = [
     "parse_duration",
     "parse_size",
     "plan_eviction",
+    "resolve_store_target",
 ]

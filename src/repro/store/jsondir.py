@@ -2,7 +2,7 @@
 
 One ``<key>.json`` file per entry, written atomically (temp file +
 :func:`os.replace`) so worker processes of a
-:class:`~repro.exec.runner.ParallelRunner` can share a directory: concurrent
+:class:`~repro.exec.runner.ExperimentRunner` can share a directory: concurrent
 writers of the same key produce identical content, and readers never observe
 a half-written file.  This wraps the exact on-disk layout the PR-1
 ``ResultCache`` introduced — a directory written by either is readable by the

@@ -2,7 +2,7 @@
 
 The scalable backend of the result-store subsystem: one ``.db`` file in WAL
 mode holds every entry, safe for the concurrent worker processes of a
-:class:`~repro.exec.runner.ParallelRunner` (WAL readers never block the
+:class:`~repro.exec.runner.ExperimentRunner` (WAL readers never block the
 writer; writers serialize through a busy-timeout).  Compared to a directory
 of JSON files it adds
 

@@ -40,11 +40,29 @@ from repro.store.http import HttpStore
 from repro.store.jsondir import JsonDirStore
 from repro.store.shard import ShardedStore
 from repro.store.sqlite import SqliteStore
+from repro.utils import env
 
-__all__ = ["MAS_CACHE_URI_ENV", "open_store"]
+__all__ = ["MAS_CACHE_URI_ENV", "open_store", "resolve_store_target"]
 
 #: Environment variable supplying the default store URI.
 MAS_CACHE_URI_ENV = "MAS_CACHE_URI"
+
+
+def resolve_store_target(
+    cache_uri: str | None = None, cache_dir: str | Path | None = None
+) -> str | None:
+    """The store every command and runner opens: one precedence rule.
+
+    ``cache_uri``, then ``cache_dir``, then ``$MAS_CACHE_URI``, then
+    ``$MAS_CACHE_DIR`` — so a library runner, a CLI sweep and a ``cache``
+    subcommand run in the same shell always talk to the same store.
+    """
+    if cache_uri is not None:
+        return cache_uri
+    if cache_dir is not None:
+        return str(cache_dir)
+    return env.value(MAS_CACHE_URI_ENV) or env.value("MAS_CACHE_DIR")
+
 
 _BACKENDS = {
     "dir": JsonDirStore,

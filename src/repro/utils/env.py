@@ -150,11 +150,6 @@ register(
     "(1 = serial). Results are bit-identical at any worker count.",
 )
 register(
-    "MAS_SEARCH_BACKEND",
-    "thread",
-    "Evaluation pool backend for the intra-pair search: `thread` or `process`.",
-)
-register(
     "MAS_TRACE",
     None,
     "Span-trace output path (JSONL, appended). When set, every sweep, "
@@ -220,13 +215,6 @@ register(
     None,
     "Workload suite swept by the table/figure benchmarks (name or inline "
     "spec; default: Table 1).",
-)
-register(
-    "MAS_ANALYTIC",
-    "1",
-    "Vectorized analytic pre-pass in the search objective: batch feasibility "
-    "masks computed before any task graph is built. Set to `0` to force the "
-    "legacy simulate-everything path.",
 )
 register(
     "MAS_ANALYTIC_PRUNE",

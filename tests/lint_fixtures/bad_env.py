@@ -9,8 +9,8 @@ def workers():
     return int(os.environ.get(WORKERS_ENV, "1"))  # direct read via constant
 
 
-def backend():
-    return os.getenv("MAS_SEARCH_BACKEND", "thread")  # direct read, literal
+def interval():
+    return os.getenv("MAS_OBS_INTERVAL", "2")  # direct read, literal
 
 
 def uri():

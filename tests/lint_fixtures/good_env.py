@@ -7,5 +7,5 @@ def workers():
     return env.int_value("MAS_SEARCH_WORKERS")
 
 
-def backend():
-    return env.value("MAS_SEARCH_BACKEND")
+def interval():
+    return env.value("MAS_OBS_INTERVAL")

@@ -10,7 +10,8 @@ Three contracts are pinned down here:
   exceed what the simulator reports;
 * **bit-identical search** — with pruning disabled (the default) the analytic
   pre-pass changes nothing observable: memo state, evaluation counts, history
-  rows and the best tiling all match the legacy simulate-everything path, and
+  rows and the best tiling all match the serial, memoized
+  :meth:`~repro.search.objective.SchedulerObjective.evaluate` oracle, and
   with pruning enabled a pruned candidate can never be reported as the winner.
 """
 
@@ -41,6 +42,19 @@ TILINGS = [
     TilingConfig(bb=2, hh=1, nq=5, nkv=7),
     TilingConfig(bb=4, hh=8, nq=512, nkv=512, kv_resident=True),
 ]
+
+#: Candidates on ``tiny_hw`` x ``small_workload``, one list per feasibility
+#: class: fits L1 for every scheduler; overflows L1 (rejected by the
+#: baselines' footprint check, handled by MAS's overwrite strategy); and
+#: overflows even MAS's non-evictable residency (the simulator's hard
+#: ``InfeasibleTilingError``, also over L1 for every baseline).
+FITS = [
+    TilingConfig(bb=1, hh=1, nq=16, nkv=16),
+    TilingConfig(bb=1, hh=1, nq=16, nkv=32, kv_resident=True),
+    TilingConfig(bb=1, hh=1, nq=16, nkv=64, kv_resident=True),
+]
+OVER_L1 = [TilingConfig(bb=1, hh=2, nq=32, nkv=64, kv_resident=True)]
+HARD_INFEASIBLE = [TilingConfig(bb=1, hh=1, nq=128, nkv=64, kv_resident=True)]
 
 
 @pytest.fixture
@@ -162,43 +176,63 @@ class TestAnalyticBounds:
 # --------------------------------------------------------------------------- #
 # evaluate_batch accounting (regression: memo/count drift)
 # --------------------------------------------------------------------------- #
+def _objective(name, hardware, workload, workers=1):
+    return SchedulerObjective(
+        make_scheduler(name, hardware), workload, workers=workers, analytic_prune=False
+    )
+
+
+def _scalars(evaluation):
+    return (
+        evaluation.tiling,
+        evaluation.feasible,
+        evaluation.cycles,
+        evaluation.energy_pj,
+        evaluation.value,
+        evaluation.pruned,
+    )
+
+
 class TestEvaluateBatchAccounting:
-    def _objectives(self, edge_hw, workload, scheduler_name="flat"):
-        make = lambda analytic: SchedulerObjective(  # noqa: E731
-            make_scheduler(scheduler_name, edge_hw),
-            workload,
-            analytic=analytic,
-            analytic_prune=False,
-        )
-        return make(True), make(False)
+    """``evaluate_batch`` against its oracle: a serial ``evaluate()`` loop."""
 
-    def test_duplicates_and_memoized_match_serial_evaluate(self, edge_hw, tiny_workload):
-        analytic, legacy = self._objectives(edge_hw, tiny_workload)
+    def test_duplicates_and_memoized_match_serial_evaluate(self, tiny_hw, small_workload):
         # Pre-memoize a couple of candidates, then hand evaluate_batch a batch
-        # with duplicates, already-memoized tilings and an infeasible giant.
-        warm = [TILINGS[0], TILINGS[2]]
-        infeasible = TilingConfig(bb=1, hh=2, nq=64, nkv=64, kv_resident=True)
-        batch = warm + TILINGS[:4] + [TILINGS[1], infeasible, TILINGS[1], infeasible]
-        for tiling in warm:
-            analytic.evaluate(tiling)
-            legacy.evaluate(tiling)
+        # with duplicates, already-memoized tilings, footprint-infeasible and
+        # hard-infeasible candidates — for every scheduler, inline and pooled.
+        warm = [FITS[0], HARD_INFEASIBLE[0]]
+        batch = (
+            warm + FITS + OVER_L1 + HARD_INFEASIBLE
+            + [FITS[1], HARD_INFEASIBLE[0], OVER_L1[0], FITS[1]]
+        )
+        for name in ALL_SCHEDULERS:
+            for workers in (1, 2):
+                case = f"{name} workers={workers}"
+                oracle = _objective(name, tiny_hw, small_workload)
+                batched = _objective(name, tiny_hw, small_workload, workers=workers)
+                try:
+                    for tiling in warm:
+                        oracle.evaluate(tiling)
+                        batched.evaluate(tiling)
+                    got = batched.evaluate_batch(batch)
+                    # At least two candidates survive the pre-pass, so the
+                    # pooled case really crosses the process boundary.
+                    assert (batched._evaluator._pool is not None) == (workers > 1), case
+                finally:
+                    batched.close()
+                expected = [oracle.evaluate(tiling) for tiling in batch]
 
-        batch_evals = analytic.evaluate_batch(batch)
-        serial_evals = [legacy.evaluate(tiling) for tiling in batch]
-
-        assert analytic.num_evaluations == legacy.num_evaluations
-        assert analytic.cache_size == legacy.cache_size
-        assert analytic._cache.keys() == legacy._cache.keys()
-        for got, expected in zip(batch_evals, serial_evals):
-            assert got.tiling == expected.tiling
-            assert got.feasible == expected.feasible
-            assert got.cycles == expected.cycles
-            assert got.energy_pj == expected.energy_pj
-            assert got.value == expected.value
-            assert not got.pruned
+                assert [_scalars(e) for e in got] == [_scalars(e) for e in expected], case
+                assert list(batched._cache) == list(oracle._cache), case
+                assert batched.num_evaluations == oracle.num_evaluations, case
+                for counter in ("num_simulated", "num_infeasible", "num_pruned"):
+                    assert batched.analytic_stats[counter] == oracle.analytic_stats[counter], case
+                # Every scheduler rejects something here and simulates the rest.
+                assert oracle.analytic_stats["num_infeasible"] > 0, case
+                assert oracle.analytic_stats["num_simulated"] > 0, case
 
     def test_repeated_batches_do_not_recount(self, edge_hw, tiny_workload):
-        analytic, _ = self._objectives(edge_hw, tiny_workload)
+        analytic = _objective("flat", edge_hw, tiny_workload)
         first = analytic.evaluate_batch(TILINGS[:3])
         count = analytic.num_evaluations
         again = analytic.evaluate_batch(TILINGS[:3] * 2)
@@ -206,14 +240,15 @@ class TestEvaluateBatchAccounting:
         assert again[:3] == first
 
     def test_infeasible_short_circuit_counts_as_evaluation(self, tiny_hw, small_workload):
-        analytic, legacy = self._objectives(tiny_hw, small_workload)
+        analytic = _objective("flat", tiny_hw, small_workload)
+        oracle = _objective("flat", tiny_hw, small_workload)
         overflowing = TilingConfig(bb=1, hh=4, nq=128, nkv=128, kv_resident=True)
         assert not make_scheduler("flat", tiny_hw).fits(small_workload, overflowing)
         (got,) = analytic.evaluate_batch([overflowing])
-        expected = legacy.evaluate(overflowing)
+        expected = oracle.evaluate(overflowing)
         assert not got.feasible and got.value == float("inf")
         assert got.value == expected.value
-        assert analytic.num_evaluations == legacy.num_evaluations == 1
+        assert analytic.num_evaluations == oracle.num_evaluations == 1
         assert analytic.analytic_stats["num_infeasible"] == 1
         assert analytic.analytic_stats["num_simulated"] == 0
 
@@ -228,12 +263,12 @@ class TestPruning:
         )
         evaluations = objective.evaluate_batch(TILINGS)
         stats = objective.analytic_stats
-        assert stats["analytic"] == 1 and stats["prune"] == 1
+        assert stats["prune"] == 1
         assert (
             stats["num_simulated"] + stats["num_infeasible"] + stats["num_pruned"]
             == objective.num_evaluations
         )
-        simulated = [e for e in evaluations if e.result is not None]
+        simulated = [e for e in evaluations if e.feasible]
         pruned = [e for e in evaluations if e.pruned]
         assert simulated, "at least the eventual best must be simulated"
         best = min(e.value for e in simulated if e.feasible)
@@ -269,15 +304,20 @@ class TestPruning:
             tuner = AutoTuner(edge_hw, strategy="mcts+ga", budget=60, seed=0)
             return tuner.tune(scheduler, tiny_workload)
 
-        monkeypatch.setenv("MAS_ANALYTIC", "0")
         monkeypatch.setenv("MAS_ANALYTIC_PRUNE", "0")
-        legacy = tune()
-        monkeypatch.setenv("MAS_ANALYTIC", "1")
         analytic = tune()
+        # The oracle search: every batch goes through the serial memoized
+        # evaluate() instead of the analytic pre-pass.
+        monkeypatch.setattr(
+            SchedulerObjective,
+            "evaluate_batch",
+            lambda self, tilings: [self.evaluate(tiling) for tiling in tilings],
+        )
+        serial = tune()
 
-        assert analytic.best_tiling == legacy.best_tiling
-        assert analytic.best_value == legacy.best_value
-        assert rows(analytic) == rows(legacy)
-        assert analytic.objective_evaluations == legacy.objective_evaluations
-        stats = analytic.analytic_stats
-        assert stats is not None and stats["analytic"] == 1 and stats["num_pruned"] == 0
+        assert analytic.best_tiling == serial.best_tiling
+        assert analytic.best_value == serial.best_value
+        assert rows(analytic) == rows(serial)
+        assert analytic.objective_evaluations == serial.objective_evaluations
+        assert analytic.analytic_stats == serial.analytic_stats
+        assert analytic.analytic_stats["num_pruned"] == 0

@@ -73,18 +73,12 @@ class TestParser:
         assert not (tmp_path / "env.db").exists()
 
     def test_search_flags_parse(self):
-        args = build_parser().parse_args(
-            ["table2", "--search-workers", "4", "--search-backend", "process", "--stream"]
-        )
+        args = build_parser().parse_args(["table2", "--search-workers", "4", "--stream"])
         assert args.search_workers == 4
-        assert args.search_backend == "process"
         assert args.stream
         defaults = build_parser().parse_args(["fig7"])
         assert defaults.search_workers is None
-        assert defaults.search_backend is None
         assert not defaults.stream
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table2", "--search-backend", "fiber"])
 
 
 class TestCommands:

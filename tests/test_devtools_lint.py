@@ -240,12 +240,12 @@ def test_tag_syntax_inside_strings_is_ignored():
 # env registry and the docs cross-check
 # --------------------------------------------------------------------------- #
 def test_env_value_precedence(monkeypatch):
-    monkeypatch.delenv("MAS_SEARCH_BACKEND", raising=False)
-    assert env.value("MAS_SEARCH_BACKEND") == "thread"  # registry default
-    monkeypatch.setenv("MAS_SEARCH_BACKEND", "process")
-    assert env.value("MAS_SEARCH_BACKEND") == "process"
-    monkeypatch.setenv("MAS_SEARCH_BACKEND", "   ")  # blank == unset
-    assert env.value("MAS_SEARCH_BACKEND") == "thread"
+    monkeypatch.delenv("MAS_OBS_INTERVAL", raising=False)
+    assert env.value("MAS_OBS_INTERVAL") == "2"  # registry default
+    monkeypatch.setenv("MAS_OBS_INTERVAL", "0.5")
+    assert env.value("MAS_OBS_INTERVAL") == "0.5"
+    monkeypatch.setenv("MAS_OBS_INTERVAL", "   ")  # blank == unset
+    assert env.value("MAS_OBS_INTERVAL") == "2"
 
 
 def test_env_int_value(monkeypatch):

@@ -9,7 +9,6 @@ import pytest
 from repro.analysis import run_table2
 from repro.exec import (
     ExperimentRunner,
-    ParallelRunner,
     PairSpec,
     ResultCache,
     execute_pair,
@@ -18,6 +17,7 @@ from repro.exec import (
 )
 from repro.hardware.presets import davinci_like_npu, simulated_edge_device
 from repro.search.autotuner import AutoTuner
+from repro.store import resolve_store_target
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.networks import get_network
 
@@ -57,7 +57,7 @@ class TestPairSeed:
 class TestParallelMatchesSerial:
     def test_parallel_matrix_identical_to_serial(self):
         serial = ExperimentRunner(search_budget=BUDGET, seed=0)
-        parallel = ParallelRunner(search_budget=BUDGET, seed=0, jobs=2)
+        parallel = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=2)
         serial_matrix = serial.run_matrix(FAST_NETWORKS, FAST_METHODS)
         parallel_matrix = parallel.run_matrix(FAST_NETWORKS, FAST_METHODS)
         assert set(serial_matrix) == set(parallel_matrix)
@@ -71,16 +71,16 @@ class TestParallelMatchesSerial:
                 assert a.tuning.best_value == b.tuning.best_value
 
     def test_jobs_one_takes_serial_path(self):
-        runner = ParallelRunner(search_budget=BUDGET, seed=0, jobs=1)
+        runner = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=1)
         matrix = runner.run_matrix(["ViT-B/14"], FAST_METHODS)
         assert matrix["ViT-B/14"]["mas"].cycles > 0
 
     def test_jobs_validated(self):
         with pytest.raises(ValueError):
-            ParallelRunner(jobs=0)
+            ExperimentRunner(jobs=0)
 
     def test_memoized_runs_are_not_resubmitted(self):
-        runner = ParallelRunner(search_budget=BUDGET, seed=0, jobs=2)
+        runner = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=2)
         first = runner.run("mas", "ViT-B/14")
         matrix = runner.run_matrix(["ViT-B/14"], FAST_METHODS)
         assert matrix["ViT-B/14"]["mas"] is first
@@ -88,15 +88,18 @@ class TestParallelMatchesSerial:
     def test_search_workers_bit_identical_through_runner(self):
         serial = ExperimentRunner(search_budget=BUDGET, seed=0)
         workered = ExperimentRunner(search_budget=BUDGET, seed=0, search_workers=2)
+        # Search pools nested inside the matrix's pool workers (both forked).
+        nested = ExperimentRunner(search_budget=BUDGET, seed=0, search_workers=2, jobs=2)
+        nested_matrix = nested.run_matrix(FAST_NETWORKS, FAST_METHODS)
         for method, network in [("mas", "ViT-B/14"), ("flat", "ViT-B/16")]:
             a = serial.run(method, network)
-            b = workered.run(method, network)
-            assert a.cycles == b.cycles and a.energy_pj == b.energy_pj
-            assert a.tuning.best_tiling == b.tuning.best_tiling
-            assert a.tuning.objective_evaluations == b.tuning.objective_evaluations
-            assert [r.value for r in a.tuning.history.records] == [
-                r.value for r in b.tuning.history.records
-            ]
+            for b in (workered.run(method, network), nested_matrix[network][method]):
+                assert a.cycles == b.cycles and a.energy_pj == b.energy_pj
+                assert a.tuning.best_tiling == b.tuning.best_tiling
+                assert a.tuning.objective_evaluations == b.tuning.objective_evaluations
+                assert [r.value for r in a.tuning.history.records] == [
+                    r.value for r in b.tuning.history.records
+                ]
 
 
 def _run_keys(runs) -> set[tuple[str, str, int]]:
@@ -127,7 +130,7 @@ class TestIterMatrix:
     def test_parallel_streaming_matches_serial_matrix(self, stream):
         serial = ExperimentRunner(search_budget=BUDGET, seed=0)
         reference = _matrix_keys(serial.run_matrix(FAST_NETWORKS, FAST_METHODS))
-        runner = ParallelRunner(search_budget=BUDGET, seed=0, jobs=2)
+        runner = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=2)
         runs = list(runner.iter_matrix(FAST_NETWORKS, FAST_METHODS, stream=stream))
         assert _run_keys(runs) == reference
         if not stream:  # the fallback preserves Table-1 order
@@ -138,14 +141,14 @@ class TestIterMatrix:
         assert _matrix_keys(runner.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
 
     def test_streaming_yields_memoized_runs_first(self):
-        runner = ParallelRunner(search_budget=BUDGET, seed=0, jobs=2)
+        runner = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=2)
         first = runner.run("mas", "ViT-B/14")
         runs = list(runner.iter_matrix(FAST_NETWORKS, FAST_METHODS, stream=True))
         assert runs[0] is first  # memoized pair streams before the pool finishes
         assert len(runs) == len(FAST_NETWORKS) * len(FAST_METHODS)
 
     def test_jobs_one_streams_serially(self):
-        runner = ParallelRunner(search_budget=BUDGET, seed=0, jobs=1)
+        runner = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=1)
         runs = list(runner.iter_matrix(["ViT-B/14"], FAST_METHODS))
         assert [(r.scheduler, r.network) for r in runs] == [
             (method, "ViT-B/14") for method in FAST_METHODS
@@ -154,7 +157,7 @@ class TestIterMatrix:
     def test_abandoned_stream_cancels_pending_pairs(self):
         """Breaking out of the stream must not block on the whole matrix,
         and the abandoned pairs remain computable afterwards."""
-        runner = ParallelRunner(search_budget=BUDGET, seed=0, jobs=2)
+        runner = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=2)
         iterator = runner.iter_matrix(FAST_NETWORKS, FAST_METHODS, stream=True)
         first = next(iterator)
         iterator.close()  # not-yet-started pairs are cancelled, not awaited
@@ -163,11 +166,9 @@ class TestIterMatrix:
         reference = _matrix_keys(serial.run_matrix(FAST_NETWORKS, FAST_METHODS))
         assert _matrix_keys(runner.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
 
-    def test_search_workers_and_backend_validated_eagerly(self):
+    def test_search_workers_validated_eagerly(self):
         with pytest.raises(ValueError):
             ExperimentRunner(search_workers=0)
-        with pytest.raises(ValueError):
-            ExperimentRunner(search_backend="fiber")
 
 
 class TestResultCache:
@@ -307,6 +308,28 @@ class TestWarmCacheSweep:
         run_table2(exact_warm, networks=["ViT-B/14"])
         assert exact_warm.cache_stats()["cache_hits"] == 5
 
+    def test_store_target_precedence(self, tmp_path, monkeypatch):
+        """cache_uri, then cache_dir, then $MAS_CACHE_URI, then $MAS_CACHE_DIR."""
+        uri, legacy = f"sqlite:///{tmp_path}/env.db", str(tmp_path / "legacy")
+        monkeypatch.setenv("MAS_CACHE_URI", uri)
+        monkeypatch.setenv("MAS_CACHE_DIR", legacy)
+        assert resolve_store_target("dir:/a", "/b") == "dir:/a"
+        assert resolve_store_target(None, tmp_path / "b") == str(tmp_path / "b")
+        assert resolve_store_target() == uri
+        monkeypatch.delenv("MAS_CACHE_URI")
+        assert resolve_store_target() == legacy
+        monkeypatch.delenv("MAS_CACHE_DIR")
+        assert resolve_store_target() is None
+
+    def test_runner_falls_back_to_mas_cache_dir(self, tmp_path, monkeypatch):
+        """A library runner honours $MAS_CACHE_DIR exactly like the CLI does."""
+        monkeypatch.delenv("MAS_CACHE_URI", raising=False)
+        monkeypatch.setenv("MAS_CACHE_DIR", str(tmp_path / "legacy"))
+        runner = ExperimentRunner(search_budget=BUDGET, seed=0)
+        assert runner.cache_target == str(tmp_path / "legacy")
+        runner.run("mas", "ViT-B/14")
+        assert len(list((tmp_path / "legacy").glob("*.json"))) == 1
+
     def test_no_cache_flag_disables_persistence(self, tmp_path):
         runner = ExperimentRunner(
             search_budget=5, cache_dir=tmp_path / "cache", use_cache=False
@@ -342,11 +365,12 @@ class TestRunnerSubsets:
 
 
 def test_parallel_runner_defaults_match_experiment_runner():
-    serial = ExperimentRunner()
-    parallel = ParallelRunner()
-    assert parallel.hardware == simulated_edge_device()
-    assert parallel.search_budget == serial.search_budget
-    assert parallel.jobs == 1
+    from repro.exec.runner import ParallelRunner
+
+    assert ParallelRunner is ExperimentRunner  # one runner class, old name kept
+    runner = ExperimentRunner()
+    assert runner.hardware == simulated_edge_device()
+    assert runner.jobs == 1
 
 
 class TestSuiteSweeps:
@@ -375,7 +399,7 @@ class TestSuiteSweeps:
 
         subset = get_suite(sweep_suite).entry_names()[:2]
         serial = ExperimentRunner(suite=sweep_suite, search_budget=4, seed=0)
-        parallel = ParallelRunner(suite=sweep_suite, search_budget=4, seed=0, jobs=2)
+        parallel = ExperimentRunner(suite=sweep_suite, search_budget=4, seed=0, jobs=2)
         assert _matrix_keys(serial.run_matrix(subset, FAST_METHODS)) == _matrix_keys(
             parallel.run_matrix(subset, FAST_METHODS)
         )
@@ -442,7 +466,7 @@ class TestSuiteCacheKeys:
         cold = spec_runner.run("mas", "ViT-B/14 @b8")
         assert cold.tuned and not cold.cached
 
-        batched_runner = ParallelRunner(suite="table1-batched", jobs=2, **kwargs)
+        batched_runner = ExperimentRunner(suite="table1-batched", jobs=2, **kwargs)
         warm = batched_runner.run("mas", "ViT-B/14 @b8")
         assert warm.cached
         assert warm.cycles == cold.cycles

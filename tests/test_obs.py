@@ -19,7 +19,7 @@ import threading
 import pytest
 
 from repro.cli import main as cli_main
-from repro.exec.runner import ParallelRunner
+from repro.exec.runner import ExperimentRunner
 from repro.obs import trace as obs_trace
 from repro.obs.export import chrome_trace, read_trace, write_chrome
 from repro.obs.metrics import (
@@ -480,7 +480,7 @@ class TestTracedSweepAcceptance:
         trace_path = tmp_path / "sweep_trace.jsonl"
 
         # Baseline: tracing off, no cache — pure search results.
-        baseline = ParallelRunner(search_budget=4, jobs=1, use_cache=False)
+        baseline = ExperimentRunner(search_budget=4, jobs=1, use_cache=False)
         expected = self._fingerprint(
             baseline.run_matrix(networks=self.NETWORKS, methods=self.METHODS)
         )
@@ -489,7 +489,7 @@ class TestTracedSweepAcceptance:
             monkeypatch.setenv("MAS_TRACE", str(trace_path))
             obs_trace.reset()  # re-read the env; forked workers inherit it
             try:
-                traced = ParallelRunner(
+                traced = ExperimentRunner(
                     search_budget=4,
                     jobs=4,
                     cache_uri=server_url(srv),
@@ -537,12 +537,12 @@ class TestTracedSweepAcceptance:
 
     def test_traced_serial_sweep_matches_untraced(self, tmp_path):
         """Same property without processes: configure()-based, dir store."""
-        baseline = ParallelRunner(search_budget=3, jobs=1, use_cache=False)
+        baseline = ExperimentRunner(search_budget=3, jobs=1, use_cache=False)
         expected = self._fingerprint(
             baseline.run_matrix(networks=["BERT-Base"], methods=["mas"])
         )
         obs_trace.configure(tmp_path / "serial.jsonl")
-        traced = ParallelRunner(
+        traced = ExperimentRunner(
             search_budget=3, jobs=1, cache_uri=f"dir:{tmp_path / 'cache'}"
         )
         actual = self._fingerprint(

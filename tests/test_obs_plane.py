@@ -13,6 +13,7 @@ import http.client
 import json
 import queue
 import socket
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -21,7 +22,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.cli import main as cli_main
-from repro.exec.runner import ParallelRunner
+from repro.exec.runner import ExperimentRunner
 from repro.obs import trace as obs_trace
 from repro.obs.bench import (
     DEFAULT_RULES,
@@ -40,12 +41,8 @@ from repro.obs.collect import (
     endpoints_for,
     merge_registries,
 )
-from repro.obs.dash import (
-    ObsState,
-    dashboard_url,
-    running_dashboard,
-    sse_format,
-)
+from repro.obs import dash as dash_module
+from repro.obs.dash import ObsState, running_dashboard, sse_format
 from repro.obs.export import read_trace
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.prom import parse_text, registry_from_text, render_registry
@@ -634,7 +631,7 @@ class TestDashboardEndpoints:
                 trace_path=trace, history_path=history,
             )
             with running_dashboard(state) as server:
-                yield dashboard_url(server), trace, history
+                yield server_url(server), trace, history
 
     def test_healthz_fleet_metrics_and_404(self, dash):
         url, _, _ = dash
@@ -713,6 +710,44 @@ class TestDashboardEndpoints:
             conn.close()
 
 
+class TestDashboardUrl:
+    def test_wildcard_bind_prints_a_reachable_url(self, monkeypatch, capsys):
+        """``obs serve --host 0.0.0.0`` advertises this host, not 0.0.0.0."""
+        servers = []
+        real_make = dash_module.make_dashboard
+
+        def recording_make(*args, **kwargs):
+            servers.append(real_make(*args, **kwargs))
+            return servers[-1]
+
+        def offline(url):
+            raise OSError("no fleet in this test")
+
+        monkeypatch.setattr(dash_module, "make_dashboard", recording_make)
+        collector = FleetCollector(("http://127.0.0.1:1",), interval=0.1, fetch=offline)
+        state = ObsState(collector=collector, target="http://127.0.0.1:1")
+        thread = threading.Thread(
+            target=dash_module.serve_dashboard,
+            args=(state,),
+            kwargs={"host": "0.0.0.0", "port": 0},
+            daemon=True,
+        )
+        thread.start()
+        for _ in range(200):
+            if servers:
+                break
+            time.sleep(0.025)
+        assert servers, "serve_dashboard never created its server"
+        servers[0].shutdown()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+        port = servers[0].server_address[1]
+        out = capsys.readouterr().out
+        assert f"dashboard on http://{socket.gethostname()}:{port} " in out
+        assert "0.0.0.0" not in out
+
+
 # --------------------------------------------------------------------------- #
 # Acceptance: live dashboard over a traced --jobs 4 sweep
 # --------------------------------------------------------------------------- #
@@ -738,7 +773,7 @@ class TestObsPlaneAcceptance:
         trace_path = tmp_path / "sweep.jsonl"
 
         # Baseline: no tracing, no dashboard, no cache.
-        baseline = ParallelRunner(search_budget=4, jobs=1, use_cache=False)
+        baseline = ExperimentRunner(search_budget=4, jobs=1, use_cache=False)
         expected = self._fingerprint(
             baseline.run_matrix(networks=self.NETWORKS, methods=self.METHODS)
         )
@@ -754,12 +789,12 @@ class TestObsPlaneAcceptance:
                 collector=collector, target=target, trace_path=trace_path
             )
             with running_dashboard(state) as dash_server:
-                url = dashboard_url(dash_server)
+                url = server_url(dash_server)
                 subscriber = collector.subscribe()
                 monkeypatch.setenv("MAS_TRACE", str(trace_path))
                 obs_trace.reset()  # re-read env; forked workers inherit it
                 try:
-                    traced = ParallelRunner(
+                    traced = ExperimentRunner(
                         search_budget=4, jobs=4, cache_uri=target
                     )
                     actual = self._fingerprint(

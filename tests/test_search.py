@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.tiling import TilingConfig
@@ -16,7 +18,6 @@ from repro.search import (
     SchedulerObjective,
     SearchHistory,
     TilingSearchSpace,
-    resolve_backend,
     resolve_workers,
     tune_scheduler,
 )
@@ -178,8 +179,8 @@ class TestBatchedEvaluation:
         assert batched.num_evaluations == serial.num_evaluations == 3
         assert batched.cache_size == 3
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_batch_bit_identical(self, workload, edge_hw, backend):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_batch_bit_identical(self, workload, edge_hw, workers):
         tilings = [
             TilingConfig(nq=nq, nkv=nkv, kv_resident=kv)
             for nq in (32, 64, 128)
@@ -187,42 +188,47 @@ class TestBatchedEvaluation:
             for kv in (False, True)
         ]
         results = {}
-        for workers in (1, 4):
-            objective = SchedulerObjective(
-                MASAttentionScheduler(edge_hw), workload, workers=workers, backend=backend
-            )
+        for count in (1, workers):
+            objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=count)
             try:
                 batch = objective.evaluate_batch(tilings)
-                results[workers] = (
+                results[count] = (
                     [(e.tiling, e.value, e.cycles, e.energy_pj, e.feasible) for e in batch],
                     objective.num_evaluations,
                 )
             finally:
                 objective.close()
-        assert results[1] == results[4]
+        assert results[1] == results[workers]
 
-    def test_worker_and_backend_resolution(self, workload, edge_hw, monkeypatch):
+    def test_pooled_evaluations_are_scalars(self, workload, edge_hw):
+        """What a pool worker ships back per candidate is a few hundred bytes
+        (a simulation trace would be kilobytes even on this small shape)."""
+        objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=2)
+        try:
+            batch = objective.evaluate_batch(
+                [TilingConfig(nq=64, nkv=64), TilingConfig(nq=32, nkv=64, kv_resident=True)]
+            )
+        finally:
+            objective.close()
+        assert all(e.feasible for e in batch)
+        assert max(len(pickle.dumps(e)) for e in batch) < 1024
+
+    def test_worker_resolution(self, workload, edge_hw, monkeypatch):
         monkeypatch.delenv("MAS_SEARCH_WORKERS", raising=False)
-        monkeypatch.delenv("MAS_SEARCH_BACKEND", raising=False)
         assert resolve_workers(None) == 1 and resolve_workers(3) == 3
-        assert resolve_backend(None) == "thread" and resolve_backend("process") == "process"
         monkeypatch.setenv("MAS_SEARCH_WORKERS", "2")
-        monkeypatch.setenv("MAS_SEARCH_BACKEND", "process")
         assert resolve_workers(None) == 2
-        assert resolve_backend(None) == "process"
         objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
         assert objective.workers == 2
         with pytest.raises(ValueError):
             resolve_workers(0)
-        with pytest.raises(ValueError):
-            resolve_backend("fiber")
         monkeypatch.setenv("MAS_SEARCH_WORKERS", "two")
         with pytest.raises(ValueError):
             resolve_workers(None)
 
     def test_evaluator_pool_lifecycle(self, workload, edge_hw):
         objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=2)
-        evaluator = ParallelEvaluator(objective, workers=2, backend="thread")
+        evaluator = ParallelEvaluator(objective, workers=2)
         with evaluator:
             batch = evaluator.evaluate([TilingConfig(nq=64, nkv=64), TilingConfig(nq=32, nkv=32)])
             assert len(batch) == 2 and evaluator._pool is not None

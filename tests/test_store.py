@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.exec import ExperimentRunner, ParallelRunner, ResultCache
+from repro.exec import ExperimentRunner, ResultCache
 from repro.exec.cache import KEY_SCHEMA_VERSION, tuning_result_to_dict
 from repro.search.autotuner import AutoTuner
 from repro.service import running_server, server_url
@@ -571,18 +571,14 @@ class TestSweepBitIdentity:
         runners = [
             ExperimentRunner(**kwargs, cache_dir=tmp_path / "jsondir"),
             ExperimentRunner(**kwargs, cache_uri=f"sqlite:///{tmp_path}/serial.db"),
-            ParallelRunner(**kwargs, jobs=2, cache_uri=f"dir:{tmp_path}/jsondir-par"),
-            ParallelRunner(**kwargs, jobs=2, cache_uri=f"sqlite:///{tmp_path}/par.db"),
+            ExperimentRunner(**kwargs, jobs=2, cache_uri=f"dir:{tmp_path}/jsondir-par"),
+            ExperimentRunner(**kwargs, jobs=2, cache_uri=f"sqlite:///{tmp_path}/par.db"),
         ]
         for runner in runners:
             assert _matrix_fingerprint(runner.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
         # warm re-runs over every backend are bit-identical too, with 100% hits
         for cold in runners:
-            warm = type(cold)(
-                **kwargs,
-                cache_uri=cold.cache_target,
-                **({"jobs": 2} if isinstance(cold, ParallelRunner) else {}),
-            )
+            warm = ExperimentRunner(**kwargs, cache_uri=cold.cache_target, jobs=cold.jobs)
             assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
             stats = warm.cache_stats()
             assert stats["searches"] == 0 and stats["cache_misses"] == 0
@@ -590,13 +586,13 @@ class TestSweepBitIdentity:
     def test_parallel_worker_stats_aggregate_to_parent(self, tmp_path):
         """Worker-process cache counters surface in the parent's cache_stats."""
         kwargs = dict(search_budget=BUDGET, seed=0, cache_uri=f"sqlite:///{tmp_path}/s.db")
-        cold = ParallelRunner(**kwargs, jobs=2)
+        cold = ExperimentRunner(**kwargs, jobs=2)
         cold.run_matrix(FAST_NETWORKS, FAST_METHODS)
         cold_stats = cold.cache_stats()
         assert cold_stats["cache_misses"] == cold_stats["searches"] > 0
         assert cold_stats["cache_hits"] == 0 and cold_stats["cache_stale"] == 0
 
-        warm = ParallelRunner(**kwargs, jobs=2)
+        warm = ExperimentRunner(**kwargs, jobs=2)
         warm.run_matrix(FAST_NETWORKS, FAST_METHODS)
         warm_stats = warm.cache_stats()
         assert warm_stats["cache_hits"] == cold_stats["searches"]
@@ -653,7 +649,7 @@ class TestHttpSweepBitIdentity:
     ):
         kwargs = dict(search_budget=BUDGET, seed=0)
         reference = _matrix_fingerprint(
-            ParallelRunner(**kwargs, jobs=1, use_cache=False).run_matrix(
+            ExperimentRunner(**kwargs, jobs=1, use_cache=False).run_matrix(
                 FAST_NETWORKS, FAST_METHODS
             )
         )
@@ -663,7 +659,7 @@ class TestHttpSweepBitIdentity:
             server_url(store_server),
         ]
         for jobs in (1, 4):
-            nocache = ParallelRunner(**kwargs, jobs=jobs, use_cache=False)
+            nocache = ExperimentRunner(**kwargs, jobs=jobs, use_cache=False)
             assert (
                 _matrix_fingerprint(nocache.run_matrix(FAST_NETWORKS, FAST_METHODS))
                 == reference
@@ -671,7 +667,7 @@ class TestHttpSweepBitIdentity:
             for uri in uris:
                 # jobs=1 runs cold (first sight of each store), jobs=4 warm —
                 # both must be bit-identical to the uncached serial sweep.
-                runner = ParallelRunner(**kwargs, jobs=jobs, cache_uri=uri)
+                runner = ExperimentRunner(**kwargs, jobs=jobs, cache_uri=uri)
                 assert (
                     _matrix_fingerprint(runner.run_matrix(FAST_NETWORKS, FAST_METHODS))
                     == reference
@@ -679,12 +675,12 @@ class TestHttpSweepBitIdentity:
 
     def test_warm_http_sweep_reports_full_hits_across_workers(self, store_server):
         kwargs = dict(search_budget=BUDGET, seed=0, cache_uri=server_url(store_server))
-        cold = ParallelRunner(**kwargs, jobs=2)
+        cold = ExperimentRunner(**kwargs, jobs=2)
         cold.run_matrix(FAST_NETWORKS, FAST_METHODS)
         cold_stats = cold.cache_stats()
         assert cold_stats["cache_misses"] == cold_stats["searches"] > 0
 
-        warm = ParallelRunner(**kwargs, jobs=2)
+        warm = ExperimentRunner(**kwargs, jobs=2)
         warm.run_matrix(FAST_NETWORKS, FAST_METHODS)
         warm_stats = warm.cache_stats()
         assert warm_stats["cache_hits"] == cold_stats["searches"]
@@ -946,12 +942,12 @@ class TestShardSweepBitIdentity:
         )
         uri = self._shard_uri(shard_fleet, replicas=2)
         for jobs in (1, 4):
-            runner = ParallelRunner(**kwargs, jobs=jobs, cache_uri=uri)
+            runner = ExperimentRunner(**kwargs, jobs=jobs, cache_uri=uri)
             assert (
                 _matrix_fingerprint(runner.run_matrix(FAST_NETWORKS, FAST_METHODS))
                 == reference
             ), f"mismatch at jobs={jobs}"
-        warm = ParallelRunner(**kwargs, jobs=2, cache_uri=uri)
+        warm = ExperimentRunner(**kwargs, jobs=2, cache_uri=uri)
         assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
         stats = warm.cache_stats()
         assert stats["searches"] == 0 and stats["cache_misses"] == 0
@@ -967,12 +963,12 @@ class TestShardSweepBitIdentity:
             ).run_matrix(FAST_NETWORKS, FAST_METHODS)
         )
         uri = self._shard_uri(shard_fleet, replicas=2)
-        cold = ParallelRunner(**kwargs, jobs=2, cache_uri=uri)
+        cold = ExperimentRunner(**kwargs, jobs=2, cache_uri=uri)
         assert _matrix_fingerprint(cold.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
 
         _kill(b)  # one shard goes dark with the fleet still warm
 
-        warm = ParallelRunner(**kwargs, jobs=4, cache_uri=uri)
+        warm = ExperimentRunner(**kwargs, jobs=4, cache_uri=uri)
         assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
         stats = warm.cache_stats()
         # every entry lives on the surviving replica: zero recomputation
@@ -989,14 +985,14 @@ class TestShardSweepBitIdentity:
             ).run_matrix(FAST_NETWORKS, FAST_METHODS)
         )
         uri = self._shard_uri(shard_fleet, replicas=1)
-        cold = ParallelRunner(**kwargs, jobs=2, cache_uri=uri)
+        cold = ExperimentRunner(**kwargs, jobs=2, cache_uri=uri)
         assert _matrix_fingerprint(cold.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
 
         _kill(b)
 
         # entries on the dead shard degrade to misses and are recomputed —
         # deterministically, so the matrix stays bit-identical either way.
-        warm = ParallelRunner(**kwargs, jobs=2, cache_uri=uri)
+        warm = ExperimentRunner(**kwargs, jobs=2, cache_uri=uri)
         assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
         stats = warm.cache_stats()
         assert stats["cache_misses"] == stats["searches"]
@@ -1069,7 +1065,7 @@ class TestSqliteConcurrency:
             ExperimentRunner(**kwargs).run_matrix(FAST_NETWORKS, FAST_METHODS)
         )
         uri = f"sqlite:///{tmp_path}/shared.db"
-        parallel = ParallelRunner(**kwargs, jobs=4, cache_uri=uri)
+        parallel = ExperimentRunner(**kwargs, jobs=4, cache_uri=uri)
         assert _matrix_fingerprint(parallel.run_matrix(FAST_NETWORKS, FAST_METHODS)) == serial
 
 
