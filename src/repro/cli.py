@@ -41,7 +41,6 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 from typing import Sequence
 
 from repro import __version__, quick_compare
@@ -333,41 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="re-fetch and re-render every SECONDS until interrupted "
-        "(terminal-only live polling without the dashboard)",
-    )
-
-    op = obs_sub.add_parser(
-        "serve",
-        help="live observability dashboard: scrape a store fleet's /metrics, "
-        "tail the $MAS_TRACE span file, stream both over HTTP/SSE",
-    )
-    op.add_argument(
-        "target",
-        help="what to scrape: shard:http://a:8787,http://b:8787, a single "
-        "http://host:port, or a comma-separated endpoint list",
-    )
-    op.add_argument(
-        "--trace",
-        default=None,
-        help="span-trace JSONL file to tail (default: $MAS_TRACE)",
-    )
-    op.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="perf-trajectory history file served at /api/obs/bench",
-    )
-    op.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        help="scrape interval in seconds (default: $MAS_OBS_INTERVAL)",
-    )
-    op.add_argument("--host", default="127.0.0.1", help="bind address")
-    op.add_argument(
-        "--port", type=int, default=8790, help="TCP port (0 picks a free one)"
-    )
-    op.add_argument(
-        "--verbose", action="store_true", help="log every request to stderr"
+        "(a shard: URI shows every endpoint's health and latency)",
     )
 
     op = obs_sub.add_parser(
@@ -606,7 +571,7 @@ def _run_cache_store_command(args: argparse.Namespace, store) -> int:
 
 
 def _run_obs_command(args: argparse.Namespace) -> int:
-    """The ``mas-attention obs`` group: traces, metrics, dashboard, trajectory."""
+    """The ``mas-attention obs`` group: traces, metrics, profiles, trajectory."""
     from repro.obs.export import read_trace, write_chrome
     from repro.obs.schema import validate_trace_file
     from repro.obs.summary import summarize_trace
@@ -673,27 +638,6 @@ def _run_obs_command(args: argparse.Namespace) -> int:
                 return 0
             print(f"\n--- {args.uri} (every {args.watch:g}s, Ctrl-C stops) ---")
 
-    if args.obs_command == "serve":
-        from repro.obs.collect import FleetCollector, endpoints_for
-        from repro.obs.dash import ObsState, serve_dashboard
-        from repro.utils import env as env_registry
-
-        trace_path = args.trace or env_registry.value("MAS_TRACE")
-        collector = FleetCollector(
-            endpoints_for(args.target),
-            interval=args.interval,
-            trace_path=trace_path,
-        )
-        state = ObsState(
-            collector=collector,
-            target=args.target,
-            trace_path=Path(trace_path) if trace_path else None,
-            history_path=Path(args.history) if args.history else None,
-        )
-        return serve_dashboard(
-            state, host=args.host, port=args.port, verbose=args.verbose
-        )
-
     if args.obs_command == "profile":
         from repro.obs.profile import format_hotspots
 
@@ -719,9 +663,12 @@ def _run_obs_bench(args: argparse.Namespace) -> int:
     )
 
     if args.bench_command == "record":
-        entries = record_runs(
-            args.bench, args.history, run_id=args.run_id, note=args.note
-        )
+        try:
+            entries = record_runs(
+                args.bench, args.history, run_id=args.run_id, note=args.note
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from exc
         names = ", ".join(entry["name"] for entry in entries)
         print(
             f"recorded {len(entries)} benchmark(s) ({names}) as run "

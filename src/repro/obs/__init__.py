@@ -1,4 +1,4 @@
-"""Unified observability layer: span tracing, metrics, fleet dashboard.
+"""Unified observability layer: span tracing, metrics, perf trajectory.
 
 The pieces, one import point:
 
@@ -7,18 +7,16 @@ The pieces, one import point:
   enabled by ``MAS_TRACE=<path>`` (JSONL output), with optional per-span
   cProfile via ``MAS_PROFILE``;
 * :mod:`repro.obs.metrics` — counters, gauges and latency histograms with
-  p50/p95/p99 and cross-source merge, shared by the store service, the
-  shard fleet, the retry layer and the result cache;
+  p50/p95/p99, shared by the store service, the shard fleet, the retry
+  layer and the result cache;
 * :mod:`repro.obs.prom` / :mod:`repro.obs.export` — Prometheus text
-  exposition (render *and* parse) and Chrome trace-event conversion;
-* :mod:`repro.obs.collect` / :mod:`repro.obs.dash` — the fleet collector
-  and live HTML/SSE dashboard behind ``mas-attention obs serve``;
+  exposition rendering and Chrome trace-event conversion;
 * :mod:`repro.obs.bench` — the perf-trajectory history and regression
   gate behind ``mas-attention obs bench record|compare|check``;
 * :mod:`repro.obs.profile` — hotspot aggregation of persisted span
   profiles behind ``mas-attention obs profile``.
 
-``mas-attention obs summarize|convert|metrics|validate|serve|profile|bench``
+``mas-attention obs summarize|convert|metrics|validate|profile|bench``
 is the CLI surface; ``docs/observability.md`` is the guide.
 """
 

@@ -37,7 +37,6 @@ __all__ = [
     "TrajectoryReport",
     "compare",
     "flatten_metrics",
-    "history_payload",
     "load_history",
     "load_rules",
     "record_runs",
@@ -141,6 +140,8 @@ def record_runs(
     Returns the appended entries.  ``ts`` defaults to the wall clock (this
     is observability code — the determinism rules don't apply to history
     timestamps) and ``run_id`` to the timestamp rendered as an ISO instant.
+    Raises :class:`ValueError`, leaving the history untouched, when no
+    record has a numeric leaf to track.
     """
     doc = json.loads(Path(bench_path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or not doc:
@@ -163,6 +164,8 @@ def record_runs(
         if note:
             entry["note"] = note
         entries.append(entry)
+    if not entries:
+        raise ValueError(f"benchmark file {bench_path} holds no numeric metrics to record")
     history = Path(history_path)
     history.parent.mkdir(parents=True, exist_ok=True)
     with history.open("a", encoding="utf-8") as handle:
@@ -211,19 +214,6 @@ class MetricDelta:
             return 0.0
         return (self.current - self.baseline) / self.baseline * 100.0
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "metric": self.metric,
-            "current": self.current,
-            "baseline": round(self.baseline, 6),
-            "delta_pct": round(self.delta_pct, 2),
-            "samples": self.samples,
-            "direction": self.rule.direction,
-            "tolerance": self.rule.tolerance,
-            "regressed": self.regressed,
-        }
-
 
 @dataclass(frozen=True)
 class TrajectoryReport:
@@ -256,13 +246,6 @@ class TrajectoryReport:
             lines.append("  (no gated metrics in history)")
         verdict = "PASS" if self.ok else f"FAIL ({len(self.regressions)} regression(s))"
         return "perf trajectory: " + verdict + "\n" + "\n".join(lines)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "deltas": [delta.as_dict() for delta in self.deltas],
-            "fresh": list(self.fresh),
-        }
 
 
 def compare(
@@ -315,26 +298,3 @@ def compare(
                 )
             )
     return TrajectoryReport(deltas=tuple(deltas), fresh=tuple(sorted(fresh)))
-
-
-def history_payload(
-    history_path: str | Path,
-    *,
-    window: int = DEFAULT_WINDOW,
-    rules: tuple[Rule, ...] = DEFAULT_RULES,
-) -> dict[str, Any]:
-    """The dashboard's ``/api/obs/bench`` document: runs + latest report."""
-    entries = load_history(history_path)
-    runs: dict[str, dict[str, Any]] = {}
-    for entry in entries:
-        run = runs.setdefault(
-            str(entry["run"]), {"run": entry["run"], "ts": entry.get("ts"), "benchmarks": []}
-        )
-        run["benchmarks"].append(entry["name"])
-    payload: dict[str, Any] = {
-        "history": str(history_path),
-        "entries": len(entries),
-        "runs": list(runs.values()),
-    }
-    payload["report"] = compare(entries, window=window, rules=rules).as_dict() if entries else None
-    return payload

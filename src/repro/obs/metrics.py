@@ -181,64 +181,6 @@ class Histogram:
             bounds: tuple[float | None, ...] = self.buckets + (None,)
             return tuple(zip(bounds, self._counts))
 
-    @classmethod
-    def from_buckets(
-        cls,
-        buckets: tuple[float, ...],
-        counts: list[int] | tuple[int, ...],
-        total_sum: float = 0.0,
-        minimum: float | None = None,
-        maximum: float | None = None,
-    ) -> "Histogram":
-        """Reconstruct a histogram from per-bucket counts (scrape ingestion).
-
-        ``counts`` are *per-bucket* (already de-cumulated), one per bound
-        plus the overflow bucket.  ``minimum`` may be unknown (the exposition
-        format does not carry it); quantile clamping then falls back to 0.
-        """
-        hist = cls(buckets=buckets)
-        if len(counts) != len(hist.buckets) + 1:
-            raise ValueError(
-                f"expected {len(hist.buckets) + 1} bucket counts "
-                f"(incl. overflow), got {len(counts)}"
-            )
-        if any(c < 0 for c in counts):
-            raise ValueError(f"bucket counts must be non-negative: {counts!r}")
-        hist._counts = [int(c) for c in counts]
-        hist._count = sum(hist._counts)
-        hist._sum = float(total_sum)
-        hist._min = float(minimum) if minimum is not None else None
-        hist._max = float(maximum) if maximum is not None else None
-        return hist
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram, bucket-wise.
-
-        Both histograms must share the exact bucket bounds — merging across
-        mismatched buckets would silently misplace counts, so it raises.
-        Merging an empty histogram is the identity.  ``other`` is snapshotted
-        under its own lock first, so two families scraped from different
-        endpoints (distinct locks) merge safely.
-        """
-        with other._lock:
-            if other.buckets != self.buckets:
-                raise ValueError(
-                    f"cannot merge histograms with different buckets: "
-                    f"{self.buckets!r} vs {other.buckets!r}"
-                )
-            counts = list(other._counts)
-            count, total = other._count, other._sum
-            other_min, other_max = other._min, other._max
-        with self._lock:
-            for index, bucket_count in enumerate(counts):
-                self._counts[index] += bucket_count
-            self._count += count
-            self._sum += total
-            if other_min is not None and (self._min is None or other_min < self._min):
-                self._min = other_min
-            if other_max is not None and (self._max is None or other_max > self._max):
-                self._max = other_max
-
     @property
     def count(self) -> int:
         with self._lock:
@@ -346,38 +288,6 @@ class MetricFamily:
         with self._lock:
             items = sorted(self._children.items())
         yield from items
-
-    def merge(self, other: "MetricFamily") -> None:
-        """Fold ``other``'s samples into this family, label tuple by label tuple.
-
-        The fleet collector's merge vocabulary: counters sum, histograms
-        merge bucket-wise (:meth:`Histogram.merge` — mismatched buckets
-        raise), and an empty ``other`` is the identity.  Gauges refuse —
-        summing last-write-wins values across endpoints is meaningless;
-        label them per source instead (see ``repro.obs.collect``).
-        """
-        if other.kind != self.kind:
-            raise ValueError(
-                f"cannot merge {other.kind} family {other.name!r} into "
-                f"{self.kind} family {self.name!r}"
-            )
-        if other.label_names != self.label_names:
-            raise ValueError(
-                f"cannot merge family {other.name!r} with labels "
-                f"{other.label_names!r} into {self.name!r} with labels "
-                f"{self.label_names!r}"
-            )
-        if self.kind == "gauge":
-            raise ValueError(
-                f"gauge family {self.name!r} has no cross-source merge; "
-                "label gauges per source endpoint instead"
-            )
-        for values, child in other.samples():
-            mine = self._child(values)
-            if isinstance(child, Histogram):
-                mine.merge(child)
-            else:
-                mine.inc(child.value)
 
     def snapshot(self) -> Any:
         """JSON-able value: scalar, ``{label: value}`` map, or histogram dict(s)."""

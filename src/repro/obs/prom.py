@@ -1,4 +1,4 @@
-"""Prometheus text-exposition rendering *and parsing* for :mod:`repro.obs.metrics`.
+"""Prometheus text-exposition rendering for :mod:`repro.obs.metrics`.
 
 Rendering generalizes the formatter that previously lived inside the store
 service: any :class:`~repro.obs.metrics.MetricsRegistry` renders to the
@@ -13,31 +13,18 @@ conventions —
 * a family's ``prom_scale`` converts stored units at render time, so a
   histogram recorded in milliseconds can expose canonical seconds.
 
-Parsing is the inverse half, added for the fleet collector
-(:mod:`repro.obs.collect`): :func:`parse_text` turns one scraped
-exposition document back into typed families — cumulative ``_bucket``
-series are de-cumulated into per-bucket counts — and
-:func:`registry_from_text` loads them into a fresh
-:class:`~repro.obs.metrics.MetricsRegistry` whose histograms carry real
-bucket contents, so fleet-wide merges stay exact bucket-by-bucket instead
-of averaging pre-computed quantiles.
+The store service serves the result at ``GET /metrics?format=prometheus``.
 """
 
 from __future__ import annotations
 
-import math
-import re
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.obs.metrics import Histogram, MetricFamily, MetricsRegistry
 
 __all__ = [
-    "ParsedFamily",
     "escape_label_value",
     "format_labels",
-    "parse_text",
-    "registry_from_text",
     "render_families",
     "render_registry",
 ]
@@ -109,232 +96,3 @@ def render_families(families: Iterable[MetricFamily], namespace: str) -> str:
 def render_registry(registry: MetricsRegistry, namespace: str) -> str:
     """Render every family of ``registry`` under ``namespace``."""
     return render_families(registry.families(), namespace)
-
-
-# ---------------------------------------------------------------------- #
-# Parsing (the scrape side)
-# ---------------------------------------------------------------------- #
-@dataclass
-class ParsedFamily:
-    """One metric family recovered from a text-exposition document.
-
-    ``name`` is the exposed name with the counter ``_total`` suffix
-    stripped, so a round trip through :func:`render_registry` +
-    :func:`parse_text` preserves family identity.  Counter/gauge samples
-    map label-value tuples to floats; histogram samples map them to
-    ``{"buckets": (...), "counts": [...], "sum": s, "max": m | None}``
-    with *per-bucket* (de-cumulated) counts, overflow last.
-    """
-
-    name: str
-    kind: str
-    help: str = ""
-    label_names: tuple[str, ...] = ()
-    samples: dict[tuple[str, ...], Any] = field(default_factory=dict)
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
-    r"\s+(?P<value>\S+)\s*$"
-)
-
-_HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count", "_max")
-
-
-def _unescape_label_value(value: str) -> str:
-    return value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-
-
-def _parse_labels(body: str, where: str) -> dict[str, str]:
-    """Parse one ``name="value",...`` label block, honouring escapes."""
-    labels: dict[str, str] = {}
-    pos = 0
-    while pos < len(body):
-        eq = body.index("=", pos)
-        name = body[pos:eq].strip().lstrip(",").strip()
-        if not name or body[eq + 1] != '"':
-            raise ValueError(f"{where}: malformed label block {body!r}")
-        cursor = eq + 2
-        chunk: list[str] = []
-        while True:
-            if cursor >= len(body):
-                raise ValueError(f"{where}: unterminated label value in {body!r}")
-            char = body[cursor]
-            if char == "\\" and cursor + 1 < len(body):
-                chunk.append(body[cursor : cursor + 2])
-                cursor += 2
-                continue
-            if char == '"':
-                break
-            chunk.append(char)
-            cursor += 1
-        labels[name] = _unescape_label_value("".join(chunk))
-        pos = cursor + 1
-    return labels
-
-
-def _parse_value(text: str, where: str) -> float:
-    if text == "+Inf":
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ValueError(f"{where}: malformed sample value {text!r}") from exc
-
-
-def parse_text(text: str) -> dict[str, ParsedFamily]:
-    """Parse one Prometheus text-exposition document into typed families.
-
-    Handles the subset this project renders — ``counter``, ``gauge`` and
-    ``histogram`` families (including the non-standard exact ``_max``
-    sample) — which is exactly what the fleet collector scrapes back.
-    Unknown ``TYPE``-less samples parse as gauges, so a foreign exposition
-    degrades to last-write-wins values instead of failing the scrape.
-    Cumulative histogram buckets are de-cumulated; a decreasing cumulative
-    series raises (it means a torn scrape, not a histogram).
-    """
-    kinds: dict[str, str] = {}
-    helps: dict[str, str] = {}
-    families: dict[str, ParsedFamily] = {}
-    # Histogram assembly state: family -> labels-key -> le -> cumulative.
-    hist_buckets: dict[str, dict[tuple[str, ...], dict[float, float]]] = {}
-    hist_scalars: dict[str, dict[tuple[str, ...], dict[str, float]]] = {}
-    hist_label_names: dict[str, tuple[str, ...]] = {}
-
-    def family_of(sample_name: str) -> tuple[str, str, str | None]:
-        """Resolve ``(family_name, kind, histogram_part)`` for one sample."""
-        for base_suffix in _HISTOGRAM_SUFFIXES:
-            base = sample_name.removesuffix(base_suffix)
-            if base != sample_name and kinds.get(base) == "histogram":
-                return base, "histogram", base_suffix
-        if kinds.get(sample_name) == "histogram":  # bare histogram name: invalid
-            raise ValueError(f"histogram {sample_name!r} sampled without a suffix")
-        kind = kinds.get(sample_name)
-        if kind is None and sample_name.endswith("_total"):
-            kind = kinds.get(sample_name.removesuffix("_total"))
-        if kind == "counter" or (kind is None and sample_name.endswith("_total")):
-            return sample_name.removesuffix("_total"), "counter", None
-        return sample_name, kind or "gauge", None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        where = f"line {lineno}"
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                name = parts[2].removesuffix("_total") if parts[3] == "counter" else parts[2]
-                kinds[name] = parts[3]
-            elif len(parts) >= 3 and parts[1] == "HELP":
-                helps[parts[2].removesuffix("_total")] = parts[3] if len(parts) > 3 else ""
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise ValueError(f"{where}: malformed exposition sample {line!r}")
-        labels = _parse_labels(match.group("labels") or "", where)
-        value = _parse_value(match.group("value"), where)
-        name, kind, hist_part = family_of(match.group("name"))
-
-        if kind == "histogram":
-            le = labels.pop("le", None)
-            label_names = hist_label_names.setdefault(name, tuple(labels))
-            if tuple(labels) != label_names:
-                raise ValueError(
-                    f"{where}: histogram {name!r} labels drifted: "
-                    f"{tuple(labels)!r} vs {label_names!r}"
-                )
-            key = tuple(labels[n] for n in label_names)
-            if hist_part == "_bucket":
-                if le is None:
-                    raise ValueError(f"{where}: histogram bucket without an le label")
-                bound = _parse_value(le, where)
-                hist_buckets.setdefault(name, {}).setdefault(key, {})[bound] = value
-            else:
-                hist_scalars.setdefault(name, {}).setdefault(key, {})[hist_part] = value
-            continue
-
-        family = families.get(name)
-        if family is None:
-            family = families[name] = ParsedFamily(
-                name=name, kind=kind, help=helps.get(name, ""), label_names=tuple(labels)
-            )
-        if tuple(labels) != family.label_names:
-            raise ValueError(
-                f"{where}: family {name!r} labels drifted: "
-                f"{tuple(labels)!r} vs {family.label_names!r}"
-            )
-        family.samples[tuple(labels[n] for n in family.label_names)] = value
-
-    for name, children in hist_buckets.items():
-        family = ParsedFamily(
-            name=name,
-            kind="histogram",
-            help=helps.get(name, ""),
-            label_names=hist_label_names.get(name, ()),
-        )
-        for key, cumulative in children.items():
-            bounds = sorted(cumulative)
-            if not bounds or not math.isinf(bounds[-1]):
-                raise ValueError(f"histogram {name!r} is missing its +Inf bucket")
-            counts: list[int] = []
-            previous = 0.0
-            for bound in bounds:
-                if cumulative[bound] < previous:
-                    raise ValueError(
-                        f"histogram {name!r} has a decreasing cumulative series"
-                    )
-                counts.append(int(cumulative[bound] - previous))
-                previous = cumulative[bound]
-            scalars = hist_scalars.get(name, {}).get(key, {})
-            family.samples[key] = {
-                "buckets": tuple(bounds[:-1]),
-                "counts": counts,
-                "sum": scalars.get("_sum", 0.0),
-                "max": scalars.get("_max"),
-            }
-        families[name] = family
-    return families
-
-
-def registry_from_text(text: str) -> MetricsRegistry:
-    """Load one scraped exposition document into a fresh registry.
-
-    Histogram children carry the real per-bucket counts recovered by
-    :func:`parse_text`, so registries from several endpoints merge exactly
-    through :meth:`~repro.obs.metrics.MetricFamily.merge`.
-    """
-    registry = MetricsRegistry()
-    for parsed in parse_text(text).values():
-        if parsed.kind == "counter":
-            family = registry.counter(parsed.name, parsed.help, labels=parsed.label_names)
-            for values, value in parsed.samples.items():
-                child = family._child(values)
-                child.inc(value)
-        elif parsed.kind == "histogram":
-            buckets = next(
-                (s["buckets"] for s in parsed.samples.values() if s["buckets"]), None
-            )
-            if buckets is None:
-                continue  # histogram family with no finite buckets: nothing to load
-            family = registry.histogram(
-                parsed.name, parsed.help, labels=parsed.label_names, buckets=buckets
-            )
-            for values, sample in parsed.samples.items():
-                family._child(values).merge(
-                    Histogram.from_buckets(
-                        sample["buckets"],
-                        sample["counts"],
-                        total_sum=sample["sum"],
-                        maximum=sample["max"],
-                    )
-                )
-        else:
-            family = registry.gauge(parsed.name, parsed.help, labels=parsed.label_names)
-            for values, value in parsed.samples.items():
-                child = family._child(values)
-                child.set(value)
-    return registry

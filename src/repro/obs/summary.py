@@ -62,21 +62,6 @@ class TraceSummary:
                 )
         return "\n".join(lines)
 
-    def as_dict(self, top: int = 5) -> dict[str, Any]:
-        """JSON document for the dashboard's ``/api/obs/summary`` endpoint."""
-        return {
-            "span_count": self.span_count,
-            "trace_count": self.trace_count,
-            "process_count": self.process_count,
-            "wall_ms": round(self.wall_ms, 3),
-            "layers": self.layers,
-            "critical_path": [
-                {"name": name, "layer": layer, "dur_ms": round(dur_ms, 3)}
-                for name, layer, dur_ms in self.critical_path
-            ],
-            "slowest": self.slowest[:top],
-        }
-
 
 def summarize_trace(spans: list[dict[str, Any]], top: int = 20) -> TraceSummary:
     """Aggregate parsed span records (see :func:`repro.obs.export.read_trace`)."""

@@ -258,15 +258,3 @@ register(
     "next to the trace file, or `mas_profile` in the working directory when "
     "tracing is off.",
 )
-register(
-    "MAS_OBS_INTERVAL",
-    "2",
-    "Fleet-collector scrape interval, in seconds, for `mas-attention obs "
-    "serve` (how often every endpoint's `/metrics` is polled and merged).",
-)
-register(
-    "MAS_OBS_RING",
-    "512",
-    "Bounded ring size of timestamped fleet snapshots (and buffered live "
-    "span events) kept in memory by the observability collector.",
-)

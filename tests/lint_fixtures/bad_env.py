@@ -9,8 +9,8 @@ def workers():
     return int(os.environ.get(WORKERS_ENV, "1"))  # direct read via constant
 
 
-def interval():
-    return os.getenv("MAS_OBS_INTERVAL", "2")  # direct read, literal
+def min_ms():
+    return os.getenv("MAS_PROFILE_MIN_MS", "10")  # direct read, literal
 
 
 def uri():

@@ -240,12 +240,12 @@ def test_tag_syntax_inside_strings_is_ignored():
 # env registry and the docs cross-check
 # --------------------------------------------------------------------------- #
 def test_env_value_precedence(monkeypatch):
-    monkeypatch.delenv("MAS_OBS_INTERVAL", raising=False)
-    assert env.value("MAS_OBS_INTERVAL") == "2"  # registry default
-    monkeypatch.setenv("MAS_OBS_INTERVAL", "0.5")
-    assert env.value("MAS_OBS_INTERVAL") == "0.5"
-    monkeypatch.setenv("MAS_OBS_INTERVAL", "   ")  # blank == unset
-    assert env.value("MAS_OBS_INTERVAL") == "2"
+    monkeypatch.delenv("MAS_PROFILE_MIN_MS", raising=False)
+    assert env.value("MAS_PROFILE_MIN_MS") == "10"  # registry default
+    monkeypatch.setenv("MAS_PROFILE_MIN_MS", "50")
+    assert env.value("MAS_PROFILE_MIN_MS") == "50"
+    monkeypatch.setenv("MAS_PROFILE_MIN_MS", "   ")  # blank == unset
+    assert env.value("MAS_PROFILE_MIN_MS") == "10"
 
 
 def test_env_int_value(monkeypatch):
