@@ -19,7 +19,7 @@ Module                          Paper artefact
                                 multi-tier tiling, search algorithm)
 ==============================  ==============================================
 
-All harnesses are driven by :class:`repro.analysis.runner.ExperimentRunner`,
+All harnesses are driven by :class:`repro.exec.ExperimentRunner`,
 which owns the hardware preset, the tiling auto-tuner and a cache of tuned
 simulation results so the tables and figures that share runs (Table 2,
 Table 3, Figure 6, Figure 7) only pay for the search once.
@@ -31,7 +31,7 @@ from repro.analysis.metrics import (
     normalize_to,
     speedup,
 )
-from repro.analysis.runner import ExperimentRunner, MethodRun
+from repro.exec import ExperimentRunner, MethodRun
 from repro.analysis.report import format_table
 from repro.analysis.table2 import Table2Result, run_table2
 from repro.analysis.table3 import Table3Result, run_table3

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import geometric_mean, speedup
 from repro.analysis.report import format_table
-from repro.analysis.runner import ExperimentRunner, resolve_runner, suite_title_suffix
+from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.exec import ExperimentRunner
 from repro.hardware.presets import davinci_like_npu
 
 __all__ = ["Figure5Row", "Figure5Result", "run_figure5", "FIGURE5_METHODS"]

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
-from repro.analysis.runner import ExperimentRunner, resolve_runner, suite_title_suffix
+from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.exec import ExperimentRunner
 from repro.hardware.energy import EnergyBreakdown
 
 __all__ = ["Figure6Entry", "Figure6Result", "run_figure6", "COMPONENTS"]

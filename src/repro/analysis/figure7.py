@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
-from repro.analysis.runner import ExperimentRunner, resolve_runner, suite_title_suffix
+from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.exec import ExperimentRunner
 from repro.search.history import SearchHistory
 
 __all__ = ["Figure7Series", "Figure7Result", "run_figure7"]

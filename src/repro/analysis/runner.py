@@ -1,24 +1,16 @@
-"""Shared experiment driver — now implemented by :mod:`repro.exec`.
+"""Helpers the suite-parametrized harnesses share.
 
-The :class:`ExperimentRunner` that tunes and simulates every (method, network)
-pair moved into the execution layer (:mod:`repro.exec.runner`) when parallel
-sweeps and the persistent result cache were added; this module remains as the
-import path the analysis harnesses and downstream users were written against,
-plus the two small helpers the suite-parametrized harnesses share.
+:func:`resolve_runner` picks the runner a harness sweeps and
+:func:`suite_title_suffix` names a non-default suite in its title.  The
+runner itself lives in :mod:`repro.exec`.
 """
 
 from __future__ import annotations
 
-from repro.exec.runner import DEFAULT_METHOD_ORDER, ExperimentRunner, MethodRun
+from repro.exec import ExperimentRunner
 from repro.workloads.suites import WorkloadSuite, get_suite
 
-__all__ = [
-    "MethodRun",
-    "ExperimentRunner",
-    "DEFAULT_METHOD_ORDER",
-    "resolve_runner",
-    "suite_title_suffix",
-]
+__all__ = ["resolve_runner", "suite_title_suffix"]
 
 
 def resolve_runner(

@@ -11,12 +11,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import geometric_mean, speedup
 from repro.analysis.report import format_table
-from repro.analysis.runner import (
-    ExperimentRunner,
-    MethodRun,
-    resolve_runner,
-    suite_title_suffix,
-)
+from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.exec import ExperimentRunner, MethodRun
 
 __all__ = ["Table2Row", "Table2Result", "run_table2"]
 

@@ -25,7 +25,7 @@ Examples
    $ mas-attention cache stats --cache sqlite:///cache.db    # inspect the store
    $ mas-attention cache migrate dir:./cache sqlite:///cache.db
    $ mas-attention cache evict --cache sqlite:///cache.db --max-bytes 1GiB
-   $ mas-attention serve sqlite:///cache.db --port 8787      # fleet store service
+   $ mas-attention serve sqlite:///cache.db --port 8787      # shared store service
    $ mas-attention table2 --cache http://cachehost:8787      # sweep against it
    $ mas-attention suites --suites-file my_suites.json       # user suites
    $ mas-attention table2 --suite gqa                        # GQA/MQA shapes
@@ -67,13 +67,12 @@ from repro.schedulers.registry import list_schedulers, make_scheduler
 from repro.store import (
     EvictionPolicy,
     HttpStore,
-    ShardedStore,
     migrate_store,
     open_store,
-    parse_duration,
     parse_size,
     resolve_store_target,
 )
+from repro.store.http import UNREACHABLE_ERRORS
 from repro.utils.serialization import dump_json, to_jsonable
 from repro.utils.units import bytes_to_human
 from repro.workloads.networks import get_network, table1_rows
@@ -133,12 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache",
             dest="cache_uri",
             default=None,
-            help="result-store URI: dir:/path, sqlite:///path.db, "
-            "http://host:8787 (a running 'mas-attention serve') or "
-            "shard:http://a:8787,http://b:8787 (a service fleet, "
-            "?replicas=N), optionally with ?max_entries=N&max_bytes=SIZE"
-            "&ttl=AGE eviction caps (precedence: --cache, then --cache-dir, "
-            "then $MAS_CACHE_URI, then $MAS_CACHE_DIR)",
+            help="result-store URI: dir:/path, sqlite:///path.db or "
+            "http://host:8787 (a running 'mas-attention serve'), optionally "
+            "with ?max_entries=N&max_bytes=SIZE eviction caps (precedence: "
+            "--cache, then --cache-dir, then $MAS_CACHE_URI, then "
+            "$MAS_CACHE_DIR)",
         )
         p.add_argument(
             "--no-cache",
@@ -239,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp = cache_sub.add_parser(
         "migrate",
         help="copy every entry of one store into another (jsondir <-> sqlite "
-        "<-> http <-> shard), upgrading old entry schemas on the way",
+        "<-> http), upgrading old entry schemas on the way",
     )
     cp.add_argument("source", help="source store URI or directory")
     cp.add_argument("destination", help="destination store URI or directory")
@@ -254,11 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--max-entries", type=int, default=None, help="keep at most N entries")
     cp.add_argument(
         "--max-bytes", default=None, help="keep at most SIZE bytes (e.g. 512MiB, 1G)"
-    )
-    cp.add_argument(
-        "--ttl",
-        default=None,
-        help="expire entries unused for longer than AGE (e.g. 600, 30m, 7d)",
     )
 
     cp = cache_sub.add_parser("clear", help="delete every entry of the store")
@@ -319,10 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="fetch and render a running store service's /metrics document",
     )
-    op.add_argument(
-        "uri",
-        help="service URI: http://host:8787 or shard:http://a:8787,http://b:8787",
-    )
+    op.add_argument("uri", help="service URI: http://host:8787")
     op.add_argument(
         "--raw", action="store_true", help="print the raw JSON document instead"
     )
@@ -332,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="re-fetch and re-render every SECONDS until interrupted "
-        "(a shard: URI shows every endpoint's health and latency)",
+        "(an unreachable service prints one line per poll)",
     )
 
     op = obs_sub.add_parser(
@@ -539,18 +529,17 @@ def _run_cache_store_command(args: argparse.Namespace, store) -> int:
         return 0
 
     if args.cache_command == "evict":
-        if args.max_entries is None and args.max_bytes is None and args.ttl is None:
+        if args.max_entries is None and args.max_bytes is None:
             policy = store.policy
             if not policy.bounded:
                 raise SystemExit(
-                    "nothing to enforce: pass --max-entries/--max-bytes/--ttl "
-                    "or put ?max_entries=/?max_bytes=/?ttl= caps in the store URI"
+                    "nothing to enforce: pass --max-entries/--max-bytes "
+                    "or put ?max_entries=/?max_bytes= caps in the store URI"
                 )
         else:
             policy = EvictionPolicy(
                 max_entries=args.max_entries,
                 max_bytes=parse_size(args.max_bytes) if args.max_bytes is not None else None,
-                ttl_seconds=parse_duration(args.ttl) if args.ttl is not None else None,
             )
         evicted = store.evict(policy)
         stats = store.stats()
@@ -607,27 +596,25 @@ def _run_obs_command(args: argparse.Namespace) -> int:
     if args.obs_command == "metrics":
         while True:
             store = open_store(args.uri)
-            if not isinstance(store, (HttpStore, ShardedStore)):
+            if not isinstance(store, HttpStore):
                 if store is not None:
                     store.close()
                 raise SystemExit(
-                    f"obs metrics needs a served store (http://host:port or "
-                    f"shard:...), got {args.uri!r}"
+                    f"obs metrics needs a served store (http://host:port), "
+                    f"got {args.uri!r}"
                 )
             try:
                 document = store.metrics()
+            except UNREACHABLE_ERRORS as exc:
+                document = None
+                print(f"{store.uri()}: unreachable ({exc})", file=sys.stderr)
             finally:
                 store.close()
-            if args.raw:
+            if document is None:
+                if args.watch is None:
+                    return 1
+            elif args.raw:
                 print(json.dumps(document, indent=2, sort_keys=True))
-            elif isinstance(store, ShardedStore):
-                print(json.dumps(document.get("fleet", {}), indent=2, sort_keys=True))
-                for url, shard_doc in sorted(document.get("shards", {}).items()):
-                    if "error" in shard_doc:
-                        print(f"\n{url}: unreachable ({shard_doc['error']})")
-                    else:
-                        print()
-                        _print_service_metrics(url, shard_doc)
             else:
                 _print_service_metrics(store.uri(), document)
             if args.watch is None:
@@ -726,10 +713,10 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     from repro.service import serve_store
 
     store = _open_cache_store(resolve_store_target(args.store))
-    if isinstance(store, (HttpStore, ShardedStore)):
+    if isinstance(store, HttpStore):
         raise SystemExit(
             f"refusing to front {store.uri()}: serve needs the *local* backend "
-            "(dir:/path or sqlite:///path.db), not another HTTP service or fleet"
+            "(dir:/path or sqlite:///path.db), not another HTTP service"
         )
     return serve_store(store, host=args.host, port=args.port, verbose=args.verbose)
 

@@ -25,7 +25,6 @@ form.  On top of that the runner offers:
 
 from __future__ import annotations
 
-import http.client
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -39,13 +38,8 @@ from repro.hardware.presets import simulated_edge_device
 from repro.schedulers.registry import get_scheduler, list_schedulers
 from repro.search.objective import Metric
 from repro.search.parallel import resolve_workers
-from repro.store import (
-    HttpStore,
-    ShardedStore,
-    TransientServiceError,
-    open_store,
-    resolve_store_target,
-)
+from repro.store import HttpStore, open_store, resolve_store_target
+from repro.store.http import UNREACHABLE_ERRORS
 from repro.utils.validation import check_positive_int
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.suites import WorkloadSuite, get_suite
@@ -117,8 +111,8 @@ class ExperimentRunner:
         — which is exactly the historical behaviour, entry for entry.
     verbose:
         When true, the eager store health probe reports what it learned
-        (service version, uptime, pid — or the reachable shard count of a
-        fleet) on stderr instead of discarding the payload.
+        (service version, uptime, pid) on stderr instead of discarding the
+        payload.
     jobs:
         Worker processes for the (method, network) matrix.  ``1`` (the
         default) runs every pair inline in this process; more fans the
@@ -161,25 +155,10 @@ class ExperimentRunner:
             probe = open_store(self.cache_target)
             if probe is not None:
                 try:
-                    # A sharded fleet pings too, but its ping() only raises
-                    # when *every* endpoint is dark — a partially-degraded
-                    # fleet still serves (failover covers the rest).
-                    if isinstance(probe, (HttpStore, ShardedStore)):
+                    if isinstance(probe, HttpStore):
                         try:
                             self._report_ping(probe.ping())
-                        # Everything a failed health probe can surface: the
-                        # transient classifier's re-raises after exhausted
-                        # retries (5xx, connection errors, a non-HTTP
-                        # endpoint's BadStatusLine) plus ValueError for an
-                        # HTTP server that is not a store service at all
-                        # (unexpected status, non-JSON body — JSONDecodeError
-                        # is a ValueError).
-                        except (
-                            TransientServiceError,
-                            http.client.HTTPException,
-                            OSError,
-                            ValueError,
-                        ) as exc:
+                        except UNREACHABLE_ERRORS as exc:
                             raise ValueError(
                                 f"result-store service unreachable at "
                                 f"{probe.uri()}: {exc} (is 'mas-attention "
@@ -193,19 +172,13 @@ class ExperimentRunner:
         """Summarize the eager health probe on stderr (``verbose`` only)."""
         if not self.verbose:
             return
-        if "reachable" in payload:  # sharded fleet: per-endpoint docs nested
-            line = (
-                f"store fleet reachable: {payload['reachable']}/"
-                f"{len(payload.get('shards', {}))} endpoints "
-                f"(replicas={payload.get('replicas')})"
-            )
-        else:
-            line = (
-                f"store service up: version={payload.get('version', '?')} "
-                f"uptime={payload.get('uptime_seconds', '?')}s "
-                f"pid={payload.get('pid', '?')}"
-            )
-        print(f"[mas-attention] {line}", file=sys.stderr)
+        print(
+            f"[mas-attention] store service up: "
+            f"version={payload.get('version', '?')} "
+            f"uptime={payload.get('uptime_seconds', '?')}s "
+            f"pid={payload.get('pid', '?')}",
+            file=sys.stderr,
+        )
 
     @property
     def workload_suite(self) -> WorkloadSuite:

@@ -7,8 +7,8 @@ The pieces, one import point:
   enabled by ``MAS_TRACE=<path>`` (JSONL output), with optional per-span
   cProfile via ``MAS_PROFILE``;
 * :mod:`repro.obs.metrics` — counters, gauges and latency histograms with
-  p50/p95/p99, shared by the store service, the shard fleet, the retry
-  layer and the result cache;
+  p50/p95/p99, shared by the store service, the retry layer and the
+  result cache;
 * :mod:`repro.obs.prom` / :mod:`repro.obs.export` — Prometheus text
   exposition rendering and Chrome trace-event conversion;
 * :mod:`repro.obs.bench` — the perf-trajectory history and regression

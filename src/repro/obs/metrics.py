@@ -1,13 +1,13 @@
 """Process-wide metrics registry: counters, gauges and latency histograms.
 
-Before this module the repo's metrics were four unrelated dict shapes —
-``cache_stats``, ``analytic_stats``, ``fleet_stats`` and the store service's
+Before this module the repo's metrics were unrelated dict shapes —
+``cache_stats``, ``analytic_stats`` and the store service's
 ``ServiceMetrics`` — each with its own locking, snapshot format and (for the
 service only) a hand-rolled Prometheus renderer.  The registry gives all of
 them one vocabulary:
 
 * :class:`Counter` — monotonically increasing totals (requests, retries);
-* :class:`Gauge` — last-write-wins values (uptime, shard health);
+* :class:`Gauge` — last-write-wins values (uptime);
 * :class:`Histogram` — fixed-bucket latency distributions with estimated
   p50/p95/p99 plus exact count/sum/min/max.
 
@@ -43,7 +43,7 @@ __all__ = [
 
 #: Default histogram buckets (upper bounds) for latencies recorded in
 #: milliseconds: sub-millisecond local-store hits through multi-second
-#: degraded-fleet tails.  A final implicit overflow bucket catches the rest.
+#: retried-request tails.  A final implicit overflow bucket catches the rest.
 DEFAULT_LATENCY_BUCKETS_MS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
     100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
@@ -301,7 +301,7 @@ class MetricFamily:
         return result
 
 
-class MetricsRegistry:  # mas-lint: disable=fork-safety(owners reset registries on pickle — ShardedStore.__getstate__ drops its fleet registry, the global registry is re-minted per PID, and ServiceMetrics never crosses a process boundary)
+class MetricsRegistry:  # mas-lint: disable=fork-safety(no registry is pickled: the global registry is re-minted per PID and ServiceMetrics never crosses a process boundary)
     """An ordered collection of metric families sharing one lock.
 
     Registration is idempotent: asking for an existing name returns the

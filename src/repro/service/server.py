@@ -27,8 +27,7 @@ ETag versions authoritative without any backend cooperation.  Backends must
 tolerate concurrent calls on *distinct* keys (sqlite serializes internally;
 jsondir writes are atomic per file); same-key and store-wide sequences are
 serialized here.  Scaling rule of thumb: one service per store; many sweep
-hosts per service — and many services behind a
-:class:`~repro.store.shard.ShardedStore` (``docs/store_fleet.md``).
+hosts per service.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.trace import TraceContext
 from repro.service.locks import DEFAULT_STRIPES, KeyedLocks
 from repro.store.base import ResultStore
-from repro.store.eviction import EvictionPolicy, parse_duration, parse_size
+from repro.store.eviction import EvictionPolicy, parse_size
 
 __all__ = [
     "DEFAULT_PORT",
@@ -681,13 +680,12 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
     @staticmethod
     def _body_policy(body: dict) -> EvictionPolicy | None:
         """Caps shipped in a request body, or ``None`` for the store policy."""
-        caps = {k: body[k] for k in ("max_entries", "max_bytes", "ttl") if k in body}
+        caps = {k: body[k] for k in ("max_entries", "max_bytes") if k in body}
         if not caps:
             return None
         return EvictionPolicy(
             max_entries=int(caps["max_entries"]) if "max_entries" in caps else None,
             max_bytes=parse_size(caps["max_bytes"]) if "max_bytes" in caps else None,
-            ttl_seconds=parse_duration(caps["ttl"]) if "ttl" in caps else None,
         )
 
     def _json_body(self) -> dict[str, Any]:

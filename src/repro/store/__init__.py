@@ -18,22 +18,18 @@ side into a swappable backend behind one interface:
 * :mod:`repro.store.http` — the HTTP client backend: the same contract over
   a running ``mas-attention serve`` (:mod:`repro.service`), with connection
   reuse, retry-with-backoff and ETag-based optimistic concurrency;
-* :mod:`repro.store.shard` — the fleet backend: consistent hashing over N
-  HTTP services with health-aware failover, best-effort replication and
-  hedged reads for hot keys (``docs/store_fleet.md``);
 * :mod:`repro.store.retry` — the shared retry/backoff helper (SQLite busy
   handling and HTTP transient errors go through one code path);
 * :mod:`repro.store.migrate` — copying whole stores across backends
-  (``jsondir <-> sqlite <-> http <-> shard``) with zero entry loss;
+  (``jsondir <-> sqlite <-> http``) with zero entry loss;
 * :mod:`repro.store.uri` — ``dir:/path`` / ``sqlite:///path.db`` /
-  ``http://host:8787`` / ``shard:http://a:8787,http://b:8787`` URIs (plus
-  ``?max_entries=``/``?max_bytes=``/``?ttl=``/``?replicas=`` parameters) so
+  ``http://host:8787`` URIs (plus ``?max_entries=``/``?max_bytes=`` caps) so
   one string — ``--cache``, ``$MAS_CACHE_URI`` — selects backend, location
   and policy.
 """
 
 from repro.store.base import EntryInfo, ResultStore, StoreStats
-from repro.store.eviction import EvictionPolicy, parse_duration, parse_size, plan_eviction
+from repro.store.eviction import EvictionPolicy, parse_size, plan_eviction
 from repro.store.http import HttpStore, StoreConflictError, TransientServiceError
 from repro.store.jsondir import JsonDirStore
 from repro.store.migrate import MigrationReport, migrate_store
@@ -43,7 +39,6 @@ from repro.store.schema import (
     make_payload,
     normalize_payload,
 )
-from repro.store.shard import ShardedStore
 from repro.store.sqlite import SqliteStore
 from repro.store.uri import MAS_CACHE_URI_ENV, open_store, resolve_store_target
 
@@ -57,7 +52,6 @@ __all__ = [
     "MigrationReport",
     "ResultStore",
     "RetryPolicy",
-    "ShardedStore",
     "SqliteStore",
     "StoreConflictError",
     "StoreStats",
@@ -67,7 +61,6 @@ __all__ = [
     "migrate_store",
     "normalize_payload",
     "open_store",
-    "parse_duration",
     "parse_size",
     "plan_eviction",
     "resolve_store_target",

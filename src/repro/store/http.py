@@ -1,17 +1,18 @@
-"""HTTP result-store client: the fleet-service backend behind the same ABC.
+"""HTTP result-store client: the store-service backend behind the same ABC.
 
 An :class:`HttpStore` speaks to a ``mas-attention serve`` process
 (:mod:`repro.service`) over plain REST+JSON and plugs in wherever a
 :class:`~repro.store.base.ResultStore` does — ``--cache http://host:8787``,
 ``$MAS_CACHE_URI`` — so sweep workers need a TCP route to the service instead
-of filesystem access to the store.  Three properties make it fleet-grade:
+of filesystem access to the store.  Three properties let many sweep hosts
+share one service:
 
 * **single-round-trip hot paths** — ``lookup`` and ``put`` each map to one
   server-side endpoint that performs the whole schema-aware operation
   (normalize + touch + upgrade write-back; write + eviction) under the
   service's lock, instead of replaying the base class's multi-primitive
   sequence over the network.  ``read_many``/``put_many`` batch whole key sets
-  into one request each, which is what keeps store migration and warm fleet
+  into one request each, which is what keeps store migration and warm
   sweeps off the round-trip treadmill;
 * **connection reuse with retry** — one keep-alive connection per store
   instance, re-established transparently; transient failures (connection
@@ -45,6 +46,9 @@ __all__ = ["HttpStore", "StoreConflictError", "TransientServiceError"]
 #: Path prefix of every store endpoint (health and metrics live at the root).
 API_PREFIX = "/api/v1"
 
+#: Socket timeout, in seconds, of every request to the service.
+REQUEST_TIMEOUT_S = 30.0
+
 
 class TransientServiceError(RuntimeError):
     """A retryable service failure: 5xx response or broken connection."""
@@ -70,6 +74,19 @@ def _is_transient(exc: BaseException) -> bool:
     )
 
 
+#: Everything a failed request to a dead or foreign service can surface: the
+#: transient classifier's re-raises after exhausted retries (5xx, connection
+#: errors, a non-HTTP endpoint's BadStatusLine) plus ``ValueError`` for an
+#: HTTP server that is not a store service at all (unexpected status,
+#: non-JSON body — ``JSONDecodeError`` is a ``ValueError``).
+UNREACHABLE_ERRORS = (
+    TransientServiceError,
+    http.client.HTTPException,
+    OSError,
+    ValueError,
+)
+
+
 class HttpStore(ResultStore):
     """Result store over a ``mas-attention serve`` HTTP service."""
 
@@ -80,7 +97,6 @@ class HttpStore(ResultStore):
         base_url: str,
         policy: EvictionPolicy | None = None,
         retry: RetryPolicy | None = None,
-        timeout: float = 30.0,
     ) -> None:
         super().__init__(policy)
         parts = urlsplit(base_url)
@@ -98,7 +114,6 @@ class HttpStore(ResultStore):
         self._netloc = parts.netloc
         self._prefix = parts.path.rstrip("/")
         self.retry = retry or RetryPolicy()
-        self.timeout = timeout
         self._conn: http.client.HTTPConnection | None = None
 
     # ------------------------------------------------------------------ #
@@ -118,7 +133,7 @@ class HttpStore(ResultStore):
                 if self._scheme == "https"
                 else http.client.HTTPConnection
             )
-            self._conn = factory(self._netloc, timeout=self.timeout)
+            self._conn = factory(self._netloc, timeout=REQUEST_TIMEOUT_S)
         return self._conn
 
     def close(self) -> None:
@@ -344,14 +359,10 @@ class HttpStore(ResultStore):
         return payload or {}
 
     @staticmethod
-    def _policy_body(policy: EvictionPolicy | None) -> dict[str, int | float]:
+    def _policy_body(policy: EvictionPolicy | None) -> dict[str, int]:
         if policy is None:
             return {}
-        caps = {
-            "max_entries": policy.max_entries,
-            "max_bytes": policy.max_bytes,
-            "ttl": policy.ttl_seconds,
-        }
+        caps = {"max_entries": policy.max_entries, "max_bytes": policy.max_bytes}
         return {name: value for name, value in caps.items() if value is not None}
 
     def __len__(self) -> int:

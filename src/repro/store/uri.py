@@ -14,19 +14,17 @@ URI                                    Meaning
 ``http://host:8787``                   HTTP store service (a running
                                        ``mas-attention serve``); ``https://``
                                        works behind a TLS proxy
-``shard:http://a:8787,http://b:8787``  Sharded fleet of HTTP services
-                                       (consistent hashing, failover;
-                                       ``?replicas=2`` adds best-effort
-                                       replication — ``docs/store_fleet.md``)
 =====================================  ====================================
 
-Query parameters configure the eviction policy (``max_entries``,
-``max_bytes``, ``ttl`` age expiry) and apply to any backend; ``replicas`` is
-shard-only::
+Any other scheme of two or more characters is rejected rather than read as a
+relative directory name, so a mistyped URI fails the run instead of caching
+into a junk directory.  Single-letter schemes (Windows drive letters) stay
+paths; a directory whose name contains a colon is written ``dir:<path>``.
+
+Query parameters configure the LRU eviction policy and apply to any backend::
 
     sqlite:///fleet.db?max_entries=10000&max_bytes=2GiB
     dir:/var/cache/mas?max_entries=500
-    shard:http://a:8787,http://b:8787?replicas=2&ttl=7d
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.store.base import ResultStore
 from repro.store.eviction import EvictionPolicy
 from repro.store.http import HttpStore
 from repro.store.jsondir import JsonDirStore
-from repro.store.shard import ShardedStore
 from repro.store.sqlite import SqliteStore
 from repro.utils import env
 
@@ -78,9 +75,15 @@ def _split(uri: str) -> tuple[str, str, dict[str, str]]:
     """Split a store URI into (scheme, path, query params)."""
     parts = urlsplit(uri)
     scheme = parts.scheme.lower()
+    if len(scheme) > 1 and scheme not in _BACKENDS:
+        known = ", ".join([*_BACKENDS, *_HTTP_SCHEMES])
+        raise ValueError(
+            f"unknown store URI scheme {scheme!r} in {uri!r}; known schemes: "
+            f"{known} (write a directory whose name contains ':' as dir:<path>)"
+        )
     if scheme not in _BACKENDS:
-        # No recognized scheme: the string is a plain directory path.
-        # (Windows drive letters and scheme-less relative paths land here.)
+        # No scheme: the string is a plain directory path.  (Windows drive
+        # letters and scheme-less relative paths land here.)
         # A ``?key=value`` suffix still configures the eviction policy — a
         # path the user meant as ``dir:...?max_bytes=1G`` must not silently
         # become a literal '?'-named directory with an unbounded policy.
@@ -121,8 +124,6 @@ def open_store(target: str | Path | None) -> ResultStore | None:
     if not uri:
         return None
     parts = urlsplit(uri)
-    if parts.scheme.lower() == "shard":
-        return _open_shard(uri)
     if parts.scheme.lower() in _HTTP_SCHEMES:
         # A network store: host+port (and optional path prefix) identify a
         # running ``mas-attention serve``; query params still set the policy.
@@ -135,33 +136,3 @@ def open_store(target: str | Path | None) -> ResultStore | None:
     policy = EvictionPolicy.from_query(params)
     return _BACKENDS[scheme](Path(path).expanduser(), policy=policy)
 
-
-def _open_shard(uri: str) -> ShardedStore:
-    """``shard:http://a:8787,http://b:8787?replicas=2&...`` -> ShardedStore.
-
-    Everything after ``shard:`` up to the ``?`` is a comma-separated list of
-    plain ``http(s)://host:port[/prefix]`` endpoints (no per-endpoint query);
-    the query applies fleet-wide: ``replicas`` plus the usual policy caps.
-    """
-    spec, _, query = uri[len("shard:") :].partition("?")
-    params = dict(parse_qsl(query))
-    replicas = 1
-    if "replicas" in params:
-        replicas = int(params.pop("replicas"))
-    policy = EvictionPolicy.from_query(params)
-    endpoints = [endpoint.strip() for endpoint in spec.split(",") if endpoint.strip()]
-    if not endpoints:
-        raise ValueError(f"shard URI {uri!r} lists no endpoints")
-    for endpoint in endpoints:
-        ep = urlsplit(endpoint)
-        if ep.scheme.lower() not in _HTTP_SCHEMES or not ep.netloc:
-            raise ValueError(
-                f"shard endpoint {endpoint!r} in {uri!r} is not an "
-                "http(s)://host[:port] URL"
-            )
-        if ep.query or ep.fragment:
-            raise ValueError(
-                f"shard endpoint {endpoint!r} must not carry a query/fragment; "
-                "put fleet-wide parameters after the endpoint list"
-            )
-    return ShardedStore(endpoints, policy=policy, replicas=replicas)

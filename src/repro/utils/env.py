@@ -126,10 +126,8 @@ register(
     "MAS_CACHE_URI",
     None,
     "Default result-store URI for every runner and `cache` subcommand: "
-    "`dir:/path`, `sqlite:///path.db`, `http://host:8787` or "
-    "`shard:http://a:8787,http://b:8787`, optionally with "
-    "`?max_entries=/?max_bytes=/?ttl=` eviction caps (and `?replicas=` on "
-    "shard fleets). Explicit `--cache` flags win.",
+    "`dir:/path`, `sqlite:///path.db` or `http://host:8787`, optionally with "
+    "`?max_entries=/?max_bytes=` eviction caps. Explicit `--cache` flags win.",
 )
 register(
     "MAS_CACHE_DIR",

@@ -25,7 +25,7 @@ from repro.analysis import (
     run_tiling_ablation,
 )
 from repro.analysis.metrics import energy_savings_pct, geometric_mean, normalize_to, speedup
-from repro.analysis.runner import DEFAULT_METHOD_ORDER
+from repro.exec import DEFAULT_METHOD_ORDER
 from repro.hardware.presets import davinci_like_npu, simulated_edge_device
 from repro.utils.units import KB, MB
 from repro.workloads.stable_diffusion import AttentionUnit, StableDiffusionUNetWorkload

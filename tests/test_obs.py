@@ -4,8 +4,7 @@ latency histograms; Prometheus text exposition edge cases; and the
 ``mas-attention obs`` CLI toolchain.
 
 The acceptance test at the bottom runs a real multi-process sweep against a
-live store service, and against a two-endpoint ``shard:`` fleet, with
-``MAS_TRACE`` enabled and asserts the two hard
+live store service with ``MAS_TRACE`` enabled and asserts the two hard
 properties: results stay bit-identical to the untraced sweep, and the trace
 covers every layer with parent IDs that stitch across both the process and
 the HTTP boundary.
@@ -13,7 +12,6 @@ the HTTP boundary.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import socket
@@ -454,27 +452,17 @@ class TestObsCli:
             assert raw["requests"]["POST /lookup"]["count"] >= 1
             assert "p95_ms" in raw["requests"]["POST /lookup"]
 
-    def test_metrics_on_a_fleet_reports_live_and_dead_endpoints(self, tmp_path, capsys):
-        from repro.store import HttpStore
-
+    def test_metrics_on_a_closed_port_reports_unreachable(self, capsys):
         probe = socket.socket()  # reserve a port that stays closed during the test
         probe.bind(("127.0.0.1", 0))
         dead = f"http://127.0.0.1:{probe.getsockname()[1]}"
         probe.close()
-        with running_server(SqliteStore(tmp_path / "served.db")) as srv:
-            live = server_url(srv)
-            client = HttpStore(live)
-            try:
-                client.lookup("missing")
-            finally:
-                client.close()
-            assert cli_main(["obs", "metrics", f"shard:{live},{dead}"]) == 0
-        out = capsys.readouterr().out
-        fleet = json.loads(out[: out.index("\n}\n") + 2])  # the leading fleet block
-        assert fleet["endpoints"] == {live: "up", dead: "down"}
-        assert f"\n{live}  (uptime" in out
-        assert "request latency by endpoint" in out and "POST /lookup" in out
-        assert f"\n{dead}: unreachable" in out
+        assert cli_main(["obs", "metrics", dead]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{dead}: unreachable (")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_metrics_rejects_local_store_uris(self, tmp_path):
         with pytest.raises(SystemExit, match="served store"):
@@ -499,12 +487,9 @@ class TestTracedSweepAcceptance:
                 )
         return rows
 
-    @pytest.mark.parametrize("endpoints", [1, 2], ids=["http", "shard"])
     def test_traced_jobs4_sweep_is_bit_identical_and_covers_every_layer(
-        self, tmp_path, monkeypatch, endpoints
+        self, tmp_path, monkeypatch
     ):
-        """One ``http://`` service, or a two-endpoint ``shard:`` fleet with
-        every entry replicated on both."""
         trace_path = tmp_path / "sweep_trace.jsonl"
 
         # Baseline: tracing off, no cache — pure search results.
@@ -513,21 +498,14 @@ class TestTracedSweepAcceptance:
             baseline.run_matrix(networks=self.NETWORKS, methods=self.METHODS)
         )
 
-        with contextlib.ExitStack() as stack:
-            urls = [
-                server_url(stack.enter_context(
-                    running_server(SqliteStore(tmp_path / f"served{i}.db"))
-                ))
-                for i in range(endpoints)
-            ]
-            cache_uri = urls[0] if endpoints == 1 else f"shard:{','.join(urls)}?replicas=2"
+        with running_server(SqliteStore(tmp_path / "served.db")) as srv:
             monkeypatch.setenv("MAS_TRACE", str(trace_path))
             obs_trace.reset()  # re-read the env; forked workers inherit it
             try:
                 traced = ExperimentRunner(
                     search_budget=4,
                     jobs=4,
-                    cache_uri=cache_uri,
+                    cache_uri=server_url(srv),
                 )
                 actual = self._fingerprint(
                     traced.run_matrix(networks=self.NETWORKS, methods=self.METHODS)
@@ -538,12 +516,11 @@ class TestTracedSweepAcceptance:
 
         # 1. bit identity: tracing and the HTTP store change nothing
         assert actual == expected
-        for i in range(endpoints):  # with replicas=2 both shards hold every pair
-            served = SqliteStore(tmp_path / f"served{i}.db")
-            try:
-                assert served.stats().entries == len(self.NETWORKS) * len(self.METHODS)
-            finally:
-                served.close()
+        served = SqliteStore(tmp_path / "served.db")
+        try:
+            assert served.stats().entries == len(self.NETWORKS) * len(self.METHODS)
+        finally:
+            served.close()
 
         # 2. every instrumented layer appears in the sweep's own trace (the
         # eager health ping legitimately records a second, tiny trace)

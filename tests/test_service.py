@@ -1,4 +1,4 @@
-"""Tests for the result-store fleet service (:mod:`repro.service`) and its
+"""Tests for the result-store service (:mod:`repro.service`) and its
 client-side companions: the HTTP endpoints, ETag-based optimistic
 concurrency under concurrent clients, service metrics, the shared
 retry-with-backoff helper, and the ``serve`` CLI wiring.

@@ -24,13 +24,11 @@ from repro.store import (
     EvictionPolicy,
     HttpStore,
     JsonDirStore,
-    ShardedStore,
     SqliteStore,
     make_payload,
     migrate_store,
     normalize_payload,
     open_store,
-    parse_duration,
     parse_size,
     plan_eviction,
 )
@@ -266,50 +264,16 @@ class TestEvictionPlanner:
         with pytest.raises(ValueError):
             parse_size("-1k")  # sizes are magnitudes
 
-    def test_parse_duration(self):
-        assert parse_duration(90) == 90.0
-        assert parse_duration("90") == 90.0
-        assert parse_duration("30s") == 30.0
-        assert parse_duration("5m") == parse_duration("5min") == 300.0
-        assert parse_duration("2h") == 7200.0
-        assert parse_duration("7d") == 7 * 86400.0
-        assert parse_duration("1.5h") == 5400.0
-        assert parse_duration("0") == 0.0
-        with pytest.raises(ValueError, match="unknown duration unit"):
-            parse_duration("10 fortnights")
-        with pytest.raises(ValueError):
-            parse_duration("-1h")
-
-    def test_ttl_expires_by_age(self):
-        entries = [_info("old", 10, 100.0), _info("fresh", 10, 990.0)]
-        policy = EvictionPolicy(ttl_seconds=60)
-        assert plan_eviction(entries, policy, now=1000.0) == ["old"]
-        # at a horizon nothing has crossed, nothing goes
-        assert plan_eviction(entries, policy, now=150.0) == []
-
-    def test_ttl_composes_with_caps(self):
-        entries = [
-            _info("ancient", 10, 1.0),
-            _info("old", 10, 2.0),
-            _info("fresh", 10, 999.0),
-        ]
-        # TTL alone takes the two expired; max_entries=1 takes nothing extra.
-        policy = EvictionPolicy(max_entries=1, ttl_seconds=100)
-        assert plan_eviction(entries, policy, now=1000.0) == ["ancient", "old"]
-        # caps keep evicting past the TTL horizon when still over budget
-        policy = EvictionPolicy(max_entries=1, ttl_seconds=10_000)
-        assert plan_eviction(entries, policy, now=1000.0) == ["ancient", "old"]
-
-    def test_policy_query_roundtrip_with_ttl(self):
-        policy = EvictionPolicy(max_entries=5, ttl_seconds=1800)
+    def test_policy_query_roundtrip(self):
+        policy = EvictionPolicy(max_entries=5, max_bytes=2048)
         assert policy.bounded
         assert EvictionPolicy.from_query(dict(
             kv.split("=") for kv in policy.as_query().lstrip("?").split("&")
         )) == policy
-        parsed = EvictionPolicy.from_query({"ttl": "30m", "max_bytes": "1kb"})
-        assert parsed == EvictionPolicy(max_bytes=1000, ttl_seconds=1800)
+        parsed = EvictionPolicy.from_query({"max_bytes": "1kb"})
+        assert parsed == EvictionPolicy(max_bytes=1000)
         with pytest.raises(ValueError):
-            EvictionPolicy(ttl_seconds=-1)
+            EvictionPolicy(max_entries=-1)
 
 
 class TestStoreEviction:
@@ -340,27 +304,6 @@ class TestStoreEviction:
             store.touch(key)
         assert len(store) == 2  # the cap held during writes, not just after
 
-    def test_ttl_evicts_only_expired_entries(self, tmp_path):
-        """Age expiry on a real backend: jsondir last_used is file mtime, so
-        an entry backdated past the TTL horizon goes; fresh ones stay."""
-        store = JsonDirStore(tmp_path / "aged")
-        store.put("old", payload_for("old"))
-        store.put("fresh", payload_for("fresh"))
-        ancient = 0  # epoch: comfortably past any horizon
-        os.utime(tmp_path / "aged" / "old.json", (ancient, ancient))
-        evicted = store.evict(EvictionPolicy(ttl_seconds=3600))
-        assert evicted == ["old"]
-        assert store.keys() == ["fresh"]
-
-    def test_ttl_enforced_on_put_via_uri(self, tmp_path):
-        store = open_store(f"dir:{tmp_path / 'ttl'}?ttl=1h")
-        assert store.policy == EvictionPolicy(ttl_seconds=3600)
-        assert store.policy.bounded
-        store.put("old", payload_for("old"))
-        os.utime(tmp_path / "ttl" / "old.json", (0, 0))
-        store.put("fresh", payload_for("fresh"))  # bounded put runs eviction
-        assert store.keys() == ["fresh"]
-
 
 # ---------------------------------------------------------------------- #
 # URIs
@@ -371,6 +314,9 @@ class TestStoreUris:
             store = open_store(target)
             assert isinstance(store, JsonDirStore)
             assert store.root == tmp_path
+        # a single-letter scheme is a drive letter; dir: spells a colon name
+        assert str(open_store("c:cache").root) == "c:cache"
+        assert str(open_store("dir:v2:cache").root) == "v2:cache"
 
     def test_sqlite_scheme(self, tmp_path):
         store = open_store(f"sqlite:///{tmp_path}/c.db")
@@ -426,33 +372,19 @@ class TestStoreUris:
         with pytest.raises(ValueError):
             open_store("http://host:8787?max_funk=1")  # typo'd cap: loud
 
-    def test_shard_scheme_opens_sharded_store(self):
-        store = open_store("shard:http://a:8787,http://b:8787")
-        assert isinstance(store, ShardedStore)
-        assert store.uri() == "shard:http://a:8787,http://b:8787"
-        full = open_store(
-            "shard:http://a:8787,http://b:8787?max_entries=10&replicas=2&ttl=7d"
-        )
-        assert full.replicas == 2
-        assert full.policy == EvictionPolicy(max_entries=10, ttl_seconds=7 * 86400)
-        # uri() round-trips through open_store to an equivalent fleet
-        again = open_store(full.uri())
-        assert again.uri() == full.uri()
-        assert again.replicas == 2 and again.policy == full.policy
-
-    def test_bad_shard_uris_rejected(self):
-        with pytest.raises(ValueError, match="no endpoints"):
-            open_store("shard:")
-        with pytest.raises(ValueError, match="not an"):
-            open_store("shard:http://a:8787,sqlite:///x.db")
-        with pytest.raises(ValueError):
-            # the first '?' ends the endpoint list, so a mid-list query is a
-            # (bogus) fleet-wide parameter — loud either way
-            open_store("shard:http://a:8787?x=1,http://b:8787")
-        with pytest.raises(ValueError, match="query/fragment"):
-            open_store("shard:http://a:8787#frag,http://b:8787")
-        with pytest.raises(ValueError):
-            open_store("shard:http://a:8787,http://b:8787?max_funk=1")
+    @pytest.mark.parametrize(
+        "uri",
+        ["shard:http://a:8787,http://b:8787", "htp://host:8787", "sqlite3:///x.db"],
+    )
+    def test_unknown_scheme_rejected_not_read_as_a_directory(
+        self, uri, tmp_path, monkeypatch
+    ):
+        """A mistyped or retired scheme must fail loudly, never become a
+        relative directory the sweep then caches into."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="unknown store URI scheme"):
+            open_store(uri)
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -777,225 +709,6 @@ class TestHttpSweepBitIdentity:
             stop.set()
             thread.join(timeout=5)
             listener.close()
-
-
-# ---------------------------------------------------------------------- #
-# Sharded fleet
-# ---------------------------------------------------------------------- #
-@pytest.fixture
-def shard_fleet(tmp_path):
-    """Two live store services (one fresh SQLite backend each)."""
-    with running_server(SqliteStore(tmp_path / "shard-a.db")) as a:
-        with running_server(SqliteStore(tmp_path / "shard-b.db")) as b:
-            yield a, b
-
-
-def _kill(server) -> None:
-    """Take one shard dark mid-test (fixture teardown stays idempotent)."""
-    server.shutdown()
-    server.server_close()
-
-
-class TestShardedStore:
-    """Functional coverage of the fleet client against live shard services."""
-
-    def _fleet(self, servers, **kwargs) -> ShardedStore:
-        return ShardedStore([server_url(s) for s in servers], **kwargs)
-
-    def test_keys_spread_without_replication(self, shard_fleet):
-        fleet = self._fleet(shard_fleet)
-        keys = [f"k{i}" for i in range(16)]
-        for i, key in enumerate(keys):
-            fleet.put(key, payload_for(key, i))
-        assert sorted(fleet.keys()) == sorted(keys)
-        per_shard = []
-        for server in shard_fleet:
-            child = HttpStore(server_url(server))
-            per_shard.append(len(child.keys()))
-            child.close()
-        assert sum(per_shard) == len(keys)  # replicas=1: no duplication
-        assert fleet.stats().entries == len(keys)
-        fleet.close()
-
-    def test_replication_writes_to_every_owner(self, shard_fleet):
-        fleet = self._fleet(shard_fleet, replicas=2)
-        keys = [f"r{i}" for i in range(8)]
-        for i, key in enumerate(keys):
-            fleet.put(key, payload_for(key, i))
-        for server in shard_fleet:
-            child = HttpStore(server_url(server))
-            assert sorted(child.keys()) == sorted(keys)
-            child.close()
-        # the union view deduplicates: 8 entries, not 16
-        assert fleet.stats().entries == len(keys)
-        fleet.close()
-
-    def test_failover_after_shard_death_with_replication(self, shard_fleet):
-        a, b = shard_fleet
-        writer = self._fleet(shard_fleet, replicas=2)
-        keys = [f"f{i}" for i in range(12)]
-        for i, key in enumerate(keys):
-            writer.put(key, payload_for(key, i))
-        b_index = writer.endpoints.index(server_url(b))
-        # at least one key's *primary* owner is the shard about to die
-        primary_on_b = next(k for k in keys if writer._owners(k)[0] == b_index)
-        writer.close()
-        _kill(b)
-        # a fresh client (a new sweep host joining after the shard died —
-        # the writer's old keep-alive sockets would mask the death in-test)
-        fleet = self._fleet(shard_fleet, replicas=2)
-        for key in keys:
-            payload, status = fleet.lookup(key)
-            assert status == "hit" and payload is not None, key
-        stats = fleet.fleet_stats()
-        assert stats["failovers"] >= 1, primary_on_b
-        assert stats["endpoints"][server_url(b)] == "down"
-        assert stats["endpoints"][server_url(a)] == "up"
-        # writes keep landing on the surviving replica and serve back
-        fleet.put("late", payload_for("late"))
-        assert fleet.lookup("late")[1] == "hit"
-        fleet.close()
-
-    def test_degrades_to_miss_without_replication(self, shard_fleet):
-        a, b = shard_fleet
-        writer = self._fleet(shard_fleet)
-        keys = [f"d{i}" for i in range(16)]
-        for i, key in enumerate(keys):
-            writer.put(key, payload_for(key, i))
-        writer.close()
-        survivor = HttpStore(server_url(a))
-        a_keys = set(survivor.keys())
-        survivor.close()
-        _kill(b)
-        fleet = self._fleet(shard_fleet)  # fresh client, see failover test
-        for key in keys:
-            payload, status = fleet.lookup(key)
-            if key in a_keys:
-                assert status == "hit" and payload is not None
-            else:  # owned only by the dead shard: a miss, not an exception
-                assert status == "miss" and payload is None
-        assert fleet.fleet_stats()["degraded_misses"] == len(keys) - len(a_keys)
-        got = fleet.read_many(keys)
-        assert all(got[k] is not None for k in a_keys)
-        assert all(got[k] is None for k in set(keys) - a_keys)
-        fleet.close()
-
-    def test_read_many_put_many_fan_out(self, shard_fleet):
-        fleet = self._fleet(shard_fleet, replicas=2)
-        entries = {f"b{i}": payload_for(f"b{i}", i) for i in range(10)}
-        fleet.put_many(entries)
-        got = fleet.read_many(list(entries) + ["missing"])
-        assert got["missing"] is None
-        for key, payload in entries.items():
-            assert got[key] == payload
-        fleet.close()
-
-    def test_hedged_reads_for_hot_keys(self, shard_fleet):
-        fleet = self._fleet(shard_fleet, replicas=2)
-        fleet.put("hot", payload_for("hot"))
-        for _ in range(6):
-            assert fleet.lookup("hot")[1] == "hit"
-        assert fleet.fleet_stats()["hedged_lookups"] > 0
-        fleet.close()
-
-    def test_pickle_roundtrip_resets_health(self, shard_fleet):
-        import pickle
-
-        fleet = self._fleet(shard_fleet, replicas=2)
-        fleet.put("p", payload_for("p"))
-        clone = pickle.loads(pickle.dumps(fleet))
-        assert clone.uri() == fleet.uri()
-        assert clone.lookup("p")[1] == "hit"
-        clone.close()
-        fleet.close()
-
-    def test_migration_into_and_out_of_a_fleet(self, shard_fleet, tmp_path, tuning):
-        origin = JsonDirStore(tmp_path / "origin")
-        for i in range(6):
-            origin.put(f"key{i}", make_payload(f"key{i}", tuning_result_to_dict(tuning)))
-        fleet = self._fleet(shard_fleet, replicas=2)
-        back = JsonDirStore(tmp_path / "back")
-        first = migrate_store(origin, fleet)
-        second = migrate_store(fleet, back)
-        assert first.migrated == second.migrated == 6
-        for key in origin.keys():
-            assert back.read(key) == origin.read(key)
-        fleet.close()
-
-
-class TestShardSweepBitIdentity:
-    """The fleet acceptance matrix: ``shard:`` serves the same sweeps as one
-    store — at any jobs level, and across a shard dying between sweeps."""
-
-    def _shard_uri(self, servers, replicas: int) -> str:
-        spec = ",".join(server_url(s) for s in servers)
-        return f"shard:{spec}?replicas={replicas}" if replicas > 1 else f"shard:{spec}"
-
-    def test_shard_sweeps_match_single_store_at_jobs_1_and_4(
-        self, shard_fleet, tmp_path
-    ):
-        kwargs = dict(search_budget=BUDGET, seed=0)
-        reference = _matrix_fingerprint(
-            ExperimentRunner(
-                **kwargs, cache_uri=f"sqlite:///{tmp_path}/single.db"
-            ).run_matrix(FAST_NETWORKS, FAST_METHODS)
-        )
-        uri = self._shard_uri(shard_fleet, replicas=2)
-        for jobs in (1, 4):
-            runner = ExperimentRunner(**kwargs, jobs=jobs, cache_uri=uri)
-            assert (
-                _matrix_fingerprint(runner.run_matrix(FAST_NETWORKS, FAST_METHODS))
-                == reference
-            ), f"mismatch at jobs={jobs}"
-        warm = ExperimentRunner(**kwargs, jobs=2, cache_uri=uri)
-        assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-        stats = warm.cache_stats()
-        assert stats["searches"] == 0 and stats["cache_misses"] == 0
-
-    def test_shard_death_fails_over_bit_identically_with_replication(
-        self, shard_fleet, tmp_path
-    ):
-        _, b = shard_fleet
-        kwargs = dict(search_budget=BUDGET, seed=0)
-        reference = _matrix_fingerprint(
-            ExperimentRunner(
-                **kwargs, cache_uri=f"sqlite:///{tmp_path}/single.db"
-            ).run_matrix(FAST_NETWORKS, FAST_METHODS)
-        )
-        uri = self._shard_uri(shard_fleet, replicas=2)
-        cold = ExperimentRunner(**kwargs, jobs=2, cache_uri=uri)
-        assert _matrix_fingerprint(cold.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-
-        _kill(b)  # one shard goes dark with the fleet still warm
-
-        warm = ExperimentRunner(**kwargs, jobs=4, cache_uri=uri)
-        assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-        stats = warm.cache_stats()
-        # every entry lives on the surviving replica: zero recomputation
-        assert stats["searches"] == 0 and stats["cache_misses"] == 0
-
-    def test_unreplicated_shard_death_degrades_to_recompute(
-        self, shard_fleet, tmp_path
-    ):
-        _, b = shard_fleet
-        kwargs = dict(search_budget=BUDGET, seed=0)
-        reference = _matrix_fingerprint(
-            ExperimentRunner(
-                **kwargs, cache_uri=f"sqlite:///{tmp_path}/single.db"
-            ).run_matrix(FAST_NETWORKS, FAST_METHODS)
-        )
-        uri = self._shard_uri(shard_fleet, replicas=1)
-        cold = ExperimentRunner(**kwargs, jobs=2, cache_uri=uri)
-        assert _matrix_fingerprint(cold.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-
-        _kill(b)
-
-        # entries on the dead shard degrade to misses and are recomputed —
-        # deterministically, so the matrix stays bit-identical either way.
-        warm = ExperimentRunner(**kwargs, jobs=2, cache_uri=uri)
-        assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-        stats = warm.cache_stats()
-        assert stats["cache_misses"] == stats["searches"]
 
 
 # ---------------------------------------------------------------------- #
