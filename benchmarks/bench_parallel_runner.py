@@ -46,7 +46,7 @@ from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
 from repro.search.autotuner import AutoTuner, TuningResult
 from repro.search.objective import SchedulerObjective
 from repro.service import StoreService, running_server, server_url
-from repro.store import JsonDirStore, SqliteStore, migrate_store
+from repro.store import JsonDirStore
 from repro.store.base import EntryInfo, ResultStore
 from repro.store.schema import make_payload
 from repro.utils import env
@@ -243,15 +243,14 @@ def test_tracing_overhead(benchmark, tmp_path_factory):
 
 
 def test_result_store_backends(benchmark, tmp_path_factory):
-    """Warm-sweep wall time per store backend: JSON directory, SQLite, HTTP.
+    """Warm-sweep wall time per store backend: JSON directory and HTTP.
 
-    One cold sweep populates a JSON-directory cache, which is then migrated
-    (zero entry loss) into a SQLite store; that store is additionally served
-    over a local ``mas-attention serve``-equivalent HTTP service.  All three
+    One cold sweep populates a JSON-directory cache, which is then served
+    over a local ``mas-attention serve``-equivalent HTTP service.  Both
     backends must serve a bit-identical warm sweep with zero searches.  The
-    benchmarked path is the SQLite warm sweep — the shared-store steady
-    state — with the HTTP warm sweep reported alongside as the fleet
-    steady state (its delta over SQLite is the round-trip cost).
+    benchmarked path is the directory warm sweep — the local steady state —
+    with the HTTP warm sweep reported alongside as the fleet steady state
+    (its delta over the directory is the round-trip cost).
     """
     root = tmp_path_factory.mktemp("store-bench")
     kwargs = dict(search_budget=SEARCH_BUDGET, seed=0)
@@ -259,39 +258,30 @@ def test_result_store_backends(benchmark, tmp_path_factory):
     t_cold, cold = _timed_matrix(ExperimentRunner(**kwargs, cache_dir=root / "jsondir"))
     reference = _fingerprint(cold)
 
-    report = migrate_store(
-        JsonDirStore(root / "jsondir"), SqliteStore(root / "store.db")
-    )
-    assert not report.skipped_stale
-
     def warm(uri: str) -> tuple[float, dict, dict]:
         runner = ExperimentRunner(**kwargs, cache_uri=uri)
         elapsed, matrix = _timed_matrix(runner)
         return elapsed, matrix, runner.cache_stats()
 
     t_dir, warm_dir, dir_stats = warm(f"dir:{root / 'jsondir'}")
-    t_db, warm_db, db_stats = warm(f"sqlite:///{root / 'store.db'}")
     assert _fingerprint(warm_dir) == reference
-    assert _fingerprint(warm_db) == reference
-    assert dir_stats["searches"] == db_stats["searches"] == 0
-    assert dir_stats["cache_misses"] == db_stats["cache_misses"] == 0
+    assert dir_stats["searches"] == 0 and dir_stats["cache_misses"] == 0
 
-    with running_server(SqliteStore(root / "store.db")) as server:
+    with running_server(JsonDirStore(root / "jsondir")) as server:
         t_http, warm_http, http_stats = warm(server_url(server))
         assert _fingerprint(warm_http) == reference
         assert http_stats["searches"] == 0 and http_stats["cache_misses"] == 0
         service_metrics = server.service.metrics.snapshot()
 
     result = benchmark.pedantic(
-        lambda: warm(f"sqlite:///{root / 'store.db'}")[1], rounds=1, iterations=1
+        lambda: warm(f"dir:{root / 'jsondir'}")[1], rounds=1, iterations=1
     )
     assert _fingerprint(result) == reference
 
     print()
     print(f"matrix: {len(BENCH_NETWORKS)} networks x 6 methods, budget {SEARCH_BUDGET}")
-    print(f"cold (jsondir)    : {t_cold:8.2f} s  ({report.migrated} entries migrated)")
+    print(f"cold (jsondir)    : {t_cold:8.2f} s")
     print(f"warm jsondir      : {t_dir:8.2f} s")
-    print(f"warm sqlite       : {t_db:8.2f} s")
     print(
         f"warm http         : {t_http:8.2f} s  "
         f"({service_metrics['hits']} served hits, "
@@ -299,12 +289,10 @@ def test_result_store_backends(benchmark, tmp_path_factory):
     )
     benchmark.extra_info["cold_s"] = round(t_cold, 3)
     benchmark.extra_info["warm_jsondir_s"] = round(t_dir, 3)
-    benchmark.extra_info["warm_sqlite_s"] = round(t_db, 3)
     benchmark.extra_info["warm_http_s"] = round(t_http, 3)
     benchmark.extra_info["http_mean_lookup_ms"] = round(
         service_metrics["requests"]["POST /lookup"]["mean_ms"], 3
     )
-    benchmark.extra_info["migrated_entries"] = report.migrated
 
 
 def _history_rows(result: TuningResult) -> list[tuple]:
@@ -543,7 +531,7 @@ class _SlowMemoryStore(ResultStore):
     """In-memory store whose reads stall a fixed ~2 ms, standing in for I/O.
 
     The lock benchmark must measure the *service's* locking, not a backend's
-    own serialization (SQLite write locks, filesystem round trips), so the
+    own serialization (filesystem round trips), so the
     backend is a plain dict plus a deterministic artificial read latency —
     long enough to dwarf lock bookkeeping, short enough to keep the
     benchmark sub-second.

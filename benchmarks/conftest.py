@@ -35,9 +35,9 @@ NETWORKS = [n.strip() for n in _networks_env.split(",") if n.strip()] or None
 
 #: Worker processes for the tuning+simulation matrix (1 = serial) and the
 #: persistent tuning-result cache shared across benchmark sessions.  With
-#: ``MAS_BENCH_CACHE_DIR`` (a directory) or ``MAS_BENCH_CACHE_URI`` (a result
-#: -store URI such as ``sqlite:///bench.db``; wins over the directory) set, a
-#: second run of the suite skips every search.
+#: ``MAS_BENCH_CACHE_DIR`` (a directory) or ``MAS_BENCH_CACHE_URI`` (a
+#: result-store URI such as ``http://127.0.0.1:8787``; wins over the
+#: directory) set, a second run of the suite skips every search.
 JOBS = env.int_value("MAS_BENCH_JOBS")
 CACHE_DIR = env.value("MAS_BENCH_CACHE_DIR")
 CACHE_URI = env.value("MAS_BENCH_CACHE_URI")

@@ -86,9 +86,9 @@ def main() -> None:
     print("    from repro.analysis import run_table2")
     print("    runner = ExperimentRunner(jobs=8, cache_dir='~/.cache/mas-attention')")
     print("    print(run_table2(runner).format())   # warm re-runs do zero searches")
-    print("    # shared SQLite store (safe across concurrent workers/hosts):")
-    print("    runner = ExperimentRunner(jobs=8, cache_uri='sqlite:///fleet.db')")
-    print("    # see docs/result_store.md for URIs, eviction and migration")
+    print("    # a store shared across hosts (a running 'mas-attention serve dir:...'):")
+    print("    runner = ExperimentRunner(jobs=8, cache_uri='http://cachehost:8787')")
+    print("    # see docs/result_store.md for URIs and eviction")
 
 
 if __name__ == "__main__":

@@ -21,11 +21,10 @@ Examples
    $ mas-attention limits                   # Section 5.6 sequence limits
    $ mas-attention sdunet                   # Section 5.2.2 SD-1.5 UNet
    $ mas-attention ablation overwrite       # design ablations
-   $ mas-attention table2 --cache sqlite:///cache.db         # shared result store
-   $ mas-attention cache stats --cache sqlite:///cache.db    # inspect the store
-   $ mas-attention cache migrate dir:./cache sqlite:///cache.db
-   $ mas-attention cache evict --cache sqlite:///cache.db --max-bytes 1GiB
-   $ mas-attention serve sqlite:///cache.db --port 8787      # shared store service
+   $ mas-attention table2 --cache dir:./cache                # persistent result store
+   $ mas-attention cache stats --cache dir:./cache           # inspect the store
+   $ mas-attention cache evict --cache dir:./cache --max-bytes 1GiB
+   $ mas-attention serve dir:./cache --port 8787             # shared store service
    $ mas-attention table2 --cache http://cachehost:8787      # sweep against it
    $ mas-attention suites --suites-file my_suites.json       # user suites
    $ mas-attention table2 --suite gqa                        # GQA/MQA shapes
@@ -67,7 +66,6 @@ from repro.schedulers.registry import list_schedulers, make_scheduler
 from repro.store import (
     EvictionPolicy,
     HttpStore,
-    migrate_store,
     open_store,
     parse_size,
     resolve_store_target,
@@ -132,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache",
             dest="cache_uri",
             default=None,
-            help="result-store URI: dir:/path, sqlite:///path.db or "
-            "http://host:8787 (a running 'mas-attention serve'), optionally "
-            "with ?max_entries=N&max_bytes=SIZE eviction caps (precedence: "
+            help="result-store URI: dir:/path or http://host:8787 (a "
+            "running 'mas-attention serve'), optionally with "
+            "?max_entries=N&max_bytes=SIZE eviction caps (precedence: "
             "--cache, then --cache-dir, then $MAS_CACHE_URI, then "
             "$MAS_CACHE_DIR)",
         )
@@ -233,19 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--strategy", default=None, help="filter by search strategy")
     cp.add_argument("--suite", default=None, help="filter by recording suite")
     cp.add_argument("--limit", type=int, default=50, help="max rows (0 = all)")
-
-    cp = cache_sub.add_parser(
-        "migrate",
-        help="copy every entry of one store into another (jsondir <-> sqlite "
-        "<-> http), upgrading old entry schemas on the way",
-    )
-    cp.add_argument("source", help="source store URI or directory")
-    cp.add_argument("destination", help="destination store URI or directory")
-    cp.add_argument(
-        "--overwrite",
-        action="store_true",
-        help="rewrite entries already present in the destination",
-    )
 
     cp = cache_sub.add_parser("evict", help="LRU-evict entries down to the given caps")
     add_cache_target(cp)
@@ -461,20 +446,7 @@ def _open_cache_store(target: str | None):
 
 
 def _run_cache_command(args: argparse.Namespace) -> int:
-    """The ``mas-attention cache`` group: stats / ls / migrate / evict / clear."""
-    if args.cache_command == "migrate":
-        source = _open_cache_store(args.source)
-        destination = _open_cache_store(args.destination)
-        try:
-            report = migrate_store(source, destination, overwrite=args.overwrite)
-        finally:
-            source.close()
-            destination.close()
-        print(report.summary())
-        for key in report.skipped_stale:
-            print(f"  stale entry left behind: {key}")
-        return 0
-
+    """The ``mas-attention cache`` group: stats / ls / evict / clear."""
     store = _open_cache_store(resolve_store_target(args.cache_uri))
     try:
         return _run_cache_store_command(args, store)
@@ -496,7 +468,7 @@ def _run_cache_store_command(args: argparse.Namespace, store) -> int:
         return 0
 
     if args.cache_command == "ls":
-        # every backend takes the filters; SQLite pushes them into its indexes
+        # every backend takes the filters; a served store applies them remotely
         entries = store.entries(
             scheduler=args.scheduler,
             workload=args.workload,
@@ -716,7 +688,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     if isinstance(store, HttpStore):
         raise SystemExit(
             f"refusing to front {store.uri()}: serve needs the *local* backend "
-            "(dir:/path or sqlite:///path.db), not another HTTP service"
+            "(dir:/path), not another HTTP service"
         )
     return serve_store(store, host=args.host, port=args.port, verbose=args.verbose)
 

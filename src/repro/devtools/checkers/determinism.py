@@ -17,8 +17,7 @@ Modules whose *job* is timing are allowlisted by path: the observability
 layer (``repro/obs/`` — span timestamps and latency metrics *are* the
 product), the service metrics (``repro/service/server.py``), the
 retry/backoff helper (``repro/store/retry.py``) and the benchmark harness.
-Anything else — including test code — needs an inline tag with a reason (the
-SQLite store's LRU ``last_used`` stamps are the canonical tagged example).
+Anything else — including test code — needs an inline tag with a reason.
 """
 
 from __future__ import annotations

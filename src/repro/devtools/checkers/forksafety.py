@@ -7,10 +7,9 @@ patterns break quietly under fork/spawn:
 * a class stores a **live resource** — a ``sqlite3`` connection, a socket,
   an HTTP connection, a lock, an executor — in ``self`` without defining
   ``__getstate__``/``__reduce__``.  Under ``spawn`` it fails loudly; under
-  ``fork`` it *appears* to work and then corrupts the parent's handle
-  (the SQLite store grew an at-fork hook for exactly this reason).  Both
-  stores define ``__getstate__`` and are the model answer; classes that
-  are never shipped across processes tag the class line with a reason;
+  ``fork`` it *appears* to work and then corrupts the parent's handle.
+  ``HttpStore`` defines ``__getstate__`` and is the model answer; classes
+  that are never shipped across processes tag the class line with a reason;
 * a **bound method** is submitted to a process pool
   (``pool.submit(self.run, ...)``) — that drags the whole instance, locks
   and all, through pickle.  Submit module-level functions, as

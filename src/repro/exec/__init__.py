@@ -7,9 +7,8 @@ the analysis harnesses do with the results:
   deterministic per-pair seeding, as a picklable unit of work;
 * :mod:`repro.exec.cache` — the persistent tuning-result cache keyed by a
   stable hash of hardware, scheduler, workload, strategy, budget, metric and
-  seed, stored through a pluggable backend (:mod:`repro.store`: JSON
-  directory or shared SQLite, selected by URI, with LRU eviction and
-  cross-backend migration);
+  seed, stored through a pluggable backend (:mod:`repro.store`: a JSON
+  directory, or one served over HTTP, selected by URI, with LRU eviction);
 * :mod:`repro.exec.runner` — the :class:`ExperimentRunner`, which runs
   pairs inline or over a process pool (``jobs``) with identical results,
   with a streaming ``iter_matrix`` API (completed runs yielded as they
@@ -32,8 +31,6 @@ from repro.store import (
     EvictionPolicy,
     JsonDirStore,
     ResultStore,
-    SqliteStore,
-    migrate_store,
     open_store,
 )
 from repro.workloads.suites import WorkloadSuite, get_suite, list_suites
@@ -44,8 +41,6 @@ __all__ = [
     "EvictionPolicy",
     "JsonDirStore",
     "ResultStore",
-    "SqliteStore",
-    "migrate_store",
     "open_store",
     "ResultCache",
     "tuning_cache_key",

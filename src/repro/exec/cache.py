@@ -7,12 +7,10 @@ of everything that determines the search outcome — hardware configuration,
 scheduler, workload shape, strategy, budget, metric and seed — so warm sweeps
 (and the benchmark suite) skip the search entirely.
 
-*Where* entries live is delegated to :mod:`repro.store`: the historical
-directory-of-JSON-files format (:class:`~repro.store.jsondir.JsonDirStore`,
-still the default for plain paths), a shared single-file SQLite database
-(``sqlite:///path.db``) or a served fleet store over HTTP
-(``http://host:8787``, a running ``mas-attention serve``), selected by URI —
-see :mod:`repro.store.uri`.  This module owns what is stored: the
+*Where* entries live is delegated to :mod:`repro.store`: the
+directory-of-JSON-files format (:class:`~repro.store.jsondir.JsonDirStore`)
+or a served store over HTTP (``http://host:8787``, a running
+``mas-attention serve``), selected by URI — see :mod:`repro.store.uri`.  This module owns what is stored: the
 ``TuningResult <-> JSON`` codec and the cache key.
 
 Two schema versions exist, deliberately decoupled:
@@ -20,8 +18,8 @@ Two schema versions exist, deliberately decoupled:
 * :data:`KEY_SCHEMA_VERSION` is hashed into every key.  Bump it when the
   *meaning* of a key input changes and old results must stop matching.
 * :data:`repro.store.schema.ENTRY_SCHEMA_VERSION` describes the stored
-  payload layout.  Old-layout entries are upgraded on read (or by
-  ``mas-attention cache migrate``) instead of being dropped.
+  payload layout.  Old-layout entries are upgraded on read instead of
+  being dropped.
 """
 
 from __future__ import annotations
@@ -201,7 +199,7 @@ class ResultCache:
     ----------
     target:
         Where entries live: a directory path (the historical JSON-file
-        format) or a store URI — ``dir:/path``, ``sqlite:///path.db``,
+        format) or a store URI — ``dir:/path`` or ``http://host:8787``,
         optionally with ``?max_entries=``/``?max_bytes=`` eviction caps (see
         :mod:`repro.store.uri`).  ``None`` disables the cache entirely (every
         lookup misses, stores are no-ops), which keeps call sites free of
@@ -295,14 +293,7 @@ class ResultCache:
         return {"hits": self.hits, "misses": self.misses, "stale": self.stale}
 
     def close(self) -> None:
-        """Release the backend's resources (idempotent; counters survive).
-
-        Closing promptly matters beyond hygiene: SQLite connections must not
-        be carried across ``fork()``, so a serial sweep has to drop its
-        connection before a :class:`~repro.exec.runner.ExperimentRunner` forks
-        pool workers — an inherited connection being garbage-collected in a
-        child can tear down WAL state other processes are still reading.
-        """
+        """Release the backend's resources (idempotent; counters survive)."""
         if self.backend is not None:
             self.backend.close()
 

@@ -107,7 +107,7 @@ class PairSpec:
     seed: int = 0
     use_search: bool = True
     #: Persistent result-store target: a directory path (JSON-file store) or
-    #: a store URI such as ``sqlite:///path.db`` (see :mod:`repro.store.uri`).
+    #: a store URI such as ``http://host:8787`` (see :mod:`repro.store.uri`).
     cache_uri: str | None = None
     use_cache: bool = True
     #: Suite name recorded in stored entry metadata (never part of the key).
@@ -202,8 +202,8 @@ def _execute_pair_traced(spec: PairSpec) -> MethodRun:
                 for name in ("retry_attempts", "retry_giveups"):
                     store_stats[name] = retry_after[name] - retry_before[name]
         finally:
-            # Always release the backend before returning: a lingering SQLite
-            # connection in this process is a hazard for any later fork().
+            # Always release the backend (an HTTP store's keep-alive socket)
+            # before returning.
             cache.close()
         tiling = tuning.best_tiling
     else:

@@ -7,9 +7,9 @@ the individual harnesses only reshape the results into their table/figure
 form.  On top of that the runner offers:
 
 * a persistent result store (``cache_uri`` / ``cache_dir`` /
-  ``$MAS_CACHE_URI`` / ``$MAS_CACHE_DIR``; JSON directory or shared SQLite,
-  see :mod:`repro.store`) so repeated sweeps across process starts skip the
-  tiling search entirely;
+  ``$MAS_CACHE_URI`` / ``$MAS_CACHE_DIR``; a JSON directory or a served
+  one, see :mod:`repro.store`) so repeated sweeps across process starts
+  skip the tiling search entirely;
 * ``jobs``: fan the matrix out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=1`` runs pairs
   inline).  Per-pair seeds are derived deterministically
@@ -85,9 +85,9 @@ class ExperimentRunner:
         Directory of the persistent tuning-result cache (the JSON-file
         backend).
     cache_uri:
-        Result-store URI — ``dir:/path``, ``sqlite:///path.db`` or
-        ``http://host:8787`` (a running ``mas-attention serve``), optionally
-        with ``?max_entries=``/``?max_bytes=`` eviction caps (see
+        Result-store URI — ``dir:/path`` or ``http://host:8787`` (a
+        running ``mas-attention serve``), optionally with
+        ``?max_entries=``/``?max_bytes=`` eviction caps (see
         :mod:`repro.store.uri`).  The store target resolves as
         ``cache_uri``, then ``cache_dir``, then ``$MAS_CACHE_URI``, then
         ``$MAS_CACHE_DIR`` (:func:`~repro.store.resolve_store_target`, the

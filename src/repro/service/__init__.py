@@ -1,9 +1,9 @@
 """Result-store fleet service: any :class:`~repro.store.ResultStore` over HTTP.
 
-``mas-attention serve sqlite:///fleet.db --port 8787`` turns a local store
-into a network service that a whole fleet of sweep hosts can share through
-the matching :class:`~repro.store.http.HttpStore` client
-(``--cache http://host:8787``) — no shared filesystem required.  Pure
+``mas-attention serve dir:/var/cache/mas --port 8787`` turns a local
+JSON-directory store into a network service that a whole fleet of sweep
+hosts can share through the matching :class:`~repro.store.http.HttpStore`
+client (``--cache http://host:8787``) — no shared filesystem required.  Pure
 standard library (:class:`http.server.ThreadingHTTPServer`), deliberately:
 the reproduction must run anywhere Python does.
 

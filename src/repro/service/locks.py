@@ -9,16 +9,15 @@ one at a time.  :class:`KeyedLocks` replaces that with two layers:
   operations on distinct keys (almost always distinct stripes) proceed in
   parallel while two racing writers of the *same* key still serialize;
 * a **store-wide gate** — per-key operations enter it in shared mode,
-  store-wide operations (``evict``/``clear``/``stats``/``put_many``…) take
-  it exclusively, stopping the world so cap enforcement and snapshots see a
+  store-wide operations (``evict``/``clear``/``stats``…) take it
+  exclusively, stopping the world so cap enforcement and snapshots see a
   frozen store.
 
 The gate is writer-preferring: once an exclusive caller is waiting, new
 shared entries queue behind it, so a steady read stream cannot starve
-eviction.  Stripe locks are reentrant (``RLock``) and multi-key operations
-acquire their stripes in sorted order, which makes deadlock between two
-batch calls impossible.  ``stripes=1`` degenerates to the old global-lock
-behaviour — the concurrency benchmark uses exactly that as its baseline.
+eviction.  Stripe locks are reentrant (``RLock``).  ``stripes=1``
+degenerates to the old global-lock behaviour — the concurrency benchmark
+uses exactly that as its baseline.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 import threading
 import zlib
 from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = ["KeyedLocks"]
 
@@ -36,9 +35,9 @@ DEFAULT_STRIPES = 64
 class KeyedLocks:
     """A striped lock pool with a shared/exclusive store-wide gate.
 
-    Use :meth:`key` (one key), :meth:`keys` (a batch), or :meth:`store`
-    (everything) as context managers; there is no manual acquire/release
-    surface, so a lock cannot leak past its operation.
+    Use :meth:`key` (one key) or :meth:`store` (everything) as context
+    managers; there is no manual acquire/release surface, so a lock cannot
+    leak past its operation.
     """
 
     def __init__(self, stripes: int = DEFAULT_STRIPES) -> None:
@@ -101,25 +100,6 @@ class KeyedLocks:
             with self._stripe_for(key):
                 yield
         finally:
-            self._exit_shared()
-
-    @contextmanager
-    def keys(self, keys: Iterable[str]) -> Iterator[None]:
-        """Hold the stripes for a batch of keys (shared gate), acquired in
-        deterministic order so two overlapping batches cannot deadlock."""
-        stripe_ids = sorted(
-            {zlib.crc32(k.encode("utf-8")) % len(self._stripes) for k in keys}
-        )
-        self._enter_shared()
-        acquired: list[threading.RLock] = []
-        try:
-            for idx in stripe_ids:
-                self._stripes[idx].acquire()
-                acquired.append(self._stripes[idx])
-            yield
-        finally:
-            for stripe in reversed(acquired):
-                stripe.release()
             self._exit_shared()
 
     @contextmanager

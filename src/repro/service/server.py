@@ -8,26 +8,25 @@ Three layers, separable on purpose:
   :class:`~repro.service.locks.KeyedLocks` pool (shared store-wide gate),
   so lookups of distinct keys from different sweep hosts proceed in
   parallel, while store-wide operations (``evict``/``clear``/``stats``/
-  ``put_many``/``keys``/``entries``) take the gate exclusively and see a
-  frozen store — the plan-then-delete eviction sequence stays atomic.
+  ``keys``/``entries``) take the gate exclusively and see a frozen store —
+  the plan-then-delete eviction sequence stays atomic.
   ETag **versions** (bumped on every write *and* touch, so an entry a
   client just refreshed wins conditional races against cross-host
   eviction) live under a dedicated metadata lock and feed
   :class:`ServiceMetrics`;
 * :class:`StoreRequestHandler` — the REST surface (see the table in
   ``docs/store_service.md``): raw entry primitives for the store contract,
-  single-round-trip ``/lookup``/``/put`` for the sweep hot path, batch
-  get/put, ``/evict``, ``/stats``, ``/metrics`` (JSON, or Prometheus text
-  exposition via content negotiation) and ``/healthz``;
+  single-round-trip ``/lookup``/``/put`` for the sweep hot path,
+  ``/evict``, ``/stats``, ``/metrics`` (JSON, or Prometheus text exposition
+  via content negotiation) and ``/healthz``;
 * :func:`make_server` / :func:`serve_store` — construction and the CLI's
   blocking entry point.
 
 The server is the *only* writer of its backing store, which is what makes
 ETag versions authoritative without any backend cooperation.  Backends must
-tolerate concurrent calls on *distinct* keys (sqlite serializes internally;
-jsondir writes are atomic per file); same-key and store-wide sequences are
-serialized here.  Scaling rule of thumb: one service per store; many sweep
-hosts per service.
+tolerate concurrent calls on *distinct* keys (the JSON directory writes each
+file atomically); same-key and store-wide sequences are serialized here.
+Scaling rule of thumb: one service per store; many sweep hosts per service.
 """
 
 from __future__ import annotations
@@ -316,8 +315,8 @@ class StoreService:  # mas-lint: disable=fork-safety(server-side singleton; clie
 
     def touch(self, key: str) -> str | None:
         with self._locks.key(key):
-            # Existence probe, not a payload read: touches are pure LRU
-            # bookkeeping.
+            # Touches are pure LRU bookkeeping: a missing entry is a 404,
+            # never created.
             if not self.store.exists(key):
                 return None
             self.store.touch(key)
@@ -372,18 +371,6 @@ class StoreService:  # mas-lint: disable=fork-safety(server-side singleton; clie
                 return etag, self._evict_store_locked(policy)
         with self._locks.key(key):
             return self._write_key_locked(key, payload), []
-
-    def read_many(self, keys: list[str]) -> dict[str, dict[str, Any] | None]:
-        with self._locks.keys(keys):
-            return self.store.read_many(keys)
-
-    def put_many(
-        self, entries: dict[str, dict[str, Any]], policy: EvictionPolicy | None
-    ) -> list[str]:
-        with self._locks.store():
-            for key, payload in entries.items():
-                self._write_key_locked(key, payload)
-            return self._evict_store_locked(policy)
 
     def evict(self, policy: EvictionPolicy | None) -> list[str]:
         with self._locks.store():
@@ -453,7 +440,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
     #: accounted inside the storing handlers from the *entry payload* bytes
     #: (not the request Content-Length: the JSON envelope — key, policy
     #: caps, quoting — is not stored data).
-    _SERVING_LABELS = frozenset({"GET /entry", "POST /lookup", "POST /batch/get"})
+    _SERVING_LABELS = frozenset({"GET /entry", "POST /lookup"})
 
     def _dispatch(self, method: str) -> None:
         # Adopt the client's trace context (X-MAS-Trace, sent by HttpStore)
@@ -545,8 +532,6 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             posts = {
                 f"{API_PREFIX}/lookup": self._handle_lookup,
                 f"{API_PREFIX}/put": self._handle_put,
-                f"{API_PREFIX}/batch/get": self._handle_batch_get,
-                f"{API_PREFIX}/batch/put": self._handle_batch_put,
                 f"{API_PREFIX}/evict": self._handle_evict,
                 f"{API_PREFIX}/clear": self._handle_clear,
             }
@@ -647,25 +632,6 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         etag, evicted = self.service.put(key, payload, self._body_policy(body))
         self.service.metrics.count(bytes_stored=self._payload_bytes(payload))
         return 200, {"stored": True, "etag": etag, "evicted": evicted}, {"ETag": etag}
-
-    def _handle_batch_get(self, query: dict) -> tuple[int, dict, dict]:
-        keys = self._json_body().get("keys")
-        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
-            raise ValueError("batch/get body must carry a list of string 'keys'")
-        return 200, {"entries": self.service.read_many(keys)}, {}
-
-    def _handle_batch_put(self, query: dict) -> tuple[int, dict, dict]:
-        body = self._json_body()
-        entries = body.get("entries")
-        if not isinstance(entries, dict) or not all(
-            isinstance(p, dict) for p in entries.values()
-        ):
-            raise ValueError("batch/put body must map keys to object payloads")
-        evicted = self.service.put_many(entries, self._body_policy(body))
-        self.service.metrics.count(
-            bytes_stored=sum(self._payload_bytes(p) for p in entries.values())
-        )
-        return 200, {"stored": len(entries), "evicted": evicted}, {}
 
     def _handle_evict(self, query: dict) -> tuple[int, dict, dict]:
         evicted = self.service.evict(self._body_policy(self._json_body()))

@@ -4,10 +4,9 @@ A :class:`ResultStore` maps cache keys (stable content hashes, see
 :func:`repro.exec.cache.tuning_cache_key`) to JSON-able entry payloads
 (:mod:`repro.store.schema`).  Backends only implement raw storage — key/value
 access plus per-entry metadata — while the shared machinery here provides
-schema-aware lookup with upgrade-on-read, LRU eviction and stats, so the two
-built-in backends (:class:`~repro.store.jsondir.JsonDirStore`,
-:class:`~repro.store.sqlite.SqliteStore`) and any future server-backed one
-behave identically.
+schema-aware lookup with upgrade-on-read, LRU eviction and stats, so the
+local directory (:class:`~repro.store.jsondir.JsonDirStore`) and the HTTP
+client (:class:`~repro.store.http.HttpStore`) behave identically.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class ResultStore(abc.ABC):
         the store never grows past them.
     """
 
-    #: Short backend name (``"jsondir"`` / ``"sqlite"``), used in URIs and stats.
+    #: Short backend name (``"jsondir"`` / ``"http"``), reported in stats.
     backend: str = "abstract"
 
     def __init__(self, policy: EvictionPolicy | None = None) -> None:
@@ -114,9 +113,8 @@ class ResultStore(abc.ABC):
 
         ``filters`` may name ``scheduler``, ``workload``, ``strategy`` or
         ``suite`` (``None`` values are ignored); unknown names raise.  The
-        default implementation filters in Python — backends with indexed
-        metadata (SQLite, a future server store) override this to push the
-        constraints down.
+        default implementation filters in Python; the HTTP store overrides
+        this to filter service-side.
         """
         active = self._check_entry_filters(filters)
         infos = self._list_entries()
@@ -169,8 +167,8 @@ class ResultStore(abc.ABC):
 
         Returns ``(payload, status)`` with status ``"hit"`` (current schema),
         ``"upgraded"`` (an old-schema entry, converted *and written back* —
-        the in-place migration path), ``"stale"`` (unusable schema; the entry
-        is left for ``stats``/``evict``/``migrate`` to deal with) or
+        the in-place upgrade path), ``"stale"`` (unusable schema; the entry
+        is left for ``stats``/``evict`` to deal with) or
         ``"miss"``.  Hits refresh the entry's LRU timestamp.
         """
         raw = self.read(key)
@@ -206,37 +204,8 @@ class ResultStore(abc.ABC):
         return token
 
     def exists(self, key: str) -> bool:
-        """Whether a *usable-or-stale* entry is stored under ``key``.
-
-        The default reads the payload; backends with indexed keys (SQLite)
-        override it with an existence probe so callers that only need
-        presence — LRU touches, ETag bookkeeping — skip the payload I/O.
-        """
+        """Whether a *usable-or-stale* entry is stored under ``key``."""
         return self.read(key) is not None
-
-    def read_many(self, keys: list[str]) -> dict[str, dict[str, Any] | None]:
-        """Raw payloads of ``keys`` (``None`` per missing entry).
-
-        The default loops over :meth:`read`; backends where a round trip is
-        expensive (the HTTP store) override this with one batched request —
-        :func:`repro.store.migrate.migrate_store` reads through it.
-        """
-        return {key: self.read(key) for key in keys}
-
-    def put_many(self, entries: dict[str, dict[str, Any]]) -> list[str]:
-        """Store several payloads, then enforce the eviction policy once.
-
-        Semantically a sequence of :meth:`put` calls, except that a bounded
-        policy is enforced after the whole batch instead of after every
-        entry — the final state satisfies the caps either way, and batch
-        writers (migration, the HTTP store's batch endpoint) skip the
-        per-entry eviction scans.  Returns the evicted keys.
-        """
-        for key, payload in entries.items():
-            self.write(key, payload)
-        if self.policy.bounded:
-            return self.evict(self.policy)
-        return []
 
     def evict(self, policy: EvictionPolicy | None = None) -> list[str]:
         """Delete least-recently-used entries until ``policy`` holds.

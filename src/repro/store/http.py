@@ -11,22 +11,19 @@ share one service:
   server-side endpoint that performs the whole schema-aware operation
   (normalize + touch + upgrade write-back; write + eviction) under the
   service's lock, instead of replaying the base class's multi-primitive
-  sequence over the network.  ``read_many``/``put_many`` batch whole key sets
-  into one request each, which is what keeps store migration and warm
-  sweeps off the round-trip treadmill;
+  sequence over the network;
 * **connection reuse with retry** — one keep-alive connection per store
   instance, re-established transparently; transient failures (connection
   resets, 5xx responses such as a restarting service) retry with exponential
-  backoff through the same :func:`~repro.store.retry.call_with_retry` helper
-  the SQLite backend uses for lock contention;
+  backoff through :func:`~repro.store.retry.call_with_retry`;
 * **optimistic concurrency** — every entry carries a server-assigned ETag;
   conditional writes/deletes (``If-Match``) fail with
   :class:`StoreConflictError` instead of clobbering an entry another client
   refreshed, which is how cross-host LRU eviction never loses a
   just-touched result.
 
-Workers never pickle a live connection: like the SQLite backend, the store
-rebuilds it from the URL inside each process.
+Workers never pickle a live connection: the store rebuilds it from the URL
+inside each process.
 """
 
 from __future__ import annotations
@@ -275,7 +272,7 @@ class HttpStore(ResultStore):
             pass
 
     def entries(self, **filters: str | None) -> list[EntryInfo]:
-        """Entry metadata; filters travel as query parameters (server-indexed)."""
+        """Entry metadata; filters travel as query parameters (applied service-side)."""
         active = self._check_entry_filters(filters)
         path = f"{API_PREFIX}/entries"
         if active:
@@ -306,23 +303,6 @@ class HttpStore(ResultStore):
         body.update(self._policy_body(self.policy if self.policy.bounded else None))
         _, response, etag = self._request("POST", f"{API_PREFIX}/put", body=body)
         return etag or (response or {}).get("etag", "")
-
-    def read_many(self, keys: list[str]) -> dict[str, dict[str, Any] | None]:
-        if not keys:
-            return {}
-        _, payload, _ = self._request(
-            "POST", f"{API_PREFIX}/batch/get", body={"keys": list(keys)}
-        )
-        found = (payload or {}).get("entries", {})
-        return {key: found.get(key) for key in keys}
-
-    def put_many(self, entries: dict[str, dict[str, Any]]) -> list[str]:
-        if not entries:
-            return []
-        body: dict[str, Any] = {"entries": entries}
-        body.update(self._policy_body(self.policy if self.policy.bounded else None))
-        _, payload, _ = self._request("POST", f"{API_PREFIX}/batch/put", body=body)
-        return list((payload or {}).get("evicted", []))
 
     def evict(self, policy: EvictionPolicy | None = None) -> list[str]:
         if policy is None and not self.policy.bounded:

@@ -6,7 +6,12 @@ One ``<key>.json`` file per entry, written atomically (temp file +
 writers of the same key produce identical content, and readers never observe
 a half-written file.  This wraps the exact on-disk layout the PR-1
 ``ResultCache`` introduced — a directory written by either is readable by the
-other — and remains the default backend.
+other — and is the one local backend; ``mas-attention serve`` shares it
+across hosts.
+
+A key must be one plain file name (:data:`KEY_PATTERN`), so no key — not
+even one a remote client sends to the service — names a file outside the
+store directory.  Cache keys are SHA-256 hex digests.
 
 LRU state rides on file mtimes: a schema-valid read touches the file, so
 ``last_used`` needs no sidecar index.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import Any
 
@@ -24,6 +30,10 @@ from repro.store.eviction import EvictionPolicy
 from repro.store.schema import entry_meta, normalize_payload
 
 __all__ = ["JsonDirStore"]
+
+#: What a store key may look like: a file name with no separator and no
+#: leading dot (so neither ``..`` nor a hidden file).
+KEY_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 
 class JsonDirStore(ResultStore):
@@ -39,7 +49,15 @@ class JsonDirStore(ResultStore):
         return f"dir:{self.root}{self.policy.as_query()}"
 
     def _path(self, key: str) -> Path:
+        if not KEY_PATTERN.fullmatch(key):
+            raise ValueError(f"invalid store key {key!r}: keys are plain file names")
         return self.root / f"{key}.json"
+
+    def _entry_files(self) -> list[Path]:
+        """The directory's ``<key>.json`` files; other names are not entries."""
+        if not self.root.is_dir():
+            return []
+        return [p for p in self.root.glob("*.json") if KEY_PATTERN.fullmatch(p.stem)]
 
     # ------------------------------------------------------------------ #
     # Backend primitives
@@ -52,8 +70,8 @@ class JsonDirStore(ResultStore):
         return payload if isinstance(payload, dict) else None
 
     def write(self, key: str, payload: dict[str, Any]) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
+        self.root.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
         os.replace(tmp, path)
@@ -67,9 +85,7 @@ class JsonDirStore(ResultStore):
         return True
 
     def keys(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return [path.stem for path in self.root.glob("*.json")]
+        return [path.stem for path in self._entry_files()]
 
     def touch(self, key: str) -> None:
         try:
@@ -85,9 +101,7 @@ class JsonDirStore(ResultStore):
         # entry's full JSON (search histories included) each time would make
         # capped writes O(store size) in payload bytes.
         infos: list[EntryInfo] = []
-        if not self.root.is_dir():
-            return infos
-        for path in self.root.glob("*.json"):
+        for path in self._entry_files():
             try:
                 stat = path.stat()
             except OSError:  # pragma: no cover - racing a concurrent evict
@@ -108,9 +122,7 @@ class JsonDirStore(ResultStore):
 
     def _list_entries(self) -> list[EntryInfo]:
         infos: list[EntryInfo] = []
-        if not self.root.is_dir():
-            return infos
-        for path in self.root.glob("*.json"):
+        for path in self._entry_files():
             try:
                 stat = path.stat()
                 payload = json.loads(path.read_text())

@@ -1,14 +1,10 @@
 """Retry with exponential backoff: one tested code path for transient failures.
 
-Two store backends hit transient, retry-worthy errors from different worlds —
-:class:`~repro.store.sqlite.SqliteStore` writers racing a lock despite the
-busy timeout (``sqlite3.OperationalError: database is locked``) and
-:class:`~repro.store.http.HttpStore` requests bouncing off a briefly
-overloaded or restarting service (connection resets, 5xx responses).  Both
-wrap their fallible calls in :func:`call_with_retry` with a backend-specific
-``should_retry`` classifier, so the backoff schedule, the attempt accounting
-and the "re-raise the last error" semantics live — and are tested — exactly
-once.
+:class:`~repro.store.http.HttpStore` requests can bounce off a briefly
+overloaded or restarting service (connection resets, 5xx responses).  They
+go through :func:`call_with_retry` with a ``should_retry`` classifier, so the
+backoff schedule, the attempt accounting and the "re-raise the last error"
+semantics live — and are tested — in one place.
 
 Every backoff and every exhausted retry is also counted, per exception
 class, in the process-global metrics registry (``retry_attempts`` /
@@ -38,9 +34,8 @@ class RetryPolicy:
     ``attempts`` counts every try including the first; the delay before retry
     ``n`` is ``base_delay * backoff**(n-1)``, capped at ``max_delay``.  The
     defaults retry 4 times over roughly three quarters of a second — long
-    enough to ride out a lock-holder's transaction or a service restart's
-    accept-queue hiccup, short enough that a genuinely dead dependency fails
-    a sweep promptly.
+    enough to ride out a service restart's accept-queue hiccup, short enough
+    that a genuinely dead dependency fails a sweep promptly.
     """
 
     attempts: int = 5

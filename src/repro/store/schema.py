@@ -9,7 +9,7 @@ Two version numbers govern the result store, and they move independently:
 * the **entry schema** (:data:`ENTRY_SCHEMA_VERSION`, this module) describes
   the stored payload *layout*.  Bumping it does not invalidate any result —
   old entries are upgraded in place by :func:`normalize_payload` instead of
-  being dropped, which is what keeps fleet-shared stores durable across
+  being dropped, which is what keeps shared stores durable across
   software upgrades.
 
 Payload history
@@ -79,7 +79,7 @@ def normalize_payload(payload: Any) -> tuple[dict[str, Any] | None, str]:
 
     * ``"ok"`` — already at :data:`ENTRY_SCHEMA_VERSION`;
     * ``"upgraded"`` — an older upgradeable schema, returned converted (the
-      caller should write the converted payload back: the migration path);
+      caller should write the converted payload back: the upgrade path);
     * ``"stale"`` — a recognisable entry at an unknown (e.g. future) schema,
       or one whose tuning block is missing.  The payload cannot be used but
       the entry is *data*, not garbage; stores count it separately from

@@ -9,8 +9,6 @@ URI                                    Meaning
                                        ``--cache-dir`` behaviour)
 ``dir:/path`` / ``dir:///path``        JSON-directory store, explicit
 ``jsondir:/path``                      alias of ``dir:``
-``sqlite:///path/to/cache.db``         SQLite store (single file, WAL)
-``sqlite:cache.db``                    SQLite store, relative path
 ``http://host:8787``                   HTTP store service (a running
                                        ``mas-attention serve``); ``https://``
                                        works behind a TLS proxy
@@ -23,8 +21,8 @@ paths; a directory whose name contains a colon is written ``dir:<path>``.
 
 Query parameters configure the LRU eviction policy and apply to any backend::
 
-    sqlite:///fleet.db?max_entries=10000&max_bytes=2GiB
-    dir:/var/cache/mas?max_entries=500
+    dir:/var/cache/mas?max_entries=10000&max_bytes=2GiB
+    http://cachehost:8787?max_entries=500
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.store.base import ResultStore
 from repro.store.eviction import EvictionPolicy
 from repro.store.http import HttpStore
 from repro.store.jsondir import JsonDirStore
-from repro.store.sqlite import SqliteStore
 from repro.utils import env
 
 __all__ = ["MAS_CACHE_URI_ENV", "open_store", "resolve_store_target"]
@@ -61,27 +58,24 @@ def resolve_store_target(
     return env.value(MAS_CACHE_URI_ENV) or env.value("MAS_CACHE_DIR")
 
 
-_BACKENDS = {
-    "dir": JsonDirStore,
-    "jsondir": JsonDirStore,
-    "sqlite": SqliteStore,
-}
+#: Schemes of the local JSON-directory backend.
+_DIR_SCHEMES = ("dir", "jsondir")
 
 #: Schemes served by the HTTP store client rather than a local path backend.
 _HTTP_SCHEMES = ("http", "https")
 
 
-def _split(uri: str) -> tuple[str, str, dict[str, str]]:
-    """Split a store URI into (scheme, path, query params)."""
+def _split(uri: str) -> tuple[str, dict[str, str]]:
+    """Split a directory-store URI into (path, query params)."""
     parts = urlsplit(uri)
     scheme = parts.scheme.lower()
-    if len(scheme) > 1 and scheme not in _BACKENDS:
-        known = ", ".join([*_BACKENDS, *_HTTP_SCHEMES])
+    if len(scheme) > 1 and scheme not in _DIR_SCHEMES:
+        known = ", ".join([*_DIR_SCHEMES, *_HTTP_SCHEMES])
         raise ValueError(
             f"unknown store URI scheme {scheme!r} in {uri!r}; known schemes: "
             f"{known} (write a directory whose name contains ':' as dir:<path>)"
         )
-    if scheme not in _BACKENDS:
+    if scheme not in _DIR_SCHEMES:
         # No scheme: the string is a plain directory path.  (Windows drive
         # letters and scheme-less relative paths land here.)
         # A ``?key=value`` suffix still configures the eviction policy — a
@@ -90,23 +84,23 @@ def _split(uri: str) -> tuple[str, str, dict[str, str]]:
         path, sep, query = uri.partition("?")
         params = dict(parse_qsl(query)) if sep else {}
         if sep and not params:
-            return "dir", uri, {}  # bare '?' with no key=value: literal path
-        return "dir", path, params
-    # ``sqlite:///abs.db`` puts the path in ``parts.path``; ``sqlite:rel.db``
-    # does too; ``dir://host/x`` would smuggle a netloc — reject that.
+            return uri, {}  # bare '?' with no key=value: literal path
+        return path, params
+    # ``dir:///abs`` puts the path in ``parts.path``; ``dir:rel`` does too;
+    # ``dir://host/x`` would smuggle a netloc — reject that.
     if parts.netloc:
         raise ValueError(
             f"store URI {uri!r} has a network location; "
-            "only local paths are supported (use e.g. sqlite:///abs/path.db)"
+            "only local paths are supported (use e.g. dir:///abs/path)"
         )
     path = parts.path
     if not path:
         raise ValueError(f"store URI {uri!r} is missing a path")
-    while path.startswith("//"):  # sqlite:////x and //x collapse to /x
+    while path.startswith("//"):  # dir:////x and //x collapse to /x
         path = path[1:]
-    if path.startswith("/~"):  # sqlite:///~/x.db: make the tilde expandable
+    if path.startswith("/~"):  # dir:///~/x: make the tilde expandable
         path = path[1:]
-    return scheme, path, dict(parse_qsl(parts.query))
+    return path, dict(parse_qsl(parts.query))
 
 
 def open_store(target: str | Path | None) -> ResultStore | None:
@@ -132,7 +126,6 @@ def open_store(target: str | Path | None) -> ResultStore | None:
         policy = EvictionPolicy.from_query(dict(parse_qsl(parts.query)))
         base = f"{parts.scheme.lower()}://{parts.netloc}{parts.path.rstrip('/')}"
         return HttpStore(base, policy=policy)
-    scheme, path, params = _split(uri)
-    policy = EvictionPolicy.from_query(params)
-    return _BACKENDS[scheme](Path(path).expanduser(), policy=policy)
+    path, params = _split(uri)
+    return JsonDirStore(Path(path), policy=EvictionPolicy.from_query(params))
 

@@ -126,7 +126,7 @@ register(
     "MAS_CACHE_URI",
     None,
     "Default result-store URI for every runner and `cache` subcommand: "
-    "`dir:/path`, `sqlite:///path.db` or `http://host:8787`, optionally with "
+    "`dir:/path` or `http://host:8787`, optionally with "
     "`?max_entries=/?max_bytes=` eviction caps. Explicit `--cache` flags win.",
 )
 register(

@@ -41,26 +41,26 @@ class TestParser:
         assert defaults.jobs == 1 and not defaults.no_cache
 
     def test_cache_uri_flag_parses(self):
-        args = build_parser().parse_args(["table2", "--cache", "sqlite:///tmp/c.db"])
-        assert args.cache_uri == "sqlite:///tmp/c.db"
+        args = build_parser().parse_args(["table2", "--cache", "http://cachehost:8787"])
+        assert args.cache_uri == "http://cachehost:8787"
         assert build_parser().parse_args(["fig7"]).cache_uri is None
 
     def test_sweeps_and_cache_group_resolve_env_identically(
         self, tmp_path, monkeypatch, capsys
     ):
         """With both env vars set, a sweep and `cache stats` use one store."""
-        monkeypatch.setenv("MAS_CACHE_URI", f"sqlite:///{tmp_path}/env.db")
+        monkeypatch.setenv("MAS_CACHE_URI", f"dir:{tmp_path}/env")
         monkeypatch.setenv("MAS_CACHE_DIR", str(tmp_path / "legacy"))
         assert main(["table2", "--budget", "4", "--networks", "ViT-B/14"]) == 0
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "entries : 5" in out and "env.db" in out
+        assert "entries : 5" in out and f"dir:{tmp_path}/env" in out
         assert not (tmp_path / "legacy").exists()
 
     def test_explicit_cache_dir_beats_env_uri(self, tmp_path, monkeypatch):
         """$MAS_CACHE_URI is the *fallback*: an explicit --cache-dir wins."""
-        monkeypatch.setenv("MAS_CACHE_URI", f"sqlite:///{tmp_path}/env.db")
+        monkeypatch.setenv("MAS_CACHE_URI", f"dir:{tmp_path}/env")
         explicit = tmp_path / "explicit"
         assert (
             main(
@@ -70,7 +70,7 @@ class TestParser:
             == 0
         )
         assert len(list(explicit.glob("*.json"))) == 5
-        assert not (tmp_path / "env.db").exists()
+        assert not (tmp_path / "env").exists()
 
     def test_search_flags_parse(self):
         args = build_parser().parse_args(["table2", "--search-workers", "4", "--stream"])
@@ -203,7 +203,7 @@ class TestSuiteCli:
 
 
 class TestCacheCli:
-    """The ``mas-attention cache`` group: stats / ls / migrate / evict / clear."""
+    """The ``mas-attention cache`` group: stats / ls / evict / clear."""
 
     @pytest.fixture
     def warm_dir(self, tmp_path):
@@ -243,27 +243,23 @@ class TestCacheCli:
         out = capsys.readouterr().out
         assert "1 entries" in out
 
-    def test_migrate_evict_clear(self, warm_dir, tmp_path, capsys):
-        db_uri = f"sqlite:///{tmp_path}/c.db"
+    def test_warm_sweep_evict_clear(self, warm_dir, capsys):
+        uri = f"dir:{warm_dir}"
         capsys.readouterr()
-        assert main(["cache", "migrate", f"dir:{warm_dir}", db_uri]) == 0
-        assert "migrated 5 entries" in capsys.readouterr().out
-
-        # the migrated store serves a warm sweep: zero searches
+        # the store serves a warm sweep: every streamed pair is a cache hit
         assert (
             main(
                 ["table2", "--budget", "4", "--networks", "ViT-B/14",
-                 "--cache", db_uri, "--stream"]
+                 "--cache", uri, "--stream"]
             )
             == 0
         )
-        captured = capsys.readouterr()
-        assert captured.err.count("(cached)") == 5
+        assert capsys.readouterr().err.count("(cached)") == 5
 
-        assert main(["cache", "evict", "--cache", db_uri, "--max-entries", "2"]) == 0
+        assert main(["cache", "evict", "--cache", uri, "--max-entries", "2"]) == 0
         assert "evicted 3 entries; 2 remain" in capsys.readouterr().out
 
-        assert main(["cache", "clear", "--cache", db_uri]) == 0
+        assert main(["cache", "clear", "--cache", uri]) == 0
         assert "removed 2 entries" in capsys.readouterr().out
 
     def test_evict_without_caps_errors(self, warm_dir):

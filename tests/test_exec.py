@@ -310,7 +310,7 @@ class TestWarmCacheSweep:
 
     def test_store_target_precedence(self, tmp_path, monkeypatch):
         """cache_uri, then cache_dir, then $MAS_CACHE_URI, then $MAS_CACHE_DIR."""
-        uri, legacy = f"sqlite:///{tmp_path}/env.db", str(tmp_path / "legacy")
+        uri, legacy = f"dir:{tmp_path}/env", str(tmp_path / "legacy")
         monkeypatch.setenv("MAS_CACHE_URI", uri)
         monkeypatch.setenv("MAS_CACHE_DIR", legacy)
         assert resolve_store_target("dir:/a", "/b") == "dir:/a"

@@ -34,7 +34,7 @@ from repro.obs.summary import summarize_trace
 from repro.obs.trace import TraceContext
 from repro.service import running_server, server_url
 from repro.service.server import ServiceMetrics
-from repro.store import RetryPolicy, SqliteStore, TransientServiceError, call_with_retry
+from repro.store import JsonDirStore, RetryPolicy, TransientServiceError, call_with_retry
 from repro.store.retry import retry_totals
 
 
@@ -434,7 +434,7 @@ class TestObsCli:
     def test_metrics_renders_service_latency_table(self, tmp_path, capsys):
         from repro.store import HttpStore
 
-        with running_server(SqliteStore(tmp_path / "served.db")) as srv:
+        with running_server(JsonDirStore(tmp_path / "served")) as srv:
             url = server_url(srv)
             client = HttpStore(url)
             try:
@@ -466,7 +466,7 @@ class TestObsCli:
 
     def test_metrics_rejects_local_store_uris(self, tmp_path):
         with pytest.raises(SystemExit, match="served store"):
-            cli_main(["obs", "metrics", f"sqlite:///{tmp_path}/x.db"])
+            cli_main(["obs", "metrics", f"dir:{tmp_path}/x"])
 
 
 # --------------------------------------------------------------------------- #
@@ -498,7 +498,7 @@ class TestTracedSweepAcceptance:
             baseline.run_matrix(networks=self.NETWORKS, methods=self.METHODS)
         )
 
-        with running_server(SqliteStore(tmp_path / "served.db")) as srv:
+        with running_server(JsonDirStore(tmp_path / "served")) as srv:
             monkeypatch.setenv("MAS_TRACE", str(trace_path))
             obs_trace.reset()  # re-read the env; forked workers inherit it
             try:
@@ -516,11 +516,8 @@ class TestTracedSweepAcceptance:
 
         # 1. bit identity: tracing and the HTTP store change nothing
         assert actual == expected
-        served = SqliteStore(tmp_path / "served.db")
-        try:
-            assert served.stats().entries == len(self.NETWORKS) * len(self.METHODS)
-        finally:
-            served.close()
+        served = JsonDirStore(tmp_path / "served")
+        assert served.stats().entries == len(self.NETWORKS) * len(self.METHODS)
 
         # 2. every instrumented layer appears in the sweep's own trace (the
         # eager health ping legitimately records a second, tiny trace)

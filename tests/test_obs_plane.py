@@ -26,7 +26,7 @@ from repro.obs.bench import (
 from repro.obs.export import read_trace
 from repro.obs.summary import summarize_trace
 from repro.service import running_server, server_url
-from repro.store import SqliteStore
+from repro.store import JsonDirStore
 
 
 @pytest.fixture(autouse=True)
@@ -256,7 +256,7 @@ class TestSpanProfiling:
 # --------------------------------------------------------------------------- #
 class TestMetricsWatch:
     def test_watch_loops_until_interrupted(self, tmp_path, monkeypatch, capsys):
-        with running_server(SqliteStore(tmp_path / "a.db")) as srv:
+        with running_server(JsonDirStore(tmp_path / "a")) as srv:
             url = server_url(srv)
             calls = {"n": 0}
 

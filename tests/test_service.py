@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -28,13 +27,11 @@ from repro.store import (
     HttpStore,
     JsonDirStore,
     RetryPolicy,
-    SqliteStore,
     StoreConflictError,
     TransientServiceError,
     call_with_retry,
     make_payload,
 )
-from repro.store.sqlite import is_sqlite_busy
 
 
 def payload_for(key: str, value: int = 0) -> dict:
@@ -51,8 +48,8 @@ def payload_for(key: str, value: int = 0) -> dict:
 
 @pytest.fixture
 def server(tmp_path):
-    """A live service over a fresh SQLite store; yields the server object."""
-    with running_server(SqliteStore(tmp_path / "served.db")) as srv:
+    """A live service over a fresh JSON directory; yields the server object."""
+    with running_server(JsonDirStore(tmp_path / "served")) as srv:
         yield srv
 
 
@@ -105,8 +102,8 @@ class TestEndpoints:
         status, payload, _ = raw_request(server, "GET", "/healthz")
         assert status == 200
         assert payload["ok"] is True
-        assert payload["backend"] == "sqlite"
-        assert payload["store"].startswith("sqlite:")
+        assert payload["backend"] == "jsondir"
+        assert payload["store"].startswith("dir:")
         # operational identity: version, age and pid of the serving process
         assert payload["version"]
         assert payload["uptime_seconds"] >= 0
@@ -158,29 +155,10 @@ class TestEndpoints:
         _, second, _ = raw_request(server, "POST", "/api/v1/lookup", body={"key": "old"})
         assert second["status"] == "hit"
 
-    def test_batch_get_and_put(self, server, client):
-        entries = {f"k{i}": payload_for(f"k{i}", i) for i in range(4)}
-        status, payload, _ = raw_request(
-            server, "POST", "/api/v1/batch/put", body={"entries": entries}
-        )
-        assert status == 200 and payload["stored"] == 4
-        status, payload, _ = raw_request(
-            server, "POST", "/api/v1/batch/get", body={"keys": ["k1", "k3", "nope"]}
-        )
-        assert status == 200
-        assert payload["entries"]["k1"]["meta"]["budget"] == 1
-        assert payload["entries"]["nope"] is None
-        # the client-side batch API mirrors it
-        found = client.read_many(["k0", "k2", "missing"])
-        assert found["k0"]["meta"]["budget"] == 0
-        assert found["missing"] is None
-
     def test_evict_without_policy_uses_the_services_caps(self, tmp_path):
         """HttpStore.evict(None) with an unbounded client policy delegates to
         the store policy the service was launched with."""
-        backend = SqliteStore(
-            tmp_path / "capped.db", policy=EvictionPolicy(max_entries=2)
-        )
+        backend = JsonDirStore(tmp_path / "capped", policy=EvictionPolicy(max_entries=2))
         with running_server(backend) as srv:
             store = HttpStore(server_url(srv))
             for i in range(4):  # raw writes bypass put()'s enforcement
@@ -209,7 +187,7 @@ class TestEndpoints:
 
         from repro.service import make_server, server_url
 
-        srv = make_server(SqliteStore(tmp_path / "w.db"), host="0.0.0.0", port=0)
+        srv = make_server(JsonDirStore(tmp_path / "w"), host="0.0.0.0", port=0)
         try:
             url = server_url(srv)
             assert "0.0.0.0" not in url
@@ -268,9 +246,7 @@ class TestEndpoints:
     def test_client_caps_cannot_loosen_the_services_policy(self, tmp_path):
         """A client shipping looser caps must not grow a capped store past
         the policy the service was launched with."""
-        backend = SqliteStore(
-            tmp_path / "capped.db", policy=EvictionPolicy(max_entries=2)
-        )
+        backend = JsonDirStore(tmp_path / "capped", policy=EvictionPolicy(max_entries=2))
         with running_server(backend) as srv:
             loose = HttpStore(
                 server_url(srv), policy=EvictionPolicy(max_entries=1000)
@@ -302,6 +278,25 @@ class TestEndpoints:
         assert len(payload["evicted"]) == 3  # 6 entries down to 3, LRU first
         assert set(payload["evicted"]) == {"k0", "k1", "k2"}
         assert sorted(client.keys()) == ["fresh", "k3", "k4"]
+
+    def test_keys_that_leave_the_store_directory_are_400(self, tmp_path):
+        """No key — percent-encoded in the entry path or sent in a JSON body —
+        reaches a file outside the served directory."""
+        entry = f"{API_PREFIX}/entry/..%2Fescape"
+        requests = [
+            ("PUT", entry, payload_for("escape")),
+            ("GET", entry, None),
+            ("DELETE", entry, None),
+            ("POST", f"{API_PREFIX}/put", {"key": "../escape", "payload": payload_for("x")}),
+            ("POST", f"{API_PREFIX}/put", {"key": "../../escape", "payload": payload_for("x")}),
+            ("POST", f"{API_PREFIX}/lookup", {"key": "../escape"}),
+        ]
+        with running_server(JsonDirStore(tmp_path / "deep" / "served")) as srv:
+            for method, path, body in requests:
+                status, payload, _ = raw_request(srv, method, path, body=body)
+                assert status == 400, (method, path, body)
+                assert "invalid store key" in payload["error"]
+        assert list(tmp_path.rglob("escape.json")) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -478,16 +473,6 @@ class TestMetrics:
         assert stored == compact
         assert len(body) > compact  # the padded envelope would have lied
 
-    def test_batch_put_bytes_stored_sums_payloads(self, server, client):
-        entries = {f"b{i}": payload_for(f"b{i}", i) for i in range(3)}
-        client.put_many(entries)
-        stored = server.service.metrics.snapshot()["bytes_stored"]
-        compact = sum(
-            len(json.dumps(p, separators=(",", ":")).encode())
-            for p in entries.values()
-        )
-        assert stored == compact
-
     def test_prometheus_exposition_is_content_negotiated(self, server, client):
         client.put("k", payload_for("k"))
         client.lookup("k")
@@ -598,7 +583,7 @@ class TestKeyedLocks:
         assert entered.wait(2)
         try:
             assert not _locked_in_thread(lambda: locks.key("a"), timeout=0.3)
-            assert not _locked_in_thread(lambda: locks.keys(["a", "b"]), timeout=0.3)
+            assert not _locked_in_thread(lambda: locks.key("b"), timeout=0.3)
         finally:
             release.set()
             thread.join(5)
@@ -641,31 +626,6 @@ class TestKeyedLocks:
         assert writer_done.wait(2)
         writer_thread.join(5)
         assert _locked_in_thread(lambda: locks.key("b"))
-
-    def test_overlapping_batches_never_deadlock(self):
-        locks = KeyedLocks(4)  # few stripes: batches always collide
-        rounds = 200
-        errors: list[BaseException] = []
-
-        def spin(keys):
-            try:
-                for _ in range(rounds):
-                    with locks.keys(keys):
-                        pass
-            except BaseException as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=spin, args=(order,), daemon=True)
-            for order in (["a", "b", "c"], ["c", "b", "a"], ["b", "a", "c"])
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10)
-        assert not errors
-        assert all(not thread.is_alive() for thread in threads)
-
 
 # ---------------------------------------------------------------------- #
 # The shared retry helper
@@ -730,61 +690,6 @@ class TestRetryHelper:
             RetryPolicy(backoff=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=-1)
-
-
-class _FlakyConnection:
-    """Wraps a sqlite connection; the first ``failures`` statements raise BUSY."""
-
-    def __init__(self, real: sqlite3.Connection, failures: int) -> None:
-        self._real = real
-        self.failures = failures
-        self.attempts = 0
-
-    def execute(self, *args, **kwargs):
-        self.attempts += 1
-        if self.failures > 0:
-            self.failures -= 1
-            raise sqlite3.OperationalError("database is locked")
-        return self._real.execute(*args, **kwargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return self._real.__exit__(*exc_info)
-
-
-class TestSqliteBusyRetry:
-    def test_busy_classifier(self):
-        assert is_sqlite_busy(sqlite3.OperationalError("database is locked"))
-        assert is_sqlite_busy(sqlite3.OperationalError("database is busy"))
-        assert not is_sqlite_busy(
-            sqlite3.OperationalError("attempt to write a readonly database")
-        )
-        assert not is_sqlite_busy(ValueError("database is locked"))  # wrong type
-
-    def test_write_rides_out_lock_contention(self, tmp_path):
-        store = SqliteStore(
-            tmp_path / "c.db", retry=RetryPolicy(attempts=4, base_delay=0.001)
-        )
-        flaky = _FlakyConnection(store._connect(), failures=2)
-        store._conn = flaky  # type: ignore[assignment]
-        store.write("k", payload_for("k", 7))
-        assert flaky.attempts == 3  # two BUSY failures, then success
-        store._conn = flaky._real
-        assert store.get("k")["meta"]["budget"] == 7
-        store.close()
-
-    def test_persistent_lock_error_escapes(self, tmp_path):
-        store = SqliteStore(
-            tmp_path / "c.db", retry=RetryPolicy(attempts=2, base_delay=0.001)
-        )
-        flaky = _FlakyConnection(store._connect(), failures=99)
-        store._conn = flaky  # type: ignore[assignment]
-        with pytest.raises(sqlite3.OperationalError):
-            store.write("k", payload_for("k"))
-        store._conn = flaky._real
-        store.close()
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
@@ -859,10 +764,10 @@ class TestHttpRetry:
 class TestServeCli:
     def test_serve_flags_parse(self):
         args = build_parser().parse_args(
-            ["serve", "sqlite:///tmp/x.db", "--host", "0.0.0.0", "--port", "9999"]
+            ["serve", "dir:/tmp/x", "--host", "0.0.0.0", "--port", "9999"]
         )
         assert args.command == "serve"
-        assert args.store == "sqlite:///tmp/x.db"
+        assert args.store == "dir:/tmp/x"
         assert args.host == "0.0.0.0" and args.port == 9999
         defaults = build_parser().parse_args(["serve"])
         assert defaults.store is None and defaults.port == DEFAULT_PORT

@@ -1,15 +1,14 @@
 """Tests for the pluggable result-store subsystem (:mod:`repro.store`).
 
-Covers the backend contract for all three stores (JSON directory, SQLite,
-and HTTP against a live in-process service), LRU eviction, URI parsing, the
-v2 -> v3 entry-schema upgrade, store migration (round-trip, zero entry loss,
-warm sweeps against migrated stores), and concurrent SQLite writers.
+Covers the backend contract for both stores (JSON directory, and HTTP
+against a live in-process service over a directory), store-key validation,
+LRU eviction, URI parsing, the v2 -> v3 entry-schema upgrade, bit-identical
+sweeps over every backend, and concurrent writers sharing one directory.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -24,9 +23,7 @@ from repro.store import (
     EvictionPolicy,
     HttpStore,
     JsonDirStore,
-    SqliteStore,
     make_payload,
-    migrate_store,
     normalize_payload,
     open_store,
     parse_size,
@@ -54,26 +51,22 @@ def payload_for(key: str, value: int = 0) -> dict:
 
 @pytest.fixture
 def store_server(tmp_path):
-    """A live store service over a fresh SQLite backend (one per test)."""
-    with running_server(SqliteStore(tmp_path / "served.db")) as server:
+    """A live store service over a fresh JSON directory (one per test)."""
+    with running_server(JsonDirStore(tmp_path / "served")) as server:
         yield server
 
 
-@pytest.fixture(params=["jsondir", "sqlite", "http"])
+@pytest.fixture(params=["jsondir", "http"])
 def store(request, tmp_path):
-    """One instance of each backend, same contract expected of all three.
+    """One instance of each backend, same contract expected of both.
 
-    The HTTP instance talks to a real in-process service fronting a SQLite
-    store, so every contract test exercises the full client/server path.
+    The HTTP instance talks to a real in-process service fronting a JSON
+    directory, so every contract test exercises the full client/server path.
     """
     if request.param == "jsondir":
         yield JsonDirStore(tmp_path / "store")
-    elif request.param == "sqlite":
-        s = SqliteStore(tmp_path / "store.db")
-        yield s
-        s.close()
     else:
-        with running_server(SqliteStore(tmp_path / "served.db")) as server:
+        with running_server(JsonDirStore(tmp_path / "served")) as server:
             s = HttpStore(server_url(server))
             try:
                 yield s
@@ -135,7 +128,7 @@ class TestStoreContract:
         assert status == "hit" and payload["schema"] == ENTRY_SCHEMA_VERSION
 
     def test_old_schema_entry_upgrades_in_place(self, store):
-        """A v2-layout entry is converted on read (migration path), not dropped."""
+        """A v2-layout entry is converted on read (upgrade path), not dropped."""
         v2 = {"schema": 2, "key": "k", "tuning": payload_for("k", 7)["tuning"]}
         store.write("k", v2)  # raw write: bypass put()'s normalization
         payload, status = store.lookup("k")
@@ -177,7 +170,7 @@ class TestStoreContract:
 
     def test_uri_roundtrips_eviction_policy(self, store):
         """uri() carries the caps, so a reopened capped store stays capped."""
-        location = getattr(store, "path", None) or getattr(store, "root", None) or store.base_url
+        location = getattr(store, "root", None) or store.base_url
         capped = type(store)(
             location,
             policy=EvictionPolicy(max_entries=7, max_bytes=2048),
@@ -185,6 +178,17 @@ class TestStoreContract:
         assert "max_entries=7" in capped.uri() and "max_bytes=2048" in capped.uri()
         reopened = open_store(capped.uri())
         assert reopened.policy == capped.policy
+
+    @pytest.mark.parametrize(
+        "key", ["../escape", "a/b", ".hidden", ""],
+        ids=["parent-dir", "separator", "hidden", "empty"],
+    )
+    def test_key_must_be_a_plain_file_name(self, store, key, tmp_path):
+        """A key names one file inside the store directory, never a path out
+        of it — over the wire too, where the service rejects it with a 400."""
+        with pytest.raises(ValueError, match="invalid store key"):
+            store.put(key, payload_for("k"))
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
 
 # ---------------------------------------------------------------------- #
@@ -318,20 +322,13 @@ class TestStoreUris:
         assert str(open_store("c:cache").root) == "c:cache"
         assert str(open_store("dir:v2:cache").root) == "v2:cache"
 
-    def test_sqlite_scheme(self, tmp_path):
-        store = open_store(f"sqlite:///{tmp_path}/c.db")
-        assert isinstance(store, SqliteStore)
-        assert store.path == tmp_path / "c.db"
-        relative = open_store("sqlite:rel.db")
-        assert str(relative.path) == "rel.db"
-
     def test_none_and_empty_mean_no_store(self):
         assert open_store(None) is None
         assert open_store("") is None
         assert open_store("   ") is None
 
     def test_policy_query_params(self, tmp_path):
-        store = open_store(f"sqlite:///{tmp_path}/c.db?max_entries=10&max_bytes=1KiB")
+        store = open_store(f"dir:{tmp_path}/c?max_entries=10&max_bytes=1KiB")
         assert store.policy == EvictionPolicy(max_entries=10, max_bytes=1024)
 
     def test_policy_params_work_on_bare_paths(self, tmp_path):
@@ -348,9 +345,9 @@ class TestStoreUris:
 
     def test_bad_uris_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            open_store(f"sqlite:///{tmp_path}/c.db?max_funk=1")
+            open_store(f"dir:{tmp_path}/c?max_funk=1")
         with pytest.raises(ValueError):
-            open_store("sqlite://host/c.db")  # network locations unsupported
+            open_store("dir://host/c")  # network locations unsupported
         with pytest.raises(ValueError):
             open_store("dir:")
 
@@ -374,7 +371,12 @@ class TestStoreUris:
 
     @pytest.mark.parametrize(
         "uri",
-        ["shard:http://a:8787,http://b:8787", "htp://host:8787", "sqlite3:///x.db"],
+        [
+            "shard:http://a:8787,http://b:8787",
+            "htp://host:8787",
+            "sqlite3:///x.db",
+            "sqlite:///x.db",
+        ],
     )
     def test_unknown_scheme_rejected_not_read_as_a_directory(
         self, uri, tmp_path, monkeypatch
@@ -415,70 +417,14 @@ class TestEntrySchema:
         assert normalize_payload(["not", "a", "dict"]) == (None, "stale")
 
 
-# ---------------------------------------------------------------------- #
-# Migration
-# ---------------------------------------------------------------------- #
 @pytest.fixture
 def tuning(edge_hw):
     workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="store-wl")
     return AutoTuner(edge_hw, budget=8, seed=3).tune("mas", workload)
 
 
-class TestMigration:
-    def test_jsondir_sqlite_roundtrip_preserves_every_entry(self, tmp_path, tuning):
-        origin = JsonDirStore(tmp_path / "origin")
-        for i in range(5):
-            payload = make_payload(f"key{i}", tuning_result_to_dict(tuning), suite="table1")
-            origin.put(f"key{i}", payload)
-
-        db = SqliteStore(tmp_path / "mid.db")
-        back = JsonDirStore(tmp_path / "back")
-        first = migrate_store(origin, db)
-        second = migrate_store(db, back)
-        assert first.migrated == second.migrated == 5
-        assert not first.skipped_stale and not second.skipped_stale
-
-        assert sorted(back.keys()) == sorted(origin.keys())
-        for key in origin.keys():
-            assert back.read(key) == origin.read(key)
-            # same serialization, byte-for-byte identical files
-            assert (back.root / f"{key}.json").read_bytes() == (
-                origin.root / f"{key}.json"
-            ).read_bytes()
-
-    def test_migrate_upgrades_old_entries(self, tmp_path, tuning):
-        origin = JsonDirStore(tmp_path / "origin")
-        origin.write("old", {"schema": 2, "key": "old", "tuning": tuning_result_to_dict(tuning)})
-        db = SqliteStore(tmp_path / "new.db")
-        report = migrate_store(origin, db)
-        assert report.migrated == 1 and report.upgraded == 1
-        payload, status = db.lookup("old")
-        assert status == "hit" and payload["schema"] == ENTRY_SCHEMA_VERSION
-
-    def test_migrate_skips_existing_unless_overwrite(self, tmp_path):
-        src = JsonDirStore(tmp_path / "src")
-        dst = JsonDirStore(tmp_path / "dst")
-        src.put("k", payload_for("k", 1))
-        dst.put("k", payload_for("k", 2))
-        report = migrate_store(src, dst)
-        assert report.migrated == 0 and report.skipped_existing == 1
-        assert dst.get("k")["meta"]["budget"] == 2
-        report = migrate_store(src, dst, overwrite=True)
-        assert report.migrated == 1
-        assert dst.get("k")["meta"]["budget"] == 1
-
-    def test_stale_entries_reported_not_lost(self, tmp_path):
-        src = JsonDirStore(tmp_path / "src")
-        src.write("weird", {"schema": 99, "key": "weird", "tuning": {}})
-        src.put("fine", payload_for("fine"))
-        report = migrate_store(src, SqliteStore(tmp_path / "dst.db"))
-        assert report.migrated == 1
-        assert report.skipped_stale == ["weird"]
-        assert "stale" in report.summary()
-
-
 # ---------------------------------------------------------------------- #
-# End-to-end sweeps: bit-identity, migration warmth, PR-1-format caches
+# End-to-end sweeps: bit-identity, PR-1-format caches
 # ---------------------------------------------------------------------- #
 def _matrix_fingerprint(matrix) -> dict:
     return {
@@ -502,9 +448,7 @@ class TestSweepBitIdentity:
         )
         runners = [
             ExperimentRunner(**kwargs, cache_dir=tmp_path / "jsondir"),
-            ExperimentRunner(**kwargs, cache_uri=f"sqlite:///{tmp_path}/serial.db"),
             ExperimentRunner(**kwargs, jobs=2, cache_uri=f"dir:{tmp_path}/jsondir-par"),
-            ExperimentRunner(**kwargs, jobs=2, cache_uri=f"sqlite:///{tmp_path}/par.db"),
         ]
         for runner in runners:
             assert _matrix_fingerprint(runner.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
@@ -517,7 +461,7 @@ class TestSweepBitIdentity:
 
     def test_parallel_worker_stats_aggregate_to_parent(self, tmp_path):
         """Worker-process cache counters surface in the parent's cache_stats."""
-        kwargs = dict(search_budget=BUDGET, seed=0, cache_uri=f"sqlite:///{tmp_path}/s.db")
+        kwargs = dict(search_budget=BUDGET, seed=0, cache_uri=f"dir:{tmp_path}/s")
         cold = ExperimentRunner(**kwargs, jobs=2)
         cold.run_matrix(FAST_NETWORKS, FAST_METHODS)
         cold_stats = cold.cache_stats()
@@ -529,25 +473,6 @@ class TestSweepBitIdentity:
         warm_stats = warm.cache_stats()
         assert warm_stats["cache_hits"] == cold_stats["searches"]
         assert warm_stats["cache_misses"] == 0
-
-    def test_warm_sweep_after_migration_gets_every_hit(self, tmp_path):
-        """The acceptance path: jsondir cache -> migrate -> sqlite, 100% warm."""
-        kwargs = dict(search_budget=BUDGET, seed=0)
-        cold = ExperimentRunner(**kwargs, cache_dir=tmp_path / "jsondir")
-        reference = _matrix_fingerprint(cold.run_matrix(FAST_NETWORKS, FAST_METHODS))
-        searched = cold.cache_stats()["searches"]
-
-        report = migrate_store(
-            JsonDirStore(tmp_path / "jsondir"), SqliteStore(tmp_path / "migrated.db")
-        )
-        assert report.migrated == len(JsonDirStore(tmp_path / "jsondir").keys())
-        assert not report.skipped_stale
-
-        warm = ExperimentRunner(**kwargs, cache_uri=f"sqlite:///{tmp_path}/migrated.db")
-        assert _matrix_fingerprint(warm.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-        stats = warm.cache_stats()
-        assert stats["cache_hits"] == searched
-        assert stats["searches"] == 0 and stats["cache_misses"] == 0
 
     def test_pr1_format_cache_is_upgraded_not_dropped(self, tmp_path, edge_hw):
         """Entries written in the old flat v2 layout keep hitting after the
@@ -585,11 +510,7 @@ class TestHttpSweepBitIdentity:
                 FAST_NETWORKS, FAST_METHODS
             )
         )
-        uris = [
-            f"dir:{tmp_path}/jsondir",
-            f"sqlite:///{tmp_path}/local.db",
-            server_url(store_server),
-        ]
+        uris = [f"dir:{tmp_path}/jsondir", server_url(store_server)]
         for jobs in (1, 4):
             nocache = ExperimentRunner(**kwargs, jobs=jobs, use_cache=False)
             assert (
@@ -622,23 +543,6 @@ class TestHttpSweepBitIdentity:
         metrics = store_server.service.metrics.snapshot()
         assert metrics["hits"] >= warm_stats["cache_hits"]
         assert metrics["misses"] >= cold_stats["cache_misses"]
-
-    def test_migration_into_and_out_of_http_store(self, store_server, tmp_path, tuning):
-        """jsondir -> http -> jsondir round trip: zero loss, batched trips."""
-        origin = JsonDirStore(tmp_path / "origin")
-        for i in range(5):
-            origin.put(
-                f"key{i}", make_payload(f"key{i}", tuning_result_to_dict(tuning))
-            )
-        served = HttpStore(server_url(store_server))
-        back = JsonDirStore(tmp_path / "back")
-        first = migrate_store(origin, served)
-        second = migrate_store(served, back)
-        assert first.migrated == second.migrated == 5
-        assert sorted(back.keys()) == sorted(origin.keys())
-        for key in origin.keys():
-            assert back.read(key) == origin.read(key)
-        served.close()
 
     def test_unreachable_service_fails_the_runner_eagerly(self):
         with pytest.raises(ValueError, match="unreachable"):
@@ -714,70 +618,42 @@ class TestHttpSweepBitIdentity:
 # ---------------------------------------------------------------------- #
 # Concurrency
 # ---------------------------------------------------------------------- #
-def _hammer_sqlite(args: tuple[str, int, int]) -> int:
+def _hammer_store(args: tuple[str, int, int]) -> int:
     """Worker: interleave writes and reads of a shared key set."""
-    path, worker, rounds = args
-    store = SqliteStore(path)
+    root, worker, rounds = args
+    store = JsonDirStore(root)
     ok = 0
     for i in range(rounds):
         key = f"key{i % 8}"
         store.put(key, payload_for(key, i % 8))
         payload = store.get(key)
         ok += payload is not None and payload["meta"]["budget"] == i % 8
-    store.close()
     return ok
 
 
-class TestSqliteConcurrency:
-    def test_fork_discards_inherited_connections(self, tmp_path):
-        """A forked child must not share the parent's live connection: the
-        at-fork hook clears it, so any child-side use reconnects fresh."""
-        store = SqliteStore(tmp_path / "forked.db")
-        store.put("k", payload_for("k", 3))
-        assert store._conn is not None  # live connection in the parent
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child: report the hook's effect, then a fresh read
-            try:
-                dropped = store._conn is None
-                reread = store.get("k") is not None  # reconnects on demand
-                os.write(write_fd, b"1" if dropped and reread else b"0")
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        try:
-            assert os.waitpid(pid, 0)[1] == 0
-            assert os.read(read_fd, 1) == b"1"
-        finally:
-            os.close(read_fd)
-        assert store._conn is not None  # the parent's connection is untouched
-        assert store.get("k")["meta"]["budget"] == 3
-        store.close()
-
-
+class TestSharedStoreConcurrency:
     def test_concurrent_writers_produce_consistent_entries(self, tmp_path):
-        path = str(tmp_path / "hammer.db")
+        root = str(tmp_path / "hammer")
         rounds = 25
         with ProcessPoolExecutor(max_workers=4) as pool:
             results = list(
-                pool.map(_hammer_sqlite, [(path, w, rounds) for w in range(4)])
+                pool.map(_hammer_store, [(root, w, rounds) for w in range(4)])
             )
         assert results == [rounds] * 4  # every read saw a complete entry
-        store = SqliteStore(path)
+        store = JsonDirStore(root)
         assert len(store) == 8
         for i in range(8):
             payload, status = store.lookup(f"key{i}")
             assert status == "hit"
             assert payload["meta"]["budget"] == i
         assert store.stats().stale_entries == 0
-        store.close()
 
-    def test_parallel_sweep_sharing_one_db_matches_serial(self, tmp_path):
+    def test_parallel_sweep_sharing_one_store_matches_serial(self, tmp_path):
         kwargs = dict(search_budget=BUDGET, seed=0)
         serial = _matrix_fingerprint(
             ExperimentRunner(**kwargs).run_matrix(FAST_NETWORKS, FAST_METHODS)
         )
-        uri = f"sqlite:///{tmp_path}/shared.db"
+        uri = f"dir:{tmp_path}/shared"
         parallel = ExperimentRunner(**kwargs, jobs=4, cache_uri=uri)
         assert _matrix_fingerprint(parallel.run_matrix(FAST_NETWORKS, FAST_METHODS)) == serial
 
@@ -786,9 +662,9 @@ class TestSqliteConcurrency:
 # ResultCache facade over URIs
 # ---------------------------------------------------------------------- #
 class TestResultCacheOverStores:
-    def test_cache_accepts_sqlite_uri(self, tmp_path, tuning):
-        cache = ResultCache(f"sqlite:///{tmp_path}/c.db")
-        assert cache.enabled and cache.cache_dir is None
+    def test_cache_accepts_dir_uri(self, tmp_path, tuning):
+        cache = ResultCache(f"dir:{tmp_path}/c")
+        assert cache.enabled and cache.cache_dir == tmp_path / "c"
         cache.store("k", tuning, suite="table1")
         assert len(cache) == 1
         loaded = cache.load("k")
@@ -797,27 +673,17 @@ class TestResultCacheOverStores:
         (info,) = cache.backend.entries()
         assert info.suite == "table1" and info.scheduler == "mas"
 
-    def test_sqlite_entries_queryable_by_indexed_columns(self, tmp_path, tuning):
-        store = SqliteStore(tmp_path / "c.db")
-        store.put("a", make_payload("a", tuning_result_to_dict(tuning), suite="s1"))
-        store.put("b", make_payload("b", tuning_result_to_dict(tuning), suite="s2"))
-        assert {e.key for e in store.entries(suite="s1")} == {"a"}
-        assert {e.key for e in store.entries(scheduler="mas")} == {"a", "b"}
-        assert store.entries(workload="nope") == []
-        with pytest.raises(ValueError):
-            store.entries(flavour="vanilla")
-
     def test_key_schema_version_still_pins_keys(self):
         """The key schema stayed at 2 on purpose: entry-layout changes must
         not orphan previously tuned work (keys are how warm sweeps find it)."""
         assert KEY_SCHEMA_VERSION == 2
 
     def test_env_uri_supplies_runner_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MAS_CACHE_URI", f"sqlite:///{tmp_path}/env.db")
+        monkeypatch.setenv("MAS_CACHE_URI", f"dir:{tmp_path}/env")
         runner = ExperimentRunner(search_budget=BUDGET, seed=0)
-        assert runner.cache_target == f"sqlite:///{tmp_path}/env.db"
+        assert runner.cache_target == f"dir:{tmp_path}/env"
         runner.run("mas", "ViT-B/14")
-        assert (tmp_path / "env.db").exists()
+        assert (tmp_path / "env").is_dir()
         # explicit targets win over the environment
         explicit = ExperimentRunner(search_budget=BUDGET, cache_dir=tmp_path / "dir")
         assert explicit.cache_target == str(tmp_path / "dir")
@@ -827,16 +693,21 @@ class TestResultCacheOverStores:
         spec = off.pair_spec("mas", "ViT-B/14")
         assert spec.use_cache is False
 
+    #: A directory URI with a host, and a store URI of a retired backend.
+    BAD_ENV_URIS = ("dir://bad-host/c", "sqlite:///c.db")
+
     def test_bad_env_uri_fails_eagerly(self, monkeypatch):
-        monkeypatch.setenv("MAS_CACHE_URI", "sqlite://bad-host/c.db")
-        with pytest.raises(ValueError):
-            ExperimentRunner(search_budget=BUDGET)
+        for uri in self.BAD_ENV_URIS:
+            monkeypatch.setenv("MAS_CACHE_URI", uri)
+            with pytest.raises(ValueError):
+                ExperimentRunner(search_budget=BUDGET)
 
     def test_no_cache_bypasses_broken_env_uri(self, monkeypatch):
         """--no-cache is the escape hatch from a misconfigured store URI."""
-        monkeypatch.setenv("MAS_CACHE_URI", "sqlite://bad-host/c.db")
-        runner = ExperimentRunner(search_budget=BUDGET, seed=0, use_cache=False)
-        assert runner.run("mas", "ViT-B/14").cycles > 0
+        for uri in self.BAD_ENV_URIS:
+            monkeypatch.setenv("MAS_CACHE_URI", uri)
+            runner = ExperimentRunner(search_budget=BUDGET, seed=0, use_cache=False)
+            assert runner.run("mas", "ViT-B/14").cycles > 0
 
     def test_read_only_store_still_serves_hits(self, tmp_path, tuning):
         """LRU touches are best-effort: a read-only shared cache stays warm."""
@@ -854,53 +725,9 @@ class TestResultCacheOverStores:
             for path in root.glob("*.json"):
                 path.chmod(0o644)
 
-    def test_read_only_sqlite_store_still_serves_hits(self, tmp_path, tuning):
-        """Connection setup must not require write access to the database."""
-        db = tmp_path / "ro.db"
-        writer = SqliteStore(db)
-        writer.put("k", make_payload("k", tuning_result_to_dict(tuning)))
-        writer.close()
-        for path in tmp_path.glob("ro.db*"):  # the db plus any -wal/-shm
-            path.chmod(0o444)
-        tmp_path.chmod(0o555)
-        try:
-            cache = ResultCache(f"sqlite:///{db}")
-            loaded = cache.load("k")
-            assert loaded is not None and cache.hits == 1
-            cache.close()
-        finally:
-            tmp_path.chmod(0o755)
-            for path in tmp_path.glob("ro.db*"):
-                path.chmod(0o644)
-
-    def test_sqlite_reads_on_non_database_file_are_misses(self, tmp_path):
-        """Pointing a sqlite URI at a non-SQLite file degrades to misses
-        (and empty stats), not DatabaseError tracebacks mid-sweep."""
-        bogus = tmp_path / "not-a-db.db"
-        bogus.write_text("definitely not a sqlite file, but long enough " * 20)
-        store = SqliteStore(bogus)
-        assert store.read("k") is None
-        assert store.keys() == []
-        assert store.stats().entries == 0
-        store.close()
-
-    def test_sqlite_uri_with_tilde_expands_home(self):
+    def test_dir_uri_with_tilde_expands_home(self):
         import pathlib
 
-        store = open_store("sqlite:///~/mas-test-cache.db")
-        assert store.path == pathlib.Path("~/mas-test-cache.db").expanduser()
-        assert "~" not in str(store.path)
-
-    def test_sqlite_reads_on_non_store_file_are_misses(self, tmp_path):
-        """A schema-less database file yields misses, not OperationalErrors."""
-        db = tmp_path / "empty.db"
-        conn = __import__("sqlite3").connect(db)  # a real db with no tables
-        conn.close()
-        store = SqliteStore(db)
-        # simulate the schema being un-creatable by dropping it post-connect
-        store._connect().executescript("DROP TABLE entries; DROP TABLE store_meta;")
-        assert store.read("k") is None
-        assert store.keys() == []
-        assert store.entries() == []
-        assert store.stats().entries == 0
-        store.close()
+        store = open_store("dir:///~/mas-test-cache")
+        assert store.root == pathlib.Path("~/mas-test-cache").expanduser()
+        assert "~" not in str(store.root)
