@@ -9,6 +9,8 @@
 * :mod:`repro.core.overwrite` — the proactive buffer-overwrite strategy
   (Section 4.3): selectively overwrite resident K/V tiles to let softmax finish,
   then reload and redo the interrupted MatMul tiles.
+* :mod:`repro.core.emit` — :class:`~repro.core.emit.CoreEmitter`, through which
+  every dataflow builder (MAS-Attention and the baselines) emits its tile tasks.
 * :mod:`repro.core.mas_attention` — the public builder that assembles the three
   pieces into a simulatable task graph.
 """

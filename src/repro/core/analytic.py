@@ -170,19 +170,15 @@ class AnalyticBounds:
         footprint overflow (today: MAS tilings whose non-evictable residency
         exceeds L1, mirroring :class:`repro.core.overwrite.OverwritePlanner`).
     cycles:
-        Provable lower bound on the simulated makespan (exact closed form
-        only where ``exact`` says so).
+        Provable lower bound on the simulated makespan.
     energy_pj:
         Provable lower bound on the simulated total energy.
-    exact:
-        Whether ``cycles``/``energy_pj`` are exact rather than lower bounds.
     """
 
     footprint_bytes: np.ndarray
     hard_infeasible: np.ndarray
     cycles: np.ndarray
     energy_pj: np.ndarray
-    exact: bool
 
     def __len__(self) -> int:
         return int(self.cycles.shape[0])
@@ -320,7 +316,8 @@ class BatchedCostModel:
         Q loads and O stores move ``g * rows * E`` elements per block; K and
         V are loaded tile by tile once per head group when ``kv_resident``
         and once per row-block when streamed — exactly the caching rule of
-        ``CoreEmitter.kv_loads`` shared by every graph builder.
+        :meth:`repro.core.emit.CoreEmitter.kv_loads`, through which every
+        graph builder loads K and V.
         """
         elem = self.emb * self.dtype
         q_and_o = np.zeros(len(batch), dtype=np.int64)

@@ -113,7 +113,8 @@ class TileCosts:
     # ------------------------------------------------------------------ #
     # DMA transfers
     # ------------------------------------------------------------------ #
-    def _load(self, num_bytes: int) -> TaskCost:
+    def load_bytes(self, num_bytes: int) -> TaskCost:
+        """DMA load of ``num_bytes`` from DRAM into L1."""
         return TaskCost(
             cycles=dma_cycles(self.hardware, num_bytes),
             counters={"dram_bytes_read": num_bytes, "l1_bytes_written": num_bytes},
@@ -147,19 +148,19 @@ class TileCosts:
 
     def load_q(self, block: Block) -> TaskCost:
         """DMA load of Q_i."""
-        return self._load(self.q_bytes(block))
+        return self.load_bytes(self.q_bytes(block))
 
     def load_kv_tile(self, block: Block, tile: int) -> TaskCost:
         """DMA load of one K or V sub-matrix tile."""
-        return self._load(self.kv_tile_bytes(block, tile))
+        return self.load_bytes(self.kv_tile_bytes(block, tile))
 
     def load_score(self, block: Block) -> TaskCost:
         """DMA load of a full score block (used by Layer-Wise / Soft-Pipe)."""
-        return self._load(self.score_bytes(block))
+        return self.load_bytes(self.score_bytes(block))
 
     def load_score_tile(self, block: Block, tile: int) -> TaskCost:
         """DMA load of one score sub-tile (used by Layer-Wise stage 3)."""
-        return self._load(self.score_tile_bytes(block, tile))
+        return self.load_bytes(self.score_tile_bytes(block, tile))
 
     def store_score(self, block: Block) -> TaskCost:
         """DMA store of a full score block (used by Layer-Wise / Soft-Pipe)."""

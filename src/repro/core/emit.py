@@ -1,20 +1,29 @@
-"""Shared task-emission helpers for the baseline dataflow builders."""
+"""Tile-task emission shared by all six dataflow builders.
+
+MAS-Attention (:mod:`repro.core.mas_attention`) and the five baselines
+(:mod:`repro.schedulers`) add every tile task to their
+:class:`~repro.sim.tasks.TaskGraph` through :class:`CoreEmitter`; only the
+zero-cost stage and round barriers are added to the graph directly.  Builders
+walk their cores position-major with :func:`interleave_block_positions`.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from repro.core.costs import Block, TileCosts
 from repro.sim.tasks import Task, TaskGraph, TaskKind, dma_resource, mac_resource, vec_resource
 
+T = TypeVar("T")
+
 
 class CoreEmitter:
-    """Per-core helper that emits the common tile tasks of an attention dataflow.
+    """Per-core helper that emits the tile tasks of an attention dataflow.
 
     It wraps a :class:`TaskGraph` and a :class:`TileCosts` and provides typed
-    ``load_* / matmul_* / softmax / store_*`` methods with consistent naming,
-    counters and the K/V residency caching implied by
-    ``TilingConfig.kv_resident``.
+    ``load_* / matmul_* / softmax / store_*`` methods, plus MAS's overwrite
+    ``reload`` / ``redo`` tasks, with consistent naming, tags, costs and the
+    K/V residency caching implied by ``TilingConfig.kv_resident``.
     """
 
     def __init__(self, graph: TaskGraph, costs: TileCosts, core: int, prefix: str) -> None:
@@ -123,6 +132,19 @@ class CoreEmitter:
             block=block.index,
         )
 
+    def reload(self, block: Block, victim: str, num_bytes: int, deps: Sequence[Task]) -> Task:
+        """Refetch ``num_bytes`` of the K or V tiles an overwrite dropped (Section 4.3)."""
+        return self._add(
+            self._name(f"reload_{victim}", block),
+            TaskKind.LOAD,
+            self.dma,
+            self.costs.load_bytes(num_bytes),
+            deps,
+            operand=victim,
+            block=block.index,
+            overwrite=True,
+        )
+
     # ------------------------------------------------------------------ #
     # Compute
     # ------------------------------------------------------------------ #
@@ -148,6 +170,20 @@ class CoreEmitter:
             op="PV",
             block=block.index,
             tile=tile,
+        )
+
+    def redo(self, block: Block, op: str, index: int, deps: Sequence[Task]) -> Task:
+        """Redo a tile of the ``"QK"`` or ``"PV"`` MatMul an overwrite interrupted (Section 4.3)."""
+        cost = self.costs.qk_tile(block, 0) if op == "QK" else self.costs.pv_tile(block, 0)
+        return self._add(
+            self._name(f"redo_{op}{index}", block),
+            TaskKind.MATMUL,
+            self.mac,
+            cost,
+            deps,
+            op=op,
+            block=block.index,
+            redo=True,
         )
 
     def softmax(self, block: Block, deps: Sequence[Task]) -> Task:
@@ -192,14 +228,16 @@ def make_emitters(
     return [CoreEmitter(graph, costs, core, prefix) for core in range(len(per_core_blocks))]
 
 
-def interleave_block_positions(per_core_blocks: Sequence[Sequence[Block]]) -> Iterable[tuple[int, Block]]:
-    """Yield (core, block) pairs interleaved across cores, position by position.
+def interleave_block_positions(per_core: Sequence[Sequence[T]]) -> Iterable[tuple[int, T]]:
+    """Yield (core, item) pairs interleaved across cores, position by position.
 
-    Emitting in this order keeps the shared DMA channel's program order fair
-    across cores instead of serializing one core's transfers behind another's.
+    The items are each core's blocks, or its rounds for the round-structured
+    builders.  Emitting in this order keeps the shared DMA channel's program
+    order fair across cores instead of serializing one core's transfers
+    behind another's.
     """
-    max_len = max((len(blocks) for blocks in per_core_blocks), default=0)
+    max_len = max((len(items) for items in per_core), default=0)
     for position in range(max_len):
-        for core, blocks in enumerate(per_core_blocks):
-            if position < len(blocks):
-                yield core, blocks[position]
+        for core, items in enumerate(per_core):
+            if position < len(items):
+                yield core, items[position]

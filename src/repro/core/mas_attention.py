@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.costs import Block, TaskCost, TileCosts, partition_blocks
+from repro.core.costs import Block, TileCosts, partition_blocks
+from repro.core.emit import CoreEmitter, interleave_block_positions
 from repro.core.overwrite import OverwriteEvent, OverwritePlan, OverwritePlanner
+from repro.core.stream import OpKind, StreamRound, plan_rounds
 from repro.core.tiling import TilingConfig, default_tiling, mas_footprint_bytes
 from repro.hardware.config import HardwareConfig
-from repro.sim.tasks import Task, TaskGraph, TaskKind, dma_resource, mac_resource, vec_resource
+from repro.sim.tasks import Task, TaskGraph
 from repro.utils.validation import require
 from repro.workloads.attention import AttentionWorkload
 
@@ -48,280 +50,107 @@ class MASBuildInfo:
 
 
 class _MASCoreEmitter:
-    """Emits the MAS pipeline tasks for one core, one chunk at a time.
+    """One core's MAS pipeline: the rounds of Algorithm 1 emitted through a :class:`CoreEmitter`.
 
-    Chunk ``0`` is the warm-up ``C_1``; chunk ``1`` is ``C_2 || P_1``; chunk
-    ``c`` for ``2 <= c <= T-1`` is a regular round (``O_{c-2}``, ``P_{c-1}``,
-    ``C_c`` in 0-based block indices); chunks ``T`` and ``T+1`` are the
-    finalize rounds.  Emitting cores chunk-by-chunk keeps their DMA requests
-    interleaved on the shared channel.
+    It keeps only MAS state: per-block task references, the core's overwrite
+    events, and the serialization that replaces overwriting when it is
+    disabled and L1 overflows.
     """
 
     def __init__(
         self,
-        graph: TaskGraph,
-        costs: TileCosts,
+        emit: CoreEmitter,
         blocks: list[Block],
-        core: int,
         plan: OverwritePlan,
         serialize_on_overflow: bool,
     ) -> None:
-        self.graph = graph
-        self.costs = costs
+        self.emit = emit
         self.blocks = blocks
-        self.core = core
-        self.plan = plan
+        self.events = {event.block_index: event for event in plan.events}
         self.serialize_on_overflow = serialize_on_overflow
-        self.mac = mac_resource(core)
-        self.vec = vec_resource(core)
-        self.dma = dma_resource()
-        # Per-block task references.
         self._qk: dict[int, list[Task]] = {}
         self._softmax: dict[int, Task] = {}
         self._pv: dict[int, list[Task]] = {}
-        self._store: dict[int, Task] = {}
-        # Resident K/V loads per head group (for kv_resident ordering).
-        self._group_k_loads: dict[int, list[Task]] = {}
-        self._group_v_loads: dict[int, list[Task]] = {}
         self.serialized_blocks = 0
-        self.extra_dram_bytes = 0
 
-    # ------------------------------------------------------------------ #
-    @property
-    def num_chunks(self) -> int:
-        return len(self.blocks) + 2 if self.blocks else 0
+    def emit_round(self, stream_round: StreamRound) -> None:
+        """Emit one round of :func:`plan_rounds` in the order PV, SM, QK.
 
-    def emit_chunk(self, chunk: int) -> None:
-        t = len(self.blocks)
-        if t == 0 or chunk >= self.num_chunks:
-            return
-        if chunk == 0:
-            self._emit_qk_phase(0)
-            return
-        if t == 1:
-            if chunk == 1:
-                self._emit_softmax(0)
-            else:
-                self._emit_pv_phase(0)
-            return
-        if chunk == 1:
-            self._emit_softmax(0)
-            self._emit_qk_phase(1)
-            return
-        if chunk <= t - 1:
-            # Regular round: P_{c-1} on VEC, O_{c-2} then C_c on MAC.  The PV
-            # phase is emitted first so the softmax of the round can reference
-            # it when the overflow fallback serializes the pipeline.
-            self._emit_pv_phase(chunk - 2)
-            self._emit_softmax(chunk - 1)
-            self._emit_qk_phase(chunk)
-            return
-        if chunk == t:
-            self._emit_pv_phase(t - 2)
-            self._emit_softmax(t - 1)
-            return
-        self._emit_pv_phase(t - 1)
+        The PV phase comes first so that, when the overflow fallback
+        serializes the pipeline, the round's softmax and QK can wait on it.
+        """
+        ops = stream_round.mac_ops + stream_round.vec_ops
+        blocks = {op.kind: self.blocks[op.block - 1] for op in ops}
+        if OpKind.PV in blocks:
+            self._emit_pv(blocks[OpKind.PV])
+        if OpKind.SOFTMAX in blocks:
+            self._emit_softmax(blocks[OpKind.SOFTMAX])
+        if OpKind.QK in blocks:
+            self._emit_qk(blocks[OpKind.QK])
 
-    # ------------------------------------------------------------------ #
-    # Phase emitters
-    # ------------------------------------------------------------------ #
-    def _add(self, name: str, kind: TaskKind, resource: str, cost: TaskCost, deps, **tags) -> Task:
-        return self.graph.add(
-            name,
-            kind,
-            resource,
-            cost.cycles,
-            deps=deps,
-            tags={"core": self.core, **tags},
-            **cost.counters,
-        )
+    def _emit_qk(self, block: Block) -> None:
+        """Loads of Q_b and K plus the stream of QK^T tile MatMuls (Algorithm 2)."""
+        q_load = self.emit.load_q(block)
+        extra = self._serialize_deps(block.index)
+        tasks = [
+            self.emit.matmul_qk(block, tile, [q_load, k_load, *extra])
+            for tile, k_load in enumerate(self.emit.kv_loads(block, "K"))
+        ]
+        self._qk[block.index] = tasks + self._emit_overwrite(block, "QK", tasks[-1])
 
-    def _kv_loads(self, block: Block, which: str) -> list[Task]:
-        """Emit (or reuse) the K or V tile loads for ``block``."""
-        resident = self.costs.tiling.kv_resident
-        cache = self._group_k_loads if which == "K" else self._group_v_loads
-        if resident and block.head_group in cache:
-            return cache[block.head_group]
-        loads = []
-        for tile in range(self.costs.num_kv_tiles):
-            cost = self.costs.load_kv_tile(block, tile)
-            loads.append(
-                self._add(
-                    f"c{self.core}.load_{which}{tile}.{block.label()}",
-                    TaskKind.LOAD,
-                    self.dma,
-                    cost,
-                    deps=(),
-                    operand=which,
-                    block=block.index,
-                )
-            )
-        if resident:
-            cache[block.head_group] = loads
-        return loads
-
-    def _emit_qk_phase(self, b: int) -> None:
-        """Loads of Q_b and K plus the stream of QK^T tile MatMuls for block ``b``."""
-        block = self.blocks[b]
-        q_load = self._add(
-            f"c{self.core}.load_Q.{block.label()}",
-            TaskKind.LOAD,
-            self.dma,
-            self.costs.load_q(block),
-            deps=(),
-            operand="Q",
-            block=b,
-        )
-        k_loads = self._kv_loads(block, "K")
-        event = self._event_for(b, "QK")
-        serialize = self._serialize_dep(b)
-        qk_tasks: list[Task] = []
-        for tile, k_load in enumerate(k_loads):
-            deps = [q_load, k_load]
-            if serialize is not None:
-                deps.append(serialize)
-            qk_tasks.append(
-                self._add(
-                    f"c{self.core}.QK{tile}.{block.label()}",
-                    TaskKind.MATMUL,
-                    self.mac,
-                    self.costs.qk_tile(block, tile),
-                    deps=deps,
-                    op="QK",
-                    block=b,
-                    tile=tile,
-                )
-            )
-        if event is not None:
-            qk_tasks.extend(self._emit_overwrite(block, event, qk_tasks[-1], "QK"))
-        self._qk[b] = qk_tasks
-
-    def _emit_softmax(self, b: int) -> None:
-        """Row-wise softmax of block ``b`` on the VEC unit (Algorithm 3)."""
-        block = self.blocks[b]
+    def _emit_softmax(self, block: Block) -> None:
+        """Row-wise softmax of the block on the VEC unit (Algorithm 3)."""
+        b = block.index
         deps = list(self._qk[b])
-        if self.serialize_on_overflow and b >= 1 and (b - 1) in self._pv:
+        if self.serialize_on_overflow and b >= 1:
             # Overflow without the overwrite strategy: P_b has no buffer space
             # until the previous block's PV stream has drained and freed its
             # score block, so the softmax stalls behind the MAC (FLAT-like).
             deps.append(self._pv[b - 1][-1])
             self.serialized_blocks += 1
-        task = self._add(
-            f"c{self.core}.SM.{block.label()}",
-            TaskKind.SOFTMAX,
-            self.vec,
-            self.costs.softmax(block),
-            deps=deps,
-            op="SM",
-            block=b,
-        )
-        self._softmax[b] = task
+        self._softmax[b] = self.emit.softmax(block, deps)
 
-    def _emit_pv_phase(self, b: int) -> None:
+    def _emit_pv(self, block: Block) -> None:
         """Loads of V plus the PV tile MatMuls and the O_b store (Algorithm 4)."""
-        block = self.blocks[b]
-        v_loads = self._kv_loads(block, "V")
-        softmax = self._softmax[b]
-        event = self._event_for(b, "PV")
-        pv_tasks: list[Task] = []
-        for tile, v_load in enumerate(v_loads):
-            pv_tasks.append(
-                self._add(
-                    f"c{self.core}.PV{tile}.{block.label()}",
-                    TaskKind.MATMUL,
-                    self.mac,
-                    self.costs.pv_tile(block, tile),
-                    deps=[softmax, v_load],
-                    op="PV",
-                    block=b,
-                    tile=tile,
-                )
-            )
-        if event is not None:
-            pv_tasks.extend(self._emit_overwrite(block, event, pv_tasks[-1], "PV"))
-        self._pv[b] = pv_tasks
-        store = self._add(
-            f"c{self.core}.store_O.{block.label()}",
-            TaskKind.STORE,
-            self.dma,
-            self.costs.store_o(block),
-            deps=pv_tasks,
-            operand="O",
-            block=b,
-        )
-        self._store[b] = store
+        softmax = self._softmax[block.index]
+        tasks = [
+            self.emit.matmul_pv(block, tile, [softmax, v_load])
+            for tile, v_load in enumerate(self.emit.kv_loads(block, "V"))
+        ]
+        tasks += self._emit_overwrite(block, "PV", tasks[-1])
+        self._pv[block.index] = tasks
+        self.emit.store_o(block, tasks)
 
-    # ------------------------------------------------------------------ #
-    # Overwrite / overflow handling
-    # ------------------------------------------------------------------ #
-    def _event_for(self, b: int, op: str) -> OverwriteEvent | None:
-        event = self.plan.event_for_block(b)
-        if event is not None and event.interrupted_op == op:
-            return event
-        return None
-
-    def _serialize_dep(self, b: int) -> Task | None:
+    def _serialize_deps(self, b: int) -> list[Task]:
         """Without overwriting, an overflowing round degrades to sequential execution.
 
-        The QK MatMul of block ``b`` then waits for the previous block's PV
-        stream to drain (freeing its score block) before it may start.
+        The QK MatMul of block ``b`` then waits for the PV stream of block
+        ``b - 2`` (emitted earlier in the same round) to drain and free its
+        score block.
         """
         if not self.serialize_on_overflow or b < 2:
-            return None
-        prev_pv = self._pv.get(b - 2)
-        if prev_pv:
-            self.serialized_blocks += 1
-            return prev_pv[-1]
-        return None
+            return []
+        self.serialized_blocks += 1
+        return [self._pv[b - 2][-1]]
 
-    def _emit_overwrite(
-        self, block: Block, event: OverwriteEvent, interrupted: Task, op: str
-    ) -> list[Task]:
-        """Materialize one overwrite event: reload the victim and redo the tile.
+    def _emit_overwrite(self, block: Block, op: str, interrupted: Task) -> list[Task]:
+        """Materialize the block's overwrite event if it interrupts ``op``.
 
-        The softmax that triggered the overwrite is the one running in the same
-        round as the interrupted MatMul: ``P_{b+1}`` when ``O_b`` is interrupted
-        (Figure 2) and ``P_{b-1}`` when ``C_b`` is interrupted (Figure 3).
+        The victim is reloaded and the event's redo tiles are recomputed.  The
+        softmax that triggered the overwrite runs in the same round as the
+        interrupted MatMul: ``P_{b-1}`` when ``C_b`` is interrupted (Figure 3)
+        and ``P_{b+1}`` when ``O_b`` is (Figure 2).  Only ``P_{b-1}`` is
+        emitted before its MatMul, so only a QK reload and redo wait on their
+        trigger; a PV reload does not wait for ``P_{b+1}``.
         """
-        trigger_index = block.index + 1 if op == "PV" else block.index - 1
-        trigger = self._softmax.get(trigger_index)
-        deps: list[Task] = [interrupted]
-        if trigger is not None:
-            deps.append(trigger)
-        reload_cost = TaskCost(
-            cycles=self.costs._load(event.reload_bytes).cycles,
-            counters={
-                "dram_bytes_read": event.reload_bytes,
-                "l1_bytes_written": event.reload_bytes,
-            },
-        )
-        reload = self._add(
-            f"c{self.core}.reload_{event.victim}.{block.label()}",
-            TaskKind.LOAD,
-            self.dma,
-            reload_cost,
-            deps=deps,
-            operand=event.victim,
-            block=block.index,
-            overwrite=True,
-        )
-        self.extra_dram_bytes += event.reload_bytes
-        redo_tasks: list[Task] = []
-        for r in range(event.redo_tiles):
-            cost = self.costs.qk_tile(block, 0) if op == "QK" else self.costs.pv_tile(block, 0)
-            redo_tasks.append(
-                self._add(
-                    f"c{self.core}.redo_{op}{r}.{block.label()}",
-                    TaskKind.MATMUL,
-                    self.mac,
-                    cost,
-                    deps=[reload] + deps,
-                    op=op,
-                    block=block.index,
-                    redo=True,
-                )
-            )
-        return redo_tasks
+        event = self.events.get(block.index)
+        if event is None or event.interrupted_op != op:
+            return []
+        deps = [interrupted]
+        if op == "QK":
+            deps.append(self._softmax[block.index - 1])
+        reload = self.emit.reload(block, event.victim, event.reload_bytes, deps)
+        return [self.emit.redo(block, op, r, [reload, *deps]) for r in range(event.redo_tiles)]
 
 
 def build_mas_graph(
@@ -372,19 +201,16 @@ def build_mas_graph(
         all_events.extend(plan.events)
         emitters.append(
             _MASCoreEmitter(
-                graph,
-                costs,
+                CoreEmitter(graph, costs, core, "mas"),
                 blocks,
-                core,
                 plan,
                 serialize_on_overflow=(not enable_overwrite) and overflow,
             )
         )
 
-    max_chunks = max((e.num_chunks for e in emitters), default=0)
-    for chunk in range(max_chunks):
-        for emitter in emitters:
-            emitter.emit_chunk(chunk)
+    per_core_rounds = [plan_rounds(len(blocks)) if blocks else [] for blocks in per_core_blocks]
+    for core, stream_round in interleave_block_positions(per_core_rounds):
+        emitters[core].emit_round(stream_round)
 
     info = MASBuildInfo(
         tiling=tiling,
@@ -392,7 +218,7 @@ def build_mas_graph(
         l1_bytes=hardware.l1_bytes,
         overwrite_enabled=enable_overwrite,
         overwrite_events=all_events,
-        extra_dram_bytes=sum(e.extra_dram_bytes for e in emitters),
+        extra_dram_bytes=sum(event.reload_bytes for event in all_events),
         blocks_per_core=[len(b) for b in per_core_blocks],
         serialized_blocks=sum(e.serialized_blocks for e in emitters),
     )

@@ -16,9 +16,11 @@ only exists on-chip (recomputing it would require ``C_i`` which has already
 been consumed), whereas ``K``/``V`` can always be refetched from DRAM.
 
 This module plans those events from the footprint model; the MAS graph
-builder then materializes them as extra DMA reload tasks, one redo MatMul
-tile, and a dependency that keeps the resumed MatMul behind the softmax that
-triggered the overwrite.
+builder then materializes them as extra DMA reload tasks and one redo MatMul
+tile.  For an interrupted ``C_{i+1}`` a dependency also keeps the reload and
+the resumed MatMul behind the softmax that triggered the overwrite; for an
+interrupted ``O_{i-1}`` the builder emits ``P_i`` after the MatMul, so there
+is no such dependency.
 """
 
 from __future__ import annotations
@@ -88,13 +90,6 @@ class OverwritePlan:
     def total_redo_tiles(self) -> int:
         """Extra MatMul tiles redone after their operands were overwritten."""
         return sum(e.redo_tiles for e in self.events)
-
-    def event_for_block(self, block_index: int) -> OverwriteEvent | None:
-        """The event planned for ``block_index`` (per-core index), if any."""
-        for event in self.events:
-            if event.block_index == block_index:
-                return event
-        return None
 
 
 class OverwritePlanner:

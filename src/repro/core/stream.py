@@ -9,15 +9,15 @@ row-blocks ``i = 1..Tr``:
   then ``C_i`` while the VEC computes ``P_{i-1}``;
 * **finalize**: ``O_{Tr-1}`` in parallel with ``P_{Tr}``, then ``O_{Tr}``.
 
-:func:`plan_rounds` materializes that structure explicitly.  The MAS graph
-builder uses it to drive the overwrite planner and tests use it to verify the
-schedule matches Algorithm 1 literally; the actual task graph additionally
-encodes the fine-grained data dependencies between tiles.
+:func:`plan_rounds` is the one encoding of that structure.  The MAS-Attention
+and TileFlow graph builders emit their cores round by round from it, and the
+numeric executor runs its rounds; the task graphs add the fine-grained tile
+dependencies of Algorithms 2-4 (and, for TileFlow, a barrier after each round).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.utils.validation import check_positive_int
@@ -103,35 +103,3 @@ def plan_rounds(num_blocks: int) -> list[StreamRound]:
     add(RoundKind.FINALIZE, [StreamOp(OpKind.PV, t)], [])
     return rounds
 
-
-@dataclass
-class StreamSchedule:
-    """The full per-core round plan plus convenience queries."""
-
-    num_blocks: int
-    rounds: list[StreamRound] = field(default_factory=list)
-
-    @classmethod
-    def for_blocks(cls, num_blocks: int) -> "StreamSchedule":
-        return cls(num_blocks=num_blocks, rounds=plan_rounds(num_blocks))
-
-    def ops_of_kind(self, kind: OpKind) -> list[StreamOp]:
-        """All ops of ``kind`` in round order (MAC and VEC streams combined)."""
-        ops: list[StreamOp] = []
-        for rnd in self.rounds:
-            for op in rnd.mac_ops + rnd.vec_ops:
-                if op.kind == kind:
-                    ops.append(op)
-        return ops
-
-    def mac_stream(self) -> list[StreamOp]:
-        """The MAC unit's program order over all rounds."""
-        return [op for rnd in self.rounds for op in rnd.mac_ops]
-
-    def vec_stream(self) -> list[StreamOp]:
-        """The VEC unit's program order over all rounds."""
-        return [op for rnd in self.rounds for op in rnd.vec_ops]
-
-    def parallel_rounds(self) -> list[StreamRound]:
-        """Rounds in which both compute units are active simultaneously."""
-        return [r for r in self.rounds if r.mac_ops and r.vec_ops]

@@ -42,16 +42,9 @@ class AttentionScheduler(ABC):
 
     name: ClassVar[str] = "abstract"
     display_name: ClassVar[str] = "Abstract"
-    #: Whether the dataflow overlaps MAC and VEC work (used in reports only).
-    overlaps_compute: ClassVar[bool] = False
     #: Whether the tiling search should explore this scheduler's tiling space
     #: (FuseMax uses manually selected tiling sizes and is excluded).
     searchable: ClassVar[bool] = True
-    #: Whether :meth:`analytic_bounds` returns exact cycle/energy figures for
-    #: this dataflow rather than lower bounds.  No scheduler currently claims
-    #: exactness (even serialized dataflows overlap DMA with compute), so the
-    #: analytic layer is used for feasibility and provable pruning only.
-    analytic_exact: ClassVar[bool] = False
     #: Whether the dataflow serializes MAC and VEC work per core (no overlap),
     #: letting the analytic bound chain the two sums instead of taking the max.
     analytic_serial_compute: ClassVar[bool] = False
@@ -101,8 +94,7 @@ class AttentionScheduler(ABC):
         :class:`~repro.core.analytic.BatchedCostModel`: the footprint is the
         scheduler's own (polymorphic) ``footprint_bytes`` expression, and the
         cycle/energy figures are resource-sum lower bounds on what
-        :meth:`simulate` would report — exact closed forms only where the
-        subclass declares ``analytic_exact``.  Candidates are clamped to the
+        :meth:`simulate` would report.  Candidates are clamped to the
         workload exactly as :meth:`simulate` clamps its tiling.
         """
         batch = as_tiling_batch(tilings).clamp_to(workload)
@@ -122,7 +114,6 @@ class AttentionScheduler(ABC):
             hard_infeasible=self._analytic_hard_infeasible(model, batch),
             cycles=cycles,
             energy_pj=energy,
-            exact=self.analytic_exact,
         )
 
     def _analytic_vec_cycles(

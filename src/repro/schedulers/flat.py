@@ -12,10 +12,10 @@ the paper's main comparison point.
 
 from __future__ import annotations
 
+from repro.core.emit import interleave_block_positions, make_emitters
 from repro.core.tiling import TilingConfig, flat_footprint_bytes
 from repro.hardware.config import HardwareConfig
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.schedulers.common import interleave_block_positions, make_emitters
 from repro.sim.tasks import Task, TaskGraph
 from repro.utils.validation import require
 from repro.workloads.attention import AttentionWorkload
@@ -26,7 +26,6 @@ class FLATScheduler(AttentionScheduler):
 
     name = "flat"
     display_name = "FLAT"
-    overlaps_compute = False
     # Each core's QK -> softmax -> PV chain (and the block-to-block serial
     # dependency below) never overlaps MAC and VEC work, so the analytic bound
     # may charge their sum instead of their max.

@@ -23,9 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
+from repro.core.emit import interleave_block_positions, make_emitters
 from repro.core.tiling import TilingConfig, operand_tile_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.schedulers.common import interleave_block_positions, make_emitters
 from repro.sim.tasks import Task, TaskGraph
 from repro.utils.arrays import amin, awhere
 from repro.workloads.attention import AttentionWorkload
@@ -38,7 +38,6 @@ class FuseMaxScheduler(AttentionScheduler):
 
     name = "fusemax"
     display_name = "FuseMax"
-    overlaps_compute = True
     searchable = False
 
     def default_tiling(self, workload: AttentionWorkload) -> TilingConfig:

@@ -10,9 +10,9 @@ memory-bound on the DRAM round-trips of the ``N x N`` intermediate matrices.
 from __future__ import annotations
 
 from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
+from repro.core.emit import interleave_block_positions, make_emitters
 from repro.core.tiling import TilingConfig, operand_tile_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.schedulers.common import interleave_block_positions, make_emitters
 from repro.sim.tasks import Task, TaskGraph
 from repro.utils.arrays import amin, awhere
 from repro.workloads.attention import AttentionWorkload
@@ -23,7 +23,6 @@ class LayerWiseScheduler(AttentionScheduler):
 
     name = "layerwise"
     display_name = "Layer-Wise"
-    overlaps_compute = False
     # The three barriered stages alternate between MAC-only and VEC-only work,
     # so MAC and VEC cycles chain rather than overlap.
     analytic_serial_compute = True

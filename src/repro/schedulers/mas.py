@@ -1,9 +1,11 @@
 """MAS-Attention scheduler: the paper's contribution wrapped in the scheduler interface.
 
-The heavy lifting lives in :mod:`repro.core.mas_attention`; this class adapts
-it to the :class:`~repro.schedulers.base.AttentionScheduler` interface used by
-the search and analysis layers, and exposes the build metadata (overwrite
-events, footprint, serialized blocks) through ``BuildResult.metadata``.
+The graph builder lives in :mod:`repro.core.mas_attention` and emits through
+the same :class:`~repro.core.emit.CoreEmitter` as the baselines.  This class
+adapts it to the :class:`~repro.schedulers.base.AttentionScheduler` interface
+used by the search and analysis layers, and exposes the build metadata
+(overwrite count, footprint, serialized blocks) through
+``BuildResult.metadata``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class MASAttentionScheduler(AttentionScheduler):
 
     name = "mas"
     display_name = "MAS-Attention"
-    overlaps_compute = True
 
     def __init__(self, hardware, enable_overwrite: bool = True) -> None:
         super().__init__(hardware)

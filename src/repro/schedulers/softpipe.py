@@ -10,9 +10,9 @@ reloads ``P``.
 from __future__ import annotations
 
 from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
+from repro.core.emit import interleave_block_positions, make_emitters
 from repro.core.tiling import TilingConfig, operand_tile_bytes, score_block_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.schedulers.common import interleave_block_positions, make_emitters
 from repro.sim.tasks import Task, TaskGraph
 from repro.utils.arrays import awhere
 from repro.workloads.attention import AttentionWorkload
@@ -23,7 +23,6 @@ class SoftPipeScheduler(AttentionScheduler):
 
     name = "softpipe"
     display_name = "Soft-Pipe"
-    overlaps_compute = True
 
     def footprint_bytes(self, workload: AttentionWorkload, tiling: TilingConfig) -> int:
         """Two score blocks are in flight (C_{i+1} being produced, P_i in softmax)."""

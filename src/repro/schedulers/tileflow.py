@@ -11,15 +11,17 @@ round only starts once every operator of the previous round has drained.  This
 is the key difference from MAS-Attention's *semi-synchronous* stream
 processing, which lets tiles slide across round boundaries as soon as their
 own data dependencies are met and which adds the proactive overwrite strategy
-for overflowing rounds.
+for overflowing rounds.  Both run the rounds of
+:func:`repro.core.stream.plan_rounds`.
 """
 
 from __future__ import annotations
 
+from repro.core.emit import make_emitters
 from repro.core.stream import OpKind, plan_rounds
 from repro.core.tiling import TilingConfig, mas_footprint_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.sim.tasks import Task, TaskGraph, TaskKind, dma_resource, mac_resource, vec_resource
+from repro.sim.tasks import Task, TaskGraph
 from repro.workloads.attention import AttentionWorkload
 
 __all__ = ["TileFlowScheduler"]
@@ -30,7 +32,6 @@ class TileFlowScheduler(AttentionScheduler):
 
     name = "tileflow"
     display_name = "TileFlow"
-    overlaps_compute = True
 
     def footprint_bytes(self, workload: AttentionWorkload, tiling: TilingConfig) -> int:
         """Two row-blocks are in flight per round, as in the MAS pipeline."""
@@ -41,141 +42,38 @@ class TileFlowScheduler(AttentionScheduler):
         costs = self.costs(workload, tiling)
         per_core = self.blocks(workload, tiling)
         graph = TaskGraph(name=self.name)
+        emitters = make_emitters(graph, costs, per_core, self.name)
+        per_core_rounds = [plan_rounds(len(blocks)) if blocks else [] for blocks in per_core]
 
-        num_rounds = 0
-        core_states: list[dict[str, object]] = []
-        for core, blocks in enumerate(per_core):
-            state = {
-                "core": core,
-                "blocks": blocks,
-                "rounds": plan_rounds(len(blocks)) if blocks else [],
-                "qk": {},       # block ordinal -> list[Task]
-                "softmax": {},  # block ordinal -> Task
-                "pv": {},       # block ordinal -> list[Task]
-                "k_loads": {},  # head group -> list[Task]
-                "v_loads": {},  # head group -> list[Task]
-            }
-            core_states.append(state)
-            num_rounds = max(num_rounds, len(state["rounds"]))
-
-        barrier: Task | None = None
-        for round_index in range(num_rounds):
+        qk: dict[tuple[int, int], list[Task]] = {}  # (core, block) -> QK tiles
+        softmax: dict[tuple[int, int], Task] = {}
+        barrier: list[Task] = []  # the previous round's barrier, once there is one
+        for position in range(max(map(len, per_core_rounds), default=0)):
             round_tasks: list[Task] = []
-            for state in core_states:
-                rounds = state["rounds"]
-                if round_index >= len(rounds):
+            for core, rounds in enumerate(per_core_rounds):
+                if position >= len(rounds):
                     continue
-                round_tasks.extend(
-                    self._emit_round(graph, costs, state, rounds[round_index], barrier)
-                )
-            if round_tasks:
-                barrier = graph.add_barrier(f"tileflow.round{round_index}.barrier", deps=round_tasks)
+                em = emitters[core]
+                # The VEC op first, then the MAC ops in program order.
+                for op in rounds[position].vec_ops + rounds[position].mac_ops:
+                    block = per_core[core][op.block - 1]
+                    key = (core, block.index)
+                    if op.kind is OpKind.QK:
+                        q_load = em.load_q(block, deps=barrier)
+                        qk[key] = [
+                            em.matmul_qk(block, tile, deps=[q_load, k_load, *barrier])
+                            for tile, k_load in enumerate(em.kv_loads(block, "K", deps=barrier))
+                        ]
+                        round_tasks += qk[key]
+                    elif op.kind is OpKind.SOFTMAX:
+                        softmax[key] = em.softmax(block, deps=[*qk[key], *barrier])
+                        round_tasks.append(softmax[key])
+                    else:
+                        pv_tasks = [
+                            em.matmul_pv(block, tile, deps=[softmax[key], v_load, *barrier])
+                            for tile, v_load in enumerate(em.kv_loads(block, "V", deps=barrier))
+                        ]
+                        round_tasks += [*pv_tasks, em.store_o(block, deps=pv_tasks)]
+            barrier = [graph.add_barrier(f"tileflow.round{position}.barrier", deps=round_tasks)]
 
         return BuildResult(graph=graph, metadata={"fused": True, "synchronous_rounds": True})
-
-    # ------------------------------------------------------------------ #
-    # Internal emission helpers
-    # ------------------------------------------------------------------ #
-    def _kv_loads(self, graph, costs, state, block, which: str, barrier) -> list[Task]:
-        cache = state["k_loads"] if which == "K" else state["v_loads"]
-        if costs.tiling.kv_resident and block.head_group in cache:
-            return cache[block.head_group]
-        core = state["core"]
-        deps = [barrier] if barrier is not None else []
-        loads = [
-            graph.add(
-                f"tileflow.c{core}.load_{which}{tile}.{block.label()}",
-                TaskKind.LOAD,
-                dma_resource(),
-                costs.load_kv_tile(block, tile).cycles,
-                deps=deps,
-                tags={"core": core, "operand": which, "block": block.index},
-                **costs.load_kv_tile(block, tile).counters,
-            )
-            for tile in range(costs.num_kv_tiles)
-        ]
-        if costs.tiling.kv_resident:
-            cache[block.head_group] = loads
-        return loads
-
-    def _emit_round(self, graph, costs, state, stream_round, barrier) -> list[Task]:
-        """Emit all MAC and VEC ops of one synchronous round for one core."""
-        core = state["core"]
-        blocks = state["blocks"]
-        emitted: list[Task] = []
-        base_deps = [barrier] if barrier is not None else []
-
-        for op in stream_round.vec_ops + stream_round.mac_ops:
-            b = op.block - 1  # StreamOp block indices are 1-based
-            block = blocks[b]
-            if op.kind is OpKind.QK:
-                cost_q = costs.load_q(block)
-                q_load = graph.add(
-                    f"tileflow.c{core}.load_Q.{block.label()}",
-                    TaskKind.LOAD,
-                    dma_resource(),
-                    cost_q.cycles,
-                    deps=base_deps,
-                    tags={"core": core, "operand": "Q", "block": b},
-                    **cost_q.counters,
-                )
-                k_loads = self._kv_loads(graph, costs, state, block, "K", barrier)
-                qk_tasks = []
-                for tile, k_load in enumerate(k_loads):
-                    cost = costs.qk_tile(block, tile)
-                    qk_tasks.append(
-                        graph.add(
-                            f"tileflow.c{core}.QK{tile}.{block.label()}",
-                            TaskKind.MATMUL,
-                            mac_resource(core),
-                            cost.cycles,
-                            deps=[q_load, k_load] + base_deps,
-                            tags={"core": core, "op": "QK", "block": b, "tile": tile},
-                            **cost.counters,
-                        )
-                    )
-                state["qk"][b] = qk_tasks
-                emitted.extend(qk_tasks)
-            elif op.kind is OpKind.SOFTMAX:
-                cost = costs.softmax(block)
-                sm = graph.add(
-                    f"tileflow.c{core}.SM.{block.label()}",
-                    TaskKind.SOFTMAX,
-                    vec_resource(core),
-                    cost.cycles,
-                    deps=list(state["qk"][b]) + base_deps,
-                    tags={"core": core, "op": "SM", "block": b},
-                    **cost.counters,
-                )
-                state["softmax"][b] = sm
-                emitted.append(sm)
-            elif op.kind is OpKind.PV:
-                v_loads = self._kv_loads(graph, costs, state, block, "V", barrier)
-                pv_tasks = []
-                for tile, v_load in enumerate(v_loads):
-                    cost = costs.pv_tile(block, tile)
-                    pv_tasks.append(
-                        graph.add(
-                            f"tileflow.c{core}.PV{tile}.{block.label()}",
-                            TaskKind.MATMUL,
-                            mac_resource(core),
-                            cost.cycles,
-                            deps=[state["softmax"][b], v_load] + base_deps,
-                            tags={"core": core, "op": "PV", "block": b, "tile": tile},
-                            **cost.counters,
-                        )
-                    )
-                state["pv"][b] = pv_tasks
-                cost_o = costs.store_o(block)
-                store = graph.add(
-                    f"tileflow.c{core}.store_O.{block.label()}",
-                    TaskKind.STORE,
-                    dma_resource(),
-                    cost_o.cycles,
-                    deps=pv_tasks,
-                    tags={"core": core, "operand": "O", "block": b},
-                    **cost_o.counters,
-                )
-                emitted.extend(pv_tasks)
-                emitted.append(store)
-        return emitted

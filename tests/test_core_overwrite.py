@@ -45,8 +45,9 @@ class TestOverwritePlan:
         assert plan.num_events == 2
         assert plan.total_reload_bytes == 3000
         assert plan.total_redo_tiles == 2
-        assert plan.event_for_block(3).victim == "K"
-        assert plan.event_for_block(7) is None
+        by_block = {event.block_index: event for event in plan.events}
+        assert by_block[3].victim == "K"
+        assert 7 not in by_block
 
 
 class TestOverwritePlanner:

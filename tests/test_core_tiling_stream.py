@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import pytest
 
-from repro.core.stream import OpKind, RoundKind, StreamOp, StreamSchedule, plan_rounds
+from repro.core.costs import partition_blocks
+from repro.core.stream import OpKind, RoundKind, StreamOp, plan_rounds
 from repro.core.tiling import (
     TilingConfig,
     default_tiling,
@@ -13,6 +16,8 @@ from repro.core.tiling import (
     operand_tile_bytes,
     score_block_bytes,
 )
+from repro.schedulers import make_scheduler
+from repro.sim.tasks import mac_resource, vec_resource
 from repro.workloads.attention import AttentionWorkload
 
 
@@ -94,9 +99,9 @@ class TestFootprints:
 class TestStreamRounds:
     @pytest.mark.parametrize("num_blocks", [1, 2, 3, 4, 7, 16])
     def test_each_operator_appears_once_per_block(self, num_blocks):
-        schedule = StreamSchedule.for_blocks(num_blocks)
+        ops = [op for rnd in plan_rounds(num_blocks) for op in rnd.mac_ops + rnd.vec_ops]
         for kind in OpKind:
-            blocks = [op.block for op in schedule.ops_of_kind(kind)]
+            blocks = [op.block for op in ops if op.kind == kind]
             assert sorted(blocks) == list(range(1, num_blocks + 1))
 
     @pytest.mark.parametrize("num_blocks", [2, 3, 5, 9])
@@ -130,10 +135,12 @@ class TestStreamRounds:
         assert [str(op) for r in rounds for op in r.mac_ops + r.vec_ops] == ["QK1", "SM1", "PV1"]
 
     def test_parallel_rounds_and_streams(self):
-        schedule = StreamSchedule.for_blocks(5)
-        assert len(schedule.parallel_rounds()) >= 3
-        assert [str(op) for op in schedule.mac_stream()[:3]] == ["QK1", "QK2", "PV1"]
-        assert [str(op) for op in schedule.vec_stream()[:2]] == ["SM1", "SM2"]
+        rounds = plan_rounds(5)
+        assert len([r for r in rounds if r.mac_ops and r.vec_ops]) >= 3
+        mac_stream = [str(op) for r in rounds for op in r.mac_ops]
+        vec_stream = [str(op) for r in rounds for op in r.vec_ops]
+        assert mac_stream[:3] == ["QK1", "QK2", "PV1"]
+        assert vec_stream[:2] == ["SM1", "SM2"]
 
     def test_invalid_block_count(self):
         with pytest.raises(ValueError):
@@ -143,3 +150,53 @@ class TestStreamRounds:
         text = plan_rounds(3)[2].describe()
         assert "MAC" in text and "VEC" in text
         assert str(StreamOp(OpKind.QK, 4)) == "QK4"
+
+
+class TestGraphsFollowAlgorithm1:
+    """The MAS and TileFlow graphs issue each core's ops in plan_rounds' order."""
+
+    @pytest.mark.parametrize(
+        "name, heads, nq, l1",
+        [
+            # Two heads on two cores: 1, 2, 3 and 5 blocks per core.
+            *[(name, 2, nq, None) for name in ("mas", "tileflow") for nq in (40, 20, 14, 8)],
+            # Three heads: four blocks on core 0, two on core 1.
+            *[(name, 3, 20, None) for name in ("mas", "tileflow")],
+            # An overflowing L1: the MAS graph gains redo tiles on the MAC.
+            ("mas", 2, 8, 2816),
+        ],
+    )
+    def test_unit_streams_follow_plan_rounds(self, edge_hw, name, heads, nq, l1):
+        workload = AttentionWorkload.self_attention(heads=heads, seq=40, emb=16)
+        tiling = TilingConfig(nq=nq, nkv=16)
+        hardware = edge_hw if l1 is None else edge_hw.with_l1_bytes(l1)
+        graph = make_scheduler(name, hardware).build(workload, tiling).graph
+        if l1 is not None:
+            assert any(task.tags.get("redo") for task in graph)
+        num_kv_tiles = tiling.num_kv_tiles(workload)
+        for core, blocks in enumerate(partition_blocks(workload, tiling, hardware.num_cores)):
+            rounds = plan_rounds(len(blocks))
+            expected = {
+                "MAC": [
+                    (op.kind.value, op.block - 1)
+                    for rnd in rounds
+                    for op in rnd.mac_ops
+                    for _ in range(num_kv_tiles)
+                ],
+                "VEC": [(op.kind.value, op.block - 1) for rnd in rounds for op in rnd.vec_ops],
+            }
+            found = {
+                unit: [
+                    (task.tags["op"], task.tags["block"])
+                    for task in graph.tasks_on(resource(core))
+                    if not task.tags.get("redo")
+                ]
+                for unit, resource in (("MAC", mac_resource), ("VEC", vec_resource))
+            }
+            for unit in ("MAC", "VEC"):
+                pairs = zip_longest(expected[unit], found[unit])
+                for position, (want, got) in enumerate(pairs):
+                    assert want == got, (
+                        f"{name} core {core} {unit} position {position}: "
+                        f"expected {want}, found {got}"
+                    )

@@ -1,0 +1,174 @@
+"""Golden task graphs: every builder's output is pinned task for task.
+
+Each case builds one scheduler's graph for a small shape, tiling and L1 size
+and compares it with ``tests/graph_golden.json``:
+
+* the task count;
+* a SHA-256 over every task's (kind, resource, cycles, deps, counters) in
+  emission order — task names and tags are left out;
+* a SHA-256 over the simulated (start, finish) of every task.
+
+The grid covers every registered scheduler plus MAS with the overwrite
+strategy disabled, partial row-blocks and K/V tiles, a remainder head group,
+one block per core, uneven blocks across cores, an idle core and both
+``kv_resident`` settings.  Each case runs at the device's L1 and at an L1
+small enough for MAS to overflow, which exercises its overwrite events (K and
+V victims) and, with overwriting disabled, its serialized fallback.
+
+The JSON is the builders' contract.  A change meant to alter graphs
+regenerates it and says why::
+
+    PYTHONPATH=src python tests/test_graph_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from repro.core.tiling import TilingConfig, mas_non_evictable_bytes, operand_tile_bytes
+from repro.hardware.presets import simulated_edge_device
+from repro.schedulers import list_schedulers, make_scheduler
+from repro.sim.engine import simulate_graph
+from repro.workloads.attention import AttentionWorkload
+
+GOLDEN_PATH = Path(__file__).with_name("graph_golden.json")
+
+COUNTERS = (
+    "dram_bytes_read",
+    "dram_bytes_written",
+    "l1_bytes_read",
+    "l1_bytes_written",
+    "l0_bytes_read",
+    "l0_bytes_written",
+    "mac_ops",
+    "vec_ops",
+)
+
+#: Scheduler variants: every registered dataflow plus the overwrite ablation.
+VARIANTS: dict[str, tuple[str, dict[str, bool]]] = {
+    **{name: (name, {}) for name in list_schedulers()},
+    "mas-no-overwrite": ("mas", {"enable_overwrite": False}),
+}
+
+#: name -> (workload, two (bb, hh, nq, nkv) tilings); each tiling also runs
+#: with ``kv_resident`` both ways.
+SHAPES: dict[str, tuple[AttentionWorkload, tuple[tuple[int, int, int, int], ...]]] = {
+    # 3 problems: hh=2 leaves a remainder group; nq/nkv leave partial tiles;
+    # hh=1 puts two head groups on core 0 and one on core 1.
+    "ragged": (
+        AttentionWorkload(batch=1, heads=3, seq_q=80, seq_kv=80, emb=16),
+        ((1, 2, 32, 24), (1, 1, 8, 32)),
+    ),
+    # Cross-attention: one block per core, then every block on core 0.
+    "cross": (
+        AttentionWorkload(batch=2, heads=1, seq_q=40, seq_kv=72, emb=32),
+        ((1, 1, 40, 72), (2, 1, 16, 32)),
+    ),
+    # GQA folded to a dense shape: six blocks per core, then three on one core.
+    "gqa": (
+        AttentionWorkload.gqa(q_heads=4, kv_heads=2, seq=24, emb=16),
+        ((1, 1, 8, 8), (1, 2, 20, 16)),
+    ),
+    # Decode step (seq_q = 1): two blocks per core, then one.
+    "decode": (
+        AttentionWorkload(batch=1, heads=4, seq_q=1, seq_kv=64, emb=16),
+        ((1, 1, 1, 16), (1, 3, 1, 64)),
+    ),
+}
+
+
+def _tilings(factors: tuple[tuple[int, int, int, int], ...]) -> list[TilingConfig]:
+    return [
+        TilingConfig(bb=bb, hh=hh, nq=nq, nkv=nkv, kv_resident=resident)
+        for bb, hh, nq, nkv in factors
+        for resident in (False, True)
+    ]
+
+
+def _overflow_l1(workload: AttentionWorkload, tiling: TilingConfig) -> int:
+    """An L1 that holds MAS's non-evictable bytes plus half its resident K/V."""
+    tiling = tiling.clamp_to(workload)
+    tiles = operand_tile_bytes(workload, tiling)
+    kv = tiles["k_full"] + tiles["v_full"] if tiling.kv_resident else tiles["k"] + tiles["v"]
+    return int(mas_non_evictable_bytes(workload, tiling)) + int(kv) // 2
+
+
+def _tiling_id(tiling: TilingConfig) -> str:
+    resident = "res" if tiling.kv_resident else "stream"
+    return f"bb{tiling.bb}-hh{tiling.hh}-nq{tiling.nq}-nkv{tiling.nkv}-{resident}"
+
+
+def _cases() -> list[tuple[str, str, str, TilingConfig, int]]:
+    """(case id, variant, shape, tiling, l1 bytes) for the whole grid."""
+    device_l1 = simulated_edge_device().l1_bytes
+    cases = []
+    for shape, (workload, factors) in SHAPES.items():
+        for tiling in _tilings(factors):
+            for l1 in (device_l1, _overflow_l1(workload, tiling)):
+                for variant in VARIANTS:
+                    case_id = f"{variant}/{shape}/{_tiling_id(tiling)}/l1={l1}"
+                    cases.append((case_id, variant, shape, tiling, l1))
+    return cases
+
+
+CASES = _cases()
+
+
+def digest_case(variant: str, shape: str, tiling: TilingConfig, l1: int) -> dict[str, object]:
+    """Build and simulate one case; return its task count and two digests."""
+    name, options = VARIANTS[variant]
+    workload = SHAPES[shape][0]
+    scheduler = make_scheduler(name, simulated_edge_device().with_l1_bytes(l1), **options)
+    graph = scheduler.build(workload, tiling).graph
+    graph_sha = hashlib.sha256()
+    for task in graph:
+        row = [task.kind.value, task.resource, task.cycles, list(task.deps)]
+        row += [getattr(task, counter) for counter in COUNTERS]
+        graph_sha.update(json.dumps(row).encode())
+    schedule_sha = hashlib.sha256()
+    for record in simulate_graph(graph).records:
+        schedule_sha.update(f"{record.start},{record.finish};".encode())
+    return {
+        "tasks": len(graph),
+        "graph": graph_sha.hexdigest(),
+        "schedule": schedule_sha.hexdigest(),
+    }
+
+
+@lru_cache(maxsize=1)
+def _golden() -> dict[str, dict[str, object]]:
+    return json.loads(GOLDEN_PATH.read_text())["cases"]
+
+
+def test_golden_covers_the_grid():
+    assert sorted(_golden()) == sorted(case[0] for case in CASES)
+
+
+@pytest.mark.parametrize(
+    "case_id, variant, shape, tiling, l1", CASES, ids=[case[0] for case in CASES]
+)
+def test_graph_matches_golden(case_id, variant, shape, tiling, l1):
+    expected = _golden().get(case_id)
+    assert expected is not None, f"{case_id}: no golden entry; regenerate {GOLDEN_PATH.name}"
+    found = digest_case(variant, shape, tiling, l1)
+    for field in ("tasks", "graph", "schedule"):
+        assert found[field] == expected[field], (
+            f"{case_id}: {field} differs from the golden graph "
+            f"(expected {expected[field]}, found {found[field]})"
+        )
+
+
+def main() -> None:
+    """Regenerate the golden file from the builders in ``src``."""
+    cases = {case_id: digest_case(*rest) for case_id, *rest in CASES}
+    GOLDEN_PATH.write_text(json.dumps({"cases": cases}, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(cases)} cases to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()

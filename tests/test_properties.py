@@ -357,9 +357,6 @@ class TestAnalyticBoundProperties:
         assert not bounds.hard_infeasible[0]
         assert bounds.cycles[0] <= result.cycles
         assert bounds.energy_pj[0] <= result.energy_pj + 1e-6
-        if bounds.exact:
-            assert bounds.cycles[0] == result.cycles
-            assert bounds.energy_pj[0] == pytest.approx(result.energy_pj)
 
     @given(
         workloads(),

@@ -39,10 +39,10 @@ class TestRegistry:
             get_scheduler("flash-attention")
 
     def test_display_metadata(self):
-        assert LayerWiseScheduler.overlaps_compute is False
-        assert FLATScheduler.overlaps_compute is False
-        assert SoftPipeScheduler.overlaps_compute is True
-        assert MASAttentionScheduler.overlaps_compute is True
+        assert LayerWiseScheduler.analytic_serial_compute is True
+        assert FLATScheduler.analytic_serial_compute is True
+        assert SoftPipeScheduler.analytic_serial_compute is False
+        assert MASAttentionScheduler.analytic_serial_compute is False
         assert FuseMaxScheduler.searchable is False
         assert MASAttentionScheduler.searchable is True
 
