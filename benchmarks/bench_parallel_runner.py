@@ -21,9 +21,8 @@ must stay within 5% wall time with bit-identical results.
 
 Scale knobs: ``MAS_BENCH_BUDGET`` (search budget), ``MAS_BENCH_NETWORKS``
 (network subset; defaults to three Table-1 networks here so the four sweeps
-stay quick), ``MAS_BENCH_JOBS`` (worker processes for the parallel sweep),
-``MAS_BENCH_SEARCH_WORKERS`` and ``MAS_BENCH_INTRA_BUDGET`` (intra-pair
-scaling benchmark), ``MAS_BENCH_LOCK_THREADS`` (lock-contention clients).
+stay quick), ``MAS_BENCH_JOBS`` (worker processes for the parallel sweep) and
+``MAS_BENCH_SEARCH_WORKERS`` (intra-pair scaling benchmark).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import json
 import os
 import threading
 import time
-from pathlib import Path
 from typing import Any
 
 import pytest
@@ -63,31 +61,14 @@ PARALLEL_JOBS = _jobs if _jobs > 1 else min(4, os.cpu_count() or 1)
 #: "parallel" run serial (useful for isolating pool overhead).
 _search_workers = env.int_value("MAS_BENCH_SEARCH_WORKERS", 0)
 SEARCH_WORKERS = _search_workers if _search_workers >= 1 else min(4, os.cpu_count() or 1)
-INTRA_BUDGET = env.int_value("MAS_BENCH_INTRA_BUDGET")
-SEARCH_THROUGHPUT_BUDGET = env.int_value("MAS_BENCH_SEARCH_BUDGET")
-LOCK_THREADS = env.int_value("MAS_BENCH_LOCK_THREADS")
+#: Search budget of the intra-pair scaling benchmark.
+INTRA_BUDGET = 300
+#: GA budget per pair of the candidate-throughput benchmark.
+SEARCH_THROUGHPUT_BUDGET = 120
+#: Concurrent client threads of the lock-contention benchmark.
+LOCK_THREADS = 4
 #: The dataflows whose tiling space the tuner actually searches.
 SEARCH_METHODS = [name for name, cls in ALL_SCHEDULERS.items() if cls.searchable]
-#: Perf records (one top-level key per benchmark) — the trajectories future
-#: PRs regress the candidate-evaluation and service-locking paths against.
-BENCH_SEARCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_search.json"
-
-
-def _merge_bench_record(name: str, record: dict) -> None:
-    """Merge one named record into ``BENCH_search.json``, preserving the rest.
-
-    The file began life as a single flat search-throughput record; that
-    legacy shape is re-nested under ``"search_throughput"`` on first contact
-    so every benchmark owns exactly one top-level key and reruns of one
-    benchmark never clobber another's trajectory.
-    """
-    merged: dict[str, Any] = {}
-    if BENCH_SEARCH_JSON.exists():
-        existing = json.loads(BENCH_SEARCH_JSON.read_text())
-        if isinstance(existing, dict):
-            merged = {"search_throughput": existing} if "benchmark" in existing else existing
-    merged[name] = record
-    BENCH_SEARCH_JSON.write_text(json.dumps(merged, indent=2) + "\n")
 
 
 def _fingerprint(matrix: dict[str, dict[str, MethodRun]]) -> dict[tuple[str, str], tuple]:
@@ -202,28 +183,11 @@ def test_tracing_overhead(benchmark, tmp_path_factory):
     result = benchmark.pedantic(lambda: sweep(False)[1], rounds=1, iterations=1)
     assert _fingerprint(result) == _fingerprint(matrices[False])
 
-    # The gate the assert below actually applies is relative ratio PLUS the
-    # absolute noise floor; record all of it explicitly so the stored JSON
-    # is self-explanatory (overhead_ratio may exceed gate_ratio and still
-    # pass — the floor absorbs the difference on short sweeps).
+    # The gate the assert below applies is the relative ratio PLUS the
+    # absolute noise floor (overhead_ratio may exceed the ratio and still
+    # pass: the floor absorbs the difference on short sweeps).
     gate_s = t_plain * TRACE_OVERHEAD_RATIO + TRACE_NOISE_FLOOR_S
     effective_gate_ratio = gate_s / max(t_plain, 1e-9)
-    passed = t_traced <= gate_s
-    record = {
-        "benchmark": "tracing-overhead",
-        "budget": SEARCH_BUDGET,
-        "networks": networks,
-        "buffer_spans": 64,
-        "untraced_s": round(t_plain, 3),
-        "traced_s": round(t_traced, 3),
-        "overhead_ratio": round(overhead, 4),
-        "gate_ratio": TRACE_OVERHEAD_RATIO,
-        "noise_floor_s": TRACE_NOISE_FLOOR_S,
-        "gate_s": round(gate_s, 3),
-        "effective_gate_ratio": round(effective_gate_ratio, 4),
-        "passed": passed,
-    }
-    _merge_bench_record("tracing_overhead", record)
 
     print()
     print(f"matrix: {len(networks)} network x 6 methods, budget {SEARCH_BUDGET}")
@@ -233,9 +197,15 @@ def test_tracing_overhead(benchmark, tmp_path_factory):
         f"gate              : {gate_s:8.2f} s  (x{TRACE_OVERHEAD_RATIO} + "
         f"{TRACE_NOISE_FLOOR_S}s floor = x{effective_gate_ratio:.3f} effective)"
     )
-    benchmark.extra_info.update(record)
+    benchmark.extra_info.update(
+        untraced_s=round(t_plain, 3),
+        traced_s=round(t_traced, 3),
+        overhead_ratio=round(overhead, 4),
+        gate_s=round(gate_s, 3),
+        effective_gate_ratio=round(effective_gate_ratio, 4),
+    )
 
-    assert passed, (
+    assert t_traced <= gate_s, (
         f"traced sweep {t_traced:.2f}s exceeds the gate {gate_s:.2f}s "
         f"({TRACE_OVERHEAD_RATIO:.0%} of untraced {t_plain:.2f}s "
         f"+ {TRACE_NOISE_FLOOR_S}s floor)"
@@ -413,9 +383,7 @@ def test_search_throughput_analytic(benchmark):
     is then measured on the hot path itself: the same distinct candidates
     each sweep evaluated are pushed through the serial oracle (graph build +
     simulation per candidate) and through the vectorized ``analytic_bounds``
-    batch pass, and the two candidates/sec rates are compared.  Everything
-    lands in ``BENCH_search.json`` so future PRs have a trajectory to regress
-    against.
+    batch pass, and the two candidates/sec rates are compared.
     """
     legacy = _ga_sweep(serial=True)
     analytic = _ga_sweep()
@@ -474,40 +442,6 @@ def test_search_throughput_analytic(benchmark):
 
     benchmark.pedantic(analytic_pass, rounds=1, iterations=1)
 
-    record = {
-        "benchmark": "search-throughput",
-        "strategy": "ga",
-        "budget": SEARCH_THROUGHPUT_BUDGET,
-        "seed": 0,
-        "networks": BENCH_NETWORKS,
-        "methods": SEARCH_METHODS,
-        "sweep": {
-            mode: {
-                "elapsed_s": round(data["elapsed_s"], 3),
-                "candidates": data["candidates"],
-                "candidates_per_s": round(data["candidates_per_s"], 1),
-                "num_simulated": data["num_simulated"],
-                "num_infeasible": data["num_infeasible"],
-                "num_pruned": data["num_pruned"],
-            }
-            for mode, data in (("legacy", legacy), ("analytic", analytic), ("prune", pruned))
-        },
-        "prune_speedup_vs_legacy": round(
-            pruned["candidates_per_s"] / legacy["candidates_per_s"], 2
-        ),
-        "prune_worst_best_ratio": round(worst_ratio, 6),
-        "hot_path": {
-            "candidates": hot_candidates,
-            "serial_s": round(t_serial, 3),
-            "analytic_s": round(t_analytic, 6),
-            "serial_candidates_per_s": round(serial_rate, 1),
-            "analytic_candidates_per_s": round(analytic_rate, 1),
-            "speedup": round(hot_speedup, 1),
-        },
-        "identical_best_analytic_vs_legacy": True,
-    }
-    _merge_bench_record("search_throughput", record)
-
     print()
     print(
         f"sweep: {len(SEARCH_METHODS)} methods x {len(BENCH_NETWORKS)} networks, "
@@ -522,9 +456,10 @@ def test_search_throughput_analytic(benchmark):
         f"hot path : serial {serial_rate:.1f} cand/s vs analytic {analytic_rate:.1f} cand/s "
         f"-> {hot_speedup:.0f}x"
     )
-    benchmark.extra_info.update(record["sweep"])
-    benchmark.extra_info["hot_path"] = record["hot_path"]
-    benchmark.extra_info["prune_speedup_vs_legacy"] = record["prune_speedup_vs_legacy"]
+    for mode, data in (("legacy", legacy), ("analytic", analytic), ("prune", pruned)):
+        benchmark.extra_info[f"{mode}_candidates_per_s"] = round(data["candidates_per_s"], 1)
+    benchmark.extra_info["hot_path_speedup"] = round(hot_speedup, 1)
+    benchmark.extra_info["prune_worst_best_ratio"] = round(worst_ratio, 6)
 
 
 class _SlowMemoryStore(ResultStore):
@@ -641,21 +576,14 @@ def test_service_lock_concurrency(benchmark):
 
     benchmark.pedantic(lambda: _lock_throughput(stripes=64), rounds=1, iterations=1)
 
-    record = {
-        "benchmark": "service-lock-concurrency",
-        "threads": LOCK_THREADS,
-        "ops_per_thread": LOCK_OPS_PER_THREAD,
-        "read_delay_ms": _LOCK_READ_DELAY_S * 1e3,
-        "global_lock_ops_per_s": round(global_rate, 1),
-        "striped_ops_per_s": round(striped_rate, 1),
-        "speedup": round(speedup, 2),
-    }
-    _merge_bench_record("service_lock", record)
-
     print()
     print(f"clients: {LOCK_THREADS} threads x {LOCK_OPS_PER_THREAD} lookups, distinct keys")
     print(f"global lock (stripes=1) : {global_rate:8.1f} lookups/s")
     print(f"striped (stripes=64)    : {striped_rate:8.1f} lookups/s  ({speedup:.1f}x)")
 
-    benchmark.extra_info.update(record)
+    benchmark.extra_info.update(
+        global_lock_ops_per_s=round(global_rate, 1),
+        striped_ops_per_s=round(striped_rate, 1),
+        speedup=round(speedup, 2),
+    )
     assert speedup >= 2.0, f"striped-lock speedup {speedup:.2f}x < 2x over global lock"

@@ -34,12 +34,10 @@ _networks_env = env.value("MAS_BENCH_NETWORKS") or ""
 NETWORKS = [n.strip() for n in _networks_env.split(",") if n.strip()] or None
 
 #: Worker processes for the tuning+simulation matrix (1 = serial) and the
-#: persistent tuning-result cache shared across benchmark sessions.  With
-#: ``MAS_BENCH_CACHE_DIR`` (a directory) or ``MAS_BENCH_CACHE_URI`` (a
-#: result-store URI such as ``http://127.0.0.1:8787``; wins over the
-#: directory) set, a second run of the suite skips every search.
+#: persistent tuning-result store shared across benchmark sessions.  With
+#: ``MAS_BENCH_CACHE_URI`` set (a directory, ``dir:/path`` or
+#: ``http://127.0.0.1:8787``), a second run of the suite skips every search.
 JOBS = env.int_value("MAS_BENCH_JOBS")
-CACHE_DIR = env.value("MAS_BENCH_CACHE_DIR")
 CACHE_URI = env.value("MAS_BENCH_CACHE_URI")
 
 #: Candidate-evaluation workers inside each pair's tiling search.  Defaults
@@ -64,7 +62,6 @@ def edge_runner() -> ExperimentRunner:
         search_budget=SEARCH_BUDGET,
         seed=0,
         jobs=JOBS,
-        cache_dir=CACHE_DIR,
         cache_uri=CACHE_URI,
         search_workers=SEARCH_WORKERS,
         suite=SUITE,
@@ -80,7 +77,6 @@ def npu_runner() -> ExperimentRunner:
         search_budget=SEARCH_BUDGET,
         seed=0,
         jobs=JOBS,
-        cache_dir=CACHE_DIR,
         cache_uri=CACHE_URI,
         search_workers=SEARCH_WORKERS,
         suite=SUITE,

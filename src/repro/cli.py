@@ -32,6 +32,7 @@ Examples
    $ mas-attention obs summarize trace.jsonl                 # where time went
    $ mas-attention obs convert trace.jsonl                   # -> Perfetto JSON
    $ mas-attention obs metrics http://cachehost:8787         # service latency
+   $ mas-attention obs bench ../parent                       # perf gate vs parent
 """
 
 from __future__ import annotations
@@ -263,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="observability toolchain: span traces ($MAS_TRACE) and service metrics",
+        help="observability toolchain: span traces ($MAS_TRACE), service metrics "
+        "and the perf gate",
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
@@ -326,45 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     op = obs_sub.add_parser(
         "bench",
-        help="perf trajectory: record benchmark snapshots into a history "
-        "file and gate on regressions against the rolling baseline",
+        help="perf gate: run perfbench on PARENT_DIR's src and on this checkout "
+        "in alternating pairs per BENCHMARK.json workload; exit 1 when an "
+        "end-to-end metric is worse than its bound or a run fails",
     )
-    bench_sub = op.add_subparsers(dest="bench_command", required=True)
-    for bench_name, bench_help in (
-        ("record", "append every named record of a BENCH json to the history"),
-        ("compare", "diff the newest run against the rolling baseline"),
-        ("check", "like compare, but exit 1 when any gated metric regressed"),
-    ):
-        bp = bench_sub.add_parser(bench_name, help=bench_help)
-        bp.add_argument(
-            "--history",
-            default="BENCH_history.jsonl",
-            help="history file (one JSON line per benchmark per run)",
-        )
-        if bench_name == "record":
-            bp.add_argument(
-                "--bench",
-                default="BENCH_search.json",
-                help="benchmark snapshot file to record",
-            )
-            bp.add_argument(
-                "--run-id",
-                default=None,
-                help="run label (default: UTC timestamp)",
-            )
-            bp.add_argument("--note", default=None, help="free-form annotation")
-        else:
-            bp.add_argument(
-                "--window",
-                type=int,
-                default=5,
-                help="prior runs averaged into the rolling baseline",
-            )
-            bp.add_argument(
-                "--rules",
-                default=None,
-                help="JSON rules file overriding the built-in regression gates",
-            )
+    op.add_argument(
+        "parent",
+        metavar="PARENT_DIR",
+        help="checkout of the parent commit (e.g. a git worktree of HEAD^)",
+    )
 
     p = sub.add_parser(
         "lint",
@@ -532,7 +504,7 @@ def _run_cache_store_command(args: argparse.Namespace, store) -> int:
 
 
 def _run_obs_command(args: argparse.Namespace) -> int:
-    """The ``mas-attention obs`` group: traces, metrics, profiles, trajectory."""
+    """The ``mas-attention obs`` group: traces, metrics, profiles, perf gate."""
     from repro.obs.export import read_trace, write_chrome
     from repro.obs.schema import validate_trace_file
     from repro.obs.summary import summarize_trace
@@ -604,46 +576,13 @@ def _run_obs_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.obs_command == "bench":
-        return _run_obs_bench(args)
+        from repro.obs.bench import run_gate
+
+        return run_gate(".", args.parent)
 
     raise AssertionError(  # pragma: no cover - argparse enforces the choices
         f"unhandled obs command {args.obs_command!r}"
     )
-
-
-def _run_obs_bench(args: argparse.Namespace) -> int:
-    """``obs bench record|compare|check``: the perf-trajectory gate."""
-    from repro.obs.bench import (
-        DEFAULT_RULES,
-        compare,
-        load_history,
-        load_rules,
-        record_runs,
-    )
-
-    if args.bench_command == "record":
-        try:
-            entries = record_runs(
-                args.bench, args.history, run_id=args.run_id, note=args.note
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
-        names = ", ".join(entry["name"] for entry in entries)
-        print(
-            f"recorded {len(entries)} benchmark(s) ({names}) as run "
-            f"{entries[0]['run']} in {args.history}"
-        )
-        return 0
-
-    entries = load_history(args.history)
-    if not entries:
-        raise SystemExit(f"{args.history}: no benchmark history recorded yet")
-    rules = load_rules(args.rules) if args.rules else DEFAULT_RULES
-    report = compare(entries, window=max(args.window, 1), rules=rules)
-    print(report.format())
-    if args.bench_command == "check" and not report.ok:
-        return 1
-    return 0
 
 
 def _print_service_metrics(title: str, document: dict) -> None:

@@ -1,4 +1,4 @@
-"""Unified observability layer: span tracing, metrics, perf trajectory.
+"""Unified observability layer: span tracing, metrics, perf gate.
 
 The pieces, one import point:
 
@@ -11,8 +11,9 @@ The pieces, one import point:
   result cache;
 * :mod:`repro.obs.prom` / :mod:`repro.obs.export` — Prometheus text
   exposition rendering and Chrome trace-event conversion;
-* :mod:`repro.obs.bench` — the perf-trajectory history and regression
-  gate behind ``mas-attention obs bench record|compare|check``;
+* :mod:`repro.obs.bench` — the perf gate behind ``mas-attention obs bench
+  PARENT_DIR``: the sweep benchmark on the parent commit against this
+  checkout, failing on a regression beyond ``BENCHMARK.json``'s bounds;
 * :mod:`repro.obs.profile` — hotspot aggregation of persisted span
   profiles behind ``mas-attention obs profile``.
 

@@ -1,300 +1,217 @@
-"""Perf trajectory: benchmark history, rolling baselines, regression gate.
+"""The perf gate: perfbench on the parent commit against this checkout.
 
-``BENCH_search.json`` holds the *latest* result of every named benchmark in
-``benchmarks/bench_parallel_runner.py`` — one snapshot, no memory.  This
-module gives the numbers a time axis:
+``mas-attention obs bench PARENT_DIR``, run from the root of a checkout,
+runs ``perfbench/run.py --trace 0`` on ``PARENT_DIR/src`` and on this
+checkout's ``src`` in :data:`PAIRS` pairs per ``BENCHMARK.json`` workload,
+alternating which side runs first.  Pair *i* runs ``--seed i`` on both sides
+for ``run_seconds``, and both sides run this checkout's ``perfbench/``, so
+only the program differs.
 
-* :func:`record_runs` appends each named benchmark record as a timestamped
-  run in ``BENCH_history.jsonl`` (one JSON line per benchmark per run, with
-  every numeric leaf flattened to a dotted metric name);
-* :func:`compare` diffs the newest run of each benchmark against a rolling
-  baseline (the mean of up to ``window`` prior runs) and applies
-  direction-aware regression rules — ``candidates_per_s`` dropping more
-  than 20% is a regression, ``overhead_ratio`` *rising* is;
-* ``mas-attention obs bench record|compare|check`` drives it from CI, with
-  ``check`` exiting non-zero on any regression so the trajectory is a real
-  gate instead of a one-shot assert.
+The gate takes each side's median of every ``end_to_end`` metric and fails
+(exit 1) when
 
-Rules are ``fnmatch`` patterns over ``benchmark.metric.path`` dotted names,
-so a JSON rules file can tighten or relax individual metrics without code
-changes.
+* a metric is worse than the parent's by more than its ``bound``, in its
+  ``better`` direction;
+* a run of this checkout reports ``correct: false``;
+* this checkout's failed/attempted share of pairs is higher than the parent's;
+* a run crashes or prints no final JSON line, or a workload or a metric is
+  missing on one side.
+
+It prints both medians, the parent's interquartile range and every pair's two
+``result_digest`` values.  Three pairs screen for regressions; they are too
+few to claim a gain.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
 import time
 from dataclasses import dataclass
-from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any
 
-__all__ = [
-    "DEFAULT_RULES",
-    "DEFAULT_WINDOW",
-    "MetricDelta",
-    "Rule",
-    "TrajectoryReport",
-    "compare",
-    "flatten_metrics",
-    "load_history",
-    "load_rules",
-    "record_runs",
-]
+__all__ = ["PAIRS", "GateReport", "Run", "judge", "parse_run", "run_gate"]
 
-#: Prior runs averaged into the rolling baseline.
-DEFAULT_WINDOW = 5
+#: (parent, change) pairs per workload.
+PAIRS = 3
 
-
-def flatten_metrics(record: Any, prefix: str = "") -> dict[str, float]:
-    """Every numeric leaf of ``record`` as ``{"dotted.path": value}``.
-
-    Booleans become 1.0/0.0 (so ``passed``/``identical_*`` flags are
-    trackable); strings and lists are skipped — they are identity, not
-    measurement.
-    """
-    flat: dict[str, float] = {}
-    if isinstance(record, dict):
-        for key, value in record.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            flat.update(flatten_metrics(value, path))
-    elif isinstance(record, bool):
-        if prefix:
-            flat[prefix] = 1.0 if record else 0.0
-    elif isinstance(record, (int, float)):
-        if prefix:
-            flat[prefix] = float(record)
-    return flat
+_SIDES = ("parent", "change")
 
 
 @dataclass(frozen=True)
-class Rule:
-    """One regression rule: which metrics, which direction is good, how much slack."""
+class Run:
+    """One perfbench run: its final JSON line and result digest, or why it has none."""
 
-    pattern: str  # fnmatch over "benchmark.metric.path"
-    direction: str  # "higher" (bigger is better) or "lower"
-    tolerance: float  # relative slack before a delta counts as a regression
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("higher", "lower"):
-            raise ValueError(
-                f"rule {self.pattern!r}: direction must be 'higher' or 'lower', "
-                f"got {self.direction!r}"
-            )
-        if not 0 <= self.tolerance < 10:
-            raise ValueError(f"rule {self.pattern!r}: tolerance {self.tolerance} out of range")
-
-    def matches(self, dotted: str) -> bool:
-        return fnmatchcase(dotted, self.pattern)
-
-    def regressed(self, current: float, baseline: float) -> bool:
-        if self.direction == "higher":
-            return current < baseline * (1.0 - self.tolerance)
-        return current > baseline * (1.0 + self.tolerance)
+    final: dict[str, Any] | None
+    digest: str = "?"
+    error: str | None = None
 
 
-#: The stock gate.  Throughput-style metrics may not drop more than 20%,
-#: speedups may not lose more than 25%, and the tracing overhead ratio may
-#: not climb more than 10% over its rolling baseline.
-DEFAULT_RULES: tuple[Rule, ...] = (
-    Rule("*.candidates_per_s", "higher", 0.20),
-    Rule("*ops_per_s", "higher", 0.20),
-    Rule("*.speedup*", "higher", 0.25),
-    Rule("*.prune_speedup_vs_legacy", "higher", 0.25),
-    Rule("tracing_overhead.overhead_ratio", "lower", 0.10),
-)
-
-
-def load_rules(path: str | Path) -> tuple[Rule, ...]:
-    """Rules from a JSON file: ``[{"pattern", "direction", "tolerance"}, ...]``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, list):
-        raise ValueError(f"rules file {path} must hold a JSON list of rule objects")
-    rules = []
-    for entry in doc:
-        if not isinstance(entry, dict) or "pattern" not in entry:
-            raise ValueError(f"rules file {path}: each rule needs at least a 'pattern'")
-        rules.append(
-            Rule(
-                pattern=str(entry["pattern"]),
-                direction=str(entry.get("direction", "higher")),
-                tolerance=float(entry.get("tolerance", 0.20)),
-            )
-        )
-    return tuple(rules)
-
-
-# ---------------------------------------------------------------------- #
-# History file
-# ---------------------------------------------------------------------- #
-def record_runs(
-    bench_path: str | Path,
-    history_path: str | Path,
-    *,
-    run_id: str | None = None,
-    ts: float | None = None,
-    note: str | None = None,
-) -> list[dict[str, Any]]:
-    """Append every named benchmark in ``bench_path`` to the history file.
-
-    Returns the appended entries.  ``ts`` defaults to the wall clock (this
-    is observability code — the determinism rules don't apply to history
-    timestamps) and ``run_id`` to the timestamp rendered as an ISO instant.
-    Raises :class:`ValueError`, leaving the history untouched, when no
-    record has a numeric leaf to track.
-    """
-    doc = json.loads(Path(bench_path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or not doc:
-        raise ValueError(f"benchmark file {bench_path} holds no named records")
-    if ts is None:
-        ts = time.time()
-    if run_id is None:
-        run_id = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts))
-    entries = []
-    for name, record in doc.items():
-        metrics = flatten_metrics(record)
-        if not metrics:
-            continue
-        entry: dict[str, Any] = {
-            "ts": round(float(ts), 3),
-            "run": run_id,
-            "name": name,
-            "metrics": metrics,
-        }
-        if note:
-            entry["note"] = note
-        entries.append(entry)
-    if not entries:
-        raise ValueError(f"benchmark file {bench_path} holds no numeric metrics to record")
-    history = Path(history_path)
-    history.parent.mkdir(parents=True, exist_ok=True)
-    with history.open("a", encoding="utf-8") as handle:
-        for entry in entries:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return entries
-
-
-def load_history(history_path: str | Path) -> list[dict[str, Any]]:
-    """All well-formed history entries, in file (= chronological) order."""
-    path = Path(history_path)
-    if not path.exists():
-        return []
-    entries = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            continue  # torn line from a crashed append: skip
-        if isinstance(entry, dict) and "name" in entry and isinstance(entry.get("metrics"), dict):
-            entries.append(entry)
-    return entries
-
-
-# ---------------------------------------------------------------------- #
-# Comparison
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class MetricDelta:
-    """One gated metric's newest value against its rolling baseline."""
-
-    benchmark: str
-    metric: str
-    current: float
-    baseline: float
-    samples: int  # prior runs behind the baseline
-    rule: Rule
-    regressed: bool
-
-    @property
-    def delta_pct(self) -> float:
-        if self.baseline == 0:
-            return 0.0
-        return (self.current - self.baseline) / self.baseline * 100.0
+def parse_run(stdout: str, returncode: int = 0, stderr: str = "") -> Run:
+    """The :class:`Run` behind one perfbench process's output."""
+    digest = "?"
+    for line in stdout.splitlines():
+        if line.startswith("result_digest:"):
+            digest = line.partition(":")[2].strip()
+    if returncode != 0:
+        tail = stderr.strip().splitlines()[-1:]
+        return Run(None, digest, f"exit status {returncode}" + "".join(f": {t}" for t in tail))
+    lines = stdout.strip().splitlines()
+    try:
+        final = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        final = None
+    if not isinstance(final, dict) or not isinstance(final.get("metrics"), dict):
+        return Run(None, digest, "printed no final JSON line")
+    return Run(final, digest)
 
 
 @dataclass(frozen=True)
-class TrajectoryReport:
-    """Every gated delta of the newest run, plus benchmarks without history."""
+class GateReport:
+    """The gate's table and every reason it fails (none: it passes)."""
 
-    deltas: tuple[MetricDelta, ...]
-    fresh: tuple[str, ...]  # benchmarks whose newest run has no prior baseline
-
-    @property
-    def regressions(self) -> tuple[MetricDelta, ...]:
-        return tuple(delta for delta in self.deltas if delta.regressed)
+    lines: tuple[str, ...]
+    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.failures
 
     def format(self) -> str:
-        lines = []
-        for delta in self.deltas:
-            marker = "REGRESSION" if delta.regressed else "ok"
-            lines.append(
-                f"  [{marker:>10}] {delta.benchmark}.{delta.metric}: "
-                f"{delta.current:g} vs baseline {delta.baseline:g} "
-                f"({delta.delta_pct:+.1f}%, {delta.rule.direction}-is-better, "
-                f"tol {delta.rule.tolerance:.0%}, n={delta.samples})"
-            )
-        for name in self.fresh:
-            lines.append(f"  [     fresh] {name}: first recorded run, no baseline yet")
-        if not lines:
-            lines.append("  (no gated metrics in history)")
-        verdict = "PASS" if self.ok else f"FAIL ({len(self.regressions)} regression(s))"
-        return "perf trajectory: " + verdict + "\n" + "\n".join(lines)
+        verdict = "PASS" if self.ok else f"FAIL ({len(self.failures)} problem(s))"
+        return "\n".join(
+            [*self.lines, f"perf gate: {verdict}", *(f"  {f}" for f in self.failures)]
+        )
 
 
-def compare(
-    entries: list[dict[str, Any]],
-    *,
-    window: int = DEFAULT_WINDOW,
-    rules: tuple[Rule, ...] = DEFAULT_RULES,
-) -> TrajectoryReport:
-    """Newest run of each benchmark vs the mean of up to ``window`` priors.
+def _failed_share(runs: list[Run]) -> float:
+    attempted = sum(run.final.get("attempted", 0) for run in runs)
+    return sum(run.final.get("failed", 0) for run in runs) / max(attempted, 1)
 
-    Only metrics matched by a rule are gated; a metric missing from the
-    prior runs (or a benchmark seen for the first time) is reported as
-    fresh rather than failed, so adding a benchmark never breaks the gate.
-    """
-    if window < 1:
-        raise ValueError(f"baseline window must be >= 1, got {window}")
-    by_name: dict[str, list[dict[str, Any]]] = {}
-    for entry in entries:
-        by_name.setdefault(str(entry["name"]), []).append(entry)
-    deltas: list[MetricDelta] = []
-    fresh: list[str] = []
-    for name, runs in by_name.items():
-        latest = runs[-1]
-        priors = runs[:-1][-window:]
-        if not priors:
-            fresh.append(name)
+
+def judge(
+    end_to_end: list[dict[str, Any]],
+    parent: dict[str, list[Run]],
+    change: dict[str, list[Run]],
+) -> GateReport:
+    """The verdict on each side's runs per workload, by ``BENCHMARK.json``'s rules."""
+    lines: list[str] = []
+    failures: list[str] = []
+    for workload in dict.fromkeys([*parent, *change]):
+        if workload not in parent or workload not in change:
+            missing = "parent" if workload not in parent else "this checkout"
+            failures.append(f"{workload}: no runs on the {missing} side")
             continue
-        for metric, current in sorted(latest["metrics"].items()):
-            dotted = f"{name}.{metric}"
-            rule = next((rule for rule in rules if rule.matches(dotted)), None)
-            if rule is None:
-                continue
-            samples = [
-                float(prior["metrics"][metric])
-                for prior in priors
-                if isinstance(prior["metrics"].get(metric), (int, float))
-            ]
-            if not samples:
-                continue
-            baseline = sum(samples) / len(samples)
-            deltas.append(
-                MetricDelta(
-                    benchmark=name,
-                    metric=metric,
-                    current=float(current),
-                    baseline=baseline,
-                    samples=len(samples),
-                    rule=rule,
-                    regressed=rule.regressed(float(current), baseline),
-                )
+        sides = {"parent": parent[workload], "change": change[workload]}
+        lines.append(f"{workload}: " + " / ".join(f"{len(r)} {s} runs" for s, r in sides.items()))
+        for side, runs in sides.items():
+            for i, run in enumerate(runs):
+                if run.error:
+                    failures.append(f"{workload} {side} run {i}: {run.error}")
+        for i, run in enumerate(sides["change"]):
+            if run.final is not None and run.final.get("correct") is not True:
+                failures.append(f"{workload} change run {i}: reports correct: false")
+        good = {side: [run for run in runs if run.final] for side, runs in sides.items()}
+        if not good["parent"] or not good["change"]:
+            failures.append(f"{workload}: no complete run on one side, nothing to compare")
+            continue
+        shares = {side: _failed_share(runs) for side, runs in good.items()}
+        if shares["change"] > shares["parent"]:
+            failures.append(
+                f"{workload}: failed share of pairs {shares['change']:.1%} "
+                f"vs parent {shares['parent']:.1%}"
             )
-    return TrajectoryReport(deltas=tuple(deltas), fresh=tuple(sorted(fresh)))
+        lines.append(
+            f"  {'metric':<20} {'parent':>12} {'change':>12} {'delta':>8} "
+            f"{'parent IQR':>11} {'bound':>6}"
+        )
+        for metric in end_to_end:
+            name, unit, bound = metric["name"], metric["unit"], float(metric["bound"])
+            values = {
+                side: [run.final["metrics"].get(name, {}).get("value") for run in runs]
+                for side, runs in good.items()
+            }
+            if any(value is None for side in _SIDES for value in values[side]):
+                failures.append(f"{workload} {name}: missing from a run's metrics")
+                continue
+            before = statistics.median(values["parent"])
+            after = statistics.median(values["change"])
+            q1, _, q3 = (
+                statistics.quantiles(values["parent"], n=4, method="inclusive")
+                if len(values["parent"]) > 1
+                else (before, before, before)
+            )
+            if metric["better"] == "higher":
+                worse = after < before * (1.0 - bound)
+            else:
+                worse = after > before * (1.0 + bound)
+            delta = (after - before) / before if before else 0.0
+            lines.append(
+                f"  {name:<20} {before:>12.6g} {after:>12.6g} {delta:>+8.1%} "
+                f"{q3 - q1:>11.3g} {bound:>6.0%}  {unit}" + ("  WORSE" if worse else "")
+            )
+            if worse:
+                failures.append(
+                    f"{workload} {name}: {after:.6g} {unit} vs parent {before:.6g} {unit} "
+                    f"({delta:+.1%}; {metric['better']} is better, bound {bound:.0%})"
+                )
+        for i, (p, c) in enumerate(zip(sides["parent"], sides["change"])):
+            differ = "" if p.digest == c.digest else "  (differ)"
+            lines.append(f"  pair {i} result_digest: parent {p.digest}  change {c.digest}{differ}")
+    return GateReport(tuple(lines), tuple(failures))
+
+
+def _stage(root: Path, perfbench: Path, src: Path) -> Path:
+    """A checkout of ``src`` with a copy of ``perfbench`` beside it."""
+    ignore = shutil.ignore_patterns("__pycache__", ".perfbench_work")
+    shutil.copytree(perfbench, root / "perfbench", ignore=ignore)
+    shutil.copytree(src, root / "src", ignore=ignore)
+    return root
+
+
+def _perfbench(root: Path, workload: str, seed: int, seconds: float) -> Run:
+    command = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload]
+    command += ["--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True, check=False)
+    return parse_run(done.stdout, done.returncode, done.stderr)
+
+
+def run_gate(checkout: str | Path, parent: str | Path) -> int:
+    """Run the gate from ``checkout`` against ``parent``; 0 passes, 1 fails."""
+    checkout, parent = Path(checkout).resolve(), Path(parent).resolve()
+    if not (parent / "src" / "repro").is_dir():
+        raise SystemExit(f"{parent}: no src/repro there to measure as the parent")
+    spec_path = checkout / "BENCHMARK.json"
+    if not spec_path.is_file() or not (checkout / "perfbench" / "run.py").is_file():
+        raise SystemExit(
+            f"{checkout}: run obs bench from the root of a checkout "
+            "(it needs BENCHMARK.json and perfbench/run.py)"
+        )
+    spec = json.loads(spec_path.read_text(encoding="utf-8"))
+    runs: dict[str, dict[str, list[Run]]] = {side: {} for side in _SIDES}
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mas-perf-gate-") as tmp:
+        roots = {
+            side: _stage(Path(tmp) / side, checkout / "perfbench", base / "src")
+            for side, base in zip(_SIDES, (parent, checkout))
+        }
+        for workload in (entry["name"] for entry in spec["workloads"]):
+            for seed in range(PAIRS):
+                for side in _SIDES if seed % 2 == 0 else _SIDES[::-1]:
+                    began = time.perf_counter()
+                    run = _perfbench(roots[side], workload, seed, spec["run_seconds"])
+                    runs[side].setdefault(workload, []).append(run)
+                    print(
+                        f"{workload} seed {seed} {side:<6} {time.perf_counter() - began:6.1f} s"
+                        + (f"  {run.error}" if run.error else ""),
+                        flush=True,
+                    )
+    report = judge(spec["end_to_end"], runs["parent"], runs["change"])
+    print(report.format())
+    print(f"perf gate wall time: {time.perf_counter() - start:.0f} s")
+    return 0 if report.ok else 1

@@ -192,21 +192,10 @@ register(
     "(default: the runner default, which honours `MAS_SEARCH_WORKERS`).",
 )
 register(
-    "MAS_BENCH_INTRA_BUDGET",
-    "300",
-    "Search budget of the intra-pair parallel-evaluator scaling benchmark.",
-)
-register(
-    "MAS_BENCH_CACHE_DIR",
-    None,
-    "Persistent tuning-result cache directory shared across benchmark "
-    "sessions (legacy directory format).",
-)
-register(
     "MAS_BENCH_CACHE_URI",
     None,
-    "Result-store URI shared across benchmark sessions; wins over "
-    "`MAS_BENCH_CACHE_DIR`.",
+    "Result store shared across benchmark sessions: a directory, `dir:/path` "
+    "or `http://host:8787`.",
 )
 register(
     "MAS_BENCH_SUITE",
@@ -221,18 +210,6 @@ register(
     "already loses to the incumbent (skipping their simulation). Off by "
     "default: search results are bit-identical to the serial path only when "
     "disabled.",
-)
-register(
-    "MAS_BENCH_LOCK_THREADS",
-    "4",
-    "Concurrent client threads in the service lock-contention benchmark "
-    "(`benchmarks/bench_parallel_runner.py::test_service_lock_concurrency`).",
-)
-register(
-    "MAS_BENCH_SEARCH_BUDGET",
-    "120",
-    "Search budget per configuration of the candidate-throughput benchmark "
-    "(`benchmarks/bench_parallel_runner.py::test_search_throughput_analytic`).",
 )
 register(
     "MAS_PROFILE",

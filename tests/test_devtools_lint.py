@@ -270,7 +270,7 @@ def test_env_docs_drift_is_flagged(tmp_path):
     docs = tmp_path / "env_vars.md"
     rows = env.render_markdown_table().splitlines()
     # drop one registered row (a variable no other row mentions), add a phantom
-    dropped = [r for r in rows if not r.startswith("| `MAS_BENCH_INTRA_BUDGET` ")]
+    dropped = [r for r in rows if not r.startswith("| `MAS_BENCH_SUITE` ")]
     dropped.append("| `MAS_" "PHANTOM` | *(unset)* | not actually registered |")
     docs.write_text("\n".join(dropped) + "\n")
     clean = tmp_path / "empty.py"
@@ -280,7 +280,7 @@ def test_env_docs_drift_is_flagged(tmp_path):
     assert len(result.findings) == 2
     assert set(messages) == {"env-docs"}
     joined = "\n".join(f.message for f in result.findings)
-    assert "MAS_BENCH_INTRA_BUDGET is registered" in joined
+    assert "MAS_BENCH_SUITE is registered" in joined
     assert "MAS_" "PHANTOM appears in the docs table" in joined
 
 

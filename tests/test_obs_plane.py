@@ -1,5 +1,5 @@
 """Tests for ``obs bench``, ``obs summarize``, ``obs profile`` and ``obs
-metrics --watch``: the perf-trajectory gate (:mod:`repro.obs.bench`),
+metrics --watch``: the perf gate's verdict (:mod:`repro.obs.bench`),
 critical-path scoping and ``--top`` capping (:mod:`repro.obs.summary`),
 span profiling behind ``MAS_PROFILE`` (:mod:`repro.obs.profile`), and live
 polling of a served store's metrics.
@@ -14,15 +14,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.obs import trace as obs_trace
-from repro.obs.bench import (
-    DEFAULT_RULES,
-    Rule,
-    compare,
-    flatten_metrics,
-    load_history,
-    load_rules,
-    record_runs,
-)
+from repro.obs.bench import PAIRS, Run, judge, parse_run
 from repro.obs.export import read_trace
 from repro.obs.summary import summarize_trace
 from repro.service import running_server, server_url
@@ -38,128 +30,129 @@ def clean_tracing():
 
 
 # --------------------------------------------------------------------------- #
-# Perf trajectory (bench)
+# Perf gate (bench)
 # --------------------------------------------------------------------------- #
-class TestPerfTrajectory:
-    BENCH = {
-        "search_throughput": {
-            "sweep": {"prune": {"candidates_per_s": 200.0}},
-            "networks": ["x"],
-        },
-        "tracing_overhead": {"overhead_ratio": 1.05, "passed": True},
-    }
+REPO = Path(__file__).resolve().parent.parent
+END_TO_END = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+BASE = {
+    "setup_s": 0.5,
+    "cold_sweep_s": 3.0,
+    "candidates_per_s": 32.0,
+    "warm_sweep_s": 0.3,
+    "peak_rss_mb": 120.0,
+    "sim_cycles_geomean": 1.0e6,
+    "sim_energy_geomean": 5.0e8,
+}
 
-    def _record(self, tmp_path, doc, run_id) -> Path:
-        bench = tmp_path / f"{run_id}.json"
-        bench.write_text(json.dumps(doc))
-        record_runs(bench, tmp_path / "hist.jsonl", run_id=run_id, ts=1.0)
-        return tmp_path / "hist.jsonl"
 
-    def test_flatten_metrics_keeps_numbers_and_bools_only(self):
-        flat = flatten_metrics(self.BENCH["search_throughput"])
-        assert flat == {"sweep.prune.candidates_per_s": 200.0}
-        assert flatten_metrics({"ok": True}) == {"ok": 1.0}
+def _final_line(scale=None, correct=True, failed=0, attempted=12) -> str:
+    metrics = {name: value * (scale or {}).get(name, 1.0) for name, value in BASE.items()}
+    return json.dumps({
+        "correct": correct, "attempted": attempted, "failed": failed,
+        "metrics": {name: {"value": value, "unit": "x"} for name, value in metrics.items()},
+    })
 
-    def test_compare_passes_on_flat_trajectory(self, tmp_path):
-        self._record(tmp_path, self.BENCH, "r1")
-        hist = self._record(tmp_path, self.BENCH, "r2")
-        report = compare(load_history(hist))
-        assert report.ok
-        assert not report.fresh
-        metrics = {f"{d.benchmark}.{d.metric}" for d in report.deltas}
-        assert "search_throughput.sweep.prune.candidates_per_s" in metrics
 
-    def test_compare_flags_injected_regression(self, tmp_path):
-        self._record(tmp_path, self.BENCH, "r1")
-        self._record(tmp_path, self.BENCH, "r2")
-        bad = json.loads(json.dumps(self.BENCH))
-        bad["search_throughput"]["sweep"]["prune"]["candidates_per_s"] = 100.0
-        hist = self._record(tmp_path, bad, "r3")
-        report = compare(load_history(hist))
+def _runs(workloads=("table1-mini", "decode-step"), **line) -> dict[str, list[Run]]:
+    stdout = "result_digest: abc123\n" + _final_line(**line) + "\n"
+    return {name: [parse_run(stdout) for _ in range(PAIRS)] for name in workloads}
+
+
+class TestPerfGate:
+    def test_identical_sides_pass(self):
+        report = judge(END_TO_END, _runs(), _runs())
+        assert report.ok, report.format()
+        text = report.format()
+        assert "perf gate: PASS" in text
+        assert text.count("pair 2 result_digest: parent abc123  change abc123") == 2
+
+    def test_improvements_pass(self):
+        faster = {"cold_sweep_s": 0.5, "candidates_per_s": 2.0, "peak_rss_mb": 0.7}
+        assert judge(END_TO_END, _runs(), _runs(scale=faster)).ok
+
+    def test_lower_is_better_metric_30pc_worse_fails(self):
+        report = judge(END_TO_END, _runs(), _runs(scale={"cold_sweep_s": 1.3}))
+        assert len(report.failures) == 2  # one per workload
+        failure = report.failures[0]
+        assert "table1-mini cold_sweep_s: 3.9 s vs parent 3 s" in failure
+        assert "+30.0%" in failure and "lower is better" in failure
+        assert "WORSE" in report.format()
+
+    def test_higher_is_better_metric_30pc_lower_fails(self):
+        report = judge(END_TO_END, _runs(), _runs(scale={"candidates_per_s": 0.7}))
+        assert [f.split(":")[0] for f in report.failures] == [
+            "table1-mini candidates_per_s", "decode-step candidates_per_s",
+        ]
+
+    def test_sim_cycles_bound_is_two_percent(self):
+        assert judge(END_TO_END, _runs(), _runs(scale={"sim_cycles_geomean": 1.01})).ok
+        report = judge(END_TO_END, _runs(), _runs(scale={"sim_cycles_geomean": 1.03}))
         assert not report.ok
-        (regression,) = report.regressions
-        assert regression.metric == "sweep.prune.candidates_per_s"
-        assert regression.delta_pct == pytest.approx(-50.0)
-        assert "REGRESSION" in report.format()
+        assert all("sim_cycles_geomean" in f for f in report.failures)
 
-    def test_direction_lower_is_better(self, tmp_path):
-        self._record(tmp_path, self.BENCH, "r1")
-        worse = json.loads(json.dumps(self.BENCH))
-        worse["tracing_overhead"]["overhead_ratio"] = 1.3
-        hist = self._record(tmp_path, worse, "r2")
-        report = compare(load_history(hist))
-        assert [d.metric for d in report.regressions] == ["overhead_ratio"]
+    def test_incorrect_change_run_fails(self):
+        report = judge(END_TO_END, _runs(), _runs(correct=False))
+        assert not report.ok
+        assert "table1-mini change run 0: reports correct: false" in report.failures
 
-    def test_first_run_is_fresh_not_failed(self, tmp_path):
-        hist = self._record(tmp_path, self.BENCH, "r1")
-        report = compare(load_history(hist))
-        assert report.ok
-        assert set(report.fresh) == {"search_throughput", "tracing_overhead"}
+    def test_higher_failed_share_fails(self):
+        assert judge(END_TO_END, _runs(failed=1), _runs(failed=1)).ok
+        report = judge(END_TO_END, _runs(failed=1), _runs(failed=2))
+        assert any("failed share" in f for f in report.failures)
 
-    def test_rules_file_and_validation(self, tmp_path):
-        rules_path = tmp_path / "rules.json"
-        rules_path.write_text(
-            json.dumps([{"pattern": "*.candidates_per_s", "tolerance": 0.01}])
+    def test_workload_missing_on_one_side_fails(self):
+        report = judge(END_TO_END, _runs(), _runs(workloads=("table1-mini",)))
+        assert report.failures == ("decode-step: no runs on the this checkout side",)
+        report = judge(END_TO_END, _runs(workloads=("table1-mini",)), _runs())
+        assert report.failures == ("decode-step: no runs on the parent side",)
+
+    def test_crashed_or_silent_run_fails(self):
+        crashed = parse_run("fingerprint: {}\n", 1, "Traceback ...\nImportError: boom")
+        assert crashed.error == "exit status 1: ImportError: boom"
+        assert parse_run("no json here\n").error == "printed no final JSON line"
+        change = _runs()
+        change["decode-step"][1] = crashed
+        report = judge(END_TO_END, _runs(), change)
+        assert "decode-step change run 1: exit status 1: ImportError: boom" in report.failures
+
+    def test_parent_without_src_repro_exits_naming_it(self, tmp_path):
+        with pytest.raises(SystemExit, match=str(tmp_path)):
+            cli_main(["obs", "bench", str(tmp_path)])
+
+    def test_gate_runs_this_checkouts_perfbench_on_each_sides_src(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Plumbing end to end, with a stub perfbench that reads a speed from src."""
+        stub = (
+            "import json, pathlib, sys\n"
+            "root = pathlib.Path(__file__).resolve().parent.parent\n"
+            "speed = float((root / 'src' / 'repro' / 'speed').read_text())\n"
+            "seed = sys.argv[sys.argv.index('--seed') + 1]\n"
+            "print(f'result_digest: seed{seed}')\n"
+            "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+            "    'metrics': {'cold_sweep_s': {'value': 3.0 / speed, 'unit': 's'}}}))\n"
         )
-        rules = load_rules(rules_path)
-        assert rules[0].direction == "higher"
-        with pytest.raises(ValueError, match="direction"):
-            Rule("*", "sideways", 0.1)
-        rules_path.write_text("{}")
-        with pytest.raises(ValueError, match="JSON list"):
-            load_rules(rules_path)
-
-    def test_cli_record_check_pass_and_fail(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        bench = tmp_path / "BENCH_search.json"
-        hist = tmp_path / "BENCH_history.jsonl"
-        bench.write_text(json.dumps(self.BENCH))
-        for run in ("r1", "r2"):
-            assert cli_main(
-                ["obs", "bench", "record", "--bench", str(bench),
-                 "--history", str(hist), "--run-id", run]
-            ) == 0
-        assert cli_main(["obs", "bench", "check", "--history", str(hist)]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-        bad = json.loads(json.dumps(self.BENCH))
-        bad["search_throughput"]["sweep"]["prune"]["candidates_per_s"] = 1.0
-        bench.write_text(json.dumps(bad))
-        assert cli_main(
-            ["obs", "bench", "record", "--bench", str(bench),
-             "--history", str(hist), "--run-id", "r3"]
-        ) == 0
-        assert cli_main(["obs", "bench", "check", "--history", str(hist)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        # compare reports but never gates
-        assert cli_main(["obs", "bench", "compare", "--history", str(hist)]) == 0
-
-    def test_cli_check_without_history_exits_loudly(self, tmp_path):
-        with pytest.raises(SystemExit, match="no benchmark history"):
-            cli_main(
-                ["obs", "bench", "check", "--history", str(tmp_path / "nope.jsonl")]
+        spec = {
+            "run_seconds": 1,
+            "workloads": [{"name": "w"}],
+            "end_to_end": [END_TO_END[1]],
+        }
+        for name, speed in (("parent", "1"), ("same", "1"), ("slow", "0.5")):
+            (tmp_path / name / "src" / "repro").mkdir(parents=True)
+            (tmp_path / name / "src" / "repro" / "speed").write_text(speed)
+            (tmp_path / name / "perfbench").mkdir()
+            (tmp_path / name / "perfbench" / "run.py").write_text(
+                stub if name != "parent" else "raise SystemExit('the parent is not run')"
             )
-
-    def test_record_without_numeric_leaf_leaves_history_untouched(self, tmp_path):
-        bench = tmp_path / "BENCH_search.json"
-        hist = tmp_path / "BENCH_history.jsonl"
-        bench.write_text(json.dumps({"x": {"networks": ["a"]}}))
-        with pytest.raises(ValueError, match="BENCH_search.json"):
-            record_runs(bench, hist)
-        assert not hist.exists()
-        with pytest.raises(SystemExit, match="no numeric metrics"):
-            cli_main(
-                ["obs", "bench", "record", "--bench", str(bench), "--history", str(hist)]
-            )
-        assert not hist.exists()
-
-    def test_repo_history_passes_the_real_gate(self):
-        """The committed trajectory must be green (acceptance criterion)."""
-        repo_history = Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
-        entries = load_history(repo_history)
-        runs = {entry["run"] for entry in entries}
-        assert len(runs) >= 2
-        assert compare(entries, rules=DEFAULT_RULES).ok
+            (tmp_path / name / "BENCHMARK.json").write_text(json.dumps(spec))
+        monkeypatch.chdir(tmp_path / "same")
+        assert cli_main(["obs", "bench", str(tmp_path / "parent")]) == 0
+        out = capsys.readouterr().out
+        assert "pair 2 result_digest: parent seed2  change seed2" in out
+        assert out.count("w seed ") == 2 * PAIRS
+        monkeypatch.chdir(tmp_path / "slow")
+        assert cli_main(["obs", "bench", str(tmp_path / "parent")]) == 1
+        assert "w cold_sweep_s: 6 s vs parent 3 s (+100.0%" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------- #
