@@ -2,7 +2,8 @@
 
 The paper validates all methods against golden data before reporting
 performance; this benchmark runs the same validation on a BERT-like shape
-(reduced head count to keep the NumPy reference fast) and times it.
+(reduced head count to keep the replay fast) and times it: every scheduler's
+simulated task graph replays on numpy tiles against the reference attention.
 """
 
 from __future__ import annotations

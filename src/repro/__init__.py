@@ -9,8 +9,8 @@ pure-Python analytical simulation stack:
 * :mod:`repro.workloads` — attention workload shapes, the Table-1 network
   registry and the Stable Diffusion 1.5 reduced-UNet workload;
 * :mod:`repro.sim` — the tile-granularity dependency/resource simulator;
-* :mod:`repro.numerics` — NumPy reference attention and per-dataflow tiled
-  numerical executors (the "golden data check");
+* :mod:`repro.numerics` — NumPy reference attention and the "golden data
+  check", which replays every scheduler's simulated task graph on numpy tiles;
 * :mod:`repro.schedulers` — the baseline dataflows (Layer-Wise, Soft-Pipe,
   FLAT, TileFlow, FuseMax) and the MAS-Attention dataflow;
 * :mod:`repro.core` — the paper's contribution: stream processing, the

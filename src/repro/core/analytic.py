@@ -15,12 +15,13 @@ goes through the same scalar/array-polymorphic primitives the simulator uses
 drift.
 
 What the closed forms exploit: after clamping, a candidate's iteration space
-contains at most **two** distinct group coverages (the regular ``bb*hh`` and
-one remainder group), at most **two** distinct row-block heights (``nq`` and
-``seq_q % nq``), and at most **two** distinct K/V tile widths (``nkv`` and
-``seq_kv % nkv``).  Every per-task cost therefore takes at most a few distinct
-values, and a whole graph's totals collapse to count-weighted sums over
-``<= 2 x 2 x 2`` shape combinations — each vectorized over the candidate axis.
+contains at most four group coverages (``bb`` or ``B % bb`` batches times
+``hh`` or ``H % hh`` heads), at most **two** distinct row-block heights
+(``nq`` and ``seq_q % nq``), and at most **two** distinct K/V tile widths
+(``nkv`` and ``seq_kv % nkv``).  Every per-task cost therefore takes at most a
+few distinct values, and a whole graph's totals collapse to count-weighted
+sums over ``<= 4 x 2 x 2`` shape combinations — each vectorized over the
+candidate axis.
 
 The totals feed two consumers:
 
@@ -119,19 +120,15 @@ def as_tiling_batch(tilings) -> TilingBatch:
 class BlockStructure:
     """Per-candidate counts describing the (clamped) block iteration space.
 
-    All fields are int64 vectors over the candidate axis.  ``indicator``
+    All fields are int64 vectors over the candidate axis (``groups`` holds
+    pairs of them).  ``indicator``
     fields are 0/1 counts so remainder terms can be masked by multiplication
     (several cost primitives are non-zero even for empty shapes — e.g. the
     MAC fill overhead with a zero reduction dimension — so remainder terms
     must never be *evaluated into* the sum unmasked).
     """
 
-    group: np.ndarray            # regular group coverage: bb * hh
-    num_groups: np.ndarray       # G = ceil(B/bb) * ceil(H/hh)
-    num_base_groups: np.ndarray  # groups covering the full bb*hh problems
-    rem_group: np.ndarray        # coverage of the remainder group (B*H % group)
-    has_rem_group: np.ndarray    # 1 iff a remainder group exists
-    total_covered: np.ndarray    # sum of coverages over all groups
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # (coverage, count) per group shape
     num_row_blocks: np.ndarray   # Rq = ceil(Nq/nq) row-blocks per group
     num_full_rows: np.ndarray    # row-blocks of height nq
     rem_rows: np.ndarray         # height of the remainder row-block (Nq % nq)
@@ -141,13 +138,9 @@ class BlockStructure:
     rem_kv: np.ndarray           # width of the remainder tile (Nkv % nkv)
     has_rem_kv: np.ndarray       # 1 iff a remainder tile exists
 
-    def group_combos(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(coverage, count) pairs enumerating the distinct group shapes."""
-        return ((self.group, self.num_base_groups), (self.rem_group, self.has_rem_group))
-
     def block_combos(self):
         """(coverage, rows, count) triples enumerating the distinct block shapes."""
-        for group, group_count in self.group_combos():
+        for group, group_count in self.groups:
             for rows, row_count in (
                 (None, self.num_full_rows),
                 (self.rem_rows, self.has_rem_rows),
@@ -218,26 +211,22 @@ class BatchedCostModel:
     def structure(self, batch: TilingBatch) -> BlockStructure:
         """Count the distinct block shapes of each candidate.
 
-        Mirrors :func:`repro.core.costs.partition_blocks`: all groups cover
-        ``bb*hh`` problems except at most one remainder group covering
-        ``B*H % (bb*hh)`` (groups past the end fall back to full coverage,
-        exactly as ``partition_blocks`` does).
+        Mirrors :func:`repro.core.costs.head_group_problems`: a group covers
+        ``bb`` or ``B % bb`` batches times ``hh`` or ``H % hh`` heads, so there
+        are at most four group shapes.  A shape whose count is zero for every
+        candidate is dropped, so batch-1 workloads evaluate at most two.
         """
-        group = batch.group_size
-        num_groups = cdiv(self.batch_dim, batch.bb) * cdiv(self.heads, batch.hh)
-        rem_group = self.total_problems % group
-        has_rem_group = (rem_group > 0).astype(np.int64)
-        num_base_groups = num_groups - has_rem_group
-        total_covered = group * num_base_groups + rem_group
+        cuts = []  # per dimension, (size, count) of its full cut and of its remainder
+        for dim, tile in ((self.batch_dim, batch.bb), (self.heads, batch.hh)):
+            rem = dim % tile
+            cut = [(tile, dim // tile)]
+            if np.count_nonzero(rem):
+                cut.append((rem, (rem > 0).astype(np.int64)))
+            cuts.append(cut)
         rem_rows = self.seq_q % batch.nq
         rem_kv = self.seq_kv % batch.nkv
         return BlockStructure(
-            group=group,
-            num_groups=num_groups,
-            num_base_groups=num_base_groups,
-            rem_group=rem_group,
-            has_rem_group=has_rem_group,
-            total_covered=total_covered,
+            groups=tuple((b * h, nb * nh) for b, nb in cuts[0] for h, nh in cuts[1]),
             num_row_blocks=cdiv(self.seq_q, batch.nq),
             num_full_rows=self.seq_q // batch.nq,
             rem_rows=rem_rows,
@@ -282,7 +271,8 @@ class BatchedCostModel:
         online-softmax (FuseMax) one: splitting the softmax into tiles only
         adds per-tile ceil losses, extra row overheads and correction work.
         """
-        return s.total_covered * self.seq_q * self.softmax_cycles_per_row
+        total = self.total_problems * self.seq_q * self.softmax_cycles_per_row
+        return np.full_like(s.num_kv_tiles, total)  # the same for every candidate
 
     def vec_cycles_online_softmax(self, batch: TilingBatch, s: BlockStructure) -> np.ndarray:
         """Lower bound on the FuseMax online-softmax VEC cycles.
@@ -298,7 +288,7 @@ class BatchedCostModel:
         per_row_full = softmax_cycles_batch(vec, 1, batch.nkv)
         per_row_rem = softmax_cycles_batch(vec, 1, s.rem_kv)
         tile_row_cycles = s.num_full_kv * per_row_full + s.has_rem_kv * per_row_rem
-        covered_rows = s.total_covered * self.seq_q
+        covered_rows = self.total_problems * self.seq_q
         acc_elems = covered_rows * self.emb
         correction = cdiv(acc_elems * 4 * s.num_kv_tiles, vec.throughput_ops_per_cycle)
         normalize = cdiv(acc_elems, vec.throughput_ops_per_cycle)
@@ -326,7 +316,7 @@ class BatchedCostModel:
             q_and_o = q_and_o + count * 2 * self._dma(group * height * elem)
 
         kv_per_group = np.zeros(len(batch), dtype=np.int64)
-        for group, count in s.group_combos():
+        for group, count in s.groups:
             tiles = s.num_full_kv * self._dma(group * batch.nkv * elem) + s.has_rem_kv * self._dma(
                 group * s.rem_kv * elem
             )
@@ -374,7 +364,7 @@ class BatchedCostModel:
         valid per-counter lower bounds.
         """
         d = self.dtype
-        covered = s.total_covered
+        covered = self.total_problems
         q_bytes = covered * self.seq_q * self.emb * d
         o_bytes = q_bytes
         kv_pass = np.where(batch.kv_resident, 1, s.num_row_blocks)

@@ -45,28 +45,42 @@ class Block:
         return f"g{self.head_group}r{self.row_block}"
 
 
+def head_group_problems(
+    workload: AttentionWorkload, tiling: TilingConfig, group: int
+) -> tuple[slice, slice]:
+    """Batch and head slices of the (batch, head) problems head group ``group`` covers.
+
+    Groups are numbered batch-major: group ``i * ceil(H/hh) + j`` covers
+    batches ``[i*bb, (i+1)*bb)`` and heads ``[j*hh, (j+1)*hh)``, both cut at
+    the workload's edge, so an edge group covers
+    ``min(bb, B - i*bb) * min(hh, H - j*hh)`` problems.
+    """
+    i, j = divmod(group, ceil_div(workload.heads, tiling.hh))
+    return (
+        slice(i * tiling.bb, min((i + 1) * tiling.bb, workload.batch)),
+        slice(j * tiling.hh, min((j + 1) * tiling.hh, workload.heads)),
+    )
+
+
 def partition_blocks(
     workload: AttentionWorkload, tiling: TilingConfig, num_cores: int
 ) -> list[list[Block]]:
     """Split the outer iteration space into per-core block lists.
 
-    Head groups (blocks of ``bb`` batches x ``hh`` heads) are assigned to cores
-    round-robin; all row-blocks of a head group stay on the same core so that
-    resident K/V tiles can be reused across them.
+    Head groups (blocks of ``bb`` batches x ``hh`` heads, see
+    :func:`head_group_problems`) are assigned to cores round-robin; all
+    row-blocks of a head group stay on the same core so that resident K/V
+    tiles can be reused across them.
     """
     check_positive_int(num_cores, "num_cores")
     num_groups = tiling.num_head_groups(workload)
     num_rows = tiling.num_row_blocks(workload)
-    total_problems = workload.batch * workload.heads
-    base_group = tiling.group_size
 
     per_core: list[list[Block]] = [[] for _ in range(num_cores)]
     for group in range(num_groups):
         core = group % num_cores
-        # The last head group may cover fewer (batch, head) problems.
-        covered = min(base_group, total_problems - group * base_group)
-        if covered <= 0:
-            covered = base_group
+        batches, heads = head_group_problems(workload, tiling, group)
+        covered = (batches.stop - batches.start) * (heads.stop - heads.start)
         for row in range(num_rows):
             rows = min(tiling.nq, workload.seq_q - row * tiling.nq)
             per_core[core].append(

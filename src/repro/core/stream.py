@@ -10,9 +10,9 @@ row-blocks ``i = 1..Tr``:
 * **finalize**: ``O_{Tr-1}`` in parallel with ``P_{Tr}``, then ``O_{Tr}``.
 
 :func:`plan_rounds` is the one encoding of that structure.  The MAS-Attention
-and TileFlow graph builders emit their cores round by round from it, and the
-numeric executor runs its rounds; the task graphs add the fine-grained tile
-dependencies of Algorithms 2-4 (and, for TileFlow, a barrier after each round).
+and TileFlow graph builders emit their cores round by round from it; the task
+graphs add the fine-grained tile dependencies of Algorithms 2-4 (and, for
+TileFlow, a barrier after each round).
 """
 
 from __future__ import annotations

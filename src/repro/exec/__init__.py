@@ -20,7 +20,6 @@ long-context registries through the exact same machinery.
 """
 
 from repro.exec.cache import (
-    CACHE_SCHEMA_VERSION,
     KEY_SCHEMA_VERSION,
     ResultCache,
     tuning_cache_key,
@@ -36,7 +35,6 @@ from repro.store import (
 from repro.workloads.suites import WorkloadSuite, get_suite, list_suites
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "KEY_SCHEMA_VERSION",
     "EvictionPolicy",
     "JsonDirStore",

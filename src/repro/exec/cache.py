@@ -41,7 +41,6 @@ from repro.utils.serialization import to_jsonable
 from repro.workloads.attention import AttentionWorkload
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "KEY_SCHEMA_VERSION",
     "ResultCache",
     "tuning_cache_key",
@@ -53,10 +52,9 @@ __all__ = [
 #: Layout-only changes bump ``ENTRY_SCHEMA_VERSION`` instead and keep keys —
 #: and therefore all previously tuned work — valid.
 #: v2: payload gained ``objective_evaluations`` (search-work accounting).
-KEY_SCHEMA_VERSION = 2
-
-#: Backwards-compatible alias (pre-store-subsystem name).
-CACHE_SCHEMA_VERSION = KEY_SCHEMA_VERSION
+#: v3: edge head groups cover only the (batch, head) problems that exist, so
+#: batched workloads whose ``hh`` (or ``bb``) leaves a remainder simulate less.
+KEY_SCHEMA_VERSION = 3
 
 
 def tuning_cache_key(

@@ -21,9 +21,8 @@ from repro.hardware.compute_units import (
     softmax_vec_ops,
     elementwise_cycles,
 )
-from repro.hardware.memory import dma_cycles, MemoryHierarchy
+from repro.hardware.memory import dma_cycles
 from repro.hardware.energy import EnergyModel, EnergyBreakdown
-from repro.hardware.buffer import BufferManager, BufferOverflowError, Allocation
 from repro.hardware.presets import (
     simulated_edge_device,
     davinci_like_npu,
@@ -44,12 +43,8 @@ __all__ = [
     "softmax_vec_ops",
     "elementwise_cycles",
     "dma_cycles",
-    "MemoryHierarchy",
     "EnergyModel",
     "EnergyBreakdown",
-    "BufferManager",
-    "BufferOverflowError",
-    "Allocation",
     "simulated_edge_device",
     "davinci_like_npu",
     "constrained_edge_device",

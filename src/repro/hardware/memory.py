@@ -1,12 +1,10 @@
-"""Memory-hierarchy helpers: DMA transfer cost and a hierarchy facade."""
+"""DMA transfer cost between DRAM and the L1 buffer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.hardware.config import HardwareConfig, MemoryLevelSpec
+from repro.hardware.config import HardwareConfig
 from repro.utils.arrays import ArrayLike, cdiv
 from repro.utils.validation import require
 
@@ -41,38 +39,3 @@ def dma_cycles_batch(config: HardwareConfig, num_bytes: np.ndarray) -> np.ndarra
     the zero-byte-transfers-are-free rule.
     """
     return np.where(num_bytes == 0, 0, _transfer_cycles(config, num_bytes))
-
-
-@dataclass(frozen=True)
-class MemoryHierarchy:
-    """Convenience facade over the three memory levels of a :class:`HardwareConfig`."""
-
-    config: HardwareConfig
-
-    @property
-    def dram(self) -> MemoryLevelSpec:
-        return self.config.dram
-
-    @property
-    def l1(self) -> MemoryLevelSpec:
-        return self.config.l1
-
-    @property
-    def l0(self) -> MemoryLevelSpec:
-        return self.config.l0
-
-    def levels(self) -> tuple[MemoryLevelSpec, MemoryLevelSpec, MemoryLevelSpec]:
-        """All levels ordered from farthest (DRAM) to nearest (L0)."""
-        return (self.dram, self.l1, self.l0)
-
-    def level_by_name(self, name: str) -> MemoryLevelSpec:
-        """Look up a level by its name (case-insensitive)."""
-        for level in self.levels():
-            if level.name.lower() == name.lower():
-                return level
-        raise KeyError(f"unknown memory level {name!r}")
-
-    def fits_in_l1(self, num_bytes: int) -> bool:
-        """Whether a working set of ``num_bytes`` fits in a core's L1 buffer."""
-        require(num_bytes >= 0, "num_bytes must be >= 0")
-        return num_bytes <= self.config.l1_bytes

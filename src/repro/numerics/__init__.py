@@ -1,17 +1,18 @@
-"""Numerical attention executors and the golden-data check.
+"""Reference attention and the golden-data check.
 
 The paper validates every dataflow (including MAS-Attention) against golden
 data: the scheduling only changes *when* tiles are computed, never *what* is
-computed, so the output must match the unfused reference bit-for-bit up to
-floating-point accumulation order.  This package provides
+computed, so the output must match the unfused reference up to
+floating-point accumulation order.  The check runs the very task graphs the
+simulator times.  This package provides
 
 * :mod:`repro.numerics.reference` — the unfused NumPy reference attention and
   the softmax variants (naive, max-stabilized, online/running);
-* :mod:`repro.numerics.tiled` — per-dataflow numerical executors that follow
-  each scheduler's tiling and ordering (Layer-Wise, FLAT row-blocks,
-  MAS-Attention's Algorithms 1-4, FuseMax's online softmax);
+* :mod:`repro.numerics.replay` — the replay loop that runs a scheduler's
+  simulated task graph, task by task in start order, on numpy tiles and
+  raises when a task reads a tile before its producer finished;
 * :mod:`repro.numerics.golden` — the golden-data check harness that generates
-  random Q/K/V for a workload and verifies every executor against the
+  random Q/K/V for a workload and checks every scheduler's replay against the
   reference.
 """
 
@@ -21,19 +22,11 @@ from repro.numerics.reference import (
     reference_attention,
     stable_softmax,
 )
-from repro.numerics.tiled import (
-    flat_attention,
-    fusemax_attention,
-    layerwise_attention,
-    mas_attention,
-    softpipe_attention,
-    tileflow_attention,
-)
+from repro.numerics.replay import ReplayError, replay
 from repro.numerics.golden import (
     GoldenCheckResult,
     golden_check,
     make_qkv,
-    EXECUTORS,
 )
 
 __all__ = [
@@ -41,14 +34,9 @@ __all__ = [
     "stable_softmax",
     "online_softmax",
     "reference_attention",
-    "layerwise_attention",
-    "softpipe_attention",
-    "flat_attention",
-    "tileflow_attention",
-    "fusemax_attention",
-    "mas_attention",
+    "ReplayError",
+    "replay",
     "GoldenCheckResult",
     "golden_check",
     "make_qkv",
-    "EXECUTORS",
 ]

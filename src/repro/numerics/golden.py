@@ -1,44 +1,28 @@
-"""Golden-data check: verify every dataflow executor against the reference.
+"""Golden-data check: replay every scheduler's task graph against the reference.
 
 The paper states that every workload "undergoes a rigorous golden data check
 for all methods"; this module is that check.  It generates random Q/K/V
 tensors for an :class:`~repro.workloads.attention.AttentionWorkload`, runs the
-reference attention and every tiled executor, and reports the maximum
-element-wise error per executor.
+reference attention, replays every registered scheduler's simulated task
+graph on the same tensors (:func:`repro.numerics.replay.replay`), and reports
+the maximum element-wise error per scheduler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro.core.tiling import TilingConfig
+from repro.hardware.presets import simulated_edge_device
 from repro.numerics.reference import reference_attention
-from repro.numerics.tiled import (
-    flat_attention,
-    fusemax_attention,
-    layerwise_attention,
-    mas_attention,
-    softpipe_attention,
-    tileflow_attention,
-)
+from repro.numerics.replay import replay
+from repro.schedulers.registry import list_schedulers, make_scheduler
 from repro.utils.rng import make_rng
 from repro.workloads.attention import AttentionWorkload
 
-__all__ = ["EXECUTORS", "GoldenCheckResult", "golden_check", "make_qkv"]
-
-#: Executor registry keyed by scheduler short name.  Each callable takes
-#: ``(q, k, v, nq, nkv)`` and returns the attention output.
-EXECUTORS: dict[str, Callable[..., np.ndarray]] = {
-    "layerwise": lambda q, k, v, nq, nkv: layerwise_attention(q, k, v),
-    "softpipe": lambda q, k, v, nq, nkv: softpipe_attention(q, k, v, nq=nq),
-    "flat": lambda q, k, v, nq, nkv: flat_attention(q, k, v, nq=nq, nkv=nkv),
-    "tileflow": lambda q, k, v, nq, nkv: tileflow_attention(q, k, v, nq=nq, nkv=nkv),
-    "fusemax": lambda q, k, v, nq, nkv: fusemax_attention(q, k, v, nq=nq, nkv=nkv),
-    "mas": lambda q, k, v, nq, nkv: mas_attention(q, k, v, nq=nq, nkv=nkv),
-}
+__all__ = ["GoldenCheckResult", "golden_check", "make_qkv"]
 
 
 def make_qkv(
@@ -68,11 +52,11 @@ class GoldenCheckResult:
 
     @property
     def passed(self) -> bool:
-        """Whether every executor matched the reference within tolerance."""
+        """Whether every scheduler's replay matched the reference within tolerance."""
         return all(err <= self.tolerance for err in self.max_errors.values())
 
     def failures(self) -> dict[str, float]:
-        """Executors whose error exceeded the tolerance."""
+        """Schedulers whose replay error exceeded the tolerance."""
         return {name: err for name, err in self.max_errors.items() if err > self.tolerance}
 
     def summary(self) -> str:
@@ -91,28 +75,29 @@ def golden_check(
     seed: int = 0,
     tolerance: float = 1e-4,
     dtype: np.dtype | type = np.float32,
-    executors: dict[str, Callable[..., np.ndarray]] | None = None,
 ) -> GoldenCheckResult:
-    """Run the golden-data check for ``workload`` under ``tiling``.
+    """Replay every registered scheduler's graph for ``workload`` under ``tiling``.
 
     Parameters
     ----------
     workload:
-        Attention shape to validate.  Large Table-1 shapes work but are slow;
-        tests use reduced shapes with the same structure.
+        Attention shape to validate.  The replay runs one numpy operation per
+        task, so tests use reduced shapes with the Table-1 structure.
     tiling:
-        Row-block / key-value tile sizes; defaults to ``nq=nkv=64`` clamped to
-        the workload.
+        Tiling every scheduler builds its graph with, on the simulated edge
+        device; defaults to ``nq=nkv=64`` clamped to the workload.
     tolerance:
         Maximum allowed element-wise absolute error against the reference.
-    executors:
-        Executor subset to check; defaults to :data:`EXECUTORS`.
+
+    A graph that reads a tile before its producer finishes raises
+    :class:`~repro.numerics.replay.ReplayError`.
     """
     tiling = (tiling or TilingConfig()).clamp_to(workload)
     q, k, v = make_qkv(workload, seed=seed, dtype=dtype)
     reference = reference_attention(q, k, v)
+    hardware = simulated_edge_device()
     result = GoldenCheckResult(workload=workload, tiling=tiling, tolerance=tolerance)
-    for name, executor in (executors or EXECUTORS).items():
-        output = executor(q, k, v, tiling.nq, tiling.nkv)
+    for name in list_schedulers():
+        output = replay(make_scheduler(name, hardware), workload, tiling, q, k, v)
         result.max_errors[name] = float(np.max(np.abs(output - reference)))
     return result

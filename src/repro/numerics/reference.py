@@ -1,10 +1,10 @@
 """Unfused reference attention and softmax variants.
 
-All executors in :mod:`repro.numerics.tiled` are validated against
-:func:`reference_attention`; the softmax helpers here are also the primitives
-those executors are built from, so the comparison isolates *ordering*
-differences (tiling, streaming, online accumulation) rather than differences
-in the softmax formula itself.
+Every scheduler's task-graph replay (:mod:`repro.numerics.replay`) is
+checked against :func:`reference_attention`; the replay computes its QK and
+SM tasks with :func:`attention_scores` and :func:`stable_softmax`, so the
+comparison isolates *ordering* differences (tiling, streaming, online
+accumulation) rather than differences in the softmax formula itself.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def reference_attention(
     """Unfused exact attention ``O = softmax(scale * Q K^T) V``.
 
     Accepts any leading batch dimensions; the last two axes are
-    ``(sequence, embedding)``.  This is the Layer-Wise golden reference every
-    tiled executor is checked against.
+    ``(sequence, embedding)``.  This is the golden reference every
+    scheduler's replay is checked against.
     """
     if q.shape[-1] != k.shape[-1] or k.shape != v.shape:
         raise ValueError(

@@ -57,10 +57,14 @@ OVER_L1 = [TilingConfig(bb=1, hh=2, nq=32, nkv=64, kv_resident=True)]
 HARD_INFEASIBLE = [TilingConfig(bb=1, hh=1, nq=128, nkv=64, kv_resident=True)]
 
 
-@pytest.fixture
-def batch_workload() -> AttentionWorkload:
-    """Batched + ragged in every dimension: 3 problems per 2x1 group remainder."""
-    return AttentionWorkload(batch=3, heads=2, seq_q=64, seq_kv=96, emb=16, name="batchy")
+@pytest.fixture(params=[2, 3], ids=["heads2", "heads3"])
+def batch_workload(request) -> AttentionWorkload:
+    """Batched + ragged in every dimension: ``bb=2`` leaves a one-batch remainder,
+    and with three heads ``hh=2`` leaves a one-head remainder too, so a tiling
+    cutting both has all four group shapes."""
+    return AttentionWorkload(
+        batch=3, heads=request.param, seq_q=64, seq_kv=96, emb=16, name="batchy"
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -131,6 +135,20 @@ class TestBatchedTotalsMatchSerial:
             assert mac[index] == s_mac
             assert vec[index] == s_vec
             assert dma[index] == s_dma
+
+    def test_group_shapes_cover_every_problem_once(self, batch_workload, edge_hw):
+        model = batched_cost_model(batch_workload, edge_hw)
+        structure = model.structure(as_tiling_batch(TILINGS).clamp_to(batch_workload))
+        covered = sum(coverage * count for coverage, count in structure.groups)
+        assert (covered == batch_workload.batch * batch_workload.heads).all()
+
+    @pytest.mark.parametrize("hh, shapes", [(4, 1), (5, 2)])
+    def test_batch_one_drops_shapes_no_candidate_has(self, edge_hw, hh, shapes):
+        """Batch 1 never cuts a batch remainder; ``hh=4`` divides 12 heads, ``hh=5`` does not."""
+        workload = AttentionWorkload(batch=1, heads=12, seq_q=64, seq_kv=64, emb=16)
+        batch = as_tiling_batch([TilingConfig(hh=hh), TilingConfig(hh=1)])
+        structure = batched_cost_model(workload, edge_hw).structure(batch.clamp_to(workload))
+        assert len(structure.groups) == shapes
 
     def test_model_is_memoized_per_workload_and_hardware(self, batch_workload, edge_hw):
         assert batched_cost_model(batch_workload, edge_hw) is batched_cost_model(

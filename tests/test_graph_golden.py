@@ -8,12 +8,16 @@ and compares it with ``tests/graph_golden.json``:
   emission order — task names and tags are left out;
 * a SHA-256 over the simulated (start, finish) of every task.
 
+Each case's graph also replays (:func:`repro.numerics.replay.replay`) to the
+reference attention within 1e-9 in float64.
+
 The grid covers every registered scheduler plus MAS with the overwrite
-strategy disabled, partial row-blocks and K/V tiles, a remainder head group,
-one block per core, uneven blocks across cores, an idle core and both
-``kv_resident`` settings.  Each case runs at the device's L1 and at an L1
-small enough for MAS to overflow, which exercises its overwrite events (K and
-V victims) and, with overwriting disabled, its serialized fallback.
+strategy disabled, partial row-blocks and K/V tiles, remainder head groups
+(cut in heads, and in batch and heads), one block per core, uneven blocks
+across cores, an idle core and both ``kv_resident`` settings.  Each case runs
+at the device's L1 and at an L1 small enough for MAS to overflow, which
+exercises its overwrite events (K and V victims) and, with overwriting
+disabled, its serialized fallback.
 
 The JSON is the builders' contract.  A change meant to alter graphs
 regenerates it and says why::
@@ -28,11 +32,15 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.tiling import TilingConfig, mas_non_evictable_bytes, operand_tile_bytes
 from repro.hardware.presets import simulated_edge_device
-from repro.schedulers import list_schedulers, make_scheduler
+from repro.numerics.golden import make_qkv
+from repro.numerics.reference import reference_attention
+from repro.numerics.replay import replay
+from repro.schedulers import AttentionScheduler, list_schedulers, make_scheduler
 from repro.sim.engine import simulate_graph
 from repro.workloads.attention import AttentionWorkload
 
@@ -79,6 +87,12 @@ SHAPES: dict[str, tuple[AttentionWorkload, tuple[tuple[int, int, int, int], ...]
         AttentionWorkload(batch=1, heads=4, seq_q=1, seq_kv=64, emb=16),
         ((1, 1, 1, 16), (1, 3, 1, 64)),
     ),
+    # 6 problems: hh=2 cuts every batch's heads 2+1, so groups cover 2, 1, 2, 1
+    # problems (bb=1) or 4, 2 (bb=2); partial row-blocks and K/V tiles.
+    "batched": (
+        AttentionWorkload(batch=2, heads=3, seq_q=40, seq_kv=48, emb=16),
+        ((1, 2, 16, 24), (2, 2, 24, 32)),
+    ),
 }
 
 
@@ -119,12 +133,14 @@ def _cases() -> list[tuple[str, str, str, TilingConfig, int]]:
 CASES = _cases()
 
 
+def _scheduler(variant: str, l1: int) -> AttentionScheduler:
+    name, options = VARIANTS[variant]
+    return make_scheduler(name, simulated_edge_device().with_l1_bytes(l1), **options)
+
+
 def digest_case(variant: str, shape: str, tiling: TilingConfig, l1: int) -> dict[str, object]:
     """Build and simulate one case; return its task count and two digests."""
-    name, options = VARIANTS[variant]
-    workload = SHAPES[shape][0]
-    scheduler = make_scheduler(name, simulated_edge_device().with_l1_bytes(l1), **options)
-    graph = scheduler.build(workload, tiling).graph
+    graph = _scheduler(variant, l1).build(SHAPES[shape][0], tiling).graph
     graph_sha = hashlib.sha256()
     for task in graph:
         row = [task.kind.value, task.resource, task.cycles, list(task.deps)]
@@ -161,6 +177,17 @@ def test_graph_matches_golden(case_id, variant, shape, tiling, l1):
             f"{case_id}: {field} differs from the golden graph "
             f"(expected {expected[field]}, found {found[field]})"
         )
+
+
+@pytest.mark.parametrize(
+    "case_id, variant, shape, tiling, l1", CASES, ids=[case[0] for case in CASES]
+)
+def test_graph_replays_to_reference(case_id, variant, shape, tiling, l1):
+    workload = SHAPES[shape][0]
+    q, k, v = make_qkv(workload, dtype=np.float64)
+    output = replay(_scheduler(variant, l1), workload, tiling, q, k, v)
+    error = float(np.max(np.abs(output - reference_attention(q, k, v))))
+    assert error <= 1e-9, f"{case_id}: replay is {error:.3e} off the reference"
 
 
 def main() -> None:

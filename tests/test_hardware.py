@@ -6,7 +6,6 @@ import dataclasses
 
 import pytest
 
-from repro.hardware.buffer import BufferManager, BufferOverflowError
 from repro.hardware.compute_units import (
     elementwise_cycles,
     elementwise_vec_ops,
@@ -23,7 +22,7 @@ from repro.hardware.config import (
     VecUnitSpec,
 )
 from repro.hardware.energy import AccessCounters, EnergyBreakdown, EnergyModel
-from repro.hardware.memory import MemoryHierarchy, dma_cycles
+from repro.hardware.memory import dma_cycles
 from repro.hardware.presets import (
     PRESETS,
     constrained_edge_device,
@@ -145,15 +144,6 @@ class TestMemory:
         with pytest.raises(ValueError):
             dma_cycles(edge_hw, -1)
 
-    def test_hierarchy_lookup(self, edge_hw):
-        hier = MemoryHierarchy(edge_hw)
-        assert hier.level_by_name("l1").name == "L1"
-        assert [lvl.name for lvl in hier.levels()] == ["DRAM", "L1", "L0"]
-        assert hier.fits_in_l1(4 * MB)
-        assert not hier.fits_in_l1(6 * MB)
-        with pytest.raises(KeyError):
-            hier.level_by_name("L7")
-
 
 class TestEnergy:
     def test_counters_add(self):
@@ -193,65 +183,6 @@ class TestEnergy:
         assert b.onchip_memory_pj == 5
         assert b.pe_pj == 9
         assert b.as_dict()["total"] == pytest.approx(21)
-
-
-class TestBufferManager:
-    def test_alloc_free_accounting(self):
-        buf = BufferManager(capacity_bytes=1000)
-        buf.alloc("K", 400)
-        buf.alloc("V", 400, evictable=True)
-        assert buf.used_bytes == 800 and buf.free_bytes == 200
-        assert buf.contains("K") and buf.resident_names() == ["K", "V"]
-        buf.free("K")
-        assert buf.used_bytes == 400
-        with pytest.raises(KeyError):
-            buf.free("K")
-        assert buf.free_if_present("V") and not buf.free_if_present("V")
-
-    def test_duplicate_allocation_rejected(self):
-        buf = BufferManager(capacity_bytes=100)
-        buf.alloc("X", 10)
-        with pytest.raises(ValueError):
-            buf.alloc("X", 10)
-
-    def test_oversized_allocation_rejected(self):
-        buf = BufferManager(capacity_bytes=100)
-        with pytest.raises(BufferOverflowError):
-            buf.alloc("huge", 101)
-
-    def test_eviction_frees_space_and_records_events(self):
-        buf = BufferManager(capacity_bytes=1000)
-        buf.alloc("K", 600, evictable=True, tag="kv")
-        buf.alloc("Q", 300)
-        events = buf.alloc("P", 500)
-        assert [e.victim for e in events] == ["K"]
-        assert buf.contains("P") and not buf.contains("K")
-        assert buf.evictions[0].requested_by == "P"
-        assert buf.evictions[0].tag == "kv"
-
-    def test_eviction_disabled_raises(self):
-        buf = BufferManager(capacity_bytes=1000)
-        buf.alloc("K", 600, evictable=True)
-        with pytest.raises(BufferOverflowError):
-            buf.alloc("P", 500, allow_evict=False)
-
-    def test_eviction_insufficient_raises(self):
-        buf = BufferManager(capacity_bytes=1000)
-        buf.alloc("K", 200, evictable=True)
-        buf.alloc("Q", 700)
-        with pytest.raises(BufferOverflowError):
-            buf.alloc("P", 400)
-
-    def test_explicit_evict_and_reset(self):
-        buf = BufferManager(capacity_bytes=100)
-        buf.alloc("A", 50)
-        event = buf.evict("A", requested_by="test")
-        assert event.num_bytes == 50
-        with pytest.raises(KeyError):
-            buf.evict("A")
-        buf.alloc("B", 10)
-        buf.reset()
-        assert buf.used_bytes == 0 and buf.evictions == []
 
 
 class TestPresets:

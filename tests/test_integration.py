@@ -2,9 +2,9 @@
 
 These tests tie the layers together the same way the benchmark harness does,
 on reduced shapes: the search produces a tiling, the scheduler builds a graph,
-the simulator runs it, the analysis reshapes the results — and the numerical
-executors confirm the dataflow computes exact attention for the very tiling
-the search selected.
+the simulator runs it, the analysis reshapes the results — and the graph
+replay confirms the scheduled task graph computes exact attention for the very
+tiling the search selected.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import pytest
 from repro import quick_compare
 from repro.analysis import ExperimentRunner, run_table2, run_table3
 from repro.hardware.presets import davinci_like_npu, simulated_edge_device
-from repro.numerics.golden import golden_check
+from repro.numerics.golden import golden_check, make_qkv
 from repro.numerics.reference import reference_attention
-from repro.numerics.tiled import mas_attention
-from repro.numerics.golden import make_qkv
-from repro.schedulers import make_scheduler
+from repro.numerics.replay import replay
+from repro.schedulers import ALL_SCHEDULERS, list_schedulers, make_scheduler
 from repro.search import AutoTuner
 from repro.workloads.attention import AttentionWorkload
 
@@ -54,17 +53,19 @@ class TestTuneSimulateValidate:
         assert tuned_cycles <= default_cycles
 
         q, k, v = make_qkv(workload, seed=3, dtype=np.float64)
-        out = mas_attention(q, k, v, nq=tuning.best_tiling.nq, nkv=tuning.best_tiling.nkv)
+        out = replay(scheduler, workload, tuning.best_tiling, q, k, v)
         np.testing.assert_allclose(out, reference_attention(q, k, v), rtol=1e-6, atol=1e-8)
 
     def test_golden_check_for_searched_tilings_of_all_methods(self, workload):
         hw = simulated_edge_device()
         tuner = AutoTuner(hw, budget=10, seed=0)
         small = AttentionWorkload.self_attention(heads=2, seq=96, emb=16, name="golden-e2e")
-        for name in ("flat", "mas"):
+        searchable = [name for name, cls in ALL_SCHEDULERS.items() if cls.searchable]
+        for name in searchable:
             tiling = tuner.tune(name, small).best_tiling
             result = golden_check(small, tiling=tiling)
-            assert result.passed, result.summary()
+            assert result.passed, f"{name}: {result.summary()}"
+            assert set(result.max_errors) == set(list_schedulers())
 
 
 class TestAnalysisConsistency:

@@ -1,4 +1,4 @@
-"""Unit tests for :mod:`repro.numerics` (reference attention, tiled executors, golden check)."""
+"""Unit tests for :mod:`repro.numerics` (reference attention, graph replay, golden check)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.tiling import TilingConfig
-from repro.numerics.golden import EXECUTORS, golden_check, make_qkv
+from repro.numerics import golden
+from repro.numerics.golden import golden_check, make_qkv
 from repro.numerics.reference import (
     attention_scores,
     naive_softmax,
@@ -14,15 +15,51 @@ from repro.numerics.reference import (
     reference_attention,
     stable_softmax,
 )
-from repro.numerics.tiled import (
-    flat_attention,
-    fusemax_attention,
-    layerwise_attention,
-    mas_attention,
-    softpipe_attention,
-    tileflow_attention,
-)
+from repro.numerics.replay import ReplayError, replay
+from repro.schedulers import list_schedulers, make_scheduler
+from repro.sim.engine import simulate_graph
 from repro.workloads.attention import AttentionWorkload
+
+#: (scheduler, producer, consumer, slot, early) of each dependency a race test
+#: drops; producer and consumer are task-name stems without the tile index.
+#: The consumer then starts while its producer runs or, when ``early``,
+#: before its producer starts.
+DROPS = [
+    ("layerwise", "load_C", "SM", "C", False),
+    ("softpipe", "QK", "SM", "C", False),
+    ("flat", "QK", "SM", "C", False),
+    ("tileflow", "load_V", "PV", "V", False),
+    ("fusemax", "SMU", "PV", "P", False),
+    ("mas", "QK", "SM", "C", False),
+    ("flat", "QK", "SM", "C", True),
+    # The stored P left L1, so PV must wait for its reload.
+    ("layerwise", "load_P", "PV", "P", True),
+    ("softpipe", "load_P", "PV", "P", True),
+    # NORM reads the accumulator version holding every PV tile.
+    ("fusemax", "PV", "NORM", "O", True),
+]
+
+
+def _stem(task) -> str:
+    return task.name.split(".")[2].rstrip("0123456789")
+
+
+def _drop_racing_dependency(graph, producer_stem: str, consumer_stem: str, early: bool):
+    """Drop the first producer -> consumer edge that lets the consumer start while
+    the producer runs (``early``: before it starts); return the two tasks."""
+    for consumer in graph:
+        for dep in consumer.deps:
+            producer = graph[dep]
+            if (_stem(producer), _stem(consumer)) != (producer_stem, consumer_stem):
+                continue
+            kept = consumer.deps
+            consumer.deps = tuple(d for d in kept if d != dep)
+            records = simulate_graph(graph).records
+            made, used = records[producer.tid], records[consumer.tid]
+            if used.start < made.start if early else made.start <= used.start < made.finish:
+                return producer, consumer
+            consumer.deps = kept
+    return None
 
 
 def random_qkv(b=1, h=2, n=96, e=16, seed=0, dtype=np.float64):
@@ -95,74 +132,83 @@ class TestReferenceAttention:
         )
 
 
-class TestTiledExecutors:
+class TestReplay:
+    @pytest.mark.parametrize("name", list_schedulers())
     @pytest.mark.parametrize(
-        "executor",
-        [layerwise_attention, softpipe_attention, flat_attention, tileflow_attention,
-         fusemax_attention, mas_attention],
-        ids=["layerwise", "softpipe", "flat", "tileflow", "fusemax", "mas"],
+        "batch, n, emb, nkv, seed",
+        # The second has eight K/V tiles per row: FuseMax rescales its
+        # accumulator seven times, and MAS streams eight QK/PV tiles per row-block.
+        [(2, 80, 16, 32, 11), (1, 128, 8, 16, 3)],
+        ids=["n80", "n128-8tiles"],
     )
-    def test_matches_reference(self, executor):
-        q, k, v = random_qkv(b=2, h=2, n=80, e=16, seed=11)
-        expected = reference_attention(q, k, v)
-        kwargs = {}
-        if executor is not layerwise_attention:
-            kwargs["nq"] = 32
-        if executor in (flat_attention, tileflow_attention, fusemax_attention, mas_attention):
-            kwargs["nkv"] = 32
-        np.testing.assert_allclose(executor(q, k, v, **kwargs), expected, rtol=1e-6, atol=1e-8)
+    def test_matches_reference(self, name, batch, n, emb, nkv, seed, edge_hw):
+        workload = AttentionWorkload(batch=batch, heads=2, seq_q=n, seq_kv=n, emb=emb)
+        q, k, v = make_qkv(workload, seed=seed, dtype=np.float64)
+        tiling = TilingConfig(nq=32, nkv=nkv)
+        out = replay(make_scheduler(name, edge_hw), workload, tiling, q, k, v)
+        np.testing.assert_allclose(out, reference_attention(q, k, v), rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("nq,nkv", [(16, 16), (32, 48), (80, 80), (7, 13)])
-    def test_mas_exact_for_odd_tilings(self, nq, nkv):
+    def test_mas_exact_for_odd_tilings(self, nq, nkv, edge_hw):
         """Tilings that do not divide the sequence still give exact attention."""
-        q, k, v = random_qkv(n=80, e=16, seed=5)
-        expected = reference_attention(q, k, v)
-        np.testing.assert_allclose(mas_attention(q, k, v, nq=nq, nkv=nkv), expected,
-                                   rtol=1e-6, atol=1e-8)
+        workload = AttentionWorkload(batch=1, heads=2, seq_q=80, seq_kv=80, emb=16)
+        q, k, v = make_qkv(workload, seed=5, dtype=np.float64)
+        out = replay(make_scheduler("mas", edge_hw), workload, TilingConfig(nq=nq, nkv=nkv), q, k, v)
+        np.testing.assert_allclose(out, reference_attention(q, k, v), rtol=1e-6, atol=1e-8)
 
-    def test_mas_round_log_follows_algorithm1(self):
-        q, k, v = random_qkv(n=96, e=16)
-        _, log = mas_attention(q, k, v, nq=32, nkv=32, return_round_log=True)
-        # 3 blocks: QK1 | QK2+SM1 | PV1+QK3+SM2 | PV2+SM3 | PV3
-        ops = [entry.split(":")[1] for entry in log]
-        assert ops.count("QK1") == 1 and ops.count("SM1") == 1 and ops.count("PV1") == 1
-        assert ops.index("QK1") < ops.index("SM1") < ops.index("PV1")
-        assert ops.index("QK3") < ops.index("SM3") < ops.index("PV3")
+    @pytest.mark.parametrize(
+        "name, producer_stem, consumer_stem, slot, early",
+        DROPS,
+        ids=[f"{d[0]}-{d[1]}-{d[2]}{'-early' if d[4] else ''}" for d in DROPS],
+    )
+    def test_dropped_dependency_is_caught(
+        self, name, producer_stem, consumer_stem, slot, early, edge_hw
+    ):
+        """A consumer that starts before its producer finishes makes the replay
+        raise, naming the scheduler, both tasks and the slot."""
+        workload = AttentionWorkload(batch=1, heads=2, seq_q=64, seq_kv=64, emb=64)
+        tiling = TilingConfig(nq=16, nkv=16, kv_resident=True)
+        scheduler = make_scheduler(name, edge_hw)
+        graph = scheduler.build(workload, tiling).graph
+        drop = _drop_racing_dependency(graph, producer_stem, consumer_stem, early)
+        assert drop, f"no {producer_stem} -> {consumer_stem} drop races in the {name} graph"
+        producer, consumer = drop
+        q, k, v = make_qkv(workload, dtype=np.float64)
+        with pytest.raises(ReplayError) as error:
+            replay(scheduler, workload, tiling, q, k, v, graph=graph)
+        message = str(error.value)
+        assert message.startswith(f"{name}: {consumer.name} starts at cycle ")
+        assert f" L1[c{producer.tags['core']}].{slot}[" in message
+        if early:
+            assert f" before {producer.name} writes it " in message
+        else:
+            assert f" whose latest write {producer.name} finishes " in message
 
-    def test_fusemax_never_materializes_full_scores(self):
-        """The online executor works tile-by-tile; a huge sequence length would
-        otherwise need an N x N probability matrix.  We only check correctness
-        on a moderate size (memory behaviour is structural)."""
-        q, k, v = random_qkv(n=128, e=8, seed=3)
-        np.testing.assert_allclose(
-            fusemax_attention(q, k, v, nq=32, nkv=16),
-            reference_attention(q, k, v),
-            rtol=1e-6,
-            atol=1e-8,
-        )
-
-    def test_shape_validation(self):
-        q, k, v = random_qkv()
+    def test_shape_validation(self, edge_hw):
+        workload = AttentionWorkload(batch=1, heads=2, seq_q=96, seq_kv=96, emb=16)
+        q, k, v = make_qkv(workload)
         with pytest.raises(ValueError):
-            flat_attention(q[0], k[0], v[0])  # not 4-D
-        with pytest.raises(ValueError):
-            mas_attention(q, k, v, nq=0)
+            replay(make_scheduler("flat", edge_hw), workload, TilingConfig(), q[0], k, v)
 
 
 class TestGoldenCheck:
-    def test_golden_check_passes_for_all_executors(self, tiny_workload):
+    def test_golden_check_passes_for_all_schedulers(self, tiny_workload):
         result = golden_check(tiny_workload, tolerance=1e-4)
         assert result.passed, result.summary()
-        assert set(result.max_errors) == set(EXECUTORS)
+        assert set(result.max_errors) == set(list_schedulers())
         assert result.failures() == {}
 
-    def test_golden_check_reports_failures(self, tiny_workload):
-        """A broken executor is caught by the check."""
-        broken = dict(EXECUTORS)
-        broken["broken"] = lambda q, k, v, nq, nkv: np.zeros_like(q)
-        result = golden_check(tiny_workload, executors=broken)
+    def test_golden_check_reports_failures(self, tiny_workload, monkeypatch):
+        """A replay that disagrees with the reference is caught by the check."""
+
+        def broken(scheduler, *args):
+            out = replay(scheduler, *args)
+            return out + 1.0 if scheduler.name == "flat" else out
+
+        monkeypatch.setattr(golden, "replay", broken)
+        result = golden_check(tiny_workload)
         assert not result.passed
-        assert "broken" in result.failures()
+        assert set(result.failures()) == {"flat"}
         assert "FAIL" in result.summary()
 
     def test_golden_check_respects_tiling(self, tiny_workload):

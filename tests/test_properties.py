@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.overwrite import InfeasibleTilingError
 from repro.core.stream import OpKind, plan_rounds
 from repro.core.tiling import TilingConfig, mas_footprint_bytes, score_block_bytes
-from repro.hardware.buffer import BufferManager, BufferOverflowError
 from repro.hardware.compute_units import matmul_cycles, matmul_macs, softmax_cycles
 from repro.hardware.config import MacUnitSpec, VecUnitSpec
 from repro.hardware.presets import constrained_edge_device, simulated_edge_device
 from repro.numerics.reference import online_softmax, reference_attention, stable_softmax
-from repro.numerics.tiled import flat_attention, fusemax_attention, mas_attention
+from repro.numerics.replay import replay
 from repro.schedulers.registry import list_schedulers, make_scheduler
 from repro.sim.engine import critical_path_cycles, simulate_graph
 from repro.sim.tasks import TaskGraph, TaskKind
@@ -90,10 +89,21 @@ class TestSoftmaxProperties:
 
 
 class TestExecutorEquivalence:
-    @given(workloads(), st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**31 - 1))
+    @given(
+        workloads(),
+        st.builds(
+            TilingConfig,
+            bb=st.integers(1, 2),
+            hh=st.integers(1, 4),
+            nq=st.integers(1, 64),
+            nkv=st.integers(1, 64),
+            kv_resident=st.booleans(),
+        ),
+        st.integers(0, 2**31 - 1),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_all_dataflows_compute_exact_attention(self, workload, nq, nkv, seed):
-        """Any tiling of any dataflow reproduces the reference (exactness invariant)."""
+    def test_all_dataflows_compute_exact_attention(self, workload, tiling, seed):
+        """Every scheduler's task graph, under any tiling, replays to the reference."""
         rng = np.random.default_rng(seed)
         shape_q = (workload.batch, workload.heads, workload.seq_q, workload.emb)
         shape_kv = (workload.batch, workload.heads, workload.seq_kv, workload.emb)
@@ -101,9 +111,14 @@ class TestExecutorEquivalence:
         k = rng.standard_normal(shape_kv)
         v = rng.standard_normal(shape_kv)
         expected = reference_attention(q, k, v)
-        for executor in (flat_attention, fusemax_attention, mas_attention):
+        hardware = simulated_edge_device()
+        for name in list_schedulers():
             np.testing.assert_allclose(
-                executor(q, k, v, nq=nq, nkv=nkv), expected, rtol=1e-6, atol=1e-8
+                replay(make_scheduler(name, hardware), workload, tiling, q, k, v),
+                expected,
+                rtol=1e-6,
+                atol=1e-8,
+                err_msg=name,
             )
 
 
@@ -220,38 +235,6 @@ class TestEngineProperties:
             tids = [t.tid for t in graph.tasks_on(resource)]
             starts = [records[tid].start for tid in tids]
             assert starts == sorted(starts)
-
-
-# --------------------------------------------------------------------------- #
-# Buffer manager
-# --------------------------------------------------------------------------- #
-class TestBufferProperties:
-    @given(
-        st.integers(64, 4096),
-        st.lists(st.tuples(st.integers(1, 1024), st.booleans()), min_size=1, max_size=30),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_capacity_never_exceeded(self, capacity, requests):
-        buf = BufferManager(capacity_bytes=capacity)
-        for i, (size, evictable) in enumerate(requests):
-            try:
-                buf.alloc(f"a{i}", size, evictable=evictable)
-            except BufferOverflowError:
-                pass
-            assert 0 <= buf.used_bytes <= capacity
-            assert buf.free_bytes == capacity - buf.used_bytes
-
-    @given(st.lists(st.integers(1, 256), min_size=1, max_size=20))
-    @settings(max_examples=60, deadline=None)
-    def test_alloc_then_free_everything_restores_capacity(self, sizes):
-        capacity = sum(sizes)
-        buf = BufferManager(capacity_bytes=capacity)
-        for i, size in enumerate(sizes):
-            buf.alloc(f"a{i}", size)
-        assert buf.free_bytes == 0
-        for i in range(len(sizes)):
-            buf.free(f"a{i}")
-        assert buf.used_bytes == 0 and buf.free_bytes == capacity
 
 
 # --------------------------------------------------------------------------- #

@@ -65,14 +65,19 @@ class TestEverySchedulerContract:
         assert result.dram_reads >= small_workload.input_bytes
         assert result.dram_writes >= small_workload.output_bytes
 
-    def test_identical_arithmetic_work(self, name, edge_hw, small_workload):
+    @pytest.mark.parametrize("batched", [False, True], ids=["small", "batch2-heads3-hh2"])
+    def test_identical_arithmetic_work(self, name, batched, edge_hw, small_workload):
         """Section 5.3.3: every dataflow performs the same MatMul work (scheduling only
         changes ordering), modulo FuseMax's online-softmax corrections on the VEC unit
-        and redo tiles from the overwrite path (absent here)."""
-        scheduler = make_scheduler(name, edge_hw)
-        result = scheduler.simulate(small_workload)
-        assert result.counters.mac_ops == small_workload.total_macs
-        assert result.counters.vec_ops >= small_workload.softmax_elements
+        and redo tiles from the overwrite path (absent here).  The batched input's
+        ``hh=2`` cuts each batch's three heads into head groups of 2 and 1."""
+        workload, tiling = small_workload, None
+        if batched:
+            workload = AttentionWorkload(batch=2, heads=3, seq_q=64, seq_kv=64, emb=32)
+            tiling = TilingConfig(hh=2, nq=32, nkv=32)
+        result = make_scheduler(name, edge_hw).simulate(workload, tiling)
+        assert result.counters.mac_ops == workload.total_macs
+        assert result.counters.vec_ops >= workload.softmax_elements
 
     def test_footprint_fits_l1_with_default_tiling(self, name, edge_hw, small_workload):
         scheduler = make_scheduler(name, edge_hw)

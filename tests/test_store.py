@@ -674,9 +674,10 @@ class TestResultCacheOverStores:
         assert info.suite == "table1" and info.scheduler == "mas"
 
     def test_key_schema_version_still_pins_keys(self):
-        """The key schema stayed at 2 on purpose: entry-layout changes must
-        not orphan previously tuned work (keys are how warm sweeps find it)."""
-        assert KEY_SCHEMA_VERSION == 2
+        """The key schema moves only when a key input changes meaning (v3: exact
+        edge head groups); entry-layout changes must not orphan previously tuned
+        work (keys are how warm sweeps find it)."""
+        assert KEY_SCHEMA_VERSION == 3
 
     def test_env_uri_supplies_runner_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MAS_CACHE_URI", f"dir:{tmp_path}/env")
