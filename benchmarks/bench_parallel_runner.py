@@ -44,9 +44,9 @@ from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
 from repro.search.autotuner import AutoTuner, TuningResult
 from repro.search.objective import SchedulerObjective
 from repro.service import StoreService, running_server, server_url
-from repro.store import JsonDirStore
-from repro.store.base import EntryInfo, ResultStore
-from repro.store.schema import make_payload
+from repro.store import EvictionPolicy, JsonDirStore, plan_eviction
+from repro.store.base import EntryInfo, ResultStore, StoreStats
+from repro.store.schema import make_payload, normalize_payload
 from repro.utils import env
 from repro.workloads.networks import get_network
 
@@ -463,7 +463,7 @@ def test_search_throughput_analytic(benchmark):
 
 
 class _SlowMemoryStore(ResultStore):
-    """In-memory store whose reads stall a fixed ~2 ms, standing in for I/O.
+    """In-memory store whose lookups stall a fixed ~2 ms, standing in for I/O.
 
     The lock benchmark must measure the *service's* locking, not a backend's
     own serialization (filesystem round trips), so the
@@ -476,30 +476,22 @@ class _SlowMemoryStore(ResultStore):
         super().__init__()
         self._read_delay_s = read_delay_s
         self._data: dict[str, dict[str, Any]] = {}
-        self._clock = 0
 
     def uri(self) -> str:
         return "slowmem:"
 
-    def read(self, key: str) -> dict[str, Any] | None:
+    def lookup(self, key: str) -> tuple[dict[str, Any] | None, str]:
         time.sleep(self._read_delay_s)
-        return self._data.get(key)
+        if key not in self._data:
+            return None, "miss"
+        payload, status = normalize_payload(self._data[key])
+        return payload, "hit" if status == "ok" else "stale"
 
-    def write(self, key: str, payload: dict[str, Any]) -> None:
+    def put(self, key: str, payload: dict[str, Any]) -> list[str]:
         self._data[key] = payload
-        self.touch(key)
+        return []
 
-    def delete(self, key: str) -> bool:
-        return self._data.pop(key, None) is not None
-
-    def keys(self) -> list[str]:
-        return sorted(self._data)
-
-    def touch(self, key: str) -> None:
-        # A logical clock keeps LRU order deterministic without real time.
-        self._clock += 1
-
-    def _list_entries(self) -> list[EntryInfo]:
+    def entries(self, **filters: str | None) -> list[EntryInfo]:
         return [
             EntryInfo(
                 key=key,
@@ -509,10 +501,30 @@ class _SlowMemoryStore(ResultStore):
                 strategy=None,
                 suite=None,
                 size_bytes=len(json.dumps(payload)),
-                last_used=float(self._clock),
+                last_used=0.0,
             )
             for key, payload in self._data.items()
         ]
+
+    def stats(self) -> StoreStats:
+        infos = self.entries()
+        return StoreStats(
+            self.backend, self.uri(), len(infos), sum(i.size_bytes for i in infos), 0
+        )
+
+    def evict(self, policy: EvictionPolicy | None = None) -> list[str]:
+        evicted = plan_eviction(self.entries(), policy or self.policy)
+        for key in evicted:
+            del self._data[key]
+        return evicted
+
+    def clear(self) -> int:
+        removed = len(self._data)
+        self._data.clear()
+        return removed
+
+    def __len__(self) -> int:
+        return len(self._data)
 
 
 #: Per-key lookups each client thread issues in the lock benchmark.
@@ -533,7 +545,7 @@ def _lock_throughput(stripes: int) -> float:
     for tid in range(LOCK_THREADS):
         for i in range(LOCK_OPS_PER_THREAD):
             key = f"bench/lock/{tid}/{i}"
-            service.write(key, make_payload(key, {"best_value": 1.0}, suite="bench"))
+            service.put(key, make_payload(key, {"best_value": 1.0}, suite="bench"), None)
 
     barrier = threading.Barrier(LOCK_THREADS + 1)
     statuses: list[str] = []

@@ -474,8 +474,10 @@ def _run_cache_store_command(args: argparse.Namespace, store) -> int:
 
     if args.cache_command == "evict":
         if args.max_entries is None and args.max_bytes is None:
-            policy = store.policy
-            if not policy.bounded:
+            # The store's own caps; a served store also enforces the caps
+            # its service was launched with, which this client cannot see.
+            policy = None
+            if not store.policy.bounded and not isinstance(store, HttpStore):
                 raise SystemExit(
                     "nothing to enforce: pass --max-entries/--max-bytes "
                     "or put ?max_entries=/?max_bytes= caps in the store URI"

@@ -2,8 +2,8 @@
 
 The repo's headline guarantees — sweeps bit-identical across ``--jobs``
 counts and store backends, a thread-safe :class:`~repro.service.server.
-StoreService` behind a multi-client fleet, lossless schema upgrades — are
-invariants that generic linters cannot see.  This package machine-checks
+StoreService` behind a multi-client fleet, schema versions named by their
+constants — are invariants that generic linters cannot see.  This package machine-checks
 them on every commit with five AST-based, project-specific checkers:
 
 ``lock-discipline``

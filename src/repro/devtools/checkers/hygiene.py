@@ -1,19 +1,20 @@
 """Schema and exception hygiene: three small checks with one home.
 
 * ``schema-literal`` — integer schema-version literals (``{"schema": 3}``,
-  ``entry["schema"] == 2``, ``schema=3``) outside the schema module.  The
-  store's migration machinery keys off :data:`repro.store.schema.SCHEMA_VERSION`;
-  a stray literal is a future migration bug.  The schema module itself, the
-  legacy cache module and the regular test files are path-exempt (upgrade
-  tests legitimately build old-version entries), but the lint fixtures are
-  not — which is how the checker's own bad-fixture test stays honest.
+  ``entry["schema"] == 2``, ``schema=3``) outside the schema module.  Every
+  schema check compares against
+  :data:`repro.store.schema.ENTRY_SCHEMA_VERSION` or
+  :data:`repro.exec.cache.KEY_SCHEMA_VERSION`; a stray literal silently goes
+  out of date at the next bump.  The schema module itself, the cache
+  module and the regular test files are path-exempt (tests legitimately
+  build stale and future-schema entries), but the lint fixtures are not —
+  which is how the checker's own bad-fixture test stays honest.
 * ``bare-except`` — ``except:`` catches ``SystemExit``/``KeyboardInterrupt``
   and hides typos.  Catch something named.
 * ``swallowed-exception`` — ``except Exception:`` whose body neither
   re-raises nor logs/records the error.  The store retry path re-raises,
   the HTTP server logs; silent ``pass`` bodies need a tag saying why losing
-  the error is correct (the opportunistic schema write-back is the
-  canonical tagged example).
+  the error is correct.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ CHECK_SWALLOWED = "swallowed-exception"
 #: Paths where integer schema literals are the point, not a bug.
 _SCHEMA_LITERAL_EXEMPT = (
     "repro/store/schema.py",  # defines the constants
-    "repro/exec/cache.py",  # legacy pre-store cache format
-    "tests/test_",  # upgrade tests construct old-version entries
+    "repro/exec/cache.py",  # defines KEY_SCHEMA_VERSION
+    "tests/test_",  # tests construct stale and future-schema entries
     "tests/conftest.py",
 )
 

@@ -18,8 +18,7 @@ Two schema versions exist, deliberately decoupled:
 * :data:`KEY_SCHEMA_VERSION` is hashed into every key.  Bump it when the
   *meaning* of a key input changes and old results must stop matching.
 * :data:`repro.store.schema.ENTRY_SCHEMA_VERSION` describes the stored
-  payload layout.  Old-layout entries are upgraded on read instead of
-  being dropped.
+  payload layout.  A payload at any other layout reads as stale.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import Any
 from repro.core.tiling import TilingConfig
 from repro.hardware.config import HardwareConfig
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import global_registry
 from repro.search.autotuner import TuningResult
 from repro.search.history import SearchHistory, SearchRecord
 from repro.search.objective import TilingEvaluation, analytic_prune_enabled
@@ -210,9 +208,7 @@ class ResultCache:
     --------
     ``hits`` / ``misses`` count usable lookups; ``stale`` counts entries that
     exist but carry an unusable schema — reported separately because a stale
-    entry is lost *work* (likely a version skew), not a cold cache.  Entries
-    written under an old-but-upgradeable layout are converted in place on
-    read and count as hits.
+    entry is lost *work* (likely a version skew), not a cold cache.
     """
 
     def __init__(self, target: str | Path | None, enabled: bool = True) -> None:
@@ -256,11 +252,10 @@ class ResultCache:
                     self.hits += 1
                     outcome = "hit"
             span.set(status=outcome)
-        self._lookup_counter().labels(status=outcome).inc()
         return result
 
-    def store(self, key: str, result: TuningResult, suite: str | None = None) -> Any:
-        """Persist ``result`` under ``key``; returns a backend token (path).
+    def store(self, key: str, result: TuningResult, suite: str | None = None) -> None:
+        """Persist ``result`` under ``key`` (a no-op when the cache is off).
 
         ``suite`` (the sweep's suite name, if any) is recorded in the entry
         metadata so indexed backends can answer per-suite queries; it is not
@@ -268,23 +263,10 @@ class ResultCache:
         still share one entry.
         """
         if self.backend is None:
-            return None
+            return
         payload = make_payload(key, tuning_result_to_dict(result), suite=suite)
         with obs_trace.span("store.put", layer="store", backend=self.backend.backend):
-            token = self.backend.put(key, payload)
-        global_registry().counter(
-            "cache_puts", "Tuning results written to the persistent cache."
-        ).inc()
-        return token
-
-    @staticmethod
-    def _lookup_counter():
-        """Per-process lookup counter, fetched at use time (fork safety)."""
-        return global_registry().counter(
-            "cache_lookups",
-            "Persistent-cache lookups, by outcome.",
-            labels=("status",),
-        )
+            self.backend.put(key, payload)
 
     def stats(self) -> dict[str, int]:
         """This process's lookup counters (hits / misses / stale)."""

@@ -6,11 +6,9 @@ The pieces, one import point:
   sweep → pair → search-generation → store-op → HTTP-request path,
   enabled by ``MAS_TRACE=<path>`` (JSONL output), with optional per-span
   cProfile via ``MAS_PROFILE``;
-* :mod:`repro.obs.metrics` — counters, gauges and latency histograms with
-  p50/p95/p99, shared by the store service, the retry layer and the
-  result cache;
-* :mod:`repro.obs.prom` / :mod:`repro.obs.export` — Prometheus text
-  exposition rendering and Chrome trace-event conversion;
+* :mod:`repro.obs.metrics` — counters and latency histograms with
+  p50/p95/p99, shared by the store service and the retry layer;
+* :mod:`repro.obs.export` — Chrome trace-event conversion;
 * :mod:`repro.obs.bench` — the perf gate behind ``mas-attention obs bench
   PARENT_DIR``: the sweep benchmark on the parent commit against this
   checkout, failing on a regression beyond ``BENCHMARK.json``'s bounds;

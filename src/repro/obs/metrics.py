@@ -1,27 +1,22 @@
-"""Process-wide metrics registry: counters, gauges and latency histograms.
+"""Metrics registry: counters and latency histograms.
 
-Before this module the repo's metrics were unrelated dict shapes —
-``cache_stats``, ``analytic_stats`` and the store service's
-``ServiceMetrics`` — each with its own locking, snapshot format and (for the
-service only) a hand-rolled Prometheus renderer.  The registry gives all of
-them one vocabulary:
+Two instrument kinds cover every metric the repo keeps:
 
 * :class:`Counter` — monotonically increasing totals (requests, retries);
-* :class:`Gauge` — last-write-wins values (uptime);
 * :class:`Histogram` — fixed-bucket latency distributions with estimated
   p50/p95/p99 plus exact count/sum/min/max.
 
 Instruments are grouped into a :class:`MetricFamily` (optionally labelled,
 e.g. ``requests{endpoint="POST /lookup"}``) and families live in a
 :class:`MetricsRegistry` whose :meth:`~MetricsRegistry.snapshot` is
-JSON-able and whose families render to Prometheus text exposition through
-:mod:`repro.obs.prom`.
+JSON-able.
 
 Two registries matter in practice: each :class:`~repro.service.server.StoreService`
-owns one for its endpoint metrics, and :func:`global_registry` is the ambient
-per-process registry used by cross-cutting layers (store retries, result-cache
-ops) that have no natural owner object.  The global registry is keyed by PID so
-forked sweep workers start from zero instead of inheriting parent totals.
+owns one for its endpoint metrics (the JSON ``/metrics`` document), and
+:func:`global_registry` is the ambient per-process registry the store retry
+layer counts into, since it has no natural owner object.  The global
+registry is keyed by PID so forked sweep workers start from zero instead of
+inheriting parent totals.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from typing import Any, Iterator
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
@@ -62,29 +56,6 @@ class Counter:
     def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up (got increment {amount!r})")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A last-write-wins value that may go up or down."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self, lock: threading.RLock | None = None) -> None:
-        self._lock = lock if lock is not None else threading.RLock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1) -> None:
         with self._lock:
             self._value += amount
 
@@ -175,29 +146,8 @@ class Histogram:
                 "p99": self._quantile_locked(0.99),
             }
 
-    def bucket_counts(self) -> tuple[tuple[float | None, int], ...]:
-        """Per-bucket ``(upper_bound, count)`` pairs; ``None`` = overflow."""
-        with self._lock:
-            bounds: tuple[float | None, ...] = self.buckets + (None,)
-            return tuple(zip(bounds, self._counts))
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    @property
-    def max(self) -> float:
-        with self._lock:
-            return self._max if self._max is not None else 0.0
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = ("counter", "histogram")
 
 
 class MetricFamily:
@@ -216,8 +166,6 @@ class MetricFamily:
         help_text: str,
         label_names: tuple[str, ...] = (),
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_MS,
-        prom_name: str | None = None,
-        prom_scale: float = 1.0,
     ) -> None:
         if kind not in _KINDS:
             raise ValueError(f"unknown metric kind {kind!r}")
@@ -227,27 +175,22 @@ class MetricFamily:
         self.help = help_text
         self.label_names = tuple(label_names)
         self.buckets = tuple(buckets)
-        #: Name used in Prometheus exposition (defaults to ``name``) and the
-        #: factor applied to observed values there — e.g. a histogram stored
-        #: in milliseconds renders as ``*_seconds`` with ``prom_scale=1e-3``.
-        self.prom_name = prom_name or name
-        self.prom_scale = prom_scale
-        self._children: dict[tuple[str, ...], Counter | Gauge | Histogram] = {}
+        self._children: dict[tuple[str, ...], Counter | Histogram] = {}
         if not self.label_names:
             self._child(())
 
-    def _child(self, key: tuple[str, ...]) -> Counter | Gauge | Histogram:
+    def _child(self, key: tuple[str, ...]) -> Counter | Histogram:
         with self._lock:
             child = self._children.get(key)
             if child is None:
                 if self.kind == "histogram":
                     child = Histogram(self._lock, self.buckets)
                 else:
-                    child = _KINDS[self.kind](self._lock)
+                    child = Counter(self._lock)
                 self._children[key] = child
             return child
 
-    def labels(self, **labels: str) -> Counter | Gauge | Histogram:
+    def labels(self, **labels: str) -> Counter | Histogram:
         """The child instrument for one label-value assignment."""
         if set(labels) != set(self.label_names):
             raise ValueError(
@@ -255,7 +198,7 @@ class MetricFamily:
             )
         return self._child(tuple(str(labels[name]) for name in self.label_names))
 
-    def _sole_child(self) -> Counter | Gauge | Histogram:
+    def _sole_child(self) -> Counter | Histogram:
         if self.label_names:
             raise ValueError(f"metric {self.name!r} is labelled; use .labels(...)")
         return self._child(())
@@ -263,12 +206,6 @@ class MetricFamily:
     # Unlabelled conveniences ------------------------------------------- #
     def inc(self, amount: float = 1) -> None:
         self._sole_child().inc(amount)
-
-    def set(self, value: float) -> None:
-        child = self._sole_child()
-        if not isinstance(child, Gauge):
-            raise ValueError(f"metric {self.name!r} is a {self.kind}, not a gauge")
-        child.set(value)
 
     def observe(self, value: float) -> None:
         child = self._sole_child()
@@ -283,7 +220,7 @@ class MetricFamily:
             raise ValueError(f"metric {self.name!r} is a histogram; use .snapshot()")
         return child.value
 
-    def samples(self) -> Iterator[tuple[tuple[str, ...], Counter | Gauge | Histogram]]:
+    def samples(self) -> Iterator[tuple[tuple[str, ...], Counter | Histogram]]:
         """``(label_values, instrument)`` pairs in sorted label order."""
         with self._lock:
             items = sorted(self._children.items())
@@ -331,8 +268,6 @@ class MetricsRegistry:  # mas-lint: disable=fork-safety(no registry is pickled: 
                 help_text,
                 label_names=label_names,
                 buckets=tuple(kwargs.get("buckets", DEFAULT_LATENCY_BUCKETS_MS)),
-                prom_name=kwargs.get("prom_name"),
-                prom_scale=kwargs.get("prom_scale", 1.0),
             )
             self._families[name] = family
             return family
@@ -340,22 +275,14 @@ class MetricsRegistry:  # mas-lint: disable=fork-safety(no registry is pickled: 
     def counter(self, name: str, help_text: str, labels: tuple[str, ...] = ()) -> MetricFamily:
         return self._register("counter", name, help_text, labels=labels)
 
-    def gauge(self, name: str, help_text: str, labels: tuple[str, ...] = ()) -> MetricFamily:
-        return self._register("gauge", name, help_text, labels=labels)
-
     def histogram(
         self,
         name: str,
         help_text: str,
         labels: tuple[str, ...] = (),
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_MS,
-        prom_name: str | None = None,
-        prom_scale: float = 1.0,
     ) -> MetricFamily:
-        return self._register(
-            "histogram", name, help_text,
-            labels=labels, buckets=buckets, prom_name=prom_name, prom_scale=prom_scale,
-        )
+        return self._register("histogram", name, help_text, labels=labels, buckets=buckets)
 
     def families(self) -> tuple[MetricFamily, ...]:
         with self._lock:

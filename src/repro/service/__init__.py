@@ -8,8 +8,8 @@ standard library (:class:`http.server.ThreadingHTTPServer`), deliberately:
 the reproduction must run anywhere Python does.
 
 * :mod:`repro.service.server` — the :class:`StoreService` facade (per-key
-  striped locking, ETag versioning, metrics with Prometheus exposition),
-  the request handler and the ``serve_store`` entry point used by the CLI.
+  striped locking, JSON metrics), the request handler with one route per
+  store operation, and the ``serve_store`` entry point used by the CLI.
 * :mod:`repro.service.locks` — :class:`KeyedLocks`, the striped per-key
   lock pool with a shared/exclusive store-wide gate.
 """

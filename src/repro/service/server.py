@@ -1,32 +1,29 @@
-"""The HTTP result-store server: REST endpoints, ETags, metrics.
+"""The HTTP result-store server: one route per store operation, plus metrics.
 
 Three layers, separable on purpose:
 
 * :class:`StoreService` — a thread-safe facade over one
-  :class:`~repro.store.base.ResultStore`.  Concurrency is per-key: every
-  operation on one entry holds that key's stripe in a
+  :class:`~repro.store.base.ResultStore`.  Concurrency is per-key: a lookup
+  or an uncapped put holds its key's stripe in a
   :class:`~repro.service.locks.KeyedLocks` pool (shared store-wide gate),
   so lookups of distinct keys from different sweep hosts proceed in
   parallel, while store-wide operations (``evict``/``clear``/``stats``/
-  ``keys``/``entries``) take the gate exclusively and see a frozen store —
-  the plan-then-delete eviction sequence stays atomic.
-  ETag **versions** (bumped on every write *and* touch, so an entry a
-  client just refreshed wins conditional races against cross-host
-  eviction) live under a dedicated metadata lock and feed
-  :class:`ServiceMetrics`;
+  ``entries`` and capped puts) take the gate exclusively and see a frozen
+  store — the plan-then-delete eviction sequence stays atomic.  Every
+  operation feeds :class:`ServiceMetrics`;
 * :class:`StoreRequestHandler` — the REST surface (see the table in
-  ``docs/store_service.md``): raw entry primitives for the store contract,
-  single-round-trip ``/lookup``/``/put`` for the sweep hot path,
-  ``/evict``, ``/stats``, ``/metrics`` (JSON, or Prometheus text exposition
-  via content negotiation) and ``/healthz``;
+  ``docs/store_service.md``): ``/healthz``, the JSON ``/metrics`` document,
+  and one route per store operation, ``/lookup``/``/put``/``/evict``/
+  ``/clear``/``/stats``/``/entries`` under
+  :data:`~repro.store.http.API_PREFIX`;
 * :func:`make_server` / :func:`serve_store` — construction and the CLI's
   blocking entry point.
 
-The server is the *only* writer of its backing store, which is what makes
-ETag versions authoritative without any backend cooperation.  Backends must
-tolerate concurrent calls on *distinct* keys (the JSON directory writes each
-file atomically); same-key and store-wide sequences are serialized here.
-Scaling rule of thumb: one service per store; many sweep hosts per service.
+Backends must tolerate concurrent calls on *distinct* keys (the JSON
+directory writes each file atomically); same-key and store-wide sequences
+are serialized here.  The server should be the only writer of its backing
+directory.  Scaling rule of thumb: one service per store; many sweep hosts
+per service.
 """
 
 from __future__ import annotations
@@ -40,16 +37,16 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import parse_qsl, urlsplit
 
 from repro import __version__
-from repro.obs import prom
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceContext
 from repro.service.locks import DEFAULT_STRIPES, KeyedLocks
 from repro.store.base import ResultStore
 from repro.store.eviction import EvictionPolicy, parse_size
+from repro.store.http import API_PREFIX
 
 __all__ = [
     "DEFAULT_PORT",
@@ -65,20 +62,6 @@ __all__ = [
 #: Default TCP port of ``mas-attention serve``.
 DEFAULT_PORT = 8787
 
-#: Path prefix of the store API (mirrored by the client).
-API_PREFIX = "/api/v1"
-
-#: Content type of the Prometheus text exposition format.
-PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
-class _Conflict(Exception):
-    """Internal: a conditional request's If-Match did not match (HTTP 412)."""
-
-    def __init__(self, key: str, current: str | None) -> None:
-        super().__init__(f"entry {key!r} changed (current etag {current})")
-        self.current = current
-
 
 class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server process only; never pickled to workers)
     """Store-level counters plus per-endpoint latency, served at ``/metrics``.
@@ -86,10 +69,10 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
     Backed by a :class:`~repro.obs.metrics.MetricsRegistry`: the counters
     are unlabelled counter families, per-endpoint traffic is a labelled
     counter pair, and latency is a labelled **histogram** family — so the
-    JSON document and the Prometheus exposition report p50/p95/p99 per
-    endpoint, not just mean/max.  Everything is monotonic since server
-    start and safe for the request threads of a
-    :class:`~http.server.ThreadingHTTPServer` to record concurrently.
+    JSON document reports p50/p95/p99 per endpoint, not just mean/max.
+    Everything is monotonic since server start and safe for the request
+    threads of a :class:`~http.server.ThreadingHTTPServer` to record
+    concurrently.
     """
 
     #: Counter names, fixed so ``/metrics`` output is stable for dashboards.
@@ -97,11 +80,9 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
         "hits",
         "misses",
         "stale",
-        "upgraded",
         "puts",
         "deletes",
         "evictions",
-        "conflicts",
         "bytes_stored",
         "bytes_served",
     )
@@ -109,7 +90,6 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
     #: Lookup statuses as reported by ``ResultStore.lookup`` -> counter name.
     _LOOKUP_STATUSES = {
         "hit": "hits",
-        "upgraded": "upgraded",
         "stale": "stale",
         "miss": "misses",
     }
@@ -122,9 +102,6 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
             )
             for name in self.COUNTERS
         }
-        self._uptime = self.registry.gauge(
-            "uptime_seconds", "Seconds since server start."
-        )
         self._requests = self.registry.counter(
             "requests", "Requests served, by endpoint.", labels=("endpoint",)
         )
@@ -132,11 +109,7 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
             "request_errors", "5xx responses, by endpoint.", labels=("endpoint",)
         )
         self._latency = self.registry.histogram(
-            "request_ms",
-            "Request latency, by endpoint.",
-            labels=("endpoint",),
-            prom_name="request_seconds",
-            prom_scale=1e-3,
+            "request_ms", "Request latency, by endpoint.", labels=("endpoint",)
         )
         self._started = time.time()
 
@@ -149,7 +122,7 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
             self._counters[name].inc(amount)
 
     def record_lookup(self, status: str) -> None:
-        """Tally one schema-aware lookup outcome (hit/upgraded/stale/miss).
+        """Tally one schema-aware lookup outcome (hit/stale/miss).
 
         An unknown status raises instead of silently counting as a miss: a
         new lookup outcome must be given a counter (and a dashboard line)
@@ -175,8 +148,7 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
         """The JSON ``/metrics`` document: counters + per-endpoint latency.
 
         Each endpoint reports exact count/errors/total/mean/max plus the
-        histogram's estimated p50/p95/p99, and ``process`` carries the
-        server process's ambient registry (retry counters and friends).
+        histogram's estimated p50/p95/p99.
         """
         requests: dict[str, dict[str, Any]] = {}
         for (endpoint,), hist in self._latency.samples():
@@ -196,28 +168,11 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
         }
         document["uptime_s"] = round(self.uptime_seconds, 3)
         document["requests"] = requests
-        document["process"] = global_registry().snapshot()
         return document
 
-    def render_prometheus(self) -> str:
-        """The same numbers in Prometheus text exposition format (``/metrics``
-        with ``Accept: text/plain`` or ``?format=prometheus``).
 
-        Rendered through :mod:`repro.obs.prom` under the ``mas_store``
-        namespace: ``mas_store_<counter>_total``, ``mas_store_uptime_seconds``,
-        per-endpoint ``mas_store_requests_total`` / ``mas_store_request_errors_total``
-        and the ``mas_store_request_seconds`` histogram (buckets + sum +
-        count + exact max).  The process-ambient registry follows under the
-        ``mas`` namespace.
-        """
-        self._uptime.set(self.uptime_seconds)
-        return prom.render_registry(self.registry, "mas_store") + prom.render_registry(
-            global_registry(), "mas"
-        )
-
-
-class StoreService:  # mas-lint: disable=fork-safety(server-side singleton; clients cross processes via HTTP, not pickle)
-    """Per-key-locked, ETag-versioned facade over one result store.
+class StoreService:
+    """Per-key-locked facade over one result store.
 
     ``stripes=1`` collapses the keyed pool to one stripe — the old
     global-lock behaviour, kept reachable as the concurrency benchmark's
@@ -231,105 +186,43 @@ class StoreService:  # mas-lint: disable=fork-safety(server-side singleton; clie
         self._store_bounded = store.policy.bounded
         self.metrics = ServiceMetrics()
         self._locks = KeyedLocks(stripes)
-        # ETag metadata has its own lock (innermost, never held across store
-        # I/O except the existence probe in _etag_locked): version bumps from
-        # parallel stripes must still serialize on the shared counter.
-        self._meta = threading.Lock()
-        self._versions: dict[str, int] = {}
-        self._next_version = 0
 
     # ------------------------------------------------------------------ #
-    # ETag bookkeeping — these *_locked helpers require the caller to hold
-    # self._meta (the innermost lock; never taken around store I/O except
-    # the existence probe in _etag_locked)
+    # Per-key operations — each holds its key's stripe (shared store gate)
     # ------------------------------------------------------------------ #
-    def _bump_locked(self, key: str) -> str:
-        self._next_version += 1
-        self._versions[key] = self._next_version
-        return f'"{self._versions[key]}"'
+    def lookup(self, key: str) -> tuple[dict[str, Any] | None, str]:
+        with self._locks.key(key):
+            payload, status = self.store.lookup(key)
+        self.metrics.record_lookup(status)
+        return payload, status
 
-    def _etag_locked(self, key: str) -> str | None:
-        """Current ETag of ``key``, or ``None`` when no such entry exists.
+    def put(
+        self, key: str, payload: dict[str, Any], policy: EvictionPolicy | None
+    ) -> list[str]:
+        """Write + eviction, atomically; returns the evicted keys.
 
-        Entries that predate this server process get a version lazily on
-        first sight — ETags are authoritative only within one server
-        lifetime, which suffices because the server is the store's only
-        writer.
+        An uncapped put only needs its key's stripe; with caps in play
+        (request or store policy) the write and the eviction happen under
+        the exclusive gate so the cap is enforced against a store no other
+        writer is growing mid-plan.
         """
-        if key not in self._versions:
-            if not self.store.exists(key):
-                return None
-            self._bump_locked(key)
-        return f'"{self._versions[key]}"'
-
-    def _check_match_locked(self, key: str, if_match: str | None) -> None:
-        if if_match is None:
-            return
-        current = self._etag_locked(key)
-        if if_match != current:
-            self.metrics.count(conflicts=1)
-            raise _Conflict(key, current)
-
-    # ------------------------------------------------------------------ #
-    # Raw primitives — each holds its key's stripe (shared store gate)
-    # ------------------------------------------------------------------ #
-    def read(self, key: str) -> tuple[dict[str, Any] | None, str | None]:
-        with self._locks.key(key):
-            payload = self.store.read(key)
-            if payload is None:
-                return None, None
-            with self._meta:
-                return payload, self._etag_locked(key)
-
-    def write(
-        self, key: str, payload: dict[str, Any], if_match: str | None = None
-    ) -> str:
-        with self._locks.key(key):
-            return self._write_key_locked(key, payload, if_match)
-
-    def _write_key_locked(
-        self, key: str, payload: dict[str, Any], if_match: str | None = None
-    ) -> str:
-        """One write; the caller holds ``key``'s stripe or the store gate.
-
-        Byte counters (bytes_served / bytes_stored) are accounted by the
-        request handler from actual payload sizes — recomputing them here
-        would re-serialize every payload inside the locked section.
-        """
-        with self._meta:
-            self._check_match_locked(key, if_match)
-        self.store.write(key, payload)
-        self.metrics.count(puts=1)
-        with self._meta:
-            return self._bump_locked(key)
-
-    def delete(self, key: str, if_match: str | None = None) -> bool:
-        with self._locks.key(key):
-            with self._meta:
-                self._check_match_locked(key, if_match)
-            existed = self.store.delete(key)
-            with self._meta:
-                self._versions.pop(key, None)
-            self.metrics.count(deletes=int(existed))
-            return existed
-
-    def touch(self, key: str) -> str | None:
-        with self._locks.key(key):
-            # Touches are pure LRU bookkeeping: a missing entry is a 404,
-            # never created.
-            if not self.store.exists(key):
-                return None
-            self.store.touch(key)
-            with self._meta:
-                return self._bump_locked(key)
-
-    # ------------------------------------------------------------------ #
-    # Store-wide snapshots — exclusive gate, the store is frozen
-    # ------------------------------------------------------------------ #
-    def keys(self) -> list[str]:
+        if not (self._store_bounded or _bounded(policy)):
+            with self._locks.key(key):
+                self.store.put(key, payload)
+            self.metrics.count(puts=1)
+            return []
         with self._locks.store():
-            return self.store.keys()
+            # The store's own put enforces the caps the service was launched
+            # with; the request's caps compose with them.
+            evicted = self.store.put(key, payload)
+            if _bounded(policy):
+                evicted += self.store.evict(policy)
+        self.metrics.count(puts=1, evictions=len(evicted))
+        return evicted
 
+    # ------------------------------------------------------------------ #
+    # Store-wide operations — exclusive gate, the store is frozen
+    # ------------------------------------------------------------------ #
     def entries(self, filters: dict[str, str]) -> list[dict[str, Any]]:
         with self._locks.store():
             return [asdict(info) for info in self.store.entries(**filters)]
@@ -338,71 +231,29 @@ class StoreService:  # mas-lint: disable=fork-safety(server-side singleton; clie
         with self._locks.store():
             return self.store.stats().as_dict()
 
-    # ------------------------------------------------------------------ #
-    # Schema-aware, single-round-trip operations
-    # ------------------------------------------------------------------ #
-    def lookup(self, key: str) -> tuple[dict[str, Any] | None, str, str | None]:
-        with self._locks.key(key):
-            payload, status = self.store.lookup(key)
-            self.metrics.record_lookup(status)
-            etag = None
-            if status in ("hit", "upgraded"):
-                # The lookup refreshed LRU state (and possibly rewrote the
-                # payload): the entry's version moves, so a concurrently
-                # planned eviction holding the old ETag loses its race.
-                with self._meta:
-                    etag = self._bump_locked(key)
-            return payload, status, etag
-
-    def put(
-        self, key: str, payload: dict[str, Any], policy: EvictionPolicy | None
-    ) -> tuple[str, list[str]]:
-        """Write + single eviction pass, atomically; returns (etag, evicted).
-
-        An unbounded put only needs its key's stripe; with caps in play
-        (request or store policy) the write and the eviction pass happen
-        under the exclusive gate so the cap is enforced against a store no
-        other writer is growing mid-plan.
-        """
-        bounded = (policy is not None and policy.bounded) or self._store_bounded
-        if bounded:
-            with self._locks.store():
-                etag = self._write_key_locked(key, payload)
-                return etag, self._evict_store_locked(policy)
-        with self._locks.key(key):
-            return self._write_key_locked(key, payload), []
-
     def evict(self, policy: EvictionPolicy | None) -> list[str]:
-        with self._locks.store():
-            return self._evict_store_locked(policy)
-
-    def _evict_store_locked(self, policy: EvictionPolicy | None) -> list[str]:
-        """One eviction pass; the caller holds the exclusive store gate.
+        """One eviction pass: the request's caps, then the service's own.
 
         A client-shipped policy composes with — never replaces — the caps
-        the service was launched with: the request's policy is enforced
-        first, then the store's own, so a client with looser caps cannot
+        the service was launched with, so a client with looser caps cannot
         grow a capped store past its configured bound.
         """
-        policies = [p for p in (policy, self.store.policy) if p is not None and p.bounded]
-        if len(policies) == 2 and policies[0] == policies[1]:
-            policies.pop()
-        evicted: list[str] = []
-        for effective in policies:
-            evicted.extend(self.store.evict(effective))
-        with self._meta:
-            for key in evicted:
-                self._versions.pop(key, None)
+        with self._locks.store():
+            evicted = self.store.evict(policy) if _bounded(policy) else []
+            if self._store_bounded and policy != self.store.policy:
+                evicted += self.store.evict()
         self.metrics.count(evictions=len(evicted))
         return evicted
 
     def clear(self) -> int:
         with self._locks.store():
             removed = self.store.clear()
-            with self._meta:
-                self._versions.clear()
-            self.metrics.count(deletes=removed)
-            return removed
+        self.metrics.count(deletes=removed)
+        return removed
+
+
+def _bounded(policy: EvictionPolicy | None) -> bool:
+    return policy is not None and policy.bounded
 
 
 class StoreRequestHandler(BaseHTTPRequestHandler):
@@ -415,6 +266,19 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"mas-attention-store/{__version__}"
 
+    #: The routes: ``(method, path) -> handler name``.  A request's metrics
+    #: label is its method and path without :data:`API_PREFIX`.
+    ROUTES = {
+        ("GET", "/healthz"): "_handle_healthz",
+        ("GET", "/metrics"): "_handle_metrics",
+        ("GET", f"{API_PREFIX}/stats"): "_handle_stats",
+        ("GET", f"{API_PREFIX}/entries"): "_handle_entries",
+        ("POST", f"{API_PREFIX}/lookup"): "_handle_lookup",
+        ("POST", f"{API_PREFIX}/put"): "_handle_put",
+        ("POST", f"{API_PREFIX}/evict"): "_handle_evict",
+        ("POST", f"{API_PREFIX}/clear"): "_handle_clear",
+    }
+
     # Populated by make_server on the server object; typed here for clarity.
     @property
     def service(self) -> StoreService:
@@ -426,21 +290,17 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         self._dispatch("GET")
 
-    def do_PUT(self) -> None:
-        self._dispatch("PUT")
-
     def do_POST(self) -> None:
         self._dispatch("POST")
 
+    # No route takes PUT or DELETE; dispatching them anyway answers a JSON
+    # 404 and drains the body, where the base class would send a bodiless
+    # 501 and leave the body to desync the keep-alive stream.
+    def do_PUT(self) -> None:
+        self._dispatch("PUT")
+
     def do_DELETE(self) -> None:
         self._dispatch("DELETE")
-
-    #: Endpoints whose 200 responses carry entry payloads out — bytes_served
-    #: is accounted here from the actual response size.  bytes_stored is
-    #: accounted inside the storing handlers from the *entry payload* bytes
-    #: (not the request Content-Length: the JSON envelope — key, policy
-    #: caps, quoting — is not stored data).
-    _SERVING_LABELS = frozenset({"GET /entry", "POST /lookup"})
 
     def _dispatch(self, method: str) -> None:
         # Adopt the client's trace context (X-MAS-Trace, sent by HttpStore)
@@ -466,28 +326,20 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             # every later request (no per-endpoint handler can forget this).
             length = int(self.headers.get("Content-Length") or 0)
             self._body_bytes = self.rfile.read(length) if length > 0 else b""
-            route = self._route(method, parts.path)
-            if route is None:
+            handler = self.ROUTES.get((method, parts.path))
+            if handler is None:
                 status = 404
                 self._send_json(
                     404, {"error": f"no such endpoint: {method} {parts.path}"}
                 )
                 return
-            handler, args, label = route
-            query = dict(parse_qsl(parts.query))
-            status, payload, headers = handler(*args, query)
-            sent = self._send_json(status, payload, headers)
-            if status == 200 and label in self._SERVING_LABELS:
+            label = f"{method} {parts.path.removeprefix(API_PREFIX)}"
+            payload = getattr(self, handler)(dict(parse_qsl(parts.query)))
+            status = 200
+            sent = self._send_json(200, payload)
+            if label == "POST /lookup":
+                # Lookups are the only responses that carry entry payloads.
                 self.service.metrics.count(bytes_served=sent)
-        except _Conflict as conflict:
-            status = 412
-            # The winning ETag rides in the header as well as the body, so a
-            # conditional client can retry without a second GET.
-            self._send_json(
-                412,
-                {"error": str(conflict), "etag": conflict.current},
-                {"ETag": conflict.current} if conflict.current else None,
-            )
         except (KeyError, TypeError, ValueError) as exc:
             status = 400
             self._send_json(400, {"error": f"bad request: {exc}"})
@@ -504,141 +356,55 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             self.service.metrics.observe(label, elapsed_ms, error=status >= 500)
             span.set(endpoint=label, status=status)
 
-    def _route(self, method: str, path: str):
-        """Resolve ``(handler, args, metrics_label)`` for one request path."""
-        if method == "GET":
-            if path == "/healthz":
-                return self._handle_healthz, (), "GET /healthz"
-            if path == "/metrics":
-                return self._handle_metrics, (), "GET /metrics"
-            if path == f"{API_PREFIX}/stats":
-                return self._handle_stats, (), "GET /stats"
-            if path == f"{API_PREFIX}/keys":
-                return self._handle_keys, (), "GET /keys"
-            if path == f"{API_PREFIX}/entries":
-                return self._handle_entries, (), "GET /entries"
-        key = self._entry_key(path)
-        if key is not None:
-            if method == "GET":
-                return self._handle_entry_get, (key,), "GET /entry"
-            if method == "PUT":
-                return self._handle_entry_put, (key,), "PUT /entry"
-            if method == "DELETE":
-                return self._handle_entry_delete, (key,), "DELETE /entry"
-        touch_key = self._entry_key(path, suffix="/touch")
-        if method == "POST" and touch_key is not None:
-            return self._handle_touch, (touch_key,), "POST /touch"
-        if method == "POST":
-            posts = {
-                f"{API_PREFIX}/lookup": self._handle_lookup,
-                f"{API_PREFIX}/put": self._handle_put,
-                f"{API_PREFIX}/evict": self._handle_evict,
-                f"{API_PREFIX}/clear": self._handle_clear,
-            }
-            if path in posts:
-                return posts[path], (), f"POST {path.removeprefix(API_PREFIX)}"
-        return None
-
-    @staticmethod
-    def _entry_key(path: str, suffix: str = "") -> str | None:
-        prefix = f"{API_PREFIX}/entry/"
-        if not (path.startswith(prefix) and path.endswith(suffix)):
-            return None
-        quoted = path[len(prefix) : len(path) - len(suffix)]
-        if not quoted or "/" in quoted:
-            return None
-        return unquote(quoted)
-
-    @staticmethod
-    def _payload_bytes(payload: dict[str, Any]) -> int:
-        """Size of one entry payload as stored (compact JSON), for metrics."""
-        return len(json.dumps(payload, separators=(",", ":")).encode())
-
     # ------------------------------------------------------------------ #
-    # Endpoint handlers: (status, payload, headers)
+    # Route handlers: query parameters in, JSON document out
     # ------------------------------------------------------------------ #
-    def _handle_healthz(self, query: dict) -> tuple[int, dict, dict]:
+    def _handle_healthz(self, query: dict) -> dict:
         store = self.service.store
-        return 200, {
+        return {
             "ok": True,
             "version": __version__,
             "backend": store.backend,
             "store": store.uri(),
             "uptime_seconds": round(self.service.metrics.uptime_seconds, 3),
             "pid": os.getpid(),
-        }, {}
+        }
 
-    def _handle_metrics(self, query: dict) -> tuple[int, Any, dict]:
-        accept = self.headers.get("Accept") or ""
-        wants_text = (
-            query.get("format") == "prometheus"
-            or "text/plain" in accept
-            or "openmetrics" in accept
-        )
-        if wants_text:
-            text = self.service.metrics.render_prometheus()
-            return 200, text, {"Content-Type": PROMETHEUS_CONTENT_TYPE}
-        return 200, self.service.metrics.snapshot(), {}
+    def _handle_metrics(self, query: dict) -> dict:
+        return self.service.metrics.snapshot()
 
-    def _handle_stats(self, query: dict) -> tuple[int, dict, dict]:
-        return 200, self.service.stats(), {}
+    def _handle_stats(self, query: dict) -> dict:
+        return self.service.stats()
 
-    def _handle_keys(self, query: dict) -> tuple[int, dict, dict]:
-        return 200, {"keys": self.service.keys()}, {}
+    def _handle_entries(self, query: dict) -> dict:
+        return {"entries": self.service.entries(query)}
 
-    def _handle_entries(self, query: dict) -> tuple[int, dict, dict]:
-        return 200, {"entries": self.service.entries(query)}, {}
-
-    def _handle_entry_get(self, key: str, query: dict) -> tuple[int, dict, dict]:
-        payload, etag = self.service.read(key)
-        if payload is None:
-            return 404, {"error": f"no entry {key!r}"}, {}
-        return 200, payload, {"ETag": etag}
-
-    def _handle_entry_put(self, key: str, query: dict) -> tuple[int, dict, dict]:
-        payload = self._json_body()
-        if not isinstance(payload, dict):
-            raise ValueError("entry payload must be a JSON object")
-        etag = self.service.write(key, payload, self.headers.get("If-Match"))
-        # The whole request body *is* the entry here, so its wire size is
-        # the stored size.
-        self.service.metrics.count(bytes_stored=len(self._body_bytes))
-        return 200, {"stored": True, "etag": etag}, {"ETag": etag}
-
-    def _handle_entry_delete(self, key: str, query: dict) -> tuple[int, dict, dict]:
-        existed = self.service.delete(key, self.headers.get("If-Match"))
-        return 200, {"deleted": existed}, {}
-
-    def _handle_touch(self, key: str, query: dict) -> tuple[int, dict, dict]:
-        etag = self.service.touch(key)
-        if etag is None:
-            return 404, {"error": f"no entry {key!r}"}, {}
-        return 200, {"touched": True, "etag": etag}, {"ETag": etag}
-
-    def _handle_lookup(self, query: dict) -> tuple[int, dict, dict]:
+    def _handle_lookup(self, query: dict) -> dict:
         body = self._json_body()
         key = body.get("key")
         if not isinstance(key, str):
             raise ValueError("lookup body must carry a string 'key'")
-        payload, status, etag = self.service.lookup(key)
-        headers = {"ETag": etag} if etag else {}
-        return 200, {"status": status, "payload": payload, "etag": etag}, headers
+        payload, status = self.service.lookup(key)
+        return {"status": status, "payload": payload}
 
-    def _handle_put(self, query: dict) -> tuple[int, dict, dict]:
+    def _handle_put(self, query: dict) -> dict:
         body = self._json_body()
         key, payload = body.get("key"), body.get("payload")
         if not isinstance(key, str) or not isinstance(payload, dict):
             raise ValueError("put body must carry a string 'key' and object 'payload'")
-        etag, evicted = self.service.put(key, payload, self._body_policy(body))
-        self.service.metrics.count(bytes_stored=self._payload_bytes(payload))
-        return 200, {"stored": True, "etag": etag, "evicted": evicted}, {"ETag": etag}
+        evicted = self.service.put(key, payload, self._body_policy(body))
+        # Accounted from the compact entry payload, not the request body:
+        # the JSON envelope (key, policy caps, indentation) is not stored.
+        self.service.metrics.count(
+            bytes_stored=len(json.dumps(payload, separators=(",", ":")).encode())
+        )
+        return {"stored": True, "evicted": evicted}
 
-    def _handle_evict(self, query: dict) -> tuple[int, dict, dict]:
-        evicted = self.service.evict(self._body_policy(self._json_body()))
-        return 200, {"evicted": evicted}, {}
+    def _handle_evict(self, query: dict) -> dict:
+        return {"evicted": self.service.evict(self._body_policy(self._json_body()))}
 
-    def _handle_clear(self, query: dict) -> tuple[int, dict, dict]:
-        return 200, {"removed": self.service.clear()}, {}
+    def _handle_clear(self, query: dict) -> dict:
+        return {"removed": self.service.clear()}
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -666,31 +432,12 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             raise ValueError("request body must be a JSON object")
         return payload
 
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, Any] | str,
-        headers: dict[str, str] | None = None,
-    ) -> int:
-        """Send one response; returns the body size in bytes.
-
-        A ``dict`` payload goes out as JSON; a ``str`` payload goes out
-        verbatim (the Prometheus text exposition), with the content type
-        taken from ``headers``.
-        """
-        extra = dict(headers or {})
-        if isinstance(payload, str):
-            data = payload.encode("utf-8")
-            content_type = extra.pop("Content-Type", "text/plain; charset=utf-8")
-        else:
-            data = json.dumps(payload).encode()
-            content_type = extra.pop("Content-Type", "application/json")
+    def _send_json(self, status: int, payload: dict[str, Any]) -> int:
+        """Send one JSON response; returns the body size in bytes."""
+        data = json.dumps(payload).encode()
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        for name, value in extra.items():
-            if value:
-                self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
         return len(data)

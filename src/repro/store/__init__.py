@@ -1,21 +1,19 @@
 """Pluggable result-store subsystem: where tuning results live.
 
-The execution layer's persistent cache (:mod:`repro.exec.cache`) used to be
-welded to one directory-of-JSON-files format; this package puts the storage
-side behind one interface:
+The execution layer's persistent cache (:mod:`repro.exec.cache`) keeps its
+storage behind one interface:
 
-* :mod:`repro.store.base` — the :class:`ResultStore` contract (schema-aware
-  ``lookup``/``put``, ``stats``, LRU ``evict``, ``clear``, ``keys``);
-* :mod:`repro.store.jsondir` — the ``<key>.json`` directory format,
-  bit-compatible with caches written before this subsystem existed and the
-  one local backend;
+* :mod:`repro.store.base` — the :class:`ResultStore` contract: the
+  operations its callers use (schema-aware ``lookup``/``put``, ``entries``,
+  ``stats``, LRU ``evict``, ``clear``);
+* :mod:`repro.store.jsondir` — the ``<key>.json`` directory format, the one
+  local backend;
 * :mod:`repro.store.eviction` — size- and count-capped LRU eviction shared
   by all backends;
-* :mod:`repro.store.schema` — entry payload versioning plus the lossless
-  v2 -> v3 upgrader;
+* :mod:`repro.store.schema` — entry payload versioning and validation;
 * :mod:`repro.store.http` — the HTTP client backend: the same contract over
-  a running ``mas-attention serve`` (:mod:`repro.service`), with connection
-  reuse, retry-with-backoff and ETag-based optimistic concurrency;
+  a running ``mas-attention serve`` (:mod:`repro.service`), one route per
+  operation, with connection reuse and retry-with-backoff;
 * :mod:`repro.store.retry` — the retry/backoff helper HTTP transient errors
   go through;
 * :mod:`repro.store.uri` — ``dir:/path`` / ``http://host:8787`` URIs (plus
@@ -25,7 +23,7 @@ side behind one interface:
 
 from repro.store.base import EntryInfo, ResultStore, StoreStats
 from repro.store.eviction import EvictionPolicy, parse_size, plan_eviction
-from repro.store.http import HttpStore, StoreConflictError, TransientServiceError
+from repro.store.http import HttpStore, TransientServiceError
 from repro.store.jsondir import JsonDirStore
 from repro.store.retry import RetryPolicy, call_with_retry
 from repro.store.schema import (
@@ -44,7 +42,6 @@ __all__ = [
     "MAS_CACHE_URI_ENV",
     "ResultStore",
     "RetryPolicy",
-    "StoreConflictError",
     "StoreStats",
     "TransientServiceError",
     "call_with_retry",

@@ -9,9 +9,9 @@ semantics live — and are tested — in one place.
 Every backoff and every exhausted retry is also counted, per exception
 class, in the process-global metrics registry (``retry_attempts`` /
 ``retry_giveups``): pairs fold the per-process deltas into their
-``store_stats`` so sweeps surface them in ``cache_stats``, and the store
-service exposes them on ``/metrics``.  :func:`retry_totals` is the cheap
-summary used for those deltas.
+``store_stats`` so sweeps surface them in ``cache_stats()``.  Retries happen
+on the client side, so that is where they are visible.  :func:`retry_totals`
+is the cheap summary used for those deltas.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Entry payload schema: versioning, validation and the v2 -> v3 upgrader.
+"""Entry payload schema: versioning and validation.
 
 Two version numbers govern the result store, and they move independently:
 
@@ -7,20 +7,22 @@ Two version numbers govern the result store, and they move independently:
   longer *valid* (the meaning of a key input changed), so every old entry
   becomes unreachable by design.
 * the **entry schema** (:data:`ENTRY_SCHEMA_VERSION`, this module) describes
-  the stored payload *layout*.  Bumping it does not invalidate any result —
-  old entries are upgraded in place by :func:`normalize_payload` instead of
-  being dropped, which is what keeps shared stores durable across
-  software upgrades.
+  the stored payload *layout*.  A payload at any other entry schema reads as
+  ``"stale"``: it is counted, listed and evictable, but never served.
 
 Payload history
 ---------------
-* **v1** (PR 1): ``{"schema": 1, "key", "tuning"}``; the tuning dict lacked
+* **v1**: ``{"schema": 1, "key", "tuning"}``; the tuning dict lacked
   ``objective_evaluations``.
-* **v2** (PR 2): tuning gained ``objective_evaluations``.
-* **v3** (this PR): a ``meta`` block (scheduler / workload / strategy /
-  budget / suite) duplicated out of the tuning payload so store backends can
-  index and query entries without parsing the (large) tuning blob.  Fully
-  derivable from a v2 payload, hence the lossless upgrade.
+* **v2**: tuning gained ``objective_evaluations``.
+* **v3**: a ``meta`` block (scheduler / workload / strategy / budget /
+  suite) duplicated out of the tuning payload so store backends can index
+  and query entries without parsing the (large) tuning blob.
+
+v1 and v2 payloads were all written under key schema 2 or older.  Key
+schema 3 hashes into every key computed today, so no lookup reaches them;
+``cache stats`` counts any left in a store as stale, and ``cache evict`` or
+``cache clear`` removes them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Any
 
 __all__ = [
     "ENTRY_SCHEMA_VERSION",
-    "UPGRADEABLE_SCHEMAS",
     "entry_meta",
     "make_payload",
     "normalize_payload",
@@ -37,11 +38,6 @@ __all__ = [
 
 #: Version of the stored payload layout.  v3 added the ``meta`` block.
 ENTRY_SCHEMA_VERSION = 3
-
-#: Entry schemas :func:`normalize_payload` can upgrade losslessly to the
-#: current version.  (v1 payloads deserialize fine — ``objective_evaluations``
-#: was optional from the start — so they upgrade through the same path.)
-UPGRADEABLE_SCHEMAS: tuple[int, ...] = (1, 2)
 
 _META_FIELDS = ("scheduler", "workload", "strategy", "budget", "suite")
 
@@ -73,24 +69,16 @@ def make_payload(
 
 
 def normalize_payload(payload: Any) -> tuple[dict[str, Any] | None, str]:
-    """Validate ``payload`` and upgrade it to the current entry schema.
+    """Validate ``payload`` against the current entry schema.
 
-    Returns ``(normalized_payload, status)`` where status is one of
-
-    * ``"ok"`` — already at :data:`ENTRY_SCHEMA_VERSION`;
-    * ``"upgraded"`` — an older upgradeable schema, returned converted (the
-      caller should write the converted payload back: the upgrade path);
-    * ``"stale"`` — a recognisable entry at an unknown (e.g. future) schema,
-      or one whose tuning block is missing.  The payload cannot be used but
-      the entry is *data*, not garbage; stores count it separately from
-      misses and surface it in their stats.
+    Returns ``(payload, "ok")`` for a payload at :data:`ENTRY_SCHEMA_VERSION`
+    with a tuning block, and ``(None, "stale")`` for anything else: another
+    schema (older or future), or an envelope whose tuning block is missing.
+    A stale payload cannot be used, but the entry is *data*, not garbage;
+    stores count it separately from misses and surface it in their stats.
     """
     if not isinstance(payload, dict) or not isinstance(payload.get("tuning"), dict):
         return None, "stale"
-    schema = payload.get("schema")
-    if schema == ENTRY_SCHEMA_VERSION:
+    if payload.get("schema") == ENTRY_SCHEMA_VERSION:
         return payload, "ok"
-    if schema in UPGRADEABLE_SCHEMAS:
-        upgraded = make_payload(payload.get("key", ""), payload["tuning"])
-        return upgraded, "upgraded"
     return None, "stale"

@@ -1,7 +1,7 @@
 """Tests for the unified telemetry layer (:mod:`repro.obs`): span tracing
 across threads, process pools and the HTTP wire; the metrics registry with
-latency histograms; Prometheus text exposition edge cases; and the
-``mas-attention obs`` CLI toolchain.
+latency histograms; retry counters; and the ``mas-attention obs`` CLI
+toolchain.
 
 The acceptance test at the bottom runs a real multi-process sweep against a
 live store service with ``MAS_TRACE`` enabled and asserts the two hard
@@ -28,12 +28,10 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
 )
-from repro.obs.prom import escape_label_value, render_registry
 from repro.obs.schema import validate_trace_file
 from repro.obs.summary import summarize_trace
 from repro.obs.trace import TraceContext
 from repro.service import running_server, server_url
-from repro.service.server import ServiceMetrics
 from repro.store import JsonDirStore, RetryPolicy, TransientServiceError, call_with_retry
 from repro.store.retry import retry_totals
 
@@ -180,7 +178,7 @@ class TestMetrics:
         a = registry.counter("ops", "Ops.", labels=("kind",))
         assert registry.counter("ops", "Ops again.", labels=("kind",)) is a
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("ops", "Now a gauge?")
+            registry.histogram("ops", "Now a histogram?", labels=("kind",))
         with pytest.raises(ValueError, match="already registered"):
             registry.counter("ops", "Different labels.", labels=("other",))
 
@@ -227,96 +225,15 @@ class TestMetrics:
         hist = registry.histogram("latency_ms", "Latency.", buckets=(1.0, 10.0))
         hist.observe(0.5)
         hist.observe(99.0)
-        counts = dict(hist._sole_child().bucket_counts())
-        assert counts[1.0] == 1 and counts[None] == 1
-        assert hist._sole_child().quantile(1.0) == 99.0
+        child = hist._sole_child()
+        assert child.quantile(0.5) <= 1.0  # the first bucket holds one sample
+        assert child.quantile(1.0) == 99.0  # the overflow bucket holds the other
 
     def test_global_registry_is_per_process_singleton(self):
         assert global_registry() is global_registry()
         counter = global_registry().counter("obs_test_counter", "Test.")
         counter.inc()
         assert global_registry().snapshot()["obs_test_counter"] == 1
-
-
-# --------------------------------------------------------------------------- #
-# Prometheus exposition edge cases
-# --------------------------------------------------------------------------- #
-class TestPrometheus:
-    def test_label_values_are_escaped(self):
-        assert escape_label_value('say "hi"') == 'say \\"hi\\"'
-        assert escape_label_value("back\\slash") == "back\\\\slash"
-        assert escape_label_value("two\nlines") == "two\\nlines"
-
-        registry = MetricsRegistry()
-        family = registry.counter("odd", "Odd labels.", labels=("name",))
-        family.labels(name='q"uote\\b\nnl').inc()
-        text = render_registry(registry, "t")
-        assert 't_odd_total{name="q\\"uote\\\\b\\nnl"} 1' in text
-        assert "\nnl" not in text.split("t_odd_total")[1].splitlines()[0]
-
-    def test_zero_valued_unlabelled_counter_still_renders(self):
-        registry = MetricsRegistry()
-        registry.counter("untouched", "Never incremented.")
-        text = render_registry(registry, "t")
-        assert "# TYPE t_untouched_total counter" in text
-        assert "t_untouched_total 0" in text
-
-    def test_empty_histogram_renders_zero_buckets(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat_ms", "Latency.", buckets=(1.0, 10.0))
-        text = render_registry(registry, "t")
-        assert 't_lat_ms_bucket{le="1"} 0' in text
-        assert 't_lat_ms_bucket{le="+Inf"} 0' in text
-        assert "t_lat_ms_sum 0" in text
-        assert "t_lat_ms_count 0" in text
-        assert "nan" not in text.lower() and "None" not in text
-
-    def test_labelled_family_with_no_children_is_skipped(self):
-        registry = MetricsRegistry()
-        registry.counter("latent", "Declared but never used.", labels=("k",))
-        assert "latent" not in render_registry(registry, "t")
-
-    def test_histogram_prom_scale_converts_units(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "req_ms", "Latency.", buckets=(100.0,),
-            prom_name="req_seconds", prom_scale=1e-3,
-        )
-        hist.observe(50.0)  # 50 ms
-        text = render_registry(registry, "t")
-        assert 't_req_seconds_bucket{le="0.1"} 1' in text
-        assert "t_req_seconds_sum 0.05" in text
-        assert "t_req_seconds_max 0.05" in text
-
-    def test_json_and_prometheus_views_agree(self):
-        """The two `/metrics` representations come from one registry: every
-        JSON counter and request count must match its text-exposition twin."""
-        metrics = ServiceMetrics()
-        metrics.count(hits=3, misses=1, puts=2)
-        for latency_ms in (0.5, 2.0, 8.0):
-            metrics.observe("POST /lookup", latency_ms)
-        metrics.observe("GET /stats", 1.0, error=True)
-
-        snapshot = metrics.snapshot()
-        text = metrics.render_prometheus()
-
-        assert f"mas_store_hits_total {snapshot['hits']}" in text
-        assert f"mas_store_misses_total {snapshot['misses']}" in text
-        assert f"mas_store_puts_total {snapshot['puts']}" in text
-        lookups = snapshot["requests"]["POST /lookup"]
-        assert (
-            f'mas_store_requests_total{{endpoint="POST /lookup"}} {lookups["count"]}'
-            in text
-        )
-        assert (
-            f'mas_store_request_seconds_count{{endpoint="POST /lookup"}} '
-            f'{lookups["count"]}' in text
-        )
-        stats = snapshot["requests"]["GET /stats"]
-        assert stats["errors"] == 1
-        assert (
-            'mas_store_request_errors_total{endpoint="GET /stats"} 1' in text
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -351,17 +268,6 @@ class TestRetryCounters:
         final = retry_totals()
         assert final["retry_attempts"] - after["retry_attempts"] == 1
         assert final["retry_giveups"] - after["retry_giveups"] == 1
-
-    def test_retry_counters_surface_in_service_metrics_process_section(self):
-        def always_down():
-            raise TransientServiceError("down")
-
-        with pytest.raises(TransientServiceError):
-            call_with_retry(
-                always_down, RetryPolicy(attempts=1), sleep=lambda _: None
-            )
-        process = ServiceMetrics().snapshot()["process"]
-        assert process["retry_giveups"]["TransientServiceError"] >= 1
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """Tests for the result-store service (:mod:`repro.service`) and its
-client-side companions: the HTTP endpoints, ETag-based optimistic
-concurrency under concurrent clients, service metrics, the shared
-retry-with-backoff helper, and the ``serve`` CLI wiring.
+client-side companions: the HTTP routes, capped puts under concurrent
+clients, service metrics, the shared retry-with-backoff helper, and the
+``serve`` and ``cache`` CLI wiring against a served store.
 
 The backend *contract* of :class:`~repro.store.http.HttpStore` is covered by
 the parametrized matrix in ``tests/test_store.py``; this file covers what is
@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -21,17 +23,17 @@ import pytest
 
 from repro.cli import build_parser
 from repro.service import KeyedLocks, ServiceMetrics, running_server, server_url
-from repro.service.server import API_PREFIX, DEFAULT_PORT, PROMETHEUS_CONTENT_TYPE
+from repro.service.server import DEFAULT_PORT
 from repro.store import (
     EvictionPolicy,
     HttpStore,
     JsonDirStore,
     RetryPolicy,
-    StoreConflictError,
     TransientServiceError,
     call_with_retry,
     make_payload,
 )
+from repro.store.http import API_PREFIX
 
 
 def payload_for(key: str, value: int = 0) -> dict:
@@ -64,6 +66,17 @@ def client(server):
 url_of = server_url
 
 
+def fill(root, count: int) -> list[str]:
+    """Write entries ``k0``..``k<count-1>`` into the directory ``root``, oldest
+    first, through a local store; a service fronting ``root`` serves them."""
+    keys = [f"k{i}" for i in range(count)]
+    local = JsonDirStore(root)
+    for i, key in enumerate(keys):
+        local.put(key, payload_for(key, i))
+        os.utime(root / f"{key}.json", (1000.0 + i, 1000.0 + i))
+    return keys
+
+
 @contextmanager
 def flaky_server(handler_cls):
     """A bare ThreadingHTTPServer around a custom (failure-injecting) handler."""
@@ -88,18 +101,45 @@ def raw_request(server, method: str, path: str, body: dict | None = None,
         conn.request(method, path, body=data, headers=headers or {})
         response = conn.getresponse()
         raw = response.read()
-        payload = json.loads(raw) if raw else None
-        return response.status, payload, response.getheader("ETag")
+        return response.status, json.loads(raw) if raw else None
     finally:
         conn.close()
 
 
+def requests_by_route(store: HttpStore) -> dict[str, int]:
+    """Requests the service has counted so far, by route label.
+
+    Read over ``store``'s own keep-alive connection, which one server thread
+    serves in order, so every earlier request on it is already counted.
+    """
+    return {
+        route: stats["count"] for route, stats in store.metrics()["requests"].items()
+    }
+
+
+#: Each ``HttpStore`` operation -> the requests it sends, by route label.
+ROUTES_OF_OPERATION = {
+    "lookup": (lambda s: s.lookup("k"), {"POST /lookup": 1}),
+    "put": (lambda s: s.put("n", payload_for("n")), {"POST /put": 1}),
+    "entries": (lambda s: s.entries(scheduler="mas"), {"GET /entries": 1}),
+    "stats": (lambda s: s.stats(), {"GET /stats": 1}),
+    "len": (len, {"GET /stats": 1}),
+    "evict": (lambda s: s.evict(), {"POST /evict": 1}),
+    "evict-capped": (
+        lambda s: s.evict(EvictionPolicy(max_entries=5)), {"POST /evict": 1}
+    ),
+    # explicitly unbounded: nothing to enforce, so no request at all
+    "evict-unbounded": (lambda s: s.evict(EvictionPolicy()), {}),
+    "clear": (lambda s: s.clear(), {"POST /clear": 1}),
+}
+
+
 # ---------------------------------------------------------------------- #
-# Endpoints
+# Routes
 # ---------------------------------------------------------------------- #
 class TestEndpoints:
     def test_healthz_reports_backend_and_store(self, server):
-        status, payload, _ = raw_request(server, "GET", "/healthz")
+        status, payload = raw_request(server, "GET", "/healthz")
         assert status == 200
         assert payload["ok"] is True
         assert payload["backend"] == "jsondir"
@@ -109,9 +149,24 @@ class TestEndpoints:
         assert payload["uptime_seconds"] >= 0
         assert payload["pid"] > 0
 
-    def test_unknown_endpoint_is_404_with_json_error(self, server):
-        status, payload, _ = raw_request(server, "GET", "/api/v1/nonsense")
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("GET", f"{API_PREFIX}/nonsense"),
+            # one route per store operation: no raw-entry routes
+            ("GET", f"{API_PREFIX}/entry/k"),
+            ("PUT", f"{API_PREFIX}/entry/k"),
+            ("DELETE", f"{API_PREFIX}/entry/k"),
+            ("POST", f"{API_PREFIX}/entry/k/touch"),
+            ("GET", f"{API_PREFIX}/keys"),
+        ],
+    )
+    def test_unknown_endpoint_is_404_with_json_error(self, server, client, method, path):
+        client.put("k", payload_for("k"))
+        body = payload_for("k") if method == "PUT" else None
+        status, payload = raw_request(server, method, path, body=body)
         assert status == 404 and "error" in payload
+        assert client.lookup("k")[1] == "hit"  # the entry is untouched
 
     def test_unmatched_paths_share_one_metrics_label(self, server, client):
         """Junk traffic must not grow the per-endpoint table unboundedly."""
@@ -137,50 +192,77 @@ class TestEndpoints:
 
     def test_unknown_entry_filter_is_400(self, server, client):
         client.put("a", payload_for("a"))
-        status, payload, _ = raw_request(
+        status, payload = raw_request(
             server, "GET", "/api/v1/entries?flavour=vanilla"
         )
         assert status == 400 and "flavour" in payload["error"]
 
     def test_lookup_endpoint_is_one_round_trip_with_status(self, server, client):
-        client.write("old", {"schema": 2, "key": "old", "tuning": {"budget": 1}})
-        status, payload, etag = raw_request(
-            server, "POST", "/api/v1/lookup", body={"key": "old"}
+        client.put("k", payload_for("k", 4))
+        status, payload = raw_request(
+            server, "POST", "/api/v1/lookup", body={"key": "k"}
         )
         assert status == 200
-        assert payload["status"] == "upgraded"  # normalized server-side...
-        assert payload["payload"]["schema"] >= 3
-        assert etag  # ... and version-bumped in the same trip
-        # the write-back persisted: second lookup is a plain hit
-        _, second, _ = raw_request(server, "POST", "/api/v1/lookup", body={"key": "old"})
-        assert second["status"] == "hit"
+        assert payload["status"] == "hit"  # schema-checked server-side...
+        assert payload["payload"]["meta"]["budget"] == 4  # ... payload attached
+        _, missing = raw_request(server, "POST", "/api/v1/lookup", body={"key": "nope"})
+        assert missing == {"status": "miss", "payload": None}
+
+    @pytest.mark.parametrize("operation", sorted(ROUTES_OF_OPERATION))
+    def test_each_store_operation_is_one_request_to_its_route(
+        self, client, operation
+    ):
+        call, expected = ROUTES_OF_OPERATION[operation]
+        client.put("k", payload_for("k"))
+        before = requests_by_route(client)
+        call(client)
+        sent = Counter(requests_by_route(client))
+        sent.subtract(before)
+        sent["GET /metrics"] -= 1  # the read of ``before`` itself
+        assert {route: n for route, n in sent.items() if n} == expected
 
     def test_evict_without_policy_uses_the_services_caps(self, tmp_path):
         """HttpStore.evict(None) with an unbounded client policy delegates to
         the store policy the service was launched with."""
-        backend = JsonDirStore(tmp_path / "capped", policy=EvictionPolicy(max_entries=2))
+        root = tmp_path / "capped"
+        fill(root, 4)  # written behind the service, past its cap
+        backend = JsonDirStore(root, policy=EvictionPolicy(max_entries=2))
         with running_server(backend) as srv:
             store = HttpStore(server_url(srv))
-            for i in range(4):  # raw writes bypass put()'s enforcement
-                store.write(f"k{i}", payload_for(f"k{i}", i))
-                store.touch(f"k{i}")
             evicted = store.evict()  # no caps anywhere client-side
             assert evicted == ["k0", "k1"]
             assert store.evict(EvictionPolicy()) == []  # explicit unbounded: no-op
             store.close()
 
-    def test_keep_alive_survives_every_post_on_one_connection(self, server, client):
-        """Every endpoint consumes its request body — including /clear, which
+    def test_keep_alive_survives_every_post_on_one_connection(self, server):
+        """Every route consumes its request body — including /clear, which
         takes none as input — so one keep-alive connection serves a whole
         session (regression: '{}' left in the stream desynced the next
         request into a 501)."""
-        client.put("a", payload_for("a"))
-        assert client.clear() == 1
-        # same HttpStore connection, conditional write right after clear():
-        # conditional requests never retry, so a desynced stream would fail
-        etag = client.write("b", payload_for("b"))
-        assert client.write("b", payload_for("b", 2), if_match=etag)
-        assert client.get("b")["meta"]["budget"] == 2
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        session = [
+            ("put", {"key": "a", "payload": payload_for("a")}),
+            ("lookup", {"key": "a"}),
+            ("evict", {"max_entries": 5}),
+            ("clear", {}),
+            ("lookup", {"key": "a"}),
+        ]
+        try:
+            sockets = []
+            for route, body in session:
+                conn.request(
+                    "POST", f"{API_PREFIX}/{route}", body=json.dumps(body).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                assert response.status == 200, route
+                last = json.loads(response.read())
+                sockets.append(conn.sock)
+            assert last == {"status": "miss", "payload": None}  # cleared
+            assert all(sock is sockets[0] for sock in sockets)  # never re-opened
+        finally:
+            conn.close()
 
     def test_wildcard_bind_prints_a_reachable_url(self, tmp_path):
         import socket
@@ -225,6 +307,7 @@ class TestEndpoints:
 
             def do_GET(self):
                 seen.append(self.path)
+                self.rfile.read(int(self.headers.get("Content-Length") or 0))
                 data = json.dumps({"ok": True, "backend": "x", "store": "x"}).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
@@ -232,16 +315,18 @@ class TestEndpoints:
                 self.end_headers()
                 self.wfile.write(data)
 
+            do_POST = do_GET
+
             def log_message(self, *args):
                 pass
 
         with flaky_server(Recorder) as url:
             store = HttpStore(f"{url}/mas")
             assert store.ping()["ok"] is True
-            store.read("some-key")
+            store.lookup("some-key")
+            store.stats()
             store.close()
-        assert seen[0] == "/mas/healthz"
-        assert seen[1] == "/mas/api/v1/entry/some-key"
+        assert seen == ["/mas/healthz", "/mas/api/v1/lookup", "/mas/api/v1/stats"]
 
     def test_client_caps_cannot_loosen_the_services_policy(self, tmp_path):
         """A client shipping looser caps must not grow a capped store past
@@ -251,132 +336,52 @@ class TestEndpoints:
             loose = HttpStore(
                 server_url(srv), policy=EvictionPolicy(max_entries=1000)
             )
+            evicted = []
             for i in range(5):  # put() ships the loose caps with every write
-                loose.put(f"k{i}", payload_for(f"k{i}", i))
-                loose.touch(f"k{i}")
-            assert sorted(loose.keys()) == ["k3", "k4"]  # server cap held
+                evicted += loose.put(f"k{i}", payload_for(f"k{i}", i))
+            assert evicted == ["k0", "k1", "k2"]  # each put reports its evictions
+            assert sorted(e.key for e in loose.entries()) == ["k3", "k4"]  # server cap held
             # a *tighter* client policy still tightens further
             loose.put("fresh", payload_for("fresh"))
             tight = HttpStore(server_url(srv), policy=EvictionPolicy(max_entries=1))
             tight.put("last", payload_for("last"))
-            assert tight.keys() == ["last"]
+            assert [e.key for e in tight.entries()] == ["last"]
             loose.close()
             tight.close()
 
-    def test_server_side_eviction_under_put(self, server, client):
+    def test_server_side_eviction_under_put(self, server, client, tmp_path):
         """A put shipping caps evicts LRU entries atomically, server-side."""
-        for i in range(5):
-            client.put(f"k{i}", payload_for(f"k{i}", i))
-            client.touch(f"k{i}")
-        status, payload, _ = raw_request(
+        fill(tmp_path / "served", 5)
+        status, payload = raw_request(
             server,
             "POST",
             "/api/v1/put",
             body={"key": "fresh", "payload": payload_for("fresh"), "max_entries": 3},
         )
         assert status == 200
-        assert len(payload["evicted"]) == 3  # 6 entries down to 3, LRU first
-        assert set(payload["evicted"]) == {"k0", "k1", "k2"}
-        assert sorted(client.keys()) == ["fresh", "k3", "k4"]
+        assert payload["evicted"] == ["k0", "k1", "k2"]  # 6 entries down to 3, LRU first
+        assert sorted(e.key for e in client.entries()) == ["fresh", "k3", "k4"]
 
     def test_keys_that_leave_the_store_directory_are_400(self, tmp_path):
-        """No key — percent-encoded in the entry path or sent in a JSON body —
-        reaches a file outside the served directory."""
-        entry = f"{API_PREFIX}/entry/..%2Fescape"
+        """No key sent in a JSON body reaches a file outside the served
+        directory."""
         requests = [
-            ("PUT", entry, payload_for("escape")),
-            ("GET", entry, None),
-            ("DELETE", entry, None),
-            ("POST", f"{API_PREFIX}/put", {"key": "../escape", "payload": payload_for("x")}),
-            ("POST", f"{API_PREFIX}/put", {"key": "../../escape", "payload": payload_for("x")}),
-            ("POST", f"{API_PREFIX}/lookup", {"key": "../escape"}),
+            (f"{API_PREFIX}/put", {"key": "../escape", "payload": payload_for("x")}),
+            (f"{API_PREFIX}/put", {"key": "../../escape", "payload": payload_for("x")}),
+            (f"{API_PREFIX}/lookup", {"key": "../escape"}),
         ]
         with running_server(JsonDirStore(tmp_path / "deep" / "served")) as srv:
-            for method, path, body in requests:
-                status, payload, _ = raw_request(srv, method, path, body=body)
-                assert status == 400, (method, path, body)
+            for path, body in requests:
+                status, payload = raw_request(srv, "POST", path, body=body)
+                assert status == 400, (path, body)
                 assert "invalid store key" in payload["error"]
         assert list(tmp_path.rglob("escape.json")) == []
 
 
 # ---------------------------------------------------------------------- #
-# ETags and optimistic concurrency
+# Concurrent clients
 # ---------------------------------------------------------------------- #
-class TestEtagConcurrency:
-    def test_conditional_delete_loses_to_a_touch(self, server, client):
-        """Cross-host eviction must not delete an entry a client refreshed."""
-        client.put("hot", payload_for("hot"))
-        evictor = HttpStore(url_of(server))  # a second, independent client
-        _, planned_etag = evictor.read_with_etag("hot")
-        assert planned_etag is not None
-
-        client.touch("hot")  # another host refreshes the entry meanwhile
-
-        with pytest.raises(StoreConflictError):
-            evictor.delete("hot", if_match=planned_etag)
-        assert "hot" in client.keys()  # the entry survived its stale eviction
-        # with the *current* etag the delete goes through
-        _, fresh = evictor.read_with_etag("hot")
-        assert evictor.delete("hot", if_match=fresh)
-        evictor.close()
-
-    def test_conditional_write_conflicts(self, server, client):
-        etag = client.write("k", payload_for("k", 1))
-        client.write("k", payload_for("k", 2))  # unconditional overwrite
-        with pytest.raises(StoreConflictError):
-            client.write("k", payload_for("k", 3), if_match=etag)
-        assert client.get("k")["meta"]["budget"] == 2
-
-    def test_lookup_hit_moves_the_etag(self, server, client):
-        """A served hit refreshes LRU state, so its version must move too."""
-        client.put("k", payload_for("k"))
-        _, before = client.read_with_etag("k")
-        assert client.lookup("k")[1] == "hit"
-        _, after = client.read_with_etag("k")
-        assert before != after
-
-    def test_412_response_carries_current_etag(self, server, client):
-        """The conflict response names the winning version both as an ETag
-        header and in the body, so losers can retry without a refetch."""
-        stale = client.write("k", payload_for("k", 1))
-        client.write("k", payload_for("k", 2))
-        _, current = client.read_with_etag("k")
-        status, body, etag = raw_request(
-            server,
-            "PUT",
-            f"{API_PREFIX}/entry/k",
-            body=payload_for("k", 3),
-            headers={"If-Match": stale},
-        )
-        assert status == 412
-        assert etag == current
-        assert body["etag"] == current
-
-    def test_conflict_recovery_uses_surfaced_etag_without_refetch(
-        self, server, client
-    ):
-        stale = client.write("k", payload_for("k", 1))
-        client.write("k", payload_for("k", 2))
-
-        def get_requests() -> int:
-            requests = server.service.metrics.snapshot()["requests"]
-            return sum(
-                stats["count"]
-                for label, stats in requests.items()
-                if label.startswith("GET ")
-            )
-
-        gets_before = get_requests()
-        with pytest.raises(StoreConflictError) as excinfo:
-            client.write("k", payload_for("k", 3), if_match=stale)
-        current = excinfo.value.current_etag
-        assert current is not None
-        # one retry with the surfaced etag wins — no GET round trip needed
-        fresh = client.write("k", payload_for("k", 3), if_match=current)
-        assert fresh != current
-        assert get_requests() == gets_before
-        assert client.get("k")["meta"]["budget"] == 3
-
+class TestConcurrentClients:
     def test_concurrent_clients_never_lose_fresh_entries(self, server):
         """Four clients hammer puts under a shared cap: the cap holds and
         every client's most recent entry survives the crossfire."""
@@ -398,7 +403,7 @@ class TestEtagConcurrency:
             finals = list(pool.map(hammer, range(4)))
 
         survivor_check = HttpStore(url_of(server))
-        keys = set(survivor_check.keys())
+        keys = {info.key for info in survivor_check.entries()}
         assert len(keys) == cap  # the cap held exactly under concurrency
         for final in finals:  # the 4 freshest entries all survived
             assert final in keys
@@ -411,11 +416,16 @@ class TestEtagConcurrency:
 # Metrics
 # ---------------------------------------------------------------------- #
 class TestMetrics:
-    def test_metrics_track_hits_misses_evictions_and_latency(self, server, client):
+    def test_metrics_track_hits_misses_evictions_and_latency(
+        self, server, client, tmp_path
+    ):
         client.lookup("missing")
         client.put("a", payload_for("a"))
         client.lookup("a")
-        client.write("stale", {"schema": 99, "key": "stale", "tuning": {}})
+        # planted behind the service: stale payloads never travel over the wire
+        JsonDirStore(tmp_path / "served").put(
+            "stale", {"schema": 99, "key": "stale", "tuning": {}}
+        )
         client.lookup("stale")
         client.evict(EvictionPolicy(max_entries=1))
 
@@ -423,7 +433,7 @@ class TestMetrics:
         assert metrics["hits"] == 1
         assert metrics["misses"] == 1
         assert metrics["stale"] == 1
-        assert metrics["puts"] >= 2
+        assert metrics["puts"] == 1
         assert metrics["evictions"] == 1
         assert metrics["bytes_stored"] > 0 and metrics["bytes_served"] > 0
 
@@ -436,23 +446,24 @@ class TestMetrics:
         assert lookups["p99_ms"] <= lookups["max_ms"]
         assert metrics["uptime_s"] >= 0
 
-    def test_conflicts_are_counted(self, server, client):
-        etag = client.write("k", payload_for("k"))
-        client.touch("k")
-        with pytest.raises(StoreConflictError):
-            client.delete("k", if_match=etag)
-        assert client.metrics()["conflicts"] == 1
+    def test_metrics_document_is_json_whatever_the_client_asks_for(self, server):
+        status, document = raw_request(
+            server, "GET", "/metrics?format=prometheus", headers={"Accept": "text/plain"}
+        )
+        assert status == 200 and document["hits"] == 0
+        assert set(document) == {*ServiceMetrics.COUNTERS, "uptime_s", "requests"}
 
     def test_record_lookup_rejects_unknown_status(self):
         """A new lookup status must be wired into the metrics explicitly —
         silently folding it into `misses` once skewed every hit-rate chart."""
         metrics = ServiceMetrics()
-        for status in ("hit", "upgraded", "stale", "miss"):
+        for status in ("hit", "stale", "miss"):
             metrics.record_lookup(status)
         snapshot = metrics.snapshot()
-        assert snapshot["hits"] == snapshot["misses"] == 1
-        with pytest.raises(ValueError, match="unknown lookup status"):
-            metrics.record_lookup("hot")
+        assert snapshot["hits"] == snapshot["misses"] == snapshot["stale"] == 1
+        for status in ("upgraded", "hot"):
+            with pytest.raises(ValueError, match="unknown lookup status"):
+                metrics.record_lookup(status)
         assert metrics.snapshot()["misses"] == 1  # nothing was miscounted
 
     def test_bytes_stored_counts_payload_not_request_envelope(self, server):
@@ -472,41 +483,6 @@ class TestMetrics:
         compact = len(json.dumps(payload, separators=(",", ":")).encode())
         assert stored == compact
         assert len(body) > compact  # the padded envelope would have lied
-
-    def test_prometheus_exposition_is_content_negotiated(self, server, client):
-        client.put("k", payload_for("k"))
-        client.lookup("k")
-        client.lookup("nope")
-
-        status, body, _ = raw_request(server, "GET", "/metrics")
-        assert status == 200 and isinstance(body, dict)  # default stays JSON
-
-        host, port = server.server_address[:2]
-        for path, headers in (
-            ("/metrics", {"Accept": "text/plain"}),
-            ("/metrics?format=prometheus", {}),
-        ):
-            conn = http.client.HTTPConnection(host, port, timeout=10)
-            try:
-                conn.request("GET", path, headers=headers)
-                response = conn.getresponse()
-                text = response.read().decode()
-                assert response.status == 200
-                assert response.getheader("Content-Type") == PROMETHEUS_CONTENT_TYPE
-            finally:
-                conn.close()
-            assert "# TYPE mas_store_hits_total counter" in text
-            assert "mas_store_hits_total 1" in text
-            assert "mas_store_misses_total 1" in text
-            assert "mas_store_uptime_seconds" in text
-            assert 'mas_store_requests_total{endpoint="POST /lookup"} 2' in text
-            # latency histogram, ms observations rendered in seconds
-            assert "# TYPE mas_store_request_seconds histogram" in text
-            assert (
-                'mas_store_request_seconds_bucket{endpoint="POST /lookup",le="+Inf"} 2'
-                in text
-            )
-            assert 'mas_store_request_seconds_count{endpoint="POST /lookup"} 2' in text
 
 
 # ---------------------------------------------------------------------- #
@@ -729,24 +705,6 @@ class TestHttpRetry:
             assert Handler.remaining_failures == 0
             store.close()
 
-    def test_conditional_requests_are_never_replayed(self):
-        """A request carrying If-Match is sent exactly once: its outcome is
-        unknowable after a transport failure, so a replay could turn a
-        committed conditional write into a spurious conflict."""
-
-        class Handler(_FlakyHandler):
-            remaining_failures = 1
-
-            def do_PUT(self):
-                self.do_GET()
-
-        with flaky_server(Handler) as url:
-            store = HttpStore(url, retry=RetryPolicy(attempts=5, base_delay=0.001))
-            with pytest.raises(TransientServiceError):  # one 503, no retry
-                store.write("k", payload_for("k"), if_match='"1"')
-            assert Handler.remaining_failures == 0  # a retry would have hit 200
-            store.close()
-
     def test_persistent_5xx_raises_transient_error(self):
         class Handler(_FlakyHandler):
             remaining_failures = 10**6
@@ -797,3 +755,17 @@ class TestServeCli:
         assert "mas" in capsys.readouterr().out
         assert main(["cache", "clear", "--cache", url_of(server)]) == 0
         assert "removed 1 entries" in capsys.readouterr().out
+
+    def test_cache_evict_enforces_a_served_stores_caps(self, tmp_path, capsys):
+        """With no --max-* flag, `cache evict` on a served store enforces the
+        caps the service was launched with (a local store with no caps still
+        refuses: nothing to enforce)."""
+        from repro.cli import main
+
+        root = tmp_path / "capped"
+        fill(root, 5)
+        backend = JsonDirStore(root, policy=EvictionPolicy(max_entries=2))
+        with running_server(backend) as srv:
+            assert main(["cache", "evict", "--cache", url_of(srv)]) == 0
+            assert "evicted 3 entries; 2 remain" in capsys.readouterr().out
+        assert sorted(path.stem for path in root.glob("*.json")) == ["k3", "k4"]

@@ -2,13 +2,13 @@
 
 Covers the backend contract for both stores (JSON directory, and HTTP
 against a live in-process service over a directory), store-key validation,
-LRU eviction, URI parsing, the v2 -> v3 entry-schema upgrade, bit-identical
-sweeps over every backend, and concurrent writers sharing one directory.
+LRU eviction, URI parsing, entry-schema validation, bit-identical sweeps
+over every backend, and concurrent writers sharing one directory.
 """
 
 from __future__ import annotations
 
-import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -25,6 +25,7 @@ from repro.store import (
     JsonDirStore,
     make_payload,
     normalize_payload,
+    ResultStore,
     open_store,
     parse_size,
     plan_eviction,
@@ -60,13 +61,15 @@ def store_server(tmp_path):
 def store(request, tmp_path):
     """One instance of each backend, same contract expected of both.
 
-    The HTTP instance talks to a real in-process service fronting a JSON
-    directory, so every contract test exercises the full client/server path.
+    Both keep their entries in ``tmp_path / "store"``: the JSON directory
+    directly, the HTTP client through a real in-process service fronting
+    it, so every contract test exercises the full client/server path.
     """
+    backing = JsonDirStore(tmp_path / "store")
     if request.param == "jsondir":
-        yield JsonDirStore(tmp_path / "store")
+        yield backing
     else:
-        with running_server(JsonDirStore(tmp_path / "served")) as server:
+        with running_server(backing) as server:
             s = HttpStore(server_url(server))
             try:
                 yield s
@@ -74,31 +77,62 @@ def store(request, tmp_path):
                 s.close()
 
 
+def write_raw(tmp_path, key: str, payload: dict) -> None:
+    """Store ``payload`` as-is through the ``JsonDirStore`` behind the
+    ``store`` fixture.
+
+    Stale and future-schema payloads never travel over the wire (a sweep
+    only ever puts current-schema entries), so tests plant them locally.
+    """
+    JsonDirStore(tmp_path / "store").put(key, payload)
+
+
+def age_entries(tmp_path, keys: list[str]) -> None:
+    """Give ``keys`` increasing last-used times long past, in list order."""
+    for i, key in enumerate(keys):
+        os.utime(tmp_path / "store" / f"{key}.json", (1000.0 + i, 1000.0 + i))
+
+
+def capped_twin(store, policy: EvictionPolicy):
+    """A second store of ``store``'s backend over the same entries, with
+    ``policy`` as its own caps."""
+    location = getattr(store, "root", None) or store.base_url
+    return type(store)(location, policy=policy)
+
+
+def test_contract_is_the_operations_callers_use():
+    """The base declares what sweeps and the ``cache`` CLI call, and a
+    backend implements nothing more: no raw-entry primitives."""
+    assert ResultStore.__abstractmethods__ == {
+        "uri", "lookup", "put", "entries", "stats", "evict", "clear", "__len__",
+    }
+
+
 # ---------------------------------------------------------------------- #
 # Backend contract
 # ---------------------------------------------------------------------- #
 class TestStoreContract:
     def test_roundtrip_and_len(self, store):
-        assert store.get("a") is None and len(store) == 0
-        store.put("a", payload_for("a", 1))
+        assert store.lookup("a") == (None, "miss") and len(store) == 0
+        assert store.put("a", payload_for("a", 1)) == []  # uncapped: no evictions
         store.put("b", payload_for("b", 2))
         assert len(store) == 2
-        assert "a" in store and "missing" not in store
-        assert store.get("a")["meta"]["workload"] == "wl-1"
-        assert sorted(store.keys()) == ["a", "b"]
+        assert store.lookup("missing") == (None, "miss")
+        assert store.lookup("a")[0]["meta"]["workload"] == "wl-1"
+        assert sorted(info.key for info in store.entries()) == ["a", "b"]
 
     def test_overwrite_last_writer_wins(self, store):
         store.put("k", payload_for("k", 1))
         store.put("k", payload_for("k", 2))
         assert len(store) == 1
-        assert store.get("k")["meta"]["budget"] == 2
+        assert store.lookup("k")[0]["meta"]["budget"] == 2
 
-    def test_delete_and_clear(self, store):
+    def test_clear_removes_every_entry(self, store, tmp_path):
         store.put("a", payload_for("a"))
-        store.put("b", payload_for("b"))
-        assert store.delete("a") and not store.delete("a")
-        assert store.clear() == 1
-        assert len(store) == 0
+        write_raw(tmp_path, "odd", {"schema": 99, "key": "odd", "tuning": {}})
+        assert store.clear() == 2  # stale entries included
+        assert len(store) == 0 and store.entries() == []
+        assert store.clear() == 0
 
     def test_entries_metadata(self, store):
         store.put("a", payload_for("a", 3))
@@ -127,36 +161,39 @@ class TestStoreContract:
         payload, status = store.lookup("k")
         assert status == "hit" and payload["schema"] == ENTRY_SCHEMA_VERSION
 
-    def test_old_schema_entry_upgrades_in_place(self, store):
-        """A v2-layout entry is converted on read (upgrade path), not dropped."""
-        v2 = {"schema": 2, "key": "k", "tuning": payload_for("k", 7)["tuning"]}
-        store.write("k", v2)  # raw write: bypass put()'s normalization
-        payload, status = store.lookup("k")
-        assert status == "upgraded"
-        assert payload["schema"] == ENTRY_SCHEMA_VERSION
-        assert payload["meta"]["workload"] == "wl-7"
-        # the upgrade is persisted: the second read is an ordinary hit
-        assert store.lookup("k")[1] == "hit"
-
-    def test_future_schema_entry_is_stale_and_surfaced(self, store):
-        store.write("k", {"schema": 99, "key": "k", "tuning": {}})
+    def test_future_schema_entry_is_stale_and_surfaced(self, store, tmp_path):
+        write_raw(tmp_path, "k", {"schema": 99, "key": "k", "tuning": {}})
         assert store.lookup("k") == (None, "stale")
-        assert "k" in store.keys()  # the entry is data, not garbage: kept
+        # the entry is data, not garbage: kept, listed and counted
+        assert [info.key for info in store.entries()] == ["k"]
+        assert len(store) == 1
         assert store.stats().stale_entries == 1
 
-    def test_entries_filterable_on_every_backend(self, store):
+    def test_pre_v3_entry_is_stale_and_left_as_written(self, store, tmp_path):
+        """A v2-layout entry sits under a key no lookup computes any more: it
+        reads as stale and stays on disk byte for byte (no write-back)."""
+        v2 = {"schema": 2, "key": "k", "tuning": payload_for("k", 7)["tuning"]}
+        write_raw(tmp_path, "k", v2)
+        before = (tmp_path / "store" / "k.json").read_bytes()
+        assert store.lookup("k") == (None, "stale")
+        assert (tmp_path / "store" / "k.json").read_bytes() == before
+        assert store.stats().stale_entries == 1
+        (info,) = store.entries()
+        assert info.key == "k" and info.schema is None
+
+    def test_entries_filterable_on_every_backend(self, store, tmp_path):
         store.put("a", payload_for("a", 1))
-        store.write("odd", {"schema": 99, "key": "odd", "tuning": {}})
+        write_raw(tmp_path, "odd", {"schema": 99, "key": "odd", "tuning": {}})
         assert {e.key for e in store.entries(scheduler="mas")} == {"a"}
         assert store.entries(workload="nope") == []
         assert store.entries(scheduler=None) == store.entries()  # None ignored
         with pytest.raises(ValueError):
             store.entries(flavour="vanilla")
 
-    def test_tuningless_envelope_counts_stale_in_stats(self, store):
+    def test_tuningless_envelope_counts_stale_in_stats(self, store, tmp_path):
         """A current-schema envelope without a tuning block is stale for
         lookup() — stats must agree, not trust the raw schema number."""
-        store.write("k", {"schema": ENTRY_SCHEMA_VERSION, "key": "k"})
+        write_raw(tmp_path, "k", {"schema": ENTRY_SCHEMA_VERSION, "key": "k"})
         assert store.lookup("k") == (None, "stale")
         assert store.stats().stale_entries == 1
         (info,) = store.entries()
@@ -166,15 +203,11 @@ class TestStoreContract:
         store.put("k", payload_for("k", 5))
         reopened = open_store(store.uri())
         assert type(reopened) is type(store)
-        assert reopened.get("k")["meta"]["budget"] == 5
+        assert reopened.lookup("k")[0]["meta"]["budget"] == 5
 
     def test_uri_roundtrips_eviction_policy(self, store):
         """uri() carries the caps, so a reopened capped store stays capped."""
-        location = getattr(store, "root", None) or store.base_url
-        capped = type(store)(
-            location,
-            policy=EvictionPolicy(max_entries=7, max_bytes=2048),
-        )
+        capped = capped_twin(store, EvictionPolicy(max_entries=7, max_bytes=2048))
         assert "max_entries=7" in capped.uri() and "max_bytes=2048" in capped.uri()
         reopened = open_store(capped.uri())
         assert reopened.policy == capped.policy
@@ -188,6 +221,8 @@ class TestStoreContract:
         of it — over the wire too, where the service rejects it with a 400."""
         with pytest.raises(ValueError, match="invalid store key"):
             store.put(key, payload_for("k"))
+        with pytest.raises(ValueError, match="invalid store key"):
+            store.lookup(key)
         assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
 
@@ -281,19 +316,50 @@ class TestEvictionPlanner:
 
 
 class TestStoreEviction:
-    def test_evict_honours_caps_lru_first(self, store):
+    def test_evict_honours_caps_lru_first(self, store, tmp_path):
         for i, key in enumerate(["a", "b", "c", "d"]):
             store.put(key, payload_for(key, i))
-            store.touch(key)
-        store.touch("a")  # refresh: "a" becomes most recently used
+        age_entries(tmp_path, ["a", "b", "c", "d"])
+        assert store.lookup("a")[1] == "hit"  # the hit makes "a" most recent
         evicted = store.evict(EvictionPolicy(max_entries=2))
         assert evicted == ["b", "c"]  # LRU order, "a" survives its age
-        assert sorted(store.keys()) == ["a", "d"]
+        assert sorted(info.key for info in store.entries()) == ["a", "d"]
+
+    def test_only_hits_refresh_lru_order(self, store, tmp_path):
+        """Stale and missing lookups leave LRU order alone: a stale entry a
+        sweep keeps probing still ages out before a fresh one."""
+        store.put("fresh", payload_for("fresh"))
+        write_raw(tmp_path, "stale", {"schema": 99, "key": "stale", "tuning": {}})
+        age_entries(tmp_path, ["stale", "fresh"])
+        for _ in range(3):
+            assert store.lookup("stale") == (None, "stale")
+            assert store.lookup("absent") == (None, "miss")
+        assert len(store) == 2  # a miss creates nothing
+        assert store.evict(EvictionPolicy(max_entries=1)) == ["stale"]
+
+    def test_put_reports_the_evictions_its_caps_cause(self, store, tmp_path):
+        capped = capped_twin(store, EvictionPolicy(max_entries=2))
+        assert capped.put("a", payload_for("a", 1)) == []
+        assert capped.put("b", payload_for("b", 2)) == []
+        age_entries(tmp_path, ["a", "b"])
+        assert capped.put("c", payload_for("c", 3)) == ["a"]
+        assert sorted(info.key for info in store.entries()) == ["b", "c"]
+        capped.close()
+
+    def test_evict_without_policy_enforces_the_stores_own_caps(self, store, tmp_path):
+        keys = ["k0", "k1", "k2", "k3"]
+        for i, key in enumerate(keys):
+            store.put(key, payload_for(key, i))
+        age_entries(tmp_path, keys)
+        assert store.evict() == []  # an uncapped store has nothing to enforce
+        capped = capped_twin(store, EvictionPolicy(max_entries=2))
+        assert capped.evict() == ["k0", "k1"]
+        assert sorted(info.key for info in store.entries()) == ["k2", "k3"]
+        capped.close()
 
     def test_evict_by_bytes(self, store):
         for key in ["a", "b", "c"]:
             store.put(key, payload_for(key))
-            store.touch(key)
         total = store.stats().total_bytes
         evicted = store.evict(EvictionPolicy(max_bytes=total // 3))
         assert len(evicted) == 2
@@ -303,9 +369,8 @@ class TestStoreEviction:
         uri = f"dir:{tmp_path / 'capped'}?max_entries=2"
         store = open_store(uri)
         assert store.policy == EvictionPolicy(max_entries=2)
-        for i, key in enumerate(["a", "b", "c", "d"]):
-            store.put(key, payload_for(key, i))
-            store.touch(key)
+        evicted = [store.put(key, payload_for(key, i)) for i, key in enumerate("abcd")]
+        assert sum(map(len, evicted)) == 2  # each put reports what it evicted
         assert len(store) == 2  # the cap held during writes, not just after
 
 
@@ -397,22 +462,10 @@ class TestEntrySchema:
         payload, status = normalize_payload(payload_for("k"))
         assert status == "ok" and payload["schema"] == ENTRY_SCHEMA_VERSION
 
-    def test_v2_upgrade_derives_meta(self):
-        tuning = {"scheduler": "flat", "workload": "XLM", "strategy": "grid", "budget": 9}
-        upgraded, status = normalize_payload({"schema": 2, "key": "k", "tuning": tuning})
-        assert status == "upgraded"
-        assert upgraded["schema"] == ENTRY_SCHEMA_VERSION
-        assert upgraded["meta"] == {
-            "scheduler": "flat",
-            "workload": "XLM",
-            "strategy": "grid",
-            "budget": 9,
-            "suite": None,
-        }
-        assert upgraded["tuning"] == tuning
-
     def test_unknown_or_malformed_is_stale(self):
         assert normalize_payload({"schema": 99, "tuning": {}}) == (None, "stale")
+        # pre-v3 layouts sit under keys no lookup computes: stale, not upgraded
+        assert normalize_payload({"schema": 2, "key": "k", "tuning": {}}) == (None, "stale")
         assert normalize_payload({"schema": ENTRY_SCHEMA_VERSION}) == (None, "stale")
         assert normalize_payload(["not", "a", "dict"]) == (None, "stale")
 
@@ -424,7 +477,7 @@ def tuning(edge_hw):
 
 
 # ---------------------------------------------------------------------- #
-# End-to-end sweeps: bit-identity, PR-1-format caches
+# End-to-end sweeps: bit-identity
 # ---------------------------------------------------------------------- #
 def _matrix_fingerprint(matrix) -> dict:
     return {
@@ -474,28 +527,27 @@ class TestSweepBitIdentity:
         assert warm_stats["cache_hits"] == cold_stats["searches"]
         assert warm_stats["cache_misses"] == 0
 
-    def test_pr1_format_cache_is_upgraded_not_dropped(self, tmp_path, edge_hw):
-        """Entries written in the old flat v2 layout keep hitting after the
-        entry-schema bump — the stale-discard bug this PR fixes."""
+    def test_pre_v3_cache_is_searched_again_not_served(self, tmp_path):
+        """Entries rewritten in the pre-v3 flat layout read as stale: the warm
+        run searches again, finds the same tiling and overwrites them at v3."""
         cache_dir = tmp_path / "cache"
         cold = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
         run = cold.run("mas", "ViT-B/14")
-
-        # Rewrite every entry exactly as the pre-store ResultCache did.
         store = JsonDirStore(cache_dir)
-        for key in store.keys():
-            payload = store.read(key)
-            old = {"schema": 2, "key": key, "tuning": payload["tuning"]}
-            (cache_dir / f"{key}.json").write_text(json.dumps(old, indent=2, sort_keys=True))
+        keys = [info.key for info in store.entries()]
+        for key in keys:
+            payload, _ = store.lookup(key)
+            store.put(key, {"schema": 2, "key": key, "tuning": payload["tuning"]})
+        assert store.stats().stale_entries == len(keys) > 0
 
         warm = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
         warm_run = warm.run("mas", "ViT-B/14")
-        assert warm_run.cached
+        assert not warm_run.cached
         assert warm_run.cycles == run.cycles
         assert warm_run.tuning.best_tiling == run.tuning.best_tiling
-        # ... and the upgrade was persisted in place
-        for key in store.keys():
-            assert store.read(key)["schema"] == ENTRY_SCHEMA_VERSION
+        stats = warm.cache_stats()
+        assert stats["cache_stale"] == stats["searches"] == len(keys)
+        assert store.stats().stale_entries == 0  # the fresh results replaced them
 
 
 class TestHttpSweepBitIdentity:
@@ -626,7 +678,7 @@ def _hammer_store(args: tuple[str, int, int]) -> int:
     for i in range(rounds):
         key = f"key{i % 8}"
         store.put(key, payload_for(key, i % 8))
-        payload = store.get(key)
+        payload, _ = store.lookup(key)
         ok += payload is not None and payload["meta"]["budget"] == i % 8
     return ok
 
