@@ -12,6 +12,7 @@ overlapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.hardware.compute_units import (
     elementwise_cycles,
@@ -24,7 +25,8 @@ from repro.hardware.compute_units import (
 from repro.hardware.config import HardwareConfig
 from repro.hardware.memory import dma_cycles
 from repro.core.tiling import TilingConfig
-from repro.utils.validation import ceil_div, check_positive_int
+from repro.sim.tasks import counter_tuple
+from repro.utils.validation import ceil_div, check_positive_int, require
 from repro.workloads.attention import AttentionWorkload
 
 
@@ -99,14 +101,48 @@ def partition_blocks(
 
 @dataclass(frozen=True)
 class TaskCost:
-    """Cycle count plus access counters for one task."""
+    """Cycle count plus the eight access counters of one task.
+
+    Made through :meth:`of`: ``counters`` holds the values of
+    :data:`repro.sim.tasks.COUNTERS` in order, which
+    :func:`~repro.sim.tasks.counter_tuple` checks to be known and
+    non-negative; the cycles are checked here.
+    """
 
     cycles: int
-    counters: dict[str, int]
+    counters: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        require(self.cycles >= 0, f"cycles must be >= 0, got {self.cycles}")
+
+    @classmethod
+    def of(cls, cycles: int, **counters: int) -> TaskCost:
+        """A cost from named counters (the rest are zero)."""
+        return cls(cycles, counter_tuple(**counters))
+
+
+def _memoized(make: Callable[..., TaskCost]) -> Callable[..., TaskCost]:
+    """Make each cost once per :class:`TileCosts` and distinct arguments."""
+    name = make.__name__
+
+    def cost(self: TileCosts, *args: int) -> TaskCost:
+        key = (name, *args)
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = make(self, *args)
+        return found
+
+    cost.__doc__ = make.__doc__
+    return cost
 
 
 class TileCosts:
-    """Cost primitives for the tile tasks of one workload on one device."""
+    """Cost primitives for the tile tasks of one workload on one device.
+
+    Each cost depends only on a few sizes (bytes moved; MatMul shape and
+    group; softmax rows and width), and is made once per distinct value of
+    them, then shared by every task that needs it.
+    """
 
     def __init__(
         self, workload: AttentionWorkload, hardware: HardwareConfig, tiling: TilingConfig
@@ -123,21 +159,26 @@ class TileCosts:
             rows = min(tiling.nkv, remaining)
             self.kv_tile_rows.append(rows)
             remaining -= rows
+        self._memo: dict[tuple, TaskCost] = {}
 
     # ------------------------------------------------------------------ #
     # DMA transfers
     # ------------------------------------------------------------------ #
+    @_memoized
     def load_bytes(self, num_bytes: int) -> TaskCost:
         """DMA load of ``num_bytes`` from DRAM into L1."""
-        return TaskCost(
-            cycles=dma_cycles(self.hardware, num_bytes),
-            counters={"dram_bytes_read": num_bytes, "l1_bytes_written": num_bytes},
+        return TaskCost.of(
+            dma_cycles(self.hardware, num_bytes),
+            dram_bytes_read=num_bytes,
+            l1_bytes_written=num_bytes,
         )
 
+    @_memoized
     def _store(self, num_bytes: int) -> TaskCost:
-        return TaskCost(
-            cycles=dma_cycles(self.hardware, num_bytes),
-            counters={"dram_bytes_written": num_bytes, "l1_bytes_read": num_bytes},
+        return TaskCost.of(
+            dma_cycles(self.hardware, num_bytes),
+            dram_bytes_written=num_bytes,
+            l1_bytes_read=num_bytes,
         )
 
     def q_bytes(self, block: Block) -> int:
@@ -191,21 +232,20 @@ class TileCosts:
     # ------------------------------------------------------------------ #
     # Compute tasks
     # ------------------------------------------------------------------ #
+    @_memoized
     def _matmul(self, m: int, k: int, n: int, group: int) -> TaskCost:
         cycles = group * matmul_cycles(self.hardware.mac, m, k, n)
         macs = group * matmul_macs(m, k, n)
         a_bytes = group * m * k * self.dtype
         b_bytes = group * k * n * self.dtype
         out_bytes = group * m * n * self.dtype
-        return TaskCost(
-            cycles=cycles,
-            counters={
-                "mac_ops": macs,
-                "l1_bytes_read": a_bytes + b_bytes,
-                "l1_bytes_written": out_bytes,
-                "l0_bytes_read": 2 * macs * self.dtype,
-                "l0_bytes_written": macs * self.dtype,
-            },
+        return TaskCost.of(
+            cycles,
+            mac_ops=macs,
+            l1_bytes_read=a_bytes + b_bytes,
+            l1_bytes_written=out_bytes,
+            l0_bytes_read=2 * macs * self.dtype,
+            l0_bytes_written=macs * self.dtype,
         )
 
     def qk_tile(self, block: Block, tile: int) -> TaskCost:
@@ -218,20 +258,21 @@ class TileCosts:
 
     def softmax(self, block: Block) -> TaskCost:
         """Row-wise softmax of the full score block on the VEC unit."""
-        rows = block.group_size * block.rows
+        return self._softmax(block.group_size * block.rows)
+
+    @_memoized
+    def _softmax(self, rows: int) -> TaskCost:
         cols = self.workload.seq_kv
         cycles = softmax_cycles(self.hardware.vec, rows, cols)
         ops = softmax_vec_ops(rows, cols, self.hardware.vec)
-        score = self.score_bytes(block)
-        return TaskCost(
-            cycles=cycles,
-            counters={
-                "vec_ops": ops,
-                "l1_bytes_read": score,
-                "l1_bytes_written": score,
-                "l0_bytes_read": ops * self.dtype,
-                "l0_bytes_written": score,
-            },
+        score = rows * cols * self.dtype
+        return TaskCost.of(
+            cycles,
+            vec_ops=ops,
+            l1_bytes_read=score,
+            l1_bytes_written=score,
+            l0_bytes_read=ops * self.dtype,
+            l0_bytes_written=score,
         )
 
     def softmax_tile(self, block: Block, tile: int, correction_ops_per_element: int = 4) -> TaskCost:
@@ -241,41 +282,44 @@ class TileCosts:
         pays correction operations per element of the running output
         accumulator (running-max update, rescale, running-sum update).
         """
-        rows = block.group_size * block.rows
-        cols = self.kv_tile_rows[tile]
+        return self._softmax_tile(
+            block.group_size * block.rows, self.kv_tile_rows[tile], correction_ops_per_element
+        )
+
+    @_memoized
+    def _softmax_tile(self, rows: int, cols: int, correction_ops_per_element: int) -> TaskCost:
         base_cycles = softmax_cycles(self.hardware.vec, rows, cols)
         base_ops = softmax_vec_ops(rows, cols, self.hardware.vec)
-        acc_elems = block.group_size * block.rows * self.workload.emb
+        acc_elems = rows * self.workload.emb
         corr_cycles = elementwise_cycles(self.hardware.vec, acc_elems, correction_ops_per_element)
         corr_ops = elementwise_vec_ops(acc_elems, correction_ops_per_element)
-        tile_bytes = self.score_tile_bytes(block, tile)
+        tile_bytes = rows * cols * self.dtype
         acc_bytes = acc_elems * self.dtype
-        return TaskCost(
-            cycles=base_cycles + corr_cycles,
-            counters={
-                "vec_ops": base_ops + corr_ops,
-                "l1_bytes_read": tile_bytes + acc_bytes,
-                "l1_bytes_written": tile_bytes + acc_bytes,
-                "l0_bytes_read": (base_ops + corr_ops) * self.dtype,
-                "l0_bytes_written": tile_bytes,
-            },
+        return TaskCost.of(
+            base_cycles + corr_cycles,
+            vec_ops=base_ops + corr_ops,
+            l1_bytes_read=tile_bytes + acc_bytes,
+            l1_bytes_written=tile_bytes + acc_bytes,
+            l0_bytes_read=(base_ops + corr_ops) * self.dtype,
+            l0_bytes_written=tile_bytes,
         )
 
     def output_normalize(self, block: Block) -> TaskCost:
         """Final O_i normalization by the softmax denominator (FuseMax epilogue)."""
-        elems = block.group_size * block.rows * self.workload.emb
+        return self._output_normalize(block.group_size * block.rows * self.workload.emb)
+
+    @_memoized
+    def _output_normalize(self, elems: int) -> TaskCost:
         cycles = elementwise_cycles(self.hardware.vec, elems, 1)
         ops = elementwise_vec_ops(elems, 1)
         o_bytes = elems * self.dtype
-        return TaskCost(
-            cycles=cycles,
-            counters={
-                "vec_ops": ops,
-                "l1_bytes_read": o_bytes,
-                "l1_bytes_written": o_bytes,
-                "l0_bytes_read": ops * self.dtype,
-                "l0_bytes_written": o_bytes,
-            },
+        return TaskCost.of(
+            cycles,
+            vec_ops=ops,
+            l1_bytes_read=o_bytes,
+            l1_bytes_written=o_bytes,
+            l0_bytes_read=ops * self.dtype,
+            l0_bytes_written=o_bytes,
         )
 
     # ------------------------------------------------------------------ #

@@ -21,7 +21,7 @@ from repro.core.overwrite import OverwriteEvent, OverwritePlan, OverwritePlanner
 from repro.core.stream import OpKind, StreamRound, plan_rounds
 from repro.core.tiling import TilingConfig, default_tiling, mas_footprint_bytes
 from repro.hardware.config import HardwareConfig
-from repro.sim.tasks import Task, TaskGraph
+from repro.sim.tasks import TaskGraph
 from repro.utils.validation import require
 from repro.workloads.attention import AttentionWorkload
 
@@ -68,9 +68,9 @@ class _MASCoreEmitter:
         self.blocks = blocks
         self.events = {event.block_index: event for event in plan.events}
         self.serialize_on_overflow = serialize_on_overflow
-        self._qk: dict[int, list[Task]] = {}
-        self._softmax: dict[int, Task] = {}
-        self._pv: dict[int, list[Task]] = {}
+        self._qk: dict[int, list[int]] = {}
+        self._softmax: dict[int, int] = {}
+        self._pv: dict[int, list[int]] = {}
         self.serialized_blocks = 0
 
     def emit_round(self, stream_round: StreamRound) -> None:
@@ -121,7 +121,7 @@ class _MASCoreEmitter:
         self._pv[block.index] = tasks
         self.emit.store_o(block, tasks)
 
-    def _serialize_deps(self, b: int) -> list[Task]:
+    def _serialize_deps(self, b: int) -> list[int]:
         """Without overwriting, an overflowing round degrades to sequential execution.
 
         The QK MatMul of block ``b`` then waits for the PV stream of block
@@ -133,7 +133,7 @@ class _MASCoreEmitter:
         self.serialized_blocks += 1
         return [self._pv[b - 2][-1]]
 
-    def _emit_overwrite(self, block: Block, op: str, interrupted: Task) -> list[Task]:
+    def _emit_overwrite(self, block: Block, op: str, interrupted: int) -> list[int]:
         """Materialize the block's overwrite event if it interrupts ``op``.
 
         The victim is reloaded and the event's redo tiles are recomputed.  The

@@ -16,7 +16,7 @@ from repro.core.emit import interleave_block_positions, make_emitters
 from repro.core.tiling import TilingConfig, flat_footprint_bytes
 from repro.hardware.config import HardwareConfig
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.sim.tasks import Task, TaskGraph
+from repro.sim.tasks import TaskGraph
 from repro.utils.validation import require
 from repro.workloads.attention import AttentionWorkload
 
@@ -44,7 +44,7 @@ class FLATScheduler(AttentionScheduler):
         # FLAT keeps a single block in flight per core: the first MatMul of a
         # block cannot start before the previous block's last PV MatMul has
         # drained (its buffers are only then released).
-        last_pv_per_core: dict[int, Task] = {}
+        last_pv_per_core: dict[int, int] = {}
         for core, block in interleave_block_positions(per_core):
             em = emitters[core]
             serial_dep = last_pv_per_core.get(core)

@@ -26,7 +26,7 @@ from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
 from repro.core.emit import interleave_block_positions, make_emitters
 from repro.core.tiling import TilingConfig, operand_tile_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.sim.tasks import Task, TaskGraph
+from repro.sim.tasks import TaskGraph
 from repro.utils.arrays import amin, awhere
 from repro.workloads.attention import AttentionWorkload
 
@@ -100,7 +100,7 @@ class FuseMaxScheduler(AttentionScheduler):
         # Track, per core, the last PV accumulation of the previous block: the
         # output accumulator is a single buffer, so block b+1's accumulation
         # cannot start before block b's epilogue has drained.
-        last_epilogue: dict[int, Task] = {}
+        last_epilogue: dict[int, int] = {}
         for core, block in interleave_block_positions(per_core):
             em = emitters[core]
             q_load = em.load_q(block)
@@ -112,31 +112,31 @@ class FuseMaxScheduler(AttentionScheduler):
             # VEC unit folds score tile ``j+1`` into the running max/sum.  The
             # MAC program order therefore interleaves ``QK`` one tile ahead of
             # ``PV`` so a PV accumulation never blocks the next score tile.
-            updates: list[Task] = []
-            pv_tasks: list[Task] = []
+            updates: list[int] = []
+            pv_tasks: list[int] = []
 
-            def emit_qk(tile: int) -> Task:
-                deps: list[Task] = [q_load, k_loads[tile]]
+            def emit_qk(tile: int) -> int:
+                deps: list[int] = [q_load, k_loads[tile]]
                 if core in last_epilogue:
                     deps.append(last_epilogue[core])
                 return em.matmul_qk(block, tile, deps=deps)
 
-            def emit_update(tile: int, qk: Task) -> Task:
+            def emit_update(tile: int, qk: int) -> int:
                 # The online-softmax update folds score tile ``tile`` into the
                 # running max/sum and rescales the output accumulator; the
                 # running state makes consecutive updates a serial chain.
-                deps: list[Task] = [qk]
+                deps: list[int] = [qk]
                 if updates:
                     deps.append(updates[-1])
                 update = em.softmax_tile(block, tile, deps=deps)
                 updates.append(update)
                 return update
 
-            def emit_pv(tile: int) -> Task:
+            def emit_pv(tile: int) -> int:
                 # The PV accumulation of tile ``tile`` consumes the rescaled
                 # accumulator, so it follows its own update and the previous
                 # accumulation (single accumulator buffer).
-                deps: list[Task] = [updates[tile], v_loads[tile]]
+                deps: list[int] = [updates[tile], v_loads[tile]]
                 if pv_tasks:
                     deps.append(pv_tasks[-1])
                 pv = em.matmul_pv(block, tile, deps=deps)

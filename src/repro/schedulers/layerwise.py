@@ -13,7 +13,7 @@ from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
 from repro.core.emit import interleave_block_positions, make_emitters
 from repro.core.tiling import TilingConfig, operand_tile_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.sim.tasks import Task, TaskGraph
+from repro.sim.tasks import TaskGraph
 from repro.utils.arrays import amin, awhere
 from repro.workloads.attention import AttentionWorkload
 
@@ -55,7 +55,7 @@ class LayerWiseScheduler(AttentionScheduler):
         emitters = make_emitters(graph, costs, per_core, self.name)
 
         # ----------------------- stage 1: C = QK^T ----------------------- #
-        stage1_tasks: list[Task] = []
+        stage1_tasks: list[int] = []
         for core, block in interleave_block_positions(per_core):
             em = emitters[core]
             q_load = em.load_q(block)
@@ -64,17 +64,17 @@ class LayerWiseScheduler(AttentionScheduler):
                 mm = em.matmul_qk(block, tile, deps=[q_load, k_load])
                 store = em.store_score_tile(block, tile, "C", deps=[mm])
                 stage1_tasks.append(store)
-        barrier1 = graph.add_barrier("layerwise.barrier.stage1", deps=stage1_tasks)
+        barrier1 = graph.add_barrier("layerwise.barrier.stage1", deps=stage1_tasks).tid
 
         # ----------------------- stage 2: P = softmax(C) ----------------- #
-        stage2_tasks: list[Task] = []
+        stage2_tasks: list[int] = []
         for core, block in interleave_block_positions(per_core):
             em = emitters[core]
             c_load = em.load_score(block, "C", deps=[barrier1])
             sm = em.softmax(block, deps=[c_load])
             store = em.store_score(block, "P", deps=[sm])
             stage2_tasks.append(store)
-        barrier2 = graph.add_barrier("layerwise.barrier.stage2", deps=stage2_tasks)
+        barrier2 = graph.add_barrier("layerwise.barrier.stage2", deps=stage2_tasks).tid
 
         # ----------------------- stage 3: O = PV -------------------------- #
         for core, block in interleave_block_positions(per_core):

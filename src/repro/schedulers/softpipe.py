@@ -13,7 +13,7 @@ from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
 from repro.core.emit import interleave_block_positions, make_emitters
 from repro.core.tiling import TilingConfig, operand_tile_bytes, score_block_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.sim.tasks import Task, TaskGraph
+from repro.sim.tasks import TaskGraph
 from repro.utils.arrays import awhere
 from repro.workloads.attention import AttentionWorkload
 
@@ -44,7 +44,7 @@ class SoftPipeScheduler(AttentionScheduler):
         emitters = make_emitters(graph, costs, per_core, self.name)
 
         # ------------- fused stage A: C_i = Q_i K^T, P_i = softmax(C_i) --- #
-        stage_a_tasks: list[Task] = []
+        stage_a_tasks: list[int] = []
         for core, block in interleave_block_positions(per_core):
             em = emitters[core]
             q_load = em.load_q(block)
@@ -56,7 +56,7 @@ class SoftPipeScheduler(AttentionScheduler):
             sm = em.softmax(block, deps=qk_tasks)
             store = em.store_score(block, "P", deps=[sm])
             stage_a_tasks.append(store)
-        barrier = graph.add_barrier("softpipe.barrier.stageA", deps=stage_a_tasks)
+        barrier = graph.add_barrier("softpipe.barrier.stageA", deps=stage_a_tasks).tid
 
         # ------------- sequential stage B: O = PV -------------------------- #
         for core, block in interleave_block_positions(per_core):

@@ -21,7 +21,7 @@ from repro.core.emit import make_emitters
 from repro.core.stream import OpKind, plan_rounds
 from repro.core.tiling import TilingConfig, mas_footprint_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
-from repro.sim.tasks import Task, TaskGraph
+from repro.sim.tasks import TaskGraph
 from repro.workloads.attention import AttentionWorkload
 
 __all__ = ["TileFlowScheduler"]
@@ -45,11 +45,11 @@ class TileFlowScheduler(AttentionScheduler):
         emitters = make_emitters(graph, costs, per_core, self.name)
         per_core_rounds = [plan_rounds(len(blocks)) if blocks else [] for blocks in per_core]
 
-        qk: dict[tuple[int, int], list[Task]] = {}  # (core, block) -> QK tiles
-        softmax: dict[tuple[int, int], Task] = {}
-        barrier: list[Task] = []  # the previous round's barrier, once there is one
+        qk: dict[tuple[int, int], list[int]] = {}  # (core, block) -> QK tiles
+        softmax: dict[tuple[int, int], int] = {}
+        barrier: list[int] = []  # the previous round's barrier, once there is one
         for position in range(max(map(len, per_core_rounds), default=0)):
-            round_tasks: list[Task] = []
+            round_tasks: list[int] = []
             for core, rounds in enumerate(per_core_rounds):
                 if position >= len(rounds):
                     continue
@@ -74,6 +74,7 @@ class TileFlowScheduler(AttentionScheduler):
                             for tile, v_load in enumerate(em.kv_loads(block, "V", deps=barrier))
                         ]
                         round_tasks += [*pv_tasks, em.store_o(block, deps=pv_tasks)]
-            barrier = [graph.add_barrier(f"tileflow.round{position}.barrier", deps=round_tasks)]
+            name = f"tileflow.round{position}.barrier"
+            barrier = [graph.add_barrier(name, deps=round_tasks).tid]
 
         return BuildResult(graph=graph, metadata={"fused": True, "synchronous_rounds": True})

@@ -14,19 +14,24 @@ its start and finish cycle under the constraints:
    order, so the behaviour is deterministic.
 
 The schedule is produced by an event-driven list scheduler: at every step the
-earliest-startable candidate across all resources is dispatched.  Candidates
-are the head of the program-order queue for in-order resources and the
-earliest-ready enqueued task for out-of-order resources; zero-cost barrier
-tasks (no resource) complete as soon as their dependencies do.
+earliest-startable candidate across all resources is dispatched, the smallest
+(start, task id) winning.  Candidates are the head of the program-order queue
+for in-order resources, once its dependencies are done, and the earliest-ready
+enqueued task for out-of-order resources; zero-cost barrier tasks (no
+resource) complete as soon as their dependencies do.
+
+The engine reads the graph's columns and keeps one candidate per resource,
+updated when that resource dispatches or when its next task becomes ready;
+``tests/sim_oracle.py`` keeps the object-based engine it replaced, and the
+differential tests require both to agree on every task.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from heapq import heappop, heappush
 
 from repro.sim.tasks import TaskGraph
-from repro.sim.trace import TaskRecord, Trace
+from repro.sim.trace import Trace
 
 __all__ = ["simulate_graph", "critical_path_cycles", "OUT_OF_ORDER_RESOURCES"]
 
@@ -34,121 +39,107 @@ __all__ = ["simulate_graph", "critical_path_cycles", "OUT_OF_ORDER_RESOURCES"]
 OUT_OF_ORDER_RESOURCES: tuple[str, ...] = ("dma",)
 
 
-def simulate_graph(
-    graph: TaskGraph, out_of_order_resources: tuple[str, ...] = OUT_OF_ORDER_RESOURCES
-) -> Trace:
+def simulate_graph(graph: TaskGraph) -> Trace:
     """Schedule ``graph`` and return the resulting :class:`Trace`."""
     graph.validate()
     n = len(graph)
     if n == 0:
-        return Trace(records=[])
+        return Trace(graph, [], [])
 
-    ooo = set(out_of_order_resources)
-    remaining_deps = [len(set(t.deps)) for t in graph]
-    ready_time = [0] * n          # max finish over resolved deps
-    finish = [0] * n
-    start = [0] * n
-    scheduled = [False] * n
+    cycles = graph.cycles
+    resource_of = graph.resource_ids
+    num_resources = len(graph.resource_names)
+    # Resource id 0 is "no resource": its tasks are barriers.
+    out_of_order = [rid > 0 and name in OUT_OF_ORDER_RESOURCES
+                    for rid, name in enumerate(graph.resource_names)]
+
+    # A dependency listed twice is counted, and released, twice.
+    remaining = list(map(len, graph.deps))
     dependents: list[list[int]] = [[] for _ in range(n)]
-    for task in graph:
-        for dep in set(task.deps):
-            dependents[dep].append(task.tid)
+    for tid, deps in enumerate(graph.deps):
+        for dep in deps:
+            dependents[dep].append(tid)
+    queues: list[list[int]] = [[] for _ in range(num_resources)]
+    for tid, rid in enumerate(resource_of):
+        queues[rid].append(tid)
 
-    # Per-resource issue structures.
-    inorder_queue: dict[str, deque[int]] = {}
-    ooo_ready: dict[str, list[tuple[int, int]]] = {}  # heap of (ready_time, tid)
-    resource_free: dict[str, int] = {}
-    for task in graph:
-        res = task.resource
-        if not res:
-            continue
-        resource_free.setdefault(res, 0)
-        if res in ooo:
-            ooo_ready.setdefault(res, [])
-        else:
-            inorder_queue.setdefault(res, deque()).append(task.tid)
+    ready = [0] * n  # max finish over resolved deps
+    start = [-1] * n
+    finish = [0] * n
+    free = [0] * num_resources
+    head = [0] * num_resources  # position of each in-order queue's next task
+    heaps: list[list[tuple[int, int]]] = [[] for _ in range(num_resources)]
+    # Each resource's candidate (start, tid, resource), or (never, n, resource)
+    # when it has none: no start reaches the sum of all cycles.
+    never = sum(cycles) + 1
+    candidates = [(never, n, rid) for rid in range(num_resources)]
+    # Tasks whose last dependency has finished, still to be resolved.
+    released = [tid for tid in range(n) if not remaining[tid]]
+    done = 0
+    while True:
+        # Resolve the released tasks: a barrier completes at once and releases
+        # its dependents; any other task may become its resource's candidate.
+        while released:
+            tid = released.pop()
+            rid = resource_of[tid]
+            time = ready[tid]
+            if not rid:
+                start[tid] = time
+                finish[tid] = end = time + cycles[tid]
+                done += 1
+                for dependent in dependents[tid]:
+                    if ready[dependent] < end:
+                        ready[dependent] = end
+                    remaining[dependent] -= 1
+                    if not remaining[dependent]:
+                        released.append(dependent)
+            elif out_of_order[rid]:
+                heap = heaps[rid]
+                heappush(heap, (time, tid))
+                if heap[0][1] == tid:
+                    candidates[rid] = (max(time, free[rid]), tid, rid)
+            elif queues[rid][head[rid]] == tid:
+                candidates[rid] = (max(time, free[rid]), tid, rid)
+        if done == n:
+            break
 
-    # Barrier (resource-less) tasks and newly dependency-free tasks are
-    # resolved eagerly; compute/DMA tasks wait for dispatch.
-    zero_dep_ready: deque[int] = deque(t.tid for t in graph if remaining_deps[t.tid] == 0)
-    done_count = [0]  # mutable so the nested helpers can update it
-
-    def resolve(tid: int) -> None:
-        """Mark ``tid`` as dependency-free: barriers complete, DMA tasks become issuable."""
-        task = graph[tid]
-        if not task.resource:
-            # Zero-cost barrier: completes at its ready time.
-            start[tid] = ready_time[tid]
-            finish[tid] = ready_time[tid] + task.cycles
-            scheduled[tid] = True
-            done_count[0] += 1
-            propagate(tid)
-        elif task.resource in ooo:
-            heapq.heappush(ooo_ready[task.resource], (ready_time[tid], tid))
-        # In-order tasks stay in their program-order queue; readiness is
-        # checked when they reach the queue head.
-
-    def propagate(tid: int) -> None:
-        """Update dependents after ``tid`` finished (or was resolved as a barrier)."""
-        for dep_tid in dependents[tid]:
-            ready_time[dep_tid] = max(ready_time[dep_tid], finish[tid])
-            remaining_deps[dep_tid] -= 1
-            if remaining_deps[dep_tid] == 0:
-                resolve(dep_tid)
-
-    while zero_dep_ready:
-        resolve(zero_dep_ready.popleft())
-
-    while done_count[0] < n:
-        # Gather one candidate per resource and dispatch the earliest-startable.
-        best: tuple[int, int, str] | None = None  # (start, tid, resource)
-        for res, queue in inorder_queue.items():
-            while queue and scheduled[queue[0]]:
-                queue.popleft()
-            if not queue:
-                continue
-            tid = queue[0]
-            if remaining_deps[tid] > 0:
-                continue
-            candidate_start = max(ready_time[tid], resource_free[res])
-            if best is None or (candidate_start, tid) < (best[0], best[1]):
-                best = (candidate_start, tid, res)
-        for res, heap in ooo_ready.items():
-            while heap and scheduled[heap[0][1]]:
-                heapq.heappop(heap)
-            if not heap:
-                continue
-            task_ready, tid = heap[0]
-            candidate_start = max(task_ready, resource_free[res])
-            if best is None or (candidate_start, tid) < (best[0], best[1]):
-                best = (candidate_start, tid, res)
-
-        if best is None:
-            unscheduled = [t.name for t in graph if not scheduled[t.tid]][:5]
+        task_start, tid, rid = min(candidates)
+        if tid == n:
+            unscheduled = [graph.task_name(t) for t in range(n) if start[t] < 0][:5]
             raise RuntimeError(
                 "scheduling deadlock: no issuable task among "
-                f"{n - done_count[0]} unscheduled (first: {unscheduled})"
+                f"{n - done} unscheduled (first: {unscheduled})"
             )
-
-        task_start, tid, res = best
-        task = graph[tid]
+        end = task_start + cycles[tid]
         start[tid] = task_start
-        finish[tid] = task_start + task.cycles
-        resource_free[res] = finish[tid]
-        scheduled[tid] = True
-        done_count[0] += 1
-        if res in ooo:
-            # The dispatched task is the heap head by construction (stale
-            # entries were popped during candidate gathering).
-            if ooo_ready[res] and ooo_ready[res][0][1] == tid:
-                heapq.heappop(ooo_ready[res])
+        finish[tid] = end
+        free[rid] = end
+        done += 1
+        # The resource's next candidate.
+        if out_of_order[rid]:
+            heap = heaps[rid]
+            heappop(heap)
+            if heap:
+                time, next_tid = heap[0]
+                candidates[rid] = (max(time, end), next_tid, rid)
+            else:
+                candidates[rid] = (never, n, rid)
         else:
-            if inorder_queue[res] and inorder_queue[res][0] == tid:
-                inorder_queue[res].popleft()
-        propagate(tid)
+            queue = queues[rid]
+            position = head[rid] = head[rid] + 1
+            if position < len(queue) and not remaining[queue[position]]:
+                next_tid = queue[position]
+                candidates[rid] = (max(ready[next_tid], end), next_tid, rid)
+            else:
+                candidates[rid] = (never, n, rid)
+        for dependent in dependents[tid]:
+            if ready[dependent] < end:
+                ready[dependent] = end
+            remaining[dependent] -= 1
+            if not remaining[dependent]:
+                released.append(dependent)
 
-    records = [TaskRecord(task=task, start=start[task.tid], finish=finish[task.tid]) for task in graph]
-    return Trace(records=records)
+    return Trace(graph, start, finish)
 
 
 def critical_path_cycles(graph: TaskGraph) -> int:
@@ -158,8 +149,7 @@ def critical_path_cycles(graph: TaskGraph) -> int:
     path even with infinitely many compute units.
     """
     graph.validate()
-    finish: list[int] = [0] * len(graph)
-    for task in graph:
-        ready = max((finish[d] for d in task.deps), default=0)
-        finish[task.tid] = ready + task.cycles
+    finish: list[int] = []
+    for deps, cycles in zip(graph.deps, graph.cycles):
+        finish.append(max((finish[d] for d in deps), default=0) + cycles)
     return max(finish, default=0)

@@ -29,12 +29,13 @@ def simulate(
         Labels propagated into the :class:`SimulationResult`.
     """
     trace = simulate_graph(graph)
-    energy = EnergyModel(hardware).compute(trace.counters())
+    counters = trace.counters()
     return make_result(
         scheduler=scheduler or graph.name,
         workload_name=workload_name,
         hardware=hardware,
         trace=trace,
-        energy=energy,
+        counters=counters,
+        energy=EnergyModel(hardware).compute(counters),
         metadata=metadata,
     )

@@ -1,12 +1,16 @@
-"""Task and task-graph definitions for the tile-granularity simulator."""
+"""Task and task-graph definitions for the tile-granularity simulator.
+
+A :class:`TaskGraph` stores its tasks as columns (Python lists indexed by task
+id): kind, resource id, cycles, dependency ids, the eight counters, tags and
+the name.  Builders fill the columns through :meth:`TaskGraph.append`; a
+:class:`Task` is a view of one row, made only when a caller iterates or
+indexes the graph.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
-
-from repro.utils.validation import require
 
 
 class TaskKind(str, Enum):
@@ -51,14 +55,51 @@ def dma_resource() -> str:
     return "dma"
 
 
-@dataclass
+#: The eight access/operation counters of a task, in column order (the field
+#: order of :class:`repro.hardware.energy.AccessCounters`).
+COUNTERS: tuple[str, ...] = (
+    "dram_bytes_read",
+    "dram_bytes_written",
+    "l1_bytes_read",
+    "l1_bytes_written",
+    "l0_bytes_read",
+    "l0_bytes_written",
+    "mac_ops",
+    "vec_ops",
+)
+
+
+def counter_tuple(**counters: int) -> tuple[int, ...]:
+    """The eight counters in column order, checked to be known and non-negative."""
+    unknown = set(counters) - set(COUNTERS)
+    if unknown:
+        raise TypeError(f"unknown counters {sorted(unknown)}")
+    values = tuple(int(counters.get(name, 0)) for name in COUNTERS)
+    for name, value in zip(COUNTERS, values):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    return values
+
+
+class _Counter:
+    """One of a :class:`Task`'s eight counters, read from its graph's column."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.index = COUNTERS.index(name)
+
+    def __get__(self, task: Task | None, owner: type | None = None):
+        if task is None:
+            return self
+        return task.graph.counters[task.tid][self.index]
+
+
 class Task:
-    """One tile-level unit of work bound to a hardware resource.
+    """View of one tile-level task of a :class:`TaskGraph`.
 
     Attributes
     ----------
     tid:
-        Integer id, unique within a graph (assigned by :class:`TaskGraph`).
+        Integer id, unique within a graph (its row in the columns).
     name:
         Human-readable label (used in traces and debugging).
     kind:
@@ -69,7 +110,8 @@ class Task:
     cycles:
         Occupancy of the resource in cycles.
     deps:
-        Task ids that must finish before this task may start.
+        Task ids that must finish before this task may start.  Assigning it
+        rewrites the graph's column (tests drop a dependency this way).
     dram_bytes_read / dram_bytes_written:
         Off-chip traffic attributed to this task (normally only LOAD/STORE).
     l1_bytes_read / l1_bytes_written / l0_bytes_read / l0_bytes_written:
@@ -81,52 +123,121 @@ class Task:
         such as the overwrite accounting.
     """
 
-    tid: int
-    name: str
-    kind: TaskKind
-    resource: str
-    cycles: int
-    deps: tuple[int, ...] = ()
-    dram_bytes_read: int = 0
-    dram_bytes_written: int = 0
-    l1_bytes_read: int = 0
-    l1_bytes_written: int = 0
-    l0_bytes_read: int = 0
-    l0_bytes_written: int = 0
-    mac_ops: int = 0
-    vec_ops: int = 0
-    tags: dict[str, object] = field(default_factory=dict)
+    __slots__ = ("graph", "tid")
 
-    def __post_init__(self) -> None:
-        require(self.cycles >= 0, f"task {self.name!r}: cycles must be >= 0")
-        for attr in (
-            "dram_bytes_read",
-            "dram_bytes_written",
-            "l1_bytes_read",
-            "l1_bytes_written",
-            "l0_bytes_read",
-            "l0_bytes_written",
-            "mac_ops",
-            "vec_ops",
-        ):
-            require(getattr(self, attr) >= 0, f"task {self.name!r}: {attr} must be >= 0")
+    dram_bytes_read = _Counter()
+    dram_bytes_written = _Counter()
+    l1_bytes_read = _Counter()
+    l1_bytes_written = _Counter()
+    l0_bytes_read = _Counter()
+    l0_bytes_written = _Counter()
+    mac_ops = _Counter()
+    vec_ops = _Counter()
+
+    def __init__(self, graph: TaskGraph, tid: int) -> None:
+        self.graph = graph
+        self.tid = tid
+
+    @property
+    def name(self) -> str:
+        return self.graph.task_name(self.tid)
+
+    @property
+    def kind(self) -> TaskKind:
+        return self.graph.kinds[self.tid]
+
+    @property
+    def resource(self) -> str:
+        return self.graph.resource_names[self.graph.resource_ids[self.tid]]
+
+    @property
+    def cycles(self) -> int:
+        return self.graph.cycles[self.tid]
+
+    @property
+    def deps(self) -> tuple[int, ...]:
+        return self.graph.deps[self.tid]
+
+    @deps.setter
+    def deps(self, deps: Iterable[int]) -> None:
+        self.graph.deps[self.tid] = tuple(int(d) for d in deps)
+
+    @property
+    def tags(self) -> dict[str, object]:
+        return self.graph.tags[self.tid]
+
+    def __repr__(self) -> str:
+        return f"Task({self.tid}, {self.name!r}, {self.kind.value}, {self.resource!r})"
 
 
 class TaskGraph:
-    """A DAG of :class:`Task` objects with per-resource program order.
+    """A DAG of tile-level tasks with per-resource program order, kept as columns.
 
     Tasks are added in *program order*; for tasks sharing a resource this
     insertion order is the order in which the resource executes them, exactly
     like a statically scheduled instruction stream per engine.
+
+    Columns, indexed by task id: ``kinds``, ``resource_ids`` (into
+    ``resource_names``, where id 0 is ``""``, no resource), ``cycles``,
+    ``deps`` (tuples of earlier task ids), ``counters`` (tuples of the eight
+    :data:`COUNTERS`), ``tags`` and the names, kept unformatted until asked
+    for (see :meth:`task_name`).
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._tasks: list[Task] = []
+        self.kinds: list[TaskKind] = []
+        self.resource_ids: list[int] = []
+        self.cycles: list[int] = []
+        self.deps: list[tuple[int, ...]] = []
+        self.counters: list[tuple[int, ...]] = []
+        self.tags: list[dict[str, object]] = []
+        self._names: list[str | tuple] = []
+        self.resource_names: list[str] = [""]
+        self._resource_index: dict[str, int] = {"": 0}
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
+    def resource_id(self, resource: str) -> int:
+        """Integer id of ``resource`` in this graph (registered on first use)."""
+        rid = self._resource_index.get(resource)
+        if rid is None:
+            rid = self._resource_index[resource] = len(self.resource_names)
+            self.resource_names.append(resource)
+        return rid
+
+    def append(
+        self,
+        kind: TaskKind,
+        resource_id: int,
+        cycles: int,
+        deps: tuple[int, ...],
+        counters: tuple[int, ...],
+        name: str | tuple,
+        tags: dict[str, object],
+    ) -> int:
+        """Append one task and return its id.
+
+        The emitters' path: ``resource_id`` comes from :meth:`resource_id` and
+        ``cycles``/``counters`` from an already validated
+        :class:`~repro.core.costs.TaskCost`.  ``name`` is a string or a tuple
+        ``(format, *parts)`` that :meth:`task_name` formats when asked.  Only
+        the dependency ids are checked here.
+        """
+        tid = len(self.kinds)
+        for dep in deps:
+            if not 0 <= dep < tid:
+                raise ValueError(f"task {self._format(name)!r}: unknown dependency id {dep}")
+        self.kinds.append(kind)
+        self.resource_ids.append(resource_id)
+        self.cycles.append(cycles)
+        self.deps.append(deps)
+        self.counters.append(counters)
+        self.tags.append(tags)
+        self._names.append(name)
+        return tid
+
     def add(
         self,
         name: str,
@@ -137,22 +248,17 @@ class TaskGraph:
         **counters: object,
     ) -> Task:
         """Append a task and return it.  ``deps`` may be task ids or tasks."""
+        tags = dict(counters.pop("tags", {}))  # type: ignore[call-overload]
+        cycles = int(cycles)
+        if cycles < 0:
+            raise ValueError(f"task {name!r}: cycles must be >= 0")
+        try:
+            values = counter_tuple(**counters)  # type: ignore[arg-type]
+        except ValueError as error:
+            raise ValueError(f"task {name!r}: {error}") from None
         dep_ids = tuple(d.tid if isinstance(d, Task) else int(d) for d in deps)
-        for dep in dep_ids:
-            require(0 <= dep < len(self._tasks), f"task {name!r}: unknown dependency id {dep}")
-        tags = counters.pop("tags", {})
-        task = Task(
-            tid=len(self._tasks),
-            name=name,
-            kind=kind,
-            resource=resource,
-            cycles=int(cycles),
-            deps=dep_ids,
-            tags=dict(tags),  # type: ignore[arg-type]
-            **{k: int(v) for k, v in counters.items()},  # type: ignore[arg-type]
-        )
-        self._tasks.append(task)
-        return task
+        tid = self.append(kind, self.resource_id(resource), cycles, dep_ids, values, name, tags)
+        return Task(self, tid)
 
     def add_barrier(self, name: str, deps: Iterable[int] | Iterable[Task]) -> Task:
         """Add a zero-cost synchronization task depending on ``deps``."""
@@ -162,45 +268,60 @@ class TaskGraph:
     # Introspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._tasks)
+        return len(self.kinds)
 
     def __iter__(self) -> Iterator[Task]:
-        return iter(self._tasks)
+        return (Task(self, tid) for tid in range(len(self.kinds)))
 
     def __getitem__(self, tid: int) -> Task:
-        return self._tasks[tid]
+        return Task(self, range(len(self.kinds))[tid])
 
     @property
     def tasks(self) -> list[Task]:
         """All tasks in program order."""
-        return list(self._tasks)
+        return list(self)
+
+    @staticmethod
+    def _format(name: str | tuple) -> str:
+        return name if isinstance(name, str) else name[0](*name[1:])
+
+    def task_name(self, tid: int) -> str:
+        """Name of task ``tid``, formatted from its parts on each call."""
+        return self._format(self._names[tid])
 
     def resources(self) -> list[str]:
         """Distinct non-empty resources referenced by the graph, in first-use order."""
-        seen: dict[str, None] = {}
-        for task in self._tasks:
-            if task.resource and task.resource not in seen:
-                seen[task.resource] = None
-        return list(seen)
+        return [self.resource_names[rid] for rid in dict.fromkeys(self.resource_ids) if rid]
+
+    def ids_on(self, resource: str) -> list[int]:
+        """Ids of the tasks bound to ``resource``, in program order."""
+        rid = self._resource_index.get(resource)
+        return [tid for tid, r in enumerate(self.resource_ids) if r == rid]
 
     def tasks_on(self, resource: str) -> list[Task]:
         """Tasks bound to ``resource``, in program order."""
-        return [t for t in self._tasks if t.resource == resource]
+        return [Task(self, tid) for tid in self.ids_on(resource)]
 
     def by_kind(self, kind: TaskKind) -> list[Task]:
         """Tasks of a given kind, in program order."""
-        return [t for t in self._tasks if t.kind == kind]
+        return [Task(self, tid) for tid, k in enumerate(self.kinds) if k == kind]
+
+    def counter_totals(self) -> tuple[int, ...]:
+        """Sum of each of the eight :data:`COUNTERS` over all tasks."""
+        if not self.counters:
+            return (0,) * len(COUNTERS)
+        return tuple(map(sum, zip(*self.counters)))
 
     def validate(self) -> None:
         """Check structural invariants (dependency ids in range, acyclic by construction)."""
-        for task in self._tasks:
-            for dep in task.deps:
-                require(dep < task.tid, f"task {task.name!r} depends on a later task {dep}")
+        for tid, deps in enumerate(self.deps):
+            for dep in deps:
+                if not 0 <= dep < tid:
+                    raise ValueError(f"task {self.task_name(tid)!r} depends on a later task {dep}")
 
     def total_cycles_lower_bound(self) -> int:
         """Max over resources of the summed occupancy — a lower bound on the makespan."""
-        totals: dict[str, int] = {}
-        for task in self._tasks:
-            if task.resource:
-                totals[task.resource] = totals.get(task.resource, 0) + task.cycles
-        return max(totals.values(), default=0)
+        totals = [0] * len(self.resource_names)
+        for rid, cycles in zip(self.resource_ids, self.cycles):
+            totals[rid] += cycles
+        return max(totals[1:], default=0)

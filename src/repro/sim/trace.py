@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.hardware.config import HardwareConfig
 from repro.hardware.energy import AccessCounters, EnergyBreakdown
-from repro.sim.tasks import Task, TaskKind
+from repro.sim.tasks import COUNTERS, Task, TaskGraph, TaskKind
 from repro.utils.units import cycles_to_seconds
 
 
@@ -23,26 +23,58 @@ class TaskRecord:
         return self.finish - self.start
 
 
-@dataclass
 class Trace:
-    """Full schedule produced by the simulator."""
+    """Full schedule produced by the simulator.
 
-    records: list[TaskRecord] = field(default_factory=list)
+    It holds the simulated :class:`~repro.sim.tasks.TaskGraph` and two
+    columns indexed by task id, ``start`` and ``finish``.  The makespan, the
+    per-resource figures and :meth:`counters` read the columns and the
+    graph's counter totals; :attr:`records` builds one :class:`TaskRecord`
+    per task on first use.  The graph must not grow after it is simulated.
+    """
+
+    def __init__(
+        self,
+        graph: TaskGraph | None = None,
+        start: list[int] | None = None,
+        finish: list[int] | None = None,
+    ) -> None:
+        self.graph = graph if graph is not None else TaskGraph()
+        self.start = start if start is not None else []
+        self.finish = finish if finish is not None else []
+        self._total_cycles = max(self.finish, default=0)
+        self._records: list[TaskRecord] | None = None
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "_records": None}
+
+    @property
+    def records(self) -> list[TaskRecord]:
+        """One record per task, in task-id order."""
+        if self._records is None:
+            self._records = [
+                TaskRecord(Task(self.graph, tid), start, finish)
+                for tid, (start, finish) in enumerate(zip(self.start, self.finish))
+            ]
+        return self._records
 
     @property
     def total_cycles(self) -> int:
         """Makespan of the schedule in cycles."""
-        return max((r.finish for r in self.records), default=0)
+        return self._total_cycles
+
+    def _on(self, resource: str) -> list[int]:
+        """Ids of the tasks bound to ``resource``, ordered by start time (then id)."""
+        return sorted(self.graph.ids_on(resource), key=self.start.__getitem__)
 
     def records_on(self, resource: str) -> list[TaskRecord]:
         """Records of tasks bound to ``resource``, ordered by start time."""
-        return sorted(
-            (r for r in self.records if r.task.resource == resource), key=lambda r: r.start
-        )
+        records = self.records
+        return [records[tid] for tid in self._on(resource)]
 
     def busy_cycles(self, resource: str) -> int:
         """Total occupied cycles of ``resource``."""
-        return sum(r.duration for r in self.records if r.task.resource == resource)
+        return sum(self.finish[tid] - self.start[tid] for tid in self.graph.ids_on(resource))
 
     def utilization(self, resource: str) -> float:
         """Busy fraction of ``resource`` over the makespan (0 if the trace is empty)."""
@@ -53,30 +85,16 @@ class Trace:
 
     def resources(self) -> list[str]:
         """Distinct non-empty resources appearing in the trace."""
-        seen: dict[str, None] = {}
-        for r in self.records:
-            if r.task.resource and r.task.resource not in seen:
-                seen[r.task.resource] = None
-        return list(seen)
+        return self.graph.resources()
 
     def counters(self) -> AccessCounters:
         """Aggregate access/operation counters over the whole trace."""
-        acc = AccessCounters(total_cycles=self.total_cycles)
-        for record in self.records:
-            t = record.task
-            acc.dram_bytes_read += t.dram_bytes_read
-            acc.dram_bytes_written += t.dram_bytes_written
-            acc.l1_bytes_read += t.l1_bytes_read
-            acc.l1_bytes_written += t.l1_bytes_written
-            acc.l0_bytes_read += t.l0_bytes_read
-            acc.l0_bytes_written += t.l0_bytes_written
-            acc.mac_ops += t.mac_ops
-            acc.vec_ops += t.vec_ops
-        return acc
+        totals = dict(zip(COUNTERS, self.graph.counter_totals()))
+        return AccessCounters(**totals, total_cycles=self.total_cycles)
 
     def count_kind(self, kind: TaskKind) -> int:
         """Number of tasks of ``kind`` in the trace."""
-        return sum(1 for r in self.records if r.task.kind == kind)
+        return self.graph.kinds.count(kind)
 
     def overlap_cycles(self, resource_a: str, resource_b: str) -> int:
         """Cycles during which both resources are simultaneously busy.
@@ -84,8 +102,9 @@ class Trace:
         Used to verify that MAS-Attention actually overlaps MAC and VEC work
         while FLAT does not.
         """
-        intervals_a = [(r.start, r.finish) for r in self.records_on(resource_a) if r.duration > 0]
-        intervals_b = [(r.start, r.finish) for r in self.records_on(resource_b) if r.duration > 0]
+        start, finish = self.start, self.finish
+        intervals_a = [(start[t], finish[t]) for t in self._on(resource_a) if finish[t] > start[t]]
+        intervals_b = [(start[t], finish[t]) for t in self._on(resource_b) if finish[t] > start[t]]
         overlap = 0
         i = j = 0
         while i < len(intervals_a) and j < len(intervals_b):
@@ -156,16 +175,17 @@ def make_result(
     workload_name: str,
     hardware: HardwareConfig,
     trace: Trace,
+    counters: AccessCounters,
     energy: EnergyBreakdown,
     metadata: dict[str, object] | None = None,
 ) -> SimulationResult:
-    """Assemble a :class:`SimulationResult` from a trace and its energy breakdown."""
+    """Assemble a :class:`SimulationResult` from a trace, its counters and their energy."""
     return SimulationResult(
         scheduler=scheduler,
         workload_name=workload_name,
         hardware_name=hardware.name,
         trace=trace,
-        counters=trace.counters(),
+        counters=counters,
         energy=energy,
         frequency_hz=hardware.frequency_hz,
         metadata=dict(metadata or {}),

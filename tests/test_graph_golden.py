@@ -8,8 +8,12 @@ and compares it with ``tests/graph_golden.json``:
   emission order — task names and tags are left out;
 * a SHA-256 over the simulated (start, finish) of every task.
 
-Each case's graph also replays (:func:`repro.numerics.replay.replay`) to the
-reference attention within 1e-9 in float64.
+The same schedule also passes :func:`repro.sim.check.check_schedule`, and
+the object-based oracle engine (``sim_oracle.py``) gives every task the same
+(start, finish), the graph the same makespan and counters, and every resource
+the same figures.  Each case's graph also replays
+(:func:`repro.numerics.replay.replay`) to the reference attention within 1e-9
+in float64.
 
 The grid covers every registered scheduler plus MAS with the overwrite
 strategy disabled, partial row-blocks and K/V tiles, remainder head groups
@@ -41,8 +45,12 @@ from repro.numerics.golden import make_qkv
 from repro.numerics.reference import reference_attention
 from repro.numerics.replay import replay
 from repro.schedulers import AttentionScheduler, list_schedulers, make_scheduler
+from repro.sim.check import check_schedule
 from repro.sim.engine import simulate_graph
+from repro.sim.tasks import TaskGraph
+from repro.sim.trace import Trace
 from repro.workloads.attention import AttentionWorkload
+from sim_oracle import assert_matches_oracle
 
 GOLDEN_PATH = Path(__file__).with_name("graph_golden.json")
 
@@ -138,16 +146,20 @@ def _scheduler(variant: str, l1: int) -> AttentionScheduler:
     return make_scheduler(name, simulated_edge_device().with_l1_bytes(l1), **options)
 
 
-def digest_case(variant: str, shape: str, tiling: TilingConfig, l1: int) -> dict[str, object]:
-    """Build and simulate one case; return its task count and two digests."""
-    graph = _scheduler(variant, l1).build(SHAPES[shape][0], tiling).graph
+def build_case(variant: str, shape: str, tiling: TilingConfig, l1: int) -> TaskGraph:
+    """The task graph of one case."""
+    return _scheduler(variant, l1).build(SHAPES[shape][0], tiling).graph
+
+
+def digest_case(graph: TaskGraph, trace: Trace) -> dict[str, object]:
+    """A case's task count and the digests of its graph and of its schedule ``trace``."""
     graph_sha = hashlib.sha256()
     for task in graph:
         row = [task.kind.value, task.resource, task.cycles, list(task.deps)]
         row += [getattr(task, counter) for counter in COUNTERS]
         graph_sha.update(json.dumps(row).encode())
     schedule_sha = hashlib.sha256()
-    for record in simulate_graph(graph).records:
+    for record in trace.records:
         schedule_sha.update(f"{record.start},{record.finish};".encode())
     return {
         "tasks": len(graph),
@@ -171,12 +183,16 @@ def test_golden_covers_the_grid():
 def test_graph_matches_golden(case_id, variant, shape, tiling, l1):
     expected = _golden().get(case_id)
     assert expected is not None, f"{case_id}: no golden entry; regenerate {GOLDEN_PATH.name}"
-    found = digest_case(variant, shape, tiling, l1)
+    graph = build_case(variant, shape, tiling, l1)
+    trace = simulate_graph(graph)
+    found = digest_case(graph, trace)
     for field in ("tasks", "graph", "schedule"):
         assert found[field] == expected[field], (
             f"{case_id}: {field} differs from the golden graph "
             f"(expected {expected[field]}, found {found[field]})"
         )
+    check_schedule(graph, trace)
+    assert_matches_oracle(graph, trace)
 
 
 @pytest.mark.parametrize(
@@ -192,7 +208,10 @@ def test_graph_replays_to_reference(case_id, variant, shape, tiling, l1):
 
 def main() -> None:
     """Regenerate the golden file from the builders in ``src``."""
-    cases = {case_id: digest_case(*rest) for case_id, *rest in CASES}
+    cases = {}
+    for case_id, *rest in CASES:
+        graph = build_case(*rest)
+        cases[case_id] = digest_case(graph, simulate_graph(graph))
     GOLDEN_PATH.write_text(json.dumps({"cases": cases}, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN_PATH}")
 

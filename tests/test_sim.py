@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.hardware.energy import EnergyModel
+from repro.sim.check import ScheduleError, check_schedule
 from repro.sim.engine import critical_path_cycles, simulate_graph
 from repro.sim.executor import simulate
 from repro.sim.tasks import TaskGraph, TaskKind, dma_resource, mac_resource, vec_resource
@@ -164,6 +167,42 @@ class TestTrace:
         trace = simulate_graph(build_diamond())
         assert trace.count_kind(TaskKind.LOAD) == 1
         assert trace.count_kind(TaskKind.BARRIER) == 0
+
+
+    def test_pickles_without_its_records(self):
+        trace = simulate_graph(build_diamond())
+        records = [(r.task.name, r.start, r.finish) for r in trace.records]
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy.start == trace.start and copy.finish == trace.finish
+        assert [(r.task.name, r.start, r.finish) for r in copy.records] == records
+        assert copy.counters() == trace.counters()
+
+
+class TestCheckSchedule:
+    def test_engine_schedule_passes(self):
+        graph = build_diamond()
+        check_schedule(graph, simulate_graph(graph))
+
+    def test_start_before_dependency_finish_is_caught(self):
+        graph = build_diamond()
+        trace = simulate_graph(graph)
+        # Move the store (deps: mm finishing at 110, sm) to start at 100.
+        trace.start[3], trace.finish[3] = 100, 110
+        with pytest.raises(
+            ScheduleError, match=r"dependency: task 3 'store' on 'dma' .* task 1 'mm'"
+        ):
+            check_schedule(graph, trace)
+
+    def test_overlapping_tasks_on_one_mac_are_caught(self):
+        graph = TaskGraph()
+        graph.add("a", TaskKind.MATMUL, mac_resource(0), 10)
+        graph.add("b", TaskKind.MATMUL, mac_resource(0), 10)
+        trace = simulate_graph(graph)
+        trace.start[1], trace.finish[1] = 5, 15  # b now overlaps a's [0, 10)
+        with pytest.raises(
+            ScheduleError, match=r"one task at a time: task 1 'b' on 'core0.mac' .* task 0 'a'"
+        ):
+            check_schedule(graph, trace)
 
 
 class TestExecutorFacade:
