@@ -10,11 +10,6 @@ A second benchmark measures *intra-pair* scaling: one (method, network)
 tuning with a large budget, evaluated candidate-batch-parallel
 (``search_workers``) versus serial, with bit-identical results required.
 
-A third axis is lock contention: ``test_service_lock_concurrency`` drives
-concurrent client threads against one :class:`~repro.service.StoreService`
-over distinct keys and gates the striped per-key locking's throughput
-against the old single-global-lock behaviour (``stripes=1``).
-
 ``test_tracing_overhead`` gates the observability layer itself: the same
 sweep traced (``MAS_TRACE``-equivalent, 64-span buffer) versus untraced
 must stay within 5% wall time with bit-identical results.
@@ -27,11 +22,8 @@ stay quick), ``MAS_BENCH_JOBS`` (worker processes for the parallel sweep) and
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
-from typing import Any
 
 import pytest
 
@@ -43,10 +35,8 @@ from repro.obs.schema import validate_trace_file
 from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
 from repro.search.autotuner import AutoTuner, TuningResult
 from repro.search.objective import SchedulerObjective
-from repro.service import StoreService, running_server, server_url
-from repro.store import EvictionPolicy, JsonDirStore, plan_eviction
-from repro.store.base import EntryInfo, ResultStore, StoreStats
-from repro.store.schema import make_payload, normalize_payload
+from repro.service import running_server, server_url
+from repro.store import JsonDirStore
 from repro.utils import env
 from repro.workloads.networks import get_network
 
@@ -65,8 +55,6 @@ SEARCH_WORKERS = _search_workers if _search_workers >= 1 else min(4, os.cpu_coun
 INTRA_BUDGET = 300
 #: GA budget per pair of the candidate-throughput benchmark.
 SEARCH_THROUGHPUT_BUDGET = 120
-#: Concurrent client threads of the lock-contention benchmark.
-LOCK_THREADS = 4
 #: The dataflows whose tiling space the tuner actually searches.
 SEARCH_METHODS = [name for name, cls in ALL_SCHEDULERS.items() if cls.searchable]
 
@@ -460,142 +448,3 @@ def test_search_throughput_analytic(benchmark):
         benchmark.extra_info[f"{mode}_candidates_per_s"] = round(data["candidates_per_s"], 1)
     benchmark.extra_info["hot_path_speedup"] = round(hot_speedup, 1)
     benchmark.extra_info["prune_worst_best_ratio"] = round(worst_ratio, 6)
-
-
-class _SlowMemoryStore(ResultStore):
-    """In-memory store whose lookups stall a fixed ~2 ms, standing in for I/O.
-
-    The lock benchmark must measure the *service's* locking, not a backend's
-    own serialization (filesystem round trips), so the
-    backend is a plain dict plus a deterministic artificial read latency —
-    long enough to dwarf lock bookkeeping, short enough to keep the
-    benchmark sub-second.
-    """
-
-    def __init__(self, read_delay_s: float) -> None:
-        super().__init__()
-        self._read_delay_s = read_delay_s
-        self._data: dict[str, dict[str, Any]] = {}
-
-    def uri(self) -> str:
-        return "slowmem:"
-
-    def lookup(self, key: str) -> tuple[dict[str, Any] | None, str]:
-        time.sleep(self._read_delay_s)
-        if key not in self._data:
-            return None, "miss"
-        payload, status = normalize_payload(self._data[key])
-        return payload, "hit" if status == "ok" else "stale"
-
-    def put(self, key: str, payload: dict[str, Any]) -> list[str]:
-        self._data[key] = payload
-        return []
-
-    def entries(self, **filters: str | None) -> list[EntryInfo]:
-        return [
-            EntryInfo(
-                key=key,
-                schema=payload.get("schema"),
-                scheduler=None,
-                workload=None,
-                strategy=None,
-                suite=None,
-                size_bytes=len(json.dumps(payload)),
-                last_used=0.0,
-            )
-            for key, payload in self._data.items()
-        ]
-
-    def stats(self) -> StoreStats:
-        infos = self.entries()
-        return StoreStats(
-            self.backend, self.uri(), len(infos), sum(i.size_bytes for i in infos), 0
-        )
-
-    def evict(self, policy: EvictionPolicy | None = None) -> list[str]:
-        evicted = plan_eviction(self.entries(), policy or self.policy)
-        for key in evicted:
-            del self._data[key]
-        return evicted
-
-    def clear(self) -> int:
-        removed = len(self._data)
-        self._data.clear()
-        return removed
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-#: Per-key lookups each client thread issues in the lock benchmark.
-LOCK_OPS_PER_THREAD = 50
-_LOCK_READ_DELAY_S = 0.002
-
-
-def _lock_throughput(stripes: int) -> float:
-    """Lookups/sec through one ``StoreService`` under concurrent clients.
-
-    ``LOCK_THREADS`` threads each sweep their own disjoint key range, so
-    with per-key locking no two clients ever contend on a stripe; with
-    ``stripes=1`` (the pre-refactor global lock) every lookup serializes
-    behind every other and throughput collapses to one backend read at a
-    time.
-    """
-    service = StoreService(_SlowMemoryStore(_LOCK_READ_DELAY_S), stripes=stripes)
-    for tid in range(LOCK_THREADS):
-        for i in range(LOCK_OPS_PER_THREAD):
-            key = f"bench/lock/{tid}/{i}"
-            service.put(key, make_payload(key, {"best_value": 1.0}, suite="bench"), None)
-
-    barrier = threading.Barrier(LOCK_THREADS + 1)
-    statuses: list[str] = []
-
-    def client(tid: int) -> None:
-        mine = [f"bench/lock/{tid}/{i}" for i in range(LOCK_OPS_PER_THREAD)]
-        barrier.wait()
-        got = [service.lookup(key)[1] for key in mine]
-        statuses.extend(got)  # list.extend is atomic under the GIL
-
-    threads = [
-        threading.Thread(target=client, args=(tid,), name=f"lock-bench-{tid}")
-        for tid in range(LOCK_THREADS)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-
-    ops = LOCK_THREADS * LOCK_OPS_PER_THREAD
-    assert len(statuses) == ops and set(statuses) == {"hit"}
-    return ops / max(elapsed, 1e-9)
-
-
-def test_service_lock_concurrency(benchmark):
-    """Striped per-key locking vs the old global lock, concurrent distinct keys.
-
-    ``LOCK_THREADS`` client threads hammer one service over disjoint keys; a
-    2 ms simulated backend read makes lock *hold time* the dominant cost.
-    The striped service must clear at least twice the global-lock baseline's
-    throughput — anything less means per-key operations still queue behind
-    each other and the refactor regressed to a de-facto global lock.
-    """
-    global_rate = _lock_throughput(stripes=1)
-    striped_rate = _lock_throughput(stripes=64)
-    speedup = striped_rate / max(global_rate, 1e-9)
-
-    benchmark.pedantic(lambda: _lock_throughput(stripes=64), rounds=1, iterations=1)
-
-    print()
-    print(f"clients: {LOCK_THREADS} threads x {LOCK_OPS_PER_THREAD} lookups, distinct keys")
-    print(f"global lock (stripes=1) : {global_rate:8.1f} lookups/s")
-    print(f"striped (stripes=64)    : {striped_rate:8.1f} lookups/s  ({speedup:.1f}x)")
-
-    benchmark.extra_info.update(
-        global_lock_ops_per_s=round(global_rate, 1),
-        striped_ops_per_s=round(striped_rate, 1),
-        speedup=round(speedup, 2),
-    )
-    assert speedup >= 2.0, f"striped-lock speedup {speedup:.2f}x < 2x over global lock"

@@ -9,8 +9,8 @@ inside ``*_locked`` helpers) anywhere outside ``__init__`` — and then flags
 * any call of a ``*_locked`` helper from outside a lock context.
 
 A *lock context* is the body of a ``with self.<lock>:`` statement, the body
-of a ``with self.<lock>.<scope>(...):`` statement (the keyed-lock idiom —
-:class:`repro.service.locks.KeyedLocks` hands out per-key/store scopes via
+of a ``with self.<lock>.<scope>(...):`` statement (the keyed-lock idiom — a
+``KeyedLocks`` pool hands out per-key/store scopes via
 ``.key()``/``.keys()``/``.store()`` context managers), the body of a method
 whose name ends in ``_locked`` (the project convention for helpers that
 document "caller holds the lock"), or ``__init__``/``__del__`` (no
@@ -36,8 +36,8 @@ from repro.devtools.findings import Finding
 
 __all__ = ["LockDisciplineChecker"]
 
-#: Constructor names that create a lock object (KeyedLocks is the project's
-#: striped per-key lock manager, entered via .key()/.keys()/.store()).
+#: Constructor names that create a lock object (KeyedLocks stands for a
+#: striped per-key lock pool, entered via .key()/.keys()/.store()).
 _LOCK_FACTORIES = frozenset(
     {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "KeyedLocks"}
 )

@@ -31,7 +31,6 @@ from repro.schedulers.registry import make_scheduler
 from repro.search.autotuner import AutoTuner, TuningResult, default_strategy
 from repro.search.objective import Metric, analytic_prune_enabled
 from repro.sim.trace import SimulationResult
-from repro.store.retry import retry_totals
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.networks import get_network
 
@@ -67,11 +66,11 @@ class MethodRun:
     tuning: TuningResult | None = None
     #: Whether the tuning came from the persistent result cache (no search ran).
     cached: bool = False
-    #: The executing process's cache counters for this pair
+    #: This pair's cache counters
     #: (``{"hits", "misses", "stale", "retry_attempts", "retry_giveups"}``).
-    #: Pool workers create their own :class:`~repro.exec.cache.ResultCache`,
-    #: so without this the parent runner could not account for lookups (or
-    #: store retries) performed on its behalf —
+    #: Each pair opens its own :class:`~repro.exec.cache.ResultCache` (in a
+    #: pool worker, under ``jobs > 1``), so without this the parent runner
+    #: could not account for lookups (or store retries) made on its behalf —
     #: :meth:`~repro.exec.runner.ExperimentRunner.cache_stats` aggregates it.
     #: ``None`` when no cache lookup happened (untuned/unsearchable pairs).
     store_stats: dict[str, int] | None = None
@@ -165,7 +164,6 @@ def _execute_pair_traced(spec: PairSpec) -> MethodRun:
         # scheduler.name, not spec.method: the registry lookup is
         # case-insensitive, and the seed must not depend on the spelling.
         seed = pair_seed(spec.seed, scheduler.name, entry_name)
-        retry_before = retry_totals()
         cache = ResultCache(spec.cache_uri, enabled=spec.use_cache)
         # Bound pruning changes what a stored tuning means (the search saw
         # bound values, not simulations, for pruned candidates), so pruned
@@ -198,9 +196,9 @@ def _execute_pair_traced(spec: PairSpec) -> MethodRun:
                 cached = True
             if cache.enabled:
                 store_stats = cache.stats()
-                retry_after = retry_totals()
                 for name in ("retry_attempts", "retry_giveups"):
-                    store_stats[name] = retry_after[name] - retry_before[name]
+                    # Only an HttpStore retries; it counts its own retries.
+                    store_stats[name] = getattr(cache.backend, name, 0)
         finally:
             # Always release the backend (an HTTP store's keep-alive socket)
             # before returning.

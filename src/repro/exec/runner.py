@@ -373,8 +373,8 @@ class ExperimentRunner:
         their own cache, so summing the parent's own counters (which are
         always zero there) would undercount every parallel sweep.
         ``retry_attempts`` / ``retry_giveups`` aggregate the same way:
-        transient store failures backed off and retried (or abandoned) by
-        whichever process executed the pair.
+        transient store failures that each pair's HTTP store backed off and
+        retried, or gave up on.
 
         ``search_simulated`` / ``search_infeasible`` / ``search_pruned``
         break ``search_evaluations`` down by how the analytic pre-pass

@@ -6,8 +6,8 @@ The pieces, one import point:
   sweep → pair → search-generation → store-op → HTTP-request path,
   enabled by ``MAS_TRACE=<path>`` (JSONL output), with optional per-span
   cProfile via ``MAS_PROFILE``;
-* :mod:`repro.obs.metrics` — counters and latency histograms with
-  p50/p95/p99, shared by the store service and the retry layer;
+* :mod:`repro.obs.metrics` — the fixed-bucket latency :class:`Histogram`
+  (p50/p95/p99) behind the store service's per-endpoint metrics;
 * :mod:`repro.obs.export` — Chrome trace-event conversion;
 * :mod:`repro.obs.bench` — the perf gate behind ``mas-attention obs bench
   PARENT_DIR``: the sweep benchmark on the parent commit against this
@@ -19,12 +19,7 @@ The pieces, one import point:
 is the CLI surface; ``docs/observability.md`` is the guide.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    MetricFamily,
-    MetricsRegistry,
-    global_registry,
-)
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS
 from repro.obs.trace import (
     TRACE_HEADER,
     Span,
@@ -41,8 +36,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "MetricFamily",
-    "MetricsRegistry",
     "Span",
     "TRACE_HEADER",
     "TraceContext",
@@ -52,7 +45,6 @@ __all__ = [
     "current_context",
     "flush",
     "get_tracer",
-    "global_registry",
     "reset",
     "span",
 ]

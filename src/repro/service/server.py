@@ -3,14 +3,10 @@
 Three layers, separable on purpose:
 
 * :class:`StoreService` — a thread-safe facade over one
-  :class:`~repro.store.base.ResultStore`.  Concurrency is per-key: a lookup
-  or an uncapped put holds its key's stripe in a
-  :class:`~repro.service.locks.KeyedLocks` pool (shared store-wide gate),
-  so lookups of distinct keys from different sweep hosts proceed in
-  parallel, while store-wide operations (``evict``/``clear``/``stats``/
-  ``entries`` and capped puts) take the gate exclusively and see a frozen
-  store — the plan-then-delete eviction sequence stays atomic.  Every
-  operation feeds :class:`ServiceMetrics`;
+  :class:`~repro.store.base.ResultStore` that runs every store operation
+  under one lock, so a capped put's write and eviction, and every snapshot,
+  see a store no other request is changing.  Every operation feeds
+  :class:`ServiceMetrics`;
 * :class:`StoreRequestHandler` — the REST surface (see the table in
   ``docs/store_service.md``): ``/healthz``, the JSON ``/metrics`` document,
   and one route per store operation, ``/lookup``/``/put``/``/evict``/
@@ -19,11 +15,8 @@ Three layers, separable on purpose:
 * :func:`make_server` / :func:`serve_store` — construction and the CLI's
   blocking entry point.
 
-Backends must tolerate concurrent calls on *distinct* keys (the JSON
-directory writes each file atomically); same-key and store-wide sequences
-are serialized here.  The server should be the only writer of its backing
-directory.  Scaling rule of thumb: one service per store; many sweep hosts
-per service.
+The server should be the only writer of its backing directory.  Scaling
+rule of thumb: one service per store; many sweep hosts per service.
 """
 
 from __future__ import annotations
@@ -41,9 +34,8 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro import __version__
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.trace import TraceContext
-from repro.service.locks import DEFAULT_STRIPES, KeyedLocks
 from repro.store.base import ResultStore
 from repro.store.eviction import EvictionPolicy, parse_size
 from repro.store.http import API_PREFIX
@@ -66,13 +58,12 @@ DEFAULT_PORT = 8787
 class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server process only; never pickled to workers)
     """Store-level counters plus per-endpoint latency, served at ``/metrics``.
 
-    Backed by a :class:`~repro.obs.metrics.MetricsRegistry`: the counters
-    are unlabelled counter families, per-endpoint traffic is a labelled
-    counter pair, and latency is a labelled **histogram** family — so the
-    JSON document reports p50/p95/p99 per endpoint, not just mean/max.
-    Everything is monotonic since server start and safe for the request
-    threads of a :class:`~http.server.ThreadingHTTPServer` to record
-    concurrently.
+    Eight plain counters, and per endpoint an error count and a latency
+    :class:`~repro.obs.metrics.Histogram` whose count is the endpoint's
+    request count — so the JSON document reports p50/p95/p99 per endpoint,
+    not just mean/max.  One lock guards them all, so the request threads of
+    a :class:`~http.server.ThreadingHTTPServer` record concurrently.
+    Everything is monotonic since server start.
     """
 
     #: Counter names, fixed so ``/metrics`` output is stable for dashboards.
@@ -95,22 +86,10 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
     }
 
     def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(
-                name, f"Total {name.replace('_', ' ')} since server start."
-            )
-            for name in self.COUNTERS
-        }
-        self._requests = self.registry.counter(
-            "requests", "Requests served, by endpoint.", labels=("endpoint",)
-        )
-        self._errors = self.registry.counter(
-            "request_errors", "5xx responses, by endpoint.", labels=("endpoint",)
-        )
-        self._latency = self.registry.histogram(
-            "request_ms", "Request latency, by endpoint.", labels=("endpoint",)
-        )
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(self.COUNTERS, 0)
+        self._latency: dict[str, Histogram] = {}
+        self._errors: dict[str, int] = {}
         self._started = time.time()
 
     @property
@@ -118,8 +97,9 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
         return time.time() - self._started
 
     def count(self, **increments: int) -> None:
-        for name, amount in increments.items():
-            self._counters[name].inc(amount)
+        with self._lock:
+            for name, amount in increments.items():
+                self._counts[name] += amount
 
     def record_lookup(self, status: str) -> None:
         """Tally one schema-aware lookup outcome (hit/stale/miss).
@@ -138,11 +118,12 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
 
     def observe(self, endpoint: str, elapsed_ms: float, error: bool = False) -> None:
         """Record one served request against its endpoint label."""
-        self._requests.labels(endpoint=endpoint).inc()
-        errors = self._errors.labels(endpoint=endpoint)  # minted even at 0
-        if error:
-            errors.inc()
-        self._latency.labels(endpoint=endpoint).observe(elapsed_ms)
+        with self._lock:
+            if endpoint not in self._latency:
+                self._latency[endpoint] = Histogram()
+                self._errors[endpoint] = 0  # reported even at 0
+            self._latency[endpoint].observe(elapsed_ms)
+            self._errors[endpoint] += int(error)
 
     def snapshot(self) -> dict[str, Any]:
         """The JSON ``/metrics`` document: counters + per-endpoint latency.
@@ -150,48 +131,41 @@ class ServiceMetrics:  # mas-lint: disable=fork-safety(lives in the server proce
         Each endpoint reports exact count/errors/total/mean/max plus the
         histogram's estimated p50/p95/p99.
         """
-        requests: dict[str, dict[str, Any]] = {}
-        for (endpoint,), hist in self._latency.samples():
-            stats = hist.snapshot()
-            requests[endpoint] = {
-                "count": stats["count"],
-                "errors": int(self._errors.labels(endpoint=endpoint).value),
-                "total_ms": round(stats["sum"], 3),
-                "mean_ms": round(stats["mean"], 3),
-                "max_ms": round(stats["max"], 3),
-                "p50_ms": round(stats["p50"], 3),
-                "p95_ms": round(stats["p95"], 3),
-                "p99_ms": round(stats["p99"], 3),
-            }
-        document: dict[str, Any] = {
-            name: int(family.value) for name, family in self._counters.items()
-        }
+        with self._lock:
+            document: dict[str, Any] = dict(self._counts)
+            requests: dict[str, dict[str, Any]] = {}
+            for endpoint, hist in sorted(self._latency.items()):
+                stats = hist.snapshot()
+                requests[endpoint] = {
+                    "count": stats["count"],
+                    "errors": self._errors[endpoint],
+                    "total_ms": round(stats["sum"], 3),
+                    "mean_ms": round(stats["mean"], 3),
+                    "max_ms": round(stats["max"], 3),
+                    "p50_ms": round(stats["p50"], 3),
+                    "p95_ms": round(stats["p95"], 3),
+                    "p99_ms": round(stats["p99"], 3),
+                }
         document["uptime_s"] = round(self.uptime_seconds, 3)
         document["requests"] = requests
         return document
 
 
-class StoreService:
-    """Per-key-locked facade over one result store.
+class StoreService:  # mas-lint: disable=fork-safety(lives in the server process only; never pickled to workers)
+    """A facade over one result store that runs every operation under one lock.
 
-    ``stripes=1`` collapses the keyed pool to one stripe — the old
-    global-lock behaviour, kept reachable as the concurrency benchmark's
-    baseline (``bench_parallel_runner.py::test_service_lock_concurrency``).
+    A sweep sends one lookup per pair and one put per search; striped
+    per-key locks served that traffic no faster (measurements in
+    ``docs/store_service.md``, "One lock").
     """
 
-    def __init__(self, store: ResultStore, stripes: int = DEFAULT_STRIPES) -> None:
+    def __init__(self, store: ResultStore) -> None:
         self.store = store
-        # The policy is frozen at construction; snapshot boundedness so put()
-        # can pick its lock (stripe vs store gate) before entering either.
-        self._store_bounded = store.policy.bounded
         self.metrics = ServiceMetrics()
-        self._locks = KeyedLocks(stripes)
+        self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------ #
-    # Per-key operations — each holds its key's stripe (shared store gate)
-    # ------------------------------------------------------------------ #
     def lookup(self, key: str) -> tuple[dict[str, Any] | None, str]:
-        with self._locks.key(key):
+        with self._lock:
             payload, status = self.store.lookup(key)
         self.metrics.record_lookup(status)
         return payload, status
@@ -199,19 +173,8 @@ class StoreService:
     def put(
         self, key: str, payload: dict[str, Any], policy: EvictionPolicy | None
     ) -> list[str]:
-        """Write + eviction, atomically; returns the evicted keys.
-
-        An uncapped put only needs its key's stripe; with caps in play
-        (request or store policy) the write and the eviction happen under
-        the exclusive gate so the cap is enforced against a store no other
-        writer is growing mid-plan.
-        """
-        if not (self._store_bounded or _bounded(policy)):
-            with self._locks.key(key):
-                self.store.put(key, payload)
-            self.metrics.count(puts=1)
-            return []
-        with self._locks.store():
+        """Write + eviction, atomically; returns the evicted keys."""
+        with self._lock:
             # The store's own put enforces the caps the service was launched
             # with; the request's caps compose with them.
             evicted = self.store.put(key, payload)
@@ -220,15 +183,12 @@ class StoreService:
         self.metrics.count(puts=1, evictions=len(evicted))
         return evicted
 
-    # ------------------------------------------------------------------ #
-    # Store-wide operations — exclusive gate, the store is frozen
-    # ------------------------------------------------------------------ #
     def entries(self, filters: dict[str, str]) -> list[dict[str, Any]]:
-        with self._locks.store():
+        with self._lock:
             return [asdict(info) for info in self.store.entries(**filters)]
 
     def stats(self) -> dict[str, Any]:
-        with self._locks.store():
+        with self._lock:
             return self.store.stats().as_dict()
 
     def evict(self, policy: EvictionPolicy | None) -> list[str]:
@@ -238,15 +198,15 @@ class StoreService:
         the service was launched with, so a client with looser caps cannot
         grow a capped store past its configured bound.
         """
-        with self._locks.store():
+        with self._lock:
             evicted = self.store.evict(policy) if _bounded(policy) else []
-            if self._store_bounded and policy != self.store.policy:
+            if self.store.policy.bounded and policy != self.store.policy:
                 evicted += self.store.evict()
         self.metrics.count(evictions=len(evicted))
         return evicted
 
     def clear(self) -> int:
-        with self._locks.store():
+        with self._lock:
             removed = self.store.clear()
         self.metrics.count(deletes=removed)
         return removed
@@ -324,7 +284,19 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             # route: on a keep-alive connection any unread body bytes would
             # be parsed as the next request line, desyncing the stream for
             # every later request (no per-endpoint handler can forget this).
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self._body_length()
+            if length is None:
+                # Where this body ends is unknown, so whatever follows the
+                # headers cannot be told from the next request: answer, then
+                # close the connection instead of running those bytes.
+                status = 400
+                self.close_connection = True
+                self._send_json(
+                    400,
+                    {"error": "bad request: a body needs a non-negative "
+                              "integer Content-Length and no Transfer-Encoding"},
+                )
+                return
             self._body_bytes = self.rfile.read(length) if length > 0 else b""
             handler = self.ROUTES.get((method, parts.path))
             if handler is None:
@@ -420,6 +392,18 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             max_bytes=parse_size(caps["max_bytes"]) if "max_bytes" in caps else None,
         )
 
+    def _body_length(self) -> int | None:
+        """The request body's length, or ``None`` when the headers do not say
+        it: a ``Transfer-Encoding``, or a negative or non-integer
+        ``Content-Length``.  No length header at all means an empty body."""
+        if "Transfer-Encoding" in self.headers:
+            return None
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            return None
+        return length if length >= 0 else None
+
     def _json_body(self) -> dict[str, Any]:
         """The request body (pre-read by ``_dispatch``) as a JSON object."""
         if not self._body_bytes:
@@ -438,6 +422,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
         return len(data)
@@ -453,17 +439,15 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     verbose: bool = False,
-    stripes: int = DEFAULT_STRIPES,
 ) -> ThreadingHTTPServer:
     """A ready-to-run server fronting ``store`` (``port=0`` picks a free one).
 
     The caller owns the lifecycle: run ``serve_forever()`` (typically in a
     thread for tests), then ``shutdown()`` + ``server_close()``.  The
     attached :class:`StoreService` is reachable as ``server.service``.
-    ``stripes`` sizes the per-key lock pool (1 = global-lock behaviour).
     """
     server = ThreadingHTTPServer((host, port), StoreRequestHandler)
-    server.service = StoreService(store, stripes=stripes)  # type: ignore[attr-defined]
+    server.service = StoreService(store)  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
     return server
 
@@ -489,7 +473,6 @@ def running_server(
     host: str = "127.0.0.1",
     port: int = 0,
     verbose: bool = False,
-    stripes: int = DEFAULT_STRIPES,
 ) -> Iterator[ThreadingHTTPServer]:
     """A served store on a daemon thread, torn down (store included) on exit.
 
@@ -497,7 +480,7 @@ def running_server(
     in the background, then ``shutdown``/``server_close``/``store.close`` —
     in one place instead of copy-pasted around every fixture.
     """
-    server = make_server(store, host=host, port=port, verbose=verbose, stripes=stripes)
+    server = make_server(store, host=host, port=port, verbose=verbose)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -14,7 +14,8 @@ share one service:
 * **connection reuse with retry** — one keep-alive connection per store
   instance, re-established transparently; transient failures (connection
   resets, 5xx responses such as a restarting service) retry with exponential
-  backoff through :func:`~repro.store.retry.call_with_retry`.
+  backoff through :func:`~repro.store.retry.call_with_retry`.  Each instance
+  counts its retries and give-ups, which sweeps report in ``cache_stats()``.
 
 Workers never pickle a live connection: the store rebuilds it from the URL
 inside each process.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import time
 from typing import Any
 from urllib.parse import urlencode, urlsplit
 
@@ -46,11 +48,13 @@ class TransientServiceError(RuntimeError):
     """A retryable service failure: 5xx response or broken connection."""
 
 
+#: Request failures worth a backoff-and-retry.
+_TRANSIENT_ERRORS = (TransientServiceError, http.client.HTTPException, OSError)
+
+
 def _is_transient(exc: BaseException) -> bool:
     """Whether a request failure is worth a backoff-and-retry."""
-    return isinstance(
-        exc, (TransientServiceError, http.client.HTTPException, OSError)
-    )
+    return isinstance(exc, _TRANSIENT_ERRORS)
 
 
 #: Everything a failed request to a dead or foreign service can surface: the
@@ -93,6 +97,10 @@ class HttpStore(ResultStore):
         self._netloc = parts.netloc
         self._prefix = parts.path.rstrip("/")
         self.retry = retry or RetryPolicy()
+        #: Transient failures this instance backed off and retried, and
+        #: requests it abandoned after its last attempt.
+        self.retry_attempts = 0
+        self.retry_giveups = 0
         self._conn: http.client.HTTPConnection | None = None
 
     # ------------------------------------------------------------------ #
@@ -164,14 +172,26 @@ class HttpStore(ResultStore):
                 # Propagate this request span across the wire: the service
                 # parents its own span on it, so one trace spans both sides.
                 headers[obs_trace.TRACE_HEADER] = sp.context.to_header()
-            status, payload = call_with_retry(
-                send, policy=self.retry, should_retry=_is_transient
-            )
+            try:
+                status, payload = call_with_retry(
+                    send,
+                    policy=self.retry,
+                    should_retry=_is_transient,
+                    sleep=self._back_off,
+                )
+            except _TRANSIENT_ERRORS:  # raised only once attempts run out
+                self.retry_giveups += 1
+                raise
             sp.set(status=status)
         if status != 200:
             message = (payload or {}).get("error", f"unexpected status {status}")
             raise ValueError(f"{method} {path}: {message}")
         return payload or {}
+
+    def _back_off(self, seconds: float) -> None:
+        """``call_with_retry`` sleeps once before each retry: count it."""
+        self.retry_attempts += 1
+        time.sleep(seconds)
 
     def ping(self) -> dict[str, Any]:
         """The service's ``/healthz`` document (raises if unreachable)."""

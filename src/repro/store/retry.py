@@ -6,12 +6,10 @@ go through :func:`call_with_retry` with a ``should_retry`` classifier, so the
 backoff schedule, the attempt accounting and the "re-raise the last error"
 semantics live — and are tested — in one place.
 
-Every backoff and every exhausted retry is also counted, per exception
-class, in the process-global metrics registry (``retry_attempts`` /
-``retry_giveups``): pairs fold the per-process deltas into their
-``store_stats`` so sweeps surface them in ``cache_stats()``.  Retries happen
-on the client side, so that is where they are visible.  :func:`retry_totals`
-is the cheap summary used for those deltas.
+The caller counts what happened: ``call_with_retry`` calls ``sleep`` once
+before each retry, and a transient error that escapes it is a give-up.
+``HttpStore`` counts both per instance (``retry_attempts`` /
+``retry_giveups``), and sweeps surface them in ``cache_stats()``.
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from repro.obs.metrics import MetricFamily, global_registry
-
-__all__ = ["RetryPolicy", "call_with_retry", "retry_counters", "retry_totals"]
+__all__ = ["RetryPolicy", "call_with_retry"]
 
 T = TypeVar("T")
 
@@ -56,42 +52,6 @@ class RetryPolicy:
         return min(self.base_delay * self.backoff ** (attempt - 1), self.max_delay)
 
 
-def retry_counters() -> tuple[MetricFamily, MetricFamily]:
-    """The ``(retry_attempts, retry_giveups)`` counter families, labelled by
-    exception class name.
-
-    Fetched from :func:`~repro.obs.metrics.global_registry` at call time —
-    never cached at import — so forked sweep workers count into their own
-    per-process registry.
-    """
-    registry = global_registry()
-    return (
-        registry.counter(
-            "retry_attempts",
-            "Transient store failures that triggered a backoff-and-retry.",
-            labels=("error",),
-        ),
-        registry.counter(
-            "retry_giveups",
-            "Store operations abandoned after exhausting their retry budget.",
-            labels=("error",),
-        ),
-    )
-
-
-def retry_totals() -> dict[str, int]:
-    """This process's retry counters summed across error classes.
-
-    ``{"retry_attempts": n, "retry_giveups": m}`` — the shape pairs embed in
-    ``store_stats`` and :meth:`ExperimentRunner.cache_stats` aggregates.
-    """
-    attempts, giveups = retry_counters()
-    return {
-        "retry_attempts": int(sum(child.value for _, child in attempts.samples())),
-        "retry_giveups": int(sum(child.value for _, child in giveups.samples())),
-    }
-
-
 def call_with_retry(
     fn: Callable[[], T],
     policy: RetryPolicy | None = None,
@@ -104,8 +64,9 @@ def call_with_retry(
     ``should_retry`` classifies exceptions: ``True`` means transient (back
     off and retry), ``False`` re-raises immediately.  ``None`` treats every
     exception as transient — callers with a single already-filtered failure
-    mode.  ``sleep`` is injectable so tests assert the schedule without
-    actually waiting.
+    mode.  ``sleep`` runs once before each retry; it is injectable so tests
+    assert the schedule without actually waiting, and so a caller can count
+    its retries.
     """
     policy = policy or RetryPolicy()
     for attempt in range(1, policy.attempts + 1):
@@ -114,10 +75,7 @@ def call_with_retry(
         except Exception as exc:
             if should_retry is not None and not should_retry(exc):
                 raise
-            attempts, giveups = retry_counters()
             if attempt == policy.attempts:
-                giveups.labels(error=type(exc).__name__).inc()
                 raise
-            attempts.labels(error=type(exc).__name__).inc()
             sleep(policy.delay(attempt))
     raise AssertionError("unreachable")  # pragma: no cover

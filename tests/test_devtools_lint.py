@@ -153,29 +153,30 @@ def test_tests_dir_lints_clean_and_skips_fixtures():
     assert not any("lint_fixtures" in f.path for f in result.findings)
 
 
-def test_keyedlocks_out_of_lock_mutation_is_caught(tmp_path):
-    """Injecting an unguarded mutation into the service's real lock pool trips
-    the race checker — the exact regression the lock-discipline check exists for."""
-    source = (SRC_REPRO / "service" / "locks.py").read_text()
-    anchor = "    @contextmanager\n    def key(self"
-    assert anchor in source
+def test_service_metrics_out_of_lock_mutation_is_caught(tmp_path):
+    """Injecting an unguarded mutation into the service's real lock-guarded
+    metrics trips the race checker — the exact regression the
+    lock-discipline check exists for."""
+    source = (SRC_REPRO / "service" / "server.py").read_text()
+    anchor = "    def snapshot(self) -> dict[str, Any]:"
+    assert source.count(anchor) == 1
     injected = source.replace(
         anchor,
-        "    def forget(self):\n"
-        "        self._shared = 0\n"
+        "    def reset(self):\n"
+        "        self._counts = dict.fromkeys(self.COUNTERS, 0)\n"
         "\n" + anchor,
         1,
     )
-    target = tmp_path / "locks_racy.py"
+    target = tmp_path / "server_racy.py"
     target.write_text(injected)
     result = run_lint(target)
     races = [f for f in result.findings if f.check == "lock-discipline"]
     assert len(races) == 1
-    assert "self._shared" in races[0].message
-    assert "forget" in races[0].message
+    assert "self._counts" in races[0].message
+    assert "reset" in races[0].message
     # the pristine source stays race-free under the same checker (the copy
     # loses its path-based determinism allowlist, so compare this check only)
-    pristine = tmp_path / "locks_clean.py"
+    pristine = tmp_path / "server_clean.py"
     pristine.write_text(source)
     clean_result = run_lint(pristine)
     assert not [f for f in clean_result.findings if f.check == "lock-discipline"]

@@ -1,7 +1,6 @@
 """Tests for the unified telemetry layer (:mod:`repro.obs`): span tracing
-across threads, process pools and the HTTP wire; the metrics registry with
-latency histograms; retry counters; and the ``mas-attention obs`` CLI
-toolchain.
+across threads, process pools and the HTTP wire; latency histograms; the
+HTTP store's retry counters; and the ``mas-attention obs`` CLI toolchain.
 
 The acceptance test at the bottom runs a real multi-process sweep against a
 live store service with ``MAS_TRACE`` enabled and asserts the two hard
@@ -23,17 +22,12 @@ from repro.cli import main as cli_main
 from repro.exec.runner import ExperimentRunner
 from repro.obs import trace as obs_trace
 from repro.obs.export import chrome_trace, read_trace, write_chrome
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    MetricsRegistry,
-    global_registry,
-)
+from repro.obs.metrics import Histogram
 from repro.obs.schema import validate_trace_file
 from repro.obs.summary import summarize_trace
 from repro.obs.trace import TraceContext
 from repro.service import running_server, server_url
-from repro.store import JsonDirStore, RetryPolicy, TransientServiceError, call_with_retry
-from repro.store.retry import retry_totals
+from repro.store import HttpStore, JsonDirStore, RetryPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -162,37 +156,11 @@ class TestTracer:
 
 
 # --------------------------------------------------------------------------- #
-# Metrics registry: counters, histograms, quantiles
+# Latency histograms: quantiles
 # --------------------------------------------------------------------------- #
 class TestMetrics:
-    def test_counter_rejects_negative_increment(self):
-        registry = MetricsRegistry()
-        family = registry.counter("things", "Things counted.")
-        family.inc(2)
-        with pytest.raises(ValueError, match="only go up"):
-            family.inc(-1)
-        assert family.value == 2
-
-    def test_registration_is_idempotent_but_rejects_mismatch(self):
-        registry = MetricsRegistry()
-        a = registry.counter("ops", "Ops.", labels=("kind",))
-        assert registry.counter("ops", "Ops again.", labels=("kind",)) is a
-        with pytest.raises(ValueError, match="already registered"):
-            registry.histogram("ops", "Now a histogram?", labels=("kind",))
-        with pytest.raises(ValueError, match="already registered"):
-            registry.counter("ops", "Different labels.", labels=("other",))
-
-    def test_labels_must_match_declared_names(self):
-        registry = MetricsRegistry()
-        family = registry.counter("ops", "Ops.", labels=("kind",))
-        with pytest.raises(ValueError, match="takes labels"):
-            family.labels(flavor="x")
-        family.labels(kind="read").inc()
-        assert family.snapshot() == {"read": 1}
-
     def test_histogram_quantiles_are_ordered_and_clamped(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_ms", "Latency.")
+        hist = Histogram()
         for value in range(1, 101):  # 1..100 ms, uniform
             hist.observe(float(value))
         snap = hist.snapshot()
@@ -204,8 +172,7 @@ class TestMetrics:
         assert 25.0 <= snap["p50"] <= 75.0  # coarse buckets, generous bands
 
     def test_histogram_single_observation_clamps_to_exact_value(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_ms", "Latency.")
+        hist = Histogram()
         hist.observe(3.7)
         snap = hist.snapshot()
         # one sample: every quantile must equal the observation, not a
@@ -213,61 +180,65 @@ class TestMetrics:
         assert snap["p50"] == snap["p95"] == snap["p99"] == 3.7
 
     def test_empty_histogram_snapshot_is_all_zeros(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_ms", "Latency.")
+        hist = Histogram()
         assert hist.snapshot() == {
             "count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
             "p50": 0.0, "p95": 0.0, "p99": 0.0,
         }
 
     def test_overflow_bucket_catches_values_above_the_last_bound(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency_ms", "Latency.", buckets=(1.0, 10.0))
+        hist = Histogram(buckets=(1.0, 10.0))
         hist.observe(0.5)
         hist.observe(99.0)
-        child = hist._sole_child()
-        assert child.quantile(0.5) <= 1.0  # the first bucket holds one sample
-        assert child.quantile(1.0) == 99.0  # the overflow bucket holds the other
-
-    def test_global_registry_is_per_process_singleton(self):
-        assert global_registry() is global_registry()
-        counter = global_registry().counter("obs_test_counter", "Test.")
-        counter.inc()
-        assert global_registry().snapshot()["obs_test_counter"] == 1
+        assert hist.quantile(0.5) <= 1.0  # the first bucket holds one sample
+        assert hist.quantile(1.0) == 99.0  # the overflow bucket holds the other
 
 
 # --------------------------------------------------------------------------- #
-# Retry counters (satellite): backoffs counted per error class
+# Retry counters: each HttpStore counts its backoffs and give-ups
 # --------------------------------------------------------------------------- #
+class _FlakyStatsStore(JsonDirStore):
+    """A directory store whose first ``failures`` ``stats()`` calls raise,
+    so the service answers them 500."""
+
+    def __init__(self, root, failures: int) -> None:
+        super().__init__(root)
+        self.failures = failures
+
+    def stats(self):
+        if self.failures:
+            self.failures -= 1
+            raise RuntimeError("busy")
+        return super().stats()
+
+
 class TestRetryCounters:
-    def test_retries_and_giveups_are_counted_per_error_class(self):
-        before = retry_totals()
-        calls = {"n": 0}
+    def test_http_store_counts_its_retries_and_giveups(self, tmp_path):
+        with running_server(_FlakyStatsStore(tmp_path / "served", failures=2)) as srv:
+            url = server_url(srv)
+            store = HttpStore(url, retry=RetryPolicy(attempts=5, base_delay=0))
+            assert store.stats().entries == 0  # two 500s ridden out
+            store.close()
+        assert store.retry_attempts == 2
+        assert store.retry_giveups == 0
 
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise TransientServiceError("busy")
-            return "ok"
+        down = HttpStore(url, retry=RetryPolicy(attempts=2, base_delay=0))
+        with pytest.raises(OSError):  # the service is gone: refused, twice
+            down.stats()
+        assert down.retry_attempts == 1
+        assert down.retry_giveups == 1
 
-        assert (
-            call_with_retry(flaky, RetryPolicy(attempts=5, base_delay=0), sleep=lambda _: None)
-            == "ok"
-        )
-        after = retry_totals()
-        assert after["retry_attempts"] - before["retry_attempts"] == 2
-        assert after["retry_giveups"] == before["retry_giveups"]
-
-        def always_down():
-            raise TransientServiceError("down")
-
-        with pytest.raises(TransientServiceError):
-            call_with_retry(
-                always_down, RetryPolicy(attempts=2, base_delay=0), sleep=lambda _: None
-            )
-        final = retry_totals()
-        assert final["retry_attempts"] - after["retry_attempts"] == 1
-        assert final["retry_giveups"] - after["retry_giveups"] == 1
+    def test_client_errors_are_neither_retried_nor_given_up(self, tmp_path):
+        """A 4xx is the caller's mistake, not a transient failure: it raises
+        at once and counts neither as a retry nor as a give-up."""
+        with running_server(JsonDirStore(tmp_path / "served")) as srv:
+            store = HttpStore(server_url(srv), retry=RetryPolicy(attempts=5, base_delay=0))
+            with pytest.raises(ValueError, match="invalid store key"):
+                store.lookup("../escape")
+            assert store.lookup("fine") == (None, "miss")
+            store.close()
+        assert store.retry_attempts == 0
+        assert store.retry_giveups == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -338,8 +309,6 @@ class TestObsCli:
         assert "never flushed" in capsys.readouterr().err
 
     def test_metrics_renders_service_latency_table(self, tmp_path, capsys):
-        from repro.store import HttpStore
-
         with running_server(JsonDirStore(tmp_path / "served")) as srv:
             url = server_url(srv)
             client = HttpStore(url)

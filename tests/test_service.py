@@ -13,7 +13,10 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
+import sys
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -22,7 +25,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.cli import build_parser
-from repro.service import KeyedLocks, ServiceMetrics, running_server, server_url
+from repro.service import ServiceMetrics, running_server, server_url
 from repro.service.server import DEFAULT_PORT
 from repro.store import (
     EvictionPolicy,
@@ -189,6 +192,33 @@ class TestEndpoints:
             assert "error" in json.loads(response.read())
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "header",
+        ["Transfer-Encoding: chunked", "Content-Length: -1", "Content-Length: ten"],
+    )
+    def test_unknown_body_length_is_400_and_closes_the_connection(
+        self, server, client, header
+    ):
+        """Where such a body ends is unknown, so the bytes after the headers
+        cannot be told from a next request: the service answers once and
+        hangs up (regression: a pipelined POST /clear ran and emptied the
+        store)."""
+        client.put("kept", payload_for("kept"))
+        pipelined = (
+            f"POST {API_PREFIX}/lookup HTTP/1.1\r\nHost: x\r\n{header}\r\n\r\n"
+            f"POST {API_PREFIX}/clear HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+        )
+        received = b""
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            sock.sendall(pipelined.encode())
+            while chunk := sock.recv(65536):  # b"" once the service closes
+                received += chunk
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert "error" in json.loads(received.partition(b"\r\n\r\n")[2])
+        assert client.lookup("kept")[1] == "hit"
+        assert "POST /clear" not in client.metrics()["requests"]
 
     def test_unknown_entry_filter_is_400(self, server, client):
         client.put("a", payload_for("a"))
@@ -411,6 +441,76 @@ class TestConcurrentClients:
             assert status == "hit" and payload is not None
         survivor_check.close()
 
+    def test_store_runs_one_operation_at_a_time(self, tmp_path):
+        """Every store operation runs under the service's one lock: however
+        many clients send at once, the store never sees two operations
+        overlap, and none is lost."""
+        store = _OverlapProbeStore(tmp_path / "served")
+        rounds = 5
+
+        def mixed(url: str, worker: int) -> None:
+            client = HttpStore(url)
+            for i in range(rounds):
+                key = f"w{worker}-r{i}"
+                client.put(key, payload_for(key, i))
+                assert client.lookup(key)[1] == "hit"
+                client.stats()
+            client.close()
+
+        with running_server(store) as server:
+            url = url_of(server)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(lambda worker: mixed(url, worker), range(4)))
+        assert store.in_progress == [1] * (4 * rounds * 3)
+
+
+class _OverlapProbeStore(JsonDirStore):
+    """A directory store that records, for each of its lookups, puts and
+    stats calls, how many were in progress once it began; each lingers
+    briefly, so operations that are let overlap do."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self._inside: list[None] = []
+        self.in_progress: list[int] = []
+
+    @contextmanager
+    def _operation(self):
+        self._inside.append(None)
+        self.in_progress.append(len(self._inside))
+        try:
+            time.sleep(0.002)
+            yield
+        finally:
+            self._inside.pop()
+
+    def lookup(self, key):
+        with self._operation():
+            return super().lookup(key)
+
+    def put(self, key, payload):
+        with self._operation():
+            return super().put(key, payload)
+
+    def stats(self):
+        with self._operation():
+            return super().stats()
+
+
+class _FailingStatsStore(JsonDirStore):
+    """A directory store whose first ``stats()`` call raises, so the service
+    answers it 500."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.failed = False
+
+    def stats(self):
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("disk on fire")
+        return super().stats()
+
 
 # ---------------------------------------------------------------------- #
 # Metrics
@@ -453,6 +553,36 @@ class TestMetrics:
         assert status == 200 and document["hits"] == 0
         assert set(document) == {*ServiceMetrics.COUNTERS, "uptime_s", "requests"}
 
+    def test_metrics_values_keep_their_types(self, server, client):
+        """The document's shape is a contract with `obs metrics` and with
+        dashboards: integer counters, a float uptime, and per endpoint
+        integer counts and float latencies."""
+        client.put("a", payload_for("a"))
+        client.lookup("a")
+        document = client.metrics()
+        for name in ServiceMetrics.COUNTERS:
+            assert type(document[name]) is int, name
+        assert type(document["uptime_s"]) is float
+        assert set(document["requests"]) == {"POST /put", "POST /lookup"}
+        for endpoint, stats in document["requests"].items():
+            assert type(stats.pop("count")) is int and type(stats.pop("errors")) is int
+            assert set(stats) == {
+                "total_ms", "mean_ms", "max_ms", "p50_ms", "p95_ms", "p99_ms"
+            }, endpoint
+            assert all(type(value) is float for value in stats.values()), endpoint
+
+    def test_server_errors_count_against_their_endpoint(self, tmp_path):
+        """A 5xx counts as a request and an error of its endpoint; a 4xx
+        counts as a request only."""
+        with running_server(_FailingStatsStore(tmp_path / "served")) as srv:
+            assert raw_request(srv, "GET", f"{API_PREFIX}/stats")[0] == 500
+            assert raw_request(srv, "GET", f"{API_PREFIX}/stats")[0] == 200
+            status, _ = raw_request(srv, "POST", f"{API_PREFIX}/lookup", body={})
+            assert status == 400
+            requests = srv.service.metrics.snapshot()["requests"]
+        assert (requests["GET /stats"]["count"], requests["GET /stats"]["errors"]) == (2, 1)
+        assert (requests["POST /lookup"]["count"], requests["POST /lookup"]["errors"]) == (1, 0)
+
     def test_record_lookup_rejects_unknown_status(self):
         """A new lookup status must be wired into the metrics explicitly —
         silently folding it into `misses` once skewed every hit-rate chart."""
@@ -465,6 +595,37 @@ class TestMetrics:
             with pytest.raises(ValueError, match="unknown lookup status"):
                 metrics.record_lookup(status)
         assert metrics.snapshot()["misses"] == 1  # nothing was miscounted
+
+    def test_concurrent_recording_loses_no_update(self):
+        """Request threads record into one ServiceMetrics at once.  Each
+        round's endpoint is new, so the threads race to create its
+        histogram; without the lock, one thread's histogram replaces
+        another's and its observations are lost."""
+        metrics = ServiceMetrics()
+        threads, rounds = 8, 500
+        start = threading.Barrier(threads)
+
+        def record():
+            start.wait(timeout=60)
+            for i in range(rounds):
+                metrics.count(puts=1)
+                metrics.observe(f"POST /e{i}", 1.0)
+
+        workers = [threading.Thread(target=record) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        snapshot = metrics.snapshot()
+        assert snapshot["puts"] == threads * rounds
+        assert len(snapshot["requests"]) == rounds
+        assert {stats["count"] for stats in snapshot["requests"].values()} == {threads}
 
     def test_bytes_stored_counts_payload_not_request_envelope(self, server):
         """`POST /put` accounting must reflect what the store keeps (the
@@ -484,124 +645,6 @@ class TestMetrics:
         assert stored == compact
         assert len(body) > compact  # the padded envelope would have lied
 
-
-# ---------------------------------------------------------------------- #
-# Striped per-key locking
-# ---------------------------------------------------------------------- #
-def _locked_in_thread(acquire, timeout: float = 2.0) -> bool:
-    """True when ``acquire`` (a contextmanager factory) succeeds in a fresh
-    thread within ``timeout`` — i.e. the lock is currently obtainable."""
-    acquired = threading.Event()
-    release = threading.Event()
-
-    def worker():
-        with acquire():
-            acquired.set()
-            release.wait(timeout)
-
-    thread = threading.Thread(target=worker, daemon=True)
-    thread.start()
-    ok = acquired.wait(timeout)
-    release.set()
-    thread.join(timeout)
-    return ok
-
-
-class TestKeyedLocks:
-    def test_width_validation_and_pickle(self):
-        import pickle
-
-        assert KeyedLocks(8).stripe_count == 8
-        with pytest.raises(ValueError):
-            KeyedLocks(0)
-        # locks cannot cross process boundaries; a clone arrives fresh
-        assert pickle.loads(pickle.dumps(KeyedLocks(8))).stripe_count == 8
-
-    def test_distinct_stripes_do_not_block_each_other(self):
-        import zlib
-
-        locks = KeyedLocks(64)
-        stripe_of = lambda k: zlib.crc32(k.encode()) % 64
-        other = next(str(i) for i in range(100) if stripe_of(str(i)) != stripe_of("a"))
-        entered, release = threading.Event(), threading.Event()
-
-        def holder():
-            with locks.key("a"):
-                entered.set()
-                release.wait(5)
-
-        thread = threading.Thread(target=holder, daemon=True)
-        thread.start()
-        assert entered.wait(2)
-        try:
-            # a different stripe is immediately obtainable...
-            assert _locked_in_thread(lambda: locks.key(other))
-            # ...while the held key's stripe and the store gate are not
-            assert not _locked_in_thread(lambda: locks.key("a"), timeout=0.3)
-            assert not _locked_in_thread(locks.store, timeout=0.3)
-        finally:
-            release.set()
-            thread.join(5)
-        assert _locked_in_thread(lambda: locks.key("a"))
-        assert _locked_in_thread(locks.store)
-
-    def test_store_gate_excludes_every_key(self):
-        locks = KeyedLocks(64)
-        entered, release = threading.Event(), threading.Event()
-
-        def holder():
-            with locks.store():
-                entered.set()
-                release.wait(5)
-
-        thread = threading.Thread(target=holder, daemon=True)
-        thread.start()
-        assert entered.wait(2)
-        try:
-            assert not _locked_in_thread(lambda: locks.key("a"), timeout=0.3)
-            assert not _locked_in_thread(lambda: locks.key("b"), timeout=0.3)
-        finally:
-            release.set()
-            thread.join(5)
-        assert _locked_in_thread(lambda: locks.key("a"))
-
-    def test_waiting_writer_blocks_new_readers(self):
-        """Writer preference: once an exclusive caller waits, fresh shared
-        entries queue behind it — a steady read stream cannot starve evict."""
-        locks = KeyedLocks(64)
-        entered, release = threading.Event(), threading.Event()
-
-        def reader():
-            with locks.key("a"):
-                entered.set()
-                release.wait(5)
-
-        holder = threading.Thread(target=reader, daemon=True)
-        holder.start()
-        assert entered.wait(2)
-
-        writer_done = threading.Event()
-
-        def writer():
-            with locks.store():
-                writer_done.set()
-
-        writer_thread = threading.Thread(target=writer, daemon=True)
-        writer_thread.start()
-        deadline = 2.0
-        while locks._exclusive_waiting == 0 and deadline > 0:
-            time_step = 0.01
-            deadline -= time_step
-            threading.Event().wait(time_step)
-        assert locks._exclusive_waiting == 1
-
-        # a brand-new reader on a *different* key must now queue too
-        assert not _locked_in_thread(lambda: locks.key("b"), timeout=0.3)
-        release.set()
-        holder.join(5)
-        assert writer_done.wait(2)
-        writer_thread.join(5)
-        assert _locked_in_thread(lambda: locks.key("b"))
 
 # ---------------------------------------------------------------------- #
 # The shared retry helper

@@ -8,6 +8,7 @@ over every backend, and concurrent writers sharing one directory.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,6 +18,7 @@ from repro.exec import ExperimentRunner, ResultCache
 from repro.exec.cache import KEY_SCHEMA_VERSION, tuning_result_to_dict
 from repro.search.autotuner import AutoTuner
 from repro.service import running_server, server_url
+from repro.service.server import StoreRequestHandler
 from repro.store import (
     ENTRY_SCHEMA_VERSION,
     EntryInfo,
@@ -30,6 +32,7 @@ from repro.store import (
     parse_size,
     plan_eviction,
 )
+from repro.store.http import API_PREFIX
 from repro.workloads.attention import AttentionWorkload
 
 FAST_NETWORKS = ["ViT-B/14", "ViT-B/16"]
@@ -527,6 +530,22 @@ class TestSweepBitIdentity:
         assert warm_stats["cache_hits"] == cold_stats["searches"]
         assert warm_stats["cache_misses"] == 0
 
+    def test_directory_store_sweeps_report_zero_retries(self, tmp_path):
+        """Only an HTTP store retries: a directory-backed sweep still reports
+        every cache_stats() field, with both retry counters at 0."""
+        runner = ExperimentRunner(
+            search_budget=BUDGET, seed=0, jobs=2, cache_uri=f"dir:{tmp_path}/s"
+        )
+        runner.run_matrix(FAST_NETWORKS, FAST_METHODS)
+        stats = runner.cache_stats()
+        assert set(stats) == {
+            "runs", "cache_hits", "cache_misses", "cache_stale",
+            "retry_attempts", "retry_giveups", "searches", "search_evaluations",
+            "search_simulated", "search_infeasible", "search_pruned",
+        }
+        assert stats["cache_misses"] == stats["searches"] > 0
+        assert stats["retry_attempts"] == stats["retry_giveups"] == 0
+
     def test_pre_v3_cache_is_searched_again_not_served(self, tmp_path):
         """Entries rewritten in the pre-v3 flat layout read as stale: the warm
         run searches again, finds the same tiling and overwrites them at v3."""
@@ -595,6 +614,36 @@ class TestHttpSweepBitIdentity:
         metrics = store_server.service.metrics.snapshot()
         assert metrics["hits"] >= warm_stats["cache_hits"]
         assert metrics["misses"] >= cold_stats["cache_misses"]
+
+    def test_retries_in_pool_workers_reach_cache_stats(self, tmp_path):
+        """The service answers 503 to its first 3 lookups: the jobs=2 workers
+        back off and retry, and the parent's cache_stats() counts each retry
+        once, with results identical to an uncached sweep."""
+        lookups = itertools.count()
+
+        class FirstLookupsUnavailable(StoreRequestHandler):
+            def do_POST(self):
+                if self.path == f"{API_PREFIX}/lookup" and next(lookups) < 3:
+                    self.rfile.read(int(self.headers["Content-Length"]))
+                    self._send_json(503, {"error": "warming up"})
+                    return
+                super().do_POST()
+
+        kwargs = dict(search_budget=BUDGET, seed=0)
+        reference = _matrix_fingerprint(
+            ExperimentRunner(**kwargs, use_cache=False).run_matrix(
+                FAST_NETWORKS, FAST_METHODS
+            )
+        )
+        with running_server(JsonDirStore(tmp_path / "served")) as server:
+            # The server builds one handler of this class per connection.
+            server.RequestHandlerClass = FirstLookupsUnavailable
+            runner = ExperimentRunner(**kwargs, jobs=2, cache_uri=server_url(server))
+            matrix = runner.run_matrix(FAST_NETWORKS, FAST_METHODS)
+        assert _matrix_fingerprint(matrix) == reference
+        stats = runner.cache_stats()
+        assert stats["retry_attempts"] == 3
+        assert stats["retry_giveups"] == 0
 
     def test_unreachable_service_fails_the_runner_eagerly(self):
         with pytest.raises(ValueError, match="unreachable"):
