@@ -26,7 +26,6 @@ Examples
    $ mas-attention cache evict --cache dir:./cache --max-bytes 1GiB
    $ mas-attention serve dir:./cache --port 8787             # shared store service
    $ mas-attention table2 --cache http://cachehost:8787      # sweep against it
-   $ mas-attention suites --suites-file my_suites.json       # user suites
    $ mas-attention table2 --suite gqa                        # GQA/MQA shapes
    $ MAS_TRACE=trace.jsonl mas-attention table2 --jobs 4     # traced sweep
    $ mas-attention obs summarize trace.jsonl                 # where time went
@@ -75,7 +74,7 @@ from repro.store.http import UNREACHABLE_ERRORS
 from repro.utils.serialization import dump_json, to_jsonable
 from repro.utils.units import bytes_to_human
 from repro.workloads.networks import get_network, table1_rows
-from repro.workloads.suites import get_suite, list_suites, use_suites_file
+from repro.workloads.suites import get_suite, list_suites
 
 __all__ = ["main", "build_parser"]
 
@@ -108,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="re-batch every suite entry (shorthand for @batch=N on --suite)",
-        )
-        p.add_argument(
-            "--suites-file",
-            default=None,
-            help="JSON/TOML file of user-registered workload suites "
-            "(default: $MAS_SUITES_FILE); registered names work with --suite",
         )
         p.add_argument("--json", dest="json_path", default=None, help="also dump results as JSON")
         p.add_argument(
@@ -167,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suites", help="list workload suites (or one suite's entries)")
     p.add_argument(
         "spec", nargs="?", default=None, help="suite name or inline spec to expand"
-    )
-    p.add_argument(
-        "--suites-file",
-        default=None,
-        help="JSON/TOML file of user-registered workload suites "
-        "(default: $MAS_SUITES_FILE)",
     )
 
     p = sub.add_parser("compare", help="untuned comparison of all methods on one network")
@@ -310,20 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="re-fetch and re-render every SECONDS until interrupted "
         "(an unreachable service prints one line per poll)",
-    )
-
-    op = obs_sub.add_parser(
-        "profile",
-        help="aggregate the pstats files persisted by MAS_PROFILE into one "
-        "hotspot report",
-    )
-    op.add_argument("trace", help="span-trace JSONL file (written under $MAS_TRACE)")
-    op.add_argument("--top", type=int, default=20, help="functions/spans to show")
-    op.add_argument(
-        "--sort",
-        default="cumulative",
-        choices=("cumulative", "tottime", "ncalls"),
-        help="pstats sort order for the aggregate table",
     )
 
     op = obs_sub.add_parser(
@@ -506,7 +479,7 @@ def _run_cache_store_command(args: argparse.Namespace, store) -> int:
 
 
 def _run_obs_command(args: argparse.Namespace) -> int:
-    """The ``mas-attention obs`` group: traces, metrics, profiles, perf gate."""
+    """The ``mas-attention obs`` group: traces, metrics, perf gate."""
     from repro.obs.export import read_trace, write_chrome
     from repro.obs.schema import validate_trace_file
     from repro.obs.summary import summarize_trace
@@ -570,12 +543,6 @@ def _run_obs_command(args: argparse.Namespace) -> int:
             except KeyboardInterrupt:
                 return 0
             print(f"\n--- {args.uri} (every {args.watch:g}s, Ctrl-C stops) ---")
-
-    if args.obs_command == "profile":
-        from repro.obs.profile import format_hotspots
-
-        print(format_hotspots(args.trace, top=max(args.top, 1), sort=args.sort))
-        return 0
 
     if args.obs_command == "bench":
         from repro.obs.bench import run_gate
@@ -649,12 +616,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
 
-    # Register user suites before any command resolves a suite spec.  The
-    # explicit flag *replaces* its $MAS_SUITES_FILE default (which otherwise
-    # loads lazily inside the registry).
-    if getattr(args, "suites_file", None):
-        use_suites_file(args.suites_file)
-
     if args.command == "cache":
         return _run_cache_command(args)
 
@@ -693,8 +654,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                         [s.name, len(s), s.description]
                         for s in (get_suite(name) for name in list_suites())
                     ],
-                    title="Workload suites (inline specs: name@batch=N, name@seq<=N; "
-                    "--suites-file/$MAS_SUITES_FILE adds user suites)",
+                    title="Workload suites (inline specs: name@batch=N, name@seq<=N)",
                 )
             )
         return 0

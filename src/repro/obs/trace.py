@@ -24,6 +24,11 @@ manager.  Because span/trace IDs come from ``os.urandom`` — never the
 seeded simulation RNG — and instrumentation only *observes*, sweep results
 are bit-identical with tracing on.
 
+A tracer made from ``MAS_TRACE`` flushes every span (crash-safe); only
+:func:`configure` batches writes (``buffer_spans``).  Spans time operations,
+not functions: for function hotspots run a ``--jobs 1`` sweep under
+``python -m cProfile``.
+
 ``mas-attention obs summarize|convert|validate`` consume the JSONL output;
 :mod:`repro.obs.export` converts it to Chrome trace-event JSON for
 ``chrome://tracing`` / Perfetto.
@@ -32,7 +37,6 @@ are bit-identical with tracing on.
 from __future__ import annotations
 
 import atexit
-import cProfile
 import json
 import os
 import threading
@@ -45,7 +49,6 @@ from repro.utils import env
 
 __all__ = [
     "TRACE_HEADER",
-    "ProfileConfig",
     "Span",
     "TraceContext",
     "Tracer",
@@ -54,7 +57,6 @@ __all__ = [
     "current_context",
     "flush",
     "get_tracer",
-    "profile_config",
     "reset",
     "span",
 ]
@@ -144,85 +146,6 @@ _STATE = _ThreadState()
 _AMBIENT: TraceContext | None = None
 
 
-# ---------------------------------------------------------------------- #
-# Span profiling (MAS_PROFILE)
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ProfileConfig:
-    """Resolved ``MAS_PROFILE*`` settings: which layers, threshold, where."""
-
-    layers: frozenset[str] | None  # None means every layer ("all")
-    min_ms: float
-    directory: str
-
-    def wants(self, layer: str) -> bool:
-        return self.layers is None or layer in self.layers
-
-
-class _ProfileThreadState(threading.local):
-    def __init__(self) -> None:
-        # cProfile cannot nest within a thread: only the outermost matching
-        # span profiles, inner spans run unprofiled under its profiler.
-        self.active = False
-
-
-_PROFILE_STATE = _ProfileThreadState()
-_profile_config: ProfileConfig | None = None
-_profile_pid: int | None = None
-
-
-def profile_config() -> ProfileConfig | None:
-    """This process's profiling config, lazily read from ``MAS_PROFILE``.
-
-    ``None`` when profiling is off.  PID-guarded like :func:`get_tracer` so
-    forked sweep workers re-read the inherited environment.  Profiling only
-    takes effect inside traced spans: without ``MAS_TRACE`` no spans open,
-    so nothing profiles.
-    """
-    global _profile_config, _profile_pid
-    if _profile_pid == os.getpid():
-        return _profile_config
-    with _MODULE_LOCK:
-        if _profile_pid == os.getpid():
-            return _profile_config
-        spec = env.value("MAS_PROFILE")
-        if spec is None:
-            config = None
-        else:
-            spec = spec.strip().lower()
-            layers = (
-                None
-                if spec == "all"
-                else frozenset(part.strip() for part in spec.split(",") if part.strip())
-            )
-            directory = env.value("MAS_PROFILE_DIR")
-            if directory is None:
-                trace_path = env.value("MAS_TRACE")
-                directory = f"{trace_path}.prof.d" if trace_path else "mas_profile"
-            config = ProfileConfig(
-                layers=layers,
-                min_ms=float(env.value("MAS_PROFILE_MIN_MS") or "10"),
-                directory=directory,
-            )
-        _profile_config = config
-        _profile_pid = os.getpid()
-        return config
-
-
-def _persist_profile(profiler: cProfile.Profile, sp: "Span",
-                     config: ProfileConfig) -> None:
-    """Dump one span's pstats and note the file in the span's attributes."""
-    safe_name = "".join(c if c.isalnum() or c in "-_" else "_" for c in sp.name)
-    filename = f"{sp.layer}-{safe_name}-{sp.context.trace_id}-{sp.context.span_id}.pstats"
-    path = os.path.join(config.directory, filename)
-    try:
-        os.makedirs(config.directory, exist_ok=True)
-        profiler.dump_stats(path)
-    except OSError:
-        return  # profiling must never raise into instrumented code
-    sp.attrs["profile"] = path
-
-
 class Tracer:  # mas-lint: disable=fork-safety(per-process singleton; forked children mint a fresh Tracer via the PID guard in get_tracer instead of unpickling or reusing this one)
     """Appends completed spans to a JSONL file.
 
@@ -251,24 +174,11 @@ class Tracer:  # mas-lint: disable=fork-safety(per-process singleton; forked chi
         trace_id = parent.trace_id if parent is not None else _new_id(_TRACE_ID_BYTES)
         context = TraceContext(trace_id=trace_id, span_id=_new_id(_SPAN_ID_BYTES))
         sp = Span(name, layer, context, parent.span_id if parent is not None else None, dict(attrs))
-        # MAS_PROFILE hook: profile the outermost matching span per thread
-        # (cProfile cannot nest); stats are kept only for slow-enough spans.
-        profiler = None
-        config = profile_config()
-        if config is not None and config.wants(layer) and not _PROFILE_STATE.active:
-            profiler = cProfile.Profile()
-            _PROFILE_STATE.active = True
-            profiler.enable()
         _STATE.stack.append(sp)
         try:
             yield sp
         finally:
             duration = time.perf_counter() - sp._start_pc
-            if profiler is not None:
-                profiler.disable()
-                _PROFILE_STATE.active = False
-                if duration * 1000.0 >= config.min_ms:
-                    _persist_profile(profiler, sp, config)
             if _STATE.stack and _STATE.stack[-1] is sp:
                 _STATE.stack.pop()
             else:  # tolerate mis-nested exits rather than corrupt the stack
@@ -358,7 +268,8 @@ def _close_at_exit() -> None:
 
 
 def get_tracer() -> Tracer | None:
-    """The process's tracer, lazily configured from ``MAS_TRACE``.
+    """The process's tracer, lazily configured from ``MAS_TRACE`` (one span
+    per flush).
 
     Re-evaluated per PID, so pool workers forked mid-sweep pick up the
     inherited environment and open their own file handle (the parent's
@@ -373,12 +284,13 @@ def get_tracer() -> Tracer | None:
         if path is None:
             _install(None)
         else:
-            _install(Tracer(path, buffer_spans=env.int_value("MAS_TRACE_BUFFER")))
+            _install(Tracer(path))
         return _tracer
 
 
 def configure(path: str | os.PathLike[str], buffer_spans: int = 1) -> Tracer:
-    """Programmatically enable tracing for this process (wins over env)."""
+    """Programmatically enable tracing for this process (wins over env),
+    flushing every ``buffer_spans`` spans."""
     with _MODULE_LOCK:
         tracer = Tracer(path, buffer_spans=buffer_spans)
         _install(tracer)
@@ -392,7 +304,7 @@ def reset() -> None:
     clears the ambient context.  Tests and benchmarks bracket traced
     sections with :func:`configure`/:func:`reset`.
     """
-    global _tracer, _tracer_pid, _AMBIENT, _profile_config, _profile_pid
+    global _tracer, _tracer_pid, _AMBIENT
     with _MODULE_LOCK:
         if _tracer is not None:
             if _tracer_pid == os.getpid():
@@ -402,8 +314,6 @@ def reset() -> None:
         _tracer = None
         _tracer_pid = None
         _AMBIENT = None
-        _profile_config = None
-        _profile_pid = None
 
 
 def span(name: str, layer: str = "app",

@@ -136,12 +136,6 @@ register(
     "only when `MAS_CACHE_URI` is unset; `--cache`/`--cache-dir` flags win.",
 )
 register(
-    "MAS_SUITES_FILE",
-    None,
-    "JSON/TOML file of user-registered workload suites, loaded lazily on "
-    "every registry lookup. An explicit `--suites-file` flag replaces it.",
-)
-register(
     "MAS_SEARCH_WORKERS",
     "1",
     "Candidate-evaluation workers inside each pair's tiling search "
@@ -154,13 +148,6 @@ register(
     "search generation, store operation and HTTP request records a span; "
     "`mas-attention obs summarize|convert|validate` consume the file. "
     "Unset (the default) disables tracing entirely.",
-)
-register(
-    "MAS_TRACE_BUFFER",
-    "1",
-    "Spans buffered per process before the trace file is flushed. The "
-    "default 1 flushes every span (crash-safe); larger values batch "
-    "writes for very hot traces.",
 )
 register(
     "MAS_TEST_SUITE",
@@ -210,26 +197,4 @@ register(
     "already loses to the incumbent (skipping their simulation). Off by "
     "default: search results are bit-identical to the serial path only when "
     "disabled.",
-)
-register(
-    "MAS_PROFILE",
-    None,
-    "Per-span cProfile hook: a span layer name (`runner`, `search`, `store`, "
-    "`http`, `service`), a comma-separated list of layers, or `all`. Matching "
-    "spans run under a profiler and spans slower than `MAS_PROFILE_MIN_MS` "
-    "persist their pstats next to the trace file; `mas-attention obs profile` "
-    "aggregates the hotspots. Unset (the default) disables profiling.",
-)
-register(
-    "MAS_PROFILE_MIN_MS",
-    "10",
-    "Minimum span duration, in milliseconds, for a profiled span's pstats "
-    "file to be kept. Faster spans are profiled but their stats discarded.",
-)
-register(
-    "MAS_PROFILE_DIR",
-    None,
-    "Directory for persisted span pstats files. Default: `<MAS_TRACE>.prof.d` "
-    "next to the trace file, or `mas_profile` in the working directory when "
-    "tracing is off.",
 )

@@ -1,6 +1,8 @@
 """Attention workload definitions: generic shapes, the Table-1 network registry,
-the workload-suite registry (batched / cross-attention / long-context sweeps)
-and the Stable Diffusion 1.5 reduced-UNet end-to-end workload (Section 5.2.2)."""
+the built-in workload suites and their spec grammar (batched /
+cross-attention / long-context / decode-step / GQA sweeps; any other shape
+set is a :class:`WorkloadSuite` built in Python) and the Stable Diffusion 1.5
+reduced-UNet end-to-end workload (Section 5.2.2)."""
 
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.networks import (
@@ -21,17 +23,12 @@ from repro.workloads.stable_diffusion import (
 from repro.workloads.suites import (
     GQA_CONFIGS,
     LONG_CONTEXT_SEQS,
-    MAS_SUITES_FILE_ENV,
     TABLE1_BATCH_SIZES,
     SuiteEntry,
     WorkloadSuite,
-    clear_user_suites,
     get_suite,
     list_suites,
-    load_suites_file,
     parse_suite_spec,
-    register_suite,
-    use_suites_file,
 )
 
 __all__ = [
@@ -52,12 +49,7 @@ __all__ = [
     "TABLE1_BATCH_SIZES",
     "LONG_CONTEXT_SEQS",
     "GQA_CONFIGS",
-    "MAS_SUITES_FILE_ENV",
-    "clear_user_suites",
     "get_suite",
     "list_suites",
-    "load_suites_file",
     "parse_suite_spec",
-    "register_suite",
-    "use_suites_file",
 ]

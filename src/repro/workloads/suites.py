@@ -3,7 +3,7 @@
 A :class:`WorkloadSuite` is a named, ordered collection of
 ``(entry_name, AttentionWorkload)`` rows — the generalization of the Table-1
 network registry that the execution layer (:mod:`repro.exec`), the CLI and the
-analysis harnesses sweep over.  Four suites are built in:
+analysis harnesses sweep over.  Six suites are built in:
 
 ===================  =========================================================
 Suite                Contents
@@ -28,7 +28,7 @@ Suite                Contents
                      dense workloads via :meth:`AttentionWorkload.gqa`
 ===================  =========================================================
 
-Inline *suite specs* derive new suites on the fly without registering them::
+Inline *suite specs* derive new suites from a built-in on the fly::
 
     get_suite("table1")                   # a built-in
     get_suite("table1@batch=8")           # every entry at batch 8
@@ -36,11 +36,8 @@ Inline *suite specs* derive new suites on the fly without registering them::
     get_suite("table1@batch=4,seq<=256")  # modifiers compose left to right
     get_suite("gqa@batch=4")              # modifiers work on every suite
 
-Beyond the built-ins, **user-registered suites** load from a JSON or TOML
-config file (``--suites-file`` / ``$MAS_SUITES_FILE``; see
-:func:`load_suites_file`), join ``mas-attention suites`` listings and resolve
-through the same spec grammar — ``my-suite@batch=8`` works on a registered
-suite exactly as on a built-in.
+Any other set of shapes is a :class:`WorkloadSuite` built in Python and
+passed wherever a spec is accepted (``ExperimentRunner(suite=...)``).
 
 Derived entries are renamed deterministically (``"ViT-B/14 @b8"``) and the
 entry's workload always carries the entry name, so the same shape reached
@@ -52,12 +49,9 @@ same persistent tuning-cache key (see
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
-from pathlib import Path
 
-from repro.utils import env
 from repro.utils.validation import check_positive_int, require
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.networks import get_network, list_networks, resolve_name
@@ -69,14 +63,9 @@ __all__ = [
     "TABLE1_BATCH_SIZES",
     "LONG_CONTEXT_SEQS",
     "GQA_CONFIGS",
-    "MAS_SUITES_FILE_ENV",
-    "clear_user_suites",
     "list_suites",
-    "load_suites_file",
     "get_suite",
     "parse_suite_spec",
-    "register_suite",
-    "use_suites_file",
 ]
 
 #: Batch sizes of the ``table1-batched`` suite.
@@ -95,9 +84,6 @@ GQA_CONFIGS: tuple[tuple[str, int, int, int, int], ...] = (
     ("falcon-7b.mqa", 71, 1, 512, 64),
     ("starcoder2-15b.mqa", 48, 1, 1024, 128),
 )
-
-#: Environment variable naming a user suites config file (JSON or TOML).
-MAS_SUITES_FILE_ENV = "MAS_SUITES_FILE"
 
 
 @dataclass(frozen=True)
@@ -345,268 +331,9 @@ _BUILTIN_SUITES = {
 }
 
 
-# ---------------------------------------------------------------------- #
-# User-registered suites (config files)
-# ---------------------------------------------------------------------- #
-#: Suites registered at runtime (``register_suite`` / ``load_suites_file``).
-_USER_SUITES: dict[str, WorkloadSuite] = {}
-
-#: Resolved value of ``$MAS_SUITES_FILE`` at last sight, plus what it loaded
-#: — tracked so a changed/cleared environment swaps the registered set.
-#: ``_env_loading`` guards re-entrancy (a ``base`` spec inside the file
-#: resolves through the registry mid-load); ``_env_overridden`` is set by
-#: :func:`use_suites_file` when an explicit file replaces the env default.
-_env_suites_file: str | None = None
-_env_suite_names: list[str] = []
-_env_loading = False
-_env_overridden = False
-
-
-def register_suite(suite: WorkloadSuite, replace_existing: bool = False) -> None:
-    """Add ``suite`` to the registry under its own name.
-
-    Built-in names are never overridable (``table1`` must mean Table 1
-    everywhere); an already-registered user suite is only replaced with
-    ``replace_existing`` (reloading a config file counts).
-    """
-    if suite.name != suite.name.strip() or any(c in suite.name for c in "@,"):
-        # '@' and ',' are spec-grammar metacharacters: a name carrying them
-        # would register fine but could never be resolved by get_suite.
-        raise ValueError(
-            f"suite name {suite.name!r} cannot contain '@', ',' or "
-            "surrounding whitespace (reserved by the suite-spec grammar)"
-        )
-    if suite.name in _BUILTIN_SUITES:
-        raise ValueError(
-            f"suite name {suite.name!r} is a built-in and cannot be replaced"
-        )
-    if suite.name in _USER_SUITES and not replace_existing:
-        raise ValueError(f"suite {suite.name!r} is already registered")
-    _USER_SUITES[suite.name] = suite
-
-
-def clear_user_suites() -> None:
-    """Drop every user-registered suite (used by tests and env reloads)."""
-    global _env_suites_file, _env_suite_names, _env_overridden
-    _USER_SUITES.clear()
-    _env_suites_file = None
-    _env_suite_names = []
-    _env_overridden = False
-
-
-def _suite_from_config(name: str, config: dict) -> WorkloadSuite:
-    """Build one suite from its config mapping (see ``load_suites_file``)."""
-    require(isinstance(config, dict), f"suite {name!r} config must be a mapping")
-    known = {"description", "base", "entries"}
-    unknown = sorted(set(config) - known)
-    require(not unknown, f"suite {name!r} has unknown keys {unknown}; options: {sorted(known)}")
-    description = config.get("description", f"user suite {name!r}")
-    base_spec = config.get("base")
-    entry_configs = config.get("entries")
-    require(
-        (base_spec is None) != (entry_configs is None),
-        f"suite {name!r} must define exactly one of 'base' (a suite spec to "
-        "derive from) or 'entries' (a list of shapes)",
-    )
-    if base_spec is not None:
-        derived = parse_suite_spec(base_spec)
-        return WorkloadSuite(
-            name=name, description=description, entries=derived.entries
-        )
-    require(
-        isinstance(entry_configs, list) and len(entry_configs) > 0,
-        f"suite {name!r} 'entries' must be a non-empty list",
-    )
-    return WorkloadSuite(
-        name=name,
-        description=description,
-        entries=tuple(
-            _entry_from_config(name, i, entry)
-            for i, entry in enumerate(entry_configs)
-        ),
-    )
-
-
-def _entry_from_config(suite: str, index: int, config: dict) -> SuiteEntry:
-    """One suite entry from config: a Table-1 reference, a GQA config or a
-    plain shape (``seq`` is shorthand for ``seq_q = seq_kv``)."""
-    where = f"suite {suite!r} entry #{index}"
-    require(isinstance(config, dict), f"{where} must be a mapping")
-    spec = dict(config)
-    name = spec.pop("name", None)
-    network = spec.pop("network", None)
-    if network is not None:
-        require(
-            not spec,
-            f"{where}: 'network' entries take no shape fields, got {sorted(spec)}",
-        )
-        workload = get_network(network).workload()
-        return SuiteEntry(name or workload.name, workload)
-    require(isinstance(name, str) and bool(name.strip()), f"{where} needs a 'name'")
-    seq = spec.pop("seq", None)
-    if seq is not None:
-        require(
-            "seq_q" not in spec and "seq_kv" not in spec,
-            f"{where}: 'seq' is shorthand for seq_q=seq_kv and excludes both",
-        )
-        spec["seq_q"] = spec["seq_kv"] = seq
-    if "q_heads" in spec or "kv_heads" in spec:
-        require(
-            "heads" not in spec,
-            f"{where}: use either 'heads' or the GQA pair 'q_heads'/'kv_heads'",
-        )
-        allowed = {"q_heads", "kv_heads", "seq_q", "seq_kv", "emb", "batch", "dtype_bytes"}
-        unknown = sorted(set(spec) - allowed)
-        require(not unknown, f"{where} has unknown fields {unknown}")
-        require(
-            "seq_q" in spec and spec.get("seq_q") == spec.get("seq_kv"),
-            f"{where}: GQA entries use 'seq' (the shared K/V length)",
-        )
-        seq_kv = spec.pop("seq_kv")
-        spec.pop("seq_q")
-        try:
-            return SuiteEntry(name, AttentionWorkload.gqa(seq=seq_kv, name=name, **spec))
-        except TypeError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-    allowed = {"heads", "seq_q", "seq_kv", "emb", "batch", "dtype_bytes"}
-    unknown = sorted(set(spec) - allowed)
-    require(not unknown, f"{where} has unknown fields {unknown}")
-    try:
-        return SuiteEntry(name, AttentionWorkload(name=name, **spec))
-    except TypeError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def load_suites_file(path: str | Path, replace_existing: bool = True) -> list[str]:
-    """Register every suite of a JSON or TOML config file; returns the names.
-
-    The file carries a ``suites`` table mapping suite names to configs.  A
-    config either *derives* (``base`` — any suite spec, modifiers included)
-    or *defines* (``entries`` — a list of shapes).  Each entry names a
-    Table-1 network (``network``), a dense shape (``heads``/``seq`` or
-    ``seq_q``+``seq_kv``/``emb``/optional ``batch``, ``dtype_bytes``) or a
-    grouped-query shape (``q_heads``/``kv_heads``/``seq``/``emb``).  Example
-    (JSON; the TOML equivalent uses ``[suites.prod]`` tables)::
-
-        {"suites": {"prod": {
-            "description": "our serving shapes",
-            "entries": [
-                {"network": "BERT-Base"},
-                {"name": "chat", "q_heads": 32, "kv_heads": 8,
-                 "seq": 4096, "emb": 128, "batch": 4},
-                {"name": "embed", "heads": 16, "seq": 512, "emb": 64}
-            ]}}}
-
-    Suites defined earlier in the file are visible to later ``base`` specs.
-    TOML needs Python 3.11+ (:mod:`tomllib`); JSON works everywhere.
-    """
-    path = Path(path).expanduser()
-    text = path.read_text()
-    if path.suffix.lower() == ".toml":
-        try:
-            import tomllib
-        except ImportError as exc:  # pragma: no cover - py<3.11 only
-            raise ValueError(
-                f"cannot load {path}: TOML suites files need Python 3.11+ "
-                "(tomllib); use the JSON format instead"
-            ) from exc
-        data = tomllib.loads(text)
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"suites file {path} is not valid JSON: {exc}") from exc
-    require(isinstance(data, dict), f"suites file {path} must hold a mapping")
-    suites = data.get("suites")
-    require(
-        isinstance(suites, dict) and len(suites) > 0,
-        f"suites file {path} must carry a non-empty 'suites' table",
-    )
-    # All-or-nothing: a bad config halfway through the file must not leave
-    # the registry half-changed — suites it added are removed again and
-    # suites it had *replaced* are restored, so a failed load is a no-op.
-    touched: list[tuple[str, WorkloadSuite | None]] = []
-    try:
-        for name, config in suites.items():
-            previous = _USER_SUITES.get(name)
-            register_suite(
-                _suite_from_config(name, config), replace_existing=replace_existing
-            )
-            touched.append((name, previous))
-    except Exception:
-        for name, previous in reversed(touched):
-            if previous is None:
-                _USER_SUITES.pop(name, None)
-            else:
-                _USER_SUITES[name] = previous
-        raise
-    return [name for name, _ in touched]
-
-
-def use_suites_file(path: str | Path) -> list[str]:
-    """Load ``path`` as *the* session's suites file (the CLI ``--suites-file``).
-
-    ``$MAS_SUITES_FILE`` is only the flag's default, so an explicit flag
-    wins: any suites the environment file already contributed are dropped
-    and the variable is ignored for the rest of the process.
-    """
-    global _env_suites_file, _env_suite_names, _env_overridden
-    # Suppress the env default *before* loading: a 'base' spec inside the
-    # explicit file resolves through the registry mid-load, and that lookup
-    # must not drag in (or trip over) the very $MAS_SUITES_FILE the flag
-    # replaces.
-    previously_overridden = _env_overridden
-    _env_overridden = True
-    try:
-        names = load_suites_file(path)
-    except Exception:
-        _env_overridden = previously_overridden
-        raise
-    # Drop what the env file had contributed; names the flag file also
-    # defines were already replaced by the load and stay (the flag's version).
-    for name in _env_suite_names:
-        if name not in names:
-            _USER_SUITES.pop(name, None)
-    _env_suites_file, _env_suite_names = None, []
-    return names
-
-
-def _ensure_env_suites() -> None:
-    """Lazily (re)load ``$MAS_SUITES_FILE`` when its value changes.
-
-    Called by every registry lookup, so setting the variable is enough — no
-    import-order dance — and clearing it between calls (tests, subprocesses
-    with trimmed environments) drops exactly the suites it had contributed.
-    """
-    global _env_suites_file, _env_suite_names, _env_loading
-    if _env_loading or _env_overridden:
-        # Re-entered while loading (a 'base' spec in the file resolves
-        # through the registry), or an explicit --suites-file replaced the
-        # env default for this process.
-        return
-    target = env.value(MAS_SUITES_FILE_ENV)
-    if target == _env_suites_file:
-        return
-    for name in _env_suite_names:
-        _USER_SUITES.pop(name, None)
-    _env_suites_file, _env_suite_names = None, []
-    if target is not None:
-        # The load is atomic (see load_suites_file) and the "seen" marker is
-        # only advanced on success, so a broken file raises on *every*
-        # lookup instead of being cached as silently loaded.
-        _env_loading = True
-        try:
-            _env_suite_names = load_suites_file(target)
-        finally:
-            _env_loading = False
-    _env_suites_file = target
-
-
 def list_suites() -> list[str]:
-    """Names of every registered suite: built-ins (default first), then
-    user-registered suites in registration order."""
-    _ensure_env_suites()
-    return [*_BUILTIN_SUITES, *_USER_SUITES]
+    """Names of the built-in suites, the default (``table1``) first."""
+    return list(_BUILTIN_SUITES)
 
 
 # ---------------------------------------------------------------------- #
@@ -619,25 +346,28 @@ def parse_suite_spec(spec: str) -> WorkloadSuite:
     """Build a suite from an inline spec string.
 
     Grammar: ``<suite>[@<modifier>[,<modifier>...]...]`` where ``<suite>`` is
-    a registered name — built-in or user-registered, prefix match allowed —
-    and each modifier is ``batch=N`` (re-batch every entry) or ``seq<=N`` /
-    ``seq>=N`` / ``seq=N`` (filter by ``max(seq_q, seq_kv)``).  Modifiers
-    apply left to right; the resulting suite's name is the full spec, e.g.
-    ``"table1@batch=8"``.
+    a built-in name (prefix match allowed) and each modifier is ``batch=N``
+    (re-batch every entry) or ``seq<=N`` / ``seq>=N`` / ``seq=N`` (filter by
+    ``max(seq_q, seq_kv)``).  Modifiers apply left to right.
+
+    A derived suite is named ``<built-in>@<modifiers>``: the resolved
+    built-in name, then the modifiers without spaces, joined by ``,``.  Every
+    spelling of one derivation therefore names the same suite —
+    ``long@seq<=2048`` is ``long-context@seq<=2048``, and
+    ``table1@batch=4@seq<=256`` is ``table1@batch=4,seq<=256`` — which is
+    what runners, reports and ``cache ls --suite`` compare.
     """
     require(bool(spec.strip()), "suite spec must be non-empty")
     base_name, sep, rest = spec.partition("@")
     resolved = resolve_name(base_name.strip(), list_suites(), kind="suite")
-    suite = (
-        _BUILTIN_SUITES[resolved]()
-        if resolved in _BUILTIN_SUITES
-        else _USER_SUITES[resolved]
-    )
+    suite = _BUILTIN_SUITES[resolved]()
     if not sep:
         return suite
-    modifiers = [m.strip() for chunk in rest.split("@") for m in chunk.split(",")]
+    modifiers = [
+        m.strip().replace(" ", "") for chunk in rest.split("@") for m in chunk.split(",")
+    ]
     for modifier in modifiers:
-        match = _MODIFIER_RE.match(modifier.replace(" ", ""))
+        match = _MODIFIER_RE.match(modifier)
         if match is None:
             raise ValueError(
                 f"bad suite modifier {modifier!r} in spec {spec!r}; "
@@ -650,7 +380,7 @@ def parse_suite_spec(spec: str) -> WorkloadSuite:
             suite = suite.with_batch(value)
         else:
             suite = suite.filter_seq(match["op"], value)
-    return replace(suite, name=spec)
+    return replace(suite, name=f"{resolved}@{','.join(modifiers)}")
 
 
 def get_suite(spec: str | WorkloadSuite) -> WorkloadSuite:

@@ -9,8 +9,8 @@ def workers():
     return int(os.environ.get(WORKERS_ENV, "1"))  # direct read via constant
 
 
-def min_ms():
-    return os.getenv("MAS_PROFILE_MIN_MS", "10")  # direct read, literal
+def budget():
+    return os.getenv("MAS_BENCH_BUDGET", "40")  # direct read, literal
 
 
 def uri():

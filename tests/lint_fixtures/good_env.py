@@ -7,5 +7,5 @@ def workers():
     return env.int_value("MAS_SEARCH_WORKERS")
 
 
-def min_ms():
-    return env.value("MAS_PROFILE_MIN_MS")
+def budget():
+    return env.value("MAS_BENCH_BUDGET")

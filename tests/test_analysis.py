@@ -306,6 +306,40 @@ class TestSuiteParametrizedHarnesses:
         # a matching suite is allowed (it is the runner's own)
         result = run_table2(runner, networks=["ViT-B/14"], suite="table1")
         assert result.suite == "table1"
+        # ... however either side spells it
+        for runner_spec, spec, entry in (
+            ("long@seq<=2048", "long-context@seq<=2048", "BERT-Base @n2048"),
+            ("table1@batch=4, seq<=256", "table1@batch=4@seq<=256", "ViT-B/14 @b4"),
+        ):
+            spelled = ExperimentRunner(suite=runner_spec, use_search=False)
+            result = run_table2(spelled, networks=[entry], suite=spec)
+            assert result.suite == spelled.suite_name
+
+    def test_python_built_suite_through_harness(self):
+        """A suite built in Python sweeps like a built-in: the table is
+        titled by its name, and the runner's own suite object is accepted
+        alongside it while any other suite is not."""
+        from repro.workloads.attention import AttentionWorkload
+        from repro.workloads.suites import SuiteEntry, WorkloadSuite
+
+        suite = WorkloadSuite(
+            name="my-shapes",
+            description="a GQA shape and a small dense shape",
+            entries=(
+                SuiteEntry(
+                    "chat.gqa", AttentionWorkload.gqa(32, 8, seq=256, emb=128, batch=2)
+                ),
+                SuiteEntry("embed", AttentionWorkload(heads=4, seq_q=64, seq_kv=64, emb=64)),
+            ),
+        )
+        runner = ExperimentRunner(suite=suite, use_search=False)
+        result = run_table2(runner)
+        assert result.networks == ["chat.gqa", "embed"]
+        assert result.suite == "my-shapes"
+        assert "suite my-shapes" in result.format()
+        assert run_table2(runner, networks=["embed"], suite=suite).suite == "my-shapes"
+        with pytest.raises(ValueError, match="already sweeps suite 'my-shapes'"):
+            run_table2(runner, networks=["embed"], suite="table1")
 
     def test_suite_kwarg_builds_default_runner(self):
         result = run_table2(networks=["sd.mid.xattn"], suite="cross-attention@seq<=128")

@@ -163,6 +163,26 @@ class TestSuiteCli:
         out = capsys.readouterr().out
         assert "ViT-B/14 @b8" in out and "table1@batch=8" in out
 
+    def test_suites_command_lists_exactly_the_builtins(self, capsys):
+        assert main(["suites"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [line.split("|")[0].strip() for line in lines if "|" in line]
+        assert names == [
+            "Suite",  # the header row
+            "table1",
+            "table1-batched",
+            "cross-attention",
+            "long-context",
+            "decode-step",
+            "gqa",
+        ]
+
+    def test_suites_command_titles_a_spec_by_its_canonical_name(self, capsys):
+        assert main(["suites", "long @ seq<=2048"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Suite long-context@seq<=2048: ")
+        assert "BERT-Base @n2048" in out and "Llama3-8B @n2048" in out
+
     def test_suites_command_rejects_unknown(self):
         with pytest.raises(KeyError):
             main(["suites", "table9"])
@@ -242,6 +262,22 @@ class TestCacheCli:
         assert main(["cache", "ls", "--cache", str(warm_dir), "--scheduler", "mas"]) == 0
         out = capsys.readouterr().out
         assert "1 entries" in out
+
+    def test_ls_suite_finds_entries_swept_under_another_spelling(self, tmp_path, capsys):
+        """Entries record the suite's canonical name, so ``ls --suite`` with
+        that name finds a sweep whose ``--suite`` was spelled otherwise."""
+        cache_dir = tmp_path / "cache"
+        assert (
+            main(
+                ["table2", "--budget", "4", "--suite", "Table1 @ batch = 2",
+                 "--networks", "ViT-B/14 @b2", "--cache", f"dir:{cache_dir}"]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        assert main(["cache", "ls", "--cache", str(cache_dir), "--suite", "table1@batch=2"]) == 0
+        out = capsys.readouterr().out
+        assert "5 entries" in out and "ViT-B/14 @b2" in out
 
     def test_warm_sweep_evict_clear(self, warm_dir, capsys):
         uri = f"dir:{warm_dir}"

@@ -241,12 +241,12 @@ def test_tag_syntax_inside_strings_is_ignored():
 # env registry and the docs cross-check
 # --------------------------------------------------------------------------- #
 def test_env_value_precedence(monkeypatch):
-    monkeypatch.delenv("MAS_PROFILE_MIN_MS", raising=False)
-    assert env.value("MAS_PROFILE_MIN_MS") == "10"  # registry default
-    monkeypatch.setenv("MAS_PROFILE_MIN_MS", "50")
-    assert env.value("MAS_PROFILE_MIN_MS") == "50"
-    monkeypatch.setenv("MAS_PROFILE_MIN_MS", "   ")  # blank == unset
-    assert env.value("MAS_PROFILE_MIN_MS") == "10"
+    monkeypatch.delenv("MAS_BENCH_BUDGET", raising=False)
+    assert env.value("MAS_BENCH_BUDGET") == "40"  # registry default
+    monkeypatch.setenv("MAS_BENCH_BUDGET", "50")
+    assert env.value("MAS_BENCH_BUDGET") == "50"
+    monkeypatch.setenv("MAS_BENCH_BUDGET", "   ")  # blank == unset
+    assert env.value("MAS_BENCH_BUDGET") == "40"
 
 
 def test_env_int_value(monkeypatch):

@@ -424,6 +424,44 @@ class TestSuiteSweeps:
             named.run_matrix(FAST_NETWORKS, FAST_METHODS)
         )
 
+    def test_python_built_suite_sweeps_through_pool_and_store(self, tmp_path):
+        """A suite built in Python has no registered name: pool workers get
+        each entry's shape only from ``PairSpec.workload``.  It sweeps cold at
+        ``jobs=2``, then replays warm at ``jobs=1`` from the store."""
+        from repro.store import JsonDirStore
+        from repro.workloads.suites import SuiteEntry, WorkloadSuite
+
+        suite = WorkloadSuite(
+            name="my-shapes",
+            description="a Table-1 row, a GQA shape and a small dense shape",
+            entries=(
+                SuiteEntry("BERT-Base", get_network("BERT-Base").workload()),
+                SuiteEntry(
+                    "chat.gqa", AttentionWorkload.gqa(32, 8, seq=256, emb=128, batch=2)
+                ),
+                SuiteEntry("embed", AttentionWorkload(heads=4, seq_q=64, seq_kv=64, emb=64)),
+            ),
+        )
+        kwargs = dict(suite=suite, search_budget=4, seed=0, cache_dir=tmp_path / "cache")
+        cold_runner = ExperimentRunner(jobs=2, **kwargs)
+        cold = cold_runner.run_matrix()
+        cold_stats = cold_runner.cache_stats()
+        assert cold_stats["cache_hits"] == 0
+        assert cold_stats["cache_misses"] == cold_stats["searches"] == 15  # no fusemax search
+
+        warm_runner = ExperimentRunner(jobs=1, **kwargs)
+        warm = warm_runner.run_matrix()
+        warm_stats = warm_runner.cache_stats()
+        assert warm_stats["cache_hits"] == 15
+        assert warm_stats["searches"] == warm_stats["search_evaluations"] == 0
+        for entry in suite.entry_names():
+            for method, run in cold[entry].items():
+                again = warm[entry][method]
+                assert (again.cycles, again.energy_pj) == (run.cycles, run.energy_pj)
+                if run.tuned:
+                    assert again.tuning.best_tiling == run.tuning.best_tiling
+        assert len(JsonDirStore(tmp_path / "cache").entries(suite="my-shapes")) == 15
+
     def test_bad_suite_spec_fails_eagerly(self):
         with pytest.raises(ValueError):
             ExperimentRunner(suite="table1@heads=4")

@@ -126,6 +126,20 @@ class TestTracer:
         obs_trace.flush()
         assert len(read_trace(path)) == 1
 
+    def test_env_tracer_writes_each_span_as_it_closes(self, tmp_path, monkeypatch):
+        """A tracer enabled by ``MAS_TRACE`` alone buffers one span: each
+        closed span is on disk without a flush."""
+        path = tmp_path / "env_trace.jsonl"
+        monkeypatch.setenv("MAS_TRACE", str(path))
+        obs_trace.reset()
+        with obs_trace.span("first"):
+            pass
+        assert obs_trace.get_tracer().buffer_spans == 1
+        assert [s["name"] for s in read_trace(path)] == ["first"]
+        with obs_trace.span("second"):
+            pass
+        assert [s["name"] for s in read_trace(path)] == ["first", "second"]
+
     def test_env_enables_tracing_after_reset(self, tmp_path, monkeypatch):
         path = tmp_path / "env_trace.jsonl"
         monkeypatch.setenv("MAS_TRACE", str(path))

@@ -1,21 +1,24 @@
-"""Tests for ``obs bench``, ``obs summarize``, ``obs profile`` and ``obs
-metrics --watch``: the perf gate's verdict (:mod:`repro.obs.bench`),
-critical-path scoping and ``--top`` capping (:mod:`repro.obs.summary`),
-span profiling behind ``MAS_PROFILE`` (:mod:`repro.obs.profile`), and live
-polling of a served store's metrics.
+"""Tests for ``obs bench``, ``obs summarize`` and ``obs metrics --watch``:
+the perf gate's verdict (:mod:`repro.obs.bench`), critical-path scoping and
+``--top`` capping (:mod:`repro.obs.summary`), the documented cProfile recipe
+for function hotspots, and live polling of a served store's metrics.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pstats
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.obs import trace as obs_trace
 from repro.obs.bench import PAIRS, Run, judge, parse_run
-from repro.obs.export import read_trace
 from repro.obs.summary import summarize_trace
 from repro.service import running_server, server_url
 from repro.store import JsonDirStore
@@ -23,7 +26,7 @@ from repro.store import JsonDirStore
 
 @pytest.fixture(autouse=True)
 def clean_tracing():
-    """Every test starts and ends with tracing/profiling disabled."""
+    """Every test starts and ends with tracing disabled."""
     obs_trace.reset()
     yield
     obs_trace.reset()
@@ -188,60 +191,25 @@ class TestCriticalPathScoping:
 
 
 # --------------------------------------------------------------------------- #
-# Span profiling (MAS_PROFILE)
+# Function hotspots: the standard profiler over a --jobs 1 sweep
 # --------------------------------------------------------------------------- #
-class TestSpanProfiling:
-    def _traced_burn(self, tmp_path, monkeypatch, profile: str, min_ms: str):
-        trace_path = tmp_path / "t.jsonl"
-        monkeypatch.setenv("MAS_TRACE", str(trace_path))
-        monkeypatch.setenv("MAS_PROFILE", profile)
-        monkeypatch.setenv("MAS_PROFILE_MIN_MS", min_ms)
-        monkeypatch.setenv("MAS_PROFILE_DIR", str(tmp_path / "prof"))
-        obs_trace.reset()
-        with obs_trace.span("outer", layer="runner"):
-            with obs_trace.span("gen", layer="search"):
-                sum(i * i for i in range(50000))
-        obs_trace.reset()
-        return trace_path
-
-    def test_matching_layer_persists_pstats_and_attr(self, tmp_path, monkeypatch):
-        trace_path = self._traced_burn(tmp_path, monkeypatch, "search", "0")
-        spans = {s["name"]: s for s in read_trace(trace_path)}
-        profile = spans["gen"]["attrs"].get("profile")
-        assert profile and Path(profile).exists()
-        assert "search-gen-" in Path(profile).name
-        assert "profile" not in spans["outer"]["attrs"]  # layer filter held
-
-    def test_fast_spans_discard_their_stats(self, tmp_path, monkeypatch):
-        trace_path = self._traced_burn(tmp_path, monkeypatch, "search", "60000")
-        spans = {s["name"]: s for s in read_trace(trace_path)}
-        assert "profile" not in spans["gen"]["attrs"]
-        assert not list((tmp_path / "prof").glob("*.pstats"))
-
-    def test_profile_all_covers_only_outermost_span_per_thread(
-        self, tmp_path, monkeypatch
-    ):
-        trace_path = self._traced_burn(tmp_path, monkeypatch, "all", "0")
-        spans = {s["name"]: s for s in read_trace(trace_path)}
-        assert "profile" in spans["outer"]["attrs"]
-        assert "profile" not in spans["gen"]["attrs"]  # cProfile cannot nest
-
-    def test_obs_profile_cli_reports_hotspots(self, tmp_path, monkeypatch, capsys):
-        trace_path = self._traced_burn(tmp_path, monkeypatch, "search", "0")
-        assert cli_main(["obs", "profile", str(trace_path), "--top", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "profiled spans: 1" in out
-        assert "aggregate hotspots" in out
-
-    def test_obs_profile_cli_without_profiles(self, tmp_path, capsys):
-        trace_path = tmp_path / "t.jsonl"
-        trace_path.write_text(
-            json.dumps({"name": "a", "layer": "runner", "trace_id": "T",
-                        "span_id": "s", "parent_id": None,
-                        "ts_us": 0, "dur_us": 1}) + "\n"
+class TestCProfileRecipe:
+    def test_documented_command_writes_pstats(self, tmp_path):
+        """``docs/observability.md``'s recipe, at a tiny budget: the sweep
+        runs in one process and the profile holds the simulator's frames."""
+        out = tmp_path / "sweep.pstats"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", str(out), "-m", "repro.cli",
+             "table2", "--jobs", "1", "--budget", "4", "--networks", "ViT-B/14",
+             "--no-cache"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
-        assert cli_main(["obs", "profile", str(trace_path)]) == 0
-        assert "no profiled spans" in capsys.readouterr().out
+        assert proc.returncode == 0, proc.stderr
+        assert "ViT-B/14" in proc.stdout
+        files = {Path(filename).as_posix() for filename, _, _ in pstats.Stats(str(out)).stats}
+        assert any("/repro/sim/" in f for f in files)
+        assert any("/repro/search/" in f for f in files)
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.workloads.attention import AttentionWorkload
@@ -19,16 +21,12 @@ from repro.workloads.stable_diffusion import (
 from repro.workloads.suites import (
     GQA_CONFIGS,
     LONG_CONTEXT_SEQS,
-    MAS_SUITES_FILE_ENV,
     TABLE1_BATCH_SIZES,
     SuiteEntry,
     WorkloadSuite,
-    clear_user_suites,
     get_suite,
     list_suites,
-    load_suites_file,
     parse_suite_spec,
-    register_suite,
 )
 
 
@@ -324,6 +322,12 @@ class TestSuiteSpecs:
         assert get_suite("table1").name == "table1"
         assert get_suite("cross").name == "cross-attention"
         assert get_suite("long").name == "long-context"
+        # a derived suite is named by its resolved built-in, however spelled
+        suite = get_suite("long-context@seq<=2048")
+        for spelling in ("long@seq<=2048", "Long-Context@ seq <= 2048"):
+            also = get_suite(spelling)
+            assert also.name == suite.name == "long-context@seq<=2048"
+            assert also.entries == suite.entries
 
     def test_suite_passthrough(self):
         suite = get_suite("table1")
@@ -353,8 +357,35 @@ class TestSuiteSpecs:
         assert all(e.workload.batch == 4 for e in suite)
         assert all(e.workload.max_seq <= 256 for e in suite)
         assert len(suite) == 6  # the six ViT rows
-        also = parse_suite_spec("table1@batch=4@seq<=256")
-        assert also.entry_names() == suite.entry_names()
+        assert suite.name == "table1@batch=4,seq<=256"
+        for spelling in ("table1@batch=4@seq<=256", "table1@batch=4, seq<=256"):
+            also = parse_suite_spec(spelling)
+            assert also.entry_names() == suite.entry_names()
+            assert also.name == suite.name
+
+    @pytest.mark.parametrize(
+        ("spelling", "name"),
+        [
+            ("cross", "cross-attention"),
+            ("TABLE1-BATCHED", "table1-batched"),
+            ("table1-b@seq>=512", "table1-batched@seq>=512"),
+            ("decode@batch=4", "decode-step@batch=4"),
+            ("gqa @ batch=2", "gqa@batch=2"),
+            ("long @seq=4096", "long-context@seq=4096"),
+            ("cross-attention@seq<=128@batch=2", "cross-attention@seq<=128,batch=2"),
+            ("table1@ batch = 2 , seq >= 512 @ batch=4", "table1@batch=2,seq>=512,batch=4"),
+            ("Table1@seq<=256", "table1@seq<=256"),
+        ],
+    )
+    def test_every_spelling_names_one_suite(self, spelling, name):
+        """A suite is named by the canonical spec of its derivation — resolved
+        built-in, spaces dropped, modifiers joined by ',' in order — and that
+        name parses back to the same suite."""
+        suite = get_suite(spelling)
+        assert suite.name == name
+        canonical = parse_suite_spec(name)
+        assert canonical.name == name
+        assert canonical.entries == suite.entries
 
     def test_bad_specs_rejected(self):
         with pytest.raises(KeyError, match="unknown suite"):
@@ -422,278 +453,44 @@ class TestGqaSuite:
             parse_suite_spec("gqa@seq<=64")
 
 
-class TestUserSuites:
-    @pytest.fixture(autouse=True)
-    def _clean_registry(self, monkeypatch):
-        monkeypatch.delenv(MAS_SUITES_FILE_ENV, raising=False)
-        clear_user_suites()
-        yield
-        clear_user_suites()
+class TestPythonSuites:
+    """Any other set of shapes is a :class:`WorkloadSuite` built in Python."""
 
-    def suites_json(self, tmp_path, payload: dict) -> str:
-        import json
-
-        path = tmp_path / "suites.json"
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_load_json_file_registers_suites(self, tmp_path):
-        path = self.suites_json(
-            tmp_path,
-            {
-                "suites": {
-                    "prod": {
-                        "description": "serving shapes",
-                        "entries": [
-                            {"network": "BERT-Base"},
-                            {
-                                "name": "chat",
-                                "q_heads": 32,
-                                "kv_heads": 8,
-                                "seq": 4096,
-                                "emb": 128,
-                                "batch": 4,
-                            },
-                            {"name": "embed", "heads": 16, "seq": 512, "emb": 64},
-                        ],
-                    },
-                    "prod-short": {"base": "prod@seq<=512"},
-                }
-            },
+    @staticmethod
+    def prod() -> WorkloadSuite:
+        return WorkloadSuite(
+            name="prod",
+            description="serving shapes",
+            entries=(
+                SuiteEntry("BERT-Base", get_network("BERT-Base").workload()),
+                SuiteEntry("chat", AttentionWorkload.gqa(32, 8, seq=4096, emb=128, batch=4)),
+                SuiteEntry("embed", AttentionWorkload.self_attention(heads=16, seq=512, emb=64)),
+            ),
         )
-        assert load_suites_file(path) == ["prod", "prod-short"]
-        assert "prod" in list_suites() and "prod-short" in list_suites()
-        suite = get_suite("prod")
-        assert suite.description == "serving shapes"
-        assert suite.workload_for("BERT-Base") == get_network("BERT-Base").workload()
-        chat = suite.workload_for("chat")
-        assert chat == AttentionWorkload.gqa(
+
+    def test_entries_resolve_and_derive_like_builtins(self):
+        suite = self.prod()
+        assert get_suite(suite) is suite
+        bert = get_network("BERT-Base").workload()
+        assert suite.workload_for("BERT-Base") == bert.renamed("BERT-Base")
+        assert suite.workload_for("chat") == AttentionWorkload.gqa(
             32, 8, seq=4096, emb=128, batch=4, name="chat"
         )
-        embed = suite.workload_for("embed")
-        assert embed.seq_q == embed.seq_kv == 512
-        # the derived suite saw the entries registered earlier in the file
-        # (chat's folded query length 16384 fails the seq<=512 filter)
-        assert get_suite("prod-short").entry_names() == ["BERT-Base & T5-Base", "embed"]
-        # registered suites compose with spec modifiers like built-ins
-        assert all(e.workload.batch == 8 for e in get_suite("prod@batch=8"))
+        # chat's folded query length (4 x 4096) fails the filter
+        short = suite.filter_seq("<=", 512)
+        assert short.name == "prod@seq<=512"
+        assert short.entry_names() == ["BERT-Base", "embed"]
+        batched = suite.with_batch(8)
+        assert batched.name == "prod@batch=8"
+        assert all(e.workload.batch == 8 for e in batched)
+        assert batched.entry_names() == ["BERT-Base @b8", "chat @b8", "embed @b8"]
 
-    def test_load_toml_file(self, tmp_path):
-        pytest.importorskip("tomllib")
-        path = tmp_path / "suites.toml"
-        path.write_text(
-            "\n".join(
-                [
-                    "[suites.mine]",
-                    'description = "one shape"',
-                    "[[suites.mine.entries]]",
-                    'name = "shape"',
-                    "heads = 4",
-                    "seq = 128",
-                    "emb = 64",
-                ]
-            )
-        )
-        assert load_suites_file(path) == ["mine"]
-        assert get_suite("mine").workload_for("shape").heads == 4
+    @pytest.mark.parametrize("blank", ["", "   "])
+    def test_blank_suite_name_rejected(self, blank):
+        with pytest.raises(ValueError, match="suite name must be non-empty"):
+            replace(self.prod(), name=blank)
 
-    def test_broken_env_file_raises_every_time_and_rolls_back(
-        self, tmp_path, monkeypatch
-    ):
-        """A failing $MAS_SUITES_FILE load is never cached as success: every
-        lookup re-raises the config error, and the suites registered before
-        the bad one are rolled back (atomic load)."""
-        import json
-
-        path = tmp_path / "broken.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "suites": {
-                        "good": {"entries": [{"network": "XLM"}]},
-                        "bad": {"entries": [{"name": "x", "bogus": 1}]},
-                    }
-                }
-            )
-        )
-        monkeypatch.setenv(MAS_SUITES_FILE_ENV, str(path))
-        with pytest.raises(ValueError, match="bogus"):
-            list_suites()
-        with pytest.raises(ValueError, match="bogus"):  # not cached as loaded
-            list_suites()
-        monkeypatch.delenv(MAS_SUITES_FILE_ENV)
-        assert "good" not in list_suites()  # the partial load was rolled back
-
-    def test_env_file_with_base_derivation(self, tmp_path, monkeypatch):
-        """A 'base' spec inside $MAS_SUITES_FILE resolves through the registry
-        mid-load without re-entering the env loader (regression: recursion)."""
-        import json
-
-        path = tmp_path / "derived.json"
-        path.write_text(
-            json.dumps({"suites": {"short": {"base": "table1@seq<=256"}}})
-        )
-        monkeypatch.setenv(MAS_SUITES_FILE_ENV, str(path))
-        assert "short" in list_suites()
-        assert all(e.workload.max_seq <= 256 for e in get_suite("short"))
-
-    def test_explicit_file_wins_over_env_default(self, tmp_path, monkeypatch):
-        """use_suites_file (the --suites-file flag) replaces $MAS_SUITES_FILE:
-        colliding names keep the flag's version, env-only names are dropped."""
-        import json
-
-        from repro.workloads.suites import use_suites_file
-
-        env_file = tmp_path / "env.json"
-        env_file.write_text(
-            json.dumps(
-                {
-                    "suites": {
-                        "prod": {"entries": [{"network": "XLM"}]},
-                        "env-only": {"entries": [{"network": "XLM"}]},
-                    }
-                }
-            )
-        )
-        monkeypatch.setenv(MAS_SUITES_FILE_ENV, str(env_file))
-        assert len(get_suite("prod")) == 1  # env default loaded
-
-        flag_file = tmp_path / "flag.json"
-        flag_file.write_text(
-            json.dumps(
-                {"suites": {"prod": {"entries": [{"network": "XLM"},
-                                                 {"network": "ViT-B/14"}]}}}
-            )
-        )
-        assert use_suites_file(flag_file) == ["prod"]
-        assert len(get_suite("prod")) == 2  # the flag's version won
-        assert "env-only" not in list_suites()  # env contribution dropped
-
-    def test_explicit_file_ignores_broken_env_even_mid_load(
-        self, tmp_path, monkeypatch
-    ):
-        """A 'base' spec inside the --suites-file resolves through the
-        registry mid-load; the broken $MAS_SUITES_FILE the flag replaces must
-        not be touched by that lookup."""
-        from repro.workloads.suites import use_suites_file
-
-        broken = tmp_path / "broken.json"
-        broken.write_text("not json {")
-        monkeypatch.setenv(MAS_SUITES_FILE_ENV, str(broken))
-        flag_file = tmp_path / "flag.json"
-        flag_file.write_text('{"suites": {"prod": {"base": "table1@batch=8"}}}')
-        assert use_suites_file(flag_file) == ["prod"]
-        assert all(e.workload.batch == 8 for e in get_suite("prod"))
-
-    def test_failed_reload_restores_replaced_suites(self, tmp_path):
-        """A load that replaces a suite and then fails must restore the
-        original, not delete it."""
-        import json
-
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({"suites": {"a": {"entries": [{"network": "XLM"}]}}}))
-        load_suites_file(good)
-        bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "suites": {
-                        "a": {"entries": [{"network": "ViT-B/14"}]},
-                        "b": {"entries": [{"name": "x", "bogus": 1}]},
-                    }
-                }
-            )
-        )
-        with pytest.raises(ValueError, match="bogus"):
-            load_suites_file(bad)
-        assert get_suite("a").entry_names() == ["XLM"]  # original restored
-        assert "b" not in list_suites()
-
-    def test_env_var_loads_and_unloads(self, tmp_path, monkeypatch):
-        path = self.suites_json(
-            tmp_path,
-            {"suites": {"envsuite": {"entries": [{"network": "XLM"}]}}},
-        )
-        monkeypatch.setenv(MAS_SUITES_FILE_ENV, path)
-        assert "envsuite" in list_suites()
-        assert len(get_suite("envsuite")) == 1
-        # clearing the variable drops exactly the suites it contributed
-        monkeypatch.delenv(MAS_SUITES_FILE_ENV)
-        assert "envsuite" not in list_suites()
-
-    def test_builtin_names_are_protected(self, tmp_path):
-        path = self.suites_json(
-            tmp_path, {"suites": {"table1": {"entries": [{"network": "XLM"}]}}}
-        )
-        with pytest.raises(ValueError, match="built-in"):
-            load_suites_file(path)
-
-    def test_register_suite_conflicts_and_replacement(self):
-        suite = WorkloadSuite(
-            name="custom",
-            description="d",
-            entries=(SuiteEntry("e", AttentionWorkload(heads=2, seq_q=64, seq_kv=64)),),
-        )
-        register_suite(suite)
-        with pytest.raises(ValueError, match="already registered"):
-            register_suite(suite)
-        register_suite(suite, replace_existing=True)  # reload path
-
-    @pytest.mark.parametrize("name", ["v2@prod", "a,b", " padded "])
-    def test_grammar_colliding_names_rejected_at_registration(self, name):
-        """'@'/','/whitespace names would register but never resolve — the
-        spec parser would split them — so registration refuses them loudly."""
-        from dataclasses import replace as dc_replace
-
-        suite = WorkloadSuite(
-            name="placeholder",
-            description="d",
-            entries=(SuiteEntry("e", AttentionWorkload(heads=2, seq_q=64, seq_kv=64)),),
-        )
-        with pytest.raises(ValueError, match="reserved"):
-            register_suite(dc_replace(suite, name=name))
-
-    def test_malformed_files_rejected_loudly(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json {")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_suites_file(bad)
-        for payload in (
-            {},  # no suites table
-            {"suites": {}},  # empty table
-            {"suites": {"s": {"entries": []}}},  # no entries
-            {"suites": {"s": {"flavour": "?"}}},  # unknown key
-            {"suites": {"s": {"base": "x", "entries": [{}]}}},  # both modes
-            {"suites": {"s": {"entries": [{"heads": 4}]}}},  # nameless shape
-            {"suites": {"s": {"entries": [{"name": "x", "bogus": 1}]}}},
-            {
-                "suites": {
-                    "s": {
-                        "entries": [
-                            {"name": "x", "heads": 2, "q_heads": 4, "kv_heads": 2,
-                             "seq": 64, "emb": 64}
-                        ]
-                    }
-                }
-            },  # heads and q_heads/kv_heads are exclusive
-            {
-                "suites": {
-                    "s": {"entries": [{"name": "x", "q_heads": 4, "kv_heads": 2,
-                                       "emb": 64}]}
-                }
-            },  # GQA without seq
-        ):
-            with pytest.raises((ValueError, KeyError)):
-                load_suites_file(self.suites_json(tmp_path, payload))
-
-    def test_suites_file_cli_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = self.suites_json(
-            tmp_path,
-            {"suites": {"cli-suite": {"entries": [{"network": "ViT-B/14"}]}}},
-        )
-        assert main(["suites", "--suites-file", path]) == 0
-        assert "cli-suite" in capsys.readouterr().out
-        assert main(["suites", "cli-suite", "--suites-file", path]) == 0
-        assert "ViT-B/14" in capsys.readouterr().out
+    @pytest.mark.parametrize("blank", ["", "   "])
+    def test_blank_entry_name_rejected(self, blank):
+        with pytest.raises(ValueError, match="entry name must be non-empty"):
+            SuiteEntry(blank, AttentionWorkload(heads=2, seq_q=64, seq_kv=64))
