@@ -413,7 +413,8 @@ def test_search_throughput_analytic(benchmark):
         total = 0
         for method, workload, tilings in pairs:
             scheduler = make_scheduler(method, simulated_edge_device())
-            total += len(scheduler.analytic_bounds(workload, tilings))
+            # The bounds are computed on first read: read them, as pruning does.
+            total += len(scheduler.analytic_bounds(workload, tilings).cycles)
         return total
 
     analytic_pass()  # warm the memoized cost models before timing

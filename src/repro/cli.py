@@ -95,11 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--networks", nargs="*", default=None, help="subset of suite entries"
         )
+        default_suite, *other_suites = list_suites()
         p.add_argument(
             "--suite",
             default=None,
-            help="workload suite to sweep: table1 (default), table1-batched, "
-            "cross-attention, long-context, or an inline spec such as "
+            help=f"workload suite to sweep: {default_suite} (default), "
+            f"{', '.join(other_suites)}, or an inline spec such as "
             "table1@batch=8 or long-context@seq<=8192 (see 'mas-attention suites')",
         )
         p.add_argument(
@@ -413,12 +414,20 @@ def _run_cache_store_command(args: argparse.Namespace, store) -> int:
         return 0
 
     if args.cache_command == "ls":
+        # Entries record a spec suite by its canonical name; a name that is
+        # no spec (a Python-built suite's) is matched as typed.
+        suite = args.suite
+        if suite is not None:
+            try:
+                suite = get_suite(suite).name
+            except (KeyError, ValueError):
+                pass
         # every backend takes the filters; a served store applies them remotely
         entries = store.entries(
             scheduler=args.scheduler,
             workload=args.workload,
             strategy=args.strategy,
-            suite=args.suite,
+            suite=suite,
         )
         entries.sort(key=lambda e: e.last_used, reverse=True)
         shown = entries if args.limit <= 0 else entries[: args.limit]

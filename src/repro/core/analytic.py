@@ -38,8 +38,8 @@ The totals feed two consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -148,7 +148,6 @@ class BlockStructure:
                 yield group, rows, group_count * row_count
 
 
-@dataclass(frozen=True)
 class AnalyticBounds:
     """Vectorized feasibility + lower bounds for one scheduler over N candidates.
 
@@ -166,15 +165,35 @@ class AnalyticBounds:
         Provable lower bound on the simulated makespan.
     energy_pj:
         Provable lower bound on the simulated total energy.
+
+    ``cycles`` and ``energy_pj`` come from ``lower_bounds()``, called on the
+    first read of either: a search that does not prune reads only the masks.
     """
 
-    footprint_bytes: np.ndarray
-    hard_infeasible: np.ndarray
-    cycles: np.ndarray
-    energy_pj: np.ndarray
+    def __init__(
+        self,
+        footprint_bytes: np.ndarray,
+        hard_infeasible: np.ndarray,
+        lower_bounds: Callable[[], tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        self.footprint_bytes = footprint_bytes
+        self.hard_infeasible = hard_infeasible
+        self._lower_bounds = lower_bounds
+
+    @cached_property
+    def _cycles_and_energy(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._lower_bounds()
+
+    @property
+    def cycles(self) -> np.ndarray:
+        return self._cycles_and_energy[0]
+
+    @property
+    def energy_pj(self) -> np.ndarray:
+        return self._cycles_and_energy[1]
 
     def __len__(self) -> int:
-        return int(self.cycles.shape[0])
+        return int(self.footprint_bytes.shape[0])
 
 
 class BatchedCostModel:

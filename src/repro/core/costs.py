@@ -137,15 +137,24 @@ def _memoized(make: Callable[..., TaskCost]) -> Callable[..., TaskCost]:
 
 
 class TileCosts:
-    """Cost primitives for the tile tasks of one workload on one device.
+    """Cost primitives for the tile tasks of one workload on one device and tiling.
 
-    Each cost depends only on a few sizes (bytes moved; MatMul shape and
-    group; softmax rows and width), and is made once per distinct value of
-    them, then shared by every task that needs it.
+    Each cost depends only on the device, the workload and a few sizes (bytes
+    moved; MatMul shape and group; softmax rows and width), never on the
+    tiling, and is made once per distinct value of them, then shared by every
+    task that needs it.  ``memo`` holds those costs; pass the same dict to
+    every :class:`TileCosts` of one device and workload (as
+    :meth:`repro.schedulers.base.AttentionScheduler.costs` does) and the
+    graphs of every tiling share them.  The per-tile lists of
+    :meth:`tile_costs` depend on ``nkv`` and stay with this object.
     """
 
     def __init__(
-        self, workload: AttentionWorkload, hardware: HardwareConfig, tiling: TilingConfig
+        self,
+        workload: AttentionWorkload,
+        hardware: HardwareConfig,
+        tiling: TilingConfig,
+        memo: dict[tuple, TaskCost] | None = None,
     ) -> None:
         tiling.validate_for(workload)
         self.workload = workload
@@ -159,7 +168,8 @@ class TileCosts:
             rows = min(tiling.nkv, remaining)
             self.kv_tile_rows.append(rows)
             remaining -= rows
-        self._memo: dict[tuple, TaskCost] = {}
+        self._memo: dict[tuple, TaskCost] = {} if memo is None else memo
+        self._tiles: dict[tuple, tuple[list[int], list[tuple[int, ...]]]] = {}
 
     # ------------------------------------------------------------------ #
     # DMA transfers
@@ -321,6 +331,24 @@ class TileCosts:
             l0_bytes_read=ops * self.dtype,
             l0_bytes_written=o_bytes,
         )
+
+    # ------------------------------------------------------------------ #
+    # Per-tile streams
+    # ------------------------------------------------------------------ #
+    def tile_costs(
+        self, cost: Callable[[Block, int], TaskCost], block: Block
+    ) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Cycles and counters of ``cost`` (a per-tile method of this object,
+        such as :meth:`qk_tile`) on every K/V tile of ``block``, in tile order.
+
+        Made once per method and block shape (rows and group size).
+        """
+        key = (cost.__name__, block.rows, block.group_size)
+        found = self._tiles.get(key)
+        if found is None:
+            costs = [cost(block, tile) for tile in range(self.num_kv_tiles)]
+            found = self._tiles[key] = ([c.cycles for c in costs], [c.counters for c in costs])
+        return found
 
     # ------------------------------------------------------------------ #
     # Aggregates

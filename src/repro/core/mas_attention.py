@@ -92,10 +92,8 @@ class _MASCoreEmitter:
         """Loads of Q_b and K plus the stream of QK^T tile MatMuls (Algorithm 2)."""
         q_load = self.emit.load_q(block)
         extra = self._serialize_deps(block.index)
-        tasks = [
-            self.emit.matmul_qk(block, tile, [q_load, k_load, *extra])
-            for tile, k_load in enumerate(self.emit.kv_loads(block, "K"))
-        ]
+        k_loads = self.emit.kv_loads(block, "K")
+        tasks = self.emit.qk_tiles(block, [(q_load, k_load, *extra) for k_load in k_loads])
         self._qk[block.index] = tasks + self._emit_overwrite(block, "QK", tasks[-1])
 
     def _emit_softmax(self, block: Block) -> None:
@@ -113,10 +111,8 @@ class _MASCoreEmitter:
     def _emit_pv(self, block: Block) -> None:
         """Loads of V plus the PV tile MatMuls and the O_b store (Algorithm 4)."""
         softmax = self._softmax[block.index]
-        tasks = [
-            self.emit.matmul_pv(block, tile, [softmax, v_load])
-            for tile, v_load in enumerate(self.emit.kv_loads(block, "V"))
-        ]
+        v_loads = self.emit.kv_loads(block, "V")
+        tasks = self.emit.pv_tiles(block, [(softmax, v_load) for v_load in v_loads])
         tasks += self._emit_overwrite(block, "PV", tasks[-1])
         self._pv[block.index] = tasks
         self.emit.store_o(block, tasks)
@@ -158,6 +154,7 @@ def build_mas_graph(
     hardware: HardwareConfig,
     tiling: TilingConfig | None = None,
     enable_overwrite: bool = True,
+    costs: TileCosts | None = None,
 ) -> tuple[TaskGraph, MASBuildInfo]:
     """Build the MAS-Attention pipeline task graph for one attention layer.
 
@@ -174,6 +171,10 @@ def build_mas_graph(
         Whether the proactive buffer-overwrite strategy is active.  When
         disabled and the steady-state residency overflows L1, overflowing
         rounds are serialized instead (the ablation baseline).
+    costs:
+        Tile costs for this workload, hardware and (clamped) tiling; by
+        default new ones.  :meth:`repro.schedulers.mas.MASAttentionScheduler.build`
+        passes its scheduler's, whose costs every tiling shares.
 
     Returns
     -------
@@ -184,9 +185,9 @@ def build_mas_graph(
     if tiling is None:
         tiling = default_tiling(workload, hardware, mas_footprint_bytes)
     tiling = tiling.clamp_to(workload)
-    tiling.validate_for(workload)
-
-    costs = TileCosts(workload, hardware, tiling)
+    if costs is None:
+        costs = TileCosts(workload, hardware, tiling)
+    require(costs.tiling == tiling, "costs were made for another tiling")
     planner = OverwritePlanner(workload, hardware, tiling, enabled=enable_overwrite)
     planner.check_feasible()
     overflow = planner.overflow_bytes() > 0

@@ -73,7 +73,15 @@ class TilingConfig:
         require(self.nkv <= workload.seq_kv, f"nkv={self.nkv} exceeds seq_kv={workload.seq_kv}")
 
     def clamp_to(self, workload: AttentionWorkload) -> "TilingConfig":
-        """Return a copy whose factors are clamped to the workload dimensions."""
+        """Return a copy whose factors are clamped to the workload dimensions
+        (``self`` when every factor already fits)."""
+        if (
+            self.bb <= workload.batch
+            and self.hh <= workload.heads
+            and self.nq <= workload.seq_q
+            and self.nkv <= workload.seq_kv
+        ):
+            return self
         return replace(
             self,
             bb=min(self.bb, workload.batch),

@@ -245,6 +245,9 @@ _MODULE_LOCK = threading.Lock()
 _tracer: Tracer | None = None
 _tracer_pid: int | None = None
 _atexit_hooked = False
+#: ``(path, buffer_spans)`` of the last :func:`configure`, which forked
+#: children reopen in place of ``MAS_TRACE``.
+_configured: tuple[str | os.PathLike[str], int] | None = None
 
 
 def _install(tracer: Tracer | None) -> None:
@@ -268,32 +271,36 @@ def _close_at_exit() -> None:
 
 
 def get_tracer() -> Tracer | None:
-    """The process's tracer, lazily configured from ``MAS_TRACE`` (one span
-    per flush).
+    """The process's tracer: as :func:`configure` set it, else one lazily
+    made from ``MAS_TRACE`` (one span per flush).
 
-    Re-evaluated per PID, so pool workers forked mid-sweep pick up the
-    inherited environment and open their own file handle (the parent's
-    handle and span buffer are abandoned, not flushed twice).
+    Re-evaluated per PID, so pool workers forked mid-sweep open their own
+    file handle on the configured path and buffer, or else on the inherited
+    environment's (the parent's handle and span buffer are abandoned, not
+    flushed twice).
     """
     if _tracer_pid == os.getpid():
         return _tracer
     with _MODULE_LOCK:
         if _tracer_pid == os.getpid():
             return _tracer
-        path = env.value("MAS_TRACE")
-        if path is None:
-            _install(None)
+        if _configured is not None:
+            path, buffer_spans = _configured
+            _install(Tracer(path, buffer_spans=buffer_spans))
         else:
-            _install(Tracer(path))
+            path = env.value("MAS_TRACE")
+            _install(None if path is None else Tracer(path))
         return _tracer
 
 
 def configure(path: str | os.PathLike[str], buffer_spans: int = 1) -> Tracer:
-    """Programmatically enable tracing for this process (wins over env),
-    flushing every ``buffer_spans`` spans."""
+    """Programmatically enable tracing (wins over env), flushing every
+    ``buffer_spans`` spans; processes forked afterwards trace to ``path`` too."""
+    global _configured
     with _MODULE_LOCK:
         tracer = Tracer(path, buffer_spans=buffer_spans)
         _install(tracer)
+        _configured = (path, buffer_spans)
         return tracer
 
 
@@ -304,7 +311,7 @@ def reset() -> None:
     clears the ambient context.  Tests and benchmarks bracket traced
     sections with :func:`configure`/:func:`reset`.
     """
-    global _tracer, _tracer_pid, _AMBIENT
+    global _tracer, _tracer_pid, _AMBIENT, _configured
     with _MODULE_LOCK:
         if _tracer is not None:
             if _tracer_pid == os.getpid():
@@ -314,6 +321,7 @@ def reset() -> None:
         _tracer = None
         _tracer_pid = None
         _AMBIENT = None
+        _configured = None
 
 
 def span(name: str, layer: str = "app",

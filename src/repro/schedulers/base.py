@@ -16,7 +16,7 @@ from repro.core.analytic import (
     as_tiling_batch,
     batched_cost_model,
 )
-from repro.core.costs import TileCosts, partition_blocks
+from repro.core.costs import TaskCost, TileCosts, partition_blocks
 from repro.core.tiling import TilingConfig, default_tiling
 from repro.hardware.config import HardwareConfig
 from repro.sim.executor import simulate
@@ -51,6 +51,8 @@ class AttentionScheduler(ABC):
 
     def __init__(self, hardware: HardwareConfig) -> None:
         self.hardware = hardware
+        # Tile costs made so far, per workload (see :meth:`costs`).
+        self._cost_memos: dict[AttentionWorkload, dict[tuple, TaskCost]] = {}
 
     # ------------------------------------------------------------------ #
     # Interface
@@ -75,8 +77,16 @@ class AttentionScheduler(ABC):
         return self.footprint_bytes(workload, tiling) <= self.hardware.l1_bytes
 
     def costs(self, workload: AttentionWorkload, tiling: TilingConfig) -> TileCosts:
-        """Tile cost helper bound to this scheduler's hardware."""
-        return TileCosts(workload, self.hardware, tiling)
+        """Tile cost helper bound to this scheduler's hardware.
+
+        No cost depends on the tiling, so every tiling of one workload shares
+        the costs this scheduler has made for it: a search's candidates make
+        each cost once.
+        """
+        memo = self._cost_memos.get(workload)
+        if memo is None:
+            memo = self._cost_memos[workload] = {}
+        return TileCosts(workload, self.hardware, tiling, memo)
 
     def blocks(self, workload: AttentionWorkload, tiling: TilingConfig):
         """Per-core block partition of the outer iteration space."""
@@ -95,25 +105,28 @@ class AttentionScheduler(ABC):
         scheduler's own (polymorphic) ``footprint_bytes`` expression, and the
         cycle/energy figures are resource-sum lower bounds on what
         :meth:`simulate` would report.  Candidates are clamped to the
-        workload exactly as :meth:`simulate` clamps its tiling.
+        workload exactly as :meth:`simulate` clamps its tiling.  The masks
+        are computed here, the bounds when first read (only pruning and
+        checks read them).
         """
         batch = as_tiling_batch(tilings).clamp_to(workload)
         model = batched_cost_model(workload, self.hardware)
-        structure = model.structure(batch)
-        footprint = np.asarray(self.footprint_bytes(workload, batch))
-        dma = model.dma_cycles_common(batch, structure) + self._analytic_extra_dma(
-            model, batch, structure
-        )
-        mac = model.mac_cycles(batch, structure)
-        vec = self._analytic_vec_cycles(model, batch, structure)
-        cycles = model.cycles_lower_bound(dma, mac, vec, self.analytic_serial_compute)
-        counters = model.counters_common(batch, structure)
-        energy = model.energy_lower_bound(counters, cycles)
+
+        def lower_bounds() -> tuple[np.ndarray, np.ndarray]:
+            structure = model.structure(batch)
+            dma = model.dma_cycles_common(batch, structure) + self._analytic_extra_dma(
+                model, batch, structure
+            )
+            mac = model.mac_cycles(batch, structure)
+            vec = self._analytic_vec_cycles(model, batch, structure)
+            cycles = model.cycles_lower_bound(dma, mac, vec, self.analytic_serial_compute)
+            counters = model.counters_common(batch, structure)
+            return cycles, model.energy_lower_bound(counters, cycles)
+
         return AnalyticBounds(
-            footprint_bytes=footprint,
+            footprint_bytes=np.asarray(self.footprint_bytes(workload, batch)),
             hard_infeasible=self._analytic_hard_infeasible(model, batch),
-            cycles=cycles,
-            energy_pj=energy,
+            lower_bounds=lower_bounds,
         )
 
     def _analytic_vec_cycles(

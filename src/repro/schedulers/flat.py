@@ -47,21 +47,13 @@ class FLATScheduler(AttentionScheduler):
         last_pv_per_core: dict[int, int] = {}
         for core, block in interleave_block_positions(per_core):
             em = emitters[core]
-            serial_dep = last_pv_per_core.get(core)
+            serial = (last_pv_per_core[core],) if core in last_pv_per_core else ()
             q_load = em.load_q(block)
             k_loads = em.kv_loads(block, "K")
-            qk_tasks = []
-            for tile, k_load in enumerate(k_loads):
-                deps = [q_load, k_load]
-                if serial_dep is not None:
-                    deps.append(serial_dep)
-                qk_tasks.append(em.matmul_qk(block, tile, deps=deps))
+            qk_tasks = em.qk_tiles(block, [(q_load, k_load, *serial) for k_load in k_loads])
             sm = em.softmax(block, deps=qk_tasks)
             v_loads = em.kv_loads(block, "V")
-            pv_tasks = [
-                em.matmul_pv(block, tile, deps=[sm, v_load])
-                for tile, v_load in enumerate(v_loads)
-            ]
+            pv_tasks = em.pv_tiles(block, [(sm, v_load) for v_load in v_loads])
             em.store_o(block, deps=pv_tasks)
             last_pv_per_core[core] = pv_tasks[-1]
 

@@ -81,10 +81,7 @@ class LayerWiseScheduler(AttentionScheduler):
             em = emitters[core]
             p_load = em.load_score(block, "P", deps=[barrier2])
             v_loads = em.kv_loads(block, "V", deps=[barrier2])
-            pv_tasks = [
-                em.matmul_pv(block, tile, deps=[p_load, v_load])
-                for tile, v_load in enumerate(v_loads)
-            ]
+            pv_tasks = em.pv_tiles(block, [(p_load, v_load) for v_load in v_loads])
             em.store_o(block, deps=pv_tasks)
 
         return BuildResult(graph=graph, metadata={"stages": 3})

@@ -50,11 +50,13 @@ class MASAttentionScheduler(AttentionScheduler):
         return mas_non_evictable_bytes(model.workload, batch) > model.hardware.l1_bytes
 
     def build(self, workload: AttentionWorkload, tiling: TilingConfig) -> BuildResult:
+        tiling = tiling.clamp_to(workload)
         graph, info = build_mas_graph(
             workload,
             self.hardware,
             tiling=tiling,
             enable_overwrite=self.enable_overwrite,
+            costs=self.costs(workload, tiling),
         )
         return BuildResult(
             graph=graph,

@@ -49,10 +49,7 @@ class SoftPipeScheduler(AttentionScheduler):
             em = emitters[core]
             q_load = em.load_q(block)
             k_loads = em.kv_loads(block, "K")
-            qk_tasks = [
-                em.matmul_qk(block, tile, deps=[q_load, k_load])
-                for tile, k_load in enumerate(k_loads)
-            ]
+            qk_tasks = em.qk_tiles(block, [(q_load, k_load) for k_load in k_loads])
             sm = em.softmax(block, deps=qk_tasks)
             store = em.store_score(block, "P", deps=[sm])
             stage_a_tasks.append(store)
@@ -63,10 +60,7 @@ class SoftPipeScheduler(AttentionScheduler):
             em = emitters[core]
             p_load = em.load_score(block, "P", deps=[barrier])
             v_loads = em.kv_loads(block, "V", deps=[barrier])
-            pv_tasks = [
-                em.matmul_pv(block, tile, deps=[p_load, v_load])
-                for tile, v_load in enumerate(v_loads)
-            ]
+            pv_tasks = em.pv_tiles(block, [(p_load, v_load) for v_load in v_loads])
             em.store_o(block, deps=pv_tasks)
 
         return BuildResult(graph=graph, metadata={"stages": 2})

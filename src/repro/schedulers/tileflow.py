@@ -60,19 +60,17 @@ class TileFlowScheduler(AttentionScheduler):
                     key = (core, block.index)
                     if op.kind is OpKind.QK:
                         q_load = em.load_q(block, deps=barrier)
-                        qk[key] = [
-                            em.matmul_qk(block, tile, deps=[q_load, k_load, *barrier])
-                            for tile, k_load in enumerate(em.kv_loads(block, "K", deps=barrier))
-                        ]
+                        k_loads = em.kv_loads(block, "K", deps=barrier)
+                        qk[key] = em.qk_tiles(block, [(q_load, k, *barrier) for k in k_loads])
                         round_tasks += qk[key]
                     elif op.kind is OpKind.SOFTMAX:
                         softmax[key] = em.softmax(block, deps=[*qk[key], *barrier])
                         round_tasks.append(softmax[key])
                     else:
-                        pv_tasks = [
-                            em.matmul_pv(block, tile, deps=[softmax[key], v_load, *barrier])
-                            for tile, v_load in enumerate(em.kv_loads(block, "V", deps=barrier))
-                        ]
+                        v_loads = em.kv_loads(block, "V", deps=barrier)
+                        pv_tasks = em.pv_tiles(
+                            block, [(softmax[key], v, *barrier) for v in v_loads]
+                        )
                         round_tasks += [*pv_tasks, em.store_o(block, deps=pv_tasks)]
             name = f"tileflow.round{position}.barrier"
             barrier = [graph.add_barrier(name, deps=round_tasks).tid]

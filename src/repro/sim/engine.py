@@ -13,21 +13,30 @@ its start and finish cycle under the constraints:
    independent load that was enqueued later.  Ties are broken by program
    order, so the behaviour is deterministic.
 
-The schedule is produced by an event-driven list scheduler: at every step the
-earliest-startable candidate across all resources is dispatched, the smallest
-(start, task id) winning.  Candidates are the head of the program-order queue
-for in-order resources, once its dependencies are done, and the earliest-ready
-enqueued task for out-of-order resources; zero-cost barrier tasks (no
-resource) complete as soon as their dependencies do.
+Call a task's *ready* time the latest finish of its dependencies.  Only the
+DMA's order depends on what else runs, so only the DMA is event-driven:
 
-The engine reads the graph's columns and keeps one candidate per resource,
-updated when that resource dispatches or when its next task becomes ready;
-``tests/sim_oracle.py`` keeps the object-based engine it replaced, and the
+* a barrier (no resource) is resolved as soon as its last dependency is: it
+  starts and finishes at its ready time;
+* a MAC/VEC task is resolved as soon as its last dependency and its unit's
+  previous task in program order are: it starts at max(ready, the unit's
+  previous finish);
+* when nothing more can resolve, the DMA serves, among the descriptors whose
+  dependencies are resolved, the one with the smallest (ready, task id), at
+  max(ready, the DMA's previous finish).
+
+A descriptor ready at cycle 0 precedes every other, so the engine serves
+those as it meets them, in program order, while it walks the graph once in
+program order; the walk resolves every task that does not wait on a later
+DMA serve.  What waits is resolved as the DMA serves the rest.
+``tests/sim_oracle.py`` keeps the event-driven list scheduler this replaced
+(dispatch the smallest (start, task id) over all resources), and the
 differential tests require both to agree on every task.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 
 from repro.sim.tasks import TaskGraph
@@ -35,7 +44,8 @@ from repro.sim.trace import Trace
 
 __all__ = ["simulate_graph", "critical_path_cycles", "OUT_OF_ORDER_RESOURCES"]
 
-#: Resource names served out of order (readiness order) rather than program order.
+#: Resource names served out of order (readiness order) rather than program
+#: order.  The engine serves one such resource.
 OUT_OF_ORDER_RESOURCES: tuple[str, ...] = ("dma",)
 
 
@@ -48,97 +58,134 @@ def simulate_graph(graph: TaskGraph) -> Trace:
 
     cycles = graph.cycles
     resource_of = graph.resource_ids
-    num_resources = len(graph.resource_names)
-    # Resource id 0 is "no resource": its tasks are barriers.
-    out_of_order = [rid > 0 and name in OUT_OF_ORDER_RESOURCES
-                    for rid, name in enumerate(graph.resource_names)]
+    all_deps = graph.deps
+    names = graph.resource_names
+    num_resources = len(names)
+    # Resource id 0 is "no resource": its tasks are barriers.  The engine
+    # serves one out-of-order resource, the DMA (id -1 when no task uses it).
+    (dma_name,) = OUT_OF_ORDER_RESOURCES
+    dma = names.index(dma_name) if dma_name in names else -1
 
-    # A dependency listed twice is counted, and released, twice.
-    remaining = list(map(len, graph.deps))
-    dependents: list[list[int]] = [[] for _ in range(n)]
-    for tid, deps in enumerate(graph.deps):
-        for dep in deps:
-            dependents[dep].append(tid)
-    queues: list[list[int]] = [[] for _ in range(num_resources)]
-    for tid, rid in enumerate(resource_of):
-        queues[rid].append(tid)
-
-    ready = [0] * n  # max finish over resolved deps
-    start = [-1] * n
-    finish = [0] * n
-    free = [0] * num_resources
-    head = [0] * num_resources  # position of each in-order queue's next task
-    heaps: list[list[tuple[int, int]]] = [[] for _ in range(num_resources)]
-    # Each resource's candidate (start, tid, resource), or (never, n, resource)
-    # when it has none: no start reaches the sum of all cycles.
+    # An unresolved task finishes at ``never``, beyond any real finish.
     never = sum(cycles) + 1
-    candidates = [(never, n, rid) for rid in range(num_resources)]
-    # Tasks whose last dependency has finished, still to be resolved.
-    released = [tid for tid in range(n) if not remaining[tid]]
-    done = 0
-    while True:
-        # Resolve the released tasks: a barrier completes at once and releases
-        # its dependents; any other task may become its resource's candidate.
-        while released:
-            tid = released.pop()
-            rid = resource_of[tid]
-            time = ready[tid]
-            if not rid:
-                start[tid] = time
-                finish[tid] = end = time + cycles[tid]
-                done += 1
-                for dependent in dependents[tid]:
-                    if ready[dependent] < end:
-                        ready[dependent] = end
-                    remaining[dependent] -= 1
-                    if not remaining[dependent]:
-                        released.append(dependent)
-            elif out_of_order[rid]:
-                heap = heaps[rid]
-                heappush(heap, (time, tid))
-                if heap[0][1] == tid:
-                    candidates[rid] = (max(time, free[rid]), tid, rid)
-            elif queues[rid][head[rid]] == tid:
-                candidates[rid] = (max(time, free[rid]), tid, rid)
-        if done == n:
-            break
+    start = [0] * n
+    finish = [never] * n
+    get_finish = finish.__getitem__
+    unit_free = [0] * num_resources
+    # The tasks of a MAC/VEC unit whose head waits, in program order.
+    queued: list[deque[int] | None] = [None] * num_resources
+    # A waiting task's unresolved dependencies, and the tasks waiting on each.
+    missing = [0] * n
+    waiters: dict[int, list[int]] = {}
+    served: list[tuple[int, int]] = []  # (ready, tid) of released descriptors
+    dma_free = 0
 
-        task_start, tid, rid = min(candidates)
-        if tid == n:
-            unscheduled = [graph.task_name(t) for t in range(n) if start[t] < 0][:5]
-            raise RuntimeError(
-                "scheduling deadlock: no issuable task among "
-                f"{n - done} unscheduled (first: {unscheduled})"
-            )
-        end = task_start + cycles[tid]
-        start[tid] = task_start
-        finish[tid] = end
-        free[rid] = end
-        done += 1
-        # The resource's next candidate.
-        if out_of_order[rid]:
-            heap = heaps[rid]
-            heappop(heap)
-            if heap:
-                time, next_tid = heap[0]
-                candidates[rid] = (max(time, end), next_tid, rid)
-            else:
-                candidates[rid] = (never, n, rid)
+    def wait(tid: int, deps: tuple[int, ...]) -> None:
+        count = 0
+        for dep in deps:
+            if finish[dep] == never:
+                found = waiters.get(dep)
+                if found is None:
+                    waiters[dep] = [tid]
+                else:
+                    found.append(tid)
+                count += 1
+        missing[tid] = count
+
+    # The walk in program order.  Nothing it leaves waiting resolves before
+    # the walk ends: each waits, directly or not, on a descriptor ready after
+    # cycle 0.  A dependency listed twice is counted, and released, twice.
+    for tid in range(n):
+        rid = resource_of[tid]
+        deps = all_deps[tid]
+        if rid == dma:
+            if deps:
+                ready = finish[deps[0]] if len(deps) == 1 else max(map(get_finish, deps))
+                if ready == never:
+                    wait(tid, deps)
+                    continue
+                if ready:
+                    heappush(served, (ready, tid))
+                    continue
+            start[tid] = dma_free
+            finish[tid] = dma_free = dma_free + cycles[tid]
+            continue
+        unit = queued[rid]
+        if unit is not None:
+            unit.append(tid)
+            continue
+        if deps:
+            ready = finish[deps[0]] if len(deps) == 1 else max(map(get_finish, deps))
+            if ready == never:
+                wait(tid, deps)
+                if rid:
+                    queued[rid] = deque((tid,))
+                continue
         else:
-            queue = queues[rid]
-            position = head[rid] = head[rid] + 1
-            if position < len(queue) and not remaining[queue[position]]:
-                next_tid = queue[position]
-                candidates[rid] = (max(ready[next_tid], end), next_tid, rid)
-            else:
-                candidates[rid] = (never, n, rid)
-        for dependent in dependents[tid]:
-            if ready[dependent] < end:
-                ready[dependent] = end
-            remaining[dependent] -= 1
-            if not remaining[dependent]:
-                released.append(dependent)
+            ready = 0
+        if rid:
+            if ready < unit_free[rid]:
+                ready = unit_free[rid]
+            unit_free[rid] = finish[tid] = ready + cycles[tid]
+        else:
+            finish[tid] = ready + cycles[tid]
+        start[tid] = ready
 
+    # The DMA serves the rest in (ready, tid) order; each serve resolves what
+    # waited on it, which may release more descriptors.
+    while served:
+        ready, tid = heappop(served)
+        if ready < dma_free:
+            ready = dma_free
+        start[tid] = ready
+        finish[tid] = dma_free = ready + cycles[tid]
+        woken = waiters.pop(tid, None)
+        while woken:
+            tid = woken.pop()
+            missing[tid] -= 1
+            if missing[tid]:
+                continue
+            rid = resource_of[tid]
+            ready = max(map(get_finish, all_deps[tid]))
+            if rid == dma:
+                heappush(served, (ready, tid))
+                continue
+            if not rid:
+                start[tid] = ready
+                finish[tid] = ready + cycles[tid]
+                released = waiters.pop(tid, None)
+                if released:
+                    woken += released
+                continue
+            # The head of its unit: resolve it and the unit's queue behind it
+            # up to the next task that waits.
+            unit = queued[rid]
+            while True:
+                if ready < unit_free[rid]:
+                    ready = unit_free[rid]
+                start[tid] = ready
+                unit_free[rid] = finish[tid] = ready + cycles[tid]
+                released = waiters.pop(tid, None)
+                if released:
+                    woken += released
+                unit.popleft()
+                if not unit:
+                    queued[rid] = None
+                    break
+                tid = unit[0]
+                deps = all_deps[tid]
+                ready = max(map(get_finish, deps)) if deps else 0
+                if ready == never:
+                    wait(tid, deps)
+                    break
+
+    if waiters:
+        unscheduled = [t for t in range(n) if finish[t] == never]
+        raise RuntimeError(
+            "scheduling deadlock: no issuable task among "
+            f"{len(unscheduled)} unscheduled "
+            f"(first: {[graph.task_name(t) for t in unscheduled[:5]]})"
+        )
     return Trace(graph, start, finish)
 
 

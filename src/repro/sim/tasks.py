@@ -2,15 +2,18 @@
 
 A :class:`TaskGraph` stores its tasks as columns (Python lists indexed by task
 id): kind, resource id, cycles, dependency ids, the eight counters, tags and
-the name.  Builders fill the columns through :meth:`TaskGraph.append`; a
+the name.  Builders fill the columns through :meth:`TaskGraph.append`, or
+:meth:`TaskGraph.extend` for a stream of tasks on one resource; a
 :class:`Task` is a view of one row, made only when a caller iterates or
 indexes the graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 
 class TaskKind(str, Enum):
@@ -120,7 +123,7 @@ class Task:
         Arithmetic work attributed to this task.
     tags:
         Free-form metadata (round index, operand names, ...), used by analyses
-        such as the overwrite accounting.
+        such as the golden replay; a new dict on every read.
     """
 
     __slots__ = ("graph", "tid")
@@ -164,7 +167,7 @@ class Task:
 
     @property
     def tags(self) -> dict[str, object]:
-        return self.graph.tags[self.tid]
+        return self.graph.task_tags(self.tid)
 
     def __repr__(self) -> str:
         return f"Task({self.tid}, {self.name!r}, {self.kind.value}, {self.resource!r})"
@@ -180,8 +183,8 @@ class TaskGraph:
     Columns, indexed by task id: ``kinds``, ``resource_ids`` (into
     ``resource_names``, where id 0 is ``""``, no resource), ``cycles``,
     ``deps`` (tuples of earlier task ids), ``counters`` (tuples of the eight
-    :data:`COUNTERS`), ``tags`` and the names, kept unformatted until asked
-    for (see :meth:`task_name`).
+    :data:`COUNTERS`), and the names and tags, both kept unformatted until
+    asked for (see :meth:`task_name` and :meth:`task_tags`).
     """
 
     def __init__(self, name: str = "") -> None:
@@ -191,7 +194,7 @@ class TaskGraph:
         self.cycles: list[int] = []
         self.deps: list[tuple[int, ...]] = []
         self.counters: list[tuple[int, ...]] = []
-        self.tags: list[dict[str, object]] = []
+        self._tags: list[dict[str, object] | tuple] = []
         self._names: list[str | tuple] = []
         self.resource_names: list[str] = [""]
         self._resource_index: dict[str, int] = {"": 0}
@@ -215,15 +218,16 @@ class TaskGraph:
         deps: tuple[int, ...],
         counters: tuple[int, ...],
         name: str | tuple,
-        tags: dict[str, object],
+        tags: dict[str, object] | tuple,
     ) -> int:
         """Append one task and return its id.
 
         The emitters' path: ``resource_id`` comes from :meth:`resource_id` and
         ``cycles``/``counters`` from an already validated
         :class:`~repro.core.costs.TaskCost`.  ``name`` is a string or a tuple
-        ``(format, *parts)`` that :meth:`task_name` formats when asked.  Only
-        the dependency ids are checked here.
+        ``(format, *parts)`` that :meth:`task_name` formats when asked, and
+        ``tags`` a dict or a tuple ``(make, *parts)`` that :meth:`task_tags`
+        calls.  Only the dependency ids are checked here.
         """
         tid = len(self.kinds)
         for dep in deps:
@@ -234,9 +238,45 @@ class TaskGraph:
         self.cycles.append(cycles)
         self.deps.append(deps)
         self.counters.append(counters)
-        self.tags.append(tags)
+        self._tags.append(tags)
         self._names.append(name)
         return tid
+
+    def extend(
+        self,
+        kind: TaskKind,
+        resource_id: int,
+        cycles: Sequence[int],
+        counters: Sequence[tuple[int, ...]],
+        deps: Sequence[tuple[int, ...]],
+        names: Sequence[str | tuple],
+        tags: Sequence[dict[str, object] | tuple],
+    ) -> int:
+        """Append a stream of tasks of one kind on one resource; return the first id.
+
+        Row ``i`` of the stream takes entry ``i`` of every sequence, as
+        :meth:`append` takes its arguments.  Every dependency id must name a
+        task appended before the stream.
+        """
+        first = len(self.kinds)
+        count = len(deps)
+        if not len(cycles) == len(counters) == len(names) == len(tags) == count:
+            raise ValueError("a task stream needs cycles, counters, a name and tags per task")
+        lowest = min(chain.from_iterable(deps), default=0)
+        if lowest < 0 or max(chain.from_iterable(deps), default=-1) >= first:
+            for name, row in zip(names, deps):
+                for dep in row:
+                    if not 0 <= dep < first:
+                        name = self._format(name)
+                        raise ValueError(f"task {name!r}: unknown dependency id {dep}")
+        self.kinds += [kind] * count
+        self.resource_ids += [resource_id] * count
+        self.cycles += cycles
+        self.deps += deps
+        self.counters += counters
+        self._tags += tags
+        self._names += names
+        return first
 
     def add(
         self,
@@ -289,6 +329,11 @@ class TaskGraph:
         """Name of task ``tid``, formatted from its parts on each call."""
         return self._format(self._names[tid])
 
+    def task_tags(self, tid: int) -> dict[str, object]:
+        """Tags of task ``tid``, a new dict made from its parts on each call."""
+        tags = self._tags[tid]
+        return dict(tags) if isinstance(tags, dict) else tags[0](*tags[1:])
+
     def resources(self) -> list[str]:
         """Distinct non-empty resources referenced by the graph, in first-use order."""
         return [self.resource_names[rid] for rid in dict.fromkeys(self.resource_ids) if rid]
@@ -307,10 +352,16 @@ class TaskGraph:
         return [Task(self, tid) for tid, k in enumerate(self.kinds) if k == kind]
 
     def counter_totals(self) -> tuple[int, ...]:
-        """Sum of each of the eight :data:`COUNTERS` over all tasks."""
-        if not self.counters:
-            return (0,) * len(COUNTERS)
-        return tuple(map(sum, zip(*self.counters)))
+        """Sum of each of the eight :data:`COUNTERS` over all tasks.
+
+        Tasks share a few distinct counter tuples, so each is added once,
+        times the number of tasks that carry it.
+        """
+        totals = [0] * len(COUNTERS)
+        for row, count in Counter(self.counters).items():
+            for index, value in enumerate(row):
+                totals[index] += value * count
+        return tuple(totals)
 
     def validate(self) -> None:
         """Check structural invariants (dependency ids in range, acyclic by construction)."""

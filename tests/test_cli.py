@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads.suites import list_suites
 
 
 class TestParser:
@@ -152,6 +153,16 @@ class TestSuiteCli:
             parsed = build_parser().parse_args([command, "--suite", "long-context"])
             assert parsed.suite == "long-context"
 
+    def test_suite_help_names_every_builtin(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")  # no line breaks inside a name
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table2", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        help_line = next(line for line in out.splitlines() if "--suite SUITE " in line)
+        for name in list_suites():
+            assert name in help_line, name
+
     def test_suites_command_lists_builtins(self, capsys):
         assert main(["suites"]) == 0
         out = capsys.readouterr().out
@@ -278,6 +289,28 @@ class TestCacheCli:
         assert main(["cache", "ls", "--cache", str(cache_dir), "--suite", "table1@batch=2"]) == 0
         out = capsys.readouterr().out
         assert "5 entries" in out and "ViT-B/14 @b2" in out
+
+    def test_ls_suite_filter_matches_any_spelling_of_a_spec(self, tmp_path, capsys):
+        """``ls --suite`` resolves a spec filter to the suite's canonical name,
+        so every spelling of it lists the same entries; a name that is no spec
+        is matched as typed."""
+        cache_dir = tmp_path / "cache"
+        assert (
+            main(
+                ["table2", "--budget", "4", "--suite", "table1@batch=2",
+                 "--networks", "ViT-B/14 @b2", "--cache", f"dir:{cache_dir}"]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        listings = []
+        for spelling in ("table1@batch=2", "table1@ batch=2", "Table1 @ batch = 2"):
+            assert main(["cache", "ls", "--cache", str(cache_dir), "--suite", spelling]) == 0
+            listings.append(capsys.readouterr().out)
+        assert "5 entries" in listings[0] and "ViT-B/14 @b2" in listings[0]
+        assert listings[1] == listings[0] and listings[2] == listings[0]
+        assert main(["cache", "ls", "--cache", str(cache_dir), "--suite", "my-shapes"]) == 0
+        assert "ViT-B/14" not in capsys.readouterr().out
 
     def test_warm_sweep_evict_clear(self, warm_dir, capsys):
         uri = f"dir:{warm_dir}"

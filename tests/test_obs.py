@@ -149,6 +149,42 @@ class TestTracer:
         obs_trace.reset()
         assert [s["name"] for s in read_trace(path)] == ["from_env"]
 
+    def test_forked_process_reopens_the_configured_tracer(self, tmp_path, monkeypatch):
+        """A new PID opens its own tracer on the configured path and buffer,
+        which win over ``MAS_TRACE``; after ``reset()`` it reads the env again."""
+        monkeypatch.setenv("MAS_TRACE", str(tmp_path / "env.jsonl"))
+        path = tmp_path / "configured.jsonl"
+        parent = obs_trace.configure(path, buffer_spans=64)
+        monkeypatch.setattr(obs_trace, "_tracer_pid", -1)  # as seen from a forked child
+        child = obs_trace.get_tracer()
+        assert child is not parent
+        assert (child.path, child.buffer_spans) == (str(path), 64)
+        obs_trace.reset()
+        monkeypatch.delenv("MAS_TRACE")
+        monkeypatch.setattr(obs_trace, "_tracer_pid", -1)
+        assert obs_trace.get_tracer() is None
+
+    def test_configured_tracing_covers_pool_workers(self, tmp_path):
+        """``configure`` around a ``jobs=2`` sweep records the pairs its pool
+        workers run, each under the sweep span."""
+        path = tmp_path / "sweep.jsonl"
+        obs_trace.configure(path, buffer_spans=64)
+        try:
+            ExperimentRunner(search_budget=4, jobs=2, use_cache=False).run_matrix(
+                ["ViT-B/14"], ["flat", "mas"]
+            )
+        finally:
+            obs_trace.reset()
+        spans = read_trace(path)
+        sweep = next(s for s in spans if s["name"] == "sweep")
+        pairs = [s for s in spans if s["name"] == "pair"]
+        assert len(pairs) == 2
+        for pair in pairs:
+            assert pair["parent_id"] == sweep["span_id"]
+            assert pair["pid"] != sweep["pid"]
+        assert len({s["pid"] for s in spans}) >= 2
+        assert validate_trace_file(path) == []
+
     def test_threads_keep_independent_span_stacks(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         obs_trace.configure(path)

@@ -221,21 +221,6 @@ class TestEngineProperties:
         assert trace.total_cycles <= sum(t.cycles for t in graph)
 
     @given(task_graphs())
-    @settings(max_examples=30, deadline=None)
-    def test_inorder_units_preserve_program_order(self, graph):
-        """MAC/VEC units run their tasks in program order, each as soon as its
-        dependencies and the unit's previous task allow."""
-        trace = simulate_graph(graph)
-        for resource in graph.resources():
-            if resource == "dma":
-                continue
-            unit_free = 0
-            for tid in graph.ids_on(resource):
-                ready = max((trace.finish[dep] for dep in graph.deps[tid]), default=0)
-                assert trace.start[tid] == max(ready, unit_free)
-                unit_free = trace.finish[tid]
-
-    @given(task_graphs())
     @settings(max_examples=100, deadline=None)
     def test_matches_the_oracle_engine(self, graph):
         """The schedule, the counters and every per-resource figure equal the old engine's."""

@@ -43,6 +43,23 @@ class TestTaskGraph:
         with pytest.raises(ValueError):
             g.add("bad", TaskKind.LOAD, dma_resource(), 1, deps=[5])
 
+    def test_stream_with_unknown_dependency_rejected(self):
+        g = TaskGraph()
+        load = g.add("load", TaskKind.LOAD, dma_resource(), 10).tid
+        mac = g.resource_id(mac_resource(0))
+        row = (0,) * 8
+        with pytest.raises(ValueError, match=r"task 'mm1': unknown dependency id 1"):
+            # a stream may depend only on tasks before it, not on its own rows
+            g.extend(TaskKind.MATMUL, mac, [5, 5], [row, row], [(load,), (load, 1)],
+                     ["mm0", "mm1"], [{}, {}])
+        assert len(g) == 1
+        first = g.extend(TaskKind.MATMUL, mac, [5, 5], [row, row], [(load,), (load,)],
+                         ["mm0", "mm1"], [{"tile": 0}, {"tile": 1}])
+        assert [(t.name, t.deps, t.resource, t.tags) for t in g][first:] == [
+            ("mm0", (0,), "core0.mac", {"tile": 0}),
+            ("mm1", (0,), "core0.mac", {"tile": 1}),
+        ]
+
     def test_negative_cycles_rejected(self):
         g = TaskGraph()
         with pytest.raises(ValueError):
@@ -123,6 +140,18 @@ class TestEngine:
         assert recs["sync"].start == 25 and recs["sync"].finish == 25
         assert recs["b"].start == 25
 
+    def test_task_without_resource_takes_its_cycles_after_a_dma_serve(self):
+        """A resource-less task resolved by a store's serve still runs for its
+        cycles (builders emit only zero-cycle barriers, ``add`` allows more)."""
+        g = TaskGraph()
+        mm = g.add("mm", TaskKind.MATMUL, mac_resource(0), 10)
+        store = g.add("store", TaskKind.STORE, dma_resource(), 10, deps=[mm])
+        hold = g.add("hold", TaskKind.BARRIER, "", 5, deps=[store])
+        g.add("after", TaskKind.VECOP, vec_resource(0), 1, deps=[hold])
+        trace = simulate_graph(g)
+        assert list(zip(trace.start, trace.finish)) == [(0, 10), (10, 20), (20, 25), (25, 26)]
+        check_schedule(g, trace)
+
     def test_empty_graph(self):
         assert simulate_graph(TaskGraph()).total_cycles == 0
 
@@ -191,6 +220,35 @@ class TestCheckSchedule:
         with pytest.raises(
             ScheduleError, match=r"dependency: task 3 'store' on 'dma' .* task 1 'mm'"
         ):
+            check_schedule(graph, trace)
+
+    def test_dma_task_served_ahead_of_an_earlier_ready_one_is_caught(self):
+        """Serving the DMA in program order instead of readiness order breaks
+        no dependency and overlaps nothing, but it is not the engine's rule."""
+        graph = TaskGraph()
+        graph.add("mm", TaskKind.MATMUL, mac_resource(0), 100)
+        graph.add("store", TaskKind.STORE, dma_resource(), 10, deps=[0])  # ready at 100
+        graph.add("load", TaskKind.LOAD, dma_resource(), 10)  # ready at 0
+        trace = simulate_graph(graph)
+        assert (trace.start[2], trace.start[1]) == (0, 100)
+        trace.start[2], trace.finish[2] = 110, 120  # the load now waits behind the store
+        with pytest.raises(
+            ScheduleError,
+            match=r"DMA order: task 1 'store' on 'dma', ready at cycle 100, runs at cycle 100, "
+            r"ahead of task 2 'load', ready at cycle 0",
+        ):
+            check_schedule(graph, trace)
+
+    def test_late_barrier_and_late_in_order_task_are_caught(self):
+        graph = build_diamond()
+        graph.add_barrier("sync", deps=[1, 2])
+        trace = simulate_graph(graph)
+        trace.start[4], trace.finish[4] = 111, 111  # ready at 110
+        with pytest.raises(ScheduleError, match=r"barrier start: task 4 'sync' .* cycle 110"):
+            check_schedule(graph, trace)
+        trace = simulate_graph(graph)
+        trace.start[2], trace.finish[2] = 11, 71  # ready at 10 on an idle unit
+        with pytest.raises(ScheduleError, match=r"in-order start: task 2 'sm' on 'core0.vec'"):
             check_schedule(graph, trace)
 
     def test_overlapping_tasks_on_one_mac_are_caught(self):
