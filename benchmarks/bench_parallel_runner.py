@@ -316,7 +316,7 @@ def _ga_sweep(prune: bool = False, serial: bool = False) -> dict:
     """One GA tuning sweep over every searchable (method, network) pair.
 
     ``serial`` routes every batch through the serial ``evaluate`` oracle
-    instead of the analytic pre-pass; ``prune`` turns on bound pruning.  Both
+    instead of ``evaluate_batch``; ``prune`` turns on bound pruning.  Both
     are undone afterwards so the sweep modes cannot leak into each other (or
     other benchmarks).
     """
@@ -364,21 +364,23 @@ def test_search_throughput_analytic(benchmark):
     """Candidates/sec through the candidate-evaluation hot path, analytic vs serial.
 
     Three full GA sweeps over every searchable (method, network) pair gate the
-    end-to-end behaviour: the analytic pre-pass (default) must reproduce the
-    best tiling per pair of the ``legacy`` sweep — every batch through the
-    serial ``evaluate`` oracle — bit-identically, and the opt-in bound-pruned
-    sweep must only skip simulations, never lose a winner.  The >=10x claim
-    is then measured on the hot path itself: the same distinct candidates
-    each sweep evaluated are pushed through the serial oracle (graph build +
-    simulation per candidate) and through the vectorized ``analytic_bounds``
-    batch pass, and the two candidates/sec rates are compared.
+    end-to-end behaviour.  The ``analytic`` sweep is the default unpruned
+    ``evaluate_batch``, which bounds nothing and takes the oracle's path, so
+    it must reproduce the best tiling per pair of the ``legacy`` sweep —
+    every batch through the serial ``evaluate`` oracle — bit-identically; the
+    opt-in bound-pruned sweep must only skip simulations, never lose a
+    winner.  The >=10x claim is then measured on the hot path itself: the
+    same distinct candidates each sweep evaluated are pushed through the
+    serial oracle (graph build + simulation per candidate) and through the
+    vectorized ``analytic_bounds`` batch pass, and the two candidates/sec
+    rates are compared.
     """
     legacy = _ga_sweep(serial=True)
     analytic = _ga_sweep()
     pruned = _ga_sweep(prune=True)
 
-    # Bit-identity: the pre-pass only short-circuits infeasibles, so the best
-    # tiling (and its value) per pair must match the serial oracle's.
+    # Bit-identity: unpruned batches evaluate exactly as the oracle does, so
+    # the best tiling (and its value) per pair must match the serial oracle's.
     for pair, reference in legacy["results"].items():
         got = analytic["results"][pair]
         assert got.best_tiling == reference.best_tiling, pair
@@ -413,7 +415,6 @@ def test_search_throughput_analytic(benchmark):
         total = 0
         for method, workload, tilings in pairs:
             scheduler = make_scheduler(method, simulated_edge_device())
-            # The bounds are computed on first read: read them, as pruning does.
             total += len(scheduler.analytic_bounds(workload, tilings).cycles)
         return total
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.analysis.metrics import geometric_mean, speedup
 from repro.analysis.report import format_table
 from repro.analysis.runner import resolve_runner, suite_title_suffix
-from repro.exec import ExperimentRunner, MethodRun
+from repro.exec import ExperimentRunner
 
 __all__ = ["Table2Row", "Table2Result", "run_table2"]
 
@@ -124,8 +124,3 @@ def run_table2(
     for m in baselines:
         result.geomean_speedups[m] = geometric_mean(row.speedups[m] for row in result.rows)
     return result
-
-
-def _runs_to_cycles(runs: dict[str, MethodRun]) -> dict[str, int]:
-    """Helper used by other harnesses that want Table-2-style cycle dictionaries."""
-    return {name: run.cycles for name, run in runs.items()}

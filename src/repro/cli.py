@@ -773,9 +773,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _print_search_stats(runner: ExperimentRunner) -> None:
     """One stderr line summarizing how the searches dispatched their candidates.
 
-    Shows the analytic pre-pass accounting (simulated vs. analytically
-    rejected vs. bound-pruned candidates) for sweeps that actually searched;
-    silent on fully warm-cache or no-search runs.
+    Shows the search accounting (simulated vs. infeasible vs. bound-pruned
+    candidates) for sweeps that actually searched; silent on fully
+    warm-cache or no-search runs.
     """
     stats = runner.cache_stats()
     if not stats["searches"]:

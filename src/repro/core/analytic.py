@@ -7,10 +7,10 @@ whole *vectors* of tiling factors ``(bb, hh, nq, nkv, kv_resident)`` and
 returns per-candidate cycle and access-count vectors in a handful of numpy
 expressions.
 
-It is *not* an independent reimplementation of the cost model.  All arithmetic
-goes through the same scalar/array-polymorphic primitives the simulator uses
-(:mod:`repro.hardware.compute_units`, :mod:`repro.hardware.memory`,
-:mod:`repro.core.tiling`), so the analytic layer and the per-task
+It is *not* an independent reimplementation of the cost model.  Its cycle
+arithmetic goes through the same scalar/array-polymorphic primitives the
+simulator uses (:mod:`repro.hardware.compute_units`,
+:mod:`repro.hardware.memory`), so the analytic layer and the per-task
 :class:`repro.core.costs.TileCosts` evaluate the same expressions and cannot
 drift.
 
@@ -23,23 +23,21 @@ few distinct values, and a whole graph's totals collapse to count-weighted
 sums over ``<= 4 x 2 x 2`` shape combinations — each vectorized over the
 candidate axis.
 
-The totals feed two consumers:
-
-* **feasibility masks** — the same footprint/L1 comparisons the serial path
-  makes, batched (see ``AttentionScheduler.analytic_bounds``);
-* **provable lower bounds** on makespan cycles and energy: the shared DMA
-  channel's total busy time and each compute resource's total work divided by
-  the core count both bound the simulated makespan from below, and mandatory
-  access counters bound the energy.  Bounds are what makes search-time pruning
-  (``MAS_ANALYTIC_PRUNE``) safe: a candidate whose *lower bound* already loses
-  to the incumbent can be discarded without simulating it.
+The totals become **provable lower bounds** on makespan cycles and energy
+(see ``AttentionScheduler.analytic_bounds``): the shared DMA channel's total
+busy time and each compute resource's total work divided by the core count
+both bound the simulated makespan from below, and mandatory access counters
+bound the energy.  Bounds are what makes search-time pruning
+(``MAS_ANALYTIC_PRUNE``) safe: a candidate whose *lower bound* already loses
+to the incumbent can be discarded without simulating it.  Whether a candidate
+can run at all is not decided here but by ``AttentionScheduler.fits``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -58,20 +56,14 @@ __all__ = [
     "BatchedCostModel",
     "BlockStructure",
     "TilingBatch",
-    "as_tiling_batch",
     "batched_cost_model",
 ]
 
 
 @dataclass(frozen=True)
 class TilingBatch:
-    """A structure-of-arrays view over N tiling candidates.
-
-    Duck-type compatible with :class:`repro.core.tiling.TilingConfig` for the
-    polymorphic footprint functions in :mod:`repro.core.tiling`: it exposes
-    ``bb``/``hh``/``nq``/``nkv``/``kv_resident`` and ``group_size``, with
-    int64 / bool numpy arrays in place of scalars.
-    """
+    """A structure-of-arrays view over N tiling candidates: the fields of
+    :class:`repro.core.tiling.TilingConfig`, as int64 / bool numpy arrays."""
 
     bb: np.ndarray
     hh: np.ndarray
@@ -81,11 +73,6 @@ class TilingBatch:
 
     def __len__(self) -> int:
         return int(self.bb.shape[0])
-
-    @property
-    def group_size(self) -> np.ndarray:
-        """Per-candidate ``bb * hh``, mirroring ``TilingConfig.group_size``."""
-        return self.bb * self.hh
 
     @classmethod
     def from_tilings(cls, tilings: Sequence[TilingConfig]) -> "TilingBatch":
@@ -107,13 +94,6 @@ class TilingBatch:
             nkv=np.minimum(self.nkv, workload.seq_kv),
             kv_resident=self.kv_resident,
         )
-
-
-def as_tiling_batch(tilings) -> TilingBatch:
-    """Coerce a ``TilingBatch`` or a sequence of ``TilingConfig`` to a batch."""
-    if isinstance(tilings, TilingBatch):
-        return tilings
-    return TilingBatch.from_tilings(list(tilings))
 
 
 @dataclass(frozen=True)
@@ -148,52 +128,23 @@ class BlockStructure:
                 yield group, rows, group_count * row_count
 
 
+@dataclass(frozen=True)
 class AnalyticBounds:
-    """Vectorized feasibility + lower bounds for one scheduler over N candidates.
+    """Provable lower bounds for one scheduler over N candidates.
 
     Attributes
     ----------
-    footprint_bytes:
-        Per-candidate peak L1 residency of the scheduler's dataflow — the
-        same expression :meth:`AttentionScheduler.footprint_bytes` evaluates
-        per tiling.
-    hard_infeasible:
-        Candidates that cannot run even when the scheduler tolerates
-        footprint overflow (today: MAS tilings whose non-evictable residency
-        exceeds L1, mirroring :class:`repro.core.overwrite.OverwritePlanner`).
     cycles:
-        Provable lower bound on the simulated makespan.
+        Lower bound on the simulated makespan.
     energy_pj:
-        Provable lower bound on the simulated total energy.
-
-    ``cycles`` and ``energy_pj`` come from ``lower_bounds()``, called on the
-    first read of either: a search that does not prune reads only the masks.
+        Lower bound on the simulated total energy.
     """
 
-    def __init__(
-        self,
-        footprint_bytes: np.ndarray,
-        hard_infeasible: np.ndarray,
-        lower_bounds: Callable[[], tuple[np.ndarray, np.ndarray]],
-    ) -> None:
-        self.footprint_bytes = footprint_bytes
-        self.hard_infeasible = hard_infeasible
-        self._lower_bounds = lower_bounds
-
-    @cached_property
-    def _cycles_and_energy(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._lower_bounds()
-
-    @property
-    def cycles(self) -> np.ndarray:
-        return self._cycles_and_energy[0]
-
-    @property
-    def energy_pj(self) -> np.ndarray:
-        return self._cycles_and_energy[1]
+    cycles: np.ndarray
+    energy_pj: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.footprint_bytes.shape[0])
+        return int(self.cycles.shape[0])
 
 
 class BatchedCostModel:

@@ -223,10 +223,6 @@ class TileCosts:
         """DMA load of a full score block (used by Layer-Wise / Soft-Pipe)."""
         return self.load_bytes(self.score_bytes(block))
 
-    def load_score_tile(self, block: Block, tile: int) -> TaskCost:
-        """DMA load of one score sub-tile (used by Layer-Wise stage 3)."""
-        return self.load_bytes(self.score_tile_bytes(block, tile))
-
     def store_score(self, block: Block) -> TaskCost:
         """DMA store of a full score block (used by Layer-Wise / Soft-Pipe)."""
         return self._store(self.score_bytes(block))
@@ -357,8 +353,3 @@ class TileCosts:
     def num_kv_tiles(self) -> int:
         """Number of K/V sub-matrix tiles."""
         return len(self.kv_tile_rows)
-
-    def mandatory_dram_bytes(self) -> int:
-        """DRAM traffic every dataflow must pay at least once: Q, K, V in and O out."""
-        w = self.workload
-        return w.q_bytes + w.k_bytes + w.v_bytes + w.output_bytes

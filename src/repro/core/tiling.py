@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.hardware.config import HardwareConfig
-from repro.utils.arrays import amin, awhere
 from repro.utils.validation import ceil_div, check_positive_int, require
 from repro.workloads.attention import AttentionWorkload
 
@@ -124,14 +123,8 @@ class TilingConfig:
 
 # ---------------------------------------------------------------------- #
 # Footprint model
-#
-# Every function below is scalar/array-polymorphic: ``tiling`` may be a
-# :class:`TilingConfig` (ints in, ints out — the validation and simulation
-# path) or a :class:`repro.core.analytic.TilingBatch` (numpy arrays in,
-# per-candidate vectors out — the analytic search pre-pass).  Both paths
-# evaluate the same expressions, so they cannot drift.
 # ---------------------------------------------------------------------- #
-def operand_tile_bytes(workload: AttentionWorkload, tiling) -> dict:
+def operand_tile_bytes(workload: AttentionWorkload, tiling: TilingConfig) -> dict[str, int]:
     """Bytes of each on-chip operand tile for one (batch, head) group block.
 
     Returned keys: ``q`` (Q_i), ``k`` (one K tile), ``v`` (one V tile),
@@ -140,8 +133,8 @@ def operand_tile_bytes(workload: AttentionWorkload, tiling) -> dict:
     """
     g = tiling.group_size
     d = workload.dtype_bytes
-    rows = amin(tiling.nq, workload.seq_q)
-    kv = amin(tiling.nkv, workload.seq_kv)
+    rows = min(tiling.nq, workload.seq_q)
+    kv = min(tiling.nkv, workload.seq_kv)
     return {
         "q": g * rows * workload.emb * d,
         "k": g * kv * workload.emb * d,
@@ -152,24 +145,37 @@ def operand_tile_bytes(workload: AttentionWorkload, tiling) -> dict:
     }
 
 
-def score_block_bytes(workload: AttentionWorkload, tiling):
+def score_block_bytes(workload: AttentionWorkload, tiling: TilingConfig) -> int:
     """Bytes of one score block ``C_i``/``P_i`` (``nq`` rows by the full KV length).
 
     Softmax is row-wise, so a score block always spans the entire key/value
     sequence regardless of the MatMul sub-tiling.
     """
     g = tiling.group_size
-    rows = amin(tiling.nq, workload.seq_q)
+    rows = min(tiling.nq, workload.seq_q)
     return g * rows * workload.seq_kv * workload.dtype_bytes
 
 
-def _kv_bytes(tiles: dict, tiling):
-    return awhere(
-        tiling.kv_resident, tiles["k_full"] + tiles["v_full"], tiles["k"] + tiles["v"]
-    )
+def _kv_bytes(tiles: dict[str, int], tiling: TilingConfig) -> int:
+    if tiling.kv_resident:
+        return tiles["k_full"] + tiles["v_full"]
+    return tiles["k"] + tiles["v"]
 
 
-def flat_footprint_bytes(workload: AttentionWorkload, tiling):
+def score_tile_footprint_bytes(workload: AttentionWorkload, tiling: TilingConfig) -> int:
+    """Peak L1 residency of a dataflow that holds scores as ``nq x nkv`` tiles.
+
+    One Q tile, the K/V tiles, the O accumulator and two score tiles: the
+    Layer-Wise and FuseMax dataflows never hold a full score block on chip.
+    """
+    tiles = operand_tile_bytes(workload, tiling)
+    rows = min(tiling.nq, workload.seq_q)
+    kv = min(tiling.nkv, workload.seq_kv)
+    score_tile = tiling.group_size * rows * kv * workload.dtype_bytes
+    return tiles["q"] + _kv_bytes(tiles, tiling) + tiles["o"] + 2 * score_tile
+
+
+def flat_footprint_bytes(workload: AttentionWorkload, tiling: TilingConfig) -> int:
     """Peak L1 residency of the FLAT dataflow for one in-flight row-block.
 
     FLAT processes one row-block at a time and computes softmax in place, so
@@ -179,7 +185,7 @@ def flat_footprint_bytes(workload: AttentionWorkload, tiling):
     return tiles["q"] + _kv_bytes(tiles, tiling) + tiles["o"] + score_block_bytes(workload, tiling)
 
 
-def mas_footprint_bytes(workload: AttentionWorkload, tiling):
+def mas_footprint_bytes(workload: AttentionWorkload, tiling: TilingConfig) -> int:
     """Peak L1 residency of the MAS-Attention pipeline.
 
     In a regular round the VEC unit produces ``P_{i-1}`` (in place over
@@ -198,13 +204,13 @@ def mas_footprint_bytes(workload: AttentionWorkload, tiling):
     )
 
 
-def mas_non_evictable_bytes(workload: AttentionWorkload, tiling):
+def mas_non_evictable_bytes(workload: AttentionWorkload, tiling: TilingConfig) -> int:
     """Bytes MAS-Attention can never overwrite: 2 score blocks + the Q/O tiles.
 
     This is the hard feasibility line of the proactive-overwrite strategy
     (:class:`repro.core.overwrite.OverwritePlanner` raises
-    :class:`~repro.core.overwrite.InfeasibleTilingError` when it exceeds L1);
-    the analytic layer evaluates the same expression per candidate batch.
+    :class:`~repro.core.overwrite.InfeasibleTilingError` when it exceeds L1,
+    and the MAS scheduler's ``fits`` checks it before a search builds).
     """
     tiles = operand_tile_bytes(workload, tiling)
     return 2 * score_block_bytes(workload, tiling) + 2 * tiles["q"] + 2 * tiles["o"]

@@ -16,8 +16,8 @@ form.  On top of that the runner offers:
   (:func:`~repro.exec.pairs.pair_seed`), so parallel results are
   bit-identical to serial ones;
 * a streaming sweep API — ``iter_matrix`` yields each completed
-  :class:`MethodRun` as it finishes (``as_completed`` order, or Table-1 order
-  with ``stream=False``) so harnesses can render incrementally;
+  :class:`MethodRun` as it finishes (``as_completed`` order) so harnesses
+  can render incrementally;
 * intra-pair parallelism — ``search_workers`` fans the candidate evaluations
   *inside* each pair's tiling search over a process pool (see
   :mod:`repro.search.parallel`), again without changing any result.
@@ -181,11 +181,6 @@ class ExperimentRunner:
         )
 
     @property
-    def workload_suite(self) -> WorkloadSuite:
-        """The resolved :class:`WorkloadSuite` this runner sweeps."""
-        return self._workload_suite
-
-    @property
     def suite_name(self) -> str:
         """Name of the resolved suite (``"table1"`` by default)."""
         return self._workload_suite.name
@@ -267,7 +262,6 @@ class ExperimentRunner:
         self,
         networks: list[str] | None = None,
         methods: list[str] | None = None,
-        stream: bool = True,
     ) -> Iterator[MethodRun]:
         """Yield each (method, network) :class:`MethodRun` as it completes.
 
@@ -275,13 +269,9 @@ class ExperimentRunner:
         memoized exactly as if :meth:`run` had produced it, and the set of
         runs is identical to the matrix — only the delivery is incremental.
 
-        With ``jobs > 1`` and ``stream=True`` already-memoized pairs come
-        first, then fresh runs in completion (``as_completed``) order.  With
-        ``stream=False`` the pairs still *execute* in parallel but are
-        yielded in suite order (Table-1 order for the default suite), each
-        one as soon as it and all its predecessors are done.  Inline
-        (``jobs=1``) sweeps complete in suite order, so there ``stream``
-        makes no difference.
+        With ``jobs > 1`` already-memoized pairs come first, then fresh runs
+        in completion (``as_completed``) order.  Inline (``jobs=1``) sweeps
+        complete in suite order (Table-1 order for the default suite).
 
         The whole sweep runs inside one "sweep" span (a no-op unless
         ``$MAS_TRACE`` is set); every pair span — local or in a pool
@@ -296,14 +286,13 @@ class ExperimentRunner:
             jobs=self.jobs,
             pairs=len(network_names) * len(method_names),
         ):
-            yield from self._iter_runs(network_names, method_names, stream)
+            yield from self._iter_runs(network_names, method_names)
         obs_trace.flush()
 
     def _iter_runs(
         self,
         networks: list[str],
         methods: list[str],
-        stream: bool,
     ) -> Iterator[MethodRun]:
         """Execution body of :meth:`iter_matrix` (already inside the span)."""
         order = [(method, network) for network in networks for method in methods]
@@ -318,20 +307,13 @@ class ExperimentRunner:
                 pool.submit(execute_pair, self.pair_spec(method, network)): (method, network)
                 for method, network in pending
             }
-            if stream:
-                for pair in order:
-                    if pair in self._runs:
-                        yield self._runs[pair]
-                for future in as_completed(futures):
-                    run = future.result()
-                    self._runs[futures[future]] = run
-                    yield run
-            else:
-                by_pair = {pair: future for future, pair in futures.items()}
-                for pair in order:
-                    if pair not in self._runs:
-                        self._runs[pair] = by_pair[pair].result()
+            for pair in order:
+                if pair in self._runs:
                     yield self._runs[pair]
+            for future in as_completed(futures):
+                run = future.result()
+                self._runs[futures[future]] = run
+                yield run
         finally:
             # Abandoning the generator early (break / close) must not block
             # for the whole remaining matrix: drop the not-yet-started pairs
@@ -377,10 +359,10 @@ class ExperimentRunner:
         retried, or gave up on.
 
         ``search_simulated`` / ``search_infeasible`` / ``search_pruned``
-        break ``search_evaluations`` down by how the analytic pre-pass
-        dispatched each candidate: full simulation, rejected without building
-        a task graph, or skipped because its analytic lower bound lost to the
-        incumbent (``$MAS_ANALYTIC_PRUNE``).
+        break ``search_evaluations`` down by how the search dispatched each
+        candidate: full simulation, rejected by the scheduler's ``fits`` (or
+        its planner), or skipped because its analytic lower bound lost to
+        the incumbent (``$MAS_ANALYTIC_PRUNE``).
         """
         runs = list(self._runs.values())
         searched = [r for r in runs if r.tuned and not r.cached]

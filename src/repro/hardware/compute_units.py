@@ -4,11 +4,12 @@ These functions are the cost primitives of the simulator: every scheduler
 converts its tiled workload into tasks whose cycle counts come from here, so
 relative results between schedulers depend only on these shared models.
 
-Each model exists in two forms that share one expression body: the validated
-scalar form used per-task by :class:`repro.core.costs.TileCosts`, and a
-``*_batch`` form that accepts numpy arrays for any dimension argument and is
-consumed by :class:`repro.core.analytic.BatchedCostModel`.  Because both call
-the same expression, the scalar and vectorized cost layers cannot drift.
+The two cycle models the analytic layer also needs, MatMul and softmax, exist
+in two forms that share one expression body: the validated scalar form used
+per-task by :class:`repro.core.costs.TileCosts`, and a ``*_batch`` form that
+accepts numpy arrays for any dimension argument and is consumed by
+:class:`repro.core.analytic.BatchedCostModel`.  Because both call the same
+expression, the scalar and vectorized cost layers cannot drift.
 """
 
 from __future__ import annotations
@@ -18,17 +19,12 @@ from repro.utils.arrays import ArrayLike, cdiv
 from repro.utils.validation import check_positive_int, require
 
 
-def matmul_macs_batch(m: ArrayLike, k: ArrayLike, n: ArrayLike) -> ArrayLike:
-    """:func:`matmul_macs` over ints or numpy arrays (no validation)."""
-    return m * k * n
-
-
 def matmul_macs(m: int, k: int, n: int) -> int:
     """Number of multiply-accumulate operations of an ``(m x k) @ (k x n)`` MatMul."""
     check_positive_int(m, "m")
     check_positive_int(k, "k")
     check_positive_int(n, "n")
-    return matmul_macs_batch(m, k, n)
+    return m * k * n
 
 
 def matmul_cycles_batch(spec: MacUnitSpec, m: ArrayLike, k: ArrayLike, n: ArrayLike) -> ArrayLike:
@@ -51,16 +47,11 @@ def matmul_cycles(spec: MacUnitSpec, m: int, k: int, n: int) -> int:
     return matmul_cycles_batch(spec, m, k, n)
 
 
-def softmax_vec_ops_batch(rows: ArrayLike, cols: ArrayLike, spec: VecUnitSpec) -> ArrayLike:
-    """:func:`softmax_vec_ops` over ints or numpy arrays (no validation)."""
-    return rows * cols * spec.softmax_ops_per_element
-
-
 def softmax_vec_ops(rows: int, cols: int, spec: VecUnitSpec) -> int:
     """Element-operations charged for a row-wise softmax over a ``rows x cols`` tile."""
     check_positive_int(rows, "rows")
     check_positive_int(cols, "cols")
-    return softmax_vec_ops_batch(rows, cols, spec)
+    return rows * cols * spec.softmax_ops_per_element
 
 
 def softmax_cycles_batch(spec: VecUnitSpec, rows: ArrayLike, cols: ArrayLike) -> ArrayLike:
@@ -81,13 +72,6 @@ def softmax_cycles(spec: VecUnitSpec, rows: int, cols: int) -> int:
     return softmax_cycles_batch(spec, rows, cols)
 
 
-def elementwise_cycles_batch(
-    spec: VecUnitSpec, num_elements: ArrayLike, ops_per_element: ArrayLike = 1
-) -> ArrayLike:
-    """:func:`elementwise_cycles` over ints or numpy arrays (no validation)."""
-    return cdiv(num_elements * ops_per_element, spec.throughput_ops_per_cycle)
-
-
 def elementwise_cycles(spec: VecUnitSpec, num_elements: int, ops_per_element: int = 1) -> int:
     """Cycles for a generic element-wise kernel of ``num_elements`` on the VEC unit.
 
@@ -97,16 +81,11 @@ def elementwise_cycles(spec: VecUnitSpec, num_elements: int, ops_per_element: in
     check_positive_int(num_elements, "num_elements")
     check_positive_int(ops_per_element, "ops_per_element")
     require(spec.throughput_ops_per_cycle > 0, "throughput must be positive")
-    return elementwise_cycles_batch(spec, num_elements, ops_per_element)
-
-
-def elementwise_vec_ops_batch(num_elements: ArrayLike, ops_per_element: ArrayLike = 1) -> ArrayLike:
-    """:func:`elementwise_vec_ops` over ints or numpy arrays (no validation)."""
-    return num_elements * ops_per_element
+    return cdiv(num_elements * ops_per_element, spec.throughput_ops_per_cycle)
 
 
 def elementwise_vec_ops(num_elements: int, ops_per_element: int = 1) -> int:
     """Element-operations for a generic element-wise kernel."""
     check_positive_int(num_elements, "num_elements")
     check_positive_int(ops_per_element, "ops_per_element")
-    return elementwise_vec_ops_batch(num_elements, ops_per_element)
+    return num_elements * ops_per_element

@@ -13,7 +13,6 @@ from repro.core.analytic import (
     BatchedCostModel,
     BlockStructure,
     TilingBatch,
-    as_tiling_batch,
     batched_cost_model,
 )
 from repro.core.costs import TaskCost, TileCosts, partition_blocks
@@ -73,7 +72,11 @@ class AttentionScheduler(ABC):
         return default_tiling(workload, self.hardware, self.footprint_bytes)
 
     def fits(self, workload: AttentionWorkload, tiling: TilingConfig) -> bool:
-        """Whether ``tiling`` fits this dataflow's footprint into L1."""
+        """Whether this dataflow can run ``tiling``: the search's one feasibility rule.
+
+        A baseline must fit its whole footprint into L1; MAS-Attention
+        overrides this with the weaker limit its overwrite strategy leaves.
+        """
         return self.footprint_bytes(workload, tiling) <= self.hardware.l1_bytes
 
     def costs(self, workload: AttentionWorkload, tiling: TilingConfig) -> TileCosts:
@@ -96,37 +99,28 @@ class AttentionScheduler(ABC):
     # Vectorized analytic bounds
     # ------------------------------------------------------------------ #
     def analytic_bounds(
-        self, workload: AttentionWorkload, tilings: Sequence[TilingConfig] | TilingBatch
+        self, workload: AttentionWorkload, tilings: Sequence[TilingConfig]
     ) -> AnalyticBounds:
-        """Batched feasibility masks + provable cycle/energy lower bounds.
+        """Provable cycle and energy lower bounds for a batch of candidates.
 
         Evaluates every candidate of ``tilings`` at once through the
-        :class:`~repro.core.analytic.BatchedCostModel`: the footprint is the
-        scheduler's own (polymorphic) ``footprint_bytes`` expression, and the
-        cycle/energy figures are resource-sum lower bounds on what
-        :meth:`simulate` would report.  Candidates are clamped to the
-        workload exactly as :meth:`simulate` clamps its tiling.  The masks
-        are computed here, the bounds when first read (only pruning and
-        checks read them).
+        :class:`~repro.core.analytic.BatchedCostModel`: resource-sum lower
+        bounds on what :meth:`simulate` would report.  Candidates are clamped
+        to the workload exactly as :meth:`simulate` clamps its tiling.  The
+        bounds say nothing about feasibility; that is :meth:`fits`.
         """
-        batch = as_tiling_batch(tilings).clamp_to(workload)
+        batch = TilingBatch.from_tilings(tilings).clamp_to(workload)
         model = batched_cost_model(workload, self.hardware)
-
-        def lower_bounds() -> tuple[np.ndarray, np.ndarray]:
-            structure = model.structure(batch)
-            dma = model.dma_cycles_common(batch, structure) + self._analytic_extra_dma(
-                model, batch, structure
-            )
-            mac = model.mac_cycles(batch, structure)
-            vec = self._analytic_vec_cycles(model, batch, structure)
-            cycles = model.cycles_lower_bound(dma, mac, vec, self.analytic_serial_compute)
-            counters = model.counters_common(batch, structure)
-            return cycles, model.energy_lower_bound(counters, cycles)
-
+        structure = model.structure(batch)
+        dma = model.dma_cycles_common(batch, structure) + self._analytic_extra_dma(
+            model, batch, structure
+        )
+        mac = model.mac_cycles(batch, structure)
+        vec = self._analytic_vec_cycles(model, batch, structure)
+        cycles = model.cycles_lower_bound(dma, mac, vec, self.analytic_serial_compute)
+        counters = model.counters_common(batch, structure)
         return AnalyticBounds(
-            footprint_bytes=np.asarray(self.footprint_bytes(workload, batch)),
-            hard_infeasible=self._analytic_hard_infeasible(model, batch),
-            lower_bounds=lower_bounds,
+            cycles=cycles, energy_pj=model.energy_lower_bound(counters, cycles)
         )
 
     def _analytic_vec_cycles(
@@ -140,12 +134,6 @@ class AttentionScheduler(ABC):
     ) -> np.ndarray:
         """Mandatory DMA traffic beyond Q/K/V/O (e.g. score round-trips)."""
         return np.zeros(len(batch), dtype=np.int64)
-
-    def _analytic_hard_infeasible(
-        self, model: BatchedCostModel, batch: TilingBatch
-    ) -> np.ndarray:
-        """Candidates that raise even when footprint overflow is tolerated."""
-        return np.zeros(len(batch), dtype=bool)
 
     def simulate(
         self, workload: AttentionWorkload, tiling: TilingConfig | None = None

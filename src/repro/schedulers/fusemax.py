@@ -24,10 +24,9 @@ import numpy as np
 
 from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
 from repro.core.emit import interleave_block_positions, make_emitters
-from repro.core.tiling import TilingConfig, operand_tile_bytes
+from repro.core.tiling import TilingConfig, score_tile_footprint_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
 from repro.sim.tasks import TaskGraph
-from repro.utils.arrays import amin, awhere
 from repro.workloads.attention import AttentionWorkload
 
 __all__ = ["FuseMaxScheduler"]
@@ -71,15 +70,7 @@ class FuseMaxScheduler(AttentionScheduler):
         are resident, plus the running max/sum vectors (negligible) and the
         output accumulator.
         """
-        tiles = operand_tile_bytes(workload, tiling)
-        g = tiling.group_size
-        rows = amin(tiling.nq, workload.seq_q)
-        kv = amin(tiling.nkv, workload.seq_kv)
-        score_tile = g * rows * kv * workload.dtype_bytes
-        kv_bytes = awhere(
-            tiling.kv_resident, tiles["k_full"] + tiles["v_full"], tiles["k"] + tiles["v"]
-        )
-        return tiles["q"] + kv_bytes + tiles["o"] + 2 * score_tile
+        return score_tile_footprint_bytes(workload, tiling)
 
     def _analytic_vec_cycles(
         self, model: BatchedCostModel, batch: TilingBatch, structure: BlockStructure

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
 from repro.core.emit import interleave_block_positions, make_emitters
-from repro.core.tiling import TilingConfig, operand_tile_bytes
+from repro.core.tiling import TilingConfig, score_tile_footprint_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
 from repro.sim.tasks import TaskGraph
-from repro.utils.arrays import amin, awhere
 from repro.workloads.attention import AttentionWorkload
 
 
@@ -29,15 +28,7 @@ class LayerWiseScheduler(AttentionScheduler):
 
     def footprint_bytes(self, workload: AttentionWorkload, tiling: TilingConfig) -> int:
         """Only one operand tile of each kind is resident; scores stream to DRAM."""
-        tiles = operand_tile_bytes(workload, tiling)
-        g = tiling.group_size
-        rows = amin(tiling.nq, workload.seq_q)
-        kv = amin(tiling.nkv, workload.seq_kv)
-        score_tile = g * rows * kv * workload.dtype_bytes
-        kv_bytes = awhere(
-            tiling.kv_resident, tiles["k_full"] + tiles["v_full"], tiles["k"] + tiles["v"]
-        )
-        return tiles["q"] + kv_bytes + tiles["o"] + 2 * score_tile
+        return score_tile_footprint_bytes(workload, tiling)
 
     def _analytic_extra_dma(
         self, model: BatchedCostModel, batch: TilingBatch, structure: BlockStructure

@@ -10,7 +10,6 @@ used by the search and analysis layers, and exposes the build metadata
 
 from __future__ import annotations
 
-from repro.core.analytic import BatchedCostModel, TilingBatch
 from repro.core.mas_attention import build_mas_graph, mas_max_seq_len
 from repro.core.tiling import TilingConfig, mas_footprint_bytes, mas_non_evictable_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
@@ -42,12 +41,15 @@ class MASAttentionScheduler(AttentionScheduler):
     def footprint_bytes(self, workload: AttentionWorkload, tiling: TilingConfig) -> int:
         return mas_footprint_bytes(workload, tiling)
 
-    def _analytic_hard_infeasible(self, model: BatchedCostModel, batch: TilingBatch):
-        """MAS tolerates footprint overflow via overwriting, but the planner
-        raises when the non-evictable residency alone exceeds L1 — the same
-        check :meth:`repro.core.overwrite.OverwritePlanner.check_feasible`
-        performs during every build."""
-        return mas_non_evictable_bytes(model.workload, batch) > model.hardware.l1_bytes
+    def fits(self, workload: AttentionWorkload, tiling: TilingConfig) -> bool:
+        """Whether the non-evictable residency fits L1.
+
+        Proactive overwriting absorbs any other overflow (at extra DRAM
+        cost), so this is the only limit: the one
+        :meth:`repro.core.overwrite.OverwritePlanner.check_feasible` raises
+        on during every build.
+        """
+        return mas_non_evictable_bytes(workload, tiling) <= self.hardware.l1_bytes
 
     def build(self, workload: AttentionWorkload, tiling: TilingConfig) -> BuildResult:
         tiling = tiling.clamp_to(workload)

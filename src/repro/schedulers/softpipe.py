@@ -14,7 +14,6 @@ from repro.core.emit import interleave_block_positions, make_emitters
 from repro.core.tiling import TilingConfig, operand_tile_bytes, score_block_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
 from repro.sim.tasks import TaskGraph
-from repro.utils.arrays import awhere
 from repro.workloads.attention import AttentionWorkload
 
 
@@ -27,7 +26,7 @@ class SoftPipeScheduler(AttentionScheduler):
     def footprint_bytes(self, workload: AttentionWorkload, tiling: TilingConfig) -> int:
         """Two score blocks are in flight (C_{i+1} being produced, P_i in softmax)."""
         tiles = operand_tile_bytes(workload, tiling)
-        kv_bytes = awhere(tiling.kv_resident, tiles["k_full"], tiles["k"])
+        kv_bytes = tiles["k_full"] if tiling.kv_resident else tiles["k"]
         return 2 * tiles["q"] + kv_bytes + 2 * score_block_bytes(workload, tiling)
 
     def _analytic_extra_dma(

@@ -146,8 +146,6 @@ class AutoTuner:
         self,
         scheduler: AttentionScheduler | str,
         workload: AttentionWorkload,
-        budget: int | None = None,
-        use_cache: bool = True,
     ) -> TuningResult:
         """Tune ``scheduler`` for ``workload`` and return the best tiling found.
 
@@ -157,12 +155,9 @@ class AutoTuner:
         """
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler, self.hardware)
-        if budget is None:
-            budget = self.budget
-        check_positive_int(budget, "budget")
         key = (scheduler.name, workload.describe())
-        cached = self._cache.get(key) if use_cache else None
-        if cached is not None and self._satisfies(cached, budget):
+        cached = self._cache.get(key)
+        if cached is not None:
             return cached
 
         objective = SchedulerObjective(
@@ -170,7 +165,7 @@ class AutoTuner:
         )
         space = TilingSearchSpace(workload, self.hardware)
         try:
-            history = self._search(objective, space, budget)
+            history = self._search(objective, space)
 
             # Always consider the scheduler's heuristic default as a candidate:
             # the search should never return something worse than the untuned
@@ -188,30 +183,16 @@ class AutoTuner:
             best_tiling=history.best.tiling,
             best_value=history.best.value,
             history=history,
-            budget=budget,
+            budget=self.budget,
             objective_evaluations=objective.num_evaluations,
             analytic_stats=dict(objective.analytic_stats),
         )
         self._cache[key] = result
         return result
 
-    @staticmethod
-    def _satisfies(cached: TuningResult, budget: int) -> bool:
-        """Whether a memoized result covers a request for ``budget`` evaluations.
-
-        Either the search actually spent that many evaluations (the injected
-        default-tiling record does not count), or it was *allowed* at least
-        that many and stopped early because it exhausted its candidate space
-        — re-running it could not evaluate anything new.
-        """
-        if cached.num_search_evaluations >= budget:
-            return True
-        return cached.budget is not None and cached.budget >= budget
-
     # ------------------------------------------------------------------ #
-    def _search(
-        self, objective: SchedulerObjective, space: TilingSearchSpace, budget: int
-    ) -> SearchHistory:
+    def _search(self, objective: SchedulerObjective, space: TilingSearchSpace) -> SearchHistory:
+        budget = self.budget
         if self.strategy == "grid":
             return GridSearch(seed=self.seed).run(objective, space, budget=budget)
         if self.strategy == "random":

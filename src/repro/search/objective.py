@@ -2,22 +2,22 @@
 
 Every candidate tiling is evaluated by building the scheduler's task graph and
 running the analytical simulator — the same "evaluate with Timeloop/Accelergy
-and feed the result back to the search" loop the paper describes.  Candidates
-whose on-chip footprint cannot run at all (even the non-evictable residency
-exceeds L1) are reported as infeasible and receive an infinite objective so
-the searchers steer away from them.
+and feed the result back to the search" loop the paper describes.  One rule
+decides whether a candidate can run at all,
+:meth:`~repro.schedulers.base.AttentionScheduler.fits`: a baseline's
+footprint must fit L1, and MAS-Attention's only limit is its non-evictable
+residency.  A rejected candidate is reported as infeasible without building a
+graph and receives an infinite objective so the searchers steer away from it.
 
-Batch evaluation runs a **vectorized analytic pre-pass** first
-(:meth:`~repro.schedulers.base.AttentionScheduler.analytic_bounds`): the whole
-batch's feasibility masks come from a few numpy expressions, so infeasible
-candidates are marked without ever building a task graph, and — when
-``$MAS_ANALYTIC_PRUNE`` is enabled — candidates whose provable lower bound on
-the objective already loses to the incumbent skip their simulation entirely.
-The pre-pass replicates the serial feasibility rules exactly, so with pruning
-disabled (the default) the memo table, the evaluation counts and every
-returned value are bit-identical to calling the serial, memoized
-:meth:`SchedulerObjective.evaluate` on each candidate — the oracle the tests
-compare against.
+With ``$MAS_ANALYTIC_PRUNE`` enabled, batch evaluation also computes the
+vectorized lower bounds of
+:meth:`~repro.schedulers.base.AttentionScheduler.analytic_bounds` for the
+candidates that fit, and candidates whose bound on the objective already
+loses to the incumbent skip their simulation entirely.  Without pruning (the
+default) a batch is only deduplicated and handed to the evaluator, so the memo
+table, the evaluation counts and every returned value are bit-identical to
+calling the serial, memoized :meth:`SchedulerObjective.evaluate` on each
+candidate — the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -101,11 +101,6 @@ class SchedulerObjective:
     metric:
         ``"cycles"`` (the paper's objective), ``"energy"`` or ``"edp"``
         (energy-delay product).
-    allow_overflow:
-        If false, tilings whose scheduler footprint exceeds L1 are marked
-        infeasible outright.  MAS-Attention sets this to true because the
-        proactive overwrite strategy handles the overflow (at extra DRAM
-        cost); the baselines keep the strict check.
     workers:
         Process-pool workers for :meth:`evaluate_batch`; ``None`` resolves to
         ``$MAS_SEARCH_WORKERS`` (default 1, fully serial).  Results are
@@ -121,7 +116,6 @@ class SchedulerObjective:
         scheduler: AttentionScheduler,
         workload: AttentionWorkload,
         metric: Metric = "cycles",
-        allow_overflow: bool | None = None,
         workers: int | None = None,
         analytic_prune: bool | None = None,
     ) -> None:
@@ -129,9 +123,6 @@ class SchedulerObjective:
         self.scheduler = scheduler
         self.workload = workload
         self.metric = metric
-        if allow_overflow is None:
-            allow_overflow = scheduler.name == "mas"
-        self.allow_overflow = allow_overflow
         if analytic_prune is None:
             analytic_prune = analytic_prune_enabled()
         self.analytic_prune = analytic_prune
@@ -141,9 +132,9 @@ class SchedulerObjective:
         #: a footprint check or a failed simulation — real search work).
         self.num_evaluations = 0
         #: Where those evaluations went: ``num_simulated`` full simulations,
-        #: ``num_infeasible`` candidates rejected without simulating (footprint
-        #: or hard-infeasibility), ``num_pruned`` candidates skipped because
-        #: their analytic lower bound lost to the incumbent.
+        #: ``num_infeasible`` candidates rejected without simulating (``fits``
+        #: said no, or the MAS planner raised), ``num_pruned`` candidates
+        #: skipped because their analytic lower bound lost to the incumbent.
         self.analytic_stats: dict[str, int] = {
             "prune": int(self.analytic_prune),
             "num_simulated": 0,
@@ -178,7 +169,7 @@ class SchedulerObjective:
         cache insert and the ``num_evaluations`` count.
         """
         tiling = tiling.clamp_to(self.workload)
-        if not self.allow_overflow and not self.scheduler.fits(self.workload, tiling):
+        if not self.scheduler.fits(self.workload, tiling):
             return self._infeasible(tiling)
         try:
             result = self.scheduler.simulate(self.workload, tiling)
@@ -202,7 +193,7 @@ class SchedulerObjective:
 
     @staticmethod
     def _infeasible(tiling: TilingConfig) -> TilingEvaluation:
-        """The evaluation of a rejected (footprint or hard-infeasible) candidate."""
+        """The evaluation of a candidate the scheduler cannot run."""
         return TilingEvaluation(
             tiling=tiling, feasible=False, cycles=0, energy_pj=0.0, value=float("inf")
         )
@@ -237,12 +228,11 @@ class SchedulerObjective:
         """Evaluate many candidates at once (memoized, optionally in parallel).
 
         Returns one evaluation per input, aligned with the input order.  Only
-        distinct not-yet-memoized tilings are (re-)evaluated — through the
-        analytic pre-pass, then fanned over the evaluator's pool when
-        ``workers > 1`` — and merged into the memo table in first-occurrence
-        order, so the resulting cache state, evaluation count and returned
-        values are identical to calling :meth:`evaluate` on each tiling
-        serially (pruning disabled).
+        distinct not-yet-memoized tilings are evaluated — fanned over the
+        evaluator's pool when ``workers > 1`` — and merged into the memo
+        table in first-occurrence order, so the resulting cache state,
+        evaluation count and returned values are identical to calling
+        :meth:`evaluate` on each tiling serially (pruning disabled).
         """
         clamped = [tiling.clamp_to(self.workload) for tiling in tilings]
         pending: dict[tuple, TilingConfig] = {}
@@ -251,39 +241,33 @@ class SchedulerObjective:
             if key not in self._cache and key not in pending:
                 pending[key] = tiling
         if pending:
-            fresh = self._evaluate_pending(list(pending.values()))
+            candidates = list(pending.values())
+            if self.analytic_prune:
+                fresh = self._evaluate_pruned(candidates)
+            else:
+                fresh = self._evaluator.evaluate(candidates)
+                for evaluation in fresh:
+                    self._note(evaluation)
             for key, evaluation in zip(pending, fresh):
                 self._cache[key] = evaluation
                 self.num_evaluations += 1
         return [self._cache[self._key(tiling)] for tiling in clamped]
 
-    def _evaluate_pending(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
-        """Analytic pre-pass + (pruned) simulation for deduplicated candidates.
+    def _evaluate_pruned(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
+        """Reject, bound, then simulate or prune deduplicated candidates.
 
-        The feasibility mask replicates :meth:`evaluate_uncached` exactly —
-        footprint overflow when the scheduler forbids it, hard infeasibility
-        (the simulator's :class:`InfeasibleTilingError`) always — so the
-        short-circuited rejects are indistinguishable from simulated ones.
+        Only the candidates :meth:`~AttentionScheduler.fits` accepts are
+        bounded: a rejected candidate is never pruned, so it comes back
+        exactly as :meth:`evaluate_uncached` reports it.
         """
-        bounds = self.scheduler.analytic_bounds(self.workload, tilings)
-        infeasible = np.asarray(bounds.hard_infeasible, dtype=bool).copy()
-        if not self.allow_overflow:
-            infeasible |= bounds.footprint_bytes > self.scheduler.hardware.l1_bytes
         results: list[TilingEvaluation | None] = [None] * len(tilings)
         survivors: list[int] = []
         for index, tiling in enumerate(tilings):
-            if infeasible[index]:
-                results[index] = self._infeasible(tiling)
-                self.analytic_stats["num_infeasible"] += 1
-            else:
+            if self.scheduler.fits(self.workload, tiling):
                 survivors.append(index)
-
-        if not self.analytic_prune:
-            fresh = self._evaluator.evaluate([tilings[i] for i in survivors])
-            for index, evaluation in zip(survivors, fresh):
-                results[index] = evaluation
-                self._note(evaluation)
-            return results
+            else:
+                results[index] = self._infeasible(tiling)
+                self._note(results[index])
 
         # Simulate survivors in ascending-bound order, in fixed-size waves:
         # candidates whose bound already loses to the incumbent are pruned as
@@ -293,13 +277,16 @@ class SchedulerObjective:
         # bit-identical for every worker count — the same invariance contract
         # the rest of the search layer keeps — while early winners still
         # prune the rest of a large batch.
-        value_bound = self._value_bound(bounds)
-        order = sorted(survivors, key=lambda i: (float(value_bound[i]), i))
+        bounds = self.scheduler.analytic_bounds(
+            self.workload, [tilings[i] for i in survivors]
+        )
+        value_bound = dict(zip(survivors, self._value_bound(bounds).tolist()))
+        order = sorted(survivors, key=lambda i: (value_bound[i], i))
         for start in range(0, len(order), PRUNE_WAVE):
             wave = []
             for index in order[start : start + PRUNE_WAVE]:
                 if value_bound[index] >= self._incumbent:
-                    results[index] = self._pruned(tilings[index], float(value_bound[index]))
+                    results[index] = self._pruned(tilings[index], value_bound[index])
                 else:
                     wave.append(index)
             fresh = self._evaluator.evaluate([tilings[i] for i in wave])

@@ -61,7 +61,6 @@ def _init_worker(
     scheduler: "AttentionScheduler",
     workload: "AttentionWorkload",
     metric: str,
-    allow_overflow: bool,
     trace_context: "TraceContext | None" = None,
 ) -> None:
     global _WORKER_OBJECTIVE
@@ -70,9 +69,7 @@ def _init_worker(
     # Ambient parent for any span this worker process opens, so evaluation
     # spans nest under the submitting search's span across the fork.
     obs_trace.attach_context(trace_context)
-    _WORKER_OBJECTIVE = SchedulerObjective(
-        scheduler, workload, metric=metric, allow_overflow=allow_overflow, workers=1
-    )
+    _WORKER_OBJECTIVE = SchedulerObjective(scheduler, workload, metric=metric, workers=1)
 
 
 def _evaluate_in_worker(tiling: "TilingConfig") -> "TilingEvaluation":
@@ -106,7 +103,6 @@ class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; o
                     objective.scheduler,
                     objective.workload,
                     objective.metric,
-                    objective.allow_overflow,
                     # Context captured at pool creation: the enclosing
                     # pair/search span, so worker spans keep their parent
                     # across the process boundary.

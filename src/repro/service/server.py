@@ -274,11 +274,28 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
 
     def _dispatch_traced(self, method: str, span: Any) -> None:
         started = time.perf_counter()
+        label, status, payload = self._respond(method)
+        body = json.dumps(payload).encode()
+        # Record the request before its first response byte is written: a
+        # client that reads /metrics once it has its response must find it.
+        if label == "POST /lookup" and status == 200:
+            # Lookups are the only responses that carry entry payloads.
+            self.service.metrics.count(bytes_served=len(body))
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+        self.service.metrics.observe(label, elapsed_ms, error=status >= 500)
+        try:
+            self._send(status, body)
+        except OSError:  # pragma: no cover - client went away
+            status = 499
+            self.close_connection = True
+        span.set(endpoint=label, status=status)
+
+    def _respond(self, method: str) -> tuple[str, int, dict[str, Any]]:
+        """Route one request: its metrics label, status and JSON document."""
         parts = urlsplit(self.path)
         # Unmatched paths share one fixed label: per-path labels would let a
         # port scanner (or a buggy client) grow the metrics table unboundedly.
         label = f"{method} <unmatched>"
-        status = 500
         try:
             # Consume the request body exactly once, up front, whatever the
             # route: on a keep-alive connection any unread body bytes would
@@ -289,44 +306,21 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                 # Where this body ends is unknown, so whatever follows the
                 # headers cannot be told from the next request: answer, then
                 # close the connection instead of running those bytes.
-                status = 400
                 self.close_connection = True
-                self._send_json(
-                    400,
-                    {"error": "bad request: a body needs a non-negative "
-                              "integer Content-Length and no Transfer-Encoding"},
-                )
-                return
+                return label, 400, {
+                    "error": "bad request: a body needs a non-negative "
+                             "integer Content-Length and no Transfer-Encoding"
+                }
             self._body_bytes = self.rfile.read(length) if length > 0 else b""
             handler = self.ROUTES.get((method, parts.path))
             if handler is None:
-                status = 404
-                self._send_json(
-                    404, {"error": f"no such endpoint: {method} {parts.path}"}
-                )
-                return
+                return label, 404, {"error": f"no such endpoint: {method} {parts.path}"}
             label = f"{method} {parts.path.removeprefix(API_PREFIX)}"
-            payload = getattr(self, handler)(dict(parse_qsl(parts.query)))
-            status = 200
-            sent = self._send_json(200, payload)
-            if label == "POST /lookup":
-                # Lookups are the only responses that carry entry payloads.
-                self.service.metrics.count(bytes_served=sent)
+            return label, 200, getattr(self, handler)(dict(parse_qsl(parts.query)))
         except (KeyError, TypeError, ValueError) as exc:
-            status = 400
-            self._send_json(400, {"error": f"bad request: {exc}"})
-        except BrokenPipeError:  # pragma: no cover - client went away
-            status = 499
+            return label, 400, {"error": f"bad request: {exc}"}
         except Exception as exc:  # noqa: BLE001 - the service must not die
-            status = 500
-            try:
-                self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-            except OSError:  # pragma: no cover - client went away mid-error
-                pass
-        finally:
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            self.service.metrics.observe(label, elapsed_ms, error=status >= 500)
-            span.set(endpoint=label, status=status)
+            return label, 500, {"error": f"{type(exc).__name__}: {exc}"}
 
     # ------------------------------------------------------------------ #
     # Route handlers: query parameters in, JSON document out
@@ -416,17 +410,15 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             raise ValueError("request body must be a JSON object")
         return payload
 
-    def _send_json(self, status: int, payload: dict[str, Any]) -> int:
-        """Send one JSON response; returns the body size in bytes."""
-        data = json.dumps(payload).encode()
+    def _send(self, status: int, body: bytes) -> None:
+        """Send one JSON response."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(data)
-        return len(data)
+        self.wfile.write(body)
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         """Quiet by default; ``make_server(verbose=True)`` restores the log."""

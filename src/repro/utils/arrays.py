@@ -1,17 +1,11 @@
-"""Scalar/array-polymorphic arithmetic helpers for the analytic cost layer.
+"""Scalar/array-polymorphic arithmetic for the analytic cost layer.
 
-The closed-form cost expressions in :mod:`repro.core.tiling`,
-:mod:`repro.hardware.compute_units` and :mod:`repro.hardware.memory` are used
-two ways: per-task with plain Python ints (the simulator's scalar path) and
-per-candidate-batch with numpy vectors (:mod:`repro.core.analytic`).  These
-helpers make one expression body serve both callers — ``+``, ``*`` and ``//``
-already broadcast, and the three places where plain Python builtins do not
-(``min``/``max``/branching) dispatch here on the operand type.
-
-Keeping the dispatch in helpers (rather than converting scalars to 0-d numpy
-arrays) preserves the scalar path's types exactly: int in, int out, so task
-cycle counts, counters and their JSON serialization are bit-identical to the
-pre-vectorization code.
+The cycle expressions in :mod:`repro.hardware.compute_units` and
+:mod:`repro.hardware.memory` are used two ways: per task with plain Python
+ints (the simulator's scalar path) and per candidate batch with numpy vectors
+(:mod:`repro.core.analytic`).  ``+``, ``*`` and ``//`` already broadcast;
+:func:`cdiv` is ceiling division written in those operators, so ints stay
+ints and the scalar path's task cycle counts are exact.
 """
 
 from __future__ import annotations
@@ -20,37 +14,12 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["ArrayLike", "amax", "amin", "awhere", "cdiv"]
+__all__ = ["ArrayLike", "cdiv"]
 
 #: Either a plain Python number or a numpy array of them.
 ArrayLike = Union[int, float, bool, np.ndarray]
 
 
-def _is_array(*values: ArrayLike) -> bool:
-    return any(isinstance(value, np.ndarray) for value in values)
-
-
 def cdiv(numerator: ArrayLike, denominator: ArrayLike) -> ArrayLike:
     """Ceiling division, elementwise for arrays, exact ints for ints."""
     return -(-numerator // denominator)
-
-
-def amin(a: ArrayLike, b: ArrayLike) -> ArrayLike:
-    """``min`` for ints, ``np.minimum`` when either operand is an array."""
-    if _is_array(a, b):
-        return np.minimum(a, b)
-    return min(a, b)
-
-
-def amax(a: ArrayLike, b: ArrayLike) -> ArrayLike:
-    """``max`` for ints, ``np.maximum`` when either operand is an array."""
-    if _is_array(a, b):
-        return np.maximum(a, b)
-    return max(a, b)
-
-
-def awhere(cond: ArrayLike, if_true: ArrayLike, if_false: ArrayLike) -> ArrayLike:
-    """Branch on a scalar bool, select elementwise on a mask array."""
-    if _is_array(cond):
-        return np.where(cond, if_true, if_false)
-    return if_true if cond else if_false

@@ -5,14 +5,15 @@ Three contracts are pinned down here:
 * **no drift** — the batched closed forms in :mod:`repro.core.analytic` total
   to exactly what the serial :class:`~repro.core.costs.TileCosts` accounting
   sums to, block by block;
-* **valid bounds** — for every registered scheduler, ``analytic_bounds``
-  feasibility agrees with the scalar path and the cycle/energy figures never
-  exceed what the simulator reports;
-* **bit-identical search** — with pruning disabled (the default) the analytic
-  pre-pass changes nothing observable: memo state, evaluation counts, history
+* **valid bounds** — for every registered scheduler, the ``analytic_bounds``
+  cycle/energy figures never exceed what the simulator reports, and only
+  MAS's planner ever rejects a tiling, exactly where its ``fits`` says no;
+* **bit-identical search** — with pruning disabled (the default) batch
+  evaluation never bounds anything: memo state, evaluation counts, history
   rows and the best tiling all match the serial, memoized
-  :meth:`~repro.search.objective.SchedulerObjective.evaluate` oracle, and
-  with pruning enabled a pruned candidate can never be reported as the winner.
+  :meth:`~repro.search.objective.SchedulerObjective.evaluate` oracle; with
+  pruning enabled a rejected candidate is never pruned and a pruned one can
+  never be reported as the winner.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.analytic import TilingBatch, as_tiling_batch, batched_cost_model
+from repro.core.analytic import TilingBatch, batched_cost_model
 from repro.core.costs import TileCosts, partition_blocks
 from repro.core.overwrite import InfeasibleTilingError
 from repro.core.tiling import TilingConfig
+from repro.schedulers.base import AttentionScheduler
 from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
 from repro.search.autotuner import AutoTuner
 from repro.search.objective import SchedulerObjective
@@ -80,7 +82,6 @@ class TestTilingBatch:
             assert batch.nq[index] == tiling.nq
             assert batch.nkv[index] == tiling.nkv
             assert batch.kv_resident[index] == tiling.kv_resident
-            assert batch.group_size[index] == tiling.group_size
 
     def test_clamp_matches_scalar_clamp(self, batch_workload):
         batch = TilingBatch.from_tilings(TILINGS).clamp_to(batch_workload)
@@ -90,10 +91,6 @@ class TestTilingBatch:
             assert batch.hh[index] == scalar.hh
             assert batch.nq[index] == scalar.nq
             assert batch.nkv[index] == scalar.nkv
-
-    def test_as_tiling_batch_is_idempotent(self):
-        batch = as_tiling_batch(TILINGS)
-        assert as_tiling_batch(batch) is batch
 
 
 # --------------------------------------------------------------------------- #
@@ -123,7 +120,7 @@ def _serial_totals(workload, hardware, tiling):
 class TestBatchedTotalsMatchSerial:
     def test_totals_match_tilecosts_sums(self, batch_workload, edge_hw):
         model = batched_cost_model(batch_workload, edge_hw)
-        batch = as_tiling_batch(TILINGS).clamp_to(batch_workload)
+        batch = TilingBatch.from_tilings(TILINGS).clamp_to(batch_workload)
         structure = model.structure(batch)
         mac = model.mac_cycles(batch, structure)
         vec = model.vec_cycles_full_softmax(structure)
@@ -138,7 +135,7 @@ class TestBatchedTotalsMatchSerial:
 
     def test_group_shapes_cover_every_problem_once(self, batch_workload, edge_hw):
         model = batched_cost_model(batch_workload, edge_hw)
-        structure = model.structure(as_tiling_batch(TILINGS).clamp_to(batch_workload))
+        structure = model.structure(TilingBatch.from_tilings(TILINGS).clamp_to(batch_workload))
         covered = sum(coverage * count for coverage, count in structure.groups)
         assert (covered == batch_workload.batch * batch_workload.heads).all()
 
@@ -146,7 +143,7 @@ class TestBatchedTotalsMatchSerial:
     def test_batch_one_drops_shapes_no_candidate_has(self, edge_hw, hh, shapes):
         """Batch 1 never cuts a batch remainder; ``hh=4`` divides 12 heads, ``hh=5`` does not."""
         workload = AttentionWorkload(batch=1, heads=12, seq_q=64, seq_kv=64, emb=16)
-        batch = as_tiling_batch([TilingConfig(hh=hh), TilingConfig(hh=1)])
+        batch = TilingBatch.from_tilings([TilingConfig(hh=hh), TilingConfig(hh=1)])
         structure = batched_cost_model(workload, edge_hw).structure(batch.clamp_to(workload))
         assert len(structure.groups) == shapes
 
@@ -161,30 +158,34 @@ class TestBatchedTotalsMatchSerial:
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", list(ALL_SCHEDULERS))
 class TestAnalyticBounds:
-    def test_footprint_and_feasibility_match_scalar_path(self, name, batch_workload, edge_hw):
-        scheduler = make_scheduler(name, edge_hw)
-        bounds = scheduler.analytic_bounds(batch_workload, TILINGS)
-        assert len(bounds) == len(TILINGS)
-        for index, tiling in enumerate(TILINGS):
-            scalar = tiling.clamp_to(batch_workload)
-            assert bounds.footprint_bytes[index] == scheduler.footprint_bytes(
-                batch_workload, scalar
-            )
-            fits = bounds.footprint_bytes[index] <= edge_hw.l1_bytes
-            assert fits == scheduler.fits(batch_workload, scalar)
+    def test_fits_is_the_feasibility_rule(self, name, batch_workload, tiny_hw):
+        """Only MAS's planner ever rejects a tiling, exactly where its ``fits``
+        says no; a baseline's ``fits`` is its footprint against L1."""
+        scheduler = make_scheduler(name, tiny_hw)
+        for tiling in TILINGS:
+            clamped = tiling.clamp_to(batch_workload)
+            fits = scheduler.fits(batch_workload, clamped)
+            if name != "mas":
+                footprint = scheduler.footprint_bytes(batch_workload, clamped)
+                assert fits == (footprint <= tiny_hw.l1_bytes)
+            try:
+                scheduler.simulate(batch_workload, tiling)
+            except InfeasibleTilingError:
+                assert name == "mas" and not fits
+            else:
+                assert fits or name != "mas"
 
     @pytest.mark.parametrize("hw_fixture", ["edge_hw", "tiny_hw"])
     def test_bounds_never_exceed_simulation(self, name, hw_fixture, batch_workload, request):
         hardware = request.getfixturevalue(hw_fixture)
         scheduler = make_scheduler(name, hardware)
         bounds = scheduler.analytic_bounds(batch_workload, TILINGS)
+        assert len(bounds) == len(TILINGS)
         for index, tiling in enumerate(TILINGS):
             try:
                 result = scheduler.simulate(batch_workload, tiling)
             except InfeasibleTilingError:
-                assert bounds.hard_infeasible[index]
                 continue
-            assert not bounds.hard_infeasible[index]
             assert bounds.cycles[index] <= result.cycles
             assert bounds.energy_pj[index] <= result.energy_pj + 1e-6
 
@@ -212,10 +213,17 @@ def _scalars(evaluation):
 class TestEvaluateBatchAccounting:
     """``evaluate_batch`` against its oracle: a serial ``evaluate()`` loop."""
 
-    def test_duplicates_and_memoized_match_serial_evaluate(self, tiny_hw, small_workload):
+    def test_duplicates_and_memoized_match_serial_evaluate(
+        self, tiny_hw, small_workload, monkeypatch
+    ):
         # Pre-memoize a couple of candidates, then hand evaluate_batch a batch
         # with duplicates, already-memoized tilings, footprint-infeasible and
         # hard-infeasible candidates — for every scheduler, inline and pooled.
+        # Without pruning nothing is bounded: a call to the bounds fails.
+        def no_bounds(self, workload, tilings):
+            raise AssertionError("an unpruned search computed analytic bounds")
+
+        monkeypatch.setattr(AttentionScheduler, "analytic_bounds", no_bounds)
         warm = [FITS[0], HARD_INFEASIBLE[0]]
         batch = (
             warm + FITS + OVER_L1 + HARD_INFEASIBLE
@@ -231,8 +239,8 @@ class TestEvaluateBatchAccounting:
                         oracle.evaluate(tiling)
                         batched.evaluate(tiling)
                     got = batched.evaluate_batch(batch)
-                    # At least two candidates survive the pre-pass, so the
-                    # pooled case really crosses the process boundary.
+                    # Several candidates are fresh, so the pooled case
+                    # really crosses the process boundary.
                     assert (batched._evaluator._pool is not None) == (workers > 1), case
                 finally:
                     batched.close()
@@ -273,6 +281,61 @@ class TestEvaluateBatchAccounting:
 # Pruning semantics
 # --------------------------------------------------------------------------- #
 class TestPruning:
+    def test_pruned_batch_is_worker_invariant_and_never_prunes_a_reject(
+        self, tiny_hw, small_workload
+    ):
+        """The mixed batch of ``TestEvaluateBatchAccounting`` under pruning:
+        one and two workers agree on every evaluation, the memo order and
+        the counters, and every candidate the scheduler cannot run comes
+        back rejected (infeasible, unpruned, infinite), never pruned."""
+        # FITS[-1] is every scheduler's fastest fitting candidate here, so the
+        # incumbent it sets prunes some of the others.
+        warm = [FITS[-1], HARD_INFEASIBLE[0]]
+        batch = (
+            warm + FITS + OVER_L1 + HARD_INFEASIBLE
+            + [FITS[1], HARD_INFEASIBLE[0], OVER_L1[0], FITS[1]]
+        )
+        for name in ALL_SCHEDULERS:
+            # Overwriting lets MAS run the L1-overflowing tiling; the
+            # baselines reject it like the hard-infeasible one.
+            rejected = HARD_INFEASIBLE if name == "mas" else OVER_L1 + HARD_INFEASIBLE
+            runs = []
+            for workers in (1, 2):
+                objective = SchedulerObjective(
+                    make_scheduler(name, tiny_hw),
+                    small_workload,
+                    workers=workers,
+                    analytic_prune=True,
+                )
+                try:
+                    for tiling in warm:
+                        objective.evaluate(tiling)
+                    got = objective.evaluate_batch(batch)
+                finally:
+                    objective.close()
+                runs.append(
+                    (
+                        [_scalars(e) for e in got],
+                        list(objective._cache),
+                        objective.num_evaluations,
+                        dict(objective.analytic_stats),
+                    )
+                )
+                for tiling, evaluation in zip(batch, got):
+                    if tiling in rejected:
+                        assert not evaluation.feasible, (name, tiling)
+                        assert not evaluation.pruned, (name, tiling)
+                        assert evaluation.value == float("inf"), (name, tiling)
+                stats = objective.analytic_stats
+                assert stats["num_infeasible"] == len(rejected), name
+                assert stats["num_pruned"] > 0, name
+                assert (
+                    stats["num_simulated"] + stats["num_infeasible"] + stats["num_pruned"]
+                    == objective.num_evaluations
+                ), name
+            assert runs[0] == runs[1], name
+
+
     def test_pruned_candidates_are_marked_and_counted(self, edge_hw, tiny_workload):
         objective = SchedulerObjective(
             make_scheduler("mas", edge_hw), tiny_workload, analytic_prune=True
@@ -307,7 +370,7 @@ class TestPruning:
         assert stats["num_pruned"] > 0, "the tiny search should prune something"
 
     @pytest.mark.parametrize("scheduler", ["mas", "flat"])
-    def test_search_bit_identical_with_analytic_pre_pass(
+    def test_unpruned_search_bit_identical_to_serial_oracle(
         self, scheduler, edge_hw, tiny_workload, monkeypatch
     ):
         def rows(result):
@@ -321,9 +384,9 @@ class TestPruning:
             return tuner.tune(scheduler, tiny_workload)
 
         monkeypatch.setenv("MAS_ANALYTIC_PRUNE", "0")
-        analytic = tune()
+        batched = tune()
         # The oracle search: every batch goes through the serial memoized
-        # evaluate() instead of the analytic pre-pass.
+        # evaluate() instead of evaluate_batch.
         monkeypatch.setattr(
             SchedulerObjective,
             "evaluate_batch",
@@ -331,9 +394,9 @@ class TestPruning:
         )
         serial = tune()
 
-        assert analytic.best_tiling == serial.best_tiling
-        assert analytic.best_value == serial.best_value
-        assert rows(analytic) == rows(serial)
-        assert analytic.objective_evaluations == serial.objective_evaluations
-        assert analytic.analytic_stats == serial.analytic_stats
-        assert analytic.analytic_stats["num_pruned"] == 0
+        assert batched.best_tiling == serial.best_tiling
+        assert batched.best_value == serial.best_value
+        assert rows(batched) == rows(serial)
+        assert batched.objective_evaluations == serial.objective_evaluations
+        assert batched.analytic_stats == serial.analytic_stats
+        assert batched.analytic_stats["num_pruned"] == 0

@@ -126,24 +126,19 @@ class TestIterMatrix:
         matrix = runner.run_matrix(FAST_NETWORKS, FAST_METHODS)
         assert _run_keys(runs) == _matrix_keys(matrix)
 
-    @pytest.mark.parametrize("stream", [True, False])
-    def test_parallel_streaming_matches_serial_matrix(self, stream):
+    def test_parallel_streaming_matches_serial_matrix(self):
         serial = ExperimentRunner(search_budget=BUDGET, seed=0)
         reference = _matrix_keys(serial.run_matrix(FAST_NETWORKS, FAST_METHODS))
         runner = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=2)
-        runs = list(runner.iter_matrix(FAST_NETWORKS, FAST_METHODS, stream=stream))
+        runs = list(runner.iter_matrix(FAST_NETWORKS, FAST_METHODS))
         assert _run_keys(runs) == reference
-        if not stream:  # the fallback preserves Table-1 order
-            assert [(r.scheduler, r.network) for r in runs] == [
-                (method, network) for network in FAST_NETWORKS for method in FAST_METHODS
-            ]
         # every streamed run is memoized: the matrix afterwards is free
         assert _matrix_keys(runner.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
 
     def test_streaming_yields_memoized_runs_first(self):
         runner = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=2)
         first = runner.run("mas", "ViT-B/14")
-        runs = list(runner.iter_matrix(FAST_NETWORKS, FAST_METHODS, stream=True))
+        runs = list(runner.iter_matrix(FAST_NETWORKS, FAST_METHODS))
         assert runs[0] is first  # memoized pair streams before the pool finishes
         assert len(runs) == len(FAST_NETWORKS) * len(FAST_METHODS)
 
@@ -158,7 +153,7 @@ class TestIterMatrix:
         """Breaking out of the stream must not block on the whole matrix,
         and the abandoned pairs remain computable afterwards."""
         runner = ExperimentRunner(search_budget=BUDGET, seed=0, jobs=2)
-        iterator = runner.iter_matrix(FAST_NETWORKS, FAST_METHODS, stream=True)
+        iterator = runner.iter_matrix(FAST_NETWORKS, FAST_METHODS)
         first = next(iterator)
         iterator.close()  # not-yet-started pairs are cancelled, not awaited
         assert first.cycles > 0

@@ -145,6 +145,22 @@ class TestDataflowSpecifics:
             MASAttentionScheduler(edge_hw).footprint_bytes(small_workload, small_tiling)
         )
 
+    def test_layerwise_and_fusemax_share_the_score_tile_footprint(self, edge_hw, small_workload):
+        """Both hold scores as ``nq x nkv`` tiles, never FLAT's full score
+        block, so one footprint serves both and it shrinks with the K/V tile."""
+        layerwise = LayerWiseScheduler(edge_hw)
+        fusemax = FuseMaxScheduler(edge_hw)
+        flat = FLATScheduler(edge_hw)
+        footprints = []
+        for nkv in (16, 32, 64):
+            tiling = TilingConfig(nq=32, nkv=nkv)
+            footprint = layerwise.footprint_bytes(small_workload, tiling)
+            assert fusemax.footprint_bytes(small_workload, tiling) == footprint
+            footprints.append(footprint)
+        assert footprints == sorted(set(footprints))
+        small_kv = TilingConfig(nq=32, nkv=16)
+        assert footprints[0] < flat.footprint_bytes(small_workload, small_kv)
+
     def test_tileflow_emits_round_barriers(self, edge_hw, small_workload):
         tf = TileFlowScheduler(edge_hw)
         build = tf.build(small_workload, tf.default_tiling(small_workload))

@@ -583,6 +583,31 @@ class TestMetrics:
         assert (requests["GET /stats"]["count"], requests["GET /stats"]["errors"]) == (2, 1)
         assert (requests["POST /lookup"]["count"], requests["POST /lookup"]["errors"]) == (1, 0)
 
+    def test_requests_are_recorded_before_their_response(self, tmp_path, monkeypatch):
+        """A client that reads the metrics as soon as it has its response
+        finds that request counted, however slowly the server records it."""
+        observe = ServiceMetrics.observe
+
+        def slow_observe(self, *args, **kwargs):
+            time.sleep(0.2)
+            observe(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServiceMetrics, "observe", slow_observe)
+        with running_server(_FailingStatsStore(tmp_path / "served")) as srv:
+            put = {"key": "a", "payload": payload_for("a")}
+            for method, path, body, status, label, errors in (
+                ("GET", f"{API_PREFIX}/stats", None, 500, "GET /stats", 1),
+                ("POST", f"{API_PREFIX}/put", put, 200, "POST /put", 0),
+                ("POST", f"{API_PREFIX}/lookup", {"key": "a"}, 200, "POST /lookup", 0),
+                ("GET", "/nowhere", None, 404, "GET <unmatched>", 0),
+            ):
+                assert raw_request(srv, method, path, body=body)[0] == status
+                snapshot = srv.service.metrics.snapshot()
+                assert label in snapshot["requests"], label
+                counted = snapshot["requests"][label]
+                assert (counted["count"], counted["errors"]) == (1, errors), label
+            assert snapshot["bytes_served"] > 0
+
     def test_record_lookup_rejects_unknown_status(self):
         """A new lookup status must be wired into the metrics explicitly —
         silently folding it into `misses` once skewed every hit-rate chart."""
