@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.export import read_trace
 from repro.obs.schema import validate_trace_file
 from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
+from repro.search import autotuner
 from repro.search.autotuner import AutoTuner, TuningResult
 from repro.search.objective import SchedulerObjective
 from repro.service import running_server, server_url
@@ -316,12 +318,16 @@ def _ga_sweep(prune: bool = False, serial: bool = False) -> dict:
     """One GA tuning sweep over every searchable (method, network) pair.
 
     ``serial`` routes every batch through the serial ``evaluate`` oracle
-    instead of ``evaluate_batch``; ``prune`` turns on bound pruning.  Both
-    are undone afterwards so the sweep modes cannot leak into each other (or
-    other benchmarks).
+    instead of ``evaluate_batch``; without ``prune`` every objective the
+    tuner makes is the unpruned oracle, ``SchedulerObjective(analytic_prune=
+    False)``.  Both are undone afterwards so the sweep modes cannot leak into
+    each other (or other benchmarks).
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("MAS_ANALYTIC_PRUNE", "1" if prune else "0")
+        if not prune:
+            patch.setattr(
+                autotuner, "SchedulerObjective", partial(SchedulerObjective, analytic_prune=False)
+            )
         if serial:
             patch.setattr(SchedulerObjective, "evaluate_batch", _serial_evaluate_batch)
         tuner = AutoTuner(
@@ -364,16 +370,16 @@ def test_search_throughput_analytic(benchmark):
     """Candidates/sec through the candidate-evaluation hot path, analytic vs serial.
 
     Three full GA sweeps over every searchable (method, network) pair gate the
-    end-to-end behaviour.  The ``analytic`` sweep is the default unpruned
-    ``evaluate_batch``, which bounds nothing and takes the oracle's path, so
-    it must reproduce the best tiling per pair of the ``legacy`` sweep —
-    every batch through the serial ``evaluate`` oracle — bit-identically; the
-    opt-in bound-pruned sweep must only skip simulations, never lose a
-    winner.  The >=10x claim is then measured on the hot path itself: the
-    same distinct candidates each sweep evaluated are pushed through the
-    serial oracle (graph build + simulation per candidate) and through the
-    vectorized ``analytic_bounds`` batch pass, and the two candidates/sec
-    rates are compared.
+    end-to-end behaviour.  The ``analytic`` sweep is the unpruned
+    ``evaluate_batch`` oracle, which bounds nothing and takes the serial
+    path, so it must reproduce the best tiling per pair of the ``legacy``
+    sweep — every batch through the serial ``evaluate`` oracle —
+    bit-identically; the default bound-pruned sweep must only skip
+    simulations, never lose a winner.  The >=10x claim is then measured on
+    the hot path itself: the same distinct candidates each sweep evaluated
+    are pushed through the serial oracle (graph build + simulation per
+    candidate) and through the vectorized ``analytic_bounds`` batch pass, and
+    the two candidates/sec rates are compared.
     """
     legacy = _ga_sweep(serial=True)
     analytic = _ga_sweep()

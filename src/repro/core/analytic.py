@@ -27,10 +27,10 @@ The totals become **provable lower bounds** on makespan cycles and energy
 (see ``AttentionScheduler.analytic_bounds``): the shared DMA channel's total
 busy time and each compute resource's total work divided by the core count
 both bound the simulated makespan from below, and mandatory access counters
-bound the energy.  Bounds are what makes search-time pruning
-(``MAS_ANALYTIC_PRUNE``) safe: a candidate whose *lower bound* already loses
-to the incumbent can be discarded without simulating it.  Whether a candidate
-can run at all is not decided here but by ``AttentionScheduler.fits``.
+bound the energy.  Bounds are what makes the search's pruning safe: a
+candidate whose *lower bound* already loses to the incumbent can be discarded
+without simulating it.  Each bound depends on its own candidate alone, so one
+call bounds a search's whole grid.  Feasibility is ``AttentionScheduler.fits``.
 """
 
 from __future__ import annotations
@@ -77,13 +77,17 @@ class TilingBatch:
     @classmethod
     def from_tilings(cls, tilings: Sequence[TilingConfig]) -> "TilingBatch":
         """Pack a sequence of scalar tilings into one batch."""
-        return cls(
-            bb=np.asarray([t.bb for t in tilings], dtype=np.int64),
-            hh=np.asarray([t.hh for t in tilings], dtype=np.int64),
-            nq=np.asarray([t.nq for t in tilings], dtype=np.int64),
-            nkv=np.asarray([t.nkv for t in tilings], dtype=np.int64),
-            kv_resident=np.asarray([bool(t.kv_resident) for t in tilings], dtype=bool),
-        )
+        return cls.from_rows([(t.bb, t.hh, t.nq, t.nkv, t.kv_resident) for t in tilings])
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> "TilingBatch":
+        """Pack ``(bb, hh, nq, nkv, kv_resident)`` tuples into one batch.
+
+        The search's grid points and memo keys are such tuples, so a whole
+        grid packs without building a :class:`TilingConfig` per point.
+        """
+        bb, hh, nq, nkv, kv_resident = np.asarray(rows, dtype=np.int64).reshape(-1, 5).T.copy()
+        return cls(bb=bb, hh=hh, nq=nq, nkv=nkv, kv_resident=kv_resident.astype(bool))
 
     def clamp_to(self, workload: AttentionWorkload) -> "TilingBatch":
         """Batched :meth:`TilingConfig.clamp_to`: clamp factors to the workload."""

@@ -33,7 +33,7 @@ from repro.hardware.config import HardwareConfig
 from repro.obs import trace as obs_trace
 from repro.search.autotuner import TuningResult
 from repro.search.history import SearchHistory, SearchRecord
-from repro.search.objective import TilingEvaluation, analytic_prune_enabled
+from repro.search.objective import TilingEvaluation
 from repro.store import JsonDirStore, make_payload, open_store
 from repro.utils.serialization import to_jsonable
 from repro.workloads.attention import AttentionWorkload
@@ -52,7 +52,8 @@ __all__ = [
 #: v2: payload gained ``objective_evaluations`` (search-work accounting).
 #: v3: edge head groups cover only the (batch, head) problems that exist, so
 #: batched workloads whose ``hh`` (or ``bb``) leaves a remainder simulate less.
-KEY_SCHEMA_VERSION = 3
+#: v4: every tuning is bound-pruned, so stored unpruned tunings are searched again.
+KEY_SCHEMA_VERSION = 4
 
 
 def tuning_cache_key(
@@ -63,7 +64,6 @@ def tuning_cache_key(
     budget: int,
     metric: str,
     seed: int,
-    analytic_prune: bool | None = None,
 ) -> str:
     """Stable content hash of every input that determines a tuning result.
 
@@ -86,8 +86,6 @@ def tuning_cache_key(
         "metric": metric,
         "seed": seed,
     }
-    if analytic_prune:
-        payload["variant"] = {"analytic_prune": True}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

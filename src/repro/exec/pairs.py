@@ -29,7 +29,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceContext
 from repro.schedulers.registry import make_scheduler
 from repro.search.autotuner import AutoTuner, TuningResult, default_strategy
-from repro.search.objective import Metric, analytic_prune_enabled
+from repro.search.objective import Metric
 from repro.sim.trace import SimulationResult
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.networks import get_network
@@ -165,19 +165,10 @@ def _execute_pair_traced(spec: PairSpec) -> MethodRun:
         # case-insensitive, and the seed must not depend on the spelling.
         seed = pair_seed(spec.seed, scheduler.name, entry_name)
         cache = ResultCache(spec.cache_uri, enabled=spec.use_cache)
-        # Bound pruning changes what a stored tuning means (the search saw
-        # bound values, not simulations, for pruned candidates), so pruned
-        # tunings are keyed as a separate variant — never served to, or
-        # warmed by, exact sweeps.
+        # Every search is bound-pruned; the key's schema version (v4) keeps
+        # tunings stored by the unpruned search from being served.
         key = tuning_cache_key(
-            spec.hardware,
-            scheduler.name,
-            workload,
-            strategy,
-            spec.budget,
-            spec.metric,
-            seed,
-            analytic_prune=analytic_prune_enabled(),
+            spec.hardware, scheduler.name, workload, strategy, spec.budget, spec.metric, seed
         )
         try:
             tuning = cache.load(key)

@@ -362,7 +362,7 @@ class ExperimentRunner:
         break ``search_evaluations`` down by how the search dispatched each
         candidate: full simulation, rejected by the scheduler's ``fits`` (or
         its planner), or skipped because its analytic lower bound lost to
-        the incumbent (``$MAS_ANALYTIC_PRUNE``).
+        the incumbent.
         """
         runs = list(self._runs.values())
         searched = [r for r in runs if r.tuned and not r.cached]

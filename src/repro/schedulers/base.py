@@ -99,17 +99,20 @@ class AttentionScheduler(ABC):
     # Vectorized analytic bounds
     # ------------------------------------------------------------------ #
     def analytic_bounds(
-        self, workload: AttentionWorkload, tilings: Sequence[TilingConfig]
+        self, workload: AttentionWorkload, tilings: Sequence[TilingConfig] | TilingBatch
     ) -> AnalyticBounds:
         """Provable cycle and energy lower bounds for a batch of candidates.
 
-        Evaluates every candidate of ``tilings`` at once through the
+        Evaluates every candidate of ``tilings`` (tilings, or one packed
+        :class:`~repro.core.analytic.TilingBatch`) at once through the
         :class:`~repro.core.analytic.BatchedCostModel`: resource-sum lower
         bounds on what :meth:`simulate` would report.  Candidates are clamped
         to the workload exactly as :meth:`simulate` clamps its tiling.  The
         bounds say nothing about feasibility; that is :meth:`fits`.
         """
-        batch = TilingBatch.from_tilings(tilings).clamp_to(workload)
+        if not isinstance(tilings, TilingBatch):
+            tilings = TilingBatch.from_tilings(tilings)
+        batch = tilings.clamp_to(workload)
         model = batched_cost_model(workload, self.hardware)
         structure = model.structure(batch)
         dma = model.dma_cycles_common(batch, structure) + self._analytic_extra_dma(

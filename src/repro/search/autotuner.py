@@ -63,9 +63,8 @@ class TuningResult:
     objective_evaluations: int | None = None
     #: Breakdown of where those evaluations went, from
     #: :attr:`repro.search.objective.SchedulerObjective.analytic_stats`:
-    #: full simulations vs. analytically rejected vs. bound-pruned candidates,
-    #: plus which analytic switches were active.  ``None`` on results produced
-    #: before the analytic layer existed.
+    #: full simulations vs. rejected vs. bound-pruned candidates.  ``None`` on
+    #: results produced before the analytic layer existed.
     analytic_stats: dict[str, int] | None = None
 
     @property

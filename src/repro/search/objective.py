@@ -9,36 +9,35 @@ footprint must fit L1, and MAS-Attention's only limit is its non-evictable
 residency.  A rejected candidate is reported as infeasible without building a
 graph and receives an infinite objective so the searchers steer away from it.
 
-With ``$MAS_ANALYTIC_PRUNE`` enabled, batch evaluation also computes the
-vectorized lower bounds of
-:meth:`~repro.schedulers.base.AttentionScheduler.analytic_bounds` for the
-candidates that fit, and candidates whose bound on the objective already
-loses to the incumbent skip their simulation entirely.  Without pruning (the
-default) a batch is only deduplicated and handed to the evaluator, so the memo
-table, the evaluation counts and every returned value are bit-identical to
-calling the serial, memoized :meth:`SchedulerObjective.evaluate` on each
-candidate — the oracle the tests compare against.
+Batch evaluation also prunes: a candidate that fits but whose lower bound
+(:meth:`~repro.schedulers.base.AttentionScheduler.analytic_bounds`) on the
+objective already loses to the incumbent skips its simulation, so it can
+never be reported as the winner.  One bound call per search fills a table for
+its whole candidate grid.  ``analytic_prune=False`` keeps the unpruned batch
+path as the tests' oracle: memo table, evaluation counts and returned values
+are bit-identical to calling the serial, memoized :meth:`evaluate` on each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from typing import Literal, Sequence
 
-from repro.core.analytic import AnalyticBounds
+from repro.core.analytic import AnalyticBounds, TilingBatch
 from repro.core.overwrite import InfeasibleTilingError
 from repro.core.tiling import TilingConfig
 from repro.schedulers.base import AttentionScheduler
 from repro.search.parallel import ParallelEvaluator
+from repro.search.space import TilingSearchSpace
 from repro.sim.trace import SimulationResult
-from repro.utils import env
 from repro.utils.validation import require
 from repro.workloads.attention import AttentionWorkload
 
-__all__ = ["TilingEvaluation", "SchedulerObjective", "analytic_prune_enabled"]
+__all__ = ["TilingEvaluation", "SchedulerObjective"]
 
 Metric = Literal["cycles", "energy", "edp"]
 
@@ -48,17 +47,6 @@ Metric = Literal["cycles", "energy", "edp"]
 #: bit-identical for every worker count while still letting early winners
 #: prune the rest of a large batch.
 PRUNE_WAVE = 8
-
-
-def analytic_prune_enabled() -> bool:
-    """Whether bound-dominated candidates are pruned against the incumbent.
-
-    Off by default: pruning skips simulations whose outcome provably cannot
-    beat the incumbent, which changes evaluation counts and history contents
-    (never the best tiling's optimality) — so it is opt-in and excluded from
-    the bit-identity guarantee.
-    """
-    return env.value("MAS_ANALYTIC_PRUNE") != "0"
 
 
 @dataclass(frozen=True)
@@ -107,8 +95,8 @@ class SchedulerObjective:
         bit-identical for every worker count.
     analytic_prune:
         Prune candidates whose analytic lower bound on the metric already
-        loses to the incumbent; ``None`` resolves to ``$MAS_ANALYTIC_PRUNE``
-        (default off).
+        loses to the incumbent (the search's only path).  ``False`` keeps the
+        unpruned batch path, the serial oracle the tests compare against.
     """
 
     def __init__(
@@ -117,16 +105,17 @@ class SchedulerObjective:
         workload: AttentionWorkload,
         metric: Metric = "cycles",
         workers: int | None = None,
-        analytic_prune: bool | None = None,
+        analytic_prune: bool = True,
     ) -> None:
         require(metric in ("cycles", "energy", "edp"), f"unknown metric {metric!r}")
         self.scheduler = scheduler
         self.workload = workload
         self.metric = metric
-        if analytic_prune is None:
-            analytic_prune = analytic_prune_enabled()
         self.analytic_prune = analytic_prune
         self._cache: dict[tuple, TilingEvaluation] = {}
+        #: Analytic lower bound on the objective per candidate, keyed like
+        #: ``_cache``: the whole candidate grid once a batch needed a bound.
+        self._bounds: dict[tuple, float] = {}
         #: Non-memoized evaluations performed, feasible or not: every distinct
         #: candidate the search actually paid for (infeasible candidates cost
         #: a footprint check or a failed simulation — real search work).
@@ -136,7 +125,6 @@ class SchedulerObjective:
         #: said no, or the MAS planner raised), ``num_pruned`` candidates
         #: skipped because their analytic lower bound lost to the incumbent.
         self.analytic_stats: dict[str, int] = {
-            "prune": int(self.analytic_prune),
             "num_simulated": 0,
             "num_infeasible": 0,
             "num_pruned": 0,
@@ -212,6 +200,27 @@ class SchedulerObjective:
             return bounds.energy_pj.astype(float)
         return bounds.cycles.astype(float) * bounds.energy_pj.astype(float)
 
+    def _value_bounds(self, tilings: list[TilingConfig]) -> list[float]:
+        """The analytic lower bound on the objective of each of ``tilings``.
+
+        A candidate missing from the bound table is bounded in one
+        ``analytic_bounds`` call together with every grid point the table
+        lacks, so a search whose candidates stay on its grid makes exactly
+        one call.  Each bound depends only on its own candidate, so the table
+        holds the same values a per-batch call would return.
+        """
+        keys = [self._key(tiling) for tiling in tilings]
+        missing = [key for key in keys if key not in self._bounds]
+        if missing:
+            if not self._bounds:
+                # Grid points come out in the field order of ``_key``.
+                space = TilingSearchSpace(self.workload, self.scheduler.hardware)
+                missing += product(*(space.candidates(d) for d in space.decisions))
+            rows = list(dict.fromkeys(missing))
+            bounds = self.scheduler.analytic_bounds(self.workload, TilingBatch.from_rows(rows))
+            self._bounds.update(zip(rows, self._value_bound(bounds).tolist()))
+        return [self._bounds[key] for key in keys]
+
     def evaluate(self, tiling: TilingConfig) -> TilingEvaluation:
         """Evaluate one candidate (memoized on the tiling factors)."""
         tiling = tiling.clamp_to(self.workload)
@@ -225,14 +234,14 @@ class SchedulerObjective:
         return evaluation
 
     def evaluate_batch(self, tilings: Sequence[TilingConfig]) -> list[TilingEvaluation]:
-        """Evaluate many candidates at once (memoized, optionally in parallel).
+        """Evaluate many candidates at once (memoized, pruned, optionally in parallel).
 
         Returns one evaluation per input, aligned with the input order.  Only
         distinct not-yet-memoized tilings are evaluated — fanned over the
         evaluator's pool when ``workers > 1`` — and merged into the memo
-        table in first-occurrence order, so the resulting cache state,
-        evaluation count and returned values are identical to calling
-        :meth:`evaluate` on each tiling serially (pruning disabled).
+        table in first-occurrence order.  Without pruning the resulting cache
+        state, evaluation count and returned values are identical to calling
+        :meth:`evaluate` on each tiling serially.
         """
         clamped = [tiling.clamp_to(self.workload) for tiling in tilings]
         pending: dict[tuple, TilingConfig] = {}
@@ -256,9 +265,9 @@ class SchedulerObjective:
     def _evaluate_pruned(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
         """Reject, bound, then simulate or prune deduplicated candidates.
 
-        Only the candidates :meth:`~AttentionScheduler.fits` accepts are
-        bounded: a rejected candidate is never pruned, so it comes back
-        exactly as :meth:`evaluate_uncached` reports it.
+        Only the candidates :meth:`~AttentionScheduler.fits` accepts can be
+        pruned: a rejected candidate comes back exactly as
+        :meth:`evaluate_uncached` reports it.
         """
         results: list[TilingEvaluation | None] = [None] * len(tilings)
         survivors: list[int] = []
@@ -277,10 +286,9 @@ class SchedulerObjective:
         # bit-identical for every worker count — the same invariance contract
         # the rest of the search layer keeps — while early winners still
         # prune the rest of a large batch.
-        bounds = self.scheduler.analytic_bounds(
-            self.workload, [tilings[i] for i in survivors]
+        value_bound = dict(
+            zip(survivors, self._value_bounds([tilings[i] for i in survivors]))
         )
-        value_bound = dict(zip(survivors, self._value_bound(bounds).tolist()))
         order = sorted(survivors, key=lambda i: (value_bound[i], i))
         for start in range(0, len(order), PRUNE_WAVE):
             wave = []

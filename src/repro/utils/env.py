@@ -190,11 +190,3 @@ register(
     "Workload suite swept by the table/figure benchmarks (name or inline "
     "spec; default: Table 1).",
 )
-register(
-    "MAS_ANALYTIC_PRUNE",
-    "0",
-    "Prune search candidates whose analytic lower bound on the objective "
-    "already loses to the incumbent (skipping their simulation). Off by "
-    "default: search results are bit-identical to the serial path only when "
-    "disabled.",
-)

@@ -8,15 +8,18 @@ Three contracts are pinned down here:
 * **valid bounds** — for every registered scheduler, the ``analytic_bounds``
   cycle/energy figures never exceed what the simulator reports, and only
   MAS's planner ever rejects a tiling, exactly where its ``fits`` says no;
-* **bit-identical search** — with pruning disabled (the default) batch
-  evaluation never bounds anything: memo state, evaluation counts, history
-  rows and the best tiling all match the serial, memoized
-  :meth:`~repro.search.objective.SchedulerObjective.evaluate` oracle; with
-  pruning enabled a rejected candidate is never pruned and a pruned one can
-  never be reported as the winner.
+* **bit-identical search** — the unpruned oracle path
+  (``SchedulerObjective(analytic_prune=False)``) never bounds anything: memo
+  state, evaluation counts, history rows and the best tiling all match the
+  serial, memoized :meth:`~repro.search.objective.SchedulerObjective.evaluate`
+  oracle; on the pruned default a rejected candidate is never pruned, a pruned
+  one can never be reported as the winner, and the one-call bound table
+  gives every search exactly what per-batch bound calls gave it.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,10 +28,13 @@ from repro.core.analytic import TilingBatch, batched_cost_model
 from repro.core.costs import TileCosts, partition_blocks
 from repro.core.overwrite import InfeasibleTilingError
 from repro.core.tiling import TilingConfig
+from repro.hardware.presets import get_preset
 from repro.schedulers.base import AttentionScheduler
 from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
+from repro.search import autotuner
 from repro.search.autotuner import AutoTuner
 from repro.search.objective import SchedulerObjective
+from repro.search.space import TilingSearchSpace
 from repro.workloads.attention import AttentionWorkload
 
 #: Candidate tilings covering every remainder case: even divisions, ragged
@@ -302,10 +308,7 @@ class TestPruning:
             runs = []
             for workers in (1, 2):
                 objective = SchedulerObjective(
-                    make_scheduler(name, tiny_hw),
-                    small_workload,
-                    workers=workers,
-                    analytic_prune=True,
+                    make_scheduler(name, tiny_hw), small_workload, workers=workers
                 )
                 try:
                     for tiling in warm:
@@ -337,12 +340,9 @@ class TestPruning:
 
 
     def test_pruned_candidates_are_marked_and_counted(self, edge_hw, tiny_workload):
-        objective = SchedulerObjective(
-            make_scheduler("mas", edge_hw), tiny_workload, analytic_prune=True
-        )
+        objective = SchedulerObjective(make_scheduler("mas", edge_hw), tiny_workload)
         evaluations = objective.evaluate_batch(TILINGS)
         stats = objective.analytic_stats
-        assert stats["prune"] == 1
         assert (
             stats["num_simulated"] + stats["num_infeasible"] + stats["num_pruned"]
             == objective.num_evaluations
@@ -358,15 +358,14 @@ class TestPruning:
             # incumbent only ever decreases — so no pruned value beats best.
             assert evaluation.value >= best
 
-    def test_pruned_candidate_never_wins_a_search(self, edge_hw, tiny_workload, monkeypatch):
-        monkeypatch.setenv("MAS_ANALYTIC_PRUNE", "1")
+    def test_pruned_candidate_never_wins_a_search(self, edge_hw, tiny_workload):
         tuner = AutoTuner(edge_hw, strategy="ga", budget=40, seed=0)
         result = tuner.tune("mas", tiny_workload)
         assert np.isfinite(result.best_value)
         assert result.history.best is not None
         assert result.history.best.feasible and not result.history.best.pruned
         stats = result.analytic_stats
-        assert stats is not None and stats["prune"] == 1
+        assert stats is not None
         assert stats["num_pruned"] > 0, "the tiny search should prune something"
 
     @pytest.mark.parametrize("scheduler", ["mas", "flat"])
@@ -383,7 +382,10 @@ class TestPruning:
             tuner = AutoTuner(edge_hw, strategy="mcts+ga", budget=60, seed=0)
             return tuner.tune(scheduler, tiny_workload)
 
-        monkeypatch.setenv("MAS_ANALYTIC_PRUNE", "0")
+        # The unpruned batch path: every objective the tuner makes is the oracle.
+        monkeypatch.setattr(
+            autotuner, "SchedulerObjective", partial(SchedulerObjective, analytic_prune=False)
+        )
         batched = tune()
         # The oracle search: every batch goes through the serial memoized
         # evaluate() instead of evaluate_batch.
@@ -400,3 +402,99 @@ class TestPruning:
         assert batched.objective_evaluations == serial.objective_evaluations
         assert batched.analytic_stats == serial.analytic_stats
         assert batched.analytic_stats["num_pruned"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# The bound table: one analytic_bounds call per search
+# --------------------------------------------------------------------------- #
+#: A remainder in every dimension: 3 % 2 batches, 12 % 8 heads, 197 rows and
+#: K/V columns left over by every power-of-two tile.
+RAGGED = AttentionWorkload(batch=3, heads=12, seq_q=197, seq_kv=197, emb=64, name="ragged")
+#: Off every grid: ``hh=3`` and ``nq=100`` are no candidates of any space.
+OFF_GRID = [
+    TilingConfig(bb=2, hh=3, nq=100, nkv=50, kv_resident=True),
+    TilingConfig(bb=1, hh=5, nq=197, nkv=90),
+]
+
+
+def _count_bound_calls(monkeypatch) -> list[int]:
+    """Record the batch size of every ``analytic_bounds`` call."""
+    calls: list[int] = []
+    bounds = AttentionScheduler.analytic_bounds
+
+    def counted(self, workload, tilings):
+        result = bounds(self, workload, tilings)
+        calls.append(len(result))
+        return result
+
+    monkeypatch.setattr(AttentionScheduler, "analytic_bounds", counted)
+    return calls
+
+
+def _per_batch_bounds(self, tilings):
+    """The old bound path, one ``analytic_bounds`` call per pruned batch."""
+    return self._value_bound(self.scheduler.analytic_bounds(self.workload, tilings)).tolist()
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("preset", ["edge-sim", "edge-constrained"])
+    @pytest.mark.parametrize("name", list(ALL_SCHEDULERS))
+    def test_table_holds_each_tilings_own_bound(self, name, preset, monkeypatch):
+        """Every grid point's stored bound equals ``analytic_bounds`` of that
+        tiling alone, for every metric, and off-grid tilings get bounded too:
+        with the grid on the first call, alone on a later one."""
+        hardware = get_preset(preset)
+        scheduler = make_scheduler(name, hardware)
+        space = TilingSearchSpace(RAGGED, hardware)
+        grid = list(space.enumerate())
+        alone = {
+            tiling: scheduler.analytic_bounds(RAGGED, [tiling]) for tiling in grid + OFF_GRID
+        }
+        calls = _count_bound_calls(monkeypatch)
+        for metric in ("cycles", "energy", "edp"):
+            calls.clear()
+            objective = SchedulerObjective(scheduler, RAGGED, metric=metric)
+            first = objective._value_bounds([OFF_GRID[0], grid[-1]])
+            assert calls == [space.size + 1], metric
+            second = objective._value_bounds([grid[0], OFF_GRID[1], OFF_GRID[0]])
+            assert calls == [space.size + 1, 1], metric
+            assert len(objective._bounds) == space.size + 2, metric
+            for tiling, bounds in alone.items():
+                expected = objective._value_bound(bounds)[0]
+                assert objective._bounds[objective._key(tiling)] == expected, (metric, tiling)
+            assert first == [objective._value_bound(alone[t])[0] for t in (OFF_GRID[0], grid[-1])]
+            assert second[1] == objective._value_bound(alone[OFF_GRID[1]])[0]
+
+    def test_an_on_grid_search_makes_one_bound_call(self, edge_hw, tiny_workload, monkeypatch):
+        calls = _count_bound_calls(monkeypatch)
+        result = AutoTuner(edge_hw, strategy="mcts+ga", budget=60, seed=0).tune(
+            "mas", tiny_workload
+        )
+        grid = set(TilingSearchSpace(tiny_workload, edge_hw).enumerate())
+        searched = [rec.tiling for rec in result.history.records if rec.phase != "default"]
+        assert searched and set(searched) <= grid
+        assert result.analytic_stats["num_pruned"] > 0
+        assert calls == [len(grid)]
+
+    @pytest.mark.parametrize("scheduler", ["mas", "flat"])
+    def test_table_search_matches_per_batch_bounds(
+        self, scheduler, edge_hw, tiny_workload, monkeypatch
+    ):
+        """The per-batch bound call is the oracle: the same history rows,
+        evaluation count and accounting, at one and two workers."""
+
+        def tune(workers):
+            tuner = AutoTuner(edge_hw, strategy="mcts+ga", budget=60, seed=0, workers=workers)
+            result = tuner.tune(scheduler, tiny_workload)
+            rows = [
+                (rec.iteration, rec.tiling, rec.value, rec.best_value, rec.phase)
+                for rec in result.history.records
+            ]
+            return rows, result.objective_evaluations, result.analytic_stats
+
+        table = [tune(workers) for workers in (1, 2)]
+        monkeypatch.setattr(SchedulerObjective, "_value_bounds", _per_batch_bounds)
+        per_batch = [tune(workers) for workers in (1, 2)]
+        assert table == per_batch
+        assert table[0] == table[1]
+        assert table[0][2]["num_pruned"] > 0

@@ -217,10 +217,6 @@ class TestResultCache:
             tuning_cache_key(
                 davinci_like_npu(), "mas", workload, "mcts+ga", 10, "cycles", 0
             ),
-            tuning_cache_key(
-                edge_hw, "mas", workload, "mcts+ga", 10, "cycles", 0,
-                analytic_prune=True,
-            ),
         ]
         assert base == tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, "cycles", 0)
         assert len({base, *variants}) == len(variants) + 1
@@ -273,35 +269,6 @@ class TestWarmCacheSweep:
             if run.tuned
         )
         assert warm.row("ViT-B/14").cycles == cold.row("ViT-B/14").cycles
-
-    def test_pruned_tunings_never_share_cache_entries_with_exact(
-        self, tmp_path, monkeypatch
-    ):
-        # A tuning searched under bound pruning saw bound values instead of
-        # simulations for pruned candidates, so it must be keyed as a separate
-        # variant: warming the cache in one mode must not serve the other.
-        kwargs = dict(search_budget=5, seed=0, cache_dir=tmp_path / "cache")
-        monkeypatch.setenv("MAS_ANALYTIC_PRUNE", "0")
-        exact_runner = ExperimentRunner(**kwargs)
-        run_table2(exact_runner, networks=["ViT-B/14"])
-        assert exact_runner.cache_stats()["cache_hits"] == 0
-
-        monkeypatch.setenv("MAS_ANALYTIC_PRUNE", "1")
-        pruned_runner = ExperimentRunner(**kwargs)
-        run_table2(pruned_runner, networks=["ViT-B/14"])
-        pruned_stats = pruned_runner.cache_stats()
-        assert pruned_stats["cache_hits"] == 0
-        assert pruned_stats["searches"] == 5
-
-        # Each mode is a warm hit for itself.
-        pruned_warm = ExperimentRunner(**kwargs)
-        run_table2(pruned_warm, networks=["ViT-B/14"])
-        assert pruned_warm.cache_stats()["cache_hits"] == 5
-
-        monkeypatch.setenv("MAS_ANALYTIC_PRUNE", "0")
-        exact_warm = ExperimentRunner(**kwargs)
-        run_table2(exact_warm, networks=["ViT-B/14"])
-        assert exact_warm.cache_stats()["cache_hits"] == 5
 
     def test_store_target_precedence(self, tmp_path, monkeypatch):
         """cache_uri, then cache_dir, then $MAS_CACHE_URI, then $MAS_CACHE_DIR."""

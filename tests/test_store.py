@@ -11,12 +11,16 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
 from repro.exec import ExperimentRunner, ResultCache
+from repro.exec import cache as cache_module
 from repro.exec.cache import KEY_SCHEMA_VERSION, tuning_result_to_dict
+from repro.search import autotuner
 from repro.search.autotuner import AutoTuner
+from repro.search.objective import SchedulerObjective
 from repro.service import running_server, server_url
 from repro.service.server import StoreRequestHandler
 from repro.store import (
@@ -568,6 +572,30 @@ class TestSweepBitIdentity:
         assert stats["cache_stale"] == stats["searches"] == len(keys)
         assert store.stats().stale_entries == 0  # the fresh results replaced them
 
+    def test_v3_tuning_is_searched_again_not_served(self, tmp_path, monkeypatch):
+        """A tuning the unpruned search stored under its v3 key is never served
+        to the pruned search: the run misses, searches again and stores its
+        result under the v4 key beside the old entry, which stays as written."""
+        cache_dir = tmp_path / "cache"
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "KEY_SCHEMA_VERSION", 3)
+            patch.setattr(
+                autotuner, "SchedulerObjective", partial(SchedulerObjective, analytic_prune=False)
+            )
+            old = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
+            assert old.run("mas", "ViT-B/14").tuning.analytic_stats["num_pruned"] == 0
+        store = JsonDirStore(cache_dir)
+        (v3_key,) = [info.key for info in store.entries()]
+        v3_payload, _ = store.lookup(v3_key)
+
+        warm = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
+        assert not warm.run("mas", "ViT-B/14").cached
+        stats = warm.cache_stats()
+        assert stats["searches"] == stats["cache_misses"] == 1
+        assert stats["cache_hits"] == stats["cache_stale"] == 0
+        assert {info.key for info in store.entries()} - {v3_key}
+        assert store.lookup(v3_key)[0] == v3_payload
+
 
 class TestHttpSweepBitIdentity:
     """The acceptance matrix: http:// serves the same sweeps as local stores."""
@@ -775,10 +803,10 @@ class TestResultCacheOverStores:
         assert info.suite == "table1" and info.scheduler == "mas"
 
     def test_key_schema_version_still_pins_keys(self):
-        """The key schema moves only when a key input changes meaning (v3: exact
-        edge head groups); entry-layout changes must not orphan previously tuned
-        work (keys are how warm sweeps find it)."""
-        assert KEY_SCHEMA_VERSION == 3
+        """The key schema moves only when a key input changes meaning (v4: every
+        tuning is bound-pruned); entry-layout changes must not orphan previously
+        tuned work (keys are how warm sweeps find it)."""
+        assert KEY_SCHEMA_VERSION == 4
 
     def test_env_uri_supplies_runner_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MAS_CACHE_URI", f"dir:{tmp_path}/env")
