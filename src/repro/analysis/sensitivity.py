@@ -13,7 +13,7 @@ one parameter at a time around the paper's simulated edge device:
   and shrinks toward 1 when either unit strongly dominates.
 
 Each sweep point tunes both dataflows (small budget) and reports cycles and
-speedup; the result feeds ``benchmarks/bench_sensitivity.py`` and the
+speedup; the result feeds ``tests/test_paper_shape.py`` and the
 ``mas-attention sweep`` CLI command.
 """
 

@@ -128,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="result-store URI: dir:/path or http://host:8787 (a "
             "running 'mas-attention serve'), optionally with "
             "?max_entries=N&max_bytes=SIZE eviction caps (precedence: "
-            "--cache, then --cache-dir, then $MAS_CACHE_URI, then "
-            "$MAS_CACHE_DIR)",
+            "--cache, then --cache-dir, then $MAS_CACHE_URI)",
         )
         p.add_argument(
             "--no-cache",
@@ -206,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache",
             dest="cache_uri",
             default=None,
-            help="result-store URI or directory "
-            "(default: $MAS_CACHE_URI, then $MAS_CACHE_DIR)",
+            help="result-store URI or directory (default: $MAS_CACHE_URI)",
         )
 
     cp = cache_sub.add_parser("stats", help="entry count, size and stale entries")
@@ -239,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "store",
         nargs="?",
         default=None,
-        help="store URI or directory to front "
-        "(default: $MAS_CACHE_URI, then $MAS_CACHE_DIR)",
+        help="store URI or directory to front (default: $MAS_CACHE_URI)",
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument(
@@ -384,10 +381,7 @@ def _open_cache_store(target: str | None):
     """The store a ``cache`` subcommand operates on (or a clear SystemExit)."""
     store = open_store(target) if target else None
     if store is None:  # unset, empty or whitespace-only target
-        raise SystemExit(
-            "no result store selected: pass --cache URI "
-            "(or set $MAS_CACHE_URI / $MAS_CACHE_DIR)"
-        )
+        raise SystemExit("no result store selected: pass --cache URI (or set $MAS_CACHE_URI)")
     return store
 
 

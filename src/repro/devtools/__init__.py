@@ -13,7 +13,7 @@ them on every commit with five AST-based, project-specific checkers:
 ``determinism``
     No unseeded randomness (``random.*`` module calls, legacy
     ``np.random.*`` global API) and no wall-clock reads outside the
-    benchmark/metrics/retry allowlist — a stray clock or RNG in the
+    obs/metrics/retry allowlist — a stray clock or RNG in the
     simulation, cost or search layers breaks bit-identity.
 ``fork-safety``
     Classes holding non-picklable resources (sqlite connections, sockets,

@@ -15,8 +15,8 @@ that:
 
 Modules whose *job* is timing are allowlisted by path: the observability
 layer (``repro/obs/`` — span timestamps and latency metrics *are* the
-product), the service metrics (``repro/service/server.py``), the
-retry/backoff helper (``repro/store/retry.py``) and the benchmark harness.
+product), the service metrics (``repro/service/server.py``) and the
+retry/backoff helper (``repro/store/retry.py``).
 Anything else — including test code — needs an inline tag with a reason.
 """
 
@@ -58,14 +58,13 @@ class DeterminismChecker(Checker):
     id = "determinism"
     description = (
         "no unseeded randomness (random.*, legacy np.random.*) and no "
-        "wall-clock reads outside the benchmark/metrics/retry allowlist"
+        "wall-clock reads outside the obs/metrics/retry allowlist"
     )
     skip_substrings = (
         "repro/utils/rng.py",  # the one sanctioned RNG constructor site
         "repro/obs/",  # span timestamps and latency histograms are the product
         "repro/service/server.py",  # request latency metrics, uptime
         "repro/store/retry.py",  # backoff sleeps between attempts
-        "benchmarks/",  # timing is the product here
     )
 
     def check(self, module: ModuleSource) -> list[Finding]:

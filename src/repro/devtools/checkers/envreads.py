@@ -5,7 +5,7 @@ environment contract — each ``MAS_*`` variable is registered once with its
 default and documentation, and the docs table is rendered from the registry
 (the lint driver cross-checks ``docs/env_vars.md`` against it).  Scattered
 ``os.environ.get("MAS_...")`` reads are how defaults drift between the CLI,
-the runner and the benchmarks, so this checker flags:
+the runner and the tests, so this checker flags:
 
 * any direct ``os.environ.get(...)`` / ``os.getenv(...)`` /
   ``os.environ[...]`` read of a ``MAS_*`` name (literal or module-level

@@ -7,9 +7,9 @@ the individual harnesses only reshape the results into their table/figure
 form.  On top of that the runner offers:
 
 * a persistent result store (``cache_uri`` / ``cache_dir`` /
-  ``$MAS_CACHE_URI`` / ``$MAS_CACHE_DIR``; a JSON directory or a served
-  one, see :mod:`repro.store`) so repeated sweeps across process starts
-  skip the tiling search entirely;
+  ``$MAS_CACHE_URI``; a JSON directory or a served one, see
+  :mod:`repro.store`) so repeated sweeps across process starts skip the
+  tiling search entirely;
 * ``jobs``: fan the matrix out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=1`` runs pairs
   inline).  Per-pair seeds are derived deterministically
@@ -89,13 +89,12 @@ class ExperimentRunner:
         running ``mas-attention serve``), optionally with
         ``?max_entries=``/``?max_bytes=`` eviction caps (see
         :mod:`repro.store.uri`).  The store target resolves as
-        ``cache_uri``, then ``cache_dir``, then ``$MAS_CACHE_URI``, then
-        ``$MAS_CACHE_DIR`` (:func:`~repro.store.resolve_store_target`, the
-        rule the CLI uses too); with none of them set, results stay
-        in-memory only.  Every worker process carries its own store counters
-        back to the parent through :attr:`MethodRun.store_stats`, HTTP-backed
-        sweeps included, so :meth:`cache_stats` accounting is
-        backend-independent.
+        ``cache_uri``, then ``cache_dir``, then ``$MAS_CACHE_URI``
+        (:func:`~repro.store.resolve_store_target`, the rule the CLI uses
+        too); with none of them set, results stay in-memory only.  Every
+        worker process carries its own store counters back to the parent
+        through :attr:`MethodRun.store_stats`, HTTP-backed sweeps included,
+        so :meth:`cache_stats` accounting is backend-independent.
     use_cache:
         Off switch for the persistent cache even when a target is set.
     search_workers:
@@ -190,8 +189,7 @@ class ExperimentRunner:
         """The resolved persistent-store target of this runner.
 
         Precedence: explicit ``cache_uri``, then ``cache_dir`` (a plain
-        directory, the historical JSON-file format), then ``$MAS_CACHE_URI``,
-        then ``$MAS_CACHE_DIR``.
+        directory, the historical JSON-file format), then ``$MAS_CACHE_URI``.
         """
         return resolve_store_target(self.cache_uri, self.cache_dir)
 

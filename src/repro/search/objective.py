@@ -131,7 +131,7 @@ class SchedulerObjective:
         }
         #: Best feasible objective value seen so far — the pruning incumbent.
         self._incumbent = float("inf")
-        self._evaluator = ParallelEvaluator(self, workers=workers)
+        self._evaluator = ParallelEvaluator(scheduler, workload, metric, workers=workers)
 
     @property
     def workers(self) -> int:
@@ -254,7 +254,7 @@ class SchedulerObjective:
             if self.analytic_prune:
                 fresh = self._evaluate_pruned(candidates)
             else:
-                fresh = self._evaluator.evaluate(candidates)
+                fresh = self._evaluator.evaluate(candidates, self.evaluate_uncached)
                 for evaluation in fresh:
                     self._note(evaluation)
             for key, evaluation in zip(pending, fresh):
@@ -297,7 +297,7 @@ class SchedulerObjective:
                     results[index] = self._pruned(tilings[index], value_bound[index])
                 else:
                     wave.append(index)
-            fresh = self._evaluator.evaluate([tilings[i] for i in wave])
+            fresh = self._evaluator.evaluate([tilings[i] for i in wave], self.evaluate_uncached)
             for index, evaluation in zip(wave, fresh):
                 results[index] = evaluation
                 self._note(evaluation)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceContext
@@ -32,7 +32,7 @@ from repro.utils import env
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (objective imports us)
     from repro.core.tiling import TilingConfig
     from repro.schedulers.base import AttentionScheduler
-    from repro.search.objective import SchedulerObjective, TilingEvaluation
+    from repro.search.objective import Metric, SchedulerObjective, TilingEvaluation
     from repro.workloads.attention import AttentionWorkload
 
 __all__ = ["WORKERS_ENV", "ParallelEvaluator", "resolve_workers"]
@@ -84,10 +84,23 @@ class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; o
     across batches (one pool per objective, shared by e.g. both phases of an
     ``mcts+ga`` tuning).  ``workers=1`` — the default everywhere — never
     creates a pool and evaluates inline, so serial callers pay nothing.
+
+    The evaluator keeps only what its pool initializer needs, never the
+    objective it serves: each batch brings the inline evaluation function.
+    So the two form no reference cycle, and a finished search's memo and
+    bound tables are freed as soon as the search drops its objective.
     """
 
-    def __init__(self, objective: "SchedulerObjective", workers: int | None = None) -> None:
-        self.objective = objective
+    def __init__(
+        self,
+        scheduler: "AttentionScheduler",
+        workload: "AttentionWorkload",
+        metric: "Metric",
+        workers: int | None = None,
+    ) -> None:
+        self.scheduler = scheduler
+        self.workload = workload
+        self.metric = metric
         self.workers = resolve_workers(workers)
         self._pool: ProcessPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
@@ -95,14 +108,13 @@ class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; o
     # ------------------------------------------------------------------ #
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            objective = self.objective
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
                 initargs=(
-                    objective.scheduler,
-                    objective.workload,
-                    objective.metric,
+                    self.scheduler,
+                    self.workload,
+                    self.metric,
                     # Context captured at pool creation: the enclosing
                     # pair/search span, so worker spans keep their parent
                     # across the process boundary.
@@ -115,8 +127,15 @@ class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; o
             self._finalizer = weakref.finalize(self, self._pool.shutdown, False)
         return self._pool
 
-    def evaluate(self, tilings: Sequence["TilingConfig"]) -> list["TilingEvaluation"]:
+    def evaluate(
+        self,
+        tilings: Sequence["TilingConfig"],
+        inline: Callable[["TilingConfig"], "TilingEvaluation"],
+    ) -> list["TilingEvaluation"]:
         """Evaluate ``tilings`` and return results aligned with the input order.
+
+        ``inline`` evaluates one tiling in this process; it serves serial
+        evaluators and single-candidate batches, where a pool buys nothing.
 
         Futures are collected in submission order (never ``as_completed``),
         which is what makes batched search runs bit-identical to serial ones.
@@ -128,7 +147,7 @@ class ParallelEvaluator:  # mas-lint: disable=fork-safety(stays in the parent; o
             "search.generation", layer="search", batch=len(tilings), workers=self.workers
         ):
             if self.workers == 1 or len(tilings) <= 1:
-                return [self.objective.evaluate_uncached(tiling) for tiling in tilings]
+                return [inline(tiling) for tiling in tilings]
             pool = self._ensure_pool()
             futures = [pool.submit(_evaluate_in_worker, tiling) for tiling in tilings]
             return [future.result() for future in futures]

@@ -47,15 +47,15 @@ def resolve_store_target(
 ) -> str | None:
     """The store every command and runner opens: one precedence rule.
 
-    ``cache_uri``, then ``cache_dir``, then ``$MAS_CACHE_URI``, then
-    ``$MAS_CACHE_DIR`` — so a library runner, a CLI sweep and a ``cache``
-    subcommand run in the same shell always talk to the same store.
+    ``cache_uri``, then ``cache_dir``, then ``$MAS_CACHE_URI`` (which may
+    be a bare directory too) — so a library runner, a CLI sweep and a
+    ``cache`` subcommand run in the same shell always talk to the same store.
     """
     if cache_uri is not None:
         return cache_uri
     if cache_dir is not None:
         return str(cache_dir)
-    return env.value(MAS_CACHE_URI_ENV) or env.value("MAS_CACHE_DIR")
+    return env.value(MAS_CACHE_URI_ENV)
 
 
 #: Schemes of the local JSON-directory backend.

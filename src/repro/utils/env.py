@@ -120,20 +120,14 @@ def render_markdown_table() -> str:
 
 
 # ---------------------------------------------------------------------- #
-# The registry.  Library knobs first, then benchmark/CI-only knobs.
+# The registry.  Library knobs first, then the test suite's CI knob.
 # ---------------------------------------------------------------------- #
 register(
     "MAS_CACHE_URI",
     None,
     "Default result-store URI for every runner and `cache` subcommand: "
-    "`dir:/path` or `http://host:8787`, optionally with "
-    "`?max_entries=/?max_bytes=` eviction caps. Explicit `--cache` flags win.",
-)
-register(
-    "MAS_CACHE_DIR",
-    None,
-    "Legacy default cache *directory* (the PR-1 JSON-file format). Consulted "
-    "only when `MAS_CACHE_URI` is unset; `--cache`/`--cache-dir` flags win.",
+    "`dir:/path`, a plain directory or `http://host:8787`, optionally with "
+    "`?max_entries=/?max_bytes=` eviction caps. `--cache`/`--cache-dir` flags win.",
 )
 register(
     "MAS_SEARCH_WORKERS",
@@ -154,39 +148,4 @@ register(
     None,
     "Replaces the test suite's sweep-suite matrix with one suite spec "
     "(e.g. `table1-batched@seq<=256`); used by CI to pin a non-default suite.",
-)
-register(
-    "MAS_BENCH_BUDGET",
-    "40",
-    "Tiling-search budget per (method, network) pair in the benchmark "
-    "harness.",
-)
-register(
-    "MAS_BENCH_NETWORKS",
-    None,
-    "Comma-separated network subset for the benchmark harness "
-    "(default: all Table-1 networks).",
-)
-register(
-    "MAS_BENCH_JOBS",
-    "1",
-    "Worker processes for the benchmark harness's tuning+simulation matrix.",
-)
-register(
-    "MAS_BENCH_SEARCH_WORKERS",
-    None,
-    "Candidate-evaluation workers per pair in the benchmark harness "
-    "(default: the runner default, which honours `MAS_SEARCH_WORKERS`).",
-)
-register(
-    "MAS_BENCH_CACHE_URI",
-    None,
-    "Result store shared across benchmark sessions: a directory, `dir:/path` "
-    "or `http://host:8787`.",
-)
-register(
-    "MAS_BENCH_SUITE",
-    None,
-    "Workload suite swept by the table/figure benchmarks (name or inline "
-    "spec; default: Table 1).",
 )

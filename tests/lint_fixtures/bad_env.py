@@ -9,8 +9,8 @@ def workers():
     return int(os.environ.get(WORKERS_ENV, "1"))  # direct read via constant
 
 
-def budget():
-    return os.getenv("MAS_BENCH_BUDGET", "40")  # direct read, literal
+def trace_path():
+    return os.getenv("MAS_TRACE", "")  # direct read, literal
 
 
 def uri():

@@ -7,5 +7,5 @@ def workers():
     return env.int_value("MAS_SEARCH_WORKERS")
 
 
-def budget():
-    return env.value("MAS_BENCH_BUDGET")
+def trace_path():
+    return env.value("MAS_TRACE")

@@ -1,8 +1,8 @@
 """Tests for the experiment harnesses (tables, figures, DRAM, limits, SD-UNet, ablations).
 
 The harnesses are exercised on a reduced network subset with search disabled
-(or with tiny budgets) so the suite stays fast; the full-budget runs live in
-``benchmarks/``.
+(or with tiny budgets) so the suite stays fast; the paper-shape checks over
+all of Table 1 at a fixed budget live in ``tests/test_paper_shape.py``.
 """
 
 from __future__ import annotations
@@ -197,14 +197,17 @@ class TestDramAnalysis:
 
 class TestLimits:
     def test_paper_figures(self):
+        """Section 5.6: ~1M tokens for MAS-Attention, ~2M for FLAT at 5 MB L1."""
         result = run_limits()
         paper = result.row_for_l1(5 * MB)
         assert 0.9e6 < paper.mas_max_seq < 1.4e6
-        assert paper.flat_over_mas == pytest.approx(2.0, rel=0.05)
+        assert 1.8e6 < paper.flat_max_seq < 2.7e6
+        assert 1.9 < paper.flat_over_mas < 2.1
         assert "maximum sequence length" in result.format()
 
-    def test_monotone_in_l1(self):
-        result = run_limits(l1_sweep_bytes=[1 * MB, 2 * MB, 4 * MB])
+    @pytest.mark.parametrize("l1_mb", [[1, 2, 4], [1, 2, 5, 8]], ids=["1-2-4MB", "1-2-5-8MB"])
+    def test_monotone_in_l1(self, l1_mb):
+        result = run_limits(l1_sweep_bytes=[size * MB for size in l1_mb])
         seqs = [row.mas_max_seq for row in result.rows]
         assert seqs == sorted(seqs)
 

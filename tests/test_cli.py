@@ -49,15 +49,13 @@ class TestParser:
     def test_sweeps_and_cache_group_resolve_env_identically(
         self, tmp_path, monkeypatch, capsys
     ):
-        """With both env vars set, a sweep and `cache stats` use one store."""
+        """With $MAS_CACHE_URI set, a sweep and `cache stats` use one store."""
         monkeypatch.setenv("MAS_CACHE_URI", f"dir:{tmp_path}/env")
-        monkeypatch.setenv("MAS_CACHE_DIR", str(tmp_path / "legacy"))
         assert main(["table2", "--budget", "4", "--networks", "ViT-B/14"]) == 0
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "entries : 5" in out and f"dir:{tmp_path}/env" in out
-        assert not (tmp_path / "legacy").exists()
 
     def test_explicit_cache_dir_beats_env_uri(self, tmp_path, monkeypatch):
         """$MAS_CACHE_URI is the *fallback*: an explicit --cache-dir wins."""
@@ -251,7 +249,6 @@ class TestCacheCli:
 
     def test_cache_requires_subcommand_and_target(self, monkeypatch):
         monkeypatch.delenv("MAS_CACHE_URI", raising=False)
-        monkeypatch.delenv("MAS_CACHE_DIR", raising=False)
         with pytest.raises(SystemExit):
             main(["cache"])
         with pytest.raises(SystemExit, match="no result store"):

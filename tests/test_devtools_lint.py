@@ -241,12 +241,12 @@ def test_tag_syntax_inside_strings_is_ignored():
 # env registry and the docs cross-check
 # --------------------------------------------------------------------------- #
 def test_env_value_precedence(monkeypatch):
-    monkeypatch.delenv("MAS_BENCH_BUDGET", raising=False)
-    assert env.value("MAS_BENCH_BUDGET") == "40"  # registry default
-    monkeypatch.setenv("MAS_BENCH_BUDGET", "50")
-    assert env.value("MAS_BENCH_BUDGET") == "50"
-    monkeypatch.setenv("MAS_BENCH_BUDGET", "   ")  # blank == unset
-    assert env.value("MAS_BENCH_BUDGET") == "40"
+    monkeypatch.delenv("MAS_SEARCH_WORKERS", raising=False)
+    assert env.value("MAS_SEARCH_WORKERS") == "1"  # registry default
+    monkeypatch.setenv("MAS_SEARCH_WORKERS", "2")
+    assert env.value("MAS_SEARCH_WORKERS") == "2"
+    monkeypatch.setenv("MAS_SEARCH_WORKERS", "   ")  # blank == unset
+    assert env.value("MAS_SEARCH_WORKERS") == "1"
 
 
 def test_env_int_value(monkeypatch):
@@ -271,7 +271,7 @@ def test_env_docs_drift_is_flagged(tmp_path):
     docs = tmp_path / "env_vars.md"
     rows = env.render_markdown_table().splitlines()
     # drop one registered row (a variable no other row mentions), add a phantom
-    dropped = [r for r in rows if not r.startswith("| `MAS_BENCH_SUITE` ")]
+    dropped = [r for r in rows if not r.startswith("| `MAS_TEST_SUITE` ")]
     dropped.append("| `MAS_" "PHANTOM` | *(unset)* | not actually registered |")
     docs.write_text("\n".join(dropped) + "\n")
     clean = tmp_path / "empty.py"
@@ -281,7 +281,7 @@ def test_env_docs_drift_is_flagged(tmp_path):
     assert len(result.findings) == 2
     assert set(messages) == {"env-docs"}
     joined = "\n".join(f.message for f in result.findings)
-    assert "MAS_BENCH_SUITE is registered" in joined
+    assert "MAS_TEST_SUITE is registered" in joined
     assert "MAS_" "PHANTOM appears in the docs table" in joined
 
 

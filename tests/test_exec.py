@@ -271,26 +271,23 @@ class TestWarmCacheSweep:
         assert warm.row("ViT-B/14").cycles == cold.row("ViT-B/14").cycles
 
     def test_store_target_precedence(self, tmp_path, monkeypatch):
-        """cache_uri, then cache_dir, then $MAS_CACHE_URI, then $MAS_CACHE_DIR."""
-        uri, legacy = f"dir:{tmp_path}/env", str(tmp_path / "legacy")
+        """cache_uri, then cache_dir, then $MAS_CACHE_URI."""
+        uri = f"dir:{tmp_path}/env"
         monkeypatch.setenv("MAS_CACHE_URI", uri)
-        monkeypatch.setenv("MAS_CACHE_DIR", legacy)
         assert resolve_store_target("dir:/a", "/b") == "dir:/a"
         assert resolve_store_target(None, tmp_path / "b") == str(tmp_path / "b")
         assert resolve_store_target() == uri
         monkeypatch.delenv("MAS_CACHE_URI")
-        assert resolve_store_target() == legacy
-        monkeypatch.delenv("MAS_CACHE_DIR")
         assert resolve_store_target() is None
 
-    def test_runner_falls_back_to_mas_cache_dir(self, tmp_path, monkeypatch):
-        """A library runner honours $MAS_CACHE_DIR exactly like the CLI does."""
-        monkeypatch.delenv("MAS_CACHE_URI", raising=False)
-        monkeypatch.setenv("MAS_CACHE_DIR", str(tmp_path / "legacy"))
+    def test_runner_takes_a_bare_directory_from_mas_cache_uri(self, tmp_path, monkeypatch):
+        """A library runner honours a plain directory in $MAS_CACHE_URI exactly
+        like the CLI does."""
+        monkeypatch.setenv("MAS_CACHE_URI", str(tmp_path / "plain"))
         runner = ExperimentRunner(search_budget=BUDGET, seed=0)
-        assert runner.cache_target == str(tmp_path / "legacy")
+        assert runner.cache_target == str(tmp_path / "plain")
         runner.run("mas", "ViT-B/14")
-        assert len(list((tmp_path / "legacy").glob("*.json"))) == 1
+        assert len(list((tmp_path / "plain").glob("*.json"))) == 1
 
     def test_no_cache_flag_disables_persistence(self, tmp_path):
         runner = ExperimentRunner(

@@ -192,8 +192,16 @@ class TestReplay:
 
 
 class TestGoldenCheck:
-    def test_golden_check_passes_for_all_schedulers(self, tiny_workload):
-        result = golden_check(tiny_workload, tolerance=1e-4)
+    @pytest.mark.parametrize(
+        "heads,seq,emb,tolerance",
+        [(2, 64, 16, 1e-4), (2, 512, 64, 1e-3)],
+        # The second is the paper's Section-5.1 validation on a BERT-like shape
+        # (head count reduced to keep the replay fast).
+        ids=["tiny", "bert-like"],
+    )
+    def test_golden_check_passes_for_all_schedulers(self, heads, seq, emb, tolerance):
+        workload = AttentionWorkload.self_attention(heads=heads, seq=seq, emb=emb)
+        result = golden_check(workload, tolerance=tolerance)
         assert result.passed, result.summary()
         assert set(result.max_errors) == set(list_schedulers())
         assert result.failures() == {}

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.search import (
     resolve_workers,
     tune_scheduler,
 )
+from repro.search import autotuner
 from repro.search.autotuner import STRATEGIES
 from repro.search.objective import TilingEvaluation
 from repro.search.space import DECISIONS
@@ -228,12 +231,37 @@ class TestBatchedEvaluation:
 
     def test_evaluator_pool_lifecycle(self, workload, edge_hw):
         objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=2)
-        evaluator = ParallelEvaluator(objective, workers=2)
+        evaluator = ParallelEvaluator(objective.scheduler, workload, objective.metric, workers=2)
         with evaluator:
-            batch = evaluator.evaluate([TilingConfig(nq=64, nkv=64), TilingConfig(nq=32, nkv=32)])
+            batch = evaluator.evaluate(
+                [TilingConfig(nq=64, nkv=64), TilingConfig(nq=32, nkv=32)],
+                objective.evaluate_uncached,
+            )
             assert len(batch) == 2 and evaluator._pool is not None
         assert evaluator._pool is None  # context exit shuts the pool down
         evaluator.close()  # idempotent
+
+    def test_finished_tune_frees_its_objective_without_the_cyclic_gc(
+        self, workload, edge_hw, monkeypatch
+    ):
+        """Reference counting alone frees a finished search's objective, with
+        its memo and bound tables: the objective and its evaluator form no
+        reference cycle."""
+        objectives = []
+
+        def recording_objective(*args, **kwargs):
+            objective = SchedulerObjective(*args, **kwargs)
+            objectives.append(weakref.ref(objective))
+            return objective
+
+        monkeypatch.setattr(autotuner, "SchedulerObjective", recording_objective)
+        gc.disable()
+        try:
+            AutoTuner(edge_hw, strategy="mcts+ga", budget=20, seed=0).tune("mas", workload)
+            assert len(objectives) == 1
+            assert objectives[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestHistory:

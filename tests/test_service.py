@@ -808,7 +808,6 @@ class TestServeCli:
         from repro.cli import main
 
         monkeypatch.delenv("MAS_CACHE_URI", raising=False)
-        monkeypatch.delenv("MAS_CACHE_DIR", raising=False)
         with pytest.raises(SystemExit, match="no result store"):
             main(["serve"])
 
