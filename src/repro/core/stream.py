@@ -18,6 +18,7 @@ TileFlow, a barrier after each round).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from enum import Enum
 
 from repro.utils.validation import check_positive_int
@@ -59,6 +60,10 @@ class StreamRound:
     mac_ops: tuple[StreamOp, ...] = ()
     vec_ops: tuple[StreamOp, ...] = ()
 
+    def op_blocks(self) -> dict[OpKind, int]:
+        """The 0-based index of the block each operator of this round works on."""
+        return {op.kind: op.block - 1 for op in self.mac_ops + self.vec_ops}
+
     def describe(self) -> str:
         mac = ", ".join(str(op) for op in self.mac_ops) or "-"
         vec = ", ".join(str(op) for op in self.vec_ops) or "-"
@@ -74,6 +79,13 @@ def plan_rounds(num_blocks: int) -> list[StreamRound]:
     the round after ``SM_i``.
     """
     check_positive_int(num_blocks, "num_blocks")
+    return list(_planned_rounds(num_blocks))
+
+
+@lru_cache(maxsize=256)
+def _planned_rounds(num_blocks: int) -> tuple[StreamRound, ...]:
+    """:func:`plan_rounds`, made once per block count (every build of a
+    search asks for the same few)."""
     rounds: list[StreamRound] = []
 
     def add(kind: RoundKind, mac: list[StreamOp], vec: list[StreamOp]) -> None:
@@ -86,7 +98,7 @@ def plan_rounds(num_blocks: int) -> list[StreamRound]:
     if t == 1:
         add(RoundKind.FINALIZE, [], [StreamOp(OpKind.SOFTMAX, 1)])
         add(RoundKind.FINALIZE, [StreamOp(OpKind.PV, 1)], [])
-        return rounds
+        return tuple(rounds)
 
     add(RoundKind.WARMUP, [StreamOp(OpKind.QK, 2)], [StreamOp(OpKind.SOFTMAX, 1)])
     for i in range(3, t + 1):
@@ -101,5 +113,5 @@ def plan_rounds(num_blocks: int) -> list[StreamRound]:
         [StreamOp(OpKind.SOFTMAX, t)],
     )
     add(RoundKind.FINALIZE, [StreamOp(OpKind.PV, t)], [])
-    return rounds
+    return tuple(rounds)
 

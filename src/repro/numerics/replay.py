@@ -16,7 +16,9 @@ K and V slots are per head group under ``kv_resident`` and per block when
 streamed.  A task that reads a slot whose latest write has not finished by
 the task's start raises :class:`ReplayError` naming both tasks and the slot.
 A task that reads a slot with no value yet is set aside, and the slot's next
-write raises the same error.  The output is what the ``store_O`` tasks left
+write raises the same error.  Each slot is written once while it holds a
+value: a second write (a duplicated task stream, say) raises
+:class:`ReplayError` naming both writers by task id and name.  The output is what the ``store_O`` tasks left
 in DRAM.  ``docs/cost_model.md`` ("Golden check") gives each task kind's
 semantics.
 """
@@ -38,7 +40,8 @@ __all__ = ["ReplayError", "replay"]
 
 
 class ReplayError(RuntimeError):
-    """A task read a slot before its latest write finished, or before any write."""
+    """A task read a slot before its latest write finished or before any write,
+    or wrote a slot that still holds a value."""
 
 
 class _Unwritten(Exception):
@@ -89,12 +92,19 @@ class _Replay:
         return value
 
     def write(self, slot: str, value: np.ndarray) -> None:
+        record = self.record
         if slot in self.early:
-            record = self.record
             raise self.error(
                 self.early[slot], f"{slot} before {record.task.name} writes it at cycle {record.start}"
             )
-        self.slots[slot] = (value, self.record)
+        if slot in self.slots:
+            writer = self.slots[slot][1].task
+            raise ReplayError(
+                f"{self.scheduler}: task {record.task.tid} {record.task.name} writes {slot} at "
+                f"cycle {record.start}, which still holds the write of task {writer.tid} "
+                f"{writer.name}"
+            )
+        self.slots[slot] = (value, record)
 
     def error(self, reader: TaskRecord, what: str) -> ReplayError:
         return ReplayError(

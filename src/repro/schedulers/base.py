@@ -37,6 +37,9 @@ class AttentionScheduler(ABC):
 
     Subclasses define ``name`` / ``display_name`` class attributes, the
     on-chip footprint model used to validate tilings, and the graph builder.
+    Builders emit each repeated unit of their graph once and stamp the rest
+    (:class:`repro.core.emit.Stamper`); ``direct_emission=True`` emits every
+    unit directly instead, the oracle that only tests select.
     """
 
     name: ClassVar[str] = "abstract"
@@ -48,8 +51,9 @@ class AttentionScheduler(ABC):
     #: letting the analytic bound chain the two sums instead of taking the max.
     analytic_serial_compute: ClassVar[bool] = False
 
-    def __init__(self, hardware: HardwareConfig) -> None:
+    def __init__(self, hardware: HardwareConfig, *, direct_emission: bool = False) -> None:
         self.hardware = hardware
+        self.direct_emission = direct_emission
         # Tile costs made so far, per workload (see :meth:`costs`).
         self._cost_memos: dict[AttentionWorkload, dict[tuple, TaskCost]] = {}
 

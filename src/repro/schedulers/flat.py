@@ -12,7 +12,10 @@ the paper's main comparison point.
 
 from __future__ import annotations
 
-from repro.core.emit import interleave_block_positions, make_emitters
+from functools import partial
+
+from repro.core.costs import Block
+from repro.core.emit import block_positions, emit_units, make_emitters, position_context
 from repro.core.tiling import TilingConfig, flat_footprint_bytes
 from repro.hardware.config import HardwareConfig
 from repro.schedulers.base import AttentionScheduler, BuildResult
@@ -43,20 +46,31 @@ class FLATScheduler(AttentionScheduler):
 
         # FLAT keeps a single block in flight per core: the first MatMul of a
         # block cannot start before the previous block's last PV MatMul has
-        # drained (its buffers are only then released).
-        last_pv_per_core: dict[int, int] = {}
-        for core, block in interleave_block_positions(per_core):
-            em = emitters[core]
-            serial = (last_pv_per_core[core],) if core in last_pv_per_core else ()
-            q_load = em.load_q(block)
-            k_loads = em.kv_loads(block, "K")
-            qk_tasks = em.qk_tiles(block, [(q_load, k_load, *serial) for k_load in k_loads])
-            sm = em.softmax(block, deps=qk_tasks)
-            v_loads = em.kv_loads(block, "V")
-            pv_tasks = em.pv_tiles(block, [(sm, v_load) for v_load in v_loads])
-            em.store_o(block, deps=pv_tasks)
-            last_pv_per_core[core] = pv_tasks[-1]
+        # drained (its buffers are only then released).  Each position
+        # returns its last PV per core.
+        def emit(blocks: list[tuple[int, Block]], last_pv: list[int] | None) -> list[int]:
+            made = []
+            for core, block in blocks:
+                em = emitters[core]
+                serial = () if last_pv is None else (last_pv[core],)
+                q_load = em.load_q(block)
+                k_loads = em.kv_loads(block, "K")
+                qk_tasks = em.qk_tiles(block, [(q_load, k_load, *serial) for k_load in k_loads])
+                sm = em.softmax(block, deps=qk_tasks)
+                v_loads = em.kv_loads(block, "V")
+                pv_tasks = em.pv_tiles(block, [(sm, v_load) for v_load in v_loads])
+                em.store_o(block, deps=pv_tasks)
+                made.append(pv_tasks[-1])
+            return made
 
+        emit_units(
+            graph,
+            emitters,
+            block_positions(per_core),
+            partial(position_context, emitters, "KV"),
+            emit,
+            self.direct_emission,
+        )
         return BuildResult(graph=graph, metadata={"fused": True, "sequential": True})
 
 

@@ -20,10 +20,13 @@ searched tilings (``searchable = False``); the scheduler still accepts any
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
-from repro.core.emit import interleave_block_positions, make_emitters
+from repro.core.costs import Block
+from repro.core.emit import block_positions, emit_units, make_emitters, position_context
 from repro.core.tiling import TilingConfig, score_tile_footprint_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
 from repro.sim.tasks import TaskGraph
@@ -88,11 +91,10 @@ class FuseMaxScheduler(AttentionScheduler):
         graph = TaskGraph(name=self.name)
         emitters = make_emitters(graph, costs, per_core, self.name)
 
-        # Track, per core, the last PV accumulation of the previous block: the
-        # output accumulator is a single buffer, so block b+1's accumulation
-        # cannot start before block b's epilogue has drained.
-        last_epilogue: dict[int, int] = {}
-        for core, block in interleave_block_positions(per_core):
+        # The output accumulator is a single buffer, so block b+1's
+        # accumulation cannot start before block b's epilogue has drained:
+        # each position returns its epilogue per core.
+        def emit_block(core: int, block: Block, last_epilogue: list[int] | None) -> int:
             em = emitters[core]
             q_load = em.load_q(block)
             k_loads = em.kv_loads(block, "K")
@@ -108,7 +110,7 @@ class FuseMaxScheduler(AttentionScheduler):
 
             def emit_qk(tile: int) -> int:
                 deps: list[int] = [q_load, k_loads[tile]]
-                if core in last_epilogue:
+                if last_epilogue is not None:
                     deps.append(last_epilogue[core])
                 return em.matmul_qk(block, tile, deps=deps)
 
@@ -143,7 +145,16 @@ class FuseMaxScheduler(AttentionScheduler):
 
             epilogue = em.output_normalize(block, deps=[pv_tasks[-1]])
             em.store_o(block, deps=[epilogue])
-            last_epilogue[core] = epilogue
+            return epilogue
+
+        emit_units(
+            graph,
+            emitters,
+            block_positions(per_core),
+            partial(position_context, emitters, "KV"),
+            lambda blocks, last: [emit_block(core, block, last) for core, block in blocks],
+            self.direct_emission,
+        )
 
         return BuildResult(
             graph=graph,

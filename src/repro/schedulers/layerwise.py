@@ -10,7 +10,8 @@ memory-bound on the DRAM round-trips of the ``N x N`` intermediate matrices.
 from __future__ import annotations
 
 from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
-from repro.core.emit import interleave_block_positions, make_emitters
+from repro.core.costs import Block
+from repro.core.emit import emit_stage, make_emitters
 from repro.core.tiling import TilingConfig, score_tile_footprint_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
 from repro.sim.tasks import TaskGraph
@@ -45,34 +46,46 @@ class LayerWiseScheduler(AttentionScheduler):
         graph = TaskGraph(name=self.name)
         emitters = make_emitters(graph, costs, per_core, self.name)
 
+        direct = self.direct_emission
+
         # ----------------------- stage 1: C = QK^T ----------------------- #
-        stage1_tasks: list[int] = []
-        for core, block in interleave_block_positions(per_core):
-            em = emitters[core]
-            q_load = em.load_q(block)
-            k_loads = em.kv_loads(block, "K")
-            for tile, k_load in enumerate(k_loads):
-                mm = em.matmul_qk(block, tile, deps=[q_load, k_load])
-                store = em.store_score_tile(block, tile, "C", deps=[mm])
-                stage1_tasks.append(store)
+        def emit_qk(blocks: list[tuple[int, Block]]) -> list[int]:
+            stores: list[int] = []
+            for core, block in blocks:
+                em = emitters[core]
+                q_load = em.load_q(block)
+                k_loads = em.kv_loads(block, "K")
+                for tile, k_load in enumerate(k_loads):
+                    mm = em.matmul_qk(block, tile, deps=[q_load, k_load])
+                    stores.append(em.store_score_tile(block, tile, "C", deps=[mm]))
+            return stores
+
+        stage1_tasks = emit_stage(graph, emitters, "K", emit_qk, direct)
         barrier1 = graph.add_barrier("layerwise.barrier.stage1", deps=stage1_tasks).tid
 
         # ----------------------- stage 2: P = softmax(C) ----------------- #
-        stage2_tasks: list[int] = []
-        for core, block in interleave_block_positions(per_core):
-            em = emitters[core]
-            c_load = em.load_score(block, "C", deps=[barrier1])
-            sm = em.softmax(block, deps=[c_load])
-            store = em.store_score(block, "P", deps=[sm])
-            stage2_tasks.append(store)
+        def emit_softmax(blocks: list[tuple[int, Block]]) -> list[int]:
+            stores: list[int] = []
+            for core, block in blocks:
+                em = emitters[core]
+                c_load = em.load_score(block, "C", deps=[barrier1])
+                sm = em.softmax(block, deps=[c_load])
+                stores.append(em.store_score(block, "P", deps=[sm]))
+            return stores
+
+        stage2_tasks = emit_stage(graph, emitters, "", emit_softmax, direct)
         barrier2 = graph.add_barrier("layerwise.barrier.stage2", deps=stage2_tasks).tid
 
         # ----------------------- stage 3: O = PV -------------------------- #
-        for core, block in interleave_block_positions(per_core):
-            em = emitters[core]
-            p_load = em.load_score(block, "P", deps=[barrier2])
-            v_loads = em.kv_loads(block, "V", deps=[barrier2])
-            pv_tasks = em.pv_tiles(block, [(p_load, v_load) for v_load in v_loads])
-            em.store_o(block, deps=pv_tasks)
+        def emit_pv(blocks: list[tuple[int, Block]]) -> list[int]:
+            for core, block in blocks:
+                em = emitters[core]
+                p_load = em.load_score(block, "P", deps=[barrier2])
+                v_loads = em.kv_loads(block, "V", deps=[barrier2])
+                pv_tasks = em.pv_tiles(block, [(p_load, v_load) for v_load in v_loads])
+                em.store_o(block, deps=pv_tasks)
+            return []
+
+        emit_stage(graph, emitters, "V", emit_pv, direct)
 
         return BuildResult(graph=graph, metadata={"stages": 3})

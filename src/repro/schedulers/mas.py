@@ -29,13 +29,18 @@ class MASAttentionScheduler(AttentionScheduler):
         Whether the proactive buffer-overwrite strategy (Section 4.3) is
         active.  Disabling it gives the ablation baseline in which an
         overflowing round degrades to sequential execution.
+    direct_emission:
+        Emit every round directly instead of stamping repeats; the oracle
+        only tests select (see :class:`AttentionScheduler`).
     """
 
     name = "mas"
     display_name = "MAS-Attention"
 
-    def __init__(self, hardware, enable_overwrite: bool = True) -> None:
-        super().__init__(hardware)
+    def __init__(
+        self, hardware, enable_overwrite: bool = True, *, direct_emission: bool = False
+    ) -> None:
+        super().__init__(hardware, direct_emission=direct_emission)
         self.enable_overwrite = enable_overwrite
 
     def footprint_bytes(self, workload: AttentionWorkload, tiling: TilingConfig) -> int:
@@ -59,6 +64,7 @@ class MASAttentionScheduler(AttentionScheduler):
             tiling=tiling,
             enable_overwrite=self.enable_overwrite,
             costs=self.costs(workload, tiling),
+            direct_emission=self.direct_emission,
         )
         return BuildResult(
             graph=graph,

@@ -10,7 +10,8 @@ reloads ``P``.
 from __future__ import annotations
 
 from repro.core.analytic import BatchedCostModel, BlockStructure, TilingBatch
-from repro.core.emit import interleave_block_positions, make_emitters
+from repro.core.costs import Block
+from repro.core.emit import emit_stage, make_emitters
 from repro.core.tiling import TilingConfig, operand_tile_bytes, score_block_bytes
 from repro.schedulers.base import AttentionScheduler, BuildResult
 from repro.sim.tasks import TaskGraph
@@ -42,24 +43,33 @@ class SoftPipeScheduler(AttentionScheduler):
         graph = TaskGraph(name=self.name)
         emitters = make_emitters(graph, costs, per_core, self.name)
 
+        direct = self.direct_emission
+
         # ------------- fused stage A: C_i = Q_i K^T, P_i = softmax(C_i) --- #
-        stage_a_tasks: list[int] = []
-        for core, block in interleave_block_positions(per_core):
-            em = emitters[core]
-            q_load = em.load_q(block)
-            k_loads = em.kv_loads(block, "K")
-            qk_tasks = em.qk_tiles(block, [(q_load, k_load) for k_load in k_loads])
-            sm = em.softmax(block, deps=qk_tasks)
-            store = em.store_score(block, "P", deps=[sm])
-            stage_a_tasks.append(store)
+        def emit_qk_softmax(blocks: list[tuple[int, Block]]) -> list[int]:
+            stores: list[int] = []
+            for core, block in blocks:
+                em = emitters[core]
+                q_load = em.load_q(block)
+                k_loads = em.kv_loads(block, "K")
+                qk_tasks = em.qk_tiles(block, [(q_load, k_load) for k_load in k_loads])
+                sm = em.softmax(block, deps=qk_tasks)
+                stores.append(em.store_score(block, "P", deps=[sm]))
+            return stores
+
+        stage_a_tasks = emit_stage(graph, emitters, "K", emit_qk_softmax, direct)
         barrier = graph.add_barrier("softpipe.barrier.stageA", deps=stage_a_tasks).tid
 
         # ------------- sequential stage B: O = PV -------------------------- #
-        for core, block in interleave_block_positions(per_core):
-            em = emitters[core]
-            p_load = em.load_score(block, "P", deps=[barrier])
-            v_loads = em.kv_loads(block, "V", deps=[barrier])
-            pv_tasks = em.pv_tiles(block, [(p_load, v_load) for v_load in v_loads])
-            em.store_o(block, deps=pv_tasks)
+        def emit_pv(blocks: list[tuple[int, Block]]) -> list[int]:
+            for core, block in blocks:
+                em = emitters[core]
+                p_load = em.load_score(block, "P", deps=[barrier])
+                v_loads = em.kv_loads(block, "V", deps=[barrier])
+                pv_tasks = em.pv_tiles(block, [(p_load, v_load) for v_load in v_loads])
+                em.store_o(block, deps=pv_tasks)
+            return []
+
+        emit_stage(graph, emitters, "V", emit_pv, direct)
 
         return BuildResult(graph=graph, metadata={"stages": 2})

@@ -3,9 +3,9 @@
 A :class:`TaskGraph` stores its tasks as columns (Python lists indexed by task
 id): kind, resource id, cycles, dependency ids, the eight counters, tags and
 the name.  Builders fill the columns through :meth:`TaskGraph.append`, or
-:meth:`TaskGraph.extend` for a stream of tasks on one resource; a
-:class:`Task` is a view of one row, made only when a caller iterates or
-indexes the graph.
+:meth:`TaskGraph.extend` for a stream of tasks on one resource, and copy a
+repeated run of rows with :meth:`TaskGraph.stamp`; a :class:`Task` is a view
+of one row, made only when a caller iterates or indexes the graph.
 """
 
 from __future__ import annotations
@@ -184,7 +184,8 @@ class TaskGraph:
     ``resource_names``, where id 0 is ``""``, no resource), ``cycles``,
     ``deps`` (tuples of earlier task ids), ``counters`` (tuples of the eight
     :data:`COUNTERS`), and the names and tags, both kept unformatted until
-    asked for (see :meth:`task_name` and :meth:`task_tags`).
+    asked for (see :meth:`task_name` and :meth:`task_tags`), with the shift a
+    stamped row formats them with (see :meth:`stamp`).
     """
 
     def __init__(self, name: str = "") -> None:
@@ -196,6 +197,7 @@ class TaskGraph:
         self.counters: list[tuple[int, ...]] = []
         self._tags: list[dict[str, object] | tuple] = []
         self._names: list[str | tuple] = []
+        self._shifts: list[int] = []
         self.resource_names: list[str] = [""]
         self._resource_index: dict[str, int] = {"": 0}
 
@@ -240,6 +242,7 @@ class TaskGraph:
         self.counters.append(counters)
         self._tags.append(tags)
         self._names.append(name)
+        self._shifts.append(0)
         return tid
 
     def extend(
@@ -276,11 +279,49 @@ class TaskGraph:
         self.counters += counters
         self._tags += tags
         self._names += names
+        self._shifts += [0] * count
         return first
+
+    def stamp(self, first: int, stop: int, fixed_below: int = 0, shift: int = 0) -> int:
+        """Append a copy of rows ``[first, stop)`` and return the id of the first copy.
+
+        Every copy moves by ``offset``, the new first id minus ``first``: each
+        dependency at or above ``fixed_below`` moves by it (one inside the
+        range lands on the matching copy), and each one below stays, such as
+        the barrier that closed an earlier stage.  Kinds, resources, cycles
+        and counters are the template rows'.  Names and tags keep the
+        template rows' parts, and a copy formats them with its template's
+        shift plus ``shift``: their make-function gets it as the ``shift``
+        keyword (the emitters of :mod:`repro.core.emit` move the block they
+        name by it).  Copies are valid by construction, so nothing is checked
+        per row.
+        """
+        new_first = len(self.kinds)
+        if not 0 <= fixed_below <= first <= stop <= new_first:
+            raise ValueError(
+                f"cannot stamp rows [{first}, {stop}) fixed below {fixed_below} "
+                f"in a graph of {new_first} tasks"
+            )
+        self.kinds += self.kinds[first:stop]
+        self.resource_ids += self.resource_ids[first:stop]
+        self.cycles += self.cycles[first:stop]
+        self.counters += self.counters[first:stop]
+        self._tags += self._tags[first:stop]
+        self._names += self._names[first:stop]
+        self._shifts += [moved + shift for moved in self._shifts[first:stop]]
+        offset = new_first - first
+        rows = self.deps[first:stop]
+        if fixed_below:
+            self.deps += [
+                tuple([d + offset if d >= fixed_below else d for d in row]) for row in rows
+            ]
+        else:
+            self.deps += [tuple([d + offset for d in row]) for row in rows]
+        return new_first
 
     def add(
         self,
-        name: str,
+        name: str | tuple,
         kind: TaskKind,
         resource: str,
         cycles: int,
@@ -300,8 +341,11 @@ class TaskGraph:
         tid = self.append(kind, self.resource_id(resource), cycles, dep_ids, values, name, tags)
         return Task(self, tid)
 
-    def add_barrier(self, name: str, deps: Iterable[int] | Iterable[Task]) -> Task:
-        """Add a zero-cost synchronization task depending on ``deps``."""
+    def add_barrier(self, name: str | tuple, deps: Iterable[int] | Iterable[Task]) -> Task:
+        """Add a zero-cost synchronization task depending on ``deps``.
+
+        ``name`` is a string or lazy parts, as :meth:`append` takes it.
+        """
         return self.add(name, TaskKind.BARRIER, resource="", cycles=0, deps=deps)
 
     # ------------------------------------------------------------------ #
@@ -322,17 +366,22 @@ class TaskGraph:
         return list(self)
 
     @staticmethod
-    def _format(name: str | tuple) -> str:
-        return name if isinstance(name, str) else name[0](*name[1:])
+    def _format(name: str | tuple, shift: int = 0) -> str:
+        if isinstance(name, str):
+            return name
+        return name[0](*name[1:], shift=shift) if shift else name[0](*name[1:])
 
     def task_name(self, tid: int) -> str:
         """Name of task ``tid``, formatted from its parts on each call."""
-        return self._format(self._names[tid])
+        return self._format(self._names[tid], self._shifts[tid])
 
     def task_tags(self, tid: int) -> dict[str, object]:
         """Tags of task ``tid``, a new dict made from its parts on each call."""
         tags = self._tags[tid]
-        return dict(tags) if isinstance(tags, dict) else tags[0](*tags[1:])
+        if isinstance(tags, dict):
+            return dict(tags)
+        shift = self._shifts[tid]
+        return tags[0](*tags[1:], shift=shift) if shift else tags[0](*tags[1:])
 
     def resources(self) -> list[str]:
         """Distinct non-empty resources referenced by the graph, in first-use order."""

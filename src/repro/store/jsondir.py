@@ -125,7 +125,8 @@ class JsonDirStore(ResultStore):
         path = self._path(key)
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        # Compact separators keep json on its C encoder (``indent`` does not).
+        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         os.replace(tmp, path)
 
     def _delete(self, key: str) -> bool:

@@ -5,7 +5,9 @@ and compares it with ``tests/graph_golden.json``:
 
 * the task count;
 * a SHA-256 over every task's (kind, resource, cycles, deps, counters) in
-  emission order — task names and tags are left out;
+  emission order;
+* a SHA-256 over every task's formatted name and sorted tags, in emission
+  order;
 * a SHA-256 over the simulated (start, finish) of every task.
 
 The same schedule also passes :func:`repro.sim.check.check_schedule`, and
@@ -152,18 +154,22 @@ def build_case(variant: str, shape: str, tiling: TilingConfig, l1: int) -> TaskG
 
 
 def digest_case(graph: TaskGraph, trace: Trace) -> dict[str, object]:
-    """A case's task count and the digests of its graph and of its schedule ``trace``."""
+    """A case's task count and the digests of its graph, of its task names and
+    tags, and of its schedule ``trace``."""
     graph_sha = hashlib.sha256()
+    labels_sha = hashlib.sha256()
     for task in graph:
         row = [task.kind.value, task.resource, task.cycles, list(task.deps)]
         row += [getattr(task, counter) for counter in COUNTERS]
         graph_sha.update(json.dumps(row).encode())
+        labels_sha.update(json.dumps([task.name, sorted(task.tags.items())]).encode())
     schedule_sha = hashlib.sha256()
     for record in trace.records:
         schedule_sha.update(f"{record.start},{record.finish};".encode())
     return {
         "tasks": len(graph),
         "graph": graph_sha.hexdigest(),
+        "labels": labels_sha.hexdigest(),
         "schedule": schedule_sha.hexdigest(),
     }
 
@@ -186,7 +192,7 @@ def test_graph_matches_golden(case_id, variant, shape, tiling, l1):
     graph = build_case(variant, shape, tiling, l1)
     trace = simulate_graph(graph)
     found = digest_case(graph, trace)
-    for field in ("tasks", "graph", "schedule"):
+    for field in ("tasks", "graph", "labels", "schedule"):
         assert found[field] == expected[field], (
             f"{case_id}: {field} differs from the golden graph "
             f"(expected {expected[field]}, found {found[field]})"

@@ -184,6 +184,29 @@ class TestReplay:
         else:
             assert f" whose latest write {producer.name} finishes " in message
 
+    def test_duplicated_stream_is_caught(self, edge_hw, monkeypatch):
+        """MAS's PV tile stream emitted twice (its resident V loads once) rewrites
+        a live accumulator slot: the replay names both writers by task id, since
+        they share a name."""
+        from repro.core.mas_attention import _MASCoreEmitter
+
+        emit_pv = _MASCoreEmitter._emit_pv
+
+        def emit_pv_twice(self, *args):
+            emit_pv(self, *args)
+            return emit_pv(self, *args)
+
+        monkeypatch.setattr(_MASCoreEmitter, "_emit_pv", emit_pv_twice)
+        workload = AttentionWorkload(batch=1, heads=2, seq_q=64, seq_kv=64, emb=16)
+        q, k, v = make_qkv(workload, dtype=np.float64)
+        with pytest.raises(ReplayError) as error:
+            tiling = TilingConfig(nq=16, nkv=16, kv_resident=True)
+            replay(make_scheduler("mas", edge_hw), workload, tiling, q, k, v)
+        message = str(error.value)
+        assert message.startswith("mas: task ")
+        assert " writes L1[c0].O[b0,PV0..0] at cycle " in message
+        assert message.count("mas.c0.PV0.g0r0") == 2
+
     def test_shape_validation(self, edge_hw):
         workload = AttentionWorkload(batch=1, heads=2, seq_q=96, seq_kv=96, emb=16)
         q, k, v = make_qkv(workload)

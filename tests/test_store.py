@@ -9,6 +9,7 @@ over every backend, and concurrent writers sharing one directory.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -113,6 +114,20 @@ def test_contract_is_the_operations_callers_use():
     assert ResultStore.__abstractmethods__ == {
         "uri", "lookup", "put", "entries", "stats", "evict", "clear", "__len__",
     }
+
+
+def test_jsondir_serves_entries_written_indented(tmp_path):
+    """Entries are written compact; one written in the earlier indented
+    format is still served as it was stored."""
+    store = JsonDirStore(tmp_path / "store")
+    store.put("a", payload_for("a", 1))
+    assert "\n" not in (tmp_path / "store" / "a.json").read_text()
+    (tmp_path / "store" / "b.json").write_text(
+        json.dumps(payload_for("b", 2), indent=2, sort_keys=True)
+    )
+    payload, status = store.lookup("b")
+    assert status == "hit" and payload == payload_for("b", 2)
+    assert len(store) == 2
 
 
 # ---------------------------------------------------------------------- #
