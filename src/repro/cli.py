@@ -9,7 +9,7 @@ Examples
    $ mas-attention suites cross-attention   # one suite's entries
    $ mas-attention compare BERT-Base        # untuned comparison of all methods
    $ mas-attention table2 --budget 60       # Table 2 (cycles + speedups)
-   $ mas-attention table2 --jobs 4 --search-workers 4 --stream   # parallel + live progress
+   $ mas-attention table2 --jobs 4 --stream                      # parallel + live progress
    $ mas-attention table2 --suite table1-batched                 # batch 4/8/16 sweep
    $ mas-attention table2 --suite table1 --batch 8               # = table1@batch=8
    $ mas-attention table3 --suite 'long-context@seq<=8192'       # inline suite spec
@@ -134,13 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-cache",
             action="store_true",
             help="disable the persistent tuning-result cache",
-        )
-        p.add_argument(
-            "--search-workers",
-            type=int,
-            default=None,
-            help="candidate-evaluation workers inside each pair's tiling search "
-            "(default: $MAS_SEARCH_WORKERS or 1; results are identical at any count)",
         )
         p.add_argument(
             "--stream",
@@ -355,7 +348,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         cache_uri=args.cache_uri,
         use_cache=not args.no_cache,
         jobs=args.jobs,
-        search_workers=args.search_workers,
         suite=_suite_spec(args),
         verbose=args.verbose,
     )

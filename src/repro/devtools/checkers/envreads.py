@@ -58,7 +58,7 @@ class EnvRegistryChecker(Checker):
                         module,
                         node,
                         f"direct environment read of {env_name} — go through "
-                        f"repro.utils.env.value()/int_value() so the default "
+                        f"repro.utils.env.value() so the default "
                         f"and docs stay in one place",
                     )
                 )

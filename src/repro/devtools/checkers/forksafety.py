@@ -1,6 +1,6 @@
 """``fork-safety``: classes holding live OS resources must say how to pickle.
 
-The parallel evaluator ships work to ``ProcessPoolExecutor`` workers, which
+The sweep runner ships pairs to ``ProcessPoolExecutor`` workers, which
 means everything reachable from a submitted callable is pickled.  Two
 patterns break quietly under fork/spawn:
 
@@ -13,7 +13,7 @@ patterns break quietly under fork/spawn:
 * a **bound method** is submitted to a process pool
   (``pool.submit(self.run, ...)``) — that drags the whole instance, locks
   and all, through pickle.  Submit module-level functions, as
-  ``search/parallel.py`` does with ``execute_pair``.
+  ``exec/runner.py`` does with ``execute_pair``.
 """
 
 from __future__ import annotations

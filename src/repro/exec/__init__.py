@@ -12,7 +12,7 @@ the analysis harnesses do with the results:
 * :mod:`repro.exec.runner` — the :class:`ExperimentRunner`, which runs
   pairs inline or over a process pool (``jobs``) with identical results,
   with a streaming ``iter_matrix`` API (completed runs yielded as they
-  finish) and intra-pair ``search_workers`` fan-out of candidate evaluation.
+  finish).  Each pair's tiling search runs in the process of its pair.
 
 Runners sweep a :class:`~repro.workloads.suites.WorkloadSuite` (``suite=``;
 Table 1 by default), so every harness can run batched, cross-attention or

@@ -17,10 +17,10 @@ form.  On top of that the runner offers:
   bit-identical to serial ones;
 * a streaming sweep API — ``iter_matrix`` yields each completed
   :class:`MethodRun` as it finishes (``as_completed`` order) so harnesses
-  can render incrementally;
-* intra-pair parallelism — ``search_workers`` fans the candidate evaluations
-  *inside* each pair's tiling search over a process pool (see
-  :mod:`repro.search.parallel`), again without changing any result.
+  can render incrementally.
+
+Each pair's tiling search runs in the process that executes the pair, so
+``jobs`` is the one way a sweep uses more cores.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.exec.pairs import MethodRun, PairSpec, execute_pair
 from repro.obs import trace as obs_trace
@@ -37,7 +37,6 @@ from repro.hardware.config import HardwareConfig
 from repro.hardware.presets import simulated_edge_device
 from repro.schedulers.registry import get_scheduler, list_schedulers
 from repro.search.objective import Metric
-from repro.search.parallel import resolve_workers
 from repro.store import HttpStore, open_store, resolve_store_target
 from repro.store.http import UNREACHABLE_ERRORS
 from repro.utils.validation import check_positive_int
@@ -97,11 +96,6 @@ class ExperimentRunner:
         so :meth:`cache_stats` accounting is backend-independent.
     use_cache:
         Off switch for the persistent cache even when a target is set.
-    search_workers:
-        Candidate-evaluation processes *within* each pair's tiling search;
-        ``None`` defers to ``$MAS_SEARCH_WORKERS`` (default 1).  Tuning
-        results are bit-identical for every worker count, so this composes
-        freely with the persistent cache and with ``jobs``.
     suite:
         The workload suite swept by this runner: a
         :class:`~repro.workloads.suites.WorkloadSuite`, a suite-spec string
@@ -129,7 +123,6 @@ class ExperimentRunner:
     cache_dir: str | Path | None = None
     cache_uri: str | None = None
     use_cache: bool = True
-    search_workers: int | None = None
     suite: str | WorkloadSuite | None = None
     verbose: bool = False
     jobs: int = 1
@@ -138,11 +131,8 @@ class ExperimentRunner:
     def __post_init__(self) -> None:
         check_positive_int(self.search_budget, "search_budget")
         check_positive_int(self.jobs, "jobs")
-        # Fail fast on bad worker settings (explicit or from the environment)
-        # instead of erroring later inside pool workers — and on a malformed
-        # suite spec before any pair executes.
-        resolve_workers(self.search_workers)
-        # ... and on a malformed store URI (explicit or from the environment):
+        # Fail fast on a malformed store URI (explicit or from the
+        # environment) instead of erroring later inside pool workers:
         # opening a store is lazy/cheap and raises on bad schemes or policies.
         # An HTTP store is additionally pinged, so an unreachable/mistyped
         # service address fails the run here with one clear error instead of
@@ -238,9 +228,8 @@ class ExperimentRunner:
             cache_uri=self.cache_target,
             use_cache=self.use_cache,
             suite=self.suite_name,
-            search_workers=self.search_workers,
             workload=entry.workload,
-            # Ambient sweep span (if tracing is on), so pair spans parent
+            # The enclosing sweep span (if tracing is on), so pair spans parent
             # onto the sweep even from pool-worker processes.
             trace=obs_trace.current_context(),
         )
@@ -392,7 +381,17 @@ class ExperimentRunner:
         }
 
 
-#: Alias of :class:`ExperimentRunner`, kept only because the sweep benchmark
-#: (``perfbench/sweep.py``) imports this name; delete it once that script
-#: imports ``ExperimentRunner``.
-ParallelRunner = ExperimentRunner
+def ParallelRunner(*, search_workers: int = 1, **kwargs: Any) -> ExperimentRunner:
+    """An :class:`ExperimentRunner` built from ``kwargs``, under the old name.
+
+    Kept only because the sweep benchmark (``perfbench/sweep.py``) calls this
+    name with ``search_workers=1``; delete it once that script builds an
+    ``ExperimentRunner``.  A tiling search runs in its pair's process, so any
+    other worker count is refused.
+    """
+    if search_workers != 1:
+        raise ValueError(
+            f"search_workers must be 1, got {search_workers!r}: each tiling search "
+            "runs in its pair's process (use jobs= to spread pairs over processes)"
+        )
+    return ExperimentRunner(**kwargs)

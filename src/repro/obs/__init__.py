@@ -23,7 +23,6 @@ from repro.obs.trace import (
     Span,
     TraceContext,
     Tracer,
-    attach_context,
     configure,
     current_context,
     flush,
@@ -38,7 +37,6 @@ __all__ = [
     "TRACE_HEADER",
     "TraceContext",
     "Tracer",
-    "attach_context",
     "configure",
     "current_context",
     "flush",

@@ -7,10 +7,9 @@ across three kinds of boundary:
 
 * **threads** — each thread keeps a span stack, so nested ``span()`` blocks
   parent automatically;
-* **process pools** — a picklable :class:`TraceContext` rides inside
-  ``PairSpec`` / evaluator initargs, and workers either pass it as an
-  explicit ``parent`` or install it as the process-ambient parent via
-  :func:`attach_context`;
+* **process pools** — a picklable :class:`TraceContext` rides inside each
+  ``PairSpec``, and the pool worker passes it as the explicit ``parent`` of
+  its pair span;
 * **the wire** — ``HttpStore`` sends the active context as the
   ``X-MAS-Trace`` header and ``StoreService`` adopts it as the parent of
   its ``service.request`` spans.
@@ -52,7 +51,6 @@ __all__ = [
     "Span",
     "TraceContext",
     "Tracer",
-    "attach_context",
     "configure",
     "current_context",
     "flush",
@@ -141,9 +139,6 @@ class _ThreadState(threading.local):
 
 
 _STATE = _ThreadState()
-# Process-ambient parent: the context a pool worker inherits (via initargs
-# or a pickled PairSpec) that parents every root span it opens.
-_AMBIENT: TraceContext | None = None
 
 
 class Tracer:  # mas-lint: disable=fork-safety(per-process singleton; forked children mint a fresh Tracer via the PID guard in get_tracer instead of unpickling or reusing this one)
@@ -167,10 +162,10 @@ class Tracer:  # mas-lint: disable=fork-safety(per-process singleton; forked chi
     @contextmanager
     def span(self, name: str, layer: str = "app",
              parent: TraceContext | None = None, **attrs: Any) -> Iterator[Span]:
-        """Open a span; parent defaults to the innermost live span, then the
-        process-ambient context, then none (a new root/trace)."""
-        if parent is None:
-            parent = _STATE.stack[-1].context if _STATE.stack else _AMBIENT
+        """Open a span; parent defaults to the innermost live span, else
+        none (a new root/trace)."""
+        if parent is None and _STATE.stack:
+            parent = _STATE.stack[-1].context
         trace_id = parent.trace_id if parent is not None else _new_id(_TRACE_ID_BYTES)
         context = TraceContext(trace_id=trace_id, span_id=_new_id(_SPAN_ID_BYTES))
         sp = Span(name, layer, context, parent.span_id if parent is not None else None, dict(attrs))
@@ -307,11 +302,10 @@ def configure(path: str | os.PathLike[str], buffer_spans: int = 1) -> Tracer:
 def reset() -> None:
     """Disable tracing and forget state, so the next span re-reads the env.
 
-    Flushes and closes the current tracer (if this process owns it) and
-    clears the ambient context.  Tests and benchmarks bracket traced
-    sections with :func:`configure`/:func:`reset`.
+    Flushes and closes the current tracer (if this process owns it).  Tests
+    and benchmarks bracket traced sections with :func:`configure`/:func:`reset`.
     """
-    global _tracer, _tracer_pid, _AMBIENT, _configured
+    global _tracer, _tracer_pid, _configured
     with _MODULE_LOCK:
         if _tracer is not None:
             if _tracer_pid == os.getpid():
@@ -320,7 +314,6 @@ def reset() -> None:
                 _tracer.abandon()
         _tracer = None
         _tracer_pid = None
-        _AMBIENT = None
         _configured = None
 
 
@@ -338,18 +331,10 @@ def span(name: str, layer: str = "app",
 
 
 def current_context() -> TraceContext | None:
-    """The context new child work should adopt: innermost span, else ambient."""
-    if get_tracer() is None:
+    """The context new child work should adopt: the innermost live span's."""
+    if get_tracer() is None or not _STATE.stack:
         return None
-    if _STATE.stack:
-        return _STATE.stack[-1].context
-    return _AMBIENT
-
-
-def attach_context(context: TraceContext | None) -> None:
-    """Install the process-ambient parent (used by pool-worker initializers)."""
-    global _AMBIENT
-    _AMBIENT = context
+    return _STATE.stack[-1].context
 
 
 def flush() -> None:

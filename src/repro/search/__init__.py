@@ -11,8 +11,6 @@ those searchers over the :class:`~repro.core.tiling.TilingConfig` space:
 * :mod:`repro.search.objective` — candidate evaluation (cycles / energy / EDP)
   with feasibility handling and caching;
 * :mod:`repro.search.history` — per-iteration search records (Figure 7);
-* :mod:`repro.search.parallel` — batched candidate evaluation over a process
-  pool, bit-identical to serial evaluation;
 * :mod:`repro.search.grid`, :mod:`repro.search.random_search`,
   :mod:`repro.search.mcts`, :mod:`repro.search.genetic` — the algorithms;
 * :mod:`repro.search.autotuner` — the facade the experiments use
@@ -22,7 +20,6 @@ those searchers over the :class:`~repro.core.tiling.TilingConfig` space:
 from repro.search.space import TilingSearchSpace
 from repro.search.objective import SchedulerObjective, TilingEvaluation
 from repro.search.history import SearchHistory, SearchRecord
-from repro.search.parallel import ParallelEvaluator, resolve_workers
 from repro.search.base import SearchAlgorithm
 from repro.search.grid import GridSearch
 from repro.search.random_search import RandomSearch
@@ -36,8 +33,6 @@ __all__ = [
     "TilingEvaluation",
     "SearchHistory",
     "SearchRecord",
-    "ParallelEvaluator",
-    "resolve_workers",
     "SearchAlgorithm",
     "GridSearch",
     "RandomSearch",

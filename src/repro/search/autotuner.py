@@ -102,15 +102,6 @@ class AutoTuner:
         Objective metric (``"cycles"``, ``"energy"`` or ``"edp"``).
     seed:
         Seed for the stochastic searchers.
-    workers:
-        Candidate-evaluation processes *within* the search (GA generations
-        and MCTS rollout batches fan out over them); ``None`` resolves to
-        ``$MAS_SEARCH_WORKERS`` (default 1).  Results are bit-identical for
-        every worker count.
-    rollout_batch:
-        Leaf rollouts per MCTS iteration (see :class:`MCTSSearch`).  Unlike
-        ``workers`` this changes the search trajectory, so it defaults to the
-        classic 1 rollout per iteration.
     """
 
     def __init__(
@@ -121,14 +112,11 @@ class AutoTuner:
         metric: Metric = "cycles",
         seed: int = 0,
         mcts_fraction: float = 0.6,
-        workers: int | None = None,
-        rollout_batch: int = 1,
     ) -> None:
         if strategy is None:
             strategy = default_strategy(hardware)
         require(strategy in STRATEGIES, f"unknown strategy {strategy!r}; options: {STRATEGIES}")
         check_positive_int(budget, "budget")
-        check_positive_int(rollout_batch, "rollout_batch")
         require(0.0 < mcts_fraction < 1.0, "mcts_fraction must lie in (0, 1)")
         self.hardware = hardware
         self.strategy = strategy
@@ -136,9 +124,6 @@ class AutoTuner:
         self.metric = metric
         self.seed = seed
         self.mcts_fraction = mcts_fraction
-        self.workers = workers
-        self.rollout_batch = rollout_batch
-        self._cache: dict[tuple[str, str], TuningResult] = {}
 
     # ------------------------------------------------------------------ #
     def tune(
@@ -148,34 +133,24 @@ class AutoTuner:
     ) -> TuningResult:
         """Tune ``scheduler`` for ``workload`` and return the best tiling found.
 
-        Results are memoized per (scheduler, workload) pair so experiment
-        harnesses that share tunings (Table 2, Table 3, Figure 6 all use the
-        same runs) only pay for the search once.
+        Every call runs a fresh search.  Harnesses that share tunings (Table 2,
+        Table 3 and Figure 6 all use the same runs) share them through
+        :class:`~repro.exec.runner.ExperimentRunner` and its result store.
         """
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler, self.hardware)
-        key = (scheduler.name, workload.describe())
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
-        objective = SchedulerObjective(
-            scheduler, workload, metric=self.metric, workers=self.workers
-        )
+        objective = SchedulerObjective(scheduler, workload, metric=self.metric)
         space = TilingSearchSpace(workload, self.hardware)
-        try:
-            history = self._search(objective, space)
+        history = self._search(objective, space)
 
-            # Always consider the scheduler's heuristic default as a candidate:
-            # the search should never return something worse than the untuned
-            # tiling (and if nothing feasible was explored, it is the fallback).
-            default_eval = objective.evaluate(scheduler.default_tiling(workload))
-            history.record(default_eval, phase="default")
-        finally:
-            objective.close()
+        # Always consider the scheduler's heuristic default as a candidate:
+        # the search should never return something worse than the untuned
+        # tiling (and if nothing feasible was explored, it is the fallback).
+        default_eval = objective.evaluate(scheduler.default_tiling(workload))
+        history.record(default_eval, phase="default")
 
         assert history.best is not None
-        result = TuningResult(
+        return TuningResult(
             scheduler=scheduler.name,
             workload=workload.name or workload.describe(),
             strategy=self.strategy,
@@ -186,8 +161,6 @@ class AutoTuner:
             objective_evaluations=objective.num_evaluations,
             analytic_stats=dict(objective.analytic_stats),
         )
-        self._cache[key] = result
-        return result
 
     # ------------------------------------------------------------------ #
     def _search(self, objective: SchedulerObjective, space: TilingSearchSpace) -> SearchHistory:
@@ -197,18 +170,14 @@ class AutoTuner:
         if self.strategy == "random":
             return RandomSearch(seed=self.seed).run(objective, space, budget=budget)
         if self.strategy == "mcts":
-            return MCTSSearch(seed=self.seed, rollout_batch=self.rollout_batch).run(
-                objective, space, budget=budget
-            )
+            return MCTSSearch(seed=self.seed).run(objective, space, budget=budget)
         if self.strategy == "ga":
             return GeneticSearch(seed=self.seed).run(objective, space, budget=budget)
 
         # mcts+ga: tiling factors from MCTS, compute ordering refined by GA.
         mcts_budget = max(1, int(budget * self.mcts_fraction))
         ga_budget = max(1, budget - mcts_budget)
-        mcts_history = MCTSSearch(seed=self.seed, rollout_batch=self.rollout_batch).run(
-            objective, space, budget=mcts_budget
-        )
+        mcts_history = MCTSSearch(seed=self.seed).run(objective, space, budget=mcts_budget)
 
         ga = GeneticSearch(seed=self.seed + 1)
         if mcts_history.best_tiling is not None:
@@ -233,10 +202,7 @@ def tune_scheduler(
     budget: int = 200,
     metric: Metric = "cycles",
     seed: int = 0,
-    workers: int | None = None,
 ) -> TuningResult:
     """One-shot convenience wrapper around :class:`AutoTuner`."""
-    tuner = AutoTuner(
-        hardware, strategy=strategy, budget=budget, metric=metric, seed=seed, workers=workers
-    )
+    tuner = AutoTuner(hardware, strategy=strategy, budget=budget, metric=metric, seed=seed)
     return tuner.tune(scheduler_name, workload)

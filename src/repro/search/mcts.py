@@ -28,7 +28,6 @@ from repro.search.base import SearchAlgorithm
 from repro.search.history import SearchHistory
 from repro.search.objective import SchedulerObjective
 from repro.search.space import DECISIONS, TilingSearchSpace
-from repro.utils.validation import check_positive_int
 
 __all__ = ["MCTSSearch", "MCTSNode"]
 
@@ -73,24 +72,17 @@ class MCTSNode:
 class MCTSSearch(SearchAlgorithm):
     """UCB1 Monte Carlo Tree Search over the tiling-decision tree.
 
-    ``rollout_batch`` leaf rollouts run per iteration: the selection/expansion
-    phases produce a batch of complete tilings first, the batch is evaluated
-    in one :meth:`SchedulerObjective.evaluate_batch` call (fanned over the
-    objective's worker pool when it has one), and rewards are backpropagated
-    in rollout order.  ``rollout_batch=1`` (the default) is exactly the
-    classic serial loop; for any fixed ``rollout_batch`` the search is
-    bit-identical whatever the evaluation worker count.
+    One leaf rollout runs per iteration.  Its tiling is evaluated as a batch
+    of one through :meth:`SchedulerObjective.evaluate_batch`, the pruned path,
+    so a candidate whose analytic bound already loses is ranked by that bound
+    instead of being simulated.
     """
 
     name = "mcts"
 
-    def __init__(
-        self, seed: int = 0, exploration: float = 1.2, rollout_batch: int = 1
-    ) -> None:
+    def __init__(self, seed: int = 0, exploration: float = 1.2) -> None:
         super().__init__(seed)
-        check_positive_int(rollout_batch, "rollout_batch")
         self.exploration = exploration
-        self.rollout_batch = rollout_batch
 
     # ------------------------------------------------------------------ #
     def _run(
@@ -106,21 +98,14 @@ class MCTSSearch(SearchAlgorithm):
         evaluations = 0
 
         while evaluations < budget:
-            batch_size = min(self.rollout_batch, budget - evaluations)
-            leaves: list[MCTSNode] = []
-            tilings = []
-            for _ in range(batch_size):
-                node = self._select(root, space)
-                node = self._expand(node, space, rng)
-                leaves.append(node)
-                tilings.append(self._rollout(node, space, rng))
-            batch = self._evaluate_batch(objective, tilings, history)
-            for node, evaluation in zip(leaves, batch):
-                if evaluation.feasible:
-                    best_value = min(best_value, evaluation.value)
-                reward = self._reward(evaluation.value, best_value)
-                self._backpropagate(node, reward)
-            evaluations += batch_size
+            node = self._select(root, space)
+            node = self._expand(node, space, rng)
+            tiling = self._rollout(node, space, rng)
+            (evaluation,) = self._evaluate_batch(objective, [tiling], history)
+            if evaluation.feasible:
+                best_value = min(best_value, evaluation.value)
+            self._backpropagate(node, self._reward(evaluation.value, best_value))
+            evaluations += 1
 
     # ------------------------------------------------------------------ #
     # MCTS phases

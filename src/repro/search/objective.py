@@ -30,8 +30,8 @@ from typing import Literal, Sequence
 from repro.core.analytic import AnalyticBounds, TilingBatch
 from repro.core.overwrite import InfeasibleTilingError
 from repro.core.tiling import TilingConfig
+from repro.obs import trace as obs_trace
 from repro.schedulers.base import AttentionScheduler
-from repro.search.parallel import ParallelEvaluator
 from repro.search.space import TilingSearchSpace
 from repro.sim.trace import SimulationResult
 from repro.utils.validation import require
@@ -42,10 +42,10 @@ __all__ = ["TilingEvaluation", "SchedulerObjective"]
 Metric = Literal["cycles", "energy", "edp"]
 
 #: Candidates per pruning wave in :meth:`SchedulerObjective.evaluate_batch`.
-#: Within a wave candidates evaluate (possibly in parallel); between waves
-#: the incumbent is re-checked.  A *fixed* wave size keeps pruned sweeps
-#: bit-identical for every worker count while still letting early winners
-#: prune the rest of a large batch.
+#: Between waves the incumbent is re-checked, so early winners prune the rest
+#: of a large batch.  The wave size is part of the search's definition: it
+#: decides which candidates are simulated and which bounds the GA and MCTS
+#: rank, so changing it changes search results.
 PRUNE_WAVE = 8
 
 
@@ -54,8 +54,9 @@ class TilingEvaluation:
     """Outcome of evaluating one tiling candidate.
 
     Scalars only: a feasible evaluation is exactly one simulation, and its
-    trace is dropped so evaluations stay small enough to ship back from pool
-    workers (re-simulate the tiling when the trace itself is wanted).
+    trace is dropped so the memo table, which keeps every evaluation of a
+    search, stays small (re-simulate the tiling when the trace itself is
+    wanted).
     """
 
     tiling: TilingConfig
@@ -89,10 +90,6 @@ class SchedulerObjective:
     metric:
         ``"cycles"`` (the paper's objective), ``"energy"`` or ``"edp"``
         (energy-delay product).
-    workers:
-        Process-pool workers for :meth:`evaluate_batch`; ``None`` resolves to
-        ``$MAS_SEARCH_WORKERS`` (default 1, fully serial).  Results are
-        bit-identical for every worker count.
     analytic_prune:
         Prune candidates whose analytic lower bound on the metric already
         loses to the incumbent (the search's only path).  ``False`` keeps the
@@ -104,7 +101,6 @@ class SchedulerObjective:
         scheduler: AttentionScheduler,
         workload: AttentionWorkload,
         metric: Metric = "cycles",
-        workers: int | None = None,
         analytic_prune: bool = True,
     ) -> None:
         require(metric in ("cycles", "energy", "edp"), f"unknown metric {metric!r}")
@@ -131,12 +127,6 @@ class SchedulerObjective:
         }
         #: Best feasible objective value seen so far — the pruning incumbent.
         self._incumbent = float("inf")
-        self._evaluator = ParallelEvaluator(scheduler, workload, metric, workers=workers)
-
-    @property
-    def workers(self) -> int:
-        """Resolved evaluation worker count (1 = serial)."""
-        return self._evaluator.workers
 
     # ------------------------------------------------------------------ #
     def _key(self, tiling: TilingConfig) -> tuple:
@@ -152,9 +142,9 @@ class SchedulerObjective:
     def evaluate_uncached(self, tiling: TilingConfig) -> TilingEvaluation:
         """Evaluate one candidate directly: no memo lookup, no accounting.
 
-        Pure with respect to ``self`` — safe to call from pool workers.  The
-        memoizing callers (:meth:`evaluate`, :meth:`evaluate_batch`) own the
-        cache insert and the ``num_evaluations`` count.
+        Pure with respect to ``self``.  The memoizing callers
+        (:meth:`evaluate`, :meth:`evaluate_batch`) own the cache insert and
+        the ``num_evaluations`` count.
         """
         tiling = tiling.clamp_to(self.workload)
         if not self.scheduler.fits(self.workload, tiling):
@@ -170,6 +160,15 @@ class SchedulerObjective:
             energy_pj=result.energy_pj,
             value=self._value(result),
         )
+
+    def _evaluate_wave(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
+        """Evaluate ``tilings`` in input order as one "search.generation" span.
+
+        The span (a no-op unless tracing is on) covers one pruning wave, or
+        one whole unpruned batch.
+        """
+        with obs_trace.span("search.generation", layer="search", batch=len(tilings)):
+            return [self.evaluate_uncached(tiling) for tiling in tilings]
 
     def _note(self, evaluation: TilingEvaluation) -> None:
         """Account for one fresh (non-memoized) evaluation outcome."""
@@ -234,14 +233,13 @@ class SchedulerObjective:
         return evaluation
 
     def evaluate_batch(self, tilings: Sequence[TilingConfig]) -> list[TilingEvaluation]:
-        """Evaluate many candidates at once (memoized, pruned, optionally in parallel).
+        """Evaluate many candidates at once (memoized and pruned).
 
         Returns one evaluation per input, aligned with the input order.  Only
-        distinct not-yet-memoized tilings are evaluated — fanned over the
-        evaluator's pool when ``workers > 1`` — and merged into the memo
-        table in first-occurrence order.  Without pruning the resulting cache
-        state, evaluation count and returned values are identical to calling
-        :meth:`evaluate` on each tiling serially.
+        distinct not-yet-memoized tilings are evaluated, and they are merged
+        into the memo table in first-occurrence order.  Without pruning the
+        resulting cache state, evaluation count and returned values are
+        identical to calling :meth:`evaluate` on each tiling in turn.
         """
         clamped = [tiling.clamp_to(self.workload) for tiling in tilings]
         pending: dict[tuple, TilingConfig] = {}
@@ -254,7 +252,7 @@ class SchedulerObjective:
             if self.analytic_prune:
                 fresh = self._evaluate_pruned(candidates)
             else:
-                fresh = self._evaluator.evaluate(candidates, self.evaluate_uncached)
+                fresh = self._evaluate_wave(candidates)
                 for evaluation in fresh:
                     self._note(evaluation)
             for key, evaluation in zip(pending, fresh):
@@ -281,11 +279,7 @@ class SchedulerObjective:
         # Simulate survivors in ascending-bound order, in fixed-size waves:
         # candidates whose bound already loses to the incumbent are pruned as
         # each wave is formed, and every completed wave tightens the incumbent
-        # for the next one.  The wave size is a constant (not the worker
-        # count) and the order is fully deterministic, so pruned results are
-        # bit-identical for every worker count — the same invariance contract
-        # the rest of the search layer keeps — while early winners still
-        # prune the rest of a large batch.
+        # for the next one.
         value_bound = dict(
             zip(survivors, self._value_bounds([tilings[i] for i in survivors]))
         )
@@ -297,17 +291,13 @@ class SchedulerObjective:
                     results[index] = self._pruned(tilings[index], value_bound[index])
                 else:
                     wave.append(index)
-            fresh = self._evaluator.evaluate([tilings[i] for i in wave], self.evaluate_uncached)
+            fresh = self._evaluate_wave([tilings[i] for i in wave])
             for index, evaluation in zip(wave, fresh):
                 results[index] = evaluation
                 self._note(evaluation)
         return results
 
     __call__ = evaluate
-
-    def close(self) -> None:
-        """Release the evaluator's worker pool, if one was ever created."""
-        self._evaluator.close()
 
     @property
     def cache_size(self) -> int:

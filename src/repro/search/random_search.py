@@ -21,9 +21,8 @@ class RandomSearch(SearchAlgorithm):
     """Sample candidates uniformly at random from the space.
 
     Sampling never depends on evaluation results, so the whole budget is
-    drawn up front and evaluated as one batch — the history is identical to
-    the sample-evaluate-sample serial loop, but the evaluations can fan out
-    over the objective's worker pool.
+    drawn up front and evaluated as one batch, with its history in sampling
+    order.
     """
 
     name = "random"

@@ -1,16 +1,16 @@
 """Central registry of every ``MAS_*`` environment variable.
 
 Environment variables are the repo's cross-process configuration surface —
-cache URIs shared by sweep workers, suite overrides in CI, worker counts —
+cache URIs shared by sweep workers, trace paths, suite overrides in CI —
 and they historically grew one ``os.environ.get`` at a time, each with its
 own default, stripping rule and (maybe) a docs mention.  This module makes
 the set machine-checkable:
 
 * every variable is *declared* here once, with its name, default and a
   one-line doc string;
-* every *read* goes through :func:`value` / :func:`int_value`, which refuse
-  names that were never registered — a typo'd variable is a loud error, not
-  a silently ignored knob;
+* every *read* goes through :func:`value`, which refuses names that were
+  never registered — a typo'd variable is a loud error, not a silently
+  ignored knob;
 * the registry renders itself into the reference table in
   ``docs/env_vars.md`` (:func:`render_markdown_table`), and the ``mas-lint``
   ``env-registry`` checker cross-references code, registry and docs so none
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 __all__ = [
     "EnvVar",
     "REGISTRY",
-    "int_value",
     "register",
     "render_markdown_table",
     "value",
@@ -84,24 +83,6 @@ def value(name: str) -> str | None:
     return raw or var.default
 
 
-def int_value(name: str, fallback: int | None = None) -> int:
-    """:func:`value` parsed as an integer.
-
-    ``fallback`` applies when the variable is unset and the registry holds no
-    default.  A set-but-malformed value raises ``ValueError`` naming the
-    variable, so a typo'd ``MAS_X=four`` fails loudly instead of defaulting.
-    """
-    text = value(name)
-    if text is None:
-        if fallback is None:
-            raise ValueError(f"${name} is unset and has no registered default")
-        return fallback
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ValueError(f"${name}={text!r} is not an integer") from exc
-
-
 def render_markdown_table() -> str:
     """The registry as the markdown table published in ``docs/env_vars.md``.
 
@@ -128,12 +109,6 @@ register(
     "Default result-store URI for every runner and `cache` subcommand: "
     "`dir:/path`, a plain directory or `http://host:8787`, optionally with "
     "`?max_entries=/?max_bytes=` eviction caps. `--cache`/`--cache-dir` flags win.",
-)
-register(
-    "MAS_SEARCH_WORKERS",
-    "1",
-    "Candidate-evaluation workers inside each pair's tiling search "
-    "(1 = serial). Results are bit-identical at any worker count.",
 )
 register(
     "MAS_TRACE",

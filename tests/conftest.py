@@ -83,6 +83,28 @@ def tiny_workload() -> AttentionWorkload:
 
 
 @pytest.fixture
+def no_new_processes(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    """Refuse to start a process (a pool worker or a bare fork).
+
+    Each attempt raises and is also recorded in the returned list, so a test
+    can assert the list is empty even if the code under test swallowed the
+    error.
+    """
+    import multiprocessing.process
+    import os
+
+    started: list[str] = []
+
+    def refuse(*args: object, **kwargs: object) -> None:
+        started.append(repr(args[:1]))
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    return started
+
+
+@pytest.fixture
 def small_tiling() -> TilingConfig:
     """Row-blocks of 32 and K/V tiles of 32 — several of each for the fixtures."""
     return TilingConfig(bb=1, hh=1, nq=32, nkv=32)

@@ -3,8 +3,8 @@
 from repro.utils import env
 
 
-def workers():
-    return env.int_value("MAS_SEARCH_WORKERS")
+def cache_uri():
+    return env.value("MAS_CACHE_URI")
 
 
 def trace_path():

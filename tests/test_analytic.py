@@ -199,10 +199,8 @@ class TestAnalyticBounds:
 # --------------------------------------------------------------------------- #
 # evaluate_batch accounting (regression: memo/count drift)
 # --------------------------------------------------------------------------- #
-def _objective(name, hardware, workload, workers=1):
-    return SchedulerObjective(
-        make_scheduler(name, hardware), workload, workers=workers, analytic_prune=False
-    )
+def _objective(name, hardware, workload):
+    return SchedulerObjective(make_scheduler(name, hardware), workload, analytic_prune=False)
 
 
 def _scalars(evaluation):
@@ -224,8 +222,8 @@ class TestEvaluateBatchAccounting:
     ):
         # Pre-memoize a couple of candidates, then hand evaluate_batch a batch
         # with duplicates, already-memoized tilings, footprint-infeasible and
-        # hard-infeasible candidates — for every scheduler, inline and pooled.
-        # Without pruning nothing is bounded: a call to the bounds fails.
+        # hard-infeasible candidates — for every scheduler.  Without pruning
+        # nothing is bounded: a call to the bounds fails.
         def no_bounds(self, workload, tilings):
             raise AssertionError("an unpruned search computed analytic bounds")
 
@@ -236,30 +234,22 @@ class TestEvaluateBatchAccounting:
             + [FITS[1], HARD_INFEASIBLE[0], OVER_L1[0], FITS[1]]
         )
         for name in ALL_SCHEDULERS:
-            for workers in (1, 2):
-                case = f"{name} workers={workers}"
-                oracle = _objective(name, tiny_hw, small_workload)
-                batched = _objective(name, tiny_hw, small_workload, workers=workers)
-                try:
-                    for tiling in warm:
-                        oracle.evaluate(tiling)
-                        batched.evaluate(tiling)
-                    got = batched.evaluate_batch(batch)
-                    # Several candidates are fresh, so the pooled case
-                    # really crosses the process boundary.
-                    assert (batched._evaluator._pool is not None) == (workers > 1), case
-                finally:
-                    batched.close()
-                expected = [oracle.evaluate(tiling) for tiling in batch]
+            oracle = _objective(name, tiny_hw, small_workload)
+            batched = _objective(name, tiny_hw, small_workload)
+            for tiling in warm:
+                oracle.evaluate(tiling)
+                batched.evaluate(tiling)
+            got = batched.evaluate_batch(batch)
+            expected = [oracle.evaluate(tiling) for tiling in batch]
 
-                assert [_scalars(e) for e in got] == [_scalars(e) for e in expected], case
-                assert list(batched._cache) == list(oracle._cache), case
-                assert batched.num_evaluations == oracle.num_evaluations, case
-                for counter in ("num_simulated", "num_infeasible", "num_pruned"):
-                    assert batched.analytic_stats[counter] == oracle.analytic_stats[counter], case
-                # Every scheduler rejects something here and simulates the rest.
-                assert oracle.analytic_stats["num_infeasible"] > 0, case
-                assert oracle.analytic_stats["num_simulated"] > 0, case
+            assert [_scalars(e) for e in got] == [_scalars(e) for e in expected], name
+            assert list(batched._cache) == list(oracle._cache), name
+            assert batched.num_evaluations == oracle.num_evaluations, name
+            for counter in ("num_simulated", "num_infeasible", "num_pruned"):
+                assert batched.analytic_stats[counter] == oracle.analytic_stats[counter], name
+            # Every scheduler rejects something here and simulates the rest.
+            assert oracle.analytic_stats["num_infeasible"] > 0, name
+            assert oracle.analytic_stats["num_simulated"] > 0, name
 
     def test_repeated_batches_do_not_recount(self, edge_hw, tiny_workload):
         analytic = _objective("flat", edge_hw, tiny_workload)
@@ -287,13 +277,10 @@ class TestEvaluateBatchAccounting:
 # Pruning semantics
 # --------------------------------------------------------------------------- #
 class TestPruning:
-    def test_pruned_batch_is_worker_invariant_and_never_prunes_a_reject(
-        self, tiny_hw, small_workload
-    ):
+    def test_pruned_batch_never_prunes_a_reject(self, tiny_hw, small_workload):
         """The mixed batch of ``TestEvaluateBatchAccounting`` under pruning:
-        one and two workers agree on every evaluation, the memo order and
-        the counters, and every candidate the scheduler cannot run comes
-        back rejected (infeasible, unpruned, infinite), never pruned."""
+        every candidate the scheduler cannot run comes back rejected
+        (infeasible, unpruned, infinite), never pruned."""
         # FITS[-1] is every scheduler's fastest fitting candidate here, so the
         # incumbent it sets prunes some of the others.
         warm = [FITS[-1], HARD_INFEASIBLE[0]]
@@ -305,38 +292,22 @@ class TestPruning:
             # Overwriting lets MAS run the L1-overflowing tiling; the
             # baselines reject it like the hard-infeasible one.
             rejected = HARD_INFEASIBLE if name == "mas" else OVER_L1 + HARD_INFEASIBLE
-            runs = []
-            for workers in (1, 2):
-                objective = SchedulerObjective(
-                    make_scheduler(name, tiny_hw), small_workload, workers=workers
-                )
-                try:
-                    for tiling in warm:
-                        objective.evaluate(tiling)
-                    got = objective.evaluate_batch(batch)
-                finally:
-                    objective.close()
-                runs.append(
-                    (
-                        [_scalars(e) for e in got],
-                        list(objective._cache),
-                        objective.num_evaluations,
-                        dict(objective.analytic_stats),
-                    )
-                )
-                for tiling, evaluation in zip(batch, got):
-                    if tiling in rejected:
-                        assert not evaluation.feasible, (name, tiling)
-                        assert not evaluation.pruned, (name, tiling)
-                        assert evaluation.value == float("inf"), (name, tiling)
-                stats = objective.analytic_stats
-                assert stats["num_infeasible"] == len(rejected), name
-                assert stats["num_pruned"] > 0, name
-                assert (
-                    stats["num_simulated"] + stats["num_infeasible"] + stats["num_pruned"]
-                    == objective.num_evaluations
-                ), name
-            assert runs[0] == runs[1], name
+            objective = SchedulerObjective(make_scheduler(name, tiny_hw), small_workload)
+            for tiling in warm:
+                objective.evaluate(tiling)
+            got = objective.evaluate_batch(batch)
+            for tiling, evaluation in zip(batch, got):
+                if tiling in rejected:
+                    assert not evaluation.feasible, (name, tiling)
+                    assert not evaluation.pruned, (name, tiling)
+                    assert evaluation.value == float("inf"), (name, tiling)
+            stats = objective.analytic_stats
+            assert stats["num_infeasible"] == len(rejected), name
+            assert stats["num_pruned"] > 0, name
+            assert (
+                stats["num_simulated"] + stats["num_infeasible"] + stats["num_pruned"]
+                == objective.num_evaluations
+            ), name
 
 
     def test_pruned_candidates_are_marked_and_counted(self, edge_hw, tiny_workload):
@@ -481,10 +452,10 @@ class TestBoundTable:
         self, scheduler, edge_hw, tiny_workload, monkeypatch
     ):
         """The per-batch bound call is the oracle: the same history rows,
-        evaluation count and accounting, at one and two workers."""
+        evaluation count and accounting."""
 
-        def tune(workers):
-            tuner = AutoTuner(edge_hw, strategy="mcts+ga", budget=60, seed=0, workers=workers)
+        def tune():
+            tuner = AutoTuner(edge_hw, strategy="mcts+ga", budget=60, seed=0)
             result = tuner.tune(scheduler, tiny_workload)
             rows = [
                 (rec.iteration, rec.tiling, rec.value, rec.best_value, rec.phase)
@@ -492,9 +463,7 @@ class TestBoundTable:
             ]
             return rows, result.objective_evaluations, result.analytic_stats
 
-        table = [tune(workers) for workers in (1, 2)]
+        table = tune()
         monkeypatch.setattr(SchedulerObjective, "_value_bounds", _per_batch_bounds)
-        per_batch = [tune(workers) for workers in (1, 2)]
-        assert table == per_batch
-        assert table[0] == table[1]
-        assert table[0][2]["num_pruned"] > 0
+        assert table == tune()
+        assert table[2]["num_pruned"] > 0

@@ -72,12 +72,13 @@ class TestParser:
         assert not (tmp_path / "env").exists()
 
     def test_search_flags_parse(self):
-        args = build_parser().parse_args(["table2", "--search-workers", "4", "--stream"])
-        assert args.search_workers == 4
+        args = build_parser().parse_args(["table2", "--stream"])
         assert args.stream
         defaults = build_parser().parse_args(["fig7"])
-        assert defaults.search_workers is None
         assert not defaults.stream
+        # Each tiling search runs in its pair's process: no worker flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table2", "--search-workers", "2"])
 
 
 class TestCommands:
@@ -114,8 +115,7 @@ class TestCommands:
 
     def test_table2_streaming_progress(self, capsys):
         code = main(
-            ["table2", "--budget", "5", "--networks", "ViT-B/14", "--stream",
-             "--search-workers", "2"]
+            ["table2", "--budget", "5", "--networks", "ViT-B/14", "--stream"]
         )
         assert code == 0
         captured = capsys.readouterr()

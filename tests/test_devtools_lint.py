@@ -241,20 +241,12 @@ def test_tag_syntax_inside_strings_is_ignored():
 # env registry and the docs cross-check
 # --------------------------------------------------------------------------- #
 def test_env_value_precedence(monkeypatch):
-    monkeypatch.delenv("MAS_SEARCH_WORKERS", raising=False)
-    assert env.value("MAS_SEARCH_WORKERS") == "1"  # registry default
-    monkeypatch.setenv("MAS_SEARCH_WORKERS", "2")
-    assert env.value("MAS_SEARCH_WORKERS") == "2"
-    monkeypatch.setenv("MAS_SEARCH_WORKERS", "   ")  # blank == unset
-    assert env.value("MAS_SEARCH_WORKERS") == "1"
-
-
-def test_env_int_value(monkeypatch):
-    monkeypatch.setenv("MAS_SEARCH_WORKERS", "4")
-    assert env.int_value("MAS_SEARCH_WORKERS") == 4
-    monkeypatch.setenv("MAS_SEARCH_WORKERS", "four")
-    with pytest.raises(ValueError, match="is not an integer"):
-        env.int_value("MAS_SEARCH_WORKERS")
+    monkeypatch.delenv("MAS_TEST_SUITE", raising=False)
+    assert env.value("MAS_TEST_SUITE") is None  # registry default
+    monkeypatch.setenv("MAS_TEST_SUITE", "gqa")
+    assert env.value("MAS_TEST_SUITE") == "gqa"
+    monkeypatch.setenv("MAS_TEST_SUITE", "   ")  # blank == unset
+    assert env.value("MAS_TEST_SUITE") is None
 
 
 def test_env_unknown_name_rejected():

@@ -85,21 +85,13 @@ class TestParallelMatchesSerial:
         matrix = runner.run_matrix(["ViT-B/14"], FAST_METHODS)
         assert matrix["ViT-B/14"]["mas"] is first
 
-    def test_search_workers_bit_identical_through_runner(self):
-        serial = ExperimentRunner(search_budget=BUDGET, seed=0)
-        workered = ExperimentRunner(search_budget=BUDGET, seed=0, search_workers=2)
-        # Search pools nested inside the matrix's pool workers (both forked).
-        nested = ExperimentRunner(search_budget=BUDGET, seed=0, search_workers=2, jobs=2)
-        nested_matrix = nested.run_matrix(FAST_NETWORKS, FAST_METHODS)
-        for method, network in [("mas", "ViT-B/14"), ("flat", "ViT-B/16")]:
-            a = serial.run(method, network)
-            for b in (workered.run(method, network), nested_matrix[network][method]):
-                assert a.cycles == b.cycles and a.energy_pj == b.energy_pj
-                assert a.tuning.best_tiling == b.tuning.best_tiling
-                assert a.tuning.objective_evaluations == b.tuning.objective_evaluations
-                assert [r.value for r in a.tuning.history.records] == [
-                    r.value for r in b.tuning.history.records
-                ]
+    def test_serial_matrix_tunes_every_pair_in_process(self, no_new_processes):
+        """At ``jobs=1`` each pair, its tiling search included, runs in the
+        runner's own process."""
+        runner = ExperimentRunner(search_budget=BUDGET, seed=0, use_cache=False)
+        matrix = runner.run_matrix(FAST_NETWORKS, FAST_METHODS)
+        assert no_new_processes == []
+        assert all(run.tuned for runs in matrix.values() for run in runs.values())
 
 
 def _run_keys(runs) -> set[tuple[str, str, int]]:
@@ -160,10 +152,6 @@ class TestIterMatrix:
         serial = ExperimentRunner(search_budget=BUDGET, seed=0)
         reference = _matrix_keys(serial.run_matrix(FAST_NETWORKS, FAST_METHODS))
         assert _matrix_keys(runner.run_matrix(FAST_NETWORKS, FAST_METHODS)) == reference
-
-    def test_search_workers_validated_eagerly(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(search_workers=0)
 
 
 class TestResultCache:
@@ -324,12 +312,17 @@ class TestRunnerSubsets:
 
 
 def test_parallel_runner_defaults_match_experiment_runner():
+    """The old name builds an ExperimentRunner with the same defaults, and
+    refuses any search-worker count but one."""
     from repro.exec.runner import ParallelRunner
 
-    assert ParallelRunner is ExperimentRunner  # one runner class, old name kept
-    runner = ExperimentRunner()
+    runner = ParallelRunner(search_workers=1)
+    assert type(runner) is ExperimentRunner
+    assert runner == ExperimentRunner()
     assert runner.hardware == simulated_edge_device()
     assert runner.jobs == 1
+    with pytest.raises(ValueError, match="search_workers"):
+        ParallelRunner(search_workers=2)
 
 
 class TestSuiteSweeps:

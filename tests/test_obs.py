@@ -12,6 +12,7 @@ the HTTP boundary.
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 import threading
@@ -26,13 +27,24 @@ from repro.obs.metrics import Histogram
 from repro.obs.schema import validate_trace_file
 from repro.obs.summary import summarize_trace
 from repro.obs.trace import TraceContext
+from repro.schedulers import make_scheduler
+from repro.search import (
+    GeneticSearch,
+    GridSearch,
+    MCTSSearch,
+    RandomSearch,
+    SchedulerObjective,
+    TilingSearchSpace,
+)
+from repro.search.objective import PRUNE_WAVE
 from repro.service import running_server, server_url
 from repro.store import HttpStore, JsonDirStore, RetryPolicy
+from repro.workloads.attention import AttentionWorkload
 
 
 @pytest.fixture(autouse=True)
 def clean_tracing():
-    """Every test starts and ends with tracing disabled and no ambient context."""
+    """Every test starts and ends with tracing disabled."""
     obs_trace.reset()
     yield
     obs_trace.reset()
@@ -90,21 +102,17 @@ class TestTracer:
         # inner completes first: JSONL order is completion order
         assert [s["name"] for s in read_trace(path)] == ["inner", "outer"]
 
-    def test_explicit_parent_and_ambient_context(self, tmp_path):
+    def test_explicit_parent_context(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         obs_trace.configure(path)
         remote = TraceContext(trace_id="feedfacefeedface", span_id="deadbeef")
         with obs_trace.span("child", parent=remote):
             pass
-        obs_trace.attach_context(remote)
-        with obs_trace.span("adopted"):
-            pass
         obs_trace.reset()
 
-        spans = {s["name"]: s for s in read_trace(path)}
-        for name in ("child", "adopted"):
-            assert spans[name]["trace_id"] == "feedfacefeedface"
-            assert spans[name]["parent_id"] == "deadbeef"
+        (child,) = read_trace(path)
+        assert child["trace_id"] == "feedfacefeedface"
+        assert child["parent_id"] == "deadbeef"
 
     def test_span_attrs_and_late_set(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -203,6 +211,126 @@ class TestTracer:
         obs_trace.reset()
         spans = {s["name"]: s for s in read_trace(path)}
         assert spans["thread_root"]["parent_id"] is None
+
+
+# --------------------------------------------------------------------------- #
+# The search layer's span: one per pruning wave
+# --------------------------------------------------------------------------- #
+def test_search_generation_span_per_pruning_wave(tmp_path, edge_hw):
+    """With no incumbent yet, a batch of fitting candidates opens one
+    "search.generation" span per pruning wave, waves whose candidates were
+    all pruned included, and the spans' batches add up to the candidates
+    simulated."""
+    workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="waves")
+    scheduler = make_scheduler("flat", edge_hw)
+    fitting = [
+        tiling
+        for tiling in TilingSearchSpace(workload, edge_hw).enumerate()
+        if scheduler.fits(workload, tiling)
+    ]
+    assert len(fitting) > PRUNE_WAVE
+    objective = SchedulerObjective(scheduler, workload)
+    obs_trace.configure(tmp_path / "trace.jsonl")
+    objective.evaluate_batch(fitting)
+    obs_trace.reset()
+
+    spans = [s for s in read_trace(tmp_path / "trace.jsonl") if s["name"] == "search.generation"]
+    assert len(spans) == math.ceil(len(fitting) / PRUNE_WAVE)
+    assert {s["layer"] for s in spans} == {"search"}
+    assert sum(s["attrs"]["batch"] for s in spans) == objective.analytic_stats["num_simulated"]
+    assert objective.analytic_stats["num_pruned"] > 0
+    assert not any("workers" in s["attrs"] for s in spans)
+
+
+def _generation_spans(path) -> list[dict]:
+    return [s for s in read_trace(path) if s["name"] == "search.generation"]
+
+
+def test_unpruned_batch_is_one_span_of_its_fresh_candidates(tmp_path, edge_hw):
+    """Without pruning a batch is one span, and its ``batch`` counts the
+    distinct candidates not memoized yet."""
+    workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="waves")
+    objective = SchedulerObjective(
+        make_scheduler("flat", edge_hw), workload, analytic_prune=False
+    )
+    tilings = list(TilingSearchSpace(workload, edge_hw).enumerate())[:5]
+    objective.evaluate(tilings[0])
+    obs_trace.configure(tmp_path / "trace.jsonl")
+    objective.evaluate_batch(tilings + tilings[:2])
+    obs_trace.reset()
+
+    (span,) = _generation_spans(tmp_path / "trace.jsonl")
+    assert span["layer"] == "search"
+    assert span["attrs"]["batch"] == 4
+    assert objective.num_evaluations == 5
+
+
+def _rejected_and_fitting(scheduler, workload, hardware):
+    space = list(TilingSearchSpace(workload, hardware).enumerate())
+    rejected = [t for t in space if not scheduler.fits(workload, t)]
+    fitting = [t for t in space if scheduler.fits(workload, t)]
+    assert rejected and fitting
+    return rejected, fitting
+
+
+def test_memoized_batch_opens_no_span(tmp_path, tiny_hw, small_workload):
+    scheduler = make_scheduler("flat", tiny_hw)
+    _, fitting = _rejected_and_fitting(scheduler, small_workload, tiny_hw)
+    objective = SchedulerObjective(scheduler, small_workload)
+    objective.evaluate_batch(fitting[:4])
+    obs_trace.configure(tmp_path / "trace.jsonl")
+    with obs_trace.span("probe"):
+        objective.evaluate_batch(fitting[:4] + fitting[:1])
+    obs_trace.reset()
+
+    assert [s["name"] for s in read_trace(tmp_path / "trace.jsonl")] == ["probe"]
+
+
+def test_rejected_batch_opens_no_span(tmp_path, tiny_hw, small_workload):
+    """Candidates the scheduler cannot run are rejected before any wave
+    forms, so a batch of only those opens no span."""
+    scheduler = make_scheduler("flat", tiny_hw)
+    rejected, _ = _rejected_and_fitting(scheduler, small_workload, tiny_hw)
+    objective = SchedulerObjective(scheduler, small_workload)
+    obs_trace.configure(tmp_path / "trace.jsonl")
+    with obs_trace.span("probe"):
+        objective.evaluate_batch(rejected)
+    obs_trace.reset()
+
+    assert [s["name"] for s in read_trace(tmp_path / "trace.jsonl")] == ["probe"]
+    assert objective.analytic_stats["num_infeasible"] == len(rejected)
+
+
+@pytest.mark.parametrize("algorithm_cls", [GridSearch, RandomSearch, MCTSSearch, GeneticSearch])
+def test_every_simulation_of_a_search_is_inside_a_span(tmp_path, edge_hw, algorithm_cls):
+    """Whatever the searcher, the spans' batches add up to the simulations
+    it paid for, so a trace summary charges each of them to the search
+    layer."""
+    workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="waves")
+    objective = SchedulerObjective(make_scheduler("mas", edge_hw), workload)
+    obs_trace.configure(tmp_path / "trace.jsonl")
+    algorithm_cls(seed=0).run(objective, TilingSearchSpace(workload, edge_hw), budget=30)
+    obs_trace.reset()
+
+    spans = _generation_spans(tmp_path / "trace.jsonl")
+    assert spans
+    assert sum(s["attrs"]["batch"] for s in spans) == objective.analytic_stats["num_simulated"]
+
+
+def test_mcts_opens_one_span_per_fresh_fitting_leaf(tmp_path, edge_hw):
+    """MCTS evaluates one leaf per iteration: each new leaf the scheduler
+    can run opens a span of one candidate, or of none when its bound was
+    pruned."""
+    workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="waves")
+    objective = SchedulerObjective(make_scheduler("mas", edge_hw), workload)
+    obs_trace.configure(tmp_path / "trace.jsonl")
+    MCTSSearch(seed=0).run(objective, TilingSearchSpace(workload, edge_hw), budget=40)
+    obs_trace.reset()
+
+    spans = _generation_spans(tmp_path / "trace.jsonl")
+    stats = objective.analytic_stats
+    assert len(spans) == stats["num_simulated"] + stats["num_pruned"]
+    assert sorted({s["attrs"]["batch"] for s in spans}) == [0, 1]
 
 
 # --------------------------------------------------------------------------- #

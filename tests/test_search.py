@@ -3,24 +3,24 @@
 from __future__ import annotations
 
 import gc
+import json
 import pickle
 import weakref
 
 import pytest
 
 from repro.core.tiling import TilingConfig
+from repro.obs import trace as obs_trace
 from repro.schedulers import FLATScheduler, MASAttentionScheduler, make_scheduler
 from repro.search import (
     AutoTuner,
     GeneticSearch,
     GridSearch,
     MCTSSearch,
-    ParallelEvaluator,
     RandomSearch,
     SchedulerObjective,
     SearchHistory,
     TilingSearchSpace,
-    resolve_workers,
     tune_scheduler,
 )
 from repro.search import autotuner
@@ -166,8 +166,8 @@ class TestObjective:
 
 class TestBatchedEvaluation:
     def test_batch_matches_serial_order_and_accounting(self, workload, edge_hw):
-        serial = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=1)
-        batched = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=1)
+        serial = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
+        batched = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
         tilings = [
             TilingConfig(nq=64, nkv=64),
             TilingConfig(nq=32, nkv=64),
@@ -182,64 +182,15 @@ class TestBatchedEvaluation:
         assert batched.num_evaluations == serial.num_evaluations == 3
         assert batched.cache_size == 3
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_batch_bit_identical(self, workload, edge_hw, workers):
-        tilings = [
-            TilingConfig(nq=nq, nkv=nkv, kv_resident=kv)
-            for nq in (32, 64, 128)
-            for nkv in (32, 64)
-            for kv in (False, True)
-        ]
-        results = {}
-        for count in (1, workers):
-            objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=count)
-            try:
-                batch = objective.evaluate_batch(tilings)
-                results[count] = (
-                    [(e.tiling, e.value, e.cycles, e.energy_pj, e.feasible) for e in batch],
-                    objective.num_evaluations,
-                )
-            finally:
-                objective.close()
-        assert results[1] == results[workers]
-
     def test_pooled_evaluations_are_scalars(self, workload, edge_hw):
-        """What a pool worker ships back per candidate is a few hundred bytes
-        (a simulation trace would be kilobytes even on this small shape)."""
-        objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=2)
-        try:
-            batch = objective.evaluate_batch(
-                [TilingConfig(nq=64, nkv=64), TilingConfig(nq=32, nkv=64, kv_resident=True)]
-            )
-        finally:
-            objective.close()
+        """Each memoized evaluation is a few hundred bytes (a simulation
+        trace would be kilobytes even on this small shape)."""
+        objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
+        batch = objective.evaluate_batch(
+            [TilingConfig(nq=64, nkv=64), TilingConfig(nq=32, nkv=64, kv_resident=True)]
+        )
         assert all(e.feasible for e in batch)
         assert max(len(pickle.dumps(e)) for e in batch) < 1024
-
-    def test_worker_resolution(self, workload, edge_hw, monkeypatch):
-        monkeypatch.delenv("MAS_SEARCH_WORKERS", raising=False)
-        assert resolve_workers(None) == 1 and resolve_workers(3) == 3
-        monkeypatch.setenv("MAS_SEARCH_WORKERS", "2")
-        assert resolve_workers(None) == 2
-        objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
-        assert objective.workers == 2
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-        monkeypatch.setenv("MAS_SEARCH_WORKERS", "two")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
-
-    def test_evaluator_pool_lifecycle(self, workload, edge_hw):
-        objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, workers=2)
-        evaluator = ParallelEvaluator(objective.scheduler, workload, objective.metric, workers=2)
-        with evaluator:
-            batch = evaluator.evaluate(
-                [TilingConfig(nq=64, nkv=64), TilingConfig(nq=32, nkv=32)],
-                objective.evaluate_uncached,
-            )
-            assert len(batch) == 2 and evaluator._pool is not None
-        assert evaluator._pool is None  # context exit shuts the pool down
-        evaluator.close()  # idempotent
 
     def test_finished_tune_frees_its_objective_without_the_cyclic_gc(
         self, workload, edge_hw, monkeypatch
@@ -349,48 +300,60 @@ def _history_rows(history: SearchHistory) -> list[tuple]:
     ]
 
 
-class TestIntraPairDeterminism:
-    """GA/MCTS with parallel candidate evaluation are bit-identical to serial."""
+def _traced(trace_path, run):
+    """Call ``run()`` with tracing to ``trace_path`` on (``None``: off)."""
+    obs_trace.reset()
+    if trace_path is not None:
+        obs_trace.configure(trace_path)
+    try:
+        return run()
+    finally:
+        obs_trace.reset()
+
+
+class TestTracingLeavesSearchesUnchanged:
+    """A traced search proposes, simulates and prunes exactly what an
+    untraced one does: its spans observe the search and never steer it."""
 
     @pytest.mark.parametrize("metric", ["cycles", "energy", "edp"])
     @pytest.mark.parametrize(
         "make_search",
-        [
-            lambda: GeneticSearch(seed=0, population_size=8),
-            lambda: MCTSSearch(seed=0, rollout_batch=4),
-        ],
+        [lambda: GeneticSearch(seed=0, population_size=8), lambda: MCTSSearch(seed=0)],
         ids=["ga", "mcts"],
     )
-    def test_workers_do_not_change_results(self, workload, edge_hw, space, metric, make_search):
-        outcomes = []
-        for workers in (1, 4):
+    def test_traced_search_matches_untraced(
+        self, workload, edge_hw, space, metric, make_search, tmp_path
+    ):
+        def run():
             objective = SchedulerObjective(
-                MASAttentionScheduler(edge_hw), workload, metric=metric, workers=workers
+                MASAttentionScheduler(edge_hw), workload, metric=metric
             )
-            try:
-                history = make_search().run(objective, space, budget=20)
-            finally:
-                objective.close()
-            outcomes.append(
-                (_history_rows(history), history.best_tiling, objective.num_evaluations)
+            history = make_search().run(objective, space, budget=20)
+            return (
+                _history_rows(history),
+                history.best_tiling,
+                objective.num_evaluations,
+                objective.analytic_stats,
             )
-        assert outcomes[0] == outcomes[1]
 
-    def test_autotuner_mcts_ga_workers_identical(self, workload, edge_hw):
-        results = []
-        for workers in (1, 4):
-            tuning = AutoTuner(
-                edge_hw, strategy="mcts+ga", budget=24, seed=0, workers=workers
-            ).tune("mas", workload)
-            results.append(
-                (
-                    _history_rows(tuning.history),
-                    tuning.best_tiling,
-                    tuning.best_value,
-                    tuning.objective_evaluations,
-                )
+        trace_path = tmp_path / "trace.jsonl"
+        assert _traced(trace_path, run) == _traced(None, run)
+        spans = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        assert any(span["name"] == "search.generation" for span in spans)
+
+    def test_traced_autotuner_matches_untraced(self, workload, edge_hw, tmp_path):
+        def run():
+            tuning = AutoTuner(edge_hw, strategy="mcts+ga", budget=24, seed=0).tune(
+                "mas", workload
             )
-        assert results[0] == results[1]
+            return (
+                _history_rows(tuning.history),
+                tuning.best_tiling,
+                tuning.best_value,
+                tuning.objective_evaluations,
+            )
+
+        assert _traced(tmp_path / "trace.jsonl", run) == _traced(None, run)
 
 
 class TestGABudgetAccounting:
@@ -415,13 +378,12 @@ class TestGABudgetAccounting:
         if feasible:
             assert history.best_value == min(feasible)
 
-    def test_mcts_rollout_batch_respects_budget(self, objective, space):
-        history = MCTSSearch(seed=0, rollout_batch=4).run(objective, space, budget=10)
-        assert history.num_iterations == 10  # 4 + 4 + 2, truncated final batch
-
-    def test_mcts_rollout_batch_validated(self):
-        with pytest.raises(ValueError):
-            MCTSSearch(rollout_batch=0)
+    def test_mcts_records_one_leaf_per_iteration(self, objective, space):
+        """Every MCTS iteration evaluates and records exactly one leaf, so
+        the budget is met exactly, and repeated leaves are memo hits."""
+        history = MCTSSearch(seed=0).run(objective, space, budget=10)
+        assert history.num_iterations == 10
+        assert objective.num_evaluations == len({rec.tiling for rec in history.records})
 
 
 class TestAutoTuner:
@@ -442,11 +404,22 @@ class TestAutoTuner:
         assert tuning.num_evaluations <= 40 + 1
         assert tuning.best_tiling.nq <= workload.seq_q
 
-    def test_tuner_caches_results(self, edge_hw, workload):
-        tuner = AutoTuner(edge_hw, budget=20)
-        first = tuner.tune("mas", workload)
-        second = tuner.tune("mas", workload)
-        assert first is second
+    def test_one_tuner_tunes_each_scheduler_on_its_own_device(self):
+        """Two schedulers of one name on different devices, tuned by one
+        tuner, get two results: the second is what a fresh tuner gives it."""
+        from repro.hardware.presets import constrained_edge_device, simulated_edge_device
+        from repro.workloads.networks import get_network
+
+        bert = get_network("BERT-Base").workload()
+        small = constrained_edge_device(256 * KB)
+        tuner = AutoTuner(small, budget=20, seed=0)
+        first = tuner.tune(MASAttentionScheduler(small), bert)
+        second = tuner.tune(MASAttentionScheduler(simulated_edge_device()), bert)
+        fresh = AutoTuner(small, budget=20, seed=0).tune(
+            MASAttentionScheduler(simulated_edge_device()), bert
+        )
+        assert second.best_value != first.best_value
+        assert (second.best_tiling, second.best_value) == (fresh.best_tiling, fresh.best_value)
 
     def test_explicit_budget_is_validated_not_ignored(self, edge_hw, workload):
         with pytest.raises(ValueError):
@@ -455,24 +428,20 @@ class TestAutoTuner:
         assert small.budget == 3
         assert small.num_search_evaluations == 3  # not the default 200
 
-    def test_cache_hit_requires_full_search_budget(self, edge_hw, workload):
+    def test_default_tiling_does_not_count_toward_the_budget(self, edge_hw, workload):
         """The injected default-tiling record must not count toward the budget."""
-        tuner = AutoTuner(edge_hw, budget=5, strategy="random", seed=0)
-        first = tuner.tune("mas", workload)
-        assert first.num_search_evaluations == 5
-        assert first.num_evaluations == 6  # + the default-tiling candidate
-        assert tuner.tune("mas", workload) is first
+        tuning = AutoTuner(edge_hw, budget=5, strategy="random", seed=0).tune("mas", workload)
+        assert tuning.num_search_evaluations == 5
+        assert tuning.num_evaluations == 6  # + the default-tiling candidate
 
-    def test_cache_hit_when_search_exhausts_its_space(self, edge_hw):
+    def test_search_that_exhausts_its_space_keeps_its_budget(self, edge_hw):
         """A search that ran out of candidates below budget is still complete."""
         from repro.hardware.presets import davinci_like_npu
 
         tiny = AttentionWorkload.self_attention(heads=2, seq=64, emb=16, name="tiny")
-        tuner = AutoTuner(davinci_like_npu(), strategy="grid", budget=10_000)
-        first = tuner.tune("mas", tiny)
-        assert first.num_search_evaluations < 10_000  # grid exhausted early
-        assert first.budget == 10_000
-        assert tuner.tune("mas", tiny) is first
+        tuning = AutoTuner(davinci_like_npu(), strategy="grid", budget=10_000).tune("mas", tiny)
+        assert tuning.num_search_evaluations < 10_000  # grid exhausted early
+        assert tuning.budget == 10_000
 
     def test_tune_scheduler_convenience(self, edge_hw, workload):
         result = tune_scheduler("flat", workload, edge_hw, budget=15, strategy="random")
@@ -490,3 +459,15 @@ class TestAutoTuner:
         tuning = AutoTuner(edge_hw, strategy="mcts+ga", budget=30).tune("mas", workload)
         phases = {rec.phase for rec in tuning.history.records}
         assert "mcts" in phases and "ga" in phases
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_tune_runs_in_the_calling_process(
+        self, edge_hw, workload, strategy, no_new_processes
+    ):
+        """Every strategy evaluates its candidates where it was called: a
+        sweep spreads over cores only by running pairs in parallel."""
+        tuning = AutoTuner(edge_hw, strategy=strategy, budget=16, seed=0).tune("mas", workload)
+        assert no_new_processes == []
+        assert tuning.strategy == strategy
+        assert 1 <= tuning.num_search_evaluations <= 16
+        assert tuning.best_value < float("inf")
