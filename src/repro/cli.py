@@ -759,9 +759,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _print_search_stats(runner: ExperimentRunner) -> None:
     """One stderr line summarizing how the searches dispatched their candidates.
 
-    Shows the search accounting (simulated vs. infeasible vs. bound-pruned
-    candidates) for sweeps that actually searched; silent on fully
-    warm-cache or no-search runs.
+    Shows the search accounting (simulated vs. shared vs. infeasible vs.
+    bound-pruned candidates) for sweeps that actually searched; silent on
+    fully warm-cache or no-search runs.
     """
     stats = runner.cache_stats()
     if not stats["searches"]:
@@ -770,6 +770,7 @@ def _print_search_stats(runner: ExperimentRunner) -> None:
         f"search: {stats['search_evaluations']} candidates over "
         f"{stats['searches']} searches "
         f"({stats['search_simulated']} simulated, "
+        f"{stats['search_shared']} shared, "
         f"{stats['search_infeasible']} infeasible, "
         f"{stats['search_pruned']} pruned)",
         file=sys.stderr,

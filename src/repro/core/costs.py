@@ -12,7 +12,7 @@ overlapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.hardware.compute_units import (
     elementwise_cycles,
@@ -30,9 +30,12 @@ from repro.utils.validation import ceil_div, check_positive_int, require
 from repro.workloads.attention import AttentionWorkload
 
 
-@dataclass(frozen=True)
-class Block:
-    """One (batch-head group, query row-block) unit of the outer iteration space."""
+class Block(NamedTuple):
+    """One (batch-head group, query row-block) unit of the outer iteration space.
+
+    A named tuple, so that it is cheap to make: every build makes one for
+    every block.
+    """
 
     index: int
     core: int

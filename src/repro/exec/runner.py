@@ -345,11 +345,13 @@ class ExperimentRunner:
         transient store failures that each pair's HTTP store backed off and
         retried, or gave up on.
 
-        ``search_simulated`` / ``search_infeasible`` / ``search_pruned``
-        break ``search_evaluations`` down by how the search dispatched each
-        candidate: full simulation, rejected by the scheduler's ``fits`` (or
-        its planner), or skipped because its analytic lower bound lost to
-        the incumbent.
+        ``search_simulated`` / ``search_shared`` / ``search_infeasible`` /
+        ``search_pruned`` break ``search_evaluations`` down by how the search
+        dispatched each candidate: full simulation, answered from the
+        simulation of an earlier candidate with the same graph key, rejected
+        by the scheduler's ``fits`` (or its planner), or skipped because its
+        analytic lower bound lost to the incumbent.  A stored tuning made
+        before sharing existed counts 0 shared.
         """
         runs = list(self._runs.values())
         searched = [r for r in runs if r.tuned and not r.cached]
@@ -357,7 +359,9 @@ class ExperimentRunner:
         for run in runs:
             for counter, count in (run.store_stats or {}).items():
                 store_totals[counter] = store_totals.get(counter, 0) + count
-        analytic_totals = {"num_simulated": 0, "num_infeasible": 0, "num_pruned": 0}
+        analytic_totals = {
+            "num_simulated": 0, "num_shared": 0, "num_infeasible": 0, "num_pruned": 0
+        }
         for run in searched:
             for counter in analytic_totals:
                 analytic_totals[counter] += (run.tuning.analytic_stats or {}).get(counter, 0)
@@ -376,6 +380,7 @@ class ExperimentRunner:
                 for r in searched
             ),
             "search_simulated": analytic_totals["num_simulated"],
+            "search_shared": analytic_totals["num_shared"],
             "search_infeasible": analytic_totals["num_infeasible"],
             "search_pruned": analytic_totals["num_pruned"],
         }

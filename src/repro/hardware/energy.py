@@ -30,15 +30,15 @@ class AccessCounters:
     total_cycles: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            require(getattr(self, f.name) >= 0, f"{f.name} must be >= 0")
+        for name in _ACCESS_COUNTERS:
+            require(getattr(self, name) >= 0, f"{name} must be >= 0")
 
     def __add__(self, other: "AccessCounters") -> "AccessCounters":
         return AccessCounters(
             **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-                if f.name != "total_cycles"
+                name: getattr(self, name) + getattr(other, name)
+                for name in _ACCESS_COUNTERS
+                if name != "total_cycles"
             },
             total_cycles=max(self.total_cycles, other.total_cycles),
         )
@@ -47,6 +47,11 @@ class AccessCounters:
     def dram_bytes_total(self) -> int:
         """Total off-chip traffic in bytes."""
         return self.dram_bytes_read + self.dram_bytes_written
+
+
+#: The field names of :class:`AccessCounters`, read once rather than on
+#: every simulation.
+_ACCESS_COUNTERS: tuple[str, ...] = tuple(f.name for f in fields(AccessCounters))
 
 
 @dataclass(frozen=True)

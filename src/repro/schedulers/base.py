@@ -83,6 +83,23 @@ class AttentionScheduler(ABC):
         """
         return self.footprint_bytes(workload, tiling) <= self.hardware.l1_bytes
 
+    def graph_key(self, workload: AttentionWorkload, tiling: TilingConfig) -> tuple:
+        """The part of the clamped ``tiling`` that :meth:`build` reads.
+
+        Tilings with equal keys build identical graphs, so a search simulates
+        each key once (:class:`repro.search.objective.SchedulerObjective`).
+        ``kv_resident`` only lets a head group's later row blocks reuse its
+        first block's K/V loads, so with one row block per group it changes
+        nothing.
+        """
+        return (
+            tiling.bb,
+            tiling.hh,
+            tiling.nq,
+            tiling.nkv,
+            tiling.kv_resident and tiling.num_row_blocks(workload) > 1,
+        )
+
     def costs(self, workload: AttentionWorkload, tiling: TilingConfig) -> TileCosts:
         """Tile cost helper bound to this scheduler's hardware.
 

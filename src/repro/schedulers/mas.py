@@ -56,6 +56,15 @@ class MASAttentionScheduler(AttentionScheduler):
         """
         return mas_non_evictable_bytes(workload, tiling) <= self.hardware.l1_bytes
 
+    def graph_key(self, workload: AttentionWorkload, tiling: TilingConfig) -> tuple:
+        """The default key, keeping ``kv_resident`` whenever the resident
+        footprint overflows L1: the overwrite planner and the
+        serialize-on-overflow fallback read it then."""
+        key = super().graph_key(workload, tiling)
+        if tiling.kv_resident and self.footprint_bytes(workload, tiling) > self.hardware.l1_bytes:
+            return (*key[:4], True)
+        return key
+
     def build(self, workload: AttentionWorkload, tiling: TilingConfig) -> BuildResult:
         tiling = tiling.clamp_to(workload)
         graph, info = build_mas_graph(

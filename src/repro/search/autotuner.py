@@ -63,8 +63,9 @@ class TuningResult:
     objective_evaluations: int | None = None
     #: Breakdown of where those evaluations went, from
     #: :attr:`repro.search.objective.SchedulerObjective.analytic_stats`:
-    #: full simulations vs. rejected vs. bound-pruned candidates.  ``None`` on
-    #: results produced before the analytic layer existed.
+    #: full simulations vs. shared vs. rejected vs. bound-pruned candidates
+    #: (results stored before sharing existed have no ``num_shared``).
+    #: ``None`` on results produced before the analytic layer existed.
     analytic_stats: dict[str, int] | None = None
 
     @property

@@ -16,6 +16,11 @@ never be reported as the winner.  One bound call per search fills a table for
 its whole candidate grid.  ``analytic_prune=False`` keeps the unpruned batch
 path as the tests' oracle: memo table, evaluation counts and returned values
 are bit-identical to calling the serial, memoized :meth:`evaluate` on each.
+
+A candidate that fits and is not pruned is simulated once per graph: tilings
+with equal :meth:`~repro.schedulers.base.AttentionScheduler.graph_key` build
+identical graphs, so a later one is answered from the first one's simulation
+(a *shared* evaluation, with its own tiling).
 """
 
 from __future__ import annotations
@@ -53,10 +58,10 @@ PRUNE_WAVE = 8
 class TilingEvaluation:
     """Outcome of evaluating one tiling candidate.
 
-    Scalars only: a feasible evaluation is exactly one simulation, and its
-    trace is dropped so the memo table, which keeps every evaluation of a
-    search, stays small (re-simulate the tiling when the trace itself is
-    wanted).
+    Scalars only: a feasible evaluation is one simulation, or a share of one
+    whose tiling builds the same graph, and its trace is dropped so the memo
+    table, which keeps every evaluation of a search, stays small
+    (re-simulate the tiling when the trace itself is wanted).
     """
 
     tiling: TilingConfig
@@ -117,14 +122,19 @@ class SchedulerObjective:
         #: a footprint check or a failed simulation — real search work).
         self.num_evaluations = 0
         #: Where those evaluations went: ``num_simulated`` full simulations,
-        #: ``num_infeasible`` candidates rejected without simulating (``fits``
-        #: said no, or the MAS planner raised), ``num_pruned`` candidates
-        #: skipped because their analytic lower bound lost to the incumbent.
+        #: ``num_shared`` candidates answered from the simulation of an
+        #: earlier candidate with the same graph key, ``num_infeasible``
+        #: candidates rejected without simulating (``fits`` said no, or the
+        #: MAS planner raised), ``num_pruned`` candidates skipped because
+        #: their analytic lower bound lost to the incumbent.
         self.analytic_stats: dict[str, int] = {
             "num_simulated": 0,
+            "num_shared": 0,
             "num_infeasible": 0,
             "num_pruned": 0,
         }
+        #: (cycles, energy_pj, value) of every graph key simulated so far.
+        self._graphs: dict[tuple, tuple[int, float, float]] = {}
         #: Best feasible objective value seen so far — the pruning incumbent.
         self._incumbent = float("inf")
 
@@ -139,48 +149,63 @@ class SchedulerObjective:
             return float(result.energy_pj)
         return float(result.cycles) * float(result.energy_pj)
 
-    def evaluate_uncached(self, tiling: TilingConfig) -> TilingEvaluation:
-        """Evaluate one candidate directly: no memo lookup, no accounting.
+    def _reject(self, tilings: list[TilingConfig]) -> tuple[list, list[int]]:
+        """Reject the candidates :meth:`~AttentionScheduler.fits` refuses.
 
-        Pure with respect to ``self``.  The memoizing callers
-        (:meth:`evaluate`, :meth:`evaluate_batch`) own the cache insert and
-        the ``num_evaluations`` count.
+        Returns one slot per candidate, holding the infeasible evaluation of
+        each rejected one and ``None`` for the rest, and the indices of the
+        candidates that fit.
         """
-        tiling = tiling.clamp_to(self.workload)
-        if not self.scheduler.fits(self.workload, tiling):
-            return self._infeasible(tiling)
-        try:
-            result = self.scheduler.simulate(self.workload, tiling)
-        except InfeasibleTilingError:
-            return self._infeasible(tiling)
-        return TilingEvaluation(
-            tiling=tiling,
-            feasible=True,
-            cycles=result.cycles,
-            energy_pj=result.energy_pj,
-            value=self._value(result),
-        )
+        results: list[TilingEvaluation | None] = [None] * len(tilings)
+        survivors: list[int] = []
+        for index, tiling in enumerate(tilings):
+            if self.scheduler.fits(self.workload, tiling):
+                survivors.append(index)
+            else:
+                results[index] = self._infeasible(tiling)
+        return results, survivors
 
     def _evaluate_wave(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
-        """Evaluate ``tilings`` in input order as one "search.generation" span.
+        """Simulate candidates that fit, in input order, each graph once.
 
-        The span (a no-op unless tracing is on) covers one pruning wave, or
-        one whole unpruned batch.
+        A wave that simulates anything is one "search.generation" span (a
+        no-op unless tracing is on): a pruning wave, one whole unpruned
+        batch, or one :meth:`evaluate`.  Its ``batch`` counts the wave's
+        simulations and ``shared`` the candidates it answered from an
+        earlier simulation.
         """
-        with obs_trace.span("search.generation", layer="search", batch=len(tilings)):
-            return [self.evaluate_uncached(tiling) for tiling in tilings]
+        keys = [self.scheduler.graph_key(self.workload, tiling) for tiling in tilings]
+        if all(key in self._graphs for key in keys):
+            return [self._simulate_once(tiling, key) for tiling, key in zip(tilings, keys)]
+        stats = self.analytic_stats
+        simulated, shared = stats["num_simulated"], stats["num_shared"]
+        with obs_trace.span("search.generation", layer="search") as span:
+            results = [self._simulate_once(tiling, key) for tiling, key in zip(tilings, keys)]
+            span.set(batch=stats["num_simulated"] - simulated, shared=stats["num_shared"] - shared)
+        return results
 
-    def _note(self, evaluation: TilingEvaluation) -> None:
-        """Account for one fresh (non-memoized) evaluation outcome."""
-        if evaluation.feasible:
+    def _simulate_once(self, tiling: TilingConfig, key: tuple) -> TilingEvaluation:
+        """Simulate a candidate that fits, unless its graph ``key`` was simulated
+        before: then answer it from that simulation."""
+        outcome = self._graphs.get(key)
+        if outcome is None:
+            try:
+                result = self.scheduler.simulate(self.workload, tiling)
+            except InfeasibleTilingError:
+                return self._infeasible(tiling)
+            outcome = self._graphs[key] = (result.cycles, result.energy_pj, self._value(result))
             self.analytic_stats["num_simulated"] += 1
-            self._incumbent = min(self._incumbent, evaluation.value)
+            self._incumbent = min(self._incumbent, outcome[2])
         else:
-            self.analytic_stats["num_infeasible"] += 1
+            self.analytic_stats["num_shared"] += 1
+        cycles, energy_pj, value = outcome
+        return TilingEvaluation(
+            tiling=tiling, feasible=True, cycles=cycles, energy_pj=energy_pj, value=value
+        )
 
-    @staticmethod
-    def _infeasible(tiling: TilingConfig) -> TilingEvaluation:
+    def _infeasible(self, tiling: TilingConfig) -> TilingEvaluation:
         """The evaluation of a candidate the scheduler cannot run."""
+        self.analytic_stats["num_infeasible"] += 1
         return TilingEvaluation(
             tiling=tiling, feasible=False, cycles=0, energy_pj=0.0, value=float("inf")
         )
@@ -221,16 +246,13 @@ class SchedulerObjective:
         return [self._bounds[key] for key in keys]
 
     def evaluate(self, tiling: TilingConfig) -> TilingEvaluation:
-        """Evaluate one candidate (memoized on the tiling factors)."""
+        """Evaluate one candidate (memoized on the tiling factors, never pruned)."""
         tiling = tiling.clamp_to(self.workload)
         key = self._key(tiling)
-        if key in self._cache:
-            return self._cache[key]
-        evaluation = self.evaluate_uncached(tiling)
-        self._note(evaluation)
-        self._cache[key] = evaluation
-        self.num_evaluations += 1
-        return evaluation
+        if key not in self._cache:
+            (self._cache[key],) = self._evaluate_unpruned([tiling])
+            self.num_evaluations += 1
+        return self._cache[key]
 
     def evaluate_batch(self, tilings: Sequence[TilingConfig]) -> list[TilingEvaluation]:
         """Evaluate many candidates at once (memoized and pruned).
@@ -248,33 +270,28 @@ class SchedulerObjective:
             if key not in self._cache and key not in pending:
                 pending[key] = tiling
         if pending:
-            candidates = list(pending.values())
-            if self.analytic_prune:
-                fresh = self._evaluate_pruned(candidates)
-            else:
-                fresh = self._evaluate_wave(candidates)
-                for evaluation in fresh:
-                    self._note(evaluation)
-            for key, evaluation in zip(pending, fresh):
+            evaluate = self._evaluate_pruned if self.analytic_prune else self._evaluate_unpruned
+            for key, evaluation in zip(pending, evaluate(list(pending.values()))):
                 self._cache[key] = evaluation
                 self.num_evaluations += 1
         return [self._cache[self._key(tiling)] for tiling in clamped]
+
+    def _evaluate_unpruned(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
+        """Reject, then simulate the deduplicated candidates that fit in one wave."""
+        results, survivors = self._reject(tilings)
+        fresh = self._evaluate_wave([tilings[i] for i in survivors])
+        for index, evaluation in zip(survivors, fresh):
+            results[index] = evaluation
+        return results
 
     def _evaluate_pruned(self, tilings: list[TilingConfig]) -> list[TilingEvaluation]:
         """Reject, bound, then simulate or prune deduplicated candidates.
 
         Only the candidates :meth:`~AttentionScheduler.fits` accepts can be
         pruned: a rejected candidate comes back exactly as
-        :meth:`evaluate_uncached` reports it.
+        :meth:`_evaluate_unpruned` reports it.
         """
-        results: list[TilingEvaluation | None] = [None] * len(tilings)
-        survivors: list[int] = []
-        for index, tiling in enumerate(tilings):
-            if self.scheduler.fits(self.workload, tiling):
-                survivors.append(index)
-            else:
-                results[index] = self._infeasible(tiling)
-                self._note(results[index])
+        results, survivors = self._reject(tilings)
 
         # Simulate survivors in ascending-bound order, in fixed-size waves:
         # candidates whose bound already loses to the incumbent are pruned as
@@ -294,7 +311,6 @@ class SchedulerObjective:
             fresh = self._evaluate_wave([tilings[i] for i in wave])
             for index, evaluation in zip(wave, fresh):
                 results[index] = evaluation
-                self._note(evaluation)
         return results
 
     __call__ = evaluate

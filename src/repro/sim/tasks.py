@@ -71,6 +71,9 @@ COUNTERS: tuple[str, ...] = (
     "vec_ops",
 )
 
+#: The counters of a task that moves and computes nothing (a barrier).
+_NO_COUNTERS: tuple[int, ...] = (0,) * len(COUNTERS)
+
 
 def counter_tuple(**counters: int) -> tuple[int, ...]:
     """The eight counters in column order, checked to be known and non-negative."""
@@ -114,7 +117,8 @@ class Task:
         Occupancy of the resource in cycles.
     deps:
         Task ids that must finish before this task may start.  Assigning it
-        rewrites the graph's column (tests drop a dependency this way).
+        rewrites the graph's column (tests drop a dependency this way), and
+        each id must name an earlier task.
     dram_bytes_read / dram_bytes_written:
         Off-chip traffic attributed to this task (normally only LOAD/STORE).
     l1_bytes_read / l1_bytes_written / l0_bytes_read / l0_bytes_written:
@@ -163,7 +167,11 @@ class Task:
 
     @deps.setter
     def deps(self, deps: Iterable[int]) -> None:
-        self.graph.deps[self.tid] = tuple(int(d) for d in deps)
+        ids = tuple(int(d) for d in deps)
+        for dep in ids:
+            if not 0 <= dep < self.tid:
+                raise ValueError(f"task {self.name!r}: dependency id {dep} is not an earlier task")
+        self.graph.deps[self.tid] = ids
 
     @property
     def tags(self) -> dict[str, object]:
@@ -344,9 +352,14 @@ class TaskGraph:
     def add_barrier(self, name: str | tuple, deps: Iterable[int] | Iterable[Task]) -> Task:
         """Add a zero-cost synchronization task depending on ``deps``.
 
-        ``name`` is a string or lazy parts, as :meth:`append` takes it.
+        ``name`` is a string or lazy parts, as :meth:`append` takes it.  Task
+        ids go to :meth:`append` as they are, since a stage or round barrier
+        waits on every task of its stage; tasks are turned into their ids.
         """
-        return self.add(name, TaskKind.BARRIER, resource="", cycles=0, deps=deps)
+        ids = tuple(deps)
+        if not set(map(type, ids)) <= {int}:
+            ids = tuple([d.tid if isinstance(d, Task) else int(d) for d in ids])
+        return Task(self, self.append(TaskKind.BARRIER, 0, 0, ids, _NO_COUNTERS, name, {}))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -413,7 +426,14 @@ class TaskGraph:
         return tuple(totals)
 
     def validate(self) -> None:
-        """Check structural invariants (dependency ids in range, acyclic by construction)."""
+        """Check structural invariants (dependency ids in range, acyclic by construction).
+
+        Every writer of the ``deps`` column checks its ids already
+        (:meth:`append`, :meth:`extend`, :meth:`add`, the :attr:`Task.deps`
+        setter; :meth:`stamp` copies checked rows), so the engine does not
+        call this; :func:`~repro.sim.engine.critical_path_cycles` and the
+        tests' oracle engine do.
+        """
         for tid, deps in enumerate(self.deps):
             for dep in deps:
                 if not 0 <= dep < tid:

@@ -245,7 +245,7 @@ class TestEvaluateBatchAccounting:
             assert [_scalars(e) for e in got] == [_scalars(e) for e in expected], name
             assert list(batched._cache) == list(oracle._cache), name
             assert batched.num_evaluations == oracle.num_evaluations, name
-            for counter in ("num_simulated", "num_infeasible", "num_pruned"):
+            for counter in ("num_simulated", "num_shared", "num_infeasible", "num_pruned"):
                 assert batched.analytic_stats[counter] == oracle.analytic_stats[counter], name
             # Every scheduler rejects something here and simulates the rest.
             assert oracle.analytic_stats["num_infeasible"] > 0, name
@@ -305,7 +305,8 @@ class TestPruning:
             assert stats["num_infeasible"] == len(rejected), name
             assert stats["num_pruned"] > 0, name
             assert (
-                stats["num_simulated"] + stats["num_infeasible"] + stats["num_pruned"]
+                stats["num_simulated"] + stats["num_shared"] + stats["num_infeasible"]
+                + stats["num_pruned"]
                 == objective.num_evaluations
             ), name
 
@@ -315,7 +316,8 @@ class TestPruning:
         evaluations = objective.evaluate_batch(TILINGS)
         stats = objective.analytic_stats
         assert (
-            stats["num_simulated"] + stats["num_infeasible"] + stats["num_pruned"]
+            stats["num_simulated"] + stats["num_shared"] + stats["num_infeasible"]
+            + stats["num_pruned"]
             == objective.num_evaluations
         )
         simulated = [e for e in evaluations if e.feasible]

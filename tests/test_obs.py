@@ -29,6 +29,7 @@ from repro.obs.summary import summarize_trace
 from repro.obs.trace import TraceContext
 from repro.schedulers import make_scheduler
 from repro.search import (
+    AutoTuner,
     GeneticSearch,
     GridSearch,
     MCTSSearch,
@@ -214,13 +215,34 @@ class TestTracer:
 
 
 # --------------------------------------------------------------------------- #
-# The search layer's span: one per pruning wave
+# The search layer's span: one per pruning wave that simulates
 # --------------------------------------------------------------------------- #
+def _record_simulate_spans(scheduler) -> list:
+    """Make ``scheduler.simulate`` record the span each call runs in and its
+    tiling; return that list of (span id or None, tiling)."""
+    calls = []
+    simulate = scheduler.simulate
+
+    def recording(workload, tiling=None):
+        context = obs_trace.current_context()
+        calls.append((context.span_id if context is not None else None, tiling))
+        return simulate(workload, tiling)
+
+    scheduler.simulate = recording
+    return calls
+
+
+def _generation_spans(path) -> list[dict]:
+    return [s for s in read_trace(path) if s["name"] == "search.generation"]
+
+
 def test_search_generation_span_per_pruning_wave(tmp_path, edge_hw):
     """With no incumbent yet, a batch of fitting candidates opens one
-    "search.generation" span per pruning wave, waves whose candidates were
-    all pruned included, and the spans' batches add up to the candidates
-    simulated."""
+    "search.generation" span per pruning wave that simulates: each span's
+    ``batch`` is the simulations made inside it, at least one and at most a
+    wave, and its ``shared`` the candidates it answered from an earlier
+    simulation of the same graph.  Waves of only pruned or shared
+    candidates open none."""
     workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="waves")
     scheduler = make_scheduler("flat", edge_hw)
     fitting = [
@@ -230,30 +252,38 @@ def test_search_generation_span_per_pruning_wave(tmp_path, edge_hw):
     ]
     assert len(fitting) > PRUNE_WAVE
     objective = SchedulerObjective(scheduler, workload)
+    calls = _record_simulate_spans(scheduler)
     obs_trace.configure(tmp_path / "trace.jsonl")
     objective.evaluate_batch(fitting)
     obs_trace.reset()
 
-    spans = [s for s in read_trace(tmp_path / "trace.jsonl") if s["name"] == "search.generation"]
-    assert len(spans) == math.ceil(len(fitting) / PRUNE_WAVE)
+    spans = _generation_spans(tmp_path / "trace.jsonl")
+    stats = objective.analytic_stats
     assert {s["layer"] for s in spans} == {"search"}
-    assert sum(s["attrs"]["batch"] for s in spans) == objective.analytic_stats["num_simulated"]
-    assert objective.analytic_stats["num_pruned"] > 0
+    assert {s["span_id"] for s in spans} == {span_id for span_id, _ in calls}
+    for span in spans:
+        made = sum(1 for span_id, _ in calls if span_id == span["span_id"])
+        assert span["attrs"]["batch"] == made
+        assert 1 <= made + span["attrs"]["shared"] <= PRUNE_WAVE
+    assert sum(s["attrs"]["batch"] for s in spans) == stats["num_simulated"] == len(calls)
+    assert sum(s["attrs"]["shared"] for s in spans) == stats["num_shared"] > 0
+    assert stats["num_pruned"] > 0
+    assert len(spans) < math.ceil(len(fitting) / PRUNE_WAVE)
     assert not any("workers" in s["attrs"] for s in spans)
 
 
-def _generation_spans(path) -> list[dict]:
-    return [s for s in read_trace(path) if s["name"] == "search.generation"]
-
-
 def test_unpruned_batch_is_one_span_of_its_fresh_candidates(tmp_path, edge_hw):
-    """Without pruning a batch is one span, and its ``batch`` counts the
-    distinct candidates not memoized yet."""
+    """Without pruning a batch is one span: its ``batch`` counts the
+    simulations, and ``shared`` the distinct candidates not memoized yet
+    whose graph an earlier candidate built."""
     workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="waves")
     objective = SchedulerObjective(
         make_scheduler("flat", edge_hw), workload, analytic_prune=False
     )
+    # Two kv_resident siblings at nq = 256 (one row block), then the first of
+    # the next pair: 0 is simulated before tracing, 1 and 3 share 0 and 2.
     tilings = list(TilingSearchSpace(workload, edge_hw).enumerate())[:5]
+    assert [t.kv_resident for t in tilings] == [True, False, True, False, True]
     objective.evaluate(tilings[0])
     obs_trace.configure(tmp_path / "trace.jsonl")
     objective.evaluate_batch(tilings + tilings[:2])
@@ -261,7 +291,7 @@ def test_unpruned_batch_is_one_span_of_its_fresh_candidates(tmp_path, edge_hw):
 
     (span,) = _generation_spans(tmp_path / "trace.jsonl")
     assert span["layer"] == "search"
-    assert span["attrs"]["batch"] == 4
+    assert span["attrs"] == {"batch": 2, "shared": 2}
     assert objective.num_evaluations == 5
 
 
@@ -319,8 +349,8 @@ def test_every_simulation_of_a_search_is_inside_a_span(tmp_path, edge_hw, algori
 
 def test_mcts_opens_one_span_per_fresh_fitting_leaf(tmp_path, edge_hw):
     """MCTS evaluates one leaf per iteration: each new leaf the scheduler
-    can run opens a span of one candidate, or of none when its bound was
-    pruned."""
+    can run and simulates opens a span of one simulation; a leaf whose bound
+    was pruned, or whose graph an earlier leaf built, opens none."""
     workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="waves")
     objective = SchedulerObjective(make_scheduler("mas", edge_hw), workload)
     obs_trace.configure(tmp_path / "trace.jsonl")
@@ -329,8 +359,32 @@ def test_mcts_opens_one_span_per_fresh_fitting_leaf(tmp_path, edge_hw):
 
     spans = _generation_spans(tmp_path / "trace.jsonl")
     stats = objective.analytic_stats
-    assert len(spans) == stats["num_simulated"] + stats["num_pruned"]
-    assert sorted({s["attrs"]["batch"] for s in spans}) == [0, 1]
+    assert len(spans) == stats["num_simulated"]
+    assert [s["attrs"] for s in spans] == [{"batch": 1, "shared": 0}] * len(spans)
+    assert stats["num_pruned"] > 0 and stats["num_shared"] > 0
+
+
+def test_every_simulation_of_a_tune_is_inside_a_span(tmp_path, edge_hw):
+    """Over a whole ``AutoTuner.tune`` the spans' batches add up to the
+    simulations, the default tiling's included: evaluated after the search,
+    it opens a span of its own.  Every simulation runs inside a span."""
+    workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="waves")
+    scheduler = make_scheduler("flat", edge_hw)
+    calls = _record_simulate_spans(scheduler)
+    obs_trace.configure(tmp_path / "trace.jsonl")
+    result = AutoTuner(edge_hw, budget=6).tune(scheduler, workload)
+    obs_trace.reset()
+
+    spans = _generation_spans(tmp_path / "trace.jsonl")
+    stats = result.analytic_stats
+    assert sum(s["attrs"]["batch"] for s in spans) == stats["num_simulated"] == len(calls)
+    assert {span_id for span_id, _ in calls} <= {s["span_id"] for s in spans}
+    # A wave of only shared candidates opens no span.
+    assert sum(s["attrs"]["shared"] for s in spans) <= stats["num_shared"]
+    default_span, default_tiling = calls[-1]
+    assert default_tiling == scheduler.default_tiling(workload)
+    assert spans[-1]["span_id"] == default_span
+    assert spans[-1]["attrs"] == {"batch": 1, "shared": 0}
 
 
 # --------------------------------------------------------------------------- #

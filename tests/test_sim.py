@@ -60,6 +60,25 @@ class TestTaskGraph:
             ("mm1", (0,), "core0.mac", {"tile": 1}),
         ]
 
+    def test_assigned_dependency_must_be_an_earlier_task(self):
+        g = build_diamond()
+        store = g[3]
+        for bad in ([1, 3], [4], [-1]):
+            with pytest.raises(ValueError, match=rf"task 'store': dependency id {bad[-1]} "):
+                store.deps = bad
+        assert store.deps == (1, 2)
+        store.deps = [0]
+        assert g.deps[3] == (0,)
+
+    def test_barrier_takes_ids_or_tasks(self):
+        g = build_diamond()
+        by_ids = g.add_barrier("ids", deps=[1, 2])
+        by_tasks = g.add_barrier("tasks", deps=[g[1], 2])
+        assert by_ids.deps == by_tasks.deps == (1, 2)
+        assert g.counters[by_ids.tid] == (0,) * 8 and by_ids.tags == {}
+        with pytest.raises(ValueError, match=r"task 'late': unknown dependency id 9"):
+            g.add_barrier("late", deps=[0, 9])
+
     def test_negative_cycles_rejected(self):
         g = TaskGraph()
         with pytest.raises(ValueError):

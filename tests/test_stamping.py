@@ -51,7 +51,12 @@ def assert_same_build(stamping, direct, workload, tiling) -> None:
     """``stamping`` and ``direct`` build ``workload`` under ``tiling`` identically."""
     built, expected = stamping.build(workload, tiling), direct.build(workload, tiling)
     assert built.metadata == expected.metadata
-    graph, oracle = built.graph, expected.graph
+    assert_same_graph(built.graph, expected.graph)
+
+
+def assert_same_graph(graph: TaskGraph, oracle: TaskGraph) -> None:
+    """Every column, resource name, formatted name and tags dict of ``graph``
+    equals ``oracle``'s."""
     for column in ("kinds", "resource_ids", "cycles", "deps", "counters", "resource_names"):
         assert getattr(graph, column) == getattr(oracle, column), column
     tids = range(len(oracle))

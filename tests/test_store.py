@@ -560,7 +560,7 @@ class TestSweepBitIdentity:
         assert set(stats) == {
             "runs", "cache_hits", "cache_misses", "cache_stale",
             "retry_attempts", "retry_giveups", "searches", "search_evaluations",
-            "search_simulated", "search_infeasible", "search_pruned",
+            "search_simulated", "search_shared", "search_infeasible", "search_pruned",
         }
         assert stats["cache_misses"] == stats["searches"] > 0
         assert stats["retry_attempts"] == stats["retry_giveups"] == 0
@@ -610,6 +610,34 @@ class TestSweepBitIdentity:
         assert stats["cache_hits"] == stats["cache_stale"] == 0
         assert {info.key for info in store.entries()} - {v3_key}
         assert store.lookup(v3_key)[0] == v3_payload
+
+
+    def test_tuning_stored_before_sharing_is_served(self, tmp_path):
+        """Sharing a simulation between tilings that build the same graph
+        changes no tuning, so the key schema stays: an entry written before
+        ``num_shared`` existed, its shared candidates counted as simulated,
+        is served, not searched again."""
+        cache_dir = tmp_path / "cache"
+        kwargs = dict(search_budget=BUDGET, seed=0, cache_dir=cache_dir, suite="decode-step")
+        cold = ExperimentRunner(**kwargs)
+        run = cold.run("tileflow", "BERT-Base @dec")
+        assert cold.cache_stats()["search_shared"] > 0
+        store = JsonDirStore(cache_dir)
+        (key,) = [info.key for info in store.entries()]
+        payload, _ = store.lookup(key)
+        stats = payload["tuning"]["analytic_stats"]
+        stats["num_simulated"] += stats.pop("num_shared")
+        store.put(key, payload)
+
+        warm = ExperimentRunner(**kwargs)
+        warm_run = warm.run("tileflow", "BERT-Base @dec")
+        assert warm_run.cached
+        assert (warm_run.cycles, warm_run.energy_pj) == (run.cycles, run.energy_pj)
+        assert warm_run.tuning.best_tiling == run.tuning.best_tiling
+        assert "num_shared" not in warm_run.tuning.analytic_stats
+        stats = warm.cache_stats()
+        assert stats["cache_hits"] == 1
+        assert stats["searches"] == stats["search_shared"] == 0
 
 
 class TestHttpSweepBitIdentity:
