@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
-from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.analysis.runner import suite_title_suffix
 from repro.exec import ExperimentRunner
 from repro.hardware.presets import constrained_edge_device
 from repro.utils.units import KB
@@ -178,13 +178,10 @@ def run_dram_analysis(
     networks: list[str] | None = None,
     constrained_l1_bytes: int = 256 * KB,
     include_constrained: bool = True,
-    suite: str | None = None,
 ) -> DramAnalysisResult:
-    """Reproduce the Section 5.4 DRAM read/write comparison.
-
-    ``suite`` selects the workload suite when no runner is supplied.
-    """
-    runner = resolve_runner(runner, suite)
+    """Reproduce the Section 5.4 DRAM read/write comparison over
+    ``runner``'s suite (the default runner sweeps Table 1)."""
+    runner = runner or ExperimentRunner()
     result = DramAnalysisResult(
         constrained_l1_bytes=constrained_l1_bytes, suite=runner.suite_name
     )

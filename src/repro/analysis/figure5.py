@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import geometric_mean, speedup
 from repro.analysis.report import format_table
-from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.analysis.runner import suite_title_suffix
 from repro.exec import ExperimentRunner
 from repro.hardware.presets import davinci_like_npu
 
@@ -87,15 +87,13 @@ class Figure5Result:
 def run_figure5(
     runner: ExperimentRunner | None = None,
     networks: list[str] | None = None,
-    suite: str | None = None,
 ) -> Figure5Result:
-    """Reproduce Figure 5 using grid-searched tilings on the DaVinci-like preset.
+    """Reproduce Figure 5 over ``runner``'s suite, on its hardware.
 
-    ``suite`` selects the workload suite when no runner is supplied.
+    Without a runner, the default one sweeps Table 1 with grid-searched
+    tilings on the DaVinci-like preset.
     """
-    runner = resolve_runner(
-        runner, suite, hardware=davinci_like_npu(), search_strategy="grid"
-    )
+    runner = runner or ExperimentRunner(hardware=davinci_like_npu(), search_strategy="grid")
     matrix = runner.run_matrix(networks, list(FIGURE5_METHODS))
     methods = runner.methods(list(FIGURE5_METHODS))
 

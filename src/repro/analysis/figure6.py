@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
-from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.analysis.runner import suite_title_suffix
 from repro.exec import ExperimentRunner
 from repro.hardware.energy import EnergyBreakdown
 
@@ -101,13 +101,10 @@ def run_figure6(
     runner: ExperimentRunner | None = None,
     networks: list[str] | None = None,
     methods: list[str] | None = None,
-    suite: str | None = None,
 ) -> Figure6Result:
-    """Reproduce Figure 6 (reuses the Table 2/3 runs cached in ``runner``).
-
-    ``suite`` selects the workload suite when no runner is supplied.
-    """
-    runner = resolve_runner(runner, suite)
+    """Reproduce Figure 6 over ``runner``'s suite (reuses the Table 2/3 runs
+    cached in ``runner``; the default runner sweeps Table 1)."""
+    runner = runner or ExperimentRunner()
     matrix = runner.run_matrix(networks, methods)
     result = Figure6Result(
         methods=runner.methods(methods),

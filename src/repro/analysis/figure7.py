@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
-from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.analysis.runner import suite_title_suffix
 from repro.exec import ExperimentRunner
 from repro.search.history import SearchHistory
 
@@ -80,13 +80,10 @@ def run_figure7(
     runner: ExperimentRunner | None = None,
     networks: list[str] | None = None,
     methods: list[str] | None = None,
-    suite: str | None = None,
 ) -> Figure7Result:
-    """Reproduce Figure 7 from the tuning histories of the cached runs.
-
-    ``suite`` selects the workload suite when no runner is supplied.
-    """
-    runner = resolve_runner(runner, suite)
+    """Reproduce Figure 7 over ``runner``'s suite from the tuning histories
+    of its cached runs (the default runner sweeps Table 1)."""
+    runner = runner or ExperimentRunner()
     if not runner.use_search:
         raise ValueError("Figure 7 requires the runner to have search enabled")
     matrix = runner.run_matrix(networks, methods)

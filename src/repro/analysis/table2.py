@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import geometric_mean, speedup
 from repro.analysis.report import format_table
-from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.analysis.runner import suite_title_suffix
 from repro.exec import ExperimentRunner
 
 __all__ = ["Table2Row", "Table2Result", "run_table2"]
@@ -102,15 +102,13 @@ def run_table2(
     runner: ExperimentRunner | None = None,
     networks: list[str] | None = None,
     methods: list[str] | None = None,
-    suite: str | None = None,
 ) -> Table2Result:
-    """Reproduce Table 2 on ``runner``'s hardware (simulated edge device by default).
+    """Reproduce Table 2 over ``runner``'s suite, on its hardware.
 
-    ``suite`` selects the workload suite when no runner is supplied (Table 1
-    by default, so the paper's table is bit-identical to before suites
-    existed); a supplied runner already carries its suite.
+    Without a runner, the default one sweeps Table 1 on the simulated edge
+    device.
     """
-    runner = resolve_runner(runner, suite)
+    runner = runner or ExperimentRunner()
     matrix = runner.run_matrix(networks, methods)
     method_names = runner.methods(methods)
     baselines = [m for m in method_names if m != "mas"]

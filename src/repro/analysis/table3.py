@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import energy_savings_pct, geometric_mean
 from repro.analysis.report import format_table
-from repro.analysis.runner import resolve_runner, suite_title_suffix
+from repro.analysis.runner import suite_title_suffix
 from repro.exec import ExperimentRunner
 
 __all__ = ["Table3Row", "Table3Result", "run_table3"]
@@ -95,13 +95,10 @@ def run_table3(
     runner: ExperimentRunner | None = None,
     networks: list[str] | None = None,
     methods: list[str] | None = None,
-    suite: str | None = None,
 ) -> Table3Result:
-    """Reproduce Table 3 (reuses the Table 2 runs cached in ``runner``).
-
-    ``suite`` selects the workload suite when no runner is supplied.
-    """
-    runner = resolve_runner(runner, suite)
+    """Reproduce Table 3 over ``runner``'s suite (reuses the Table 2 runs
+    cached in ``runner``; the default runner sweeps Table 1)."""
+    runner = runner or ExperimentRunner()
     matrix = runner.run_matrix(networks, methods)
     method_names = runner.methods(methods)
     baselines = [m for m in method_names if m != "mas"]

@@ -47,6 +47,7 @@ from repro.hardware.compute_units import (
     softmax_cycles_batch,
 )
 from repro.hardware.config import HardwareConfig
+from repro.hardware.energy import energy_breakdown
 from repro.hardware.memory import dma_cycles_batch
 from repro.utils.arrays import cdiv
 from repro.workloads.attention import AttentionWorkload
@@ -373,22 +374,12 @@ class BatchedCostModel:
     ) -> np.ndarray:
         """Map counter lower bounds + a cycle lower bound to an energy bound.
 
-        Same coefficient mapping as :class:`repro.hardware.energy.EnergyModel`;
-        monotone in every input, so lower-bound counters and cycles yield a
-        lower-bound energy.
+        Evaluates :func:`repro.hardware.energy.energy_breakdown`, the
+        expression the simulator's energy model evaluates; it is monotone in
+        every input, so lower-bound counters and cycles yield a lower-bound
+        energy.
         """
-        cfg = self.hardware
-        return (
-            counters["dram_bytes_read"] * cfg.dram.read_pj_per_byte
-            + counters["dram_bytes_written"] * cfg.dram.write_pj_per_byte
-            + counters["l1_bytes_read"] * cfg.l1.read_pj_per_byte
-            + counters["l1_bytes_written"] * cfg.l1.write_pj_per_byte
-            + counters["l0_bytes_read"] * cfg.l0.read_pj_per_byte
-            + counters["l0_bytes_written"] * cfg.l0.write_pj_per_byte
-            + counters["mac_ops"] * cfg.mac_pj_per_op
-            + counters["vec_ops"] * cfg.vec_pj_per_op
-            + cycles * cfg.leakage_pj_per_cycle
-        )
+        return energy_breakdown(self.hardware, {**counters, "total_cycles": cycles}).total_pj
 
     # ------------------------------------------------------------------ #
     # Makespan bounds

@@ -130,7 +130,7 @@ def _history_to_dict(history: SearchHistory) -> dict[str, Any]:
             }
             for rec in history.records
         ],
-        "best": _evaluation_to_dict(history.best) if history.best is not None else None,
+        "best": _evaluation_to_dict(history.best),
     }
 
 
@@ -149,7 +149,7 @@ def _history_from_dict(data: dict[str, Any]) -> SearchHistory:
             )
             for rec in data["records"]
         ],
-        best=_evaluation_from_dict(data["best"]) if data["best"] is not None else None,
+        best=_evaluation_from_dict(data["best"]),
     )
 
 
@@ -164,7 +164,7 @@ def tuning_result_to_dict(result: TuningResult) -> dict[str, Any]:
         "budget": result.budget,
         "objective_evaluations": result.objective_evaluations,
         "analytic_stats": result.analytic_stats,
-        "history": _history_to_dict(result.history) if result.history is not None else None,
+        "history": _history_to_dict(result.history),
     }
 
 
@@ -176,10 +176,10 @@ def tuning_result_from_dict(data: dict[str, Any]) -> TuningResult:
         strategy=data["strategy"],
         best_tiling=TilingConfig(**data["best_tiling"]),
         best_value=float(data["best_value"]),
-        budget=data.get("budget"),
-        objective_evaluations=data.get("objective_evaluations"),
-        analytic_stats=data.get("analytic_stats"),
-        history=_history_from_dict(data["history"]) if data["history"] is not None else None,
+        budget=data["budget"],
+        objective_evaluations=data["objective_evaluations"],
+        analytic_stats=data["analytic_stats"],
+        history=_history_from_dict(data["history"]),
     )
 
 

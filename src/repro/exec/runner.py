@@ -364,7 +364,7 @@ class ExperimentRunner:
         }
         for run in searched:
             for counter in analytic_totals:
-                analytic_totals[counter] += (run.tuning.analytic_stats or {}).get(counter, 0)
+                analytic_totals[counter] += run.tuning.analytic_stats.get(counter, 0)
         return {
             "runs": len(runs),
             "cache_hits": sum(1 for r in runs if r.cached),
@@ -373,12 +373,7 @@ class ExperimentRunner:
             "retry_attempts": store_totals.get("retry_attempts", 0),
             "retry_giveups": store_totals.get("retry_giveups", 0),
             "searches": len(searched),
-            "search_evaluations": sum(
-                r.tuning.objective_evaluations
-                if r.tuning.objective_evaluations is not None
-                else r.tuning.num_evaluations
-                for r in searched
-            ),
+            "search_evaluations": sum(r.tuning.objective_evaluations for r in searched),
             "search_simulated": analytic_totals["num_simulated"],
             "search_shared": analytic_totals["num_shared"],
             "search_infeasible": analytic_totals["num_infeasible"],

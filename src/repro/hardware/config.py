@@ -202,12 +202,6 @@ class HardwareConfig:
         return self.l1.size_bytes
 
     @property
-    def l0_bytes(self) -> int:
-        """Per-core L0 register-file capacity in bytes."""
-        assert self.l0.size_bytes is not None
-        return self.l0.size_bytes
-
-    @property
     def peak_macs_per_cycle(self) -> int:
         """Aggregate peak MAC throughput across all cores."""
         return self.num_cores * self.mac.peak_macs_per_cycle

@@ -10,6 +10,7 @@ from the :class:`~repro.hardware.config.HardwareConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Mapping
 
 from repro.hardware.config import HardwareConfig
 from repro.utils.validation import require
@@ -100,6 +101,29 @@ class EnergyBreakdown:
         }
 
 
+def energy_breakdown(cfg: HardwareConfig, counts: Mapping) -> EnergyBreakdown:
+    """The energy of ``counts`` (the :class:`AccessCounters` fields by name)
+    on ``cfg``, per component.
+
+    The one energy expression: :meth:`EnergyModel.compute` applies it to a
+    simulation's counters, and the analytic layer to arrays of lower-bound
+    counts per candidate.  It is monotone in every count, so lower-bound
+    counts give a lower-bound :attr:`EnergyBreakdown.total_pj`, exactly in
+    floating point.
+    """
+    return EnergyBreakdown(
+        dram_pj=counts["dram_bytes_read"] * cfg.dram.read_pj_per_byte
+        + counts["dram_bytes_written"] * cfg.dram.write_pj_per_byte,
+        l1_pj=counts["l1_bytes_read"] * cfg.l1.read_pj_per_byte
+        + counts["l1_bytes_written"] * cfg.l1.write_pj_per_byte,
+        l0_pj=counts["l0_bytes_read"] * cfg.l0.read_pj_per_byte
+        + counts["l0_bytes_written"] * cfg.l0.write_pj_per_byte,
+        mac_pe_pj=counts["mac_ops"] * cfg.mac_pj_per_op,
+        vec_pe_pj=counts["vec_ops"] * cfg.vec_pj_per_op,
+        leakage_pj=counts["total_cycles"] * cfg.leakage_pj_per_cycle,
+    )
+
+
 @dataclass(frozen=True)
 class EnergyModel:
     """Maps :class:`AccessCounters` to an :class:`EnergyBreakdown` for a device."""
@@ -108,27 +132,4 @@ class EnergyModel:
 
     def compute(self, counters: AccessCounters) -> EnergyBreakdown:
         """Convert access counters to per-component energy in picojoules."""
-        cfg = self.config
-        dram = (
-            counters.dram_bytes_read * cfg.dram.read_pj_per_byte
-            + counters.dram_bytes_written * cfg.dram.write_pj_per_byte
-        )
-        l1 = (
-            counters.l1_bytes_read * cfg.l1.read_pj_per_byte
-            + counters.l1_bytes_written * cfg.l1.write_pj_per_byte
-        )
-        l0 = (
-            counters.l0_bytes_read * cfg.l0.read_pj_per_byte
-            + counters.l0_bytes_written * cfg.l0.write_pj_per_byte
-        )
-        mac = counters.mac_ops * cfg.mac_pj_per_op
-        vec = counters.vec_ops * cfg.vec_pj_per_op
-        leakage = counters.total_cycles * cfg.leakage_pj_per_cycle
-        return EnergyBreakdown(
-            dram_pj=dram,
-            l1_pj=l1,
-            l0_pj=l0,
-            mac_pe_pj=mac,
-            vec_pe_pj=vec,
-            leakage_pj=leakage,
-        )
+        return energy_breakdown(self.config, vars(counters))

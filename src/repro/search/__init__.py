@@ -25,7 +25,7 @@ from repro.search.grid import GridSearch
 from repro.search.random_search import RandomSearch
 from repro.search.mcts import MCTSSearch
 from repro.search.genetic import GeneticSearch
-from repro.search.autotuner import AutoTuner, TuningResult, tune_scheduler
+from repro.search.autotuner import AutoTuner, TuningResult
 
 __all__ = [
     "TilingSearchSpace",
@@ -40,5 +40,4 @@ __all__ = [
     "GeneticSearch",
     "AutoTuner",
     "TuningResult",
-    "tune_scheduler",
 ]

@@ -2,14 +2,21 @@
 
 The experiments use two strategies, mirroring the paper:
 
-* ``"mcts+ga"`` on the simulated edge device — MCTS proposes tiling factors,
-  the Genetic Algorithm refines the compute ordering seeded with the MCTS
-  best, and both phases share one evaluation history (the Figure 7 curve);
+* ``"mcts+ga"`` on the simulated edge device — MCTS spends
+  :data:`MCTS_FRACTION` of the budget proposing tiling factors, then the
+  Genetic Algorithm, seeded with the MCTS best, spends the rest refining the
+  compute ordering.  Both phases record into one evaluation history (the
+  Figure 7 curve);
 * ``"grid"`` on the DaVinci-like preset — exhaustive enumeration of the
   candidate grid.
 
 ``"random"``, plain ``"mcts"`` and plain ``"ga"`` are also exposed for the
 search-algorithm ablation.
+
+A tuning is defined by the inputs of the result store's key: device,
+scheduler, workload, strategy, budget, metric and seed.  Every other setting
+of a search is a module constant, such as :data:`MCTS_FRACTION` here and the
+GA's in :mod:`repro.search.genetic`.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from repro.core.tiling import TilingConfig
 from repro.hardware.config import HardwareConfig
 from repro.schedulers.base import AttentionScheduler
 from repro.schedulers.registry import make_scheduler
+from repro.search.base import SearchAlgorithm
 from repro.search.genetic import GeneticSearch
 from repro.search.grid import GridSearch
 from repro.search.history import SearchHistory
@@ -30,10 +38,20 @@ from repro.search.space import TilingSearchSpace
 from repro.utils.validation import check_positive_int, require
 from repro.workloads.attention import AttentionWorkload
 
-__all__ = ["AutoTuner", "TuningResult", "tune_scheduler", "default_strategy", "STRATEGIES"]
+__all__ = ["AutoTuner", "TuningResult", "default_strategy", "STRATEGIES", "MCTS_FRACTION"]
 
 #: Strategy names accepted by :class:`AutoTuner`.
 STRATEGIES: tuple[str, ...] = ("mcts+ga", "mcts", "ga", "grid", "random")
+
+#: The single-algorithm strategies, by name.
+_ALGORITHMS: dict[str, type[SearchAlgorithm]] = {
+    cls.name: cls for cls in (MCTSSearch, GeneticSearch, GridSearch, RandomSearch)
+}
+
+#: Share of an ``mcts+ga`` budget spent by MCTS.  Stored tunings are keyed
+#: without it, so changing it changes stored tunings: bump the cache's
+#: ``KEY_SCHEMA_VERSION`` with it.
+MCTS_FRACTION = 0.6
 
 
 def default_strategy(hardware: HardwareConfig) -> str:
@@ -51,39 +69,35 @@ class TuningResult:
     strategy: str
     best_tiling: TilingConfig
     best_value: float
-    history: SearchHistory = field(repr=False, default=None)  # type: ignore[assignment]
+    history: SearchHistory = field(repr=False)
     #: The evaluation budget this tuning was *asked* for.  May exceed the
     #: evaluations actually spent when the search exhausted its space early.
-    budget: int | None = None
+    budget: int
     #: Non-memoized objective evaluations (simulator runs + footprint
     #: rejections) the tuning actually performed, infeasible candidates
     #: included — the real search work, as opposed to the history length,
-    #: which also counts memoized re-visits.  ``None`` on results produced
-    #: before this accounting existed.
-    objective_evaluations: int | None = None
+    #: which also counts memoized re-visits.
+    objective_evaluations: int
     #: Breakdown of where those evaluations went, from
     #: :attr:`repro.search.objective.SchedulerObjective.analytic_stats`:
     #: full simulations vs. shared vs. rejected vs. bound-pruned candidates
     #: (results stored before sharing existed have no ``num_shared``).
-    #: ``None`` on results produced before the analytic layer existed.
-    analytic_stats: dict[str, int] | None = None
+    analytic_stats: dict[str, int]
 
     @property
     def num_evaluations(self) -> int:
-        return self.history.num_iterations if self.history is not None else 0
+        return self.history.num_iterations
 
     @property
     def num_search_evaluations(self) -> int:
         """Evaluations spent by the search itself, excluding the default-tiling
         candidate the tuner injects after the search finishes."""
-        if self.history is None:
-            return 0
         return sum(1 for rec in self.history.records if rec.phase != "default")
 
     @property
     def improvement_factor(self) -> float:
         """First-feasible over best objective — the Section 5.5 tuning gain."""
-        return self.history.improvement_factor if self.history is not None else 1.0
+        return self.history.improvement_factor
 
 
 class AutoTuner:
@@ -98,7 +112,8 @@ class AutoTuner:
         DaVinci-like preset and ``"mcts+ga"`` otherwise, matching the paper.
     budget:
         Total evaluation budget per (scheduler, workload) pair.  For
-        ``"mcts+ga"`` the budget is split between the two phases.
+        ``"mcts+ga"``, MCTS spends ``max(1, int(budget * MCTS_FRACTION))`` of
+        it and the GA the rest, at least one.
     metric:
         Objective metric (``"cycles"``, ``"energy"`` or ``"edp"``).
     seed:
@@ -112,19 +127,16 @@ class AutoTuner:
         budget: int = 200,
         metric: Metric = "cycles",
         seed: int = 0,
-        mcts_fraction: float = 0.6,
     ) -> None:
         if strategy is None:
             strategy = default_strategy(hardware)
         require(strategy in STRATEGIES, f"unknown strategy {strategy!r}; options: {STRATEGIES}")
         check_positive_int(budget, "budget")
-        require(0.0 < mcts_fraction < 1.0, "mcts_fraction must lie in (0, 1)")
         self.hardware = hardware
         self.strategy = strategy
         self.budget = budget
         self.metric = metric
         self.seed = seed
-        self.mcts_fraction = mcts_fraction
 
     # ------------------------------------------------------------------ #
     def tune(
@@ -165,45 +177,21 @@ class AutoTuner:
 
     # ------------------------------------------------------------------ #
     def _search(self, objective: SchedulerObjective, space: TilingSearchSpace) -> SearchHistory:
-        budget = self.budget
-        if self.strategy == "grid":
-            return GridSearch(seed=self.seed).run(objective, space, budget=budget)
-        if self.strategy == "random":
-            return RandomSearch(seed=self.seed).run(objective, space, budget=budget)
-        if self.strategy == "mcts":
-            return MCTSSearch(seed=self.seed).run(objective, space, budget=budget)
-        if self.strategy == "ga":
-            return GeneticSearch(seed=self.seed).run(objective, space, budget=budget)
-
-        # mcts+ga: tiling factors from MCTS, compute ordering refined by GA.
-        mcts_budget = max(1, int(budget * self.mcts_fraction))
-        ga_budget = max(1, budget - mcts_budget)
-        mcts_history = MCTSSearch(seed=self.seed).run(objective, space, budget=mcts_budget)
-
-        ga = GeneticSearch(seed=self.seed + 1)
-        if mcts_history.best_tiling is not None:
-            ga.seeds = [mcts_history.best_tiling]
-        ga_history = ga.run(objective, space, budget=ga_budget)
-
-        combined = SearchHistory(
-            algorithm="mcts+ga",
-            scheduler=mcts_history.scheduler,
-            workload=mcts_history.workload,
+        history = SearchHistory(
+            algorithm=self.strategy,
+            scheduler=objective.scheduler.name,
+            workload=objective.workload.name or objective.workload.describe(),
         )
-        combined.extend(mcts_history)
-        combined.extend(ga_history)
-        return combined
+        if self.strategy != "mcts+ga":
+            _ALGORITHMS[self.strategy](seed=self.seed).run(objective, space, self.budget, history)
+            return history
 
-
-def tune_scheduler(
-    scheduler_name: str,
-    workload: AttentionWorkload,
-    hardware: HardwareConfig,
-    strategy: str | None = None,
-    budget: int = 200,
-    metric: Metric = "cycles",
-    seed: int = 0,
-) -> TuningResult:
-    """One-shot convenience wrapper around :class:`AutoTuner`."""
-    tuner = AutoTuner(hardware, strategy=strategy, budget=budget, metric=metric, seed=seed)
-    return tuner.tune(scheduler_name, workload)
+        # mcts+ga: tiling factors from MCTS, compute ordering refined by a GA
+        # seeded with the MCTS best, both recording into the one history.
+        mcts_budget = max(1, int(self.budget * MCTS_FRACTION))
+        MCTSSearch(seed=self.seed).run(objective, space, mcts_budget, history)
+        ga = GeneticSearch(seed=self.seed + 1)
+        if history.best_tiling is not None:
+            ga.seeds = [history.best_tiling]
+        ga.run(objective, space, max(1, self.budget - mcts_budget), history)
+        return history

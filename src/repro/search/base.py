@@ -36,17 +36,19 @@ class SearchAlgorithm(ABC):
         objective: SchedulerObjective,
         space: TilingSearchSpace,
         budget: int = 200,
-        rng: np.random.Generator | None = None,
+        history: SearchHistory | None = None,
     ) -> SearchHistory:
-        """Search for at most ``budget`` evaluations and return the history."""
+        """Search for at most ``budget`` evaluations and return the history
+        they were recorded into: ``history``, or a new one labelled with this
+        algorithm."""
         check_positive_int(budget, "budget")
-        rng = rng if rng is not None else make_rng(self.seed)
-        history = SearchHistory(
-            algorithm=self.name,
-            scheduler=objective.scheduler.name,
-            workload=objective.workload.name or objective.workload.describe(),
-        )
-        self._run(objective, space, budget, rng, history)
+        if history is None:
+            history = SearchHistory(
+                algorithm=self.name,
+                scheduler=objective.scheduler.name,
+                workload=objective.workload.name or objective.workload.describe(),
+            )
+        self._run(objective, space, budget, make_rng(self.seed), history)
         return history
 
     @abstractmethod

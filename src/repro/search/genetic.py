@@ -8,7 +8,8 @@ is captured by the ``kv_resident`` flag (reuse K/V across a head group's
 row-blocks versus streaming them per block) together with the relative sizes
 of ``nq``/``nkv``; the GA therefore evolves full
 :class:`~repro.core.tiling.TilingConfig` individuals with uniform crossover
-and single-decision mutation, optionally seeded from an MCTS result.
+and single-decision mutation, optionally seeded from an MCTS result.  Its
+parameters are the module constants below.
 """
 
 from __future__ import annotations
@@ -20,9 +21,20 @@ from repro.search.base import SearchAlgorithm
 from repro.search.history import SearchHistory
 from repro.search.objective import SchedulerObjective
 from repro.search.space import TilingSearchSpace
-from repro.utils.validation import check_positive_int, check_probability
 
-__all__ = ["GeneticSearch"]
+__all__ = ["GeneticSearch", "POPULATION_SIZE", "TOURNAMENT_SIZE", "MUTATION_RATE", "ELITISM"]
+
+# The GA's parameters.  Stored tunings are keyed without them, so changing
+# one changes stored tunings: bump the cache's ``KEY_SCHEMA_VERSION`` with it.
+
+#: Individuals per generation (the initial population included).
+POPULATION_SIZE = 16
+#: Random contenders per tournament; the fittest becomes a parent.
+TOURNAMENT_SIZE = 3
+#: Chance that a child is mutated after crossover.
+MUTATION_RATE = 0.3
+#: Fittest individuals carried unchanged into the next generation.
+ELITISM = 2
 
 
 class GeneticSearch(SearchAlgorithm):
@@ -36,24 +48,8 @@ class GeneticSearch(SearchAlgorithm):
 
     name = "ga"
 
-    def __init__(
-        self,
-        seed: int = 0,
-        population_size: int = 16,
-        tournament_size: int = 3,
-        mutation_rate: float = 0.3,
-        elitism: int = 2,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)
-        check_positive_int(population_size, "population_size")
-        check_positive_int(tournament_size, "tournament_size")
-        check_probability(mutation_rate, "mutation_rate")
-        if elitism < 0 or elitism > population_size:
-            raise ValueError(f"elitism must lie in [0, population_size], got {elitism}")
-        self.population_size = population_size
-        self.tournament_size = tournament_size
-        self.mutation_rate = mutation_rate
-        self.elitism = elitism
         #: Optional individuals injected into the initial population (e.g. the
         #: MCTS best tiling when the GA runs as a refinement stage).
         self.seeds: list[TilingConfig] = []
@@ -84,10 +80,10 @@ class GeneticSearch(SearchAlgorithm):
             return [evaluation.value for evaluation in results]
 
         # -------- initial population: seeds + default + random samples ---- #
-        population: list[TilingConfig] = list(self.seeds[: self.population_size])
-        if len(population) < self.population_size:
+        population: list[TilingConfig] = list(self.seeds[:POPULATION_SIZE])
+        if len(population) < POPULATION_SIZE:
             population.append(space.default())
-        while len(population) < self.population_size:
+        while len(population) < POPULATION_SIZE:
             population.append(space.sample(rng))
         fitness = evaluate_population(population)
         population = population[: len(fitness)]
@@ -95,12 +91,12 @@ class GeneticSearch(SearchAlgorithm):
         # -------------------------- generations --------------------------- #
         while evaluations < budget:
             ranked = sorted(range(len(population)), key=lambda i: fitness[i])
-            next_population = [population[i] for i in ranked[: self.elitism]]
-            while len(next_population) < self.population_size:
+            next_population = [population[i] for i in ranked[:ELITISM]]
+            while len(next_population) < POPULATION_SIZE:
                 parent_a = self._tournament(population, fitness, rng)
                 parent_b = self._tournament(population, fitness, rng)
                 child = space.crossover(parent_a, parent_b, rng)
-                if rng.random() < self.mutation_rate:
+                if rng.random() < MUTATION_RATE:
                     child = space.mutate(child, rng)
                 next_population.append(child)
             fitness = evaluate_population(next_population)
@@ -112,7 +108,7 @@ class GeneticSearch(SearchAlgorithm):
         fitness: list[float],
         rng: np.random.Generator,
     ) -> TilingConfig:
-        """Pick the fittest of ``tournament_size`` random individuals."""
-        contenders = rng.integers(0, len(population), size=self.tournament_size)
+        """Pick the fittest of :data:`TOURNAMENT_SIZE` random individuals."""
+        contenders = rng.integers(0, len(population), size=TOURNAMENT_SIZE)
         winner = min(contenders, key=lambda i: fitness[int(i)])
         return population[int(winner)]

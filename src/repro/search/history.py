@@ -4,7 +4,8 @@ Figure 7 of the paper plots execution cycles against search iterations (both
 log scale) for every method under MCTS + GA tuning.  Every search algorithm in
 this package appends one :class:`SearchRecord` per evaluated candidate to a
 :class:`SearchHistory`, from which the monotone best-so-far convergence curve
-is derived.
+is derived.  Both phases of ``mcts+ga`` record into one history, so
+:meth:`SearchHistory.record` is the one running-best rule.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class SearchHistory:
 
     # ------------------------------------------------------------------ #
     def record(self, evaluation: TilingEvaluation, phase: str = "") -> SearchRecord:
-        """Append one evaluation, updating the running best."""
+        """Append one evaluation, updating the running best: the first
+        feasible evaluation of lowest value.  Infeasible and pruned
+        evaluations never become the best."""
         if evaluation.feasible and evaluation.better_than(self.best):
             self.best = evaluation
         best_value = self.best.value if self.best is not None else float("inf")
@@ -57,29 +60,6 @@ class SearchHistory:
         )
         self.records.append(rec)
         return rec
-
-    def extend(self, other: "SearchHistory") -> None:
-        """Append another history's records verbatim (re-numbering iterations).
-
-        Records are carried through unchanged — only the iteration index and
-        the running ``best_value`` are recomputed for the concatenation — and
-        the best *evaluation* object is taken from ``other`` directly, so its
-        cycles/energy stay intact whatever metric produced the values.
-        """
-        best_value = self.best_value
-        for rec in other.records:
-            best_value = min(best_value, rec.value)
-            self.records.append(
-                SearchRecord(
-                    iteration=len(self.records),
-                    tiling=rec.tiling,
-                    value=rec.value,
-                    best_value=best_value,
-                    phase=rec.phase or other.algorithm,
-                )
-            )
-        if other.best is not None and (self.best is None or other.best.better_than(self.best)):
-            self.best = other.best
 
     # ------------------------------------------------------------------ #
     @property

@@ -29,7 +29,12 @@ from repro.search.history import SearchHistory
 from repro.search.objective import SchedulerObjective
 from repro.search.space import DECISIONS, TilingSearchSpace
 
-__all__ = ["MCTSSearch", "MCTSNode"]
+__all__ = ["MCTSSearch", "MCTSNode", "EXPLORATION"]
+
+#: UCB1 exploration constant.  Stored tunings are keyed without it, so
+#: changing it changes stored tunings: bump the cache's
+#: ``KEY_SCHEMA_VERSION`` with it.
+EXPLORATION = 1.2
 
 
 @dataclass
@@ -52,12 +57,12 @@ class MCTSNode:
     def mean_reward(self) -> float:
         return self.total_reward / self.visits if self.visits else 0.0
 
-    def ucb_score(self, exploration: float) -> float:
+    def ucb_score(self) -> float:
         """UCB1 score relative to the parent's visit count."""
         if self.visits == 0:
             return float("inf")
         parent_visits = self.parent.visits if self.parent is not None else self.visits
-        return self.mean_reward + exploration * math.sqrt(
+        return self.mean_reward + EXPLORATION * math.sqrt(
             math.log(max(parent_visits, 1)) / self.visits
         )
 
@@ -75,14 +80,11 @@ class MCTSSearch(SearchAlgorithm):
     One leaf rollout runs per iteration.  Its tiling is evaluated as a batch
     of one through :meth:`SchedulerObjective.evaluate_batch`, the pruned path,
     so a candidate whose analytic bound already loses is ranked by that bound
-    instead of being simulated.
+    instead of being simulated.  Rewards are relative to the best value of
+    the history the search records into.
     """
 
     name = "mcts"
-
-    def __init__(self, seed: int = 0, exploration: float = 1.2) -> None:
-        super().__init__(seed)
-        self.exploration = exploration
 
     # ------------------------------------------------------------------ #
     def _run(
@@ -94,18 +96,12 @@ class MCTSSearch(SearchAlgorithm):
         history: SearchHistory,
     ) -> None:
         root = MCTSNode(depth=0)
-        best_value = float("inf")
-        evaluations = 0
-
-        while evaluations < budget:
+        for _ in range(budget):
             node = self._select(root, space)
             node = self._expand(node, space, rng)
             tiling = self._rollout(node, space, rng)
             (evaluation,) = self._evaluate_batch(objective, [tiling], history)
-            if evaluation.feasible:
-                best_value = min(best_value, evaluation.value)
-            self._backpropagate(node, self._reward(evaluation.value, best_value))
-            evaluations += 1
+            self._backpropagate(node, self._reward(evaluation.value, history.best_value))
 
     # ------------------------------------------------------------------ #
     # MCTS phases
@@ -113,7 +109,7 @@ class MCTSSearch(SearchAlgorithm):
     def _select(self, node: MCTSNode, space: TilingSearchSpace) -> MCTSNode:
         """Descend via UCB1 until a node with untried children (or a leaf) is reached."""
         while not node.is_leaf and not node.untried_values(space) and node.children:
-            node = max(node.children.values(), key=lambda c: c.ucb_score(self.exploration))
+            node = max(node.children.values(), key=MCTSNode.ucb_score)
         return node
 
     def _expand(

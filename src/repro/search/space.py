@@ -8,6 +8,13 @@ group's row-blocks or stream them per block).  The space enumerates sensible
 candidates per decision — powers of two aligned with the PE-array shape plus
 the full dimension — which mirrors the loop-tiling factor choices the paper's
 MCTS assigns level by level.
+
+A space is defined by its workload and device alone: a row block is never
+shorter than the MAC array height (or ``seq_q``), a K/V tile never narrower
+than its width (or ``seq_kv``), and ``nq`` and ``nkv`` keep at most
+:data:`MAX_CANDIDATES_PER_DIM` candidates each.  So the search's grid and
+the grid :class:`~repro.search.objective.SchedulerObjective` bounds in one
+call are the same by construction.
 """
 
 from __future__ import annotations
@@ -20,13 +27,18 @@ import numpy as np
 
 from repro.core.tiling import TilingConfig
 from repro.hardware.config import HardwareConfig
-from repro.utils.validation import check_positive_int, require
+from repro.utils.validation import check_positive_int
 from repro.workloads.attention import AttentionWorkload
 
-__all__ = ["TilingSearchSpace"]
+__all__ = ["TilingSearchSpace", "MAX_CANDIDATES_PER_DIM"]
 
 #: Order in which decisions are made by tree-structured searchers (MCTS).
 DECISIONS: tuple[str, ...] = ("bb", "hh", "nq", "nkv", "kv_resident")
+
+#: Cap on the ``nq`` and ``nkv`` candidates (keeps grid search tractable on
+#: long sequences).  Stored tunings are keyed without it, so changing it
+#: changes stored tunings: bump the cache's ``KEY_SCHEMA_VERSION`` with it.
+MAX_CANDIDATES_PER_DIM = 12
 
 
 def _pow2_candidates(limit: int, minimum: int = 1) -> list[int]:
@@ -43,30 +55,16 @@ def _pow2_candidates(limit: int, minimum: int = 1) -> list[int]:
 
 @dataclass(frozen=True)
 class TilingSearchSpace:
-    """Candidate tiling factors for one ``(workload, hardware)`` pair.
-
-    Attributes
-    ----------
-    workload, hardware:
-        The attention shape and device the space is built for.
-    min_rows:
-        Smallest row-block considered; defaults to the MAC array height so a
-        row-block never underfills the PE array.
-    max_candidates_per_dim:
-        Cap on candidates per decision (keeps grid search tractable on long
-        sequences).
-    """
+    """Candidate tiling factors for one ``(workload, hardware)`` pair."""
 
     workload: AttentionWorkload
     hardware: HardwareConfig
-    min_rows: int = 0
-    max_candidates_per_dim: int = 12
     _candidates: dict[str, tuple] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        require(self.max_candidates_per_dim >= 1, "max_candidates_per_dim must be >= 1")
-        min_rows = self.min_rows or min(self.hardware.mac.rows, self.workload.seq_q)
-        nq_values = [v for v in _pow2_candidates(self.workload.seq_q) if v >= min_rows]
+        # A row block never underfills the PE array's height.
+        row_floor = min(self.hardware.mac.rows, self.workload.seq_q)
+        nq_values = [v for v in _pow2_candidates(self.workload.seq_q) if v >= row_floor]
         nkv_values = [
             v
             for v in _pow2_candidates(self.workload.seq_kv)
@@ -87,10 +85,10 @@ class TilingSearchSpace:
 
     def _cap(self, values: Sequence[int]) -> list[int]:
         values = sorted(set(values))
-        if len(values) <= self.max_candidates_per_dim:
+        if len(values) <= MAX_CANDIDATES_PER_DIM:
             return list(values)
         # Keep the extremes and evenly thin the middle.
-        idx = np.linspace(0, len(values) - 1, self.max_candidates_per_dim).round().astype(int)
+        idx = np.linspace(0, len(values) - 1, MAX_CANDIDATES_PER_DIM).round().astype(int)
         return [values[i] for i in sorted(set(idx.tolist()))]
 
     # ------------------------------------------------------------------ #

@@ -16,7 +16,7 @@ counts, per-resource utilization, per-level access counters and (through the
 :class:`~repro.hardware.energy.EnergyModel`) the energy breakdown.
 """
 
-from repro.sim.tasks import Task, TaskGraph, TaskKind, Resource, dma_resource, mac_resource, vec_resource
+from repro.sim.tasks import Task, TaskGraph, TaskKind, dma_resource, mac_resource, vec_resource
 from repro.sim.trace import SimulationResult, TaskRecord, Trace
 from repro.sim.engine import simulate_graph
 from repro.sim.executor import simulate
@@ -25,7 +25,6 @@ __all__ = [
     "Task",
     "TaskGraph",
     "TaskKind",
-    "Resource",
     "dma_resource",
     "mac_resource",
     "vec_resource",

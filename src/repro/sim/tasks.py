@@ -27,15 +27,6 @@ class TaskKind(str, Enum):
     BARRIER = "barrier"    # zero-cost synchronization marker
 
 
-class Resource(str, Enum):
-    """Classes of hardware resources a task may occupy."""
-
-    MAC = "mac"
-    VEC = "vec"
-    DMA = "dma"
-    NONE = "none"
-
-
 def mac_resource(core: int) -> str:
     """Resource name of the MAC unit of ``core``."""
     return f"core{core}.mac"

@@ -11,7 +11,6 @@ from repro.utils.units import (
 )
 from repro.utils.validation import (
     check_positive_int,
-    check_probability,
     ceil_div,
     require,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "cycles_to_seconds",
     "picojoules_to_millijoules",
     "check_positive_int",
-    "check_probability",
     "ceil_div",
     "require",
     "make_rng",

@@ -27,13 +27,6 @@ def check_non_negative(value: float, name: str) -> float:
     return float(value)
 
 
-def check_probability(value: float, name: str) -> float:
-    """Validate that ``value`` lies in [0, 1]."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
-
-
 def ceil_div(numerator: int, denominator: int) -> int:
     """Integer ceiling division; both arguments must be positive."""
     if numerator < 0:

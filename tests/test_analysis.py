@@ -302,26 +302,9 @@ class TestSuiteParametrizedHarnesses:
         series = result.get("sd.mid.xattn", "mas")
         assert series.is_monotone_nonincreasing()
 
-    def test_suite_alongside_runner_rejected(self):
-        runner = ExperimentRunner(use_search=False)
-        with pytest.raises(ValueError, match="suite"):
-            run_table2(runner, networks=["ViT-B/14"], suite="table1-batched")
-        # a matching suite is allowed (it is the runner's own)
-        result = run_table2(runner, networks=["ViT-B/14"], suite="table1")
-        assert result.suite == "table1"
-        # ... however either side spells it
-        for runner_spec, spec, entry in (
-            ("long@seq<=2048", "long-context@seq<=2048", "BERT-Base @n2048"),
-            ("table1@batch=4, seq<=256", "table1@batch=4@seq<=256", "ViT-B/14 @b4"),
-        ):
-            spelled = ExperimentRunner(suite=runner_spec, use_search=False)
-            result = run_table2(spelled, networks=[entry], suite=spec)
-            assert result.suite == spelled.suite_name
-
     def test_python_built_suite_through_harness(self):
         """A suite built in Python sweeps like a built-in: the table is
-        titled by its name, and the runner's own suite object is accepted
-        alongside it while any other suite is not."""
+        titled by its name."""
         from repro.workloads.attention import AttentionWorkload
         from repro.workloads.suites import SuiteEntry, WorkloadSuite
 
@@ -340,11 +323,3 @@ class TestSuiteParametrizedHarnesses:
         assert result.networks == ["chat.gqa", "embed"]
         assert result.suite == "my-shapes"
         assert "suite my-shapes" in result.format()
-        assert run_table2(runner, networks=["embed"], suite=suite).suite == "my-shapes"
-        with pytest.raises(ValueError, match="already sweeps suite 'my-shapes'"):
-            run_table2(runner, networks=["embed"], suite="table1")
-
-    def test_suite_kwarg_builds_default_runner(self):
-        result = run_table2(networks=["sd.mid.xattn"], suite="cross-attention@seq<=128")
-        assert result.networks == ["sd.mid.xattn"]
-        assert result.suite == "cross-attention@seq<=128"

@@ -193,7 +193,7 @@ class TestAnalyticBounds:
             except InfeasibleTilingError:
                 continue
             assert bounds.cycles[index] <= result.cycles
-            assert bounds.energy_pj[index] <= result.energy_pj + 1e-6
+            assert bounds.energy_pj[index] <= result.energy_pj
 
 
 # --------------------------------------------------------------------------- #

@@ -15,8 +15,13 @@ from repro.exec import (
     pair_seed,
     tuning_cache_key,
 )
+from repro.exec.cache import KEY_SCHEMA_VERSION
 from repro.hardware.presets import davinci_like_npu, simulated_edge_device
-from repro.search.autotuner import AutoTuner
+from repro.search.autotuner import MCTS_FRACTION, AutoTuner
+from repro.search.genetic import ELITISM, MUTATION_RATE, POPULATION_SIZE, TOURNAMENT_SIZE
+from repro.search.mcts import EXPLORATION
+from repro.search.objective import PRUNE_WAVE
+from repro.search.space import MAX_CANDIDATES_PER_DIM
 from repro.store import resolve_store_target
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.networks import get_network
@@ -209,6 +214,24 @@ class TestResultCache:
         assert base == tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, "cycles", 0)
         assert len({base, *variants}) == len(variants) + 1
 
+    def test_search_constants_change_only_with_the_key_schema(self):
+        """Stored tunings are keyed without the search's parameters, so a
+        changed parameter must come with a new key schema."""
+        constants = (
+            PRUNE_WAVE,
+            MCTS_FRACTION,
+            EXPLORATION,
+            POPULATION_SIZE,
+            TOURNAMENT_SIZE,
+            MUTATION_RATE,
+            ELITISM,
+            MAX_CANDIDATES_PER_DIM,
+        )
+        assert (KEY_SCHEMA_VERSION, constants) == (4, (8, 0.6, 1.2, 16, 3, 0.3, 2, 12)), (
+            "a search constant changes what a stored tuning holds: change it "
+            "together with KEY_SCHEMA_VERSION, and both expected values here"
+        )
+
     def test_disabled_cache_is_inert(self, tmp_path, tuning):
         for cache in (ResultCache(None), ResultCache(tmp_path, enabled=False)):
             assert cache.store("k", tuning) is None
@@ -226,6 +249,13 @@ class TestResultCache:
         assert cache.misses == 1
         assert cache.stale == 1
         assert cache.stats() == {"hits": 0, "misses": 1, "stale": 1}
+        # an entry lacking a field of the tuning is corrupt: a plain miss
+        cache.store("k3", tuning)
+        entry = json.loads((tmp_path / "k3.json").read_text())
+        del entry["tuning"]["objective_evaluations"]
+        (tmp_path / "k3.json").write_text(json.dumps(entry))
+        assert cache.load("k3") is None
+        assert cache.stats() == {"hits": 0, "misses": 2, "stale": 1}
 
     def test_clear(self, tmp_path, tuning):
         cache = ResultCache(tmp_path)

@@ -23,7 +23,8 @@ strategy disabled, partial row-blocks and K/V tiles, remainder head groups
 across cores, an idle core and both ``kv_resident`` settings.  Each case runs
 at the device's L1 and at an L1 small enough for MAS to overflow, which
 exercises its overwrite events (K and V victims) and, with overwriting
-disabled, its serialized fallback.
+disabled, its serialized fallback, also at one row block per head group (a
+decode shape with four blocks per core).
 
 The JSON is the builders' contract.  A change meant to alter graphs
 regenerates it and says why::
@@ -96,6 +97,12 @@ SHAPES: dict[str, tuple[AttentionWorkload, tuple[tuple[int, int, int, int], ...]
     "decode": (
         AttentionWorkload(batch=1, heads=4, seq_q=1, seq_kv=64, emb=16),
         ((1, 1, 1, 16), (1, 3, 1, 64)),
+    ),
+    # Decode step with four blocks per core, then two: at one row block per
+    # head group, MAS overwrites and its no-overwrite variant serializes.
+    "decode4": (
+        AttentionWorkload(batch=1, heads=8, seq_q=1, seq_kv=64, emb=16),
+        ((1, 1, 1, 16), (1, 2, 1, 32)),
     ),
     # 6 problems: hh=2 cuts every batch's heads 2+1, so groups cover 2, 1, 2, 1
     # problems (bb=1) or 4, 2 (bb=2); partial row-blocks and K/V tiles.
@@ -210,6 +217,20 @@ def test_graph_replays_to_reference(case_id, variant, shape, tiling, l1):
     output = replay(_scheduler(variant, l1), workload, tiling, q, k, v)
     error = float(np.max(np.abs(output - reference_attention(q, k, v))))
     assert error <= 1e-9, f"{case_id}: replay is {error:.3e} off the reference"
+
+
+def test_decode_grid_overwrites_and_serializes():
+    """At its overflow L1, the four-blocks-per-core decode shape (``hh=1``,
+    either ``kv_resident``) gives MAS overwrite events and its no-overwrite
+    variant serialized blocks, so the grid pins both at one row block per
+    head group."""
+    workload, factors = SHAPES["decode4"]
+    for tiling in _tilings(factors[:1]):
+        l1 = _overflow_l1(workload, tiling)
+        mas = _scheduler("mas", l1).build(workload, tiling).metadata
+        serialized = _scheduler("mas-no-overwrite", l1).build(workload, tiling).metadata
+        assert (mas["blocks_per_core"], mas["num_overwrites"]) == ([4, 4], 4)
+        assert serialized["serialized_blocks"] == 10
 
 
 def main() -> None:

@@ -325,7 +325,7 @@ class TestAnalyticBoundProperties:
         assert fits or name != "mas"
         bounds = scheduler.analytic_bounds(workload, [tiling])
         assert bounds.cycles[0] <= result.cycles
-        assert bounds.energy_pj[0] <= result.energy_pj + 1e-6
+        assert bounds.energy_pj[0] <= result.energy_pj
 
     @given(
         workloads(),

@@ -21,12 +21,11 @@ from repro.search import (
     SchedulerObjective,
     SearchHistory,
     TilingSearchSpace,
-    tune_scheduler,
 )
 from repro.search import autotuner
 from repro.search.autotuner import STRATEGIES
 from repro.search.objective import TilingEvaluation
-from repro.search.space import DECISIONS
+from repro.search.space import DECISIONS, MAX_CANDIDATES_PER_DIM
 from repro.utils.rng import make_rng
 from repro.utils.units import KB
 from repro.workloads.attention import AttentionWorkload
@@ -99,10 +98,14 @@ class TestSearchSpace:
         assert child.nq in (a.nq, b.nq) and child.nkv in (a.nkv, b.nkv)
 
     def test_candidate_cap(self, edge_hw):
+        """65,536 tokens give 13 row and 13 K/V tile candidates, capped to 12
+        keeping both extremes."""
         long_wl = AttentionWorkload.self_attention(heads=2, seq=65536, emb=64)
-        space = TilingSearchSpace(long_wl, edge_hw, max_candidates_per_dim=6)
-        assert len(space.candidates("nq")) <= 6
-        assert len(space.candidates("nkv")) <= 6
+        space = TilingSearchSpace(long_wl, edge_hw)
+        for decision in ("nq", "nkv"):
+            candidates = space.candidates(decision)
+            assert len(candidates) == MAX_CANDIDATES_PER_DIM == 12
+            assert max(candidates) == 65536 and min(candidates) == 16
 
 
 class TestObjective:
@@ -231,44 +234,6 @@ class TestHistory:
         rows = history.as_rows()
         assert len(rows) == len(values) and "best_value" in rows[0]
 
-    def test_extend_carries_evaluations_verbatim(self):
-        """Concatenating phase histories must not fabricate evaluations.
-
-        Under the ``energy``/``edp`` metrics the record values are not cycle
-        counts, so ``extend`` has to keep the original best evaluation (with
-        its real cycles and energy) instead of reconstructing one from the
-        record value.
-        """
-        inf = float("inf")
-        first = SearchHistory(algorithm="mcts")
-        e1 = TilingEvaluation(TilingConfig(nq=32), True, cycles=100, energy_pj=5.0, value=5.0)
-        first.record(e1, phase="mcts")
-        second = SearchHistory(algorithm="ga")
-        e2 = TilingEvaluation(TilingConfig(nq=64), True, cycles=200, energy_pj=3.0, value=3.0)
-        e3 = TilingEvaluation(TilingConfig(nq=16), False, cycles=0, energy_pj=0.0, value=inf)
-        second.record(e2, phase="ga")
-        second.record(e3, phase="ga")
-
-        combined = SearchHistory(algorithm="mcts+ga")
-        combined.extend(first)
-        combined.extend(second)
-        assert combined.best is e2  # the original evaluation object, untouched
-        assert combined.best.cycles == 200 and combined.best.energy_pj == 3.0
-        assert [r.iteration for r in combined.records] == [0, 1, 2]
-        assert [r.value for r in combined.records] == [5.0, 3.0, inf]
-        assert [r.best_value for r in combined.records] == [5.0, 3.0, 3.0]
-        assert [r.phase for r in combined.records] == ["mcts", "ga", "ga"]
-        assert combined.best_value == 3.0
-
-    def test_extend_empty_and_unlabelled_phases(self):
-        source = SearchHistory(algorithm="mcts")
-        source.record(TilingEvaluation(TilingConfig(), True, 10, 1.0, 10.0))
-        combined = SearchHistory(algorithm="mcts+ga")
-        combined.extend(SearchHistory(algorithm="ga"))  # empty: no-op
-        assert combined.num_iterations == 0 and combined.best is None
-        combined.extend(source)
-        assert combined.records[0].phase == "mcts"  # falls back to the algorithm name
-
 
 @pytest.mark.parametrize("algorithm_cls", [GridSearch, RandomSearch, MCTSSearch, GeneticSearch])
 class TestAlgorithms:
@@ -318,7 +283,7 @@ class TestTracingLeavesSearchesUnchanged:
     @pytest.mark.parametrize("metric", ["cycles", "energy", "edp"])
     @pytest.mark.parametrize(
         "make_search",
-        [lambda: GeneticSearch(seed=0, population_size=8), lambda: MCTSSearch(seed=0)],
+        [lambda: GeneticSearch(seed=0), lambda: MCTSSearch(seed=0)],
         ids=["ga", "mcts"],
     )
     def test_traced_search_matches_untraced(
@@ -358,21 +323,19 @@ class TestTracingLeavesSearchesUnchanged:
 
 class TestGABudgetAccounting:
     def test_initial_population_truncated_at_budget(self, objective, space):
-        """budget < population_size must not overshoot: the initial population
-        used to be evaluated unconditionally."""
-        history = GeneticSearch(seed=0, population_size=16).run(objective, space, budget=5)
+        """A budget below the population size (16) must not overshoot: the
+        initial population used to be evaluated unconditionally."""
+        history = GeneticSearch(seed=0).run(objective, space, budget=5)
         assert history.num_iterations == 5
         assert history.best is not None
 
-    @pytest.mark.parametrize("budget", [1, 9, 14])
+    @pytest.mark.parametrize("budget", [1, 20, 40])
     def test_budget_respected_exactly_across_generations(self, workload, edge_hw, space, budget):
-        """Mid-generation expiry: exactly ``budget`` evaluations are recorded
-        and the unevaluated remainder never enters selection (no ``inf``
-        placeholder fitness is ranked as an elite)."""
+        """Mid-generation expiry (the population is 16): exactly ``budget``
+        evaluations are recorded and the unevaluated remainder never enters
+        selection (no ``inf`` placeholder fitness is ranked as an elite)."""
         objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
-        history = GeneticSearch(seed=0, population_size=6, elitism=2).run(
-            objective, space, budget=budget
-        )
+        history = GeneticSearch(seed=0).run(objective, space, budget=budget)
         assert history.num_iterations == budget
         feasible = [rec.value for rec in history.records if rec.value != float("inf")]
         if feasible:
@@ -443,11 +406,6 @@ class TestAutoTuner:
         assert tuning.num_search_evaluations < 10_000  # grid exhausted early
         assert tuning.budget == 10_000
 
-    def test_tune_scheduler_convenience(self, edge_hw, workload):
-        result = tune_scheduler("flat", workload, edge_hw, budget=15, strategy="random")
-        assert result.scheduler == "flat" and result.strategy == "random"
-        assert result.best_value < float("inf")
-
     def test_objective_evaluations_recorded(self, edge_hw, workload):
         """The tuning reports real (non-memoized) search work, which can be
         below the history length when candidates repeat."""
@@ -455,10 +413,45 @@ class TestAutoTuner:
         assert tuning.objective_evaluations is not None
         assert 1 <= tuning.objective_evaluations <= tuning.num_evaluations
 
-    def test_mcts_ga_history_contains_both_phases(self, edge_hw, workload):
-        tuning = AutoTuner(edge_hw, strategy="mcts+ga", budget=30).tune("mas", workload)
-        phases = {rec.phase for rec in tuning.history.records}
-        assert "mcts" in phases and "ga" in phases
+    def test_mcts_ga_history_contains_both_phases(self, edge_hw, workload, monkeypatch):
+        """MCTS and the GA record into one history: its iterations run in
+        order, its phases are MCTS, then GA, then the default tiling, each
+        record's best is the running minimum over feasible records, and the
+        best is an evaluation the objective returned, with real cycles and
+        energy under the energy metric."""
+        returned = []
+
+        def recording(method):
+            def record(objective, tilings):
+                result = method(objective, tilings)
+                returned.extend(result if isinstance(result, list) else [result])
+                return result
+
+            return record
+
+        for name in ("evaluate", "evaluate_batch"):
+            method = getattr(SchedulerObjective, name)
+            monkeypatch.setattr(SchedulerObjective, name, recording(method))
+        tuning = AutoTuner(edge_hw, strategy="mcts+ga", budget=30, metric="energy").tune(
+            "mas", workload
+        )
+        history = tuning.history
+        assert history.algorithm == "mcts+ga"
+        records = history.records
+        assert [rec.iteration for rec in records] == list(range(31))
+        assert [rec.phase for rec in records] == ["mcts"] * 18 + ["ga"] * 12 + ["default"]
+        assert len(returned) == len(records)
+        best = float("inf")
+        for rec, evaluation in zip(records, returned):
+            assert (rec.tiling, rec.value) == (evaluation.tiling, evaluation.value)
+            if evaluation.feasible:
+                best = min(best, evaluation.value)
+            assert rec.best_value == best
+        assert any(e.pruned for e in returned)  # pruned bounds never lower the best
+        assert any(history.best is e for e in returned)
+        assert history.best.feasible and history.best.cycles > 0
+        assert history.best.value == tuning.best_value == history.best_value
+        assert history.best.value == history.best.energy_pj != history.best.cycles
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_tune_runs_in_the_calling_process(

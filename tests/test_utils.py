@@ -26,7 +26,6 @@ from repro.utils.validation import (
     ceil_div,
     check_non_negative,
     check_positive_int,
-    check_probability,
     clamp,
     divisors,
     require,
@@ -85,11 +84,6 @@ class TestValidation:
         assert check_non_negative(0.0, "x") == 0.0
         with pytest.raises(ValueError):
             check_non_negative(-1e-9, "x")
-
-    def test_check_probability(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
 
     def test_ceil_div(self):
         assert ceil_div(10, 3) == 4
