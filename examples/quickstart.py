@@ -84,7 +84,7 @@ def main() -> None:
     print("\nFor full Table-2/3 sweeps, run the matrix in parallel with a result store:")
     print("    from repro.exec import ExperimentRunner")
     print("    from repro.analysis import run_table2")
-    print("    runner = ExperimentRunner(jobs=8, cache_dir='~/.cache/mas-attention')")
+    print("    runner = ExperimentRunner(jobs=8, cache_uri='~/.cache/mas-attention')")
     print("    print(run_table2(runner).format())   # warm re-runs do zero searches")
     print("    # a store shared across hosts (a running 'mas-attention serve dir:...'):")
     print("    runner = ExperimentRunner(jobs=8, cache_uri='http://cachehost:8787')")

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.report import format_table
-from repro.analysis.runner import suite_title_suffix
+from repro.analysis.report import format_table, suite_title_suffix
 from repro.exec import ExperimentRunner
 from repro.hardware.presets import constrained_edge_device
 from repro.utils.units import KB

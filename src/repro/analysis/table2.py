@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.metrics import geometric_mean, speedup
-from repro.analysis.report import format_table
-from repro.analysis.runner import suite_title_suffix
+from repro.analysis.report import format_table, suite_title_suffix
 from repro.exec import ExperimentRunner
 
 __all__ = ["Table2Row", "Table2Result", "run_table2"]

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.metrics import energy_savings_pct, geometric_mean
-from repro.analysis.report import format_table
-from repro.analysis.runner import suite_title_suffix
+from repro.analysis.report import format_table, suite_title_suffix
 from repro.exec import ExperimentRunner
 
 __all__ = ["Table3Row", "Table3Result", "run_table3"]

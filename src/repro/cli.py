@@ -117,18 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for the (method, network) matrix (1 = serial)",
         )
         p.add_argument(
-            "--cache-dir",
-            default=None,
-            help="persistent tuning-result cache directory",
-        )
-        p.add_argument(
             "--cache",
             dest="cache_uri",
             default=None,
-            help="result-store URI: dir:/path or http://host:8787 (a "
-            "running 'mas-attention serve'), optionally with "
-            "?max_entries=N&max_bytes=SIZE eviction caps (precedence: "
-            "--cache, then --cache-dir, then $MAS_CACHE_URI)",
+            help="result-store URI or directory: dir:/path or "
+            "http://host:8787 (a running 'mas-attention serve'), optionally "
+            "with ?max_entries=N&max_bytes=SIZE eviction caps (default: "
+            "$MAS_CACHE_URI)",
         )
         p.add_argument(
             "--no-cache",
@@ -316,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format", choices=("human", "json"), default="human", help="output format"
     )
-    p.add_argument(
-        "--docs", default=None, help="env-vars docs table (default: auto-locate)"
-    )
 
     p = sub.add_parser("sweep", help="hardware sensitivity sweep (MAS vs FLAT)")
     p.add_argument(
@@ -344,7 +336,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         hardware=get_preset(args.hardware),
         search_budget=args.budget,
         use_search=not args.no_search,
-        cache_dir=args.cache_dir,
         cache_uri=args.cache_uri,
         use_cache=not args.no_cache,
         jobs=args.jobs,
@@ -623,10 +614,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "lint":
         from repro.devtools import lint as devtools_lint
 
-        lint_argv = list(args.paths) + ["--format", args.format]
-        if args.docs:
-            lint_argv += ["--docs", args.docs]
-        return devtools_lint.main(lint_argv)
+        return devtools_lint.main(list(args.paths) + ["--format", args.format])
 
     if args.command == "suites":
         if args.spec:

@@ -4,7 +4,7 @@ The repo's headline guarantees — sweeps bit-identical across ``--jobs``
 counts and store backends, a thread-safe :class:`~repro.service.server.
 StoreService` behind a multi-client fleet, schema versions named by their
 constants — are invariants that generic linters cannot see.  This package machine-checks
-them on every commit with five AST-based, project-specific checkers:
+them on every commit with four AST-based, project-specific checkers:
 
 ``lock-discipline``
     Attributes mutated under a class's ``threading.Lock``/``RLock`` must
@@ -19,10 +19,6 @@ them on every commit with five AST-based, project-specific checkers:
     Classes holding non-picklable resources (sqlite connections, sockets,
     locks, pools, file handles) need ``__getstate__``/``__reduce__``; bound
     methods must not be submitted to process pools.
-``env-registry``
-    Every ``MAS_*`` environment variable is declared in
-    :mod:`repro.utils.env` and read through it; the registry, the code and
-    the ``docs/env_vars.md`` table are cross-referenced so they can't drift.
 ``hygiene``
     No integer schema-version literals outside the schema constants, no
     bare ``except:``, and no ``except Exception`` that swallows an error

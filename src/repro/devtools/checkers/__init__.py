@@ -1,10 +1,9 @@
-"""The five project-invariant checkers, in gate order."""
+"""The four project-invariant checkers, in gate order."""
 
 from __future__ import annotations
 
 from repro.devtools.base import Checker
 from repro.devtools.checkers.determinism import DeterminismChecker
-from repro.devtools.checkers.envreads import EnvRegistryChecker
 from repro.devtools.checkers.forksafety import ForkSafetyChecker
 from repro.devtools.checkers.hygiene import HygieneChecker
 from repro.devtools.checkers.locks import LockDisciplineChecker
@@ -18,6 +17,5 @@ def all_checkers() -> list[Checker]:
         LockDisciplineChecker(),
         DeterminismChecker(),
         ForkSafetyChecker(),
-        EnvRegistryChecker(),
         HygieneChecker(),
     ]

@@ -131,9 +131,10 @@ class HygieneChecker(Checker):
                     check=CHECK_SCHEMA_LITERAL,
                     severity=Severity.ERROR,
                     message=(
-                        f"integer schema-version literal in {what} — use the "
-                        f"constants in repro.store.schema (SCHEMA_VERSION) so "
-                        f"migrations stay in one place"
+                        f"integer schema-version literal in {what} — compare "
+                        f"against ENTRY_SCHEMA_VERSION (repro.store.schema) or "
+                        f"KEY_SCHEMA_VERSION (repro.exec.cache) so a bump "
+                        f"changes one line"
                     ),
                 )
             )

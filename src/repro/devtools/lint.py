@@ -3,7 +3,7 @@
 Usage (both spellings are equivalent; the second is the CI gate)::
 
     mas-attention lint src/repro tests
-    python -m repro.devtools.lint src/repro tests [--format json] [--docs PATH]
+    python -m repro.devtools.lint src/repro tests [--format json]
 
 Exit codes: ``0`` clean, ``1`` findings, ``2`` usage error.  Directory
 arguments are walked recursively for ``*.py``, skipping ``__pycache__`` and
@@ -11,19 +11,12 @@ arguments are walked recursively for ``*.py``, skipping ``__pycache__`` and
 linted only when named explicitly, which is what the self-tests do).
 Unparseable files surface as ``parse-error`` findings rather than crashing
 the run.
-
-Beyond the per-module checkers, the driver cross-checks the environment
-contract: every ``MAS_*`` variable in :data:`repro.utils.env.REGISTRY` must
-appear in the docs table (``docs/env_vars.md``) and vice versa — the table
-is rendered from the registry, so a mismatch means someone edited one side
-by hand (``env-docs`` findings).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,18 +31,13 @@ __all__ = ["LintResult", "known_checks", "lint_paths", "main"]
 #: Check id for files the parser rejects.
 PARSE_ERROR = "parse-error"
 
-#: Check id for registry/docs-table drift.
-ENV_DOCS = "env-docs"
-
 #: Directory names never descended into during discovery.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "lint_fixtures"})
-
-_DOCS_VAR_RE = re.compile(r"`(MAS_[A-Z][A-Z0-9_]*)`")
 
 
 def known_checks(checkers: list[Checker] | None = None) -> frozenset[str]:
     """Every id a suppression tag may name."""
-    ids: set[str] = {BAD_SUPPRESSION, PARSE_ERROR, ENV_DOCS}
+    ids: set[str] = {BAD_SUPPRESSION, PARSE_ERROR}
     for checker in checkers if checkers is not None else all_checkers():
         ids.update(getattr(checker, "ids", (checker.id,)))
     return frozenset(ids)
@@ -110,64 +98,8 @@ def _discover(paths: list[Path]) -> list[Path]:
     return unique
 
 
-def _locate_docs(paths: list[Path]) -> Path | None:
-    """Find ``docs/env_vars.md`` by walking up from each input path."""
-    for start in [*paths, Path.cwd()]:
-        node = start.resolve()
-        if node.is_file():
-            node = node.parent
-        for ancestor in [node, *node.parents]:
-            candidate = ancestor / "docs" / "env_vars.md"
-            if candidate.is_file():
-                return candidate
-    return None
-
-
-def _check_env_docs(docs_path: Path | None) -> list[Finding]:
-    from repro.utils.env import REGISTRY
-
-    if docs_path is None:
-        return []
-    documented: dict[str, int] = {}
-    for lineno, line in enumerate(docs_path.read_text().splitlines(), start=1):
-        for name in _DOCS_VAR_RE.findall(line):
-            documented.setdefault(name, lineno)
-    findings: list[Finding] = []
-    for name in sorted(set(REGISTRY) - set(documented)):
-        findings.append(
-            Finding(
-                path=str(docs_path),
-                line=1,
-                col=1,
-                check=ENV_DOCS,
-                severity=Severity.ERROR,
-                message=(
-                    f"{name} is registered in repro.utils.env but missing from "
-                    f"the docs table — re-render it with "
-                    f"repro.utils.env.render_markdown_table()"
-                ),
-            )
-        )
-    for name in sorted(set(documented) - set(REGISTRY)):
-        findings.append(
-            Finding(
-                path=str(docs_path),
-                line=documented[name],
-                col=1,
-                check=ENV_DOCS,
-                severity=Severity.ERROR,
-                message=(
-                    f"{name} appears in the docs table but is not registered "
-                    f"in repro.utils.env — register it or drop the row"
-                ),
-            )
-        )
-    return findings
-
-
 def lint_paths(
     paths: list[Path] | list[str],
-    docs_path: Path | None = None,
     checkers: list[Checker] | None = None,
 ) -> LintResult:
     """Lint files/directories and return every unsuppressed finding."""
@@ -198,9 +130,6 @@ def lint_paths(
                 if not suppressions.suppresses(finding):
                     result.findings.append(finding)
         result.findings.extend(suppressions.findings)
-    if docs_path is None:
-        docs_path = _locate_docs(roots)
-    result.findings.extend(_check_env_docs(docs_path))
     return result
 
 
@@ -219,12 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: human)",
     )
     parser.add_argument(
-        "--docs",
-        default=None,
-        help="path to the env-vars docs table (default: auto-locate "
-        "docs/env_vars.md; the registry cross-check is skipped when absent)",
-    )
-    parser.add_argument(
         "--list-checks",
         action="store_true",
         help="list the checks and exit",
@@ -240,15 +163,13 @@ def main(argv: list[str] | None = None) -> int:
             for check_id in getattr(checker, "ids", (checker.id,)):
                 print(f"{check_id}: {checker.description}")
         print(f"{BAD_SUPPRESSION}: suppression tags must name a known check and a reason")
-        print(f"{ENV_DOCS}: docs/env_vars.md must match the repro.utils.env registry")
         print(f"{PARSE_ERROR}: every linted file must parse")
         return 0
     roots = [Path(p) for p in args.paths]
     missing = [str(p) for p in roots if not p.exists()]
     if missing:
         parser.error(f"no such path: {', '.join(missing)}")  # exits 2
-    docs = Path(args.docs) if args.docs else None
-    result = lint_paths(roots, docs_path=docs)
+    result = lint_paths(roots)
     output = result.as_json() if args.format == "json" else result.format_human()
     print(output)
     return 0 if result.ok else 1

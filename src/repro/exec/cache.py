@@ -34,7 +34,7 @@ from repro.obs import trace as obs_trace
 from repro.search.autotuner import TuningResult
 from repro.search.history import SearchHistory, SearchRecord
 from repro.search.objective import TilingEvaluation
-from repro.store import JsonDirStore, make_payload, open_store
+from repro.store import make_payload, open_store
 from repro.utils.serialization import to_jsonable
 from repro.workloads.attention import AttentionWorkload
 
@@ -111,7 +111,7 @@ def _evaluation_from_dict(data: dict[str, Any]) -> TilingEvaluation:
         cycles=int(data["cycles"]),
         energy_pj=float(data["energy_pj"]),
         value=float(data["value"]),
-        pruned=bool(data.get("pruned", False)),
+        pruned=bool(data["pruned"]),
     )
 
 
@@ -215,11 +215,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stale = 0
-
-    @property
-    def cache_dir(self) -> Path | None:
-        """Root directory when backed by a JSON-directory store (else ``None``)."""
-        return self.backend.root if isinstance(self.backend, JsonDirStore) else None
 
     def load(self, key: str) -> TuningResult | None:
         """Return the cached result for ``key``, or ``None`` on a miss.

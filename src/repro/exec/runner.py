@@ -6,10 +6,9 @@ method tuned per network and then simulated with its best tiling — so the
 the individual harnesses only reshape the results into their table/figure
 form.  On top of that the runner offers:
 
-* a persistent result store (``cache_uri`` / ``cache_dir`` /
-  ``$MAS_CACHE_URI``; a JSON directory or a served one, see
-  :mod:`repro.store`) so repeated sweeps across process starts skip the
-  tiling search entirely;
+* a persistent result store (``cache_uri`` / ``$MAS_CACHE_URI``; a JSON
+  directory or a served one, see :mod:`repro.store`) so repeated sweeps
+  across process starts skip the tiling search entirely;
 * ``jobs``: fan the matrix out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=1`` runs pairs
   inline).  Per-pair seeds are derived deterministically
@@ -80,17 +79,15 @@ class ExperimentRunner:
         from it, independent of execution order.
     metric:
         Tuning objective (``"cycles"``, ``"energy"`` or ``"edp"``).
-    cache_dir:
-        Directory of the persistent tuning-result cache (the JSON-file
-        backend).
     cache_uri:
-        Result-store URI — ``dir:/path`` or ``http://host:8787`` (a
-        running ``mas-attention serve``), optionally with
+        Result-store URI or directory — a plain path or ``dir:/path`` (the
+        JSON-file backend) or ``http://host:8787`` (a running
+        ``mas-attention serve``), optionally with
         ``?max_entries=``/``?max_bytes=`` eviction caps (see
         :mod:`repro.store.uri`).  The store target resolves as
-        ``cache_uri``, then ``cache_dir``, then ``$MAS_CACHE_URI``
+        ``cache_uri``, else ``$MAS_CACHE_URI``
         (:func:`~repro.store.resolve_store_target`, the rule the CLI uses
-        too); with none of them set, results stay in-memory only.  Every
+        too); with neither set, results stay in-memory only.  Every
         worker process carries its own store counters back to the parent
         through :attr:`MethodRun.store_stats`, HTTP-backed sweeps included,
         so :meth:`cache_stats` accounting is backend-independent.
@@ -120,8 +117,7 @@ class ExperimentRunner:
     use_search: bool = True
     seed: int = 0
     metric: Metric = "cycles"
-    cache_dir: str | Path | None = None
-    cache_uri: str | None = None
+    cache_uri: str | Path | None = None
     use_cache: bool = True
     suite: str | WorkloadSuite | None = None
     verbose: bool = False
@@ -176,12 +172,9 @@ class ExperimentRunner:
 
     @property
     def cache_target(self) -> str | None:
-        """The resolved persistent-store target of this runner.
-
-        Precedence: explicit ``cache_uri``, then ``cache_dir`` (a plain
-        directory, the historical JSON-file format), then ``$MAS_CACHE_URI``.
-        """
-        return resolve_store_target(self.cache_uri, self.cache_dir)
+        """The resolved persistent-store target of this runner: explicit
+        ``cache_uri``, else ``$MAS_CACHE_URI``."""
+        return resolve_store_target(self.cache_uri)
 
     # ------------------------------------------------------------------ #
     def methods(self, subset: list[str] | None = None) -> list[str]:
@@ -381,17 +374,20 @@ class ExperimentRunner:
         }
 
 
-def ParallelRunner(*, search_workers: int = 1, **kwargs: Any) -> ExperimentRunner:
+def ParallelRunner(
+    *, search_workers: int = 1, cache_dir: str | Path | None = None, **kwargs: Any
+) -> ExperimentRunner:
     """An :class:`ExperimentRunner` built from ``kwargs``, under the old name.
 
     Kept only because the sweep benchmark (``perfbench/sweep.py``) calls this
-    name with ``search_workers=1``; delete it once that script builds an
-    ``ExperimentRunner``.  A tiling search runs in its pair's process, so any
-    other worker count is refused.
+    name with ``search_workers=1`` and names its store directory
+    ``cache_dir``, which becomes ``cache_uri``; delete it once that script
+    builds an ``ExperimentRunner``.  A tiling search runs in its pair's
+    process, so any other worker count is refused.
     """
     if search_workers != 1:
         raise ValueError(
             f"search_workers must be 1, got {search_workers!r}: each tiling search "
             "runs in its pair's process (use jobs= to spread pairs over processes)"
         )
-    return ExperimentRunner(**kwargs)
+    return ExperimentRunner(cache_uri=cache_dir, **kwargs)

@@ -44,8 +44,6 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.utils import env
-
 __all__ = [
     "TRACE_HEADER",
     "Span",
@@ -267,7 +265,7 @@ def _close_at_exit() -> None:
 
 def get_tracer() -> Tracer | None:
     """The process's tracer: as :func:`configure` set it, else one lazily
-    made from ``MAS_TRACE`` (one span per flush).
+    made from ``MAS_TRACE`` (one span per flush; blank counts as unset).
 
     Re-evaluated per PID, so pool workers forked mid-sweep open their own
     file handle on the configured path and buffer, or else on the inherited
@@ -283,7 +281,7 @@ def get_tracer() -> Tracer | None:
             path, buffer_spans = _configured
             _install(Tracer(path, buffer_spans=buffer_spans))
         else:
-            path = env.value("MAS_TRACE")
+            path = os.environ.get("MAS_TRACE", "").strip() or None
             _install(None if path is None else Tracer(path))
         return _tracer
 

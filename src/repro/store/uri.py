@@ -5,10 +5,8 @@ Accepted forms (``--cache``, ``$MAS_CACHE_URI``, ``ResultCache(...)``):
 =====================================  ====================================
 URI                                    Meaning
 =====================================  ====================================
-``/path/to/dir`` (no scheme)           JSON-directory store (the historical
-                                       ``--cache-dir`` behaviour)
+``/path/to/dir`` (no scheme)           JSON-directory store
 ``dir:/path`` / ``dir:///path``        JSON-directory store, explicit
-``jsondir:/path``                      alias of ``dir:``
 ``http://host:8787``                   HTTP store service (a running
                                        ``mas-attention serve``); ``https://``
                                        works behind a TLS proxy
@@ -27,6 +25,7 @@ Query parameters configure the LRU eviction policy and apply to any backend::
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
@@ -34,7 +33,6 @@ from repro.store.base import ResultStore
 from repro.store.eviction import EvictionPolicy
 from repro.store.http import HttpStore
 from repro.store.jsondir import JsonDirStore
-from repro.utils import env
 
 __all__ = ["MAS_CACHE_URI_ENV", "open_store", "resolve_store_target"]
 
@@ -42,24 +40,21 @@ __all__ = ["MAS_CACHE_URI_ENV", "open_store", "resolve_store_target"]
 MAS_CACHE_URI_ENV = "MAS_CACHE_URI"
 
 
-def resolve_store_target(
-    cache_uri: str | None = None, cache_dir: str | Path | None = None
-) -> str | None:
+def resolve_store_target(cache_uri: str | Path | None = None) -> str | None:
     """The store every command and runner opens: one precedence rule.
 
-    ``cache_uri``, then ``cache_dir``, then ``$MAS_CACHE_URI`` (which may
-    be a bare directory too) — so a library runner, a CLI sweep and a
-    ``cache`` subcommand run in the same shell always talk to the same store.
+    ``cache_uri`` (a URI or a directory path), else ``$MAS_CACHE_URI`` (which
+    may be a bare directory too; a blank value counts as unset) — so a
+    library runner, a CLI sweep and a ``cache`` subcommand run in the same
+    shell always talk to the same store.
     """
     if cache_uri is not None:
-        return cache_uri
-    if cache_dir is not None:
-        return str(cache_dir)
-    return env.value(MAS_CACHE_URI_ENV)
+        return str(cache_uri)
+    return os.environ.get(MAS_CACHE_URI_ENV, "").strip() or None
 
 
 #: Schemes of the local JSON-directory backend.
-_DIR_SCHEMES = ("dir", "jsondir")
+_DIR_SCHEMES = ("dir",)
 
 #: Schemes served by the HTTP store client rather than a local path backend.
 _HTTP_SCHEMES = ("http", "https")

@@ -8,12 +8,13 @@ cores of the simulated device.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.tiling import TilingConfig
 from repro.hardware.config import HardwareConfig, MacUnitSpec, MemoryLevelSpec, VecUnitSpec
 from repro.hardware.presets import simulated_edge_device
-from repro.utils import env
 from repro.utils.units import KB, MB
 from repro.workloads.attention import AttentionWorkload
 
@@ -26,7 +27,7 @@ SWEEP_SUITE_SPECS: tuple[str, ...] = (
     "table1@batch=4",
     "cross-attention@seq<=1024",
 )
-_env_suite = env.value("MAS_TEST_SUITE")
+_env_suite = os.environ.get("MAS_TEST_SUITE", "").strip()
 if _env_suite:
     SWEEP_SUITE_SPECS = (_env_suite,)
 

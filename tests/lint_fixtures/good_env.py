@@ -1,11 +1,14 @@
-"""Env-registry compliant twin: registered names, registry accessors."""
+"""Direct-read twin: MAS_* settings read where they are used, stripped, with a
+blank value counting as unset."""
 
-from repro.utils import env
+import os
+
+CACHE_URI_ENV = "MAS_CACHE_URI"
 
 
 def cache_uri():
-    return env.value("MAS_CACHE_URI")
+    return os.environ.get(CACHE_URI_ENV, "").strip() or None
 
 
 def trace_path():
-    return env.value("MAS_TRACE")
+    return os.environ.get("MAS_TRACE", "").strip() or None

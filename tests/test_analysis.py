@@ -25,6 +25,7 @@ from repro.analysis import (
     run_tiling_ablation,
 )
 from repro.analysis.metrics import energy_savings_pct, geometric_mean, normalize_to, speedup
+from repro.analysis.report import suite_title_suffix
 from repro.exec import DEFAULT_METHOD_ORDER
 from repro.hardware.presets import davinci_like_npu, simulated_edge_device
 from repro.utils.units import KB, MB
@@ -78,6 +79,12 @@ class TestReport:
     def test_format_table_title_and_bool(self):
         text = format_table(["x"], [[True], [False]], title="T")
         assert text.startswith("T\n") and "yes" in text and "no" in text
+
+    def test_suite_title_suffix(self):
+        """The paper's suite adds nothing to a title; any other is named."""
+        assert suite_title_suffix("table1") == ""
+        assert suite_title_suffix("table1@batch=4") == " — suite table1@batch=4"
+        assert suite_title_suffix("my-shapes") == " — suite my-shapes"
 
 
 class TestRunner:

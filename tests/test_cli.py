@@ -35,11 +35,14 @@ class TestParser:
 
     def test_exec_flags_parse(self):
         args = build_parser().parse_args(
-            ["table2", "--jobs", "4", "--cache-dir", "/tmp/c", "--no-cache"]
+            ["table2", "--jobs", "4", "--cache", "/tmp/c", "--no-cache"]
         )
-        assert args.jobs == 4 and args.cache_dir == "/tmp/c" and args.no_cache
+        assert args.jobs == 4 and args.cache_uri == "/tmp/c" and args.no_cache
         defaults = build_parser().parse_args(["fig6"])
         assert defaults.jobs == 1 and not defaults.no_cache
+        # --cache is the one flag naming a store
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table2", "--cache-dir", "/tmp/c"])
 
     def test_cache_uri_flag_parses(self):
         args = build_parser().parse_args(["table2", "--cache", "http://cachehost:8787"])
@@ -58,13 +61,13 @@ class TestParser:
         assert "entries : 5" in out and f"dir:{tmp_path}/env" in out
 
     def test_explicit_cache_dir_beats_env_uri(self, tmp_path, monkeypatch):
-        """$MAS_CACHE_URI is the *fallback*: an explicit --cache-dir wins."""
+        """$MAS_CACHE_URI is the *fallback*: an explicit --cache directory wins."""
         monkeypatch.setenv("MAS_CACHE_URI", f"dir:{tmp_path}/env")
         explicit = tmp_path / "explicit"
         assert (
             main(
                 ["table2", "--budget", "4", "--networks", "ViT-B/14",
-                 "--cache-dir", str(explicit)]
+                 "--cache", str(explicit)]
             )
             == 0
         )

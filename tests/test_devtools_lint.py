@@ -1,10 +1,12 @@
 """mas-lint self-tests: every checker catches its seeded bad fixture, clean
 fixtures pass, the real tree lints clean, and the gate semantics (suppression
-tags, docs cross-check, exit codes) hold."""
+tags, exit codes) hold."""
 
 from __future__ import annotations
 
+import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,17 +14,15 @@ import pytest
 from repro.devtools import lint
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.suppress import BAD_SUPPRESSION, parse_suppressions
-from repro.utils import env
 
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent
 FIXTURES = TESTS_DIR / "lint_fixtures"
 SRC_REPRO = REPO_ROOT / "src" / "repro"
-DOCS_TABLE = REPO_ROOT / "docs" / "env_vars.md"
 
 
-def run_lint(*paths, docs=DOCS_TABLE):
-    return lint.lint_paths([Path(p) for p in paths], docs_path=docs)
+def run_lint(*paths):
+    return lint.lint_paths([Path(p) for p in paths])
 
 
 def checks_of(result):
@@ -90,18 +90,6 @@ def test_bad_forksafety_fixture_caught():
     assert "bound method self.step" in messages
 
 
-def test_bad_env_fixture_caught():
-    result = run_lint(FIXTURES / "bad_env.py")
-    assert checks_of(result) == ["env-registry"] * 4
-    direct = [f for f in result.findings if "direct environment read" in f.message]
-    assert len(direct) == 3
-    # both the literal and the module-constant indirection are resolved
-    assert any("MAS" + "_FIXTURE_WORKERS" in f.message for f in direct)
-    assert any("MAS_CACHE_URI" in f.message for f in direct)
-    unregistered = [f for f in result.findings if "not in the repro.utils.env registry" in f.message]
-    assert len(unregistered) == 1
-
-
 def test_bad_hygiene_fixture_caught():
     result = run_lint(FIXTURES / "bad_hygiene.py")
     assert checks_of(result) == [
@@ -115,6 +103,17 @@ def test_bad_hygiene_fixture_caught():
     assert "schema-version comparison" in what
     assert '{"schema": <int>} literal' in what
     assert "schema= keyword" in what
+
+
+def test_schema_literal_hint_names_real_constants():
+    """The schema-literal finding points at constants that exist, in the
+    modules it names."""
+    result = run_lint(FIXTURES / "bad_hygiene.py")
+    message = next(f.message for f in result.findings if f.check == "schema-literal")
+    named = re.findall(r"\b([A-Z_]+_SCHEMA_VERSION) \((repro(?:\.\w+)+)\)", message)
+    assert {name for name, _ in named} == {"ENTRY_SCHEMA_VERSION", "KEY_SCHEMA_VERSION"}
+    for name, module in named:
+        assert isinstance(getattr(importlib.import_module(module), name), int)
 
 
 def test_bad_suppression_fixture_caught():
@@ -238,46 +237,6 @@ def test_tag_syntax_inside_strings_is_ignored():
 
 
 # --------------------------------------------------------------------------- #
-# env registry and the docs cross-check
-# --------------------------------------------------------------------------- #
-def test_env_value_precedence(monkeypatch):
-    monkeypatch.delenv("MAS_TEST_SUITE", raising=False)
-    assert env.value("MAS_TEST_SUITE") is None  # registry default
-    monkeypatch.setenv("MAS_TEST_SUITE", "gqa")
-    assert env.value("MAS_TEST_SUITE") == "gqa"
-    monkeypatch.setenv("MAS_TEST_SUITE", "   ")  # blank == unset
-    assert env.value("MAS_TEST_SUITE") is None
-
-
-def test_env_unknown_name_rejected():
-    with pytest.raises(KeyError):
-        env.value("MAS_" + "NO_SUCH_VARIABLE")
-
-
-def test_docs_table_matches_registry():
-    text = DOCS_TABLE.read_text()
-    assert env.render_markdown_table() in text
-
-
-def test_env_docs_drift_is_flagged(tmp_path):
-    docs = tmp_path / "env_vars.md"
-    rows = env.render_markdown_table().splitlines()
-    # drop one registered row (a variable no other row mentions), add a phantom
-    dropped = [r for r in rows if not r.startswith("| `MAS_TEST_SUITE` ")]
-    dropped.append("| `MAS_" "PHANTOM` | *(unset)* | not actually registered |")
-    docs.write_text("\n".join(dropped) + "\n")
-    clean = tmp_path / "empty.py"
-    clean.write_text("")
-    result = run_lint(clean, docs=docs)
-    messages = {f.check: f.message for f in result.findings}
-    assert len(result.findings) == 2
-    assert set(messages) == {"env-docs"}
-    joined = "\n".join(f.message for f in result.findings)
-    assert "MAS_TEST_SUITE is registered" in joined
-    assert "MAS_" "PHANTOM appears in the docs table" in joined
-
-
-# --------------------------------------------------------------------------- #
 # driver: parse errors, output formats, exit codes, CLI subcommand
 # --------------------------------------------------------------------------- #
 def test_parse_error_is_a_finding(tmp_path):
@@ -288,8 +247,7 @@ def test_parse_error_is_a_finding(tmp_path):
 
 
 def test_json_output_round_trips(tmp_path, capsys):
-    code = lint.main([str(FIXTURES / "bad_hygiene.py"), "--format", "json",
-                      "--docs", str(DOCS_TABLE)])
+    code = lint.main([str(FIXTURES / "bad_hygiene.py"), "--format", "json"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 1
@@ -303,7 +261,7 @@ def test_json_output_round_trips(tmp_path, capsys):
 def test_main_exit_codes(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    assert lint.main([str(clean), "--docs", str(DOCS_TABLE)]) == 0
+    assert lint.main([str(clean)]) == 0
     with pytest.raises(SystemExit) as excinfo:
         lint.main([str(tmp_path / "missing.py")])
     assert excinfo.value.code == 2
@@ -314,18 +272,28 @@ def test_list_checks(capsys):
     assert lint.main(["--list-checks", "unused"]) == 0
     out = capsys.readouterr().out
     for check in ("lock-discipline", "determinism", "fork-safety",
-                  "env-registry", "schema-literal", "bare-except",
-                  "swallowed-exception", BAD_SUPPRESSION, "env-docs",
-                  "parse-error"):
+                  "schema-literal", "bare-except", "swallowed-exception",
+                  BAD_SUPPRESSION, "parse-error"):
         assert f"{check}:" in out
 
 
 def test_cli_lint_subcommand(capsys):
     from repro.cli import main as cli_main
 
-    assert cli_main(["lint", str(FIXTURES / "good_hygiene.py"),
-                     "--docs", str(DOCS_TABLE)]) == 0
-    assert cli_main(["lint", str(FIXTURES / "bad_hygiene.py"),
-                     "--docs", str(DOCS_TABLE)]) == 1
+    assert cli_main(["lint", str(FIXTURES / "good_hygiene.py")]) == 0
+    assert cli_main(["lint", str(FIXTURES / "bad_hygiene.py")]) == 1
     out = capsys.readouterr().out
     assert "schema-version comparison" in out
+
+
+def test_docs_option_is_gone(tmp_path, capsys):
+    """Neither entry point takes ``--docs``: no check reads a docs table."""
+    from repro.cli import main as cli_main
+
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n")
+    for run in (lint.main, lambda argv: cli_main(["lint", *argv])):
+        with pytest.raises(SystemExit) as excinfo:
+            run([str(clean), "--docs", str(tmp_path / "env_vars.md")])
+        assert excinfo.value.code == 2
+    assert "--docs" in capsys.readouterr().err

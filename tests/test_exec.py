@@ -256,6 +256,13 @@ class TestResultCache:
         (tmp_path / "k3.json").write_text(json.dumps(entry))
         assert cache.load("k3") is None
         assert cache.stats() == {"hits": 0, "misses": 2, "stale": 1}
+        # so is one whose best evaluation lost its pruned flag
+        cache.store("k4", tuning)
+        entry = json.loads((tmp_path / "k4.json").read_text())
+        del entry["tuning"]["history"]["best"]["pruned"]
+        (tmp_path / "k4.json").write_text(json.dumps(entry))
+        assert cache.load("k4") is None
+        assert cache.stats() == {"hits": 0, "misses": 3, "stale": 1}
 
     def test_clear(self, tmp_path, tuning):
         cache = ResultCache(tmp_path)
@@ -266,7 +273,7 @@ class TestResultCache:
 
 class TestWarmCacheSweep:
     def test_second_table2_invocation_performs_no_search(self, tmp_path):
-        kwargs = dict(search_budget=5, seed=0, cache_dir=tmp_path / "cache")
+        kwargs = dict(search_budget=5, seed=0, cache_uri=tmp_path / "cache")
         cold_runner = ExperimentRunner(**kwargs)
         cold = run_table2(cold_runner, networks=["ViT-B/14"])
         cold_stats = cold_runner.cache_stats()
@@ -289,12 +296,16 @@ class TestWarmCacheSweep:
         assert warm.row("ViT-B/14").cycles == cold.row("ViT-B/14").cycles
 
     def test_store_target_precedence(self, tmp_path, monkeypatch):
-        """cache_uri, then cache_dir, then $MAS_CACHE_URI."""
+        """cache_uri, else $MAS_CACHE_URI stripped; a blank one counts as unset."""
         uri = f"dir:{tmp_path}/env"
         monkeypatch.setenv("MAS_CACHE_URI", uri)
-        assert resolve_store_target("dir:/a", "/b") == "dir:/a"
-        assert resolve_store_target(None, tmp_path / "b") == str(tmp_path / "b")
+        assert resolve_store_target("dir:/a") == "dir:/a"
+        assert resolve_store_target(tmp_path / "b") == str(tmp_path / "b")
         assert resolve_store_target() == uri
+        monkeypatch.setenv("MAS_CACHE_URI", f"  {uri} \n")
+        assert resolve_store_target() == uri
+        monkeypatch.setenv("MAS_CACHE_URI", "   ")
+        assert resolve_store_target() is None
         monkeypatch.delenv("MAS_CACHE_URI")
         assert resolve_store_target() is None
 
@@ -309,7 +320,7 @@ class TestWarmCacheSweep:
 
     def test_no_cache_flag_disables_persistence(self, tmp_path):
         runner = ExperimentRunner(
-            search_budget=5, cache_dir=tmp_path / "cache", use_cache=False
+            search_budget=5, cache_uri=tmp_path / "cache", use_cache=False
         )
         runner.run("mas", "ViT-B/14")
         assert not (tmp_path / "cache").exists()
@@ -341,9 +352,10 @@ class TestRunnerSubsets:
         assert execute_pair(spec_upper).cycles == upper.cycles
 
 
-def test_parallel_runner_defaults_match_experiment_runner():
-    """The old name builds an ExperimentRunner with the same defaults, and
-    refuses any search-worker count but one."""
+def test_parallel_runner_defaults_match_experiment_runner(tmp_path):
+    """The old name builds an ExperimentRunner with the same defaults, opens
+    the store its ``cache_dir`` names, and refuses any search-worker count
+    but one."""
     from repro.exec.runner import ParallelRunner
 
     runner = ParallelRunner(search_workers=1)
@@ -351,8 +363,26 @@ def test_parallel_runner_defaults_match_experiment_runner():
     assert runner == ExperimentRunner()
     assert runner.hardware == simulated_edge_device()
     assert runner.jobs == 1
+    store = tmp_path / "store"
+    assert ParallelRunner(cache_dir=store).cache_target == str(store)
     with pytest.raises(ValueError, match="search_workers"):
         ParallelRunner(search_workers=2)
+
+
+def test_parallel_runner_caches_under_a_path_string(tmp_path):
+    """The sweep benchmark's set-up probe names its store directory as a
+    string: the old name stores there, and a second runner on it is warm."""
+    from repro.exec.runner import ParallelRunner
+
+    store = str(tmp_path / "store")
+    kwargs = dict(search_budget=BUDGET, seed=0, cache_dir=store, search_workers=1, jobs=1)
+    cold = ParallelRunner(**kwargs).run("mas", "ViT-B/14")
+    assert cold.tuned and not cold.cached
+    assert list((tmp_path / "store").glob("*.json"))
+    warm_runner = ParallelRunner(**kwargs)
+    warm = warm_runner.run("mas", "ViT-B/14")
+    assert warm.cached and warm.cycles == cold.cycles
+    assert warm_runner.cache_stats()["cache_hits"] == 1
 
 
 class TestSuiteSweeps:
@@ -424,7 +454,7 @@ class TestSuiteSweeps:
                 SuiteEntry("embed", AttentionWorkload(heads=4, seq_q=64, seq_kv=64, emb=64)),
             ),
         )
-        kwargs = dict(suite=suite, search_budget=4, seed=0, cache_dir=tmp_path / "cache")
+        kwargs = dict(suite=suite, search_budget=4, seed=0, cache_uri=tmp_path / "cache")
         cold_runner = ExperimentRunner(jobs=2, **kwargs)
         cold = cold_runner.run_matrix()
         cold_stats = cold_runner.cache_stats()
@@ -481,7 +511,7 @@ class TestSuiteCacheKeys:
     def test_cross_suite_cache_reuse_end_to_end(self, tmp_path):
         """A pair tuned under one suite is a warm hit under another suite
         that derives the same entry."""
-        kwargs = dict(search_budget=3, seed=0, cache_dir=tmp_path / "cache")
+        kwargs = dict(search_budget=3, seed=0, cache_uri=tmp_path / "cache")
         spec_runner = ExperimentRunner(suite="table1@batch=8", **kwargs)
         cold = spec_runner.run("mas", "ViT-B/14 @b8")
         assert cold.tuned and not cold.cached

@@ -158,6 +158,31 @@ class TestTracer:
         obs_trace.reset()
         assert [s["name"] for s in read_trace(path)] == ["from_env"]
 
+    def test_blank_env_counts_as_unset(self, tmp_path, monkeypatch):
+        """A whitespace-only ``MAS_TRACE`` leaves tracing off, as an unset one
+        does: no tracer, and a span writes no file."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MAS_TRACE", "  ")
+        obs_trace.reset()
+        assert obs_trace.get_tracer() is None
+        with obs_trace.span("nothing", layer="test") as sp:
+            assert sp.context is None
+        obs_trace.flush()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_padded_env_path_is_stripped(self, tmp_path, monkeypatch):
+        """Whitespace around ``MAS_TRACE`` is not part of the path: spans land
+        in the named file and nowhere else."""
+        path = tmp_path / "padded.jsonl"
+        monkeypatch.setenv("MAS_TRACE", f"  {path}\n")
+        obs_trace.reset()
+        assert obs_trace.get_tracer().path == str(path)
+        with obs_trace.span("padded", layer="test"):
+            pass
+        obs_trace.reset()
+        assert [s["name"] for s in read_trace(path)] == ["padded"]
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_forked_process_reopens_the_configured_tracer(self, tmp_path, monkeypatch):
         """A new PID opens its own tracer on the configured path and buffer,
         which win over ``MAS_TRACE``; after ``reset()`` it reads the env again."""

@@ -401,10 +401,13 @@ class TestStoreEviction:
 # ---------------------------------------------------------------------- #
 class TestStoreUris:
     def test_plain_path_and_dir_scheme_are_jsondir(self, tmp_path):
-        for target in (str(tmp_path), f"dir:{tmp_path}", f"jsondir:{tmp_path}", tmp_path):
+        for target in (str(tmp_path), f"dir:{tmp_path}", tmp_path):
             store = open_store(target)
             assert isinstance(store, JsonDirStore)
             assert store.root == tmp_path
+        # dir: is the one spelling of the scheme
+        with pytest.raises(ValueError, match="unknown store URI scheme"):
+            open_store(f"jsondir:{tmp_path}")
         # a single-letter scheme is a drive letter; dir: spells a colon name
         assert str(open_store("c:cache").root) == "c:cache"
         assert str(open_store("dir:v2:cache").root) == "v2:cache"
@@ -522,7 +525,7 @@ class TestSweepBitIdentity:
             ExperimentRunner(**kwargs).run_matrix(FAST_NETWORKS, FAST_METHODS)
         )
         runners = [
-            ExperimentRunner(**kwargs, cache_dir=tmp_path / "jsondir"),
+            ExperimentRunner(**kwargs, cache_uri=tmp_path / "jsondir"),
             ExperimentRunner(**kwargs, jobs=2, cache_uri=f"dir:{tmp_path}/jsondir-par"),
         ]
         for runner in runners:
@@ -569,7 +572,7 @@ class TestSweepBitIdentity:
         """Entries rewritten in the pre-v3 flat layout read as stale: the warm
         run searches again, finds the same tiling and overwrites them at v3."""
         cache_dir = tmp_path / "cache"
-        cold = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
+        cold = ExperimentRunner(search_budget=BUDGET, seed=0, cache_uri=cache_dir)
         run = cold.run("mas", "ViT-B/14")
         store = JsonDirStore(cache_dir)
         keys = [info.key for info in store.entries()]
@@ -578,7 +581,7 @@ class TestSweepBitIdentity:
             store.put(key, {"schema": 2, "key": key, "tuning": payload["tuning"]})
         assert store.stats().stale_entries == len(keys) > 0
 
-        warm = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
+        warm = ExperimentRunner(search_budget=BUDGET, seed=0, cache_uri=cache_dir)
         warm_run = warm.run("mas", "ViT-B/14")
         assert not warm_run.cached
         assert warm_run.cycles == run.cycles
@@ -597,13 +600,13 @@ class TestSweepBitIdentity:
             patch.setattr(
                 autotuner, "SchedulerObjective", partial(SchedulerObjective, analytic_prune=False)
             )
-            old = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
+            old = ExperimentRunner(search_budget=BUDGET, seed=0, cache_uri=cache_dir)
             assert old.run("mas", "ViT-B/14").tuning.analytic_stats["num_pruned"] == 0
         store = JsonDirStore(cache_dir)
         (v3_key,) = [info.key for info in store.entries()]
         v3_payload, _ = store.lookup(v3_key)
 
-        warm = ExperimentRunner(search_budget=BUDGET, seed=0, cache_dir=cache_dir)
+        warm = ExperimentRunner(search_budget=BUDGET, seed=0, cache_uri=cache_dir)
         assert not warm.run("mas", "ViT-B/14").cached
         stats = warm.cache_stats()
         assert stats["searches"] == stats["cache_misses"] == 1
@@ -618,7 +621,7 @@ class TestSweepBitIdentity:
         ``num_shared`` existed, its shared candidates counted as simulated,
         is served, not searched again."""
         cache_dir = tmp_path / "cache"
-        kwargs = dict(search_budget=BUDGET, seed=0, cache_dir=cache_dir, suite="decode-step")
+        kwargs = dict(search_budget=BUDGET, seed=0, cache_uri=cache_dir, suite="decode-step")
         cold = ExperimentRunner(**kwargs)
         run = cold.run("tileflow", "BERT-Base @dec")
         assert cold.cache_stats()["search_shared"] > 0
@@ -836,7 +839,7 @@ class TestSharedStoreConcurrency:
 class TestResultCacheOverStores:
     def test_cache_accepts_dir_uri(self, tmp_path, tuning):
         cache = ResultCache(f"dir:{tmp_path}/c")
-        assert cache.enabled and cache.cache_dir == tmp_path / "c"
+        assert cache.enabled and cache.backend.root == tmp_path / "c"
         cache.store("k", tuning, suite="table1")
         assert len(cache) == 1
         loaded = cache.load("k")
@@ -858,7 +861,7 @@ class TestResultCacheOverStores:
         runner.run("mas", "ViT-B/14")
         assert (tmp_path / "env").is_dir()
         # explicit targets win over the environment
-        explicit = ExperimentRunner(search_budget=BUDGET, cache_dir=tmp_path / "dir")
+        explicit = ExperimentRunner(search_budget=BUDGET, cache_uri=tmp_path / "dir")
         assert explicit.cache_target == str(tmp_path / "dir")
         # and --no-cache still wins over everything
         off = ExperimentRunner(search_budget=BUDGET, seed=0, use_cache=False)
