@@ -30,9 +30,9 @@ lint``; findings are suppressed inline with
 See ``docs/dev_tooling.md``.
 """
 
-from repro.devtools.findings import Finding, Severity
+from repro.devtools.findings import Finding
 
-__all__ = ["Finding", "LintResult", "Severity", "lint_paths"]
+__all__ = ["Finding", "LintResult", "lint_paths"]
 
 
 def __getattr__(name: str):

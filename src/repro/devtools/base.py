@@ -6,7 +6,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.devtools.findings import Finding, Severity
+from repro.devtools.findings import Finding
 
 __all__ = [
     "Checker",
@@ -43,16 +43,22 @@ class Checker:
     """Base class: one invariant, one ``check()`` pass over a module.
 
     Subclasses set ``id`` (the name used in reports and suppression tags),
-    ``description`` and optionally ``skip_substrings`` — resolved-path
-    substrings of modules the check deliberately does not apply to (e.g.
-    the metrics code is allowed to read the clock).  Skipped paths are an
-    architectural statement, not an escape hatch; one-off exemptions belong
-    in inline ``# mas-lint: disable=...`` tags with a reason.
+    its one-line ``description`` (a checker reporting several ids overrides
+    :meth:`descriptions` instead) and optionally ``skip_substrings`` —
+    resolved-path substrings of modules the check deliberately does not
+    apply to (e.g. the metrics code is allowed to read the clock).  Skipped
+    paths are an architectural statement, not an escape hatch; one-off
+    exemptions belong in inline ``# mas-lint: disable=...`` tags with a
+    reason.
     """
 
     id: str = ""
     description: str = ""
     skip_substrings: tuple[str, ...] = ()
+
+    def descriptions(self) -> dict[str, str]:
+        """One line per check id this checker reports, keyed by the id."""
+        return {self.id: self.description}
 
     def skips(self, module: ModuleSource) -> bool:
         return any(fragment in module.rel for fragment in self.skip_substrings)
@@ -65,19 +71,12 @@ class Checker:
             return []
         return self.check(module)
 
-    def finding(
-        self,
-        module: ModuleSource,
-        node: ast.AST,
-        message: str,
-        severity: Severity = Severity.ERROR,
-    ) -> Finding:
+    def finding(self, module: ModuleSource, node: ast.AST, message: str) -> Finding:
         return Finding(
             path=str(module.path),
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             check=self.id,
-            severity=severity,
             message=message,
         )
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 
 from repro.devtools.base import Checker, ModuleSource, dotted_name
-from repro.devtools.findings import Finding, Severity
+from repro.devtools.findings import Finding
 
 __all__ = ["HygieneChecker"]
 
@@ -101,12 +101,15 @@ def _int_literal(node: ast.expr) -> bool:
 class HygieneChecker(Checker):
     """Three ids share one walk; suppression tags name the specific id."""
 
-    id = CHECK_SCHEMA_LITERAL  # primary id, for registry listings
-    ids = (CHECK_SCHEMA_LITERAL, CHECK_BARE_EXCEPT, CHECK_SWALLOWED)
-    description = (
-        "no integer schema-version literals outside repro.store.schema; "
-        "no bare except; except Exception must re-raise, log or record"
-    )
+    def descriptions(self) -> dict[str, str]:
+        return {
+            CHECK_SCHEMA_LITERAL: (
+                "no integer schema-version literals outside repro.store.schema "
+                "and repro.exec.cache"
+            ),
+            CHECK_BARE_EXCEPT: "no bare except: name the exception type",
+            CHECK_SWALLOWED: "except Exception must re-raise, log or record the error",
+        }
 
     def check(self, module: ModuleSource) -> list[Finding]:
         findings: list[Finding] = []
@@ -129,7 +132,6 @@ class HygieneChecker(Checker):
                     line=at.lineno,
                     col=at.col_offset + 1,
                     check=CHECK_SCHEMA_LITERAL,
-                    severity=Severity.ERROR,
                     message=(
                         f"integer schema-version literal in {what} — compare "
                         f"against ENTRY_SCHEMA_VERSION (repro.store.schema) or "
@@ -177,7 +179,6 @@ class HygieneChecker(Checker):
                     line=handler.lineno,
                     col=handler.col_offset + 1,
                     check=CHECK_BARE_EXCEPT,
-                    severity=Severity.ERROR,
                     message=(
                         "bare except: catches SystemExit/KeyboardInterrupt and "
                         "hides typos — name the exception type"
@@ -195,7 +196,6 @@ class HygieneChecker(Checker):
                 line=handler.lineno,
                 col=handler.col_offset + 1,
                 check=CHECK_SWALLOWED,
-                severity=Severity.ERROR,
                 message=(
                     f"except {caught} swallows the error: the body neither "
                     f"re-raises nor logs/records it — narrow the type, handle "

@@ -1,48 +1,29 @@
-"""Finding and severity types shared by every checker and the driver."""
+"""The finding type shared by every checker and the driver."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from enum import Enum
 from typing import Any
 
-__all__ = ["Finding", "Severity"]
-
-
-class Severity(str, Enum):
-    """How a finding is labelled in reports.
-
-    Both levels fail the gate (an invariant violation is a violation); the
-    split exists so dashboards and humans can triage — ``ERROR`` marks a
-    pattern that is wrong wherever it appears, ``WARNING`` one that is
-    usually wrong and must be tagged with a reason where it is intended.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One ``file:line`` diagnostic produced by a checker."""
+    """One ``file:line`` diagnostic produced by a checker; any finding fails
+    the gate."""
 
     path: str
     line: int
     col: int
     check: str
-    severity: Severity
     message: str
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.check)
 
     def as_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
-        payload["severity"] = self.severity.value
-        return payload
+        return asdict(self)
 
     def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"[{self.severity.value}] {self.check}: {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col}: {self.check}: {self.message}"

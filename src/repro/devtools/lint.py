@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.devtools.base import Checker, ModuleSource
 from repro.devtools.checkers import all_checkers
-from repro.devtools.findings import Finding, Severity
+from repro.devtools.findings import Finding
 from repro.devtools.suppress import BAD_SUPPRESSION, parse_suppressions
 
 __all__ = ["LintResult", "known_checks", "lint_paths", "main"]
@@ -39,7 +39,7 @@ def known_checks(checkers: list[Checker] | None = None) -> frozenset[str]:
     """Every id a suppression tag may name."""
     ids: set[str] = {BAD_SUPPRESSION, PARSE_ERROR}
     for checker in checkers if checkers is not None else all_checkers():
-        ids.update(getattr(checker, "ids", (checker.id,)))
+        ids.update(checker.descriptions())
     return frozenset(ids)
 
 
@@ -119,7 +119,6 @@ def lint_paths(
                     line=line,
                     col=1,
                     check=PARSE_ERROR,
-                    severity=Severity.ERROR,
                     message=f"file does not parse: {exc}",
                 )
             )
@@ -139,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="mas-lint: project-invariant static analysis",
     )
     parser.add_argument(
-        "paths", nargs="+", help="files or directories to lint (dirs recurse)"
+        "paths", nargs="*", help="files or directories to lint (dirs recurse)"
     )
     parser.add_argument(
         "--format",
@@ -150,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-checks",
         action="store_true",
-        help="list the checks and exit",
+        help="list the checks, one line each, and exit (no paths needed)",
     )
     return parser
 
@@ -160,11 +159,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.list_checks:
         for checker in all_checkers():
-            for check_id in getattr(checker, "ids", (checker.id,)):
-                print(f"{check_id}: {checker.description}")
+            for check_id, description in checker.descriptions().items():
+                print(f"{check_id}: {description}")
         print(f"{BAD_SUPPRESSION}: suppression tags must name a known check and a reason")
         print(f"{PARSE_ERROR}: every linted file must parse")
         return 0
+    if not args.paths:
+        parser.error("the following arguments are required: paths")  # exits 2
     roots = [Path(p) for p in args.paths]
     missing = [str(p) for p in roots if not p.exists()]
     if missing:

@@ -22,7 +22,7 @@ import re
 import tokenize
 from dataclasses import dataclass
 
-from repro.devtools.findings import Finding, Severity
+from repro.devtools.findings import Finding
 
 __all__ = ["BAD_SUPPRESSION", "Suppressions", "parse_suppressions"]
 
@@ -76,7 +76,6 @@ class Suppressions:
                     line=tag.line,
                     col=1,
                     check=BAD_SUPPRESSION,
-                    severity=Severity.ERROR,
                     message=(
                         f"unknown check {tag.check!r} in mas-lint tag "
                         f"(known: {', '.join(sorted(self._known))})"
@@ -91,7 +90,6 @@ class Suppressions:
                     line=tag.line,
                     col=1,
                     check=BAD_SUPPRESSION,
-                    severity=Severity.ERROR,
                     message=(
                         f"suppression of {tag.check!r} carries no reason — write "
                         f"# mas-lint: disable={tag.check}(<why this is safe>)"
@@ -144,7 +142,6 @@ def parse_suppressions(
                         line=lineno,
                         col=1,
                         check=BAD_SUPPRESSION,
-                        severity=Severity.ERROR,
                         message=f"malformed mas-lint tag item {item!r}",
                     )
                 )

@@ -6,8 +6,8 @@ the analysis harnesses do with the results:
 * :mod:`repro.exec.pairs` — one (method, network) tune + simulate, with
   deterministic per-pair seeding, as a picklable unit of work;
 * :mod:`repro.exec.cache` — the persistent tuning-result cache keyed by a
-  stable hash of hardware, scheduler, workload, strategy, budget, metric and
-  seed, stored through a pluggable backend (:mod:`repro.store`: a JSON
+  stable hash of hardware, scheduler, workload, strategy, budget and seed,
+  stored through a pluggable backend (:mod:`repro.store`: a JSON
   directory, or one served over HTTP, selected by URI, with LRU eviction);
 * :mod:`repro.exec.runner` — the :class:`ExperimentRunner`, which runs
   pairs inline or over a process pool (``jobs``) with identical results,

@@ -4,8 +4,8 @@ Every full method x network sweep re-tunes the same points on every process
 start because the auto-tuner's memoization is in-memory only.  This module
 stores each :class:`~repro.search.autotuner.TuningResult` under a stable hash
 of everything that determines the search outcome — hardware configuration,
-scheduler, workload shape, strategy, budget, metric and seed — so warm sweeps
-(and the benchmark suite) skip the search entirely.
+scheduler, workload shape, strategy, budget and seed — so warm sweeps (and
+the benchmark suite) skip the search entirely.
 
 *Where* entries live is delegated to :mod:`repro.store`: the
 directory-of-JSON-files format (:class:`~repro.store.jsondir.JsonDirStore`)
@@ -53,7 +53,8 @@ __all__ = [
 #: v3: edge head groups cover only the (batch, head) problems that exist, so
 #: batched workloads whose ``hh`` (or ``bb``) leaves a remainder simulate less.
 #: v4: every tuning is bound-pruned, so stored unpruned tunings are searched again.
-KEY_SCHEMA_VERSION = 4
+#: v5: every search minimises cycles, so the key drops its tuning-objective field.
+KEY_SCHEMA_VERSION = 5
 
 
 def tuning_cache_key(
@@ -62,7 +63,6 @@ def tuning_cache_key(
     workload: AttentionWorkload,
     strategy: str,
     budget: int,
-    metric: str,
     seed: int,
 ) -> str:
     """Stable content hash of every input that determines a tuning result.
@@ -83,7 +83,6 @@ def tuning_cache_key(
         "workload": to_jsonable(workload),
         "strategy": strategy,
         "budget": budget,
-        "metric": metric,
         "seed": seed,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -198,9 +197,6 @@ class ResultCache:
         :mod:`repro.store.uri`).  ``None`` disables the cache entirely (every
         lookup misses, stores are no-ops), which keeps call sites free of
         ``if cache`` branching.
-    enabled:
-        Explicit off switch (the ``--no-cache`` CLI flag) that wins even when
-        a target is configured.
 
     Counters
     --------
@@ -209,9 +205,8 @@ class ResultCache:
     entry is lost *work* (likely a version skew), not a cold cache.
     """
 
-    def __init__(self, target: str | Path | None, enabled: bool = True) -> None:
-        self.backend = open_store(target) if enabled else None
-        self.enabled = self.backend is not None
+    def __init__(self, target: str | Path | None) -> None:
+        self.backend = open_store(target)
         self.hits = 0
         self.misses = 0
         self.stale = 0
@@ -270,16 +265,9 @@ class ResultCache:
         if self.backend is not None:
             self.backend.close()
 
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number of entries removed."""
-        return self.backend.clear() if self.backend is not None else 0
-
-    def __len__(self) -> int:
-        return len(self.backend) if self.backend is not None else 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         location = self.backend.uri() if self.backend is not None else None
         return (
-            f"ResultCache(store={location!r}, enabled={self.enabled}, "
+            f"ResultCache(store={location!r}, "
             f"hits={self.hits}, misses={self.misses}, stale={self.stale})"
         )

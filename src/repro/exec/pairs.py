@@ -13,9 +13,7 @@ dispatches to its process pool.  Two properties make the fan-out safe:
   ``ProcessPoolExecutor``.
 
 A spec names any entry of a :class:`~repro.workloads.suites.WorkloadSuite` and
-carries the entry's :class:`~repro.workloads.attention.AttentionWorkload`
-directly; ``workload=None`` keeps the historical behaviour of resolving
-``network`` against the Table-1 registry.
+carries the entry's :class:`~repro.workloads.attention.AttentionWorkload`.
 """
 
 from __future__ import annotations
@@ -29,10 +27,8 @@ from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceContext
 from repro.schedulers.registry import make_scheduler
 from repro.search.autotuner import AutoTuner, TuningResult, default_strategy
-from repro.search.objective import Metric
 from repro.sim.trace import SimulationResult
 from repro.workloads.attention import AttentionWorkload
-from repro.workloads.networks import get_network
 
 __all__ = ["MethodRun", "PairSpec", "execute_pair", "pair_seed"]
 
@@ -100,21 +96,18 @@ class PairSpec:
     method: str
     #: Suite entry name (a Table-1 network name in the default suite).
     network: str
+    #: The entry's attention workload.
+    workload: AttentionWorkload
     budget: int
     strategy: str | None = None
-    metric: Metric = "cycles"
     seed: int = 0
     use_search: bool = True
     #: Persistent result-store target: a directory path (JSON-file store) or
-    #: a store URI such as ``http://host:8787`` (see :mod:`repro.store.uri`).
+    #: a store URI such as ``http://host:8787`` (see :mod:`repro.store.uri`);
+    #: ``None`` runs the pair without a store.
     cache_uri: str | None = None
-    use_cache: bool = True
     #: Suite name recorded in stored entry metadata (never part of the key).
     suite: str | None = None
-    #: The entry's attention workload.  ``None`` resolves ``network`` against
-    #: the Table-1 registry (the historical behaviour, and still what bare
-    #: network names mean outside any suite).
-    workload: AttentionWorkload | None = None
     #: The submitting sweep's span context (see :mod:`repro.obs.trace`), so a
     #: pool worker's "pair" span parents onto the runner's "sweep" span across
     #: the process boundary.  Pure telemetry: never part of the cache key,
@@ -123,7 +116,7 @@ class PairSpec:
 
 
 def execute_pair(spec: PairSpec) -> MethodRun:
-    """Tune (cache-aware, if enabled) and simulate one (method, entry) pair.
+    """Tune (through the result store, if the spec names one) and simulate one pair.
 
     The whole pair runs inside a "pair" span parented on ``spec.trace`` (the
     sweep's span, possibly from another process); the span buffer is flushed
@@ -143,13 +136,7 @@ def execute_pair(spec: PairSpec) -> MethodRun:
 
 
 def _execute_pair_traced(spec: PairSpec) -> MethodRun:
-    if spec.workload is not None:
-        workload = spec.workload
-        entry_name = spec.network or workload.name
-    else:
-        config = get_network(spec.network)
-        workload = config.workload()
-        entry_name = config.name
+    workload = spec.workload
     scheduler = make_scheduler(spec.method, spec.hardware)
 
     tuning: TuningResult | None = None
@@ -159,28 +146,18 @@ def _execute_pair_traced(spec: PairSpec) -> MethodRun:
         strategy = spec.strategy or default_strategy(spec.hardware)
         # scheduler.name, not spec.method: the registry lookup is
         # case-insensitive, and the seed must not depend on the spelling.
-        seed = pair_seed(spec.seed, scheduler.name, entry_name)
-        cache = ResultCache(spec.cache_uri, enabled=spec.use_cache)
-        # Every search is bound-pruned; the key's schema version (v4) keeps
-        # tunings stored by the unpruned search from being served.
-        key = tuning_cache_key(
-            spec.hardware, scheduler.name, workload, strategy, spec.budget, spec.metric, seed
-        )
+        seed = pair_seed(spec.seed, scheduler.name, spec.network)
+        cache = ResultCache(spec.cache_uri)
+        key = tuning_cache_key(spec.hardware, scheduler.name, workload, strategy, spec.budget, seed)
         try:
             tuning = cache.load(key)
             if tuning is None:
-                tuner = AutoTuner(
-                    spec.hardware,
-                    strategy=strategy,
-                    budget=spec.budget,
-                    metric=spec.metric,
-                    seed=seed,
-                )
+                tuner = AutoTuner(spec.hardware, strategy=strategy, budget=spec.budget, seed=seed)
                 tuning = tuner.tune(scheduler, workload)
                 cache.store(key, tuning, suite=spec.suite)
             else:
                 cached = True
-            if cache.enabled:
+            if cache.backend is not None:
                 store_stats = cache.stats()
                 for name in ("retry_attempts", "retry_giveups"):
                     # Only an HttpStore retries; it counts its own retries.
@@ -196,7 +173,7 @@ def _execute_pair_traced(spec: PairSpec) -> MethodRun:
     result = scheduler.simulate(workload, tiling)
     return MethodRun(
         scheduler=scheduler.name,
-        network=entry_name,
+        network=spec.network,
         result=result,
         tuning=tuning,
         cached=cached,

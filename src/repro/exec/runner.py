@@ -35,7 +35,6 @@ from repro.obs import trace as obs_trace
 from repro.hardware.config import HardwareConfig
 from repro.hardware.presets import simulated_edge_device
 from repro.schedulers.registry import get_scheduler, list_schedulers
-from repro.search.objective import Metric
 from repro.store import HttpStore, open_store, resolve_store_target
 from repro.store.http import UNREACHABLE_ERRORS
 from repro.utils.validation import check_positive_int
@@ -77,8 +76,6 @@ class ExperimentRunner:
     seed:
         Base seed; each (method, network) pair derives its own search seed
         from it, independent of execution order.
-    metric:
-        Tuning objective (``"cycles"``, ``"energy"`` or ``"edp"``).
     cache_uri:
         Result-store URI or directory — a plain path or ``dir:/path`` (the
         JSON-file backend) or ``http://host:8787`` (a running
@@ -92,7 +89,8 @@ class ExperimentRunner:
         through :attr:`MethodRun.store_stats`, HTTP-backed sweeps included,
         so :meth:`cache_stats` accounting is backend-independent.
     use_cache:
-        Off switch for the persistent cache even when a target is set.
+        Off switch for the persistent store even when a target is set: the
+        runner then neither probes the store nor hands its pairs one.
     suite:
         The workload suite swept by this runner: a
         :class:`~repro.workloads.suites.WorkloadSuite`, a suite-spec string
@@ -116,7 +114,6 @@ class ExperimentRunner:
     search_strategy: str | None = None
     use_search: bool = True
     seed: int = 0
-    metric: Metric = "cycles"
     cache_uri: str | Path | None = None
     use_cache: bool = True
     suite: str | WorkloadSuite | None = None
@@ -213,15 +210,13 @@ class ExperimentRunner:
             hardware=self.hardware,
             method=method,
             network=entry.name,
+            workload=entry.workload,
             budget=self.search_budget,
             strategy=self.search_strategy,
-            metric=self.metric,
             seed=self.seed,
             use_search=self.use_search,
-            cache_uri=self.cache_target,
-            use_cache=self.use_cache,
+            cache_uri=self.cache_target if self.use_cache else None,
             suite=self.suite_name,
-            workload=entry.workload,
             # The enclosing sweep span (if tracing is on), so pair spans parent
             # onto the sweep even from pool-worker processes.
             trace=obs_trace.current_context(),
@@ -314,10 +309,6 @@ class ExperimentRunner:
             network: {method: self._runs[(method, network)] for method in method_names}
             for network in network_names
         }
-
-    def clear(self) -> None:
-        """Drop all in-memory runs (the persistent cache is kept)."""
-        self._runs.clear()
 
     def cache_stats(self) -> dict[str, int]:
         """Search/cache accounting over every run executed so far.

@@ -206,21 +206,7 @@ class HardwareConfig:
         """Aggregate peak MAC throughput across all cores."""
         return self.num_cores * self.mac.peak_macs_per_cycle
 
-    @property
-    def dram_bytes_per_cycle(self) -> float:
-        """DRAM channel bandwidth expressed in bytes per accelerator cycle."""
-        return self.dma.bytes_per_cycle
-
     def with_l1_bytes(self, size_bytes: int) -> "HardwareConfig":
         """Return a copy of this configuration with a different L1 capacity."""
         check_positive_int(size_bytes, "size_bytes")
         return replace(self, l1=replace(self.l1, size_bytes=size_bytes))
-
-    def with_cores(self, num_cores: int) -> "HardwareConfig":
-        """Return a copy of this configuration with a different core count."""
-        check_positive_int(num_cores, "num_cores")
-        return replace(self, num_cores=num_cores)
-
-    def core_names(self) -> list[str]:
-        """Names of the per-core compute resources, e.g. ``["core0", "core1"]``."""
-        return [f"core{i}" for i in range(self.num_cores)]

@@ -44,11 +44,6 @@ class AccessCounters:
             total_cycles=max(self.total_cycles, other.total_cycles),
         )
 
-    @property
-    def dram_bytes_total(self) -> int:
-        """Total off-chip traffic in bytes."""
-        return self.dram_bytes_read + self.dram_bytes_written
-
 
 #: The field names of :class:`AccessCounters`, read once rather than on
 #: every simulation.
@@ -77,11 +72,6 @@ class EnergyBreakdown:
             + self.vec_pe_pj
             + self.leakage_pj
         )
-
-    @property
-    def onchip_memory_pj(self) -> float:
-        """Combined L1+L0 on-chip memory energy."""
-        return self.l1_pj + self.l0_pj
 
     @property
     def pe_pj(self) -> float:

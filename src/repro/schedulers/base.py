@@ -38,7 +38,7 @@ class AttentionScheduler(ABC):
     Subclasses define ``name`` / ``display_name`` class attributes, the
     on-chip footprint model used to validate tilings, and the graph builder.
     Builders emit each repeated unit of their graph once and stamp the rest
-    (:class:`repro.core.emit.Stamper`); ``direct_emission=True`` emits every
+    (:func:`repro.core.emit.emit_units`); ``direct_emission=True`` emits every
     unit directly instead, the oracle that only tests select.
     """
 

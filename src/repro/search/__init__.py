@@ -8,8 +8,8 @@ the structured memory model allows plain grid search.  This package implements
 those searchers over the :class:`~repro.core.tiling.TilingConfig` space:
 
 * :mod:`repro.search.space` — the candidate tiling factors per workload/device;
-* :mod:`repro.search.objective` — candidate evaluation (cycles / energy / EDP)
-  with feasibility handling and caching;
+* :mod:`repro.search.objective` — candidate evaluation (simulated cycles, the
+  paper's objective) with feasibility handling and caching;
 * :mod:`repro.search.history` — per-iteration search records (Figure 7);
 * :mod:`repro.search.grid`, :mod:`repro.search.random_search`,
   :mod:`repro.search.mcts`, :mod:`repro.search.genetic` — the algorithms;

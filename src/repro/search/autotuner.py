@@ -13,10 +13,11 @@ The experiments use two strategies, mirroring the paper:
 ``"random"``, plain ``"mcts"`` and plain ``"ga"`` are also exposed for the
 search-algorithm ablation.
 
-A tuning is defined by the inputs of the result store's key: device,
-scheduler, workload, strategy, budget, metric and seed.  Every other setting
-of a search is a module constant, such as :data:`MCTS_FRACTION` here and the
-GA's in :mod:`repro.search.genetic`.
+Every strategy minimises simulated cycles, the paper's objective.  A tuning
+is defined by the inputs of the result store's key: device, scheduler,
+workload, strategy, budget and seed.  Every other setting of a search is a
+module constant, such as :data:`MCTS_FRACTION` here and the GA's in
+:mod:`repro.search.genetic`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.search.genetic import GeneticSearch
 from repro.search.grid import GridSearch
 from repro.search.history import SearchHistory
 from repro.search.mcts import MCTSSearch
-from repro.search.objective import Metric, SchedulerObjective
+from repro.search.objective import SchedulerObjective
 from repro.search.random_search import RandomSearch
 from repro.search.space import TilingSearchSpace
 from repro.utils.validation import check_positive_int, require
@@ -114,8 +115,6 @@ class AutoTuner:
         Total evaluation budget per (scheduler, workload) pair.  For
         ``"mcts+ga"``, MCTS spends ``max(1, int(budget * MCTS_FRACTION))`` of
         it and the GA the rest, at least one.
-    metric:
-        Objective metric (``"cycles"``, ``"energy"`` or ``"edp"``).
     seed:
         Seed for the stochastic searchers.
     """
@@ -125,7 +124,6 @@ class AutoTuner:
         hardware: HardwareConfig,
         strategy: str | None = None,
         budget: int = 200,
-        metric: Metric = "cycles",
         seed: int = 0,
     ) -> None:
         if strategy is None:
@@ -135,7 +133,6 @@ class AutoTuner:
         self.hardware = hardware
         self.strategy = strategy
         self.budget = budget
-        self.metric = metric
         self.seed = seed
 
     # ------------------------------------------------------------------ #
@@ -152,7 +149,7 @@ class AutoTuner:
         """
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler, self.hardware)
-        objective = SchedulerObjective(scheduler, workload, metric=self.metric)
+        objective = SchedulerObjective(scheduler, workload)
         space = TilingSearchSpace(workload, self.hardware)
         history = self._search(objective, space)
 

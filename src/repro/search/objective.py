@@ -27,24 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
-import numpy as np
-
-from typing import Literal, Sequence
-
-from repro.core.analytic import AnalyticBounds, TilingBatch
+from repro.core.analytic import TilingBatch
 from repro.core.overwrite import InfeasibleTilingError
 from repro.core.tiling import TilingConfig
 from repro.obs import trace as obs_trace
 from repro.schedulers.base import AttentionScheduler
 from repro.search.space import TilingSearchSpace
-from repro.sim.trace import SimulationResult
-from repro.utils.validation import require
 from repro.workloads.attention import AttentionWorkload
 
 __all__ = ["TilingEvaluation", "SchedulerObjective"]
-
-Metric = Literal["cycles", "energy", "edp"]
 
 #: Candidates per pruning wave in :meth:`SchedulerObjective.evaluate_batch`.
 #: Between waves the incumbent is re-checked, so early winners prune the rest
@@ -84,7 +77,10 @@ class TilingEvaluation:
 
 
 class SchedulerObjective:
-    """Callable objective: tiling -> simulated cost for one scheduler/workload pair.
+    """Callable objective: tiling -> simulated cycles for one scheduler/workload pair.
+
+    The search minimises execution cycles, the paper's objective: a feasible
+    evaluation's value is its simulated cycle count.
 
     Parameters
     ----------
@@ -92,12 +88,9 @@ class SchedulerObjective:
         The dataflow being tuned.
     workload:
         The attention shape being tuned for.
-    metric:
-        ``"cycles"`` (the paper's objective), ``"energy"`` or ``"edp"``
-        (energy-delay product).
     analytic_prune:
-        Prune candidates whose analytic lower bound on the metric already
-        loses to the incumbent (the search's only path).  ``False`` keeps the
+        Prune candidates whose analytic lower bound on cycles already loses
+        to the incumbent (the search's only path).  ``False`` keeps the
         unpruned batch path, the serial oracle the tests compare against.
     """
 
@@ -105,16 +98,13 @@ class SchedulerObjective:
         self,
         scheduler: AttentionScheduler,
         workload: AttentionWorkload,
-        metric: Metric = "cycles",
         analytic_prune: bool = True,
     ) -> None:
-        require(metric in ("cycles", "energy", "edp"), f"unknown metric {metric!r}")
         self.scheduler = scheduler
         self.workload = workload
-        self.metric = metric
         self.analytic_prune = analytic_prune
         self._cache: dict[tuple, TilingEvaluation] = {}
-        #: Analytic lower bound on the objective per candidate, keyed like
+        #: Analytic lower bound on cycles per candidate, keyed like
         #: ``_cache``: the whole candidate grid once a batch needed a bound.
         self._bounds: dict[tuple, float] = {}
         #: Non-memoized evaluations performed, feasible or not: every distinct
@@ -133,21 +123,14 @@ class SchedulerObjective:
             "num_infeasible": 0,
             "num_pruned": 0,
         }
-        #: (cycles, energy_pj, value) of every graph key simulated so far.
-        self._graphs: dict[tuple, tuple[int, float, float]] = {}
-        #: Best feasible objective value seen so far — the pruning incumbent.
+        #: (cycles, energy_pj) of every graph key simulated so far.
+        self._graphs: dict[tuple, tuple[int, float]] = {}
+        #: Fewest cycles of any feasible candidate so far — the pruning incumbent.
         self._incumbent = float("inf")
 
     # ------------------------------------------------------------------ #
     def _key(self, tiling: TilingConfig) -> tuple:
         return (tiling.bb, tiling.hh, tiling.nq, tiling.nkv, tiling.kv_resident)
-
-    def _value(self, result: SimulationResult) -> float:
-        if self.metric == "cycles":
-            return float(result.cycles)
-        if self.metric == "energy":
-            return float(result.energy_pj)
-        return float(result.cycles) * float(result.energy_pj)
 
     def _reject(self, tilings: list[TilingConfig]) -> tuple[list, list[int]]:
         """Reject the candidates :meth:`~AttentionScheduler.fits` refuses.
@@ -193,14 +176,14 @@ class SchedulerObjective:
                 result = self.scheduler.simulate(self.workload, tiling)
             except InfeasibleTilingError:
                 return self._infeasible(tiling)
-            outcome = self._graphs[key] = (result.cycles, result.energy_pj, self._value(result))
+            outcome = self._graphs[key] = (result.cycles, result.energy_pj)
             self.analytic_stats["num_simulated"] += 1
-            self._incumbent = min(self._incumbent, outcome[2])
+            self._incumbent = min(self._incumbent, float(result.cycles))
         else:
             self.analytic_stats["num_shared"] += 1
-        cycles, energy_pj, value = outcome
+        cycles, energy_pj = outcome
         return TilingEvaluation(
-            tiling=tiling, feasible=True, cycles=cycles, energy_pj=energy_pj, value=value
+            tiling=tiling, feasible=True, cycles=cycles, energy_pj=energy_pj, value=float(cycles)
         )
 
     def _infeasible(self, tiling: TilingConfig) -> TilingEvaluation:
@@ -216,16 +199,8 @@ class SchedulerObjective:
             tiling=tiling, feasible=False, cycles=0, energy_pj=0.0, value=bound, pruned=True
         )
 
-    def _value_bound(self, bounds: AnalyticBounds) -> np.ndarray:
-        """Per-candidate analytic lower bound on the objective metric."""
-        if self.metric == "cycles":
-            return bounds.cycles.astype(float)
-        if self.metric == "energy":
-            return bounds.energy_pj.astype(float)
-        return bounds.cycles.astype(float) * bounds.energy_pj.astype(float)
-
     def _value_bounds(self, tilings: list[TilingConfig]) -> list[float]:
-        """The analytic lower bound on the objective of each of ``tilings``.
+        """The analytic lower bound on the cycles of each of ``tilings``.
 
         A candidate missing from the bound table is bounded in one
         ``analytic_bounds`` call together with every grid point the table
@@ -242,7 +217,7 @@ class SchedulerObjective:
                 missing += product(*(space.candidates(d) for d in space.decisions))
             rows = list(dict.fromkeys(missing))
             bounds = self.scheduler.analytic_bounds(self.workload, TilingBatch.from_rows(rows))
-            self._bounds.update(zip(rows, self._value_bound(bounds).tolist()))
+            self._bounds.update(zip(rows, bounds.cycles.astype(float).tolist()))
         return [self._bounds[key] for key in keys]
 
     def evaluate(self, tiling: TilingConfig) -> TilingEvaluation:

@@ -20,7 +20,7 @@ Payload history
   and query entries without parsing the (large) tuning blob.
 
 v1 and v2 payloads were all written under key schema 2 or older.  Key
-schema 4 hashes into every key computed today, so no lookup reaches them;
+schema 5 hashes into every key computed today, so no lookup reaches them;
 ``cache stats`` counts any left in a store as stale, and ``cache evict`` or
 ``cache clear`` removes them.
 """

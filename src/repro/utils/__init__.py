@@ -7,7 +7,6 @@ from repro.utils.units import (
     MB,
     bytes_to_human,
     cycles_to_seconds,
-    picojoules_to_millijoules,
 )
 from repro.utils.validation import (
     check_positive_int,
@@ -15,7 +14,7 @@ from repro.utils.validation import (
     require,
 )
 from repro.utils.rng import make_rng
-from repro.utils.serialization import to_jsonable, dump_json, load_json
+from repro.utils.serialization import to_jsonable, dump_json
 
 __all__ = [
     "GB",
@@ -24,12 +23,10 @@ __all__ = [
     "MB",
     "bytes_to_human",
     "cycles_to_seconds",
-    "picojoules_to_millijoules",
     "check_positive_int",
     "ceil_div",
     "require",
     "make_rng",
     "to_jsonable",
     "dump_json",
-    "load_json",
 ]

@@ -20,15 +20,3 @@ def make_rng(seed: int | None = 0) -> np.random.Generator:
         only intended for exploratory use.
     """
     return np.random.default_rng(seed)
-
-
-def derive_rng(rng: np.random.Generator, stream: int) -> np.random.Generator:
-    """Derive an independent child generator from ``rng`` for a sub-stream.
-
-    Useful when a search algorithm wants per-iteration generators that do not
-    perturb each other when the iteration count changes.
-    """
-    if stream < 0:
-        raise ValueError(f"stream must be non-negative, got {stream}")
-    seed = int(rng.integers(0, 2**63 - 1)) ^ (stream * 0x9E3779B97F4A7C15 % (2**63))
-    return np.random.default_rng(seed)

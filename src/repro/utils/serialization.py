@@ -38,8 +38,3 @@ def dump_json(obj: Any, path: str | Path, indent: int = 2) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(to_jsonable(obj), indent=indent, sort_keys=True))
     return path
-
-
-def load_json(path: str | Path) -> Any:
-    """Load a JSON document from ``path``."""
-    return json.loads(Path(path).read_text())

@@ -12,7 +12,6 @@ MB: int = 1024 * KB
 GB: int = 1024 * MB
 
 GHZ: float = 1e9
-MHZ: float = 1e6
 
 
 def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
@@ -20,21 +19,6 @@ def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
     if frequency_hz <= 0:
         raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
     return float(cycles) / float(frequency_hz)
-
-
-def cycles_to_milliseconds(cycles: float, frequency_hz: float) -> float:
-    """Convert a cycle count into milliseconds at ``frequency_hz``."""
-    return cycles_to_seconds(cycles, frequency_hz) * 1e3
-
-
-def picojoules_to_millijoules(pj: float) -> float:
-    """Convert picojoules to millijoules."""
-    return float(pj) * 1e-9
-
-
-def picojoules_to_joules(pj: float) -> float:
-    """Convert picojoules to joules."""
-    return float(pj) * 1e-12
 
 
 def bytes_to_human(num_bytes: float) -> str:
@@ -45,12 +29,3 @@ def bytes_to_human(num_bytes: float) -> str:
             return f"{value:.2f} {suffix}" if suffix != "B" else f"{int(value)} B"
         value /= 1024.0
     raise AssertionError("unreachable")
-
-
-def bandwidth_bytes_per_cycle(bytes_per_second: float, frequency_hz: float) -> float:
-    """Convert a bandwidth in bytes/second into bytes/cycle for a given clock."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
-    if bytes_per_second <= 0:
-        raise ValueError(f"bytes_per_second must be positive, got {bytes_per_second}")
-    return float(bytes_per_second) / float(frequency_hz)

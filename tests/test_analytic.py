@@ -311,6 +311,25 @@ class TestPruning:
             ), name
 
 
+    @pytest.mark.parametrize("name", list(ALL_SCHEDULERS))
+    def test_value_is_cycles_or_the_cycle_bound(self, name, tiny_hw, small_workload):
+        """The search minimises cycles: a simulated candidate's value is its
+        cycle count, a pruned one's the cycle bound ``analytic_bounds`` gives
+        that tiling alone, and a rejected one's is infinite."""
+        scheduler = make_scheduler(name, tiny_hw)
+        objective = SchedulerObjective(scheduler, small_workload)
+        objective.evaluate(FITS[-1])  # the incumbent that prunes the others
+        got = objective.evaluate_batch(FITS + OVER_L1 + HARD_INFEASIBLE)
+        assert any(e.pruned for e in got) and any(e.feasible for e in got), name
+        for evaluation in got:
+            if evaluation.feasible:
+                assert evaluation.value == float(evaluation.cycles), name
+            elif evaluation.pruned:
+                bound = scheduler.analytic_bounds(small_workload, [evaluation.tiling])
+                assert evaluation.value == float(bound.cycles[0]), (name, evaluation.tiling)
+            else:
+                assert evaluation.value == float("inf"), (name, evaluation.tiling)
+
     def test_pruned_candidates_are_marked_and_counted(self, edge_hw, tiny_workload):
         objective = SchedulerObjective(make_scheduler("mas", edge_hw), tiny_workload)
         evaluations = objective.evaluate_batch(TILINGS)
@@ -406,16 +425,17 @@ def _count_bound_calls(monkeypatch) -> list[int]:
 
 def _per_batch_bounds(self, tilings):
     """The old bound path, one ``analytic_bounds`` call per pruned batch."""
-    return self._value_bound(self.scheduler.analytic_bounds(self.workload, tilings)).tolist()
+    bounds = self.scheduler.analytic_bounds(self.workload, tilings)
+    return bounds.cycles.astype(float).tolist()
 
 
 class TestBoundTable:
     @pytest.mark.parametrize("preset", ["edge-sim", "edge-constrained"])
     @pytest.mark.parametrize("name", list(ALL_SCHEDULERS))
     def test_table_holds_each_tilings_own_bound(self, name, preset, monkeypatch):
-        """Every grid point's stored bound equals ``analytic_bounds`` of that
-        tiling alone, for every metric, and off-grid tilings get bounded too:
-        with the grid on the first call, alone on a later one."""
+        """Every grid point's stored bound equals the cycle bound
+        ``analytic_bounds`` gives that tiling alone, and off-grid tilings get
+        bounded too: with the grid on the first call, alone on a later one."""
         hardware = get_preset(preset)
         scheduler = make_scheduler(name, hardware)
         space = TilingSearchSpace(RAGGED, hardware)
@@ -424,19 +444,16 @@ class TestBoundTable:
             tiling: scheduler.analytic_bounds(RAGGED, [tiling]) for tiling in grid + OFF_GRID
         }
         calls = _count_bound_calls(monkeypatch)
-        for metric in ("cycles", "energy", "edp"):
-            calls.clear()
-            objective = SchedulerObjective(scheduler, RAGGED, metric=metric)
-            first = objective._value_bounds([OFF_GRID[0], grid[-1]])
-            assert calls == [space.size + 1], metric
-            second = objective._value_bounds([grid[0], OFF_GRID[1], OFF_GRID[0]])
-            assert calls == [space.size + 1, 1], metric
-            assert len(objective._bounds) == space.size + 2, metric
-            for tiling, bounds in alone.items():
-                expected = objective._value_bound(bounds)[0]
-                assert objective._bounds[objective._key(tiling)] == expected, (metric, tiling)
-            assert first == [objective._value_bound(alone[t])[0] for t in (OFF_GRID[0], grid[-1])]
-            assert second[1] == objective._value_bound(alone[OFF_GRID[1]])[0]
+        objective = SchedulerObjective(scheduler, RAGGED)
+        first = objective._value_bounds([OFF_GRID[0], grid[-1]])
+        assert calls == [space.size + 1]
+        second = objective._value_bounds([grid[0], OFF_GRID[1], OFF_GRID[0]])
+        assert calls == [space.size + 1, 1]
+        assert len(objective._bounds) == space.size + 2
+        for tiling, bounds in alone.items():
+            assert objective._bounds[objective._key(tiling)] == float(bounds.cycles[0]), tiling
+        assert first == [float(alone[t].cycles[0]) for t in (OFF_GRID[0], grid[-1])]
+        assert second[1] == float(alone[OFF_GRID[1]].cycles[0])
 
     def test_an_on_grid_search_makes_one_bound_call(self, edge_hw, tiny_workload, monkeypatch):
         calls = _count_bound_calls(monkeypatch)

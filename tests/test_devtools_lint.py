@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.devtools import lint
-from repro.devtools.findings import Finding, Severity
+from repro.devtools.findings import Finding
 from repro.devtools.suppress import BAD_SUPPRESSION, parse_suppressions
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -188,10 +188,7 @@ KNOWN = frozenset({"determinism", "fork-safety"})
 
 
 def _finding(line, check="determinism"):
-    return Finding(
-        path="x.py", line=line, col=1, check=check,
-        severity=Severity.ERROR, message="m",
-    )
+    return Finding(path="x.py", line=line, col=1, check=check, message="m")
 
 
 def test_same_line_tag_suppresses():
@@ -254,7 +251,7 @@ def test_json_output_round_trips(tmp_path, capsys):
     assert {f["check"] for f in payload["findings"]} == {
         "schema-literal", "bare-except", "swallowed-exception",
     }
-    assert all({"path", "line", "col", "severity", "message"} <= set(f)
+    assert all(set(f) == {"path", "line", "col", "check", "message"}
                for f in payload["findings"])
 
 
@@ -269,12 +266,51 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_list_checks(capsys):
-    assert lint.main(["--list-checks", "unused"]) == 0
-    out = capsys.readouterr().out
-    for check in ("lock-discipline", "determinism", "fork-safety",
-                  "schema-literal", "bare-except", "swallowed-exception",
-                  BAD_SUPPRESSION, "parse-error"):
-        assert f"{check}:" in out
+    """``--list-checks`` needs no path and prints one distinct line per id;
+    without it a path is still required."""
+    assert lint.main(["--list-checks"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = ["lock-discipline", "determinism", "fork-safety",
+              "schema-literal", "bare-except", "swallowed-exception",
+              BAD_SUPPRESSION, "parse-error"]
+    assert [line.split(":", 1)[0] for line in lines] == checks
+    assert len({line.split(":", 1)[1] for line in lines}) == len(checks)
+    with pytest.raises(SystemExit) as excinfo:
+        lint.main([])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+
+
+def test_schema_literal_description_names_its_exempt_modules():
+    """The ``schema-literal`` line names every source module the check
+    exempts, and only the three hygiene ids share the checker."""
+    from repro.devtools.checkers import hygiene
+
+    descriptions = hygiene.HygieneChecker().descriptions()
+    assert set(descriptions) == {"schema-literal", "bare-except", "swallowed-exception"}
+    exempt = [
+        path.removesuffix(".py").replace("/", ".")
+        for path in hygiene._SCHEMA_LITERAL_EXEMPT
+        if path.startswith("repro/")
+    ]
+    assert exempt == ["repro.store.schema", "repro.exec.cache"]
+    for module in exempt:
+        assert module in descriptions["schema-literal"]
+
+
+def test_human_output_prints_path_line_col_check_message(capsys):
+    """A human-format finding reads ``path:line:col: check: message``, and a
+    summary line follows the findings."""
+    fixture = FIXTURES / "bad_hygiene.py"
+    assert lint.main([str(fixture)]) == 1
+    *findings, summary = capsys.readouterr().out.splitlines()
+    assert summary == f"mas-lint: {len(findings)} findings in 1 files"
+    line = re.compile(
+        rf"{re.escape(str(fixture))}:\d+:\d+: "
+        r"(schema-literal|bare-except|swallowed-exception): \S"
+    )
+    assert len(findings) == 5 and all(line.match(text) for text in findings)
+    assert _finding(3).format() == "x.py:3:1: determinism: m"
 
 
 def test_cli_lint_subcommand(capsys):

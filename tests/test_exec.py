@@ -53,10 +53,18 @@ class TestPairSeed:
         assert len(seeds) == 8  # every (base, pair) combination gets its own seed
 
     def test_execute_pair_standalone_matches_runner(self, edge_hw):
-        spec = PairSpec(hardware=edge_hw, method="mas", network="ViT-B/14", budget=BUDGET)
+        spec = PairSpec(
+            hardware=edge_hw,
+            method="mas",
+            network="ViT-B/14",
+            workload=get_network("ViT-B/14").workload(),
+            budget=BUDGET,
+        )
         run = execute_pair(spec)
         runner = ExperimentRunner(hardware=edge_hw, search_budget=BUDGET)
         assert run.cycles == runner.run("mas", "ViT-B/14").cycles
+        with pytest.raises(TypeError):  # a spec always carries its workload
+            PairSpec(hardware=edge_hw, method="mas", network="ViT-B/14", budget=BUDGET)
 
 
 class TestParallelMatchesSerial:
@@ -162,10 +170,10 @@ class TestIterMatrix:
 class TestResultCache:
     def test_round_trips_tuning_result(self, tmp_path, edge_hw, workload, tuning):
         cache = ResultCache(tmp_path)
-        key = tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, "cycles", 3)
+        key = tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, 3)
         assert cache.load(key) is None and cache.misses == 1
         cache.store(key, tuning)
-        assert len(cache) == 1
+        assert len(cache.backend) == 1
 
         loaded = cache.load(key)
         assert cache.hits == 1
@@ -195,23 +203,19 @@ class TestResultCache:
         assert loaded.history.best.energy_pj == tuning.history.best.energy_pj
 
     def test_key_changes_with_every_tuning_parameter(self, edge_hw, workload):
-        base = tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, "cycles", 0)
+        base = tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, 0)
         variants = [
-            tuning_cache_key(edge_hw, "flat", workload, "mcts+ga", 10, "cycles", 0),
-            tuning_cache_key(edge_hw, "mas", workload.with_seq(128), "mcts+ga", 10, "cycles", 0),
-            tuning_cache_key(edge_hw, "mas", workload, "random", 10, "cycles", 0),
-            tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 11, "cycles", 0),
-            tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, "energy", 0),
-            tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, "cycles", 1),
+            tuning_cache_key(edge_hw, "flat", workload, "mcts+ga", 10, 0),
+            tuning_cache_key(edge_hw, "mas", workload.with_seq(128), "mcts+ga", 10, 0),
+            tuning_cache_key(edge_hw, "mas", workload, "random", 10, 0),
+            tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 11, 0),
+            tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, 1),
             tuning_cache_key(
-                edge_hw.with_l1_bytes(edge_hw.l1_bytes // 2),
-                "mas", workload, "mcts+ga", 10, "cycles", 0,
+                edge_hw.with_l1_bytes(edge_hw.l1_bytes // 2), "mas", workload, "mcts+ga", 10, 0
             ),
-            tuning_cache_key(
-                davinci_like_npu(), "mas", workload, "mcts+ga", 10, "cycles", 0
-            ),
+            tuning_cache_key(davinci_like_npu(), "mas", workload, "mcts+ga", 10, 0),
         ]
-        assert base == tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, "cycles", 0)
+        assert base == tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, 0)
         assert len({base, *variants}) == len(variants) + 1
 
     def test_search_constants_change_only_with_the_key_schema(self):
@@ -227,16 +231,16 @@ class TestResultCache:
             ELITISM,
             MAX_CANDIDATES_PER_DIM,
         )
-        assert (KEY_SCHEMA_VERSION, constants) == (4, (8, 0.6, 1.2, 16, 3, 0.3, 2, 12)), (
+        assert (KEY_SCHEMA_VERSION, constants) == (5, (8, 0.6, 1.2, 16, 3, 0.3, 2, 12)), (
             "a search constant changes what a stored tuning holds: change it "
             "together with KEY_SCHEMA_VERSION, and both expected values here"
         )
 
-    def test_disabled_cache_is_inert(self, tmp_path, tuning):
-        for cache in (ResultCache(None), ResultCache(tmp_path, enabled=False)):
-            assert cache.store("k", tuning) is None
-            assert cache.load("k") is None
-            assert len(cache) == 0 and cache.hits == 0
+    def test_disabled_cache_is_inert(self, tuning):
+        cache = ResultCache(None)
+        assert cache.store("k", tuning) is None
+        assert cache.load("k") is None
+        assert cache.backend is None and cache.hits == 0
 
     def test_corrupt_entry_is_a_miss_but_stale_is_counted(self, tmp_path, tuning):
         cache = ResultCache(tmp_path)
@@ -268,7 +272,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         cache.store("a", tuning)
         cache.store("b", tuning)
-        assert cache.clear() == 2 and len(cache) == 0
+        assert cache.backend.clear() == 2 and len(cache.backend) == 0
 
 
 class TestWarmCacheSweep:
@@ -484,16 +488,14 @@ class TestSuiteSweeps:
 class TestSuiteCacheKeys:
     def test_key_sensitive_to_batch_and_seq_kv(self, edge_hw, workload):
         """Entries differing only in batch, or only in seq_kv, never collide."""
-        base = tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, "cycles", 0)
+        base = tuning_cache_key(edge_hw, "mas", workload, "mcts+ga", 10, 0)
         variants = [
-            tuning_cache_key(
-                edge_hw, "mas", workload.with_batch(8), "mcts+ga", 10, "cycles", 0
-            ),
+            tuning_cache_key(edge_hw, "mas", workload.with_batch(8), "mcts+ga", 10, 0),
             tuning_cache_key(
                 edge_hw,
                 "mas",
                 workload.with_seq(workload.seq_q, 2 * workload.seq_kv),
-                "mcts+ga", 10, "cycles", 0,
+                "mcts+ga", 10, 0,
             ),
         ]
         assert len({base, *variants}) == 3
@@ -505,8 +507,8 @@ class TestSuiteCacheKeys:
 
         a = get_suite("table1@batch=8").get_entry("ViT-B/14 @b8").workload
         b = get_suite("table1-batched").get_entry("ViT-B/14 @b8").workload
-        key = tuning_cache_key(edge_hw, "mas", a, "mcts+ga", 10, "cycles", 0)
-        assert key == tuning_cache_key(edge_hw, "mas", b, "mcts+ga", 10, "cycles", 0)
+        key = tuning_cache_key(edge_hw, "mas", a, "mcts+ga", 10, 0)
+        assert key == tuning_cache_key(edge_hw, "mas", b, "mcts+ga", 10, 0)
 
     def test_cross_suite_cache_reuse_end_to_end(self, tmp_path):
         """A pair tuned under one suite is a warm hit under another suite

@@ -137,18 +137,6 @@ class TestObjective:
         absurd = objective.evaluate(TilingConfig(nq=256, nkv=256))
         assert not absurd.feasible
 
-    def test_metric_selection(self, workload, edge_hw):
-        cycles_obj = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, metric="cycles")
-        energy_obj = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, metric="energy")
-        edp_obj = SchedulerObjective(MASAttentionScheduler(edge_hw), workload, metric="edp")
-        tiling = TilingConfig(nq=64, nkv=64)
-        c, e, p = (o.evaluate(tiling) for o in (cycles_obj, energy_obj, edp_obj))
-        assert c.value == c.cycles
-        assert e.value == pytest.approx(e.energy_pj)
-        assert p.value == pytest.approx(c.cycles * e.energy_pj, rel=1e-6)
-        with pytest.raises(ValueError):
-            SchedulerObjective(MASAttentionScheduler(edge_hw), workload, metric="power")
-
     def test_better_than(self):
         a = TilingEvaluation(TilingConfig(), True, 100, 1.0, 100.0)
         b = TilingEvaluation(TilingConfig(), True, 200, 1.0, 200.0)
@@ -280,19 +268,16 @@ class TestTracingLeavesSearchesUnchanged:
     """A traced search proposes, simulates and prunes exactly what an
     untraced one does: its spans observe the search and never steer it."""
 
-    @pytest.mark.parametrize("metric", ["cycles", "energy", "edp"])
     @pytest.mark.parametrize(
         "make_search",
         [lambda: GeneticSearch(seed=0), lambda: MCTSSearch(seed=0)],
         ids=["ga", "mcts"],
     )
     def test_traced_search_matches_untraced(
-        self, workload, edge_hw, space, metric, make_search, tmp_path
+        self, workload, edge_hw, space, make_search, tmp_path
     ):
         def run():
-            objective = SchedulerObjective(
-                MASAttentionScheduler(edge_hw), workload, metric=metric
-            )
+            objective = SchedulerObjective(MASAttentionScheduler(edge_hw), workload)
             history = make_search().run(objective, space, budget=20)
             return (
                 _history_rows(history),
@@ -417,8 +402,7 @@ class TestAutoTuner:
         """MCTS and the GA record into one history: its iterations run in
         order, its phases are MCTS, then GA, then the default tiling, each
         record's best is the running minimum over feasible records, and the
-        best is an evaluation the objective returned, with real cycles and
-        energy under the energy metric."""
+        best is an evaluation the objective returned, its value its cycles."""
         returned = []
 
         def recording(method):
@@ -432,9 +416,7 @@ class TestAutoTuner:
         for name in ("evaluate", "evaluate_batch"):
             method = getattr(SchedulerObjective, name)
             monkeypatch.setattr(SchedulerObjective, name, recording(method))
-        tuning = AutoTuner(edge_hw, strategy="mcts+ga", budget=30, metric="energy").tune(
-            "mas", workload
-        )
+        tuning = AutoTuner(edge_hw, strategy="mcts+ga", budget=30).tune("mas", workload)
         history = tuning.history
         assert history.algorithm == "mcts+ga"
         records = history.records
@@ -449,9 +431,9 @@ class TestAutoTuner:
             assert rec.best_value == best
         assert any(e.pruned for e in returned)  # pruned bounds never lower the best
         assert any(history.best is e for e in returned)
-        assert history.best.feasible and history.best.cycles > 0
+        assert history.best.feasible and history.best.cycles > 0 and history.best.energy_pj > 0
         assert history.best.value == tuning.best_value == history.best_value
-        assert history.best.value == history.best.energy_pj != history.best.cycles
+        assert history.best.value == history.best.cycles
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_tune_runs_in_the_calling_process(
@@ -464,3 +446,18 @@ class TestAutoTuner:
         assert tuning.strategy == strategy
         assert 1 <= tuning.num_search_evaluations <= 16
         assert tuning.best_value < float("inf")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_best_is_the_fewest_cycles_found(self, edge_hw, workload, strategy):
+        """Every strategy minimises cycles: its best value is what simulating
+        its best tiling again reports, and no record holds a lower value
+        (a pruned record holds a cycle bound, an infeasible one ``inf``)."""
+        scheduler = MASAttentionScheduler(edge_hw)
+        tuning = AutoTuner(edge_hw, strategy=strategy, budget=16, seed=0).tune(
+            scheduler, workload
+        )
+        best = tuning.history.best
+        assert best.feasible and not best.pruned
+        assert tuning.best_value == best.value == best.cycles
+        assert scheduler.simulate(workload, tuning.best_tiling).cycles == tuning.best_value
+        assert min(rec.value for rec in tuning.history.records) == tuning.best_value

@@ -593,7 +593,7 @@ class TestSweepBitIdentity:
     def test_v3_tuning_is_searched_again_not_served(self, tmp_path, monkeypatch):
         """A tuning the unpruned search stored under its v3 key is never served
         to the pruned search: the run misses, searches again and stores its
-        result under the v4 key beside the old entry, which stays as written."""
+        result under the current key beside the old entry, which stays as written."""
         cache_dir = tmp_path / "cache"
         with monkeypatch.context() as patch:
             patch.setattr(cache_module, "KEY_SCHEMA_VERSION", 3)
@@ -839,9 +839,9 @@ class TestSharedStoreConcurrency:
 class TestResultCacheOverStores:
     def test_cache_accepts_dir_uri(self, tmp_path, tuning):
         cache = ResultCache(f"dir:{tmp_path}/c")
-        assert cache.enabled and cache.backend.root == tmp_path / "c"
+        assert cache.backend is not None and cache.backend.root == tmp_path / "c"
         cache.store("k", tuning, suite="table1")
-        assert len(cache) == 1
+        assert len(cache.backend) == 1
         loaded = cache.load("k")
         assert loaded.best_tiling == tuning.best_tiling
         assert cache.stats() == {"hits": 1, "misses": 0, "stale": 0}
@@ -849,10 +849,10 @@ class TestResultCacheOverStores:
         assert info.suite == "table1" and info.scheduler == "mas"
 
     def test_key_schema_version_still_pins_keys(self):
-        """The key schema moves only when a key input changes meaning (v4: every
-        tuning is bound-pruned); entry-layout changes must not orphan previously
-        tuned work (keys are how warm sweeps find it)."""
-        assert KEY_SCHEMA_VERSION == 4
+        """The key schema moves only when a key input changes meaning (v5: the
+        key no longer hashes a metric); entry-layout changes must not orphan
+        previously tuned work (keys are how warm sweeps find it)."""
+        assert KEY_SCHEMA_VERSION == 5
 
     def test_env_uri_supplies_runner_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MAS_CACHE_URI", f"dir:{tmp_path}/env")
@@ -863,11 +863,13 @@ class TestResultCacheOverStores:
         # explicit targets win over the environment
         explicit = ExperimentRunner(search_budget=BUDGET, cache_uri=tmp_path / "dir")
         assert explicit.cache_target == str(tmp_path / "dir")
-        # and --no-cache still wins over everything
-        off = ExperimentRunner(search_budget=BUDGET, seed=0, use_cache=False)
+        # and --no-cache still wins over everything: its pairs get no store
+        off = ExperimentRunner(
+            search_budget=BUDGET, seed=0, cache_uri=tmp_path / "off", use_cache=False
+        )
+        assert off.pair_spec("mas", "ViT-B/14").cache_uri is None
         off.run("mas", "ViT-B/14")
-        spec = off.pair_spec("mas", "ViT-B/14")
-        assert spec.use_cache is False
+        assert not (tmp_path / "off").exists()
 
     #: A directory URI with a host, and a store URI of a retired backend.
     BAD_ENV_URIS = ("dir://bad-host/c", "sqlite:///c.db")

@@ -281,10 +281,7 @@ class TestWorkloadSuites:
         hw = simulated_edge_device()
         decode = get_suite("decode-step").workload_for("XLM @dec")
         prefill = get_suite("table1").workload_for("XLM")
-        keys = {
-            tuning_cache_key(hw, "mas", wl, "mcts+ga", 10, "cycles", 0)
-            for wl in (decode, prefill)
-        }
+        keys = {tuning_cache_key(hw, "mas", wl, "mcts+ga", 10, 0) for wl in (decode, prefill)}
         assert len(keys) == 2
 
     def test_with_batch_round_trip(self):
