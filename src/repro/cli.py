@@ -297,19 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkout of the parent commit (e.g. a git worktree of HEAD^)",
     )
 
-    p = sub.add_parser(
+    # Every argument after "lint" goes to the mas-lint driver unparsed.
+    sub.add_parser(
         "lint",
-        help="run mas-lint, the project-invariant static analysis "
-        "(see docs/dev_tooling.md)",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro", "tests"],
-        help="files or directories to lint (default: src/repro tests)",
-    )
-    p.add_argument(
-        "--format", choices=("human", "json"), default="human", help="output format"
+        add_help=False,
+        help="run mas-lint, the project-invariant static analysis, with the "
+        "arguments of python -m repro.devtools.lint; no path lints src/repro "
+        "tests (see docs/dev_tooling.md)",
     )
 
     p = sub.add_parser("sweep", help="hardware sensitivity sweep (MAS vs FLAT)")
@@ -600,7 +594,14 @@ def _emit(text: str, result: object, json_path: str | None) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.devtools import lint as devtools_lint
+
+        return devtools_lint.main(rest, default_paths=["src/repro", "tests"])
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
 
     if args.command == "cache":
         return _run_cache_command(args)
@@ -610,11 +611,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "obs":
         return _run_obs_command(args)
-
-    if args.command == "lint":
-        from repro.devtools import lint as devtools_lint
-
-        return devtools_lint.main(list(args.paths) + ["--format", args.format])
 
     if args.command == "suites":
         if args.spec:

@@ -1,9 +1,10 @@
 """mas-lint driver: discover files, run checkers, apply suppressions, report.
 
-Usage (both spellings are equivalent; the second is the CI gate)::
+Usage (both spellings take the same arguments; the second is the CI gate,
+and the first lints ``src/repro tests`` when given no path)::
 
-    mas-attention lint src/repro tests
-    python -m repro.devtools.lint src/repro tests [--format json]
+    mas-attention lint src/repro tests [--format json] [--list-checks]
+    python -m repro.devtools.lint src/repro tests [--format json] [--list-checks]
 
 Exit codes: ``0`` clean, ``1`` findings, ``2`` usage error.  Directory
 arguments are walked recursively for ``*.py``, skipping ``__pycache__`` and
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, default_paths: Sequence[str] = ()) -> int:
+    """Run the driver on ``argv``; ``default_paths`` are linted when it names none."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_checks:
@@ -164,9 +167,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{BAD_SUPPRESSION}: suppression tags must name a known check and a reason")
         print(f"{PARSE_ERROR}: every linted file must parse")
         return 0
-    if not args.paths:
+    paths = args.paths or list(default_paths)
+    if not paths:
         parser.error("the following arguments are required: paths")  # exits 2
-    roots = [Path(p) for p in args.paths]
+    roots = [Path(p) for p in paths]
     missing = [str(p) for p in roots if not p.exists()]
     if missing:
         parser.error(f"no such path: {', '.join(missing)}")  # exits 2

@@ -136,6 +136,22 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["timeline", "ViT-B/14", "--methods", "warp"])
 
+    def test_lint_takes_the_drivers_arguments(self, capsys):
+        """``mas-attention lint`` hands its arguments to the mas-lint driver, so
+        ``--list-checks`` needs no path and prints the driver's lines."""
+        from repro.devtools import lint
+
+        assert lint.main(["--list-checks"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["lint", "--list-checks"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_unknown_argument_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["networks", "--bogus"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
     def test_sweep_command(self, capsys):
         code = main(["sweep", "vec_throughput", "--network", "ViT-B/14", "--no-search"])
         assert code == 0

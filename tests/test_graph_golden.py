@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import lru_cache
+from heapq import heappush
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from repro.numerics.golden import make_qkv
 from repro.numerics.reference import reference_attention
 from repro.numerics.replay import replay
 from repro.schedulers import AttentionScheduler, list_schedulers, make_scheduler
+from repro.sim import engine
 from repro.sim.check import check_schedule
 from repro.sim.engine import simulate_graph
 from repro.sim.tasks import TaskGraph
@@ -217,6 +219,35 @@ def test_graph_replays_to_reference(case_id, variant, shape, tiling, l1):
     output = replay(_scheduler(variant, l1), workload, tiling, q, k, v)
     error = float(np.max(np.abs(output - reference_attention(q, k, v))))
     assert error <= 1e-9, f"{case_id}: replay is {error:.3e} off the reference"
+
+
+def test_staged_graphs_walk_their_phases(monkeypatch):
+    """Every barrier that stops the engine's walk through a golden Layer-Wise,
+    Soft-Pipe or TileFlow graph closes its phase: the phased walk never hands
+    the graph back to the single walk, and it defers no more descriptors to
+    the DMA's heap than the single walk does, and fewer over each variant."""
+    deferred = [0]
+
+    def count(heap: list[tuple[int, int]], item: tuple[int, int]) -> None:
+        deferred[0] += 1
+        heappush(heap, item)
+
+    def deferrals(graph: TaskGraph, phased: bool) -> int:
+        deferred[0] = 0
+        assert engine._schedule(graph, phased) is not None, f"{graph.name} fell back"
+        return deferred[0]
+
+    monkeypatch.setattr(engine, "heappush", count)
+    totals: dict[str, list[int]] = {"layerwise": [0, 0], "softpipe": [0, 0], "tileflow": [0, 0]}
+    for case_id, variant, *rest in CASES:
+        if variant in totals:
+            graph = build_case(variant, *rest)
+            phased, single = deferrals(graph, True), deferrals(graph, False)
+            assert phased <= single, case_id
+            totals[variant][0] += phased
+            totals[variant][1] += single
+    for variant, (phased, single) in totals.items():
+        assert phased < single, f"{variant}: the walk crossed no phase"
 
 
 def test_decode_grid_overwrites_and_serializes():

@@ -76,6 +76,46 @@ def task_graphs(draw):
     return graph
 
 
+@st.composite
+def phased_task_graphs(draw):
+    """Random DAGs in segments, each closed by a barrier over its sinks, as
+    Layer-Wise, Soft-Pipe and TileFlow build them.
+
+    Most tasks of a later segment wait on the barrier before them, so the
+    engine's walk crosses phases.  Some barriers miss a sink, some tasks wait
+    on an earlier task instead of the barrier, and cycles include 0, so that
+    the engine also falls back to its single walk.
+    """
+    resources = ["core0.mac", "core0.vec", "core1.mac", "core1.vec", "dma", "dma"]
+    max_cycles = draw(st.sampled_from([4, 50]))
+    graph = TaskGraph(name="phased")
+    barrier = None
+    segments = draw(st.integers(1, 4))
+    for segment in range(segments):
+        first = len(graph)
+        for tid in range(first, first + draw(st.integers(1, 10))):
+            deps = draw(st.lists(st.integers(first, tid - 1), max_size=2)) if tid > first else []
+            if barrier is not None and draw(st.integers(0, 7)):
+                deps.append(barrier)
+            elif tid and draw(st.booleans()):
+                deps.append(draw(st.integers(0, tid - 1)))
+            graph.add(f"t{tid}", TaskKind.VECOP, draw(st.sampled_from(resources)),
+                      draw(st.integers(0, max_cycles)), deps=deps)
+        if segment == segments - 1 and draw(st.booleans()):
+            break
+        segment_tasks = range(first, len(graph))
+        fed = {dep for tid in segment_tasks for dep in graph.deps[tid]}
+        sinks = [tid for tid in segment_tasks if tid not in fed]
+        if len(sinks) > 1 and not draw(st.integers(0, 4)):
+            sinks.remove(draw(st.sampled_from(sinks)))
+        barrier = graph.add_barrier(f"b{segment}", deps=sinks).tid
+    return graph
+
+
+#: The engine-property tests' graphs: any DAG, and DAGs in barrier-closed phases.
+engine_graphs = st.one_of(task_graphs(), phased_task_graphs())
+
+
 # --------------------------------------------------------------------------- #
 # Numerics
 # --------------------------------------------------------------------------- #
@@ -205,23 +245,23 @@ class TestStreamProperties:
 # Simulator
 # --------------------------------------------------------------------------- #
 class TestEngineProperties:
-    @given(task_graphs())
-    @settings(max_examples=60, deadline=None)
+    @given(engine_graphs)
+    @settings(max_examples=120, deadline=None)
     def test_schedule_respects_all_constraints(self, graph):
         trace = simulate_graph(graph)
         assert len(trace.records) == len(graph)
         check_schedule(graph, trace)
 
-    @given(task_graphs())
-    @settings(max_examples=60, deadline=None)
+    @given(engine_graphs)
+    @settings(max_examples=120, deadline=None)
     def test_makespan_bounds(self, graph):
         trace = simulate_graph(graph)
         assert trace.total_cycles >= critical_path_cycles(graph)
         assert trace.total_cycles >= graph.total_cycles_lower_bound()
         assert trace.total_cycles <= sum(t.cycles for t in graph)
 
-    @given(task_graphs())
-    @settings(max_examples=100, deadline=None)
+    @given(engine_graphs)
+    @settings(max_examples=200, deadline=None)
     def test_matches_the_oracle_engine(self, graph):
         """The schedule, the counters and every per-resource figure equal the old engine's."""
         assert_matches_oracle(graph, simulate_graph(graph))

@@ -12,6 +12,7 @@ from repro.sim.engine import critical_path_cycles, simulate_graph
 from repro.sim.executor import simulate
 from repro.sim.tasks import TaskGraph, TaskKind, dma_resource, mac_resource, vec_resource
 from repro.sim.trace import Trace
+from sim_oracle import assert_matches_oracle
 
 
 def build_diamond() -> TaskGraph:
@@ -170,6 +171,62 @@ class TestEngine:
         trace = simulate_graph(g)
         assert list(zip(trace.start, trace.finish)) == [(0, 10), (10, 20), (20, 25), (25, 26)]
         check_schedule(g, trace)
+
+    def test_dma_chain_outside_a_barrier_keeps_its_place(self):
+        """The barrier waits on one load, while a load-store chain beside it
+        keeps the DMA busy past the barrier's finish: the load behind the
+        barrier, ready at 8, is served before the store, ready at 18."""
+        g = TaskGraph()
+        mm = g.add("mm", TaskKind.MATMUL, mac_resource(1), 3)
+        load = g.add("load", TaskKind.LOAD, dma_resource(), 5, deps=[mm])
+        long_load = g.add("long_load", TaskKind.LOAD, dma_resource(), 10, deps=[mm])
+        g.add("store", TaskKind.STORE, dma_resource(), 5, deps=[long_load])
+        barrier = g.add_barrier("sync", deps=[load])
+        g.add("next_load", TaskKind.LOAD, dma_resource(), 5, deps=[barrier])
+        trace = simulate_graph(g)
+        assert list(zip(trace.start, trace.finish)) == [
+            (0, 3), (3, 8), (8, 18), (23, 28), (8, 8), (18, 23)
+        ]
+        check_schedule(g, trace)
+        assert_matches_oracle(g, trace)
+
+    def test_load_after_a_barrier_it_does_not_wait_on_goes_first(self):
+        """A load emitted after a barrier waits on nothing, or on a softmax that
+        ends at cycle 2: the DMA serves it before the store that the barrier
+        waits on, which is ready at cycle 10."""
+        for ready in (0, 2):
+            g = TaskGraph()
+            mm = g.add("mm", TaskKind.MATMUL, mac_resource(0), 10)
+            sm = g.add("sm", TaskKind.SOFTMAX, vec_resource(0), 2)
+            store = g.add("store", TaskKind.STORE, dma_resource(), 5, deps=[mm])
+            barrier = g.add_barrier("sync", deps=[store])
+            g.add("after", TaskKind.LOAD, dma_resource(), 5, deps=[barrier])
+            g.add("early", TaskKind.LOAD, dma_resource(), 4, deps=[sm] if ready else [])
+            trace = simulate_graph(g)
+            assert list(zip(trace.start, trace.finish)) == [
+                (0, 10), (0, 2), (10, 15), (15, 15), (15, 20), (ready, ready + 4)
+            ]
+            check_schedule(g, trace)
+            assert_matches_oracle(g, trace)
+
+    def test_dependency_on_a_later_task_reads_as_a_deadlock(self):
+        """A dependency written into the column past ``Task.deps``' check and
+        naming a later task never resolves, before or after a barrier."""
+        g = TaskGraph()
+        mm = g.add("mm", TaskKind.MATMUL, mac_resource(0), 10)
+        store = g.add("store", TaskKind.STORE, dma_resource(), 5, deps=[mm])
+        barrier = g.add_barrier("sync", deps=[store])
+        g.add("load", TaskKind.LOAD, dma_resource(), 5, deps=[barrier])
+        g.add("sm", TaskKind.SOFTMAX, vec_resource(0), 5)
+        for waiting, later in ((1, 4), (3, 4)):
+            graph = pickle.loads(pickle.dumps(g))
+            graph.deps[waiting] = (later,)
+            with pytest.raises(
+                RuntimeError,
+                match=rf"scheduling deadlock: no issuable task among \d+ unscheduled "
+                rf"\(first: \['{graph.task_name(waiting)}'",
+            ):
+                simulate_graph(graph)
 
     def test_empty_graph(self):
         assert simulate_graph(TaskGraph()).total_cycles == 0
