@@ -19,8 +19,7 @@ Run::
 from __future__ import annotations
 
 from repro.analysis import format_table, run_limits
-from repro.analysis.ablations import overflowing_tiling
-from repro.core.overwrite import OverwritePlanner
+from repro.analysis.ablations import overflowing_tiling, slightly_small_l1_bytes
 from repro.hardware.presets import simulated_edge_device
 from repro.schedulers.mas import MASAttentionScheduler
 from repro.utils.units import MB
@@ -33,12 +32,9 @@ def overwrite_sweep() -> None:
     for seq in (512, 1024, 2048, 4096):
         workload = AttentionWorkload.self_attention(heads=2, seq=seq, emb=64, name=f"long-{seq}")
         tiling = overflowing_tiling(workload, base)
-        planner = OverwritePlanner(workload, base, tiling)
-        # Shrink the buffer so ~90% of the resident K/V fits: the paper's
+        # Shrink the buffer so most of the resident K/V fits: the paper's
         # "slightly too small buffer" long-sequence regime.
-        device = base.with_l1_bytes(
-            planner.non_evictable_bytes() + int(0.9 * planner.kv_resident_bytes())
-        )
+        device = base.with_l1_bytes(slightly_small_l1_bytes(workload, tiling))
         on = MASAttentionScheduler(device, enable_overwrite=True).simulate(workload, tiling)
         off = MASAttentionScheduler(device, enable_overwrite=False).simulate(workload, tiling)
         rows.append([

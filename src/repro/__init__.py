@@ -37,7 +37,7 @@ from repro.hardware import (
     simulated_edge_device,
 )
 from repro.workloads import AttentionWorkload, get_network, list_networks
-from repro.core import TilingConfig, build_mas_graph
+from repro.core import TilingConfig
 from repro.schedulers import make_scheduler, list_schedulers
 from repro.sim import simulate
 
@@ -51,7 +51,6 @@ __all__ = [
     "get_preset",
     "get_network",
     "list_networks",
-    "build_mas_graph",
     "make_scheduler",
     "list_schedulers",
     "simulate",

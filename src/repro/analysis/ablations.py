@@ -16,20 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dc_replace
 
 from repro.analysis.report import format_table
-from repro.core.overwrite import OverwritePlanner
-from repro.core.tiling import TilingConfig
+from repro.core.tiling import TilingConfig, mas_footprint_bytes, mas_non_evictable_bytes
 from repro.hardware.config import HardwareConfig
 from repro.hardware.presets import constrained_edge_device, simulated_edge_device
 from repro.schedulers.mas import MASAttentionScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.search.autotuner import AutoTuner, STRATEGIES
-from repro.utils.units import KB
 from repro.utils.validation import require
 from repro.workloads.networks import get_network
 
 __all__ = [
     "AblationResult",
     "overflowing_tiling",
+    "slightly_small_l1_bytes",
     "run_overwrite_ablation",
     "run_tiling_ablation",
     "run_search_ablation",
@@ -56,6 +55,12 @@ class AblationResult:
 # --------------------------------------------------------------------------- #
 # A1: proactive overwrite strategy
 # --------------------------------------------------------------------------- #
+#: Share of the resident K/V that fits next to the non-evictable residency on
+#: the overwrite ablation's default L1: the paper's long-sequence regime, where
+#: the buffer is *slightly* too small.
+KV_FIT_FRACTION = 0.9
+
+
 def overflowing_tiling(workload, hardware: HardwareConfig) -> TilingConfig:
     """A tiling whose steady-state residency overflows ``hardware``'s L1.
 
@@ -65,31 +70,33 @@ def overflowing_tiling(workload, hardware: HardwareConfig) -> TilingConfig:
     residency fits, so the K/V share is what overflows.
     """
     tiling = TilingConfig(nq=64, nkv=64, kv_resident=True).clamp_to(workload)
-    planner = OverwritePlanner(workload, hardware, tiling)
-    while tiling.nq > 1:
-        planner = OverwritePlanner(workload, hardware, tiling)
-        if planner.non_evictable_bytes() <= hardware.l1_bytes:
-            break
+    while tiling.nq > 1 and mas_non_evictable_bytes(workload, tiling) > hardware.l1_bytes:
         tiling = TilingConfig(
             nq=max(1, tiling.nq // 2), nkv=tiling.nkv, kv_resident=True
         ).clamp_to(workload)
     return tiling
 
 
+def slightly_small_l1_bytes(workload, tiling: TilingConfig) -> int:
+    """An L1 capacity that holds ``tiling``'s non-evictable MAS residency and
+    :data:`KV_FIT_FRACTION` of its resident K/V, so a regular round overflows."""
+    non_evictable = mas_non_evictable_bytes(workload, tiling)
+    kv = mas_footprint_bytes(workload, tiling) - non_evictable
+    return non_evictable + int(KV_FIT_FRACTION * kv)
+
+
 def run_overwrite_ablation(
     networks: list[str] | None = None,
     l1_bytes: int | None = None,
     hardware: HardwareConfig | None = None,
-    kv_fit_fraction: float = 0.9,
 ) -> AblationResult:
     """Compare MAS-Attention with and without the proactive overwrite strategy.
 
     The device L1 is shrunk so the pipeline's steady-state residency overflows
-    for the Table-1 shapes — by default per network, to the non-evictable
-    residency plus ``kv_fit_fraction`` of the K/V footprint (the paper's
-    long-sequence regime, where the buffer is *slightly* too small).  With the
-    strategy disabled the overflowing rounds serialize behind the MAC; with it
-    enabled they pay a modest K/V reload instead.
+    for the Table-1 shapes — by default per network, to
+    :func:`slightly_small_l1_bytes` of its :func:`overflowing_tiling`.  With
+    the strategy disabled the overflowing rounds serialize behind the MAC;
+    with it enabled they pay a modest K/V reload instead.
     """
     networks = networks or ["T5-Mini", "BERT-Small", "BERT-Base"]
     result = AblationResult(
@@ -112,12 +119,8 @@ def run_overwrite_ablation(
             device = constrained_edge_device(l1_bytes)
         else:
             base = simulated_edge_device()
-            tiling_probe = overflowing_tiling(workload, base)
-            planner = OverwritePlanner(workload, base, tiling_probe)
-            device = base.with_l1_bytes(
-                planner.non_evictable_bytes()
-                + int(kv_fit_fraction * planner.kv_resident_bytes())
-            )
+            probe = overflowing_tiling(workload, base)
+            device = base.with_l1_bytes(slightly_small_l1_bytes(workload, probe))
         enabled = MASAttentionScheduler(device, enable_overwrite=True)
         disabled = MASAttentionScheduler(device, enable_overwrite=False)
         tiling = overflowing_tiling(workload, device)

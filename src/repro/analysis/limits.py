@@ -5,7 +5,7 @@ MAS-Attention must keep two score rows resident simultaneously (``P_i`` plus
 either ``P_{i-1}`` or ``C_{i+1}``), while FLAT's sequential execution only
 ever needs one, so on the 5 MB simulated L1 MAS-Attention tops out around one
 million tokens and FLAT around two million.  The harness evaluates the same
-closed-form model (:func:`repro.core.mas_attention.mas_max_seq_len` and
+closed-form model (:func:`repro.schedulers.mas.mas_max_seq_len` and
 :func:`repro.schedulers.flat.flat_max_seq_len`) across L1 capacities.
 """
 
@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
-from repro.core.mas_attention import mas_max_seq_len
 from repro.hardware.config import HardwareConfig
 from repro.hardware.presets import simulated_edge_device
 from repro.schedulers.flat import flat_max_seq_len
+from repro.schedulers.mas import mas_max_seq_len
 from repro.utils.units import MB
 
 __all__ = ["SequenceLimitRow", "SequenceLimitResult", "run_limits"]

@@ -44,6 +44,7 @@ from typing import Sequence
 
 from repro import __version__, quick_compare
 from repro.analysis import (
+    DramAnalysisResult,
     ExperimentRunner,
     TimelineOptions,
     format_table,
@@ -135,12 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="print each (method, network) run to stderr as it completes, "
             "before the final table",
-        )
-        p.add_argument(
-            "--verbose",
-            action="store_true",
-            help="report store health-probe details (service version, uptime, "
-            "pid) on stderr before the sweep",
         )
 
     sub.add_parser("networks", help="print the Table-1 network registry")
@@ -334,7 +329,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         use_cache=not args.no_cache,
         jobs=args.jobs,
         suite=_suite_spec(args),
-        verbose=args.verbose,
     )
 
 
@@ -586,6 +580,10 @@ def _emit(text: str, result: object, json_path: str | None) -> None:
     if json_path:
         if hasattr(result, "as_rows"):
             payload = {"rows": to_jsonable(result.as_rows())}
+            if isinstance(result, DramAnalysisResult):
+                # The constrained-L1 table the text prints, where the
+                # overwrite path fires (Section 5.4).
+                payload["constrained_rows"] = to_jsonable(result.as_rows(constrained=True))
         else:
             payload = to_jsonable(result)
         dump_json(payload, json_path)

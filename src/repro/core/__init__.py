@@ -11,8 +11,9 @@
   then reload and redo the interrupted MatMul tiles.
 * :mod:`repro.core.emit` — :class:`~repro.core.emit.CoreEmitter`, through which
   every dataflow builder (MAS-Attention and the baselines) emits its tile tasks.
-* :mod:`repro.core.mas_attention` — the public builder that assembles the three
-  pieces into a simulatable task graph.
+
+:class:`repro.schedulers.mas.MASAttentionScheduler` assembles the three pieces
+into a simulatable task graph, as each baseline scheduler builds its own.
 """
 
 from repro.core.tiling import (
@@ -23,9 +24,8 @@ from repro.core.tiling import (
     flat_footprint_bytes,
     default_tiling,
 )
-from repro.core.overwrite import OverwritePlan, OverwritePlanner, OverwriteEvent
+from repro.core.overwrite import OverwriteEvent, plan_overwrites
 from repro.core.stream import StreamRound, RoundKind, plan_rounds
-from repro.core.mas_attention import MASBuildInfo, build_mas_graph, mas_max_seq_len
 
 __all__ = [
     "TilingConfig",
@@ -34,13 +34,9 @@ __all__ = [
     "mas_footprint_bytes",
     "flat_footprint_bytes",
     "default_tiling",
-    "OverwritePlan",
-    "OverwritePlanner",
     "OverwriteEvent",
+    "plan_overwrites",
     "StreamRound",
     "RoundKind",
     "plan_rounds",
-    "MASBuildInfo",
-    "build_mas_graph",
-    "mas_max_seq_len",
 ]

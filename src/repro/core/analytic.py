@@ -41,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.costs import ONLINE_SOFTMAX_CORRECTION_OPS
 from repro.core.tiling import TilingConfig
 from repro.hardware.compute_units import (
     matmul_cycles_batch,
@@ -253,8 +254,9 @@ class BatchedCostModel:
         """Lower bound on the FuseMax online-softmax VEC cycles.
 
         Per block: one ``softmax_tile`` per K/V tile (a tile-width softmax
-        that stays linear in the row count, plus a 4-ops/element correction
-        over the output accumulator) and one 1-op/element normalize epilogue.
+        that stays linear in the row count, plus the
+        :data:`~repro.core.costs.ONLINE_SOFTMAX_CORRECTION_OPS` correction per
+        output accumulator element) and one 1-op/element normalize epilogue.
         The ceil-per-task losses of the elementwise parts are bounded from
         below by one ceil over the batch total (``sum ceil(x_i) >= ceil(sum
         x_i)``).
@@ -265,7 +267,10 @@ class BatchedCostModel:
         tile_row_cycles = s.num_full_kv * per_row_full + s.has_rem_kv * per_row_rem
         covered_rows = self.total_problems * self.seq_q
         acc_elems = covered_rows * self.emb
-        correction = cdiv(acc_elems * 4 * s.num_kv_tiles, vec.throughput_ops_per_cycle)
+        correction = cdiv(
+            acc_elems * ONLINE_SOFTMAX_CORRECTION_OPS * s.num_kv_tiles,
+            vec.throughput_ops_per_cycle,
+        )
         normalize = cdiv(acc_elems, vec.throughput_ops_per_cycle)
         return covered_rows * tile_row_cycles + correction + normalize
 

@@ -30,6 +30,11 @@ from repro.utils.validation import ceil_div, check_positive_int, require
 from repro.workloads.attention import AttentionWorkload
 
 
+#: VEC operations per element of the output accumulator that one online-softmax
+#: tile update pays (running-max update, rescale, running-sum update).
+ONLINE_SOFTMAX_CORRECTION_OPS = 4
+
+
 class Block(NamedTuple):
     """One (batch-head group, query row-block) unit of the outer iteration space.
 
@@ -284,24 +289,24 @@ class TileCosts:
             l0_bytes_written=score,
         )
 
-    def softmax_tile(self, block: Block, tile: int, correction_ops_per_element: int = 4) -> TaskCost:
+    def softmax_tile(self, block: Block, tile: int) -> TaskCost:
         """Online-softmax update for one score sub-tile (FuseMax-style).
 
         Besides the plain softmax work on the sub-tile, the online formulation
-        pays correction operations per element of the running output
-        accumulator (running-max update, rescale, running-sum update).
+        pays :data:`ONLINE_SOFTMAX_CORRECTION_OPS` per element of the running
+        output accumulator.
         """
-        return self._softmax_tile(
-            block.group_size * block.rows, self.kv_tile_rows[tile], correction_ops_per_element
-        )
+        return self._softmax_tile(block.group_size * block.rows, self.kv_tile_rows[tile])
 
     @_memoized
-    def _softmax_tile(self, rows: int, cols: int, correction_ops_per_element: int) -> TaskCost:
+    def _softmax_tile(self, rows: int, cols: int) -> TaskCost:
         base_cycles = softmax_cycles(self.hardware.vec, rows, cols)
         base_ops = softmax_vec_ops(rows, cols, self.hardware.vec)
         acc_elems = rows * self.workload.emb
-        corr_cycles = elementwise_cycles(self.hardware.vec, acc_elems, correction_ops_per_element)
-        corr_ops = elementwise_vec_ops(acc_elems, correction_ops_per_element)
+        corr_cycles = elementwise_cycles(
+            self.hardware.vec, acc_elems, ONLINE_SOFTMAX_CORRECTION_OPS
+        )
+        corr_ops = elementwise_vec_ops(acc_elems, ONLINE_SOFTMAX_CORRECTION_OPS)
         tile_bytes = rows * cols * self.dtype
         acc_bytes = acc_elems * self.dtype
         return TaskCost.of(

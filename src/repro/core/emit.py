@@ -1,12 +1,12 @@
 """Tile-task emission shared by all six dataflow builders.
 
-MAS-Attention (:mod:`repro.core.mas_attention`) and the five baselines
-(:mod:`repro.schedulers`) add every tile task to their
-:class:`~repro.sim.tasks.TaskGraph` through :class:`CoreEmitter`; only the
-zero-cost stage and round barriers are added to the graph directly.  Builders
-walk their cores position-major (:func:`block_positions`) and emit the
-positions through :func:`emit_units`, which emits a position directly only
-the first time its context appears and stamps every repeat.
+The six schedulers (:mod:`repro.schedulers`), MAS-Attention and the five
+baselines, add every tile task to their :class:`~repro.sim.tasks.TaskGraph`
+through :class:`CoreEmitter`; only the zero-cost stage and round barriers
+are added to the graph directly.  Builders walk their cores position-major
+(:func:`block_positions`) and emit the positions through :func:`emit_units`,
+which emits a position directly only the first time its context appears and
+stamps every repeat.
 """
 
 from __future__ import annotations

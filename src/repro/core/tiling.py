@@ -207,10 +207,9 @@ def mas_footprint_bytes(workload: AttentionWorkload, tiling: TilingConfig) -> in
 def mas_non_evictable_bytes(workload: AttentionWorkload, tiling: TilingConfig) -> int:
     """Bytes MAS-Attention can never overwrite: 2 score blocks + the Q/O tiles.
 
-    This is the hard feasibility line of the proactive-overwrite strategy
-    (:class:`repro.core.overwrite.OverwritePlanner` raises
-    :class:`~repro.core.overwrite.InfeasibleTilingError` when it exceeds L1,
-    and the MAS scheduler's ``fits`` checks it before a search builds).
+    This is the hard feasibility line of the proactive-overwrite strategy:
+    the MAS scheduler's ``fits`` checks it, and its ``build`` raises
+    :class:`~repro.core.overwrite.InfeasibleTilingError` when it exceeds L1.
     """
     tiles = operand_tile_bytes(workload, tiling)
     return 2 * score_block_bytes(workload, tiling) + 2 * tiles["q"] + 2 * tiles["o"]

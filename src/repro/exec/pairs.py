@@ -119,8 +119,7 @@ def execute_pair(spec: PairSpec) -> MethodRun:
     """Tune (through the result store, if the spec names one) and simulate one pair.
 
     The whole pair runs inside a "pair" span parented on ``spec.trace`` (the
-    sweep's span, possibly from another process); the span buffer is flushed
-    before returning so pool workers never hold spans hostage.
+    sweep's span, possibly from another process).
     """
     with obs_trace.span(
         "pair",
@@ -131,7 +130,6 @@ def execute_pair(spec: PairSpec) -> MethodRun:
     ) as span:
         run = _execute_pair_traced(spec)
         span.set(cached=run.cached)
-    obs_trace.flush()
     return run
 
 

@@ -24,7 +24,6 @@ Each pair's tiling search runs in the process that executes the pair, so
 
 from __future__ import annotations
 
-import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,10 +96,6 @@ class ExperimentRunner:
         (``"table1-batched"``, ``"table1@batch=8"``,
         ``"long-context@seq<=8192"``, ...) or ``None`` for the Table-1 default
         — which is exactly the historical behaviour, entry for entry.
-    verbose:
-        When true, the eager store health probe reports what it learned
-        (service version, uptime, pid) on stderr instead of discarding the
-        payload.
     jobs:
         Worker processes for the (method, network) matrix.  ``1`` (the
         default) runs every pair inline in this process; more fans the
@@ -117,7 +112,6 @@ class ExperimentRunner:
     cache_uri: str | Path | None = None
     use_cache: bool = True
     suite: str | WorkloadSuite | None = None
-    verbose: bool = False
     jobs: int = 1
     _runs: dict[tuple[str, str], MethodRun] = field(default_factory=dict, repr=False)
 
@@ -139,7 +133,7 @@ class ExperimentRunner:
                 try:
                     if isinstance(probe, HttpStore):
                         try:
-                            self._report_ping(probe.ping())
+                            probe.ping()
                         except UNREACHABLE_ERRORS as exc:
                             raise ValueError(
                                 f"result-store service unreachable at "
@@ -149,18 +143,6 @@ class ExperimentRunner:
                 finally:
                     probe.close()
         self._workload_suite = get_suite(self.suite if self.suite is not None else "table1")
-
-    def _report_ping(self, payload: dict) -> None:
-        """Summarize the eager health probe on stderr (``verbose`` only)."""
-        if not self.verbose:
-            return
-        print(
-            f"[mas-attention] store service up: "
-            f"version={payload.get('version', '?')} "
-            f"uptime={payload.get('uptime_seconds', '?')}s "
-            f"pid={payload.get('pid', '?')}",
-            file=sys.stderr,
-        )
 
     @property
     def suite_name(self) -> str:
@@ -262,7 +244,6 @@ class ExperimentRunner:
             pairs=len(network_names) * len(method_names),
         ):
             yield from self._iter_runs(network_names, method_names)
-        obs_trace.flush()
 
     def _iter_runs(
         self,
@@ -333,7 +314,7 @@ class ExperimentRunner:
         ``search_pruned`` break ``search_evaluations`` down by how the search
         dispatched each candidate: full simulation, answered from the
         simulation of an earlier candidate with the same graph key, rejected
-        by the scheduler's ``fits`` (or its planner), or skipped because its
+        by the scheduler's ``fits`` (or its build), or skipped because its
         analytic lower bound lost to the incumbent.  A stored tuning made
         before sharing existed counts 0 shared.
         """

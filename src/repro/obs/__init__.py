@@ -25,7 +25,6 @@ from repro.obs.trace import (
     Tracer,
     configure,
     current_context,
-    flush,
     get_tracer,
     reset,
     span,
@@ -39,7 +38,6 @@ __all__ = [
     "Tracer",
     "configure",
     "current_context",
-    "flush",
     "get_tracer",
     "reset",
     "span",

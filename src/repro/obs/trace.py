@@ -23,9 +23,9 @@ manager.  Because span/trace IDs come from ``os.urandom`` — never the
 seeded simulation RNG — and instrumentation only *observes*, sweep results
 are bit-identical with tracing on.
 
-A tracer made from ``MAS_TRACE`` flushes every span (crash-safe); only
-:func:`configure` batches writes (``buffer_spans``).  Spans time operations,
-not functions: for function hotspots run a ``--jobs 1`` sweep under
+A tracer, made from ``MAS_TRACE`` or by :func:`configure`, writes and
+flushes each span as it closes (crash-safe).  Spans time operations, not
+functions: for function hotspots run a ``--jobs 1`` sweep under
 ``python -m cProfile``.
 
 ``mas-attention obs summarize|convert|validate`` consume the JSONL output;
@@ -51,7 +51,6 @@ __all__ = [
     "Tracer",
     "configure",
     "current_context",
-    "flush",
     "get_tracer",
     "reset",
     "span",
@@ -143,18 +142,14 @@ class Tracer:  # mas-lint: disable=fork-safety(per-process singleton; forked chi
     """Appends completed spans to a JSONL file.
 
     The file is opened in append mode and each span is emitted as one
-    ``write()`` of one full line, which POSIX appends atomically enough for
-    concurrent sweep workers sharing a path.  ``buffer_spans`` batches lines
-    before flushing (default 1: flush every span, crash-safe).
+    ``write()`` of one full line, flushed at once, which POSIX appends
+    atomically enough for concurrent sweep workers sharing a path.
     """
 
-    def __init__(self, path: str | os.PathLike[str], buffer_spans: int = 1) -> None:
+    def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
-        self.buffer_spans = max(1, int(buffer_spans))
         self._lock = threading.Lock()
-        self._pending: list[str] = []
         self._file = open(self.path, "a", encoding="utf-8")
-        self._pid = os.getpid()
         self._closed = False
 
     @contextmanager
@@ -199,38 +194,14 @@ class Tracer:  # mas-lint: disable=fork-safety(per-process singleton; forked chi
         with self._lock:
             if self._closed:
                 return
-            self._pending.append(line)
-            if len(self._pending) >= self.buffer_spans:
-                self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        if self._pending:
-            self._file.write("".join(self._pending))
+            self._file.write(line)
             self._file.flush()
-            self._pending.clear()
-
-    def flush(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self._flush_locked()
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
-            self._flush_locked()
             self._file.close()
-            self._closed = True
-
-    def abandon(self) -> None:
-        """Drop buffered spans and detach from the file without flushing.
-
-        Used by forked children that inherited the parent's tracer: the
-        parent still owns those buffered spans and will flush them itself;
-        flushing the inherited copy would duplicate them.
-        """
-        with self._lock:
-            self._pending.clear()
             self._closed = True
 
 
@@ -238,17 +209,16 @@ _MODULE_LOCK = threading.Lock()
 _tracer: Tracer | None = None
 _tracer_pid: int | None = None
 _atexit_hooked = False
-#: ``(path, buffer_spans)`` of the last :func:`configure`, which forked
-#: children reopen in place of ``MAS_TRACE``.
-_configured: tuple[str | os.PathLike[str], int] | None = None
+#: The path of the last :func:`configure`, which forked children reopen in
+#: place of ``MAS_TRACE``.
+_configured: str | os.PathLike[str] | None = None
 
 
 def _install(tracer: Tracer | None) -> None:
     global _tracer, _tracer_pid, _atexit_hooked
     previous = _tracer
-    if previous is not None and _tracer_pid != os.getpid():
-        previous.abandon()  # inherited across fork: parent owns its buffer
-    elif previous is not None and previous is not tracer:
+    # A tracer inherited across fork is the parent's to close.
+    if previous is not None and previous is not tracer and _tracer_pid == os.getpid():
         previous.close()
     _tracer = tracer
     _tracer_pid = os.getpid()
@@ -265,12 +235,11 @@ def _close_at_exit() -> None:
 
 def get_tracer() -> Tracer | None:
     """The process's tracer: as :func:`configure` set it, else one lazily
-    made from ``MAS_TRACE`` (one span per flush; blank counts as unset).
+    made from ``MAS_TRACE`` (blank counts as unset).
 
     Re-evaluated per PID, so pool workers forked mid-sweep open their own
-    file handle on the configured path and buffer, or else on the inherited
-    environment's (the parent's handle and span buffer are abandoned, not
-    flushed twice).
+    file handle on the configured path, or else on the inherited
+    environment's (the parent's handle is left to the parent).
     """
     if _tracer_pid == os.getpid():
         return _tracer
@@ -278,38 +247,34 @@ def get_tracer() -> Tracer | None:
         if _tracer_pid == os.getpid():
             return _tracer
         if _configured is not None:
-            path, buffer_spans = _configured
-            _install(Tracer(path, buffer_spans=buffer_spans))
+            _install(Tracer(_configured))
         else:
             path = os.environ.get("MAS_TRACE", "").strip() or None
             _install(None if path is None else Tracer(path))
         return _tracer
 
 
-def configure(path: str | os.PathLike[str], buffer_spans: int = 1) -> Tracer:
-    """Programmatically enable tracing (wins over env), flushing every
-    ``buffer_spans`` spans; processes forked afterwards trace to ``path`` too."""
+def configure(path: str | os.PathLike[str]) -> Tracer:
+    """Programmatically enable tracing (wins over env); processes forked
+    afterwards trace to ``path`` too."""
     global _configured
     with _MODULE_LOCK:
-        tracer = Tracer(path, buffer_spans=buffer_spans)
+        tracer = Tracer(path)
         _install(tracer)
-        _configured = (path, buffer_spans)
+        _configured = path
         return tracer
 
 
 def reset() -> None:
     """Disable tracing and forget state, so the next span re-reads the env.
 
-    Flushes and closes the current tracer (if this process owns it).  Tests
-    and benchmarks bracket traced sections with :func:`configure`/:func:`reset`.
+    Closes the current tracer (if this process owns it).  Tests and
+    benchmarks bracket traced sections with :func:`configure`/:func:`reset`.
     """
     global _tracer, _tracer_pid, _configured
     with _MODULE_LOCK:
-        if _tracer is not None:
-            if _tracer_pid == os.getpid():
-                _tracer.close()
-            else:
-                _tracer.abandon()
+        if _tracer is not None and _tracer_pid == os.getpid():
+            _tracer.close()
         _tracer = None
         _tracer_pid = None
         _configured = None
@@ -333,10 +298,3 @@ def current_context() -> TraceContext | None:
     if get_tracer() is None or not _STATE.stack:
         return None
     return _STATE.stack[-1].context
-
-
-def flush() -> None:
-    """Flush buffered spans of this process's tracer, if tracing is on."""
-    tracer = get_tracer()
-    if tracer is not None:
-        tracer.flush()

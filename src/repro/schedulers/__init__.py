@@ -13,7 +13,7 @@ from repro.schedulers.softpipe import SoftPipeScheduler
 from repro.schedulers.flat import FLATScheduler, flat_max_seq_len
 from repro.schedulers.tileflow import TileFlowScheduler
 from repro.schedulers.fusemax import FuseMaxScheduler
-from repro.schedulers.mas import MASAttentionScheduler
+from repro.schedulers.mas import MASAttentionScheduler, mas_max_seq_len
 from repro.schedulers.registry import (
     ALL_SCHEDULERS,
     BASELINE_SCHEDULERS,
@@ -32,6 +32,7 @@ __all__ = [
     "TileFlowScheduler",
     "FuseMaxScheduler",
     "MASAttentionScheduler",
+    "mas_max_seq_len",
     "ALL_SCHEDULERS",
     "BASELINE_SCHEDULERS",
     "get_scheduler",

@@ -167,14 +167,12 @@ class AttentionScheduler(ABC):
             tiling = self.default_tiling(workload)
         tiling = tiling.clamp_to(workload)
         build = self.build(workload, tiling)
-        metadata = dict(build.metadata)
-        metadata.setdefault("tiling", tiling.as_dict())
         return simulate(
             build.graph,
             self.hardware,
             scheduler=self.name,
             workload_name=workload.name or workload.describe(),
-            metadata=metadata,
+            metadata=build.metadata,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -71,7 +71,7 @@ class FLATScheduler(AttentionScheduler):
             emit,
             self.direct_emission,
         )
-        return BuildResult(graph=graph, metadata={"fused": True, "sequential": True})
+        return BuildResult(graph=graph)
 
 
 def flat_max_seq_len(hardware: HardwareConfig, emb: int = 64, dtype_bytes: int = 2) -> int:

@@ -156,7 +156,4 @@ class FuseMaxScheduler(AttentionScheduler):
             self.direct_emission,
         )
 
-        return BuildResult(
-            graph=graph,
-            metadata={"online_softmax": True, "single_pass": True},
-        )
+        return BuildResult(graph=graph)

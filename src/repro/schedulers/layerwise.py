@@ -88,4 +88,4 @@ class LayerWiseScheduler(AttentionScheduler):
 
         emit_stage(graph, emitters, "V", emit_pv, direct)
 
-        return BuildResult(graph=graph, metadata={"stages": 3})
+        return BuildResult(graph=graph)

@@ -72,4 +72,4 @@ class SoftPipeScheduler(AttentionScheduler):
 
         emit_stage(graph, emitters, "V", emit_pv, direct)
 
-        return BuildResult(graph=graph, metadata={"stages": 2})
+        return BuildResult(graph=graph)

@@ -112,4 +112,4 @@ class TileFlowScheduler(AttentionScheduler):
             self.direct_emission,
         )
 
-        return BuildResult(graph=graph, metadata={"fused": True, "synchronous_rounds": True})
+        return BuildResult(graph=graph)

@@ -115,7 +115,7 @@ class SchedulerObjective:
         #: ``num_shared`` candidates answered from the simulation of an
         #: earlier candidate with the same graph key, ``num_infeasible``
         #: candidates rejected without simulating (``fits`` said no, or the
-        #: MAS planner raised), ``num_pruned`` candidates skipped because
+        #: MAS build raised), ``num_pruned`` candidates skipped because
         #: their analytic lower bound lost to the incumbent.
         self.analytic_stats: dict[str, int] = {
             "num_simulated": 0,

@@ -7,7 +7,7 @@ Three contracts are pinned down here:
   sums to, block by block;
 * **valid bounds** — for every registered scheduler, the ``analytic_bounds``
   cycle/energy figures never exceed what the simulator reports, and only
-  MAS's planner ever rejects a tiling, exactly where its ``fits`` says no;
+  MAS's build ever rejects a tiling, exactly where its ``fits`` says no;
 * **bit-identical search** — the unpruned oracle path
   (``SchedulerObjective(analytic_prune=False)``) never bounds anything: memo
   state, evaluation counts, history rows and the best tiling all match the
@@ -165,7 +165,7 @@ class TestBatchedTotalsMatchSerial:
 @pytest.mark.parametrize("name", list(ALL_SCHEDULERS))
 class TestAnalyticBounds:
     def test_fits_is_the_feasibility_rule(self, name, batch_workload, tiny_hw):
-        """Only MAS's planner ever rejects a tiling, exactly where its ``fits``
+        """Only MAS's build ever rejects a tiling, exactly where its ``fits``
         says no; a baseline's ``fits`` is its footprint against L1."""
         scheduler = make_scheduler(name, tiny_hw)
         for tiling in TILINGS:

@@ -116,6 +116,19 @@ class TestCommands:
         assert code == 0
         assert "DRAM accesses" in capsys.readouterr().out
 
+    def test_dram_json_holds_the_constrained_table(self, capsys, tmp_path):
+        """The JSON holds every row the text prints, the constrained-L1 table
+        where the overwrite path fires included."""
+        json_path = tmp_path / "dram.json"
+        code = main(["dram", "--no-search", "--networks", "BERT-Base", "--json", str(json_path)])
+        assert code == 0
+        assert "constrained L1" in capsys.readouterr().out
+        payload = json.loads(json_path.read_text())
+        (standard,) = payload["rows"]
+        (constrained,) = payload["constrained_rows"]
+        assert standard[0] == constrained[0] == "BERT-Base & T5-Base"
+        assert standard[-1] == 0 and constrained[-1] > 0  # overwrite events
+
     def test_table2_streaming_progress(self, capsys):
         code = main(
             ["table2", "--budget", "5", "--networks", "ViT-B/14", "--stream"]

@@ -1,13 +1,12 @@
-"""Unit and integration tests for the MAS-Attention task-graph builder."""
+"""Unit and integration tests for the MAS-Attention scheduler's task graphs."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.mas_attention import build_mas_graph, mas_max_seq_len
 from repro.core.tiling import TilingConfig
+from repro.schedulers.mas import MASAttentionScheduler, mas_max_seq_len
 from repro.sim.engine import simulate_graph
-from repro.sim.executor import simulate
 from repro.sim.tasks import TaskKind, mac_resource, vec_resource
 from repro.utils.units import KB, MB
 from repro.workloads.attention import AttentionWorkload
@@ -20,7 +19,8 @@ def tags_of(graph, kind):
 class TestGraphStructure:
     def test_task_counts_match_tiling(self, edge_hw, small_workload):
         tiling = TilingConfig(nq=32, nkv=32)
-        graph, info = build_mas_graph(small_workload, edge_hw, tiling)
+        scheduler = MASAttentionScheduler(edge_hw)
+        graph = scheduler.build(small_workload, tiling).graph
         num_blocks = tiling.num_blocks(small_workload)
         num_kv_tiles = tiling.num_kv_tiles(small_workload)
         matmuls = tags_of(graph, TaskKind.MATMUL)
@@ -30,31 +30,29 @@ class TestGraphStructure:
         assert len(matmuls) == 2 * num_blocks * num_kv_tiles
         assert len(softmaxes) == num_blocks
         assert len(stores) == num_blocks        # only O is written back
-        assert not info.overflowed
+        assert scheduler.footprint_bytes(small_workload, tiling) <= edge_hw.l1_bytes
 
     def test_only_output_written_to_dram(self, edge_hw, small_workload, small_tiling):
         """Section 5.4.1: MAS writes only O back to DRAM."""
-        graph, _ = build_mas_graph(small_workload, edge_hw, small_tiling)
-        result = simulate(graph, edge_hw)
+        result = MASAttentionScheduler(edge_hw).simulate(small_workload, small_tiling)
         assert result.dram_writes == small_workload.output_bytes
 
     def test_dram_reads_cover_inputs_exactly_when_resident(self, edge_hw, small_workload):
         """With resident K/V and no overwrites, reads equal Q + K + V exactly."""
         tiling = TilingConfig(nq=32, nkv=32, kv_resident=True)
-        graph, info = build_mas_graph(small_workload, edge_hw, tiling)
-        assert info.num_overwrites == 0
-        result = simulate(graph, edge_hw)
+        result = MASAttentionScheduler(edge_hw).simulate(small_workload, tiling)
+        assert result.metadata["num_overwrites"] == 0
         assert result.dram_reads == small_workload.input_bytes
 
     def test_softmax_on_vec_matmul_on_mac(self, edge_hw, small_workload, small_tiling):
-        graph, _ = build_mas_graph(small_workload, edge_hw, small_tiling)
+        graph = MASAttentionScheduler(edge_hw).build(small_workload, small_tiling).graph
         assert all(".vec" in t.resource for t in tags_of(graph, TaskKind.SOFTMAX))
         assert all(".mac" in t.resource for t in tags_of(graph, TaskKind.MATMUL))
 
     def test_dependencies_qk_softmax_pv(self, edge_hw, tiny_workload):
         """Every softmax depends on its block's QK tiles; every PV on its softmax."""
         tiling = TilingConfig(nq=16, nkv=16)
-        graph, _ = build_mas_graph(tiny_workload, edge_hw, tiling)
+        graph = MASAttentionScheduler(edge_hw).build(tiny_workload, tiling).graph
         by_tid = {t.tid: t for t in graph}
         for sm in tags_of(graph, TaskKind.SOFTMAX):
             dep_ops = {by_tid[d].tags.get("op") for d in sm.deps}
@@ -65,26 +63,29 @@ class TestGraphStructure:
                 assert "SM" in dep_ops
 
     def test_blocks_distributed_across_cores(self, edge_hw, small_workload, small_tiling):
-        graph, info = build_mas_graph(small_workload, edge_hw, small_tiling)
-        assert len(info.blocks_per_core) == edge_hw.num_cores
-        assert all(count > 0 for count in info.blocks_per_core)
-        trace = simulate_graph(graph)
+        scheduler = MASAttentionScheduler(edge_hw)
+        blocks_per_core = [len(blocks) for blocks in scheduler.blocks(small_workload, small_tiling)]
+        assert len(blocks_per_core) == edge_hw.num_cores
+        assert all(count > 0 for count in blocks_per_core)
+        trace = scheduler.simulate(small_workload, small_tiling).trace
         for core in range(edge_hw.num_cores):
             assert trace.busy_cycles(mac_resource(core)) > 0
             assert trace.busy_cycles(vec_resource(core)) > 0
 
     def test_default_tiling_used_when_none_given(self, edge_hw, small_workload):
-        graph, info = build_mas_graph(small_workload, edge_hw, tiling=None)
-        assert len(graph) > 0
-        assert info.footprint_bytes <= edge_hw.l1_bytes
+        scheduler = MASAttentionScheduler(edge_hw)
+        tiling = scheduler.default_tiling(small_workload)
+        result = scheduler.simulate(small_workload)
+        assert result.cycles > 0
+        assert result.cycles == scheduler.simulate(small_workload, tiling).cycles
+        assert scheduler.footprint_bytes(small_workload, tiling) <= edge_hw.l1_bytes
 
 
 class TestMacVecOverlap:
     def test_mac_and_vec_overlap_in_time(self, edge_hw, small_workload):
         """The defining property of MAS-Attention: MatMul and softmax overlap."""
         tiling = TilingConfig(nq=32, nkv=32, kv_resident=True)
-        graph, _ = build_mas_graph(small_workload, edge_hw, tiling)
-        trace = simulate_graph(graph)
+        trace = MASAttentionScheduler(edge_hw).simulate(small_workload, tiling).trace
         overlap = trace.overlap_cycles(mac_resource(0), vec_resource(0))
         bound = min(trace.busy_cycles(mac_resource(0)), trace.busy_cycles(vec_resource(0)))
         assert overlap > 0.4 * bound
@@ -97,8 +98,7 @@ class TestMacVecOverlap:
         """
         workload = AttentionWorkload.self_attention(heads=4, seq=256, emb=64, name="cb")
         tiling = TilingConfig(nq=32, nkv=64, kv_resident=True)
-        graph, _ = build_mas_graph(workload, edge_hw, tiling)
-        trace = simulate_graph(graph)
+        trace = MASAttentionScheduler(edge_hw).simulate(workload, tiling).trace
         serial = trace.busy_cycles(mac_resource(0)) + trace.busy_cycles(vec_resource(0))
         assert trace.total_cycles < serial
 
@@ -113,10 +113,11 @@ class TestOverwritePath:
 
     def test_overwrite_adds_reload_traffic(self, overflowing):
         hw, workload, tiling = overflowing
-        graph, info = build_mas_graph(workload, hw, tiling, enable_overwrite=True)
-        assert info.overflowed and info.num_overwrites > 0
-        assert info.extra_dram_bytes > 0
-        result = simulate(graph, hw)
+        scheduler = MASAttentionScheduler(hw, enable_overwrite=True)
+        assert scheduler.footprint_bytes(workload, tiling) > hw.l1_bytes
+        result = scheduler.simulate(workload, tiling)
+        assert result.metadata["num_overwrites"] > 0
+        assert result.metadata["extra_dram_bytes"] > 0
         assert result.dram_reads > workload.input_bytes
         # Writes stay identical to the non-overflowing case: only O.
         assert result.dram_writes == workload.output_bytes
@@ -125,16 +126,16 @@ class TestOverwritePath:
         """With the strategy on, the overflowing schedule is faster than degrading
         the pipeline to sequential execution (the no-overwrite fallback)."""
         hw, workload, tiling = overflowing
-        graph_on, info_on = build_mas_graph(workload, hw, tiling, enable_overwrite=True)
-        graph_off, info_off = build_mas_graph(workload, hw, tiling, enable_overwrite=False)
-        assert info_on.num_overwrites > 0
-        assert info_off.num_overwrites == 0 and info_off.serialized_blocks > 0
-        assert simulate(graph_on, hw).cycles < simulate(graph_off, hw).cycles
+        on = MASAttentionScheduler(hw, enable_overwrite=True).simulate(workload, tiling)
+        off = MASAttentionScheduler(hw, enable_overwrite=False).simulate(workload, tiling)
+        assert on.metadata["num_overwrites"] > 0
+        assert off.metadata["num_overwrites"] == 0 and off.metadata["serialized_blocks"] > 0
+        assert on.cycles < off.cycles
 
     def test_redo_tasks_follow_trigger_softmax(self, overflowing):
         """A redone MatMul tile never starts before the softmax that triggered the overwrite."""
         hw, workload, tiling = overflowing
-        graph, _ = build_mas_graph(workload, hw, tiling, enable_overwrite=True)
+        graph = MASAttentionScheduler(hw, enable_overwrite=True).build(workload, tiling).graph
         trace = simulate_graph(graph)
         records = {r.task.tid: r for r in trace.records}
         by_tid = {t.tid: t for t in graph}
@@ -146,8 +147,9 @@ class TestOverwritePath:
             assert records[redo.tid].start >= max(records[d].finish for d in reload_deps)
 
     def test_no_overwrite_when_memory_suffices(self, edge_hw, small_workload, small_tiling):
-        graph, info = build_mas_graph(small_workload, edge_hw, small_tiling, enable_overwrite=True)
-        assert info.num_overwrites == 0 and info.extra_dram_bytes == 0
+        scheduler = MASAttentionScheduler(edge_hw, enable_overwrite=True)
+        metadata = scheduler.build(small_workload, small_tiling).metadata
+        assert metadata["num_overwrites"] == 0 and metadata["extra_dram_bytes"] == 0
 
 
 class TestSequenceLimits:

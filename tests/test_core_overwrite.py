@@ -5,9 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.costs import TileCosts, partition_blocks
-from repro.core.overwrite import InfeasibleTilingError, OverwriteEvent, OverwritePlan, OverwritePlanner
-from repro.core.tiling import TilingConfig
-from repro.utils.units import KB, MB
+from repro.core.overwrite import InfeasibleTilingError, OverwriteEvent, plan_overwrites
+from repro.core.tiling import (
+    TilingConfig,
+    mas_footprint_bytes,
+    mas_non_evictable_bytes,
+    operand_tile_bytes,
+)
+from repro.schedulers.mas import MASAttentionScheduler
+from repro.utils.units import KB
 from repro.workloads.attention import AttentionWorkload
 
 
@@ -17,101 +23,101 @@ def long_workload() -> AttentionWorkload:
     return AttentionWorkload.self_attention(heads=2, seq=1024, emb=64, name="long")
 
 
-def make_planner(hw, workload, tiling, enabled=True):
-    return OverwritePlanner(workload, hw, tiling, enabled=enabled)
+#: A tiling of ``long_workload`` whose resident K/V overflow a 256 KB L1.
+OVERFLOWING = TilingConfig(nq=32, nkv=128, kv_resident=True)
+
+
+def plan(hw, workload, tiling):
+    """The overflow of a regular round and the events of one core's blocks."""
+    overflow = mas_footprint_bytes(workload, tiling) - hw.l1_bytes
+    costs = TileCosts(workload, hw, tiling)
+    blocks = partition_blocks(workload, tiling, 1)[0]
+    return overflow, plan_overwrites(blocks, costs, overflow)
 
 
 class TestOverwriteEvent:
     def test_validation(self):
         OverwriteEvent(block_index=2, victim="K", interrupted_op="QK",
-                       tiles_overwritten=1, reload_bytes=100, redo_tiles=1)
+                       reload_bytes=100, redo_tiles=1)
         with pytest.raises(ValueError):
             OverwriteEvent(block_index=2, victim="P", interrupted_op="QK",
-                           tiles_overwritten=1, reload_bytes=100, redo_tiles=1)
+                           reload_bytes=100, redo_tiles=1)
         with pytest.raises(ValueError):
             OverwriteEvent(block_index=2, victim="K", interrupted_op="SM",
-                           tiles_overwritten=1, reload_bytes=100, redo_tiles=1)
-        with pytest.raises(ValueError):
-            OverwriteEvent(block_index=2, victim="K", interrupted_op="QK",
-                           tiles_overwritten=0, reload_bytes=100, redo_tiles=1)
+                           reload_bytes=100, redo_tiles=1)
 
 
-class TestOverwritePlan:
-    def test_aggregates(self):
-        plan = OverwritePlan(events=[
-            OverwriteEvent(2, "V", "PV", 1, 1000, 1),
-            OverwriteEvent(3, "K", "QK", 2, 2000, 1),
-        ])
-        assert plan.num_events == 2
-        assert plan.total_reload_bytes == 3000
-        assert plan.total_redo_tiles == 2
-        by_block = {event.block_index: event for event in plan.events}
-        assert by_block[3].victim == "K"
-        assert 7 not in by_block
-
-
-class TestOverwritePlanner:
+class TestPlanOverwrites:
     def test_no_overflow_no_events(self, edge_hw, small_workload, small_tiling):
         """On the 5 MB device the small workload never overflows."""
-        planner = make_planner(edge_hw, small_workload, small_tiling)
-        assert planner.overflow_bytes() == 0
-        costs = TileCosts(small_workload, edge_hw, small_tiling)
-        blocks = partition_blocks(small_workload, small_tiling, 1)[0]
-        assert planner.plan(blocks, costs).num_events == 0
+        overflow, events = plan(edge_hw, small_workload, small_tiling)
+        assert overflow <= 0
+        assert events == []
 
     def test_overflow_produces_events(self, edge_hw, long_workload):
-        hw = edge_hw.with_l1_bytes(256 * KB)
-        tiling = TilingConfig(nq=32, nkv=128, kv_resident=True)
-        planner = make_planner(hw, long_workload, tiling)
-        assert planner.overflow_bytes() > 0
-        costs = TileCosts(long_workload, hw, tiling)
-        blocks = partition_blocks(long_workload, tiling, 1)[0]
-        plan = planner.plan(blocks, costs)
-        assert plan.num_events > 0
-        assert plan.total_reload_bytes > 0
+        overflow, events = plan(edge_hw.with_l1_bytes(256 * KB), long_workload, OVERFLOWING)
+        assert overflow > 0
+        assert events
+        assert sum(e.reload_bytes for e in events) > 0
 
     def test_warmup_blocks_never_overwritten(self, edge_hw, long_workload):
-        hw = edge_hw.with_l1_bytes(256 * KB)
-        tiling = TilingConfig(nq=32, nkv=128, kv_resident=True)
-        planner = make_planner(hw, long_workload, tiling)
-        costs = TileCosts(long_workload, hw, tiling)
-        blocks = partition_blocks(long_workload, tiling, 1)[0]
-        plan = planner.plan(blocks, costs)
-        assert all(e.block_index >= 2 for e in plan.events)
+        _, events = plan(edge_hw.with_l1_bytes(256 * KB), long_workload, OVERFLOWING)
+        assert all(e.block_index >= 2 for e in events)
 
     def test_victims_follow_the_paper_cases(self, edge_hw, long_workload):
         """Both Figure-2 (V overwritten, PV halted) and Figure-3 (K, QK) cases occur."""
-        hw = edge_hw.with_l1_bytes(256 * KB)
-        tiling = TilingConfig(nq=32, nkv=128, kv_resident=True)
-        planner = make_planner(hw, long_workload, tiling)
-        costs = TileCosts(long_workload, hw, tiling)
-        blocks = partition_blocks(long_workload, tiling, 1)[0]
-        plan = planner.plan(blocks, costs)
-        pairs = {(e.victim, e.interrupted_op) for e in plan.events}
+        _, events = plan(edge_hw.with_l1_bytes(256 * KB), long_workload, OVERFLOWING)
+        pairs = {(e.victim, e.interrupted_op) for e in events}
         assert pairs <= {("V", "PV"), ("K", "QK")}
         assert len(pairs) == 2
 
-    def test_disabled_planner_emits_nothing(self, edge_hw, long_workload):
+    def test_metadata_totals_the_plan(self, edge_hw, long_workload):
+        """A build's metadata counts every core's planned events and their
+        reload bytes, and its graph holds one reload task per event and the
+        events' redo tiles."""
         hw = edge_hw.with_l1_bytes(256 * KB)
-        tiling = TilingConfig(nq=32, nkv=128, kv_resident=True)
-        planner = make_planner(hw, long_workload, tiling, enabled=False)
-        costs = TileCosts(long_workload, hw, tiling)
-        blocks = partition_blocks(long_workload, tiling, 1)[0]
-        assert planner.plan(blocks, costs).num_events == 0
+        scheduler = MASAttentionScheduler(hw)
+        overflow = mas_footprint_bytes(long_workload, OVERFLOWING) - hw.l1_bytes
+        costs = TileCosts(long_workload, hw, OVERFLOWING)
+        events = [
+            event
+            for blocks in scheduler.blocks(long_workload, OVERFLOWING)
+            for event in plan_overwrites(blocks, costs, overflow)
+        ]
+        build = scheduler.build(long_workload, OVERFLOWING)
+        assert build.metadata["num_overwrites"] == len(events) > 0
+        assert build.metadata["extra_dram_bytes"] == sum(e.reload_bytes for e in events)
+        assert len([t for t in build.graph if t.tags.get("overwrite")]) == len(events)
+        redo = [t for t in build.graph if t.tags.get("redo")]
+        assert len(redo) == sum(e.redo_tiles for e in events)
+
+    def test_disabled_overwrite_emits_no_reload_or_redo(self, edge_hw, long_workload):
+        hw = edge_hw.with_l1_bytes(256 * KB)
+        graph = MASAttentionScheduler(hw, enable_overwrite=False).build(
+            long_workload, OVERFLOWING
+        ).graph
+        assert not [t for t in graph if t.tags.get("overwrite") or t.tags.get("redo")]
 
     def test_infeasible_when_non_evictable_data_exceeds_l1(self, edge_hw, long_workload):
         """P_i and the score blocks cannot be evicted; if they alone overflow, fail."""
-        hw = edge_hw.with_l1_bytes(64 * KB)
+        scheduler = MASAttentionScheduler(edge_hw.with_l1_bytes(64 * KB))
         tiling = TilingConfig(nq=128, nkv=128)
-        planner = make_planner(hw, long_workload, tiling)
-        with pytest.raises(InfeasibleTilingError):
-            planner.check_feasible()
+        assert not scheduler.fits(long_workload, tiling)
+        with pytest.raises(InfeasibleTilingError, match="non-evictable residency"):
+            scheduler.build(long_workload, tiling)
 
-    def test_residency_accounting(self, edge_hw, small_workload):
-        tiling = TilingConfig(nq=32, nkv=32, kv_resident=True)
-        planner = make_planner(edge_hw, small_workload, tiling)
-        assert planner.steady_state_bytes() == (
-            planner.non_evictable_bytes() + planner.kv_resident_bytes()
-        )
-        streamed = make_planner(edge_hw, small_workload, TilingConfig(nq=32, nkv=32))
-        assert streamed.kv_resident_bytes() < planner.kv_resident_bytes()
+    def test_residency_accounting(self, small_workload):
+        """The steady-state residency is the non-evictable part plus the K/V
+        tiles, all of K and V when they stay resident."""
+        resident = TilingConfig(nq=32, nkv=32, kv_resident=True)
+        streamed = TilingConfig(nq=32, nkv=32)
+
+        def kv_bytes(tiling):
+            return mas_footprint_bytes(small_workload, tiling) - mas_non_evictable_bytes(
+                small_workload, tiling
+            )
+
+        tiles = operand_tile_bytes(small_workload, resident)
+        assert kv_bytes(resident) == tiles["k_full"] + tiles["v_full"]
+        assert kv_bytes(streamed) == tiles["k"] + tiles["v"]
+        assert kv_bytes(streamed) < kv_bytes(resident)

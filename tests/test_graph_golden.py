@@ -258,9 +258,11 @@ def test_decode_grid_overwrites_and_serializes():
     workload, factors = SHAPES["decode4"]
     for tiling in _tilings(factors[:1]):
         l1 = _overflow_l1(workload, tiling)
-        mas = _scheduler("mas", l1).build(workload, tiling).metadata
+        scheduler = _scheduler("mas", l1)
+        mas = scheduler.build(workload, tiling).metadata
         serialized = _scheduler("mas-no-overwrite", l1).build(workload, tiling).metadata
-        assert (mas["blocks_per_core"], mas["num_overwrites"]) == ([4, 4], 4)
+        blocks_per_core = [len(blocks) for blocks in scheduler.blocks(workload, tiling)]
+        assert (blocks_per_core, mas["num_overwrites"]) == ([4, 4], 4)
         assert serialized["serialized_blocks"] == 10
 
 

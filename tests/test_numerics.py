@@ -188,7 +188,7 @@ class TestReplay:
         """MAS's PV tile stream emitted twice (its resident V loads once) rewrites
         a live accumulator slot: the replay names both writers by task id, since
         they share a name."""
-        from repro.core.mas_attention import _MASCoreEmitter
+        from repro.schedulers.mas import _MASCoreEmitter
 
         emit_pv = _MASCoreEmitter._emit_pv
 

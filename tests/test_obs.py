@@ -78,7 +78,7 @@ class TestTraceContext:
 
 
 # --------------------------------------------------------------------------- #
-# Tracer: spans, nesting, buffering, enablement
+# Tracer: spans, nesting, enablement
 # --------------------------------------------------------------------------- #
 class TestTracer:
     def test_disabled_by_default(self, tmp_path):
@@ -94,7 +94,7 @@ class TestTracer:
             with obs_trace.span("inner", layer="test") as inner:
                 assert inner.context.trace_id == outer.context.trace_id
                 assert obs_trace.current_context() == inner.context
-        obs_trace.reset()  # flush + close
+        obs_trace.reset()  # close
 
         spans = {s["name"]: s for s in read_trace(path)}
         assert spans["outer"]["parent_id"] is None
@@ -126,24 +126,14 @@ class TestTracer:
         assert record["layer"] == "store"
         assert record["dur_us"] >= 0 and record["pid"] == os.getpid()
 
-    def test_buffering_batches_writes_until_flush(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        obs_trace.configure(path, buffer_spans=100)
-        with obs_trace.span("buffered"):
-            pass
-        assert path.read_text() == ""  # still pending
-        obs_trace.flush()
-        assert len(read_trace(path)) == 1
-
     def test_env_tracer_writes_each_span_as_it_closes(self, tmp_path, monkeypatch):
-        """A tracer enabled by ``MAS_TRACE`` alone buffers one span: each
-        closed span is on disk without a flush."""
+        """A tracer enabled by ``MAS_TRACE`` alone puts each closed span on
+        disk at once."""
         path = tmp_path / "env_trace.jsonl"
         monkeypatch.setenv("MAS_TRACE", str(path))
         obs_trace.reset()
         with obs_trace.span("first"):
             pass
-        assert obs_trace.get_tracer().buffer_spans == 1
         assert [s["name"] for s in read_trace(path)] == ["first"]
         with obs_trace.span("second"):
             pass
@@ -167,7 +157,6 @@ class TestTracer:
         assert obs_trace.get_tracer() is None
         with obs_trace.span("nothing", layer="test") as sp:
             assert sp.context is None
-        obs_trace.flush()
         assert list(tmp_path.iterdir()) == []
 
     def test_padded_env_path_is_stripped(self, tmp_path, monkeypatch):
@@ -184,15 +173,15 @@ class TestTracer:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_forked_process_reopens_the_configured_tracer(self, tmp_path, monkeypatch):
-        """A new PID opens its own tracer on the configured path and buffer,
-        which win over ``MAS_TRACE``; after ``reset()`` it reads the env again."""
+        """A new PID opens its own tracer on the configured path, which wins
+        over ``MAS_TRACE``; after ``reset()`` it reads the env again."""
         monkeypatch.setenv("MAS_TRACE", str(tmp_path / "env.jsonl"))
         path = tmp_path / "configured.jsonl"
-        parent = obs_trace.configure(path, buffer_spans=64)
+        parent = obs_trace.configure(path)
         monkeypatch.setattr(obs_trace, "_tracer_pid", -1)  # as seen from a forked child
         child = obs_trace.get_tracer()
         assert child is not parent
-        assert (child.path, child.buffer_spans) == (str(path), 64)
+        assert child.path == str(path)
         obs_trace.reset()
         monkeypatch.delenv("MAS_TRACE")
         monkeypatch.setattr(obs_trace, "_tracer_pid", -1)
@@ -202,7 +191,7 @@ class TestTracer:
         """``configure`` around a ``jobs=2`` sweep records the pairs its pool
         workers run, each under the sweep span."""
         path = tmp_path / "sweep.jsonl"
-        obs_trace.configure(path, buffer_spans=64)
+        obs_trace.configure(path)
         try:
             ExperimentRunner(search_budget=4, jobs=2, use_cache=False).run_matrix(
                 ["ViT-B/14"], ["flat", "mas"]

@@ -166,11 +166,14 @@ class TestDataflowSpecifics:
         build = tf.build(small_workload, tf.default_tiling(small_workload))
         assert any(t.kind == TaskKind.BARRIER for t in build.graph)
 
-    def test_mas_metadata_exposed(self, edge_hw, small_workload):
-        result = MASAttentionScheduler(edge_hw).simulate(small_workload)
-        assert "num_overwrites" in result.metadata
-        assert "footprint_bytes" in result.metadata
-        assert "tiling" in result.metadata
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_metadata_holds_only_what_programs_read(self, edge_hw, small_workload, name):
+        """MAS reports its overwrite count, reload bytes and serialized blocks;
+        every other fact about a build is a scheduler method, and a baseline
+        reports nothing."""
+        result = make_scheduler(name, edge_hw).simulate(small_workload)
+        expected = {"num_overwrites", "extra_dram_bytes", "serialized_blocks"}
+        assert set(result.metadata) == (expected if name == "mas" else set())
 
 
 class TestRelativePerformance:
