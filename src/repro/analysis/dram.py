@@ -83,8 +83,9 @@ class DramAnalysisResult:
             for r in rows
         ]
 
-    def format(self) -> str:
-        headers = [
+    def columns(self) -> list[str]:
+        """The header cell of each :meth:`as_rows` column, in both tables."""
+        return [
             "Network",
             "FLAT reads (B)",
             "MAS reads (B)",
@@ -94,6 +95,9 @@ class DramAnalysisResult:
             "writes equal",
             "overwrites",
         ]
+
+    def format(self) -> str:
+        headers = self.columns()
         parts = [
             format_table(
                 headers,

@@ -72,10 +72,13 @@ class Figure5Result:
         )
         return data
 
+    def columns(self) -> list[str]:
+        """The header cell of each :meth:`as_rows` column."""
+        return ["Network"] + [f"{m} (norm.)" for m in self.methods]
+
     def format(self) -> str:
-        headers = ["Network"] + [f"{m} (norm.)" for m in self.methods]
         return format_table(
-            headers,
+            self.columns(),
             self.as_rows(),
             precision=3,
             title="Figure 5: normalized execution time on the DaVinci-like NPU"

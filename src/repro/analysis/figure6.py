@@ -91,10 +91,13 @@ class Figure6Result:
             )
         return rows
 
+    def columns(self) -> list[str]:
+        """The header cell of each :meth:`as_rows` column."""
+        return ["Network", "Method"] + [f"{c} (1e9 pJ)" for c in COMPONENTS] + ["total"]
+
     def format(self) -> str:
-        headers = ["Network", "Method"] + [f"{c} (1e9 pJ)" for c in COMPONENTS] + ["total"]
         return format_table(
-            headers,
+            self.columns(),
             self.as_rows(),
             precision=3,
             title="Figure 6: energy breakdown by component"

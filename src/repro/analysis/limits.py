@@ -19,6 +19,7 @@ from repro.hardware.presets import simulated_edge_device
 from repro.schedulers.flat import flat_max_seq_len
 from repro.schedulers.mas import mas_max_seq_len
 from repro.utils.units import MB
+from repro.workloads.attention import FP16_BYTES
 
 __all__ = ["SequenceLimitRow", "SequenceLimitResult", "run_limits"]
 
@@ -42,7 +43,6 @@ class SequenceLimitResult:
     """Sequence-length limits across a sweep of L1 capacities."""
 
     emb: int
-    dtype_bytes: int
     rows: list[SequenceLimitRow] = field(default_factory=list)
 
     def row_for_l1(self, l1_bytes: int) -> SequenceLimitRow:
@@ -65,7 +65,7 @@ class SequenceLimitResult:
             precision=2,
             title=(
                 "Section 5.6: maximum sequence length "
-                f"(E={self.emb}, {self.dtype_bytes}-byte elements)"
+                f"(E={self.emb}, {FP16_BYTES}-byte elements)"
             ),
         )
 
@@ -74,20 +74,19 @@ def run_limits(
     hardware: HardwareConfig | None = None,
     l1_sweep_bytes: list[int] | None = None,
     emb: int = 64,
-    dtype_bytes: int = 2,
 ) -> SequenceLimitResult:
     """Reproduce the Section 5.6 sequence-length-limit analysis."""
     hardware = hardware or simulated_edge_device()
     if l1_sweep_bytes is None:
         l1_sweep_bytes = [1 * MB, 2 * MB, hardware.l1_bytes, 8 * MB]
-    result = SequenceLimitResult(emb=emb, dtype_bytes=dtype_bytes)
+    result = SequenceLimitResult(emb=emb)
     for l1 in sorted(set(l1_sweep_bytes)):
         device = hardware.with_l1_bytes(l1)
         result.rows.append(
             SequenceLimitRow(
                 l1_bytes=l1,
-                mas_max_seq=mas_max_seq_len(device, emb=emb, dtype_bytes=dtype_bytes),
-                flat_max_seq=flat_max_seq_len(device, emb=emb, dtype_bytes=dtype_bytes),
+                mas_max_seq=mas_max_seq_len(device, emb=emb),
+                flat_max_seq=flat_max_seq_len(device, emb=emb),
             )
         )
     return result

@@ -86,11 +86,7 @@ def _apply(base: HardwareConfig, parameter: str, value: float) -> HardwareConfig
     if parameter == "l1_bytes":
         return base.with_l1_bytes(int(value))
     if parameter == "dram_bytes_per_cycle":
-        return replace(
-            base,
-            dma=replace(base.dma, bytes_per_cycle=float(value)),
-            dram=replace(base.dram, bandwidth_bytes_per_cycle=float(value)),
-        )
+        return replace(base, dma=replace(base.dma, bytes_per_cycle=float(value)))
     if parameter == "vec_throughput":
         return replace(base, vec=replace(base.vec, throughput_ops_per_cycle=int(value)))
     raise KeyError(f"unknown sweep parameter {parameter!r}; options: {SWEEPABLE_PARAMETERS}")

@@ -80,16 +80,19 @@ class Table2Result:
         )
         return data
 
-    def format(self) -> str:
-        """ASCII rendering in the paper's layout (cycles then speedups)."""
+    def columns(self) -> list[str]:
+        """The header cell of each :meth:`as_rows` column."""
         baselines = [m for m in self.methods if m != "mas"]
-        headers = (
+        return (
             ["Network"]
             + [f"{m} (Mcyc)" for m in self.methods]
             + [f"MAS vs {m}" for m in baselines]
         )
+
+    def format(self) -> str:
+        """ASCII rendering in the paper's layout (cycles then speedups)."""
         return format_table(
-            headers,
+            self.columns(),
             self.as_rows(),
             precision=3,
             title="Table 2: cycles and speedups (simulated edge device)"

@@ -74,15 +74,18 @@ class Table3Result:
         )
         return data
 
-    def format(self) -> str:
+    def columns(self) -> list[str]:
+        """The header cell of each :meth:`as_rows` column."""
         baselines = [m for m in self.methods if m != "mas"]
-        headers = (
+        return (
             ["Network"]
             + [f"{m} (1e9 pJ)" for m in self.methods]
             + [f"savings vs {m} (%)" for m in baselines]
         )
+
+    def format(self) -> str:
         return format_table(
-            headers,
+            self.columns(),
             self.as_rows(),
             precision=2,
             title="Table 3: energy consumption and savings (simulated edge device)"

@@ -579,7 +579,7 @@ def _emit(text: str, result: object, json_path: str | None) -> None:
     print(text)
     if json_path:
         if hasattr(result, "as_rows"):
-            payload = {"rows": to_jsonable(result.as_rows())}
+            payload = {"columns": result.columns(), "rows": to_jsonable(result.as_rows())}
             if isinstance(result, DramAnalysisResult):
                 # The constrained-L1 table the text prints, where the
                 # overwrite path fires (Section 5.4).

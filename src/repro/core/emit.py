@@ -264,11 +264,11 @@ class CoreEmitter:
             ("op", "PV", block.index, tile),
         )
 
-    def redo(self, block: Block, op: str, index: int, deps: Sequence[int]) -> int:
-        """Redo a tile of the ``"QK"`` or ``"PV"`` MatMul an overwrite interrupted (Section 4.3)."""
+    def redo(self, block: Block, op: str, deps: Sequence[int]) -> int:
+        """Redo the tile of the ``"QK"`` or ``"PV"`` MatMul an overwrite interrupted (Section 4.3)."""
         cost = self.costs.qk_tile(block, 0) if op == "QK" else self.costs.pv_tile(block, 0)
         return self._add(
-            TaskKind.MATMUL, self.mac, cost, deps, f"redo_{op}", index, block,
+            TaskKind.MATMUL, self.mac, cost, deps, f"redo_{op}", 0, block,
             ("op", op, block.index, None, "redo"),
         )
 

@@ -44,22 +44,19 @@ class InfeasibleTilingError(ValueError):
 
 @dataclass(frozen=True)
 class OverwriteEvent:
-    """One planned overwrite: which operand is dropped for which block."""
+    """One planned overwrite: which operand is dropped for which block.
+
+    Dropping ``V`` interrupts the block's PV MatMul (Figure 2) and dropping
+    ``K`` its QK MatMul (Figure 3); either way one tile is redone.
+    """
 
     block_index: int
     victim: str                 # "K" or "V"
-    interrupted_op: str         # "QK" or "PV"
     reload_bytes: int
-    redo_tiles: int
 
     def __post_init__(self) -> None:
         require(self.victim in ("K", "V"), f"victim must be 'K' or 'V', got {self.victim!r}")
-        require(
-            self.interrupted_op in ("QK", "PV"),
-            f"interrupted_op must be 'QK' or 'PV', got {self.interrupted_op!r}",
-        )
         require(self.reload_bytes >= 0, "reload_bytes must be >= 0")
-        require(self.redo_tiles >= 0, "redo_tiles must be >= 0")
 
 
 def plan_overwrites(blocks: list[Block], costs: TileCosts, overflow: int) -> list[OverwriteEvent]:
@@ -89,9 +86,7 @@ def plan_overwrites(blocks: list[Block], costs: TileCosts, overflow: int) -> lis
             OverwriteEvent(
                 block_index=block.index,
                 victim=victim,
-                interrupted_op="PV" if victim == "V" else "QK",
                 reload_bytes=sum(costs.kv_tile_bytes(block, t) for t in range(tiles)),
-                redo_tiles=1,
             )
         )
     return events

@@ -34,16 +34,6 @@ class AccessCounters:
         for name in _ACCESS_COUNTERS:
             require(getattr(self, name) >= 0, f"{name} must be >= 0")
 
-    def __add__(self, other: "AccessCounters") -> "AccessCounters":
-        return AccessCounters(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in _ACCESS_COUNTERS
-                if name != "total_cycles"
-            },
-            total_cycles=max(self.total_cycles, other.total_cycles),
-        )
-
 
 #: The field names of :class:`AccessCounters`, read once rather than on
 #: every simulation.
@@ -77,18 +67,6 @@ class EnergyBreakdown:
     def pe_pj(self) -> float:
         """Combined MAC+VEC processing-element energy."""
         return self.mac_pe_pj + self.vec_pe_pj
-
-    def as_dict(self) -> dict[str, float]:
-        """Component -> picojoules mapping (plus the total)."""
-        return {
-            "DRAM": self.dram_pj,
-            "L1": self.l1_pj,
-            "L0": self.l0_pj,
-            "MAC_PE": self.mac_pe_pj,
-            "VEC_PE": self.vec_pe_pj,
-            "leakage": self.leakage_pj,
-            "total": self.total_pj,
-        }
 
 
 def energy_breakdown(cfg: HardwareConfig, counts: Mapping) -> EnergyBreakdown:

@@ -10,12 +10,11 @@ from repro.utils.validation import require
 
 
 def _transfer_cycles(config: HardwareConfig, num_bytes: ArrayLike) -> ArrayLike:
-    """Shared scalar/array expression for a non-empty transfer's cycle count."""
-    transfer = cdiv(num_bytes, max(1, int(config.dma.bytes_per_cycle)))
-    # Account for fractional bytes/cycle bandwidths (< 1 B/cycle).
-    if config.dma.bytes_per_cycle < 1.0:
-        scaled = num_bytes / config.dma.bytes_per_cycle + 0.999999
-        transfer = scaled.astype(np.int64) if isinstance(scaled, np.ndarray) else int(scaled)
+    """Shared scalar/array expression for a non-empty transfer's cycle count:
+    ``ceil(num_bytes / bytes_per_cycle)`` at any positive bandwidth, plus the
+    setup cost."""
+    transfer = cdiv(num_bytes, config.dma.bytes_per_cycle)
+    transfer = transfer.astype(np.int64) if isinstance(transfer, np.ndarray) else int(transfer)
     return transfer + config.dma.setup_cycles
 
 

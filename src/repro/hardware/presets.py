@@ -3,7 +3,9 @@
 ``simulated_edge_device``
     The paper's simulated edge accelerator (Section 5.1, Figure 4): 3.75 GHz,
     two cores each with a 16x16 MAC array and a 256-lane VEC unit, 5 MB L1,
-    6 GB DRAM at 30 GB/s.
+    6 GB DRAM at 30 GB/s (8 bytes per cycle), and an L0 register file next to
+    the PEs.  The model holds the parts of it a simulation reads
+    (:mod:`repro.hardware.config`).
 
 ``davinci_like_npu``
     A stand-in for the Huawei MatePad Pro 13.2 DaVinci NPU (Kirin 990): three
@@ -22,7 +24,7 @@
 from __future__ import annotations
 
 from repro.hardware.config import DmaSpec, HardwareConfig, MacUnitSpec, MemoryLevelSpec, VecUnitSpec
-from repro.utils.units import GB, GHZ, KB, MB
+from repro.utils.units import GHZ, KB, MB
 
 
 def simulated_edge_device() -> HardwareConfig:
@@ -38,36 +40,17 @@ def davinci_like_npu() -> HardwareConfig:
         num_cores=3,
         mac=MacUnitSpec(rows=16, cols=16, fill_overhead_cycles=16),
         vec=VecUnitSpec(
-            lanes=128,
             throughput_ops_per_cycle=24,
             softmax_ops_per_element=12,
             row_overhead_cycles=24,
         ),
-        dram=MemoryLevelSpec(
-            name="DRAM",
-            size_bytes=8 * GB,
-            read_pj_per_byte=80.0,
-            write_pj_per_byte=80.0,
-            bandwidth_bytes_per_cycle=16.0,
-        ),
-        l1=MemoryLevelSpec(
-            name="L1",
-            size_bytes=1 * MB,
-            read_pj_per_byte=2.5,
-            write_pj_per_byte=2.8,
-            bandwidth_bytes_per_cycle=128.0,
-        ),
-        l0=MemoryLevelSpec(
-            name="L0",
-            size_bytes=32 * KB,
-            read_pj_per_byte=0.2,
-            write_pj_per_byte=0.25,
-            bandwidth_bytes_per_cycle=512.0,
-        ),
+        l1_bytes=1 * MB,
+        dram=MemoryLevelSpec(read_pj_per_byte=80.0, write_pj_per_byte=80.0),
+        l1=MemoryLevelSpec(read_pj_per_byte=2.5, write_pj_per_byte=2.8),
+        l0=MemoryLevelSpec(read_pj_per_byte=0.2, write_pj_per_byte=0.25),
         dma=DmaSpec(bytes_per_cycle=16.0, setup_cycles=16),
         mac_pj_per_op=0.9,
         vec_pj_per_op=0.7,
-        dtype_bytes=2,
     )
 
 

@@ -21,7 +21,7 @@ from repro.hardware.config import HardwareConfig
 from repro.schedulers.base import AttentionScheduler, BuildResult
 from repro.sim.tasks import TaskGraph
 from repro.utils.validation import require
-from repro.workloads.attention import AttentionWorkload
+from repro.workloads.attention import FP16_BYTES, AttentionWorkload
 
 
 class FLATScheduler(AttentionScheduler):
@@ -74,16 +74,15 @@ class FLATScheduler(AttentionScheduler):
         return BuildResult(graph=graph)
 
 
-def flat_max_seq_len(hardware: HardwareConfig, emb: int = 64, dtype_bytes: int = 2) -> int:
-    """Maximum sequence length FLAT can handle on ``hardware`` (Section 5.6).
+def flat_max_seq_len(hardware: HardwareConfig, emb: int = 64) -> int:
+    """Maximum FP16 sequence length FLAT can handle on ``hardware`` (Section 5.6).
 
     FLAT runs sequentially and computes softmax in place, so only a single
     score row must be resident at a time alongside minimal Q/O tiles.
     """
     require(emb > 0, "emb must be positive")
-    require(dtype_bytes > 0, "dtype_bytes must be positive")
-    reserved = 2 * emb * dtype_bytes  # one-row Q and O tiles
+    reserved = 2 * emb * FP16_BYTES  # one-row Q and O tiles
     available = hardware.l1_bytes - reserved
     if available <= 0:
         return 0
-    return available // dtype_bytes
+    return available // FP16_BYTES

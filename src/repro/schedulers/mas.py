@@ -22,7 +22,7 @@ from repro.hardware.config import HardwareConfig
 from repro.schedulers.base import AttentionScheduler, BuildResult
 from repro.sim.tasks import TaskGraph
 from repro.utils.validation import require
-from repro.workloads.attention import AttentionWorkload
+from repro.workloads.attention import FP16_BYTES, AttentionWorkload
 
 __all__ = ["MASAttentionScheduler", "mas_max_seq_len"]
 
@@ -90,18 +90,21 @@ class _MASCoreEmitter:
             self.emit.context(pv, start, reach, "V"),
             self.emit.context(blocks[OpKind.SOFTMAX], start, reach),
             self.emit.context(qk, start, reach, "K"),
-            self._event_context(pv, "PV"),
-            self._event_context(qk, "QK"),
-            # QK tiles, then any redo tiles, each a run of consecutive ids.
+            self._event_context(pv, "V"),
+            self._event_context(qk, "K"),
+            # A run of consecutive QK tile ids, then any redo tile.
             (start - qk_prev[0], len(qk_prev), start - qk_prev[-1]),
             start - softmax_prev,
         )
 
-    def _event_context(self, block: Block, op: str) -> tuple | None:
+    def _event(self, block: Block, victim: str) -> OverwriteEvent | None:
+        """The block's overwrite event if it drops ``victim``."""
         event = self.events.get(block.index)
-        if event is None or event.interrupted_op != op:
-            return None
-        return event.victim, event.reload_bytes, event.redo_tiles
+        return event if event is not None and event.victim == victim else None
+
+    def _event_context(self, block: Block, victim: str) -> tuple | None:
+        event = self._event(block, victim)
+        return None if event is None else (event.victim, event.reload_bytes)
 
     def _emit_qk(self, block: Block, pv: list[int] | None, softmax: int | None) -> list[int]:
         """Loads of Q_b and K plus the stream of QK^T tile MatMuls (Algorithm 2).
@@ -141,21 +144,22 @@ class _MASCoreEmitter:
     ) -> list[int]:
         """Materialize the block's overwrite event if it interrupts ``op``.
 
-        The victim is reloaded and the event's redo tiles are recomputed.  The
-        softmax that triggered the overwrite runs in the same round as the
-        interrupted MatMul: ``P_{b-1}`` when ``C_b`` is interrupted (Figure 3)
-        and ``P_{b+1}`` when ``O_b`` is (Figure 2).  Only ``P_{b-1}`` is
-        emitted before its MatMul (``trigger``), so only a QK reload and redo
-        wait on their trigger; a PV reload does not wait for ``P_{b+1}``.
+        The victim (K for QK, V for PV) is reloaded and one tile of ``op`` is
+        redone.  The softmax that triggered the overwrite runs in the same
+        round as the interrupted MatMul: ``P_{b-1}`` when ``C_b`` is
+        interrupted (Figure 3) and ``P_{b+1}`` when ``O_b`` is (Figure 2).
+        Only ``P_{b-1}`` is emitted before its MatMul (``trigger``), so only a
+        QK reload and redo wait on their trigger; a PV reload does not wait
+        for ``P_{b+1}``.
         """
-        event = self.events.get(block.index)
-        if event is None or event.interrupted_op != op:
+        event = self._event(block, "K" if op == "QK" else "V")
+        if event is None:
             return []
         deps = [interrupted]
         if op == "QK":
             deps.append(trigger)
         reload = self.emit.reload(block, event.victim, event.reload_bytes, deps)
-        return [self.emit.redo(block, op, r, [reload, *deps]) for r in range(event.redo_tiles)]
+        return [self.emit.redo(block, op, [reload, *deps])]
 
 
 class MASAttentionScheduler(AttentionScheduler):
@@ -280,17 +284,16 @@ class MASAttentionScheduler(AttentionScheduler):
         )
 
 
-def mas_max_seq_len(hardware: HardwareConfig, emb: int = 64, dtype_bytes: int = 2) -> int:
-    """Maximum self-attention sequence length MAS-Attention can handle (Section 5.6).
+def mas_max_seq_len(hardware: HardwareConfig, emb: int = 64) -> int:
+    """Maximum FP16 self-attention sequence length MAS-Attention can handle (Section 5.6).
 
     With row-granularity softmax at least one full row of ``P_i`` plus one full
     row of either ``P_{i-1}`` or ``C_{i+1}`` must fit on-chip simultaneously
     (two score rows), alongside minimal Q/O tiles.
     """
     require(emb > 0, "emb must be positive")
-    require(dtype_bytes > 0, "dtype_bytes must be positive")
-    reserved = 4 * emb * dtype_bytes  # one-row Q and O tiles, double buffered
+    reserved = 4 * emb * FP16_BYTES  # one-row Q and O tiles, double buffered
     available = hardware.l1_bytes - reserved
     if available <= 0:
         return 0
-    return available // (2 * dtype_bytes)
+    return available // (2 * FP16_BYTES)

@@ -12,6 +12,9 @@ from dataclasses import dataclass, replace
 
 from repro.utils.validation import check_positive_int, require
 
+#: Bytes per element of FP16, the paper's precision and every workload's.
+FP16_BYTES = 2
+
 
 @dataclass(frozen=True)
 class AttentionWorkload:
@@ -31,7 +34,7 @@ class AttentionWorkload:
     emb:
         Per-head embedding size ``E`` (head dimension).
     dtype_bytes:
-        Bytes per element (2 for FP16, the paper's precision).
+        Bytes per element; :data:`FP16_BYTES` by default.
     name:
         Optional human-readable label.
     """
@@ -41,7 +44,7 @@ class AttentionWorkload:
     seq_q: int = 512
     seq_kv: int = 512
     emb: int = 64
-    dtype_bytes: int = 2
+    dtype_bytes: int = FP16_BYTES
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -62,7 +65,6 @@ class AttentionWorkload:
         seq: int,
         emb: int,
         batch: int = 1,
-        dtype_bytes: int = 2,
         name: str = "",
     ) -> "AttentionWorkload":
         """Self-attention workload where ``seq_q == seq_kv``."""
@@ -72,7 +74,6 @@ class AttentionWorkload:
             seq_q=seq,
             seq_kv=seq,
             emb=emb,
-            dtype_bytes=dtype_bytes,
             name=name,
         )
 
@@ -84,7 +85,6 @@ class AttentionWorkload:
         seq: int,
         emb: int,
         batch: int = 1,
-        dtype_bytes: int = 2,
         name: str = "",
     ) -> "AttentionWorkload":
         """Grouped-query (GQA/MQA) attention, folded into an exact dense shape.
@@ -113,7 +113,6 @@ class AttentionWorkload:
             seq_q=group * seq,
             seq_kv=seq,
             emb=emb,
-            dtype_bytes=dtype_bytes,
             name=name,
         )
 

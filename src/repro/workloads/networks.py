@@ -32,14 +32,13 @@ class NetworkConfig:
         check_positive_int(self.hidden, "hidden")
         check_positive_int(self.emb, "emb")
 
-    def workload(self, batch: int = 1, dtype_bytes: int = 2) -> AttentionWorkload:
+    def workload(self, batch: int = 1) -> AttentionWorkload:
         """Instantiate the attention workload for this network."""
         return AttentionWorkload.self_attention(
             heads=self.heads,
             seq=self.seq,
             emb=self.emb,
             batch=batch,
-            dtype_bytes=dtype_bytes,
             name=self.name,
         )
 

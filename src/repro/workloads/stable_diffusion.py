@@ -42,11 +42,11 @@ class AttentionUnit:
     def is_cross_attention(self) -> bool:
         return self.seq_kv is not None and self.seq_kv != self.seq
 
-    def workload(self, dtype_bytes: int = 2) -> AttentionWorkload:
+    def workload(self) -> AttentionWorkload:
         """Attention workload of this unit."""
         if self.seq_kv is None:
             return AttentionWorkload.self_attention(
-                heads=self.heads, seq=self.seq, emb=self.emb, dtype_bytes=dtype_bytes, name=self.name
+                heads=self.heads, seq=self.seq, emb=self.emb, name=self.name
             )
         return AttentionWorkload(
             batch=1,
@@ -54,7 +54,6 @@ class AttentionUnit:
             seq_q=self.seq,
             seq_kv=self.seq_kv,
             emb=self.emb,
-            dtype_bytes=dtype_bytes,
             name=self.name,
         )
 
@@ -93,9 +92,9 @@ class StableDiffusionUNetWorkload:
         """The attention unit with the most score elements (the 2x4096x64 one)."""
         return max(self.units, key=lambda u: u.heads * u.seq * u.seq)
 
-    def workloads(self, dtype_bytes: int = 2) -> list[AttentionWorkload]:
+    def workloads(self) -> list[AttentionWorkload]:
         """Attention workloads for every unit."""
-        return [u.workload(dtype_bytes=dtype_bytes) for u in self.units]
+        return [u.workload() for u in self.units]
 
 
 def sd15_reduced_unet() -> StableDiffusionUNetWorkload:

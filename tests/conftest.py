@@ -15,7 +15,7 @@ import pytest
 from repro.core.tiling import TilingConfig
 from repro.hardware.config import HardwareConfig, MacUnitSpec, MemoryLevelSpec, VecUnitSpec
 from repro.hardware.presets import simulated_edge_device
-from repro.utils.units import KB, MB
+from repro.utils.units import KB
 from repro.workloads.attention import AttentionWorkload
 
 #: Suite specs the sweep tests run under: the default registry, a batched
@@ -46,28 +46,11 @@ def tiny_hw() -> HardwareConfig:
         frequency_hz=1e9,
         num_cores=1,
         mac=MacUnitSpec(rows=8, cols=8, fill_overhead_cycles=4),
-        vec=VecUnitSpec(lanes=32, throughput_ops_per_cycle=8, softmax_ops_per_element=12),
-        dram=MemoryLevelSpec(
-            name="DRAM",
-            size_bytes=1024 * MB,
-            read_pj_per_byte=60.0,
-            write_pj_per_byte=60.0,
-            bandwidth_bytes_per_cycle=4.0,
-        ),
-        l1=MemoryLevelSpec(
-            name="L1",
-            size_bytes=64 * KB,
-            read_pj_per_byte=2.0,
-            write_pj_per_byte=2.2,
-            bandwidth_bytes_per_cycle=64.0,
-        ),
-        l0=MemoryLevelSpec(
-            name="L0",
-            size_bytes=4 * KB,
-            read_pj_per_byte=0.15,
-            write_pj_per_byte=0.18,
-            bandwidth_bytes_per_cycle=256.0,
-        ),
+        vec=VecUnitSpec(throughput_ops_per_cycle=8, softmax_ops_per_element=12),
+        l1_bytes=64 * KB,
+        dram=MemoryLevelSpec(read_pj_per_byte=60.0, write_pj_per_byte=60.0),
+        l1=MemoryLevelSpec(read_pj_per_byte=2.0, write_pj_per_byte=2.2),
+        l0=MemoryLevelSpec(read_pj_per_byte=0.15, write_pj_per_byte=0.18),
     )
 
 

@@ -10,6 +10,13 @@ from repro.cli import build_parser, main
 from repro.workloads.suites import list_suites
 
 
+def _header_cells(out: str, title: str) -> list[str]:
+    """The header cells of the printed table whose title contains ``title``."""
+    lines = out.splitlines()
+    (index,) = [i for i, line in enumerate(lines) if title in line]
+    return [cell.strip() for cell in lines[index + 1].split(" | ")]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -110,6 +117,8 @@ class TestCommands:
         assert "Table 2" in out and "MAS vs flat" in out
         payload = json.loads(json_path.read_text())
         assert "rows" in payload and payload["rows"]
+        assert all(len(row) == len(payload["columns"]) for row in payload["rows"])
+        assert payload["columns"] == _header_cells(out, "Table 2")
 
     def test_dram_command_standard_only(self, capsys):
         code = main(["dram", "--no-search", "--networks", "ViT-B/14"])
@@ -122,12 +131,16 @@ class TestCommands:
         json_path = tmp_path / "dram.json"
         code = main(["dram", "--no-search", "--networks", "BERT-Base", "--json", str(json_path)])
         assert code == 0
-        assert "constrained L1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "constrained L1" in out
         payload = json.loads(json_path.read_text())
         (standard,) = payload["rows"]
         (constrained,) = payload["constrained_rows"]
         assert standard[0] == constrained[0] == "BERT-Base & T5-Base"
         assert standard[-1] == 0 and constrained[-1] > 0  # overwrite events
+        assert len(standard) == len(constrained) == len(payload["columns"])
+        assert payload["columns"] == _header_cells(out, "standard edge device")
+        assert payload["columns"] == _header_cells(out, "constrained L1")
 
     def test_table2_streaming_progress(self, capsys):
         code = main(

@@ -157,8 +157,8 @@ class TestSequenceLimits:
         """Section 5.6: two resident score rows for MAS versus one for FLAT."""
         from repro.schedulers.flat import flat_max_seq_len
 
-        mas_limit = mas_max_seq_len(edge_hw, emb=64, dtype_bytes=2)
-        flat_limit = flat_max_seq_len(edge_hw, emb=64, dtype_bytes=2)
+        mas_limit = mas_max_seq_len(edge_hw, emb=64)
+        flat_limit = flat_max_seq_len(edge_hw, emb=64)
         assert flat_limit == pytest.approx(2 * mas_limit, rel=0.01)
 
     def test_limits_on_paper_device_are_around_1m_and_2m(self, edge_hw):

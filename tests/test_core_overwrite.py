@@ -37,14 +37,11 @@ def plan(hw, workload, tiling):
 
 class TestOverwriteEvent:
     def test_validation(self):
-        OverwriteEvent(block_index=2, victim="K", interrupted_op="QK",
-                       reload_bytes=100, redo_tiles=1)
+        OverwriteEvent(block_index=2, victim="K", reload_bytes=100)
         with pytest.raises(ValueError):
-            OverwriteEvent(block_index=2, victim="P", interrupted_op="QK",
-                           reload_bytes=100, redo_tiles=1)
+            OverwriteEvent(block_index=2, victim="P", reload_bytes=100)
         with pytest.raises(ValueError):
-            OverwriteEvent(block_index=2, victim="K", interrupted_op="SM",
-                           reload_bytes=100, redo_tiles=1)
+            OverwriteEvent(block_index=2, victim="K", reload_bytes=-1)
 
 
 class TestPlanOverwrites:
@@ -65,16 +62,25 @@ class TestPlanOverwrites:
         assert all(e.block_index >= 2 for e in events)
 
     def test_victims_follow_the_paper_cases(self, edge_hw, long_workload):
-        """Both Figure-2 (V overwritten, PV halted) and Figure-3 (K, QK) cases occur."""
-        _, events = plan(edge_hw.with_l1_bytes(256 * KB), long_workload, OVERFLOWING)
-        pairs = {(e.victim, e.interrupted_op) for e in events}
-        assert pairs <= {("V", "PV"), ("K", "QK")}
-        assert len(pairs) == 2
+        """Both Figure-2 (V overwritten, PV halted) and Figure-3 (K, QK) cases
+        occur, and each redoes a tile of the MatMul its victim feeds."""
+        hw = edge_hw.with_l1_bytes(256 * KB)
+        _, events = plan(hw, long_workload, OVERFLOWING)
+        assert {e.victim for e in events} == {"K", "V"}
+        graph = MASAttentionScheduler(hw).build(long_workload, OVERFLOWING).graph
+        pairs = {
+            (graph[dep].tags["operand"], redo.tags["op"])
+            for redo in graph
+            if redo.tags.get("redo")
+            for dep in redo.deps
+            if graph[dep].tags.get("overwrite")
+        }
+        assert pairs == {("V", "PV"), ("K", "QK")}
 
     def test_metadata_totals_the_plan(self, edge_hw, long_workload):
         """A build's metadata counts every core's planned events and their
-        reload bytes, and its graph holds one reload task per event and the
-        events' redo tiles."""
+        reload bytes, and its graph holds one reload task and one redo tile
+        per event."""
         hw = edge_hw.with_l1_bytes(256 * KB)
         scheduler = MASAttentionScheduler(hw)
         overflow = mas_footprint_bytes(long_workload, OVERFLOWING) - hw.l1_bytes
@@ -89,7 +95,7 @@ class TestPlanOverwrites:
         assert build.metadata["extra_dram_bytes"] == sum(e.reload_bytes for e in events)
         assert len([t for t in build.graph if t.tags.get("overwrite")]) == len(events)
         redo = [t for t in build.graph if t.tags.get("redo")]
-        assert len(redo) == sum(e.redo_tiles for e in events)
+        assert len(redo) == len(events)
 
     def test_disabled_overwrite_emits_no_reload_or_redo(self, edge_hw, long_workload):
         hw = edge_hw.with_l1_bytes(256 * KB)

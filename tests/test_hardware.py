@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.hardware.compute_units import (
@@ -22,7 +23,7 @@ from repro.hardware.config import (
     VecUnitSpec,
 )
 from repro.hardware.energy import AccessCounters, EnergyBreakdown, EnergyModel
-from repro.hardware.memory import dma_cycles
+from repro.hardware.memory import dma_cycles, dma_cycles_batch
 from repro.hardware.presets import (
     PRESETS,
     constrained_edge_device,
@@ -30,15 +31,11 @@ from repro.hardware.presets import (
     get_preset,
     simulated_edge_device,
 )
+from repro.schedulers.registry import list_schedulers, make_scheduler
 from repro.utils.units import GHZ, KB, MB
 
 
 class TestSpecs:
-    def test_mac_spec_derived_properties(self):
-        spec = MacUnitSpec(rows=16, cols=16)
-        assert spec.num_pes == 256
-        assert spec.peak_macs_per_cycle == 256
-
     def test_mac_spec_validation(self):
         with pytest.raises(ValueError):
             MacUnitSpec(rows=0)
@@ -47,17 +44,13 @@ class TestSpecs:
 
     def test_vec_spec_validation(self):
         with pytest.raises(ValueError):
-            VecUnitSpec(lanes=0)
-        with pytest.raises(ValueError):
             VecUnitSpec(throughput_ops_per_cycle=0)
 
     def test_memory_level_validation(self):
         with pytest.raises(ValueError):
-            MemoryLevelSpec(name="", size_bytes=1, read_pj_per_byte=1, write_pj_per_byte=1,
-                            bandwidth_bytes_per_cycle=1)
+            MemoryLevelSpec(read_pj_per_byte=-1, write_pj_per_byte=1)
         with pytest.raises(ValueError):
-            MemoryLevelSpec(name="L1", size_bytes=1, read_pj_per_byte=1, write_pj_per_byte=1,
-                            bandwidth_bytes_per_cycle=0)
+            MemoryLevelSpec(read_pj_per_byte=1, write_pj_per_byte=-1)
 
     def test_dma_spec_validation(self):
         with pytest.raises(ValueError):
@@ -72,9 +65,9 @@ class TestHardwareConfig:
         assert edge_hw.frequency_hz == pytest.approx(3.75 * GHZ)
         assert edge_hw.num_cores == 2
         assert edge_hw.mac.rows == 16 and edge_hw.mac.cols == 16
-        assert edge_hw.vec.lanes == 256
         assert edge_hw.l1_bytes == 5 * MB
-        assert edge_hw.dram.size_bytes == 6 * 1024 * MB
+        # The paper's 30 GB/s DRAM channel.
+        assert edge_hw.dma.bytes_per_cycle * edge_hw.frequency_hz == pytest.approx(30e9)
 
     def test_with_l1_bytes(self, edge_hw):
         shrunk = edge_hw.with_l1_bytes(256 * KB)
@@ -82,14 +75,52 @@ class TestHardwareConfig:
         assert shrunk.dram == edge_hw.dram
         assert edge_hw.l1_bytes == 5 * MB  # original untouched (frozen dataclass)
 
-    def test_peak_macs(self, edge_hw):
-        assert edge_hw.peak_macs_per_cycle == 2 * 256
-
     def test_validation(self):
         with pytest.raises(ValueError):
             HardwareConfig(num_cores=0)
         with pytest.raises(ValueError):
             HardwareConfig(frequency_hz=0)
+        with pytest.raises(ValueError):
+            HardwareConfig(l1_bytes=0)
+
+
+def _numeric_fields(obj, prefix=()):
+    """The path and value of every numeric field of ``obj``, nested specs included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numeric_fields(value, prefix + (f.name,))
+        elif isinstance(value, (int, float)):
+            yield prefix + (f.name,), value
+
+
+def _with_field(obj, path, value):
+    """A copy of ``obj`` with the field at ``path`` set to ``value``."""
+    head, *rest = path
+    if rest:
+        value = _with_field(getattr(obj, head), rest, value)
+    return dataclasses.replace(obj, **{head: value})
+
+
+@pytest.mark.parametrize(
+    "path", [path for path, _ in _numeric_fields(HardwareConfig())], ids=".".join
+)
+def test_every_device_parameter_moves_a_result(path, tiny_hw, small_workload):
+    """The device holds no value the simulator ignores: changing any numeric
+    field changes the cycles, energy or latency of at least one scheduler's
+    default-tiling simulation.  An int steps by one, a float doubles and the
+    L1 capacity halves."""
+    value = dict(_numeric_fields(tiny_hw))[path]
+    if path == ("l1_bytes",):
+        changed = _with_field(tiny_hw, path, value // 2)
+    else:
+        changed = _with_field(tiny_hw, path, value * 2 if isinstance(value, float) else value + 1)
+
+    def outcome(hardware, name):
+        result = make_scheduler(name, hardware).simulate(small_workload)
+        return result.cycles, result.energy_pj, result.latency_seconds
+
+    assert any(outcome(tiny_hw, name) != outcome(changed, name) for name in list_schedulers())
 
 
 class TestComputeCosts:
@@ -137,20 +168,19 @@ class TestMemory:
         hw = HardwareConfig(dma=DmaSpec(bytes_per_cycle=0.5, setup_cycles=0))
         assert dma_cycles(hw, 100) == 200
 
+    def test_dma_cycles_non_integral_bandwidth_above_one(self):
+        """2.5 B/cycle moves 100 bytes in 40 cycles, in both forms."""
+        hw = HardwareConfig(dma=DmaSpec(bytes_per_cycle=2.5, setup_cycles=0))
+        assert dma_cycles(hw, 100) == 40
+        assert dma_cycles(hw, 101) == 41
+        assert dma_cycles_batch(hw, np.array([0, 100, 101])).tolist() == [0, 40, 41]
+
     def test_dma_cycles_rejects_negative(self, edge_hw):
         with pytest.raises(ValueError):
             dma_cycles(edge_hw, -1)
 
 
 class TestEnergy:
-    def test_counters_add(self):
-        a = AccessCounters(dram_bytes_read=10, mac_ops=5, total_cycles=100)
-        b = AccessCounters(dram_bytes_read=20, vec_ops=7, total_cycles=50)
-        c = a + b
-        assert c.dram_bytes_read == 30
-        assert c.mac_ops == 5 and c.vec_ops == 7
-        assert c.total_cycles == 100  # max, not sum
-
     def test_counters_reject_negative(self):
         with pytest.raises(ValueError):
             AccessCounters(dram_bytes_read=-1)
@@ -177,7 +207,7 @@ class TestEnergy:
     def test_breakdown_views(self):
         b = EnergyBreakdown(dram_pj=1, l1_pj=2, l0_pj=3, mac_pe_pj=4, vec_pe_pj=5, leakage_pj=6)
         assert b.pe_pj == 9
-        assert b.as_dict()["total"] == pytest.approx(21)
+        assert b.total_pj == pytest.approx(21)
 
 
 class TestPresets:

@@ -178,7 +178,7 @@ class TestCostModelProperties:
     @settings(max_examples=60, deadline=None)
     def test_matmul_cycles_lower_bounded_by_ideal(self, m, k, n):
         spec = MacUnitSpec(rows=16, cols=16, fill_overhead_cycles=0)
-        ideal = ceil_div(matmul_macs(m, k, n), spec.peak_macs_per_cycle)
+        ideal = ceil_div(matmul_macs(m, k, n), spec.rows * spec.cols * spec.macs_per_pe_per_cycle)
         assert matmul_cycles(spec, m, k, n) >= ideal
 
     @given(dims, dims, dims, st.integers(0, 64))
